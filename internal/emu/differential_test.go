@@ -70,7 +70,7 @@ func TestDifferentialIRvsEmu(t *testing.T) {
 			return false
 		}
 
-		m := New(code)
+		m := newChecked(t, code)
 		stop, err := m.Run(0)
 		if err != nil || stop.Kind != StopSyscall {
 			t.Logf("emu: stop=%+v err=%v", stop, err)
@@ -136,7 +136,7 @@ func TestDifferentialDecodeLoops(t *testing.T) {
 			code = append(code, b^key)
 		}
 
-		m := New(code)
+		m := newChecked(t, code)
 		stop, err := m.Run(0)
 		if err != nil || stop.Kind != StopRet {
 			t.Fatalf("trial %d: stop=%+v err=%v", trial, stop, err)

@@ -40,7 +40,9 @@ const (
 
 // Machine is one emulator instance. The code/data image occupies
 // addresses [0, len(Mem)); the stack is a separate region growing down
-// from StackBase.
+// from StackBase. Mem is for reading: the machine memoizes the
+// instructions it decodes from it, so memory is rewritten only by the
+// running program or by Reset.
 type Machine struct {
 	Mem   []byte
 	Regs  [8]uint32 // indexed by register family number
@@ -56,6 +58,28 @@ type Machine struct {
 	MaxSteps int
 
 	stack []uint32 // modeled separately from Mem; esp mirrors len
+
+	// The fetch memo: each position execution reaches is decoded once
+	// and then fetched by reference, until a store overwrites one of
+	// its bytes.
+	//
+	// memo holds one slot per distinct position ever fetched, so it is
+	// bounded by the positions actually executed, not by the image
+	// size; a slot with Len == 0 has been invalidated and is decoded
+	// again, in place, by the next fetch there. memoAt[p] is 1 + the
+	// slot for position p (0 = never fetched). covered[i] is set once
+	// byte i lies inside some memoized instruction; it is only ever a
+	// superset, and lets a store that touches no covered byte (a
+	// decoder loop rewriting its payload) skip the invalidation scan.
+	//
+	// Invariant: a slot with Len != 0 equals x86.Decode(Mem, p) for
+	// its position p. Decode's result depends only on the bytes
+	// [p, p+Len) and on len(Mem), every write to Mem goes through
+	// store or Reset, and both invalidate every slot whose byte range
+	// contains a written byte.
+	memo    []x86.Inst
+	memoAt  []int32
+	covered []bool
 }
 
 // stackBase is the virtual ESP start; only relative motion matters.
@@ -63,12 +87,85 @@ const stackBase = 0x7fff0000
 
 // New builds a machine over a copy of image.
 func New(image []byte) *Machine {
-	m := &Machine{
-		Mem:      append([]byte(nil), image...),
-		MaxSteps: 1 << 20,
-	}
-	m.Regs[x86.ESP.Num()] = stackBase
+	m := &Machine{MaxSteps: 1 << 20}
+	m.Reset(image)
 	return m
+}
+
+// Reset rebinds the machine to a copy of image in the state New
+// leaves it in (registers, flags, stack and step count cleared;
+// MaxSteps kept), reusing its storage. When image is as long as the
+// memory the machine holds, memoized instructions whose bytes are the
+// same in both survive: re-running one frame from another entry point
+// decodes only what the previous run rewrote.
+func (m *Machine) Reset(image []byte) {
+	if len(image) != len(m.Mem) {
+		m.Mem = append(m.Mem[:0], image...)
+		if m.memo == nil {
+			m.memo = make([]x86.Inst, 0, 64) // a decoder stub, without regrowth
+		}
+		m.memo = m.memo[:0]
+		if cap(m.memoAt) < len(image) {
+			m.memoAt = make([]int32, len(image))
+			m.covered = make([]bool, len(image))
+		} else {
+			m.memoAt = m.memoAt[:len(image)]
+			m.covered = m.covered[:len(image)]
+			clear(m.memoAt)
+			clear(m.covered)
+		}
+	} else {
+		for i, b := range image {
+			if m.Mem[i] != b {
+				m.Mem[i] = b
+				if m.covered[i] {
+					m.invalidate(i, 1)
+				}
+			}
+		}
+	}
+	m.Regs = [8]uint32{}
+	m.Regs[x86.ESP.Num()] = stackBase
+	m.ZF, m.SF, m.CF, m.OF, m.DF = false, false, false, false, false
+	m.EIP, m.Steps = 0, 0
+	m.stack = m.stack[:0]
+}
+
+// fetch returns the instruction at pos, decoding it at most once while
+// its bytes stay unwritten.
+func (m *Machine) fetch(pos int) (*x86.Inst, error) {
+	var in *x86.Inst
+	if s := m.memoAt[pos]; s != 0 {
+		if in = &m.memo[s-1]; in.Len != 0 {
+			return in, nil
+		}
+	} else {
+		m.memo = append(m.memo, x86.Inst{})
+		m.memoAt[pos] = int32(len(m.memo))
+		in = &m.memo[len(m.memo)-1]
+	}
+	if err := x86.DecodeInto(in, m.Mem, pos); err != nil {
+		in.Len = 0
+		return nil, err
+	}
+	for i := pos; i < pos+int(in.Len); i++ {
+		m.covered[i] = true
+	}
+	return in, nil
+}
+
+// invalidate drops every memoized instruction that contains one of
+// the bytes [addr, addr+size). An instruction is at most
+// x86.MaxInstLen bytes, so none that starts further back can reach
+// addr.
+func (m *Machine) invalidate(addr, size int) {
+	for p := max(addr-x86.MaxInstLen+1, 0); p < addr+size; p++ {
+		if s := m.memoAt[p]; s != 0 {
+			if in := &m.memo[s-1]; p+int(in.Len) > addr {
+				in.Len = 0
+			}
+		}
+	}
 }
 
 // Reg returns a register value (any width).
@@ -131,8 +228,14 @@ func (m *Machine) store(addr uint32, size int, v uint32) error {
 	if int64(addr)+int64(size) > int64(len(m.Mem)) || int64(addr) < 0 {
 		return fmt.Errorf("%w: write %d@%#x", ErrMemFault, size, addr)
 	}
+	a := int(addr)
+	hit := false
 	for i := 0; i < size; i++ {
-		m.Mem[int(addr)+i] = byte(v >> (8 * i))
+		m.Mem[a+i] = byte(v >> (8 * i))
+		hit = hit || m.covered[a+i]
+	}
+	if hit {
+		m.invalidate(a, size)
 	}
 	return nil
 }
@@ -304,34 +407,52 @@ func (m *Machine) ResumeAfterSyscall(ret uint32) (Stop, error) {
 func (m *Machine) runFrom(entry int) (Stop, error) {
 	m.EIP = entry
 	for {
-		if m.Steps++; m.Steps > m.MaxSteps {
-			return Stop{}, ErrStepLimit
+		if stop, done, err := m.beginStep(); done {
+			return stop, err
 		}
-		if m.EIP == len(m.Mem) {
-			return Stop{Kind: StopEnd, EIP: m.EIP}, nil
-		}
-		if m.EIP < 0 || m.EIP > len(m.Mem) {
-			return Stop{}, fmt.Errorf("%w: eip=%#x", ErrBadFetch, m.EIP)
-		}
-		in, err := x86.Decode(m.Mem, m.EIP)
+		in, err := m.fetch(m.EIP)
 		if err != nil {
 			return Stop{}, fmt.Errorf("%w at %#x: %v", ErrDecode, m.EIP, err)
 		}
-		next := m.EIP + in.Len
-		stop, jump, err := m.exec(&in, next)
-		if err != nil {
-			return Stop{}, fmt.Errorf("at %#x (%v): %w", m.EIP, in, err)
-		}
-		if stop != nil {
-			stop.EIP = m.EIP
-			return *stop, nil
-		}
-		if jump >= 0 {
-			m.EIP = jump
-		} else {
-			m.EIP = next
+		if stop, done, err := m.execute(in); done {
+			return stop, err
 		}
 	}
+}
+
+// beginStep counts a step and checks that EIP can be fetched from;
+// done reports that the run is over before this step.
+func (m *Machine) beginStep() (stop Stop, done bool, err error) {
+	if m.Steps++; m.Steps > m.MaxSteps {
+		return Stop{}, true, ErrStepLimit
+	}
+	if m.EIP == len(m.Mem) {
+		return Stop{Kind: StopEnd, EIP: m.EIP}, true, nil
+	}
+	if m.EIP < 0 || m.EIP > len(m.Mem) {
+		return Stop{}, true, fmt.Errorf("%w: eip=%#x", ErrBadFetch, m.EIP)
+	}
+	return Stop{}, false, nil
+}
+
+// execute runs the instruction fetched at EIP and moves EIP past it or
+// to its jump target; done reports that the run ended on it.
+func (m *Machine) execute(in *x86.Inst) (Stop, bool, error) {
+	next := m.EIP + int(in.Len)
+	stop, jump, err := m.exec(in, next)
+	if err != nil {
+		return Stop{}, true, fmt.Errorf("at %#x (%v): %w", m.EIP, in, err)
+	}
+	if stop != nil {
+		stop.EIP = m.EIP
+		return *stop, true, nil
+	}
+	if jump >= 0 {
+		m.EIP = jump
+	} else {
+		m.EIP = next
+	}
+	return Stop{}, false, nil
 }
 
 // exec performs one instruction. jump < 0 means fall through.
@@ -615,7 +736,7 @@ func (m *Machine) exec(in *x86.Inst, next int) (stop *Stop, jump int, err error)
 
 	case x86.JMP:
 		if in.HasTarget {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 		v, gerr := m.getOp(a0)
 		if gerr != nil {
@@ -624,34 +745,34 @@ func (m *Machine) exec(in *x86.Inst, next int) (stop *Stop, jump int, err error)
 		return nil, int(v), nil
 	case x86.JCC:
 		if m.cond(in.Cond) {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 	case x86.LOOP:
 		c := m.Reg(x86.ECX) - 1
 		m.SetReg(x86.ECX, c)
 		if c != 0 {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 	case x86.LOOPE:
 		c := m.Reg(x86.ECX) - 1
 		m.SetReg(x86.ECX, c)
 		if c != 0 && m.ZF {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 	case x86.LOOPNE:
 		c := m.Reg(x86.ECX) - 1
 		m.SetReg(x86.ECX, c)
 		if c != 0 && !m.ZF {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 	case x86.JECXZ:
 		if m.Reg(x86.ECX) == 0 {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 	case x86.CALL:
 		m.push(uint32(next))
 		if in.HasTarget {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 		v, gerr := m.getOp(a0)
 		if gerr != nil {

@@ -14,7 +14,7 @@ import (
 // execve (eax=0xb), returning the machine and the syscall trace.
 func runToExecve(t *testing.T, image []byte) (*Machine, []uint32) {
 	t.Helper()
-	m := New(image)
+	m := newChecked(t, image)
 	var sysnums []uint32
 	stop, err := m.Run(0)
 	for {
@@ -98,7 +98,7 @@ func TestExecuteADMmutateSamples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := New(sample)
+		m := newChecked(t, sample)
 		stop, err := m.Run(0)
 		if err != nil {
 			t.Fatalf("sample %d (%s/%s): %v", i, meta.Scheme, meta.Transform, err)
@@ -124,7 +124,7 @@ func TestExecuteCletSamples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := New(sample)
+		m := newChecked(t, sample)
 		stop, err := m.Run(0)
 		if err != nil {
 			t.Fatalf("sample %d: %v", i, err)
@@ -149,7 +149,7 @@ func TestExecuteMorphedSamples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := New(variant)
+		m := newChecked(t, variant)
 		stop, err := m.Run(0)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
@@ -170,7 +170,7 @@ func TestFlagSemantics(t *testing.T) {
 		Loop("top").
 		IntN(0x80).
 		MustBytes()
-	m := New(code)
+	m := newChecked(t, code)
 	stop, err := m.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestFlagSemantics(t *testing.T) {
 		MovRI(x86.EAX, 200).
 		IntN(0x80).
 		MustBytes()
-	m = New(code)
+	m = newChecked(t, code)
 	stop, err = m.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestFlagSemantics(t *testing.T) {
 		MovRI(x86.EBX, 1).
 		IntN(0x80).
 		MustBytes()
-	m = New(code)
+	m = newChecked(t, code)
 	if _, err := m.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSubregisterWrites(t *testing.T) {
 		I(x86.MOV, x86.RegOp(x86.AL), x86.ImmOp(0x66)).
 		IntN(0x80).
 		MustBytes()
-	m := New(code)
+	m := newChecked(t, code)
 	stop, err := m.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestMemoryFaults(t *testing.T) {
 		MovRI(x86.EAX, 0x40000000).
 		I(x86.MOV, x86.MemOp(x86.MemRef{Base: x86.EAX, Size: 1, Scale: 1}), x86.ImmOp(1)).
 		MustBytes()
-	m := New(code)
+	m := newChecked(t, code)
 	if _, err := m.Run(0); err == nil {
 		t.Error("out-of-image write did not fault")
 	}
@@ -253,7 +253,7 @@ func TestStepLimit(t *testing.T) {
 		Label("spin").
 		JmpShort("spin").
 		MustBytes()
-	m := New(code)
+	m := newChecked(t, code)
 	m.MaxSteps = 1000
 	if _, err := m.Run(0); err != ErrStepLimit {
 		t.Errorf("infinite loop: %v, want step limit", err)
@@ -261,7 +261,7 @@ func TestStepLimit(t *testing.T) {
 }
 
 func TestRunOffEnd(t *testing.T) {
-	m := New([]byte{0x90, 0x90})
+	m := newChecked(t, []byte{0x90, 0x90})
 	stop, err := m.Run(0)
 	if err != nil || stop.Kind != StopEnd {
 		t.Errorf("stop=%+v err=%v", stop, err)
@@ -269,7 +269,7 @@ func TestRunOffEnd(t *testing.T) {
 }
 
 func TestStackUnderflow(t *testing.T) {
-	m := New([]byte{0x58}) // pop eax with empty stack
+	m := newChecked(t, []byte{0x58}) // pop eax with empty stack
 	if _, err := m.Run(0); err == nil {
 		t.Error("stack underflow not reported")
 	}

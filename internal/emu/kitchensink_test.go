@@ -9,7 +9,7 @@ import (
 // runSink executes code and returns the machine at its first stop.
 func runSink(t *testing.T, code []byte) *Machine {
 	t.Helper()
-	m := New(code)
+	m := newChecked(t, code)
 	if _, err := m.Run(0); err != nil {
 		t.Fatalf("run: %v", err)
 	}

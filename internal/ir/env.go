@@ -58,10 +58,30 @@ type stackVal struct {
 	known bool
 }
 
+// Regs is the register half of the abstract state: what is known of
+// each register's contents, indexed by x86 family register number
+// (EAX..EDI). It is the part of the state a Node keeps as Pre.
+type Regs [8]regVal
+
+// Get returns the value of register r if fully known.
+func (rs *Regs) Get(r x86.Reg) (uint32, bool) {
+	if r == x86.RegNone {
+		return 0, false
+	}
+	w, off := regGeom(r)
+	rv := rs[r.Family().Num()]
+	if !rv.knownAll(w, off) {
+		return 0, false
+	}
+	return rv.get(w, off), true
+}
+
 // Env is the abstract machine state at a program point: per-register
-// constant knowledge plus a bounded symbolic stack.
+// constant knowledge plus a bounded symbolic stack. The stack is
+// consulted only on the live state during evaluation, never through a
+// Node, so a Node's Pre state is the Regs alone.
 type Env struct {
-	regs  [8]regVal // indexed by x86 family register number (EAX..EDI)
+	regs  Regs
 	stack []stackVal
 	// stackOK is false once ESP has been manipulated in a way the
 	// symbolic stack does not model (mov esp, pushad, add esp...).
@@ -71,25 +91,6 @@ type Env struct {
 // NewEnv returns the initial (nothing known) state.
 func NewEnv() Env {
 	return Env{stackOK: true}
-}
-
-// clone returns a deep copy (the stack slice is shared copy-on-write by
-// always appending through cloneStack).
-func (e Env) clone() Env {
-	c := e
-	c.stack = append([]stackVal(nil), e.stack...)
-	return c
-}
-
-// snapshot returns a copy suitable for storing as a Node's Pre state:
-// register knowledge is copied, but the symbolic stack is dropped. A
-// Pre state is only ever queried through Get (register constants); the
-// stack is consulted exclusively on the live state during evaluation,
-// so copying it per instruction would be pure allocation overhead.
-func (e Env) snapshot() Env {
-	c := e
-	c.stack = nil
-	return c
 }
 
 // regGeom returns the byte width and offset of r within its family.
@@ -107,18 +108,7 @@ func regGeom(r x86.Reg) (width, off uint) {
 }
 
 // Get returns the value of register r if fully known.
-func (e *Env) Get(r x86.Reg) (uint32, bool) {
-	if r == x86.RegNone {
-		return 0, false
-	}
-	fam := r.Family().Num()
-	w, off := regGeom(r)
-	rv := e.regs[fam]
-	if !rv.knownAll(w, off) {
-		return 0, false
-	}
-	return rv.get(w, off), true
-}
+func (e *Env) Get(r x86.Reg) (uint32, bool) { return e.regs.Get(r) }
 
 // Set records that register r holds v (or becomes unknown).
 func (e *Env) Set(r x86.Reg, v uint32, known bool) {

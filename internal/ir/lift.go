@@ -8,20 +8,20 @@ import (
 // families (bit n = family with hardware number n).
 type RegSet uint8
 
-// Add inserts the family of r.
-func (s *RegSet) Add(r x86.Reg) {
-	if r != x86.RegNone {
-		*s |= 1 << r.Family().Num()
+// famBit[r] is the set holding just the family of r (empty for
+// RegNone and for values that name no register).
+var famBit = func() (t [256]RegSet) {
+	for r := x86.EAX; r <= x86.DI; r++ {
+		t[r] = 1 << r.Family().Num()
 	}
-}
+	return t
+}()
+
+// Add inserts the family of r.
+func (s *RegSet) Add(r x86.Reg) { *s |= famBit[r] }
 
 // Has reports whether the family of r is in the set.
-func (s RegSet) Has(r x86.Reg) bool {
-	if r == x86.RegNone {
-		return false
-	}
-	return s&(1<<r.Family().Num()) != 0
-}
+func (s RegSet) Has(r x86.Reg) bool { return s&famBit[r] != 0 }
 
 // Intersects reports whether the two sets share a register family.
 func (s RegSet) Intersects(o RegSet) bool { return s&o != 0 }
@@ -30,12 +30,18 @@ func (s RegSet) Intersects(o RegSet) bool { return s&o != 0 }
 const AllRegs RegSet = 0xff
 
 // Node is one instruction in execution order together with the
-// abstract state holding *before* it executes and its def/use sets.
+// register state holding *before* it executes and its def/use sets.
+// Its position in Program.Nodes or Program.Raw is its position in that
+// order.
+//
+// Inst points into the decoded-instruction store the lifted stream
+// came from (x86.DecodeCache for the analysis path): a Node never owns
+// or copies its instruction, and is valid only as long as that store
+// is. TestNodeSize pins the size.
 type Node struct {
-	Inst x86.Inst
-	Seq  int // position in execution order
+	Inst *x86.Inst
 
-	Pre Env // state before the instruction executes
+	Pre Regs // register state before the instruction executes
 
 	Defs      RegSet // register families written
 	Uses      RegSet // register families read
@@ -64,7 +70,7 @@ func (n *Node) Advance() (fam x86.Reg, delta int64, ok bool) {
 		}
 	case x86.ADD:
 		if a0.Kind == x86.KindReg && a0.Reg.Size() == 4 && a1.Kind == x86.KindImm {
-			return a0.Reg, a1.Imm, true
+			return a0.Reg, int64(a1.Imm), true
 		}
 		// add reg, reg2 where reg2 holds a known constant
 		if a0.Kind == x86.KindReg && a0.Reg.Size() == 4 && a1.Kind == x86.KindReg {
@@ -74,7 +80,7 @@ func (n *Node) Advance() (fam x86.Reg, delta int64, ok bool) {
 		}
 	case x86.SUB:
 		if a0.Kind == x86.KindReg && a0.Reg.Size() == 4 && a1.Kind == x86.KindImm {
-			return a0.Reg, -a1.Imm, true
+			return a0.Reg, -int64(a1.Imm), true
 		}
 		if a0.Kind == x86.KindReg && a0.Reg.Size() == 4 && a1.Kind == x86.KindReg {
 			if v, known := n.Pre.Get(a1.Reg); known {
@@ -101,7 +107,7 @@ type Program struct {
 	Raw []Node
 
 	// threaded is reusable scratch for the threaded instruction order.
-	threaded []x86.Inst
+	threaded []*x86.Inst
 
 	// stackBuf is the evaluator's reusable symbolic-stack storage,
 	// threaded through analyzeInto so repeated lifts do not re-grow
@@ -111,10 +117,11 @@ type Program struct {
 
 // Lift analyzes a decoded instruction stream: it computes the threaded
 // execution order, runs the constant-propagation evaluator along both
-// the threaded and raw orders, and fills in def/use sets.
+// the threaded and raw orders, and fills in def/use sets. The program
+// refers to the elements of insts, which must outlive it.
 func Lift(insts []x86.Inst) *Program {
 	p := &Program{}
-	p.Reuse(insts)
+	p.Reuse(x86.Refs(insts))
 	return p
 }
 
@@ -123,7 +130,11 @@ func Lift(insts []x86.Inst) *Program {
 // frame at several sweep offsets; reusing one Program per worker keeps
 // those lifts allocation-free once the buffers have grown to frame
 // size.
-func (p *Program) Reuse(insts []x86.Inst) {
+//
+// Nothing is copied out of insts: every Node points at the instruction
+// it was lifted from, so p is valid until the store behind insts is
+// reset (x86.DecodeCache.Reset) or p is Reused.
+func (p *Program) Reuse(insts []*x86.Inst) {
 	p.threaded = x86.ThreadOrderAppend(p.threaded[:0], insts)
 	p.Nodes, p.stackBuf = analyzeInto(p.Nodes[:0], p.threaded, p.stackBuf)
 	p.Raw, p.stackBuf = analyzeInto(p.Raw[:0], insts, p.stackBuf)
@@ -133,14 +144,14 @@ func (p *Program) Reuse(insts []x86.Inst) {
 // order, appending the resulting nodes to the caller-managed slice.
 // stackBuf seeds the evaluator's symbolic stack; the (possibly grown)
 // buffer is returned for the next lift to reuse.
-func analyzeInto(nodes []Node, insts []x86.Inst, stackBuf []stackVal) ([]Node, []stackVal) {
+func analyzeInto(nodes []Node, insts []*x86.Inst, stackBuf []stackVal) ([]Node, []stackVal) {
 	env := NewEnv()
 	env.stack = stackBuf[:0]
-	base := len(nodes)
-	for i := range insts {
-		in := &insts[i]
-		nodes = append(nodes, Node{Inst: *in, Seq: i, Pre: env.snapshot()})
-		computeDefsUses(&nodes[base+i])
+	for _, in := range insts {
+		nodes = append(nodes, Node{})
+		n := &nodes[len(nodes)-1]
+		n.Inst, n.Pre = in, env.regs
+		computeDefsUses(n)
 		step(&env, in)
 	}
 	return nodes, env.stack
@@ -148,7 +159,7 @@ func analyzeInto(nodes []Node, insts []x86.Inst, stackBuf []stackVal) ([]Node, [
 
 // computeDefsUses fills the def/use sets for one instruction.
 func computeDefsUses(n *Node) {
-	in := &n.Inst
+	in := n.Inst
 	addOperandUses := func(o x86.Operand) {
 		switch o.Kind {
 		case x86.KindReg:

@@ -71,7 +71,7 @@ func (m *Mutator) Mutate(code []byte) ([]byte, error) {
 		if in.Op == x86.BAD {
 			return nil, fmt.Errorf("%w (offset %d)", ErrBadInput, in.Addr)
 		}
-		addrToIdx[in.Addr] = i
+		addrToIdx[int(in.Addr)] = i
 	}
 	addrToIdx[len(code)] = len(insts)
 
@@ -90,7 +90,7 @@ func (m *Mutator) Mutate(code []byte) ([]byte, error) {
 			items = append(items, item{bytes: m.junk()})
 		}
 		if in.HasTarget {
-			j, ok := addrToIdx[in.Target]
+			j, ok := addrToIdx[int(in.Target)]
 			if !ok {
 				return nil, fmt.Errorf("%w (at %d -> %d)", ErrMidTarget, in.Addr, in.Target)
 			}
@@ -154,7 +154,7 @@ func (m *Mutator) Mutate(code []byte) ([]byte, error) {
 		}
 		enc, err := x86.Encode(x86.Inst{
 			Op: it.br.op, Cond: it.br.cond,
-			HasTarget: true, Addr: it.addr, Target: targetAddr,
+			HasTarget: true, Addr: int32(it.addr), Target: int32(targetAddr),
 		})
 		if err != nil {
 			return nil, err

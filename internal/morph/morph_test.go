@@ -221,7 +221,7 @@ func TestMutateRelaxation(t *testing.T) {
 		t.Errorf("jmp not relaxed: target %d from %d", jmp.Target, jmp.Addr)
 	}
 	// Walk from the target: only junk until the ret.
-	pos := jmp.Target
+	pos := int(jmp.Target)
 	for {
 		in, err := x86.Decode(mutated, pos)
 		if err != nil {
@@ -232,7 +232,7 @@ func TestMutateRelaxation(t *testing.T) {
 		}
 		switch in.Op {
 		case x86.NOP, x86.MOV, x86.LEA, x86.PUSH, x86.POP:
-			pos += in.Len
+			pos += int(in.Len)
 		default:
 			t.Fatalf("unexpected %v between jmp target and ret", in)
 		}

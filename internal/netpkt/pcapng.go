@@ -1,7 +1,7 @@
 package netpkt
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -262,17 +262,24 @@ type TraceReader interface {
 	SetPool(*PacketPool)
 }
 
+// traceBufSize is the read buffer NewTraceReader puts under a capture.
+// The readers fetch a record header and then its body, so an
+// unbuffered file costs two read(2) calls per packet.
+const traceBufSize = 256 << 10
+
 // NewTraceReader sniffs the capture format from its magic number and
 // returns the matching reader: classic pcap (microsecond or nanosecond
-// magic, either endianness) or pcapng.
+// magic, either endianness) or pcapng. r is read through a 256 KiB
+// buffer unless it already is a *bufio.Reader at least that large
+// (bufio.NewReaderSize hands such a reader back unchanged).
 func NewTraceReader(r io.Reader) (TraceReader, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	br := bufio.NewReaderSize(r, traceBufSize)
+	magic, err := br.Peek(4)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPcap, err)
 	}
-	full := io.MultiReader(bytes.NewReader(magic[:]), r)
-	if binary.LittleEndian.Uint32(magic[:]) == ngBlockSHB {
-		return NewPcapNGReader(full)
+	if binary.LittleEndian.Uint32(magic) == ngBlockSHB {
+		return NewPcapNGReader(br)
 	}
-	return NewPcapReader(full)
+	return NewPcapReader(br)
 }

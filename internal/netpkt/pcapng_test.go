@@ -1,6 +1,7 @@
 package netpkt
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -252,5 +253,73 @@ func TestPcapNGRejectsOversizedCapture(t *testing.T) {
 	}
 	if frame, _, err := r.NextFrame(); err == nil {
 		t.Fatalf("oversized capture accepted: %d-byte frame", len(frame))
+	}
+}
+
+// countingReader counts the Read calls that reach the underlying
+// source, the way read(2) calls reach a bare *os.File.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestTraceReaderBuffersBareReaders: a capture handed over as a bare
+// reader (cmd/semnids passes an *os.File) is read in buffer-sized
+// pieces, not in two reads per packet, in both formats; a reader that
+// is already a large enough *bufio.Reader is used as it is.
+func TestTraceReaderBuffersBareReaders(t *testing.T) {
+	const packets = 20000
+	var classic bytes.Buffer
+	w, err := NewPcapWriter(&classic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ng ngBuf
+	ng.shb()
+	ng.idb(linkTypeEthernet, 0)
+	for i := 0; i < packets; i++ {
+		if err := w.WriteFrame(testFrame("buffered-read-payload"), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		ng.epb(0, uint64(i), testFrame("buffered-read-payload"))
+	}
+	for name, trace := range map[string][]byte{"pcap": classic.Bytes(), "pcapng": ng.Bytes()} {
+		src := &countingReader{r: bytes.NewReader(trace)}
+		tr, err := NewTraceReader(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		n := 0
+		for {
+			if _, err := tr.NextPacket(nil); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatalf("%s packet %d: %v", name, n, err)
+			}
+			n++
+		}
+		if n != packets {
+			t.Fatalf("%s: read %d packets, want %d", name, n, packets)
+		}
+		if limit := len(trace)/traceBufSize + 3; src.reads > limit {
+			t.Errorf("%s: %d reads of the source for %d bytes in %d packets, want at most %d",
+				name, src.reads, len(trace), packets, limit)
+		}
+	}
+
+	// No second buffer under a reader that is already big enough: the
+	// trace reader consumes from the caller's buffer, so what it has
+	// not read is still there for the caller.
+	own := bufio.NewReaderSize(bytes.NewReader(classic.Bytes()), traceBufSize)
+	if _, err := NewTraceReader(own); err != nil {
+		t.Fatal(err)
+	}
+	if own.Buffered() == 0 {
+		t.Error("the caller's bufio.Reader was drained into a second buffer")
 	}
 }

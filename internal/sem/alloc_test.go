@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"semnids/internal/polymorph"
+	"semnids/internal/shellcode"
 	"semnids/internal/x86"
 )
 
@@ -41,6 +43,32 @@ func TestAnalyzeFrameAllocs(t *testing.T) {
 	// now zero; 2 leaves slack for pool refills after a GC cycle.
 	if allocs > 2 {
 		t.Errorf("AnalyzeFrame allocates %.1f objects per benign frame, want <= 2", allocs)
+	}
+}
+
+// TestSketchAllocs pins the lineage path's allocation behavior on a
+// decoder frame: one emulator (memory image, memo tables, stack), the
+// tail buffers and the sorted name lists — a constant that does not
+// grow with the thousands of steps the decoder loop executes. Before
+// the fetch memo every executed step allocated its instruction.
+func TestSketchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates; allocation pin not meaningful")
+	}
+	a := NewAnalyzer(BuiltinTemplates())
+	frame, _, err := polymorph.NewClet(5).Encode(shellcode.BindShell4444().Bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := a.AnalyzeFrame(frame)
+	if sk := a.Sketch(frame, ds); !sk.HasTail() {
+		t.Fatalf("no decoded tail for the encoded payload (detections %v)", ds)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		a.Sketch(frame, ds)
+	})
+	if allocs > 24 {
+		t.Errorf("Sketch allocates %.1f objects per decoder frame, want <= 24", allocs)
 	}
 }
 

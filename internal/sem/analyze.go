@@ -282,7 +282,7 @@ func makeDetection(tpl *Template, ct *compiledTemplate, order string, nodes []ir
 		Bindings:    make(map[string]string),
 	}
 	for _, i := range idxs {
-		d.Addrs = append(d.Addrs, nodes[i].Inst.Addr)
+		d.Addrs = append(d.Addrs, int(nodes[i].Inst.Addr))
 	}
 	for id, name := range ct.varNames {
 		if b.bound&(1<<id) != 0 {

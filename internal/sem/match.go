@@ -37,6 +37,10 @@ type matcher struct {
 	// before any search starts.
 	opsSeen opMask
 
+	// tablesBuilt records that defCount, flowCount and addrIndex
+	// describe the current nodes (see buildTables).
+	tablesBuilt bool
+
 	matched []int // scratch for the matched node indices
 
 	// binds is the binding stack: binds[d] is the candidate binding at
@@ -53,11 +57,28 @@ type matcher struct {
 // frames cannot consume unbounded CPU in the analyzer.
 const maxSearchSteps = 1 << 20
 
-// reset rebinds the matcher to a node sequence, rebuilding the
-// def/flow prefix sums, the address index and the opcode presence set.
+// reset rebinds the matcher to a node sequence. Only the opcode
+// presence set is computed here: most sequences are rejected by
+// canMatch for every candidate template, so the def/flow prefix sums
+// and the address index are built by the first candidate that passes
+// (buildTables), and never for a sequence no template could match.
 func (m *matcher) reset(nodes []ir.Node, frame []byte) {
 	m.nodes, m.frame = nodes, frame
+	m.tablesBuilt = false
 	m.opsSeen = opMask{}
+	for i := range nodes {
+		m.opsSeen.Add(nodes[i].Inst.Op)
+	}
+}
+
+// buildTables builds the def/flow prefix sums and the address index
+// for the current node sequence, once per reset.
+func (m *matcher) buildTables() {
+	if m.tablesBuilt {
+		return
+	}
+	m.tablesBuilt = true
+	nodes := m.nodes
 
 	n := len(nodes)
 	if cap(m.defBuf) < 8*(n+1) {
@@ -76,13 +97,13 @@ func (m *matcher) reset(nodes []ir.Node, frame []byte) {
 	}
 	m.flowCount[0] = 0
 
-	maxAddr := 0
+	maxAddr := int32(0)
 	for i := range nodes {
 		if a := nodes[i].Inst.Addr; a > maxAddr {
 			maxAddr = a
 		}
 	}
-	if cap(m.addrIndex) < maxAddr+1 {
+	if cap(m.addrIndex) < int(maxAddr)+1 {
 		m.addrIndex = make([]int32, maxAddr+1)
 	} else {
 		m.addrIndex = m.addrIndex[:maxAddr+1]
@@ -94,7 +115,6 @@ func (m *matcher) reset(nodes []ir.Node, frame []byte) {
 	for i := range nodes {
 		nd := &nodes[i]
 		m.addrIndex[nd.Inst.Addr] = int32(i)
-		m.opsSeen.Add(nd.Inst.Op)
 		defs := nd.Defs
 		for f := 0; f < 8; f++ {
 			c := m.defCount[f][i]
@@ -114,8 +134,8 @@ func (m *matcher) reset(nodes []ir.Node, frame []byte) {
 
 // lookupAddr returns the sequence position of the instruction at frame
 // offset addr, if any.
-func (m *matcher) lookupAddr(addr int) (int, bool) {
-	if addr < 0 || addr >= len(m.addrIndex) {
+func (m *matcher) lookupAddr(addr int32) (int, bool) {
+	if addr < 0 || int(addr) >= len(m.addrIndex) {
 		return 0, false
 	}
 	if j := m.addrIndex[addr]; j >= 0 {
@@ -166,6 +186,7 @@ func (m *matcher) match(ct *compiledTemplate) (*binding, []int, bool) {
 	if !m.canMatch(ct) {
 		return nil, nil, false
 	}
+	m.buildTables()
 	m.steps = 0
 	if cap(m.binds) < len(ct.stmts)+1 {
 		m.binds = make([]binding, len(ct.stmts)+1)
@@ -253,7 +274,7 @@ func (m *matcher) frameHasData(st *Stmt) bool {
 // indices assigned to earlier statements.
 func (m *matcher) matchStmt(st *cstmt, i int, nb *binding) bool {
 	n := &m.nodes[i]
-	in := &n.Inst
+	in := n.Inst
 
 	opAllowed := func(op x86.Opcode) bool {
 		if len(st.Ops) == 0 {

@@ -110,7 +110,11 @@ func (a *Analyzer) Sketch(frame []byte, ds []Detection) Sketch {
 	// and out-of-order sequencing change what surrounds the chain, not
 	// the chain itself, so the multiset is stable across re-encodings
 	// that preserve the decoding behavior.
-	var mnems []string
+	nAddrs := 0
+	for i := range ds {
+		nAddrs += len(ds[i].Addrs)
+	}
+	mnems := make([]string, 0, nAddrs)
 	for i := range ds {
 		for _, addr := range ds[i].Addrs {
 			if addr < 0 || addr >= len(frame) {
@@ -131,16 +135,26 @@ func (a *Analyzer) Sketch(frame []byte, ds []Detection) Sketch {
 // decodedTail executes the frame in the emulator and hashes the bytes
 // it rewrote in itself — the decoded payload a self-decrypting frame
 // must materialize. Entry points follow the analyzer's sweep offsets
-// (capped); each attempt runs on a fresh machine, and the attempt that
-// rewrote the most bytes wins, ties broken toward the lowest entry, so
-// the tail is a pure function of the frame bytes. Emulator errors are
-// not failures: a decoder that ran its loop and then hit an
-// unmodeled instruction has already left the cleartext in memory.
+// (capped); each attempt starts from the pristine frame, and the
+// attempt that rewrote the most bytes wins, ties broken toward the
+// lowest entry, so the tail is a pure function of the frame bytes.
+// Emulator errors are not failures: a decoder that ran its loop and
+// then hit an unmodeled instruction has already left the cleartext in
+// memory.
+//
+// The attempts share one machine: Reset restores the frame and keeps
+// the fetch memo for every instruction the previous attempt left
+// unwritten, so the decoder stub is decoded once however many entries
+// run through it.
 func decodedTail(frame []byte, entries []int) (a, b uint64, n int) {
 	if len(frame) > sketchMaxFrame {
 		return 0, 0, 0
 	}
-	var best []byte
+	m := emu.New(frame)
+	m.MaxSteps = sketchMaxSteps
+	// Two buffers swap roles as attempts beat the best so far; sized
+	// for a typical decoded payload, grown by append past that.
+	best, tail := make([]byte, 0, min(len(frame), 1024)), make([]byte, 0, min(len(frame), 1024))
 	tried := 0
 	for _, entry := range entries {
 		if tried >= sketchMaxEntries {
@@ -150,17 +164,16 @@ func decodedTail(frame []byte, entries []int) (a, b uint64, n int) {
 			continue
 		}
 		tried++
-		m := emu.New(frame)
-		m.MaxSteps = sketchMaxSteps
+		m.Reset(frame)
 		m.Run(entry)
-		var tail []byte
-		for i := range frame {
-			if m.Mem[i] != frame[i] {
-				tail = append(tail, m.Mem[i])
+		tail = tail[:0]
+		for i, c := range m.Mem {
+			if c != frame[i] {
+				tail = append(tail, c)
 			}
 		}
 		if len(tail) > len(best) {
-			best = tail
+			best, tail = tail, best
 		}
 	}
 	if len(best) == 0 {

@@ -26,7 +26,7 @@ func TestDecode16BitAddressing(t *testing.T) {
 		if got := in.String(); got != c.want {
 			t.Errorf("Decode(% x) = %q, want %q", c.bytes, got, c.want)
 		}
-		if in.Len != len(c.bytes) {
+		if int(in.Len) != len(c.bytes) {
 			t.Errorf("Decode(% x) len = %d, want %d", c.bytes, in.Len, len(c.bytes))
 		}
 	}

@@ -87,7 +87,7 @@ func TestDecodeCacheDifferential(t *testing.T) {
 						t.Fatalf("order %d offset %d: %d insts, want %d", oi, off, len(got), len(want))
 					}
 					for i := range want {
-						if !instEqual(got[i], want[i]) {
+						if !instEqual(*got[i], want[i]) {
 							t.Fatalf("order %d offset %d inst %d:\n got %v (addr %#x)\nwant %v (addr %#x)",
 								oi, off, i, got[i], got[i].Addr, want[i], want[i].Addr)
 						}
@@ -114,7 +114,7 @@ func TestDecodeCacheReset(t *testing.T) {
 				t.Fatalf("frame %d offset %d: %d insts, want %d", frame, off, len(got), len(want))
 			}
 			for i := range want {
-				if !instEqual(got[i], want[i]) {
+				if !instEqual(*got[i], want[i]) {
 					t.Fatalf("frame %d offset %d inst %d: got %v want %v", frame, off, i, got[i], want[i])
 				}
 			}
@@ -135,20 +135,33 @@ func TestDecodeCacheCodeRatio(t *testing.T) {
 	}
 }
 
-// TestThreadOrderAppendMatchesThreadOrder pins the appendable variant
-// to the original.
-func TestThreadOrderAppendMatchesThreadOrder(t *testing.T) {
+// TestThreadOrderAppendSharesInstructions pins the by-reference
+// contract: the threaded order points at the very instructions it was
+// given (nothing is copied), each at most once, and appending leaves
+// what dst already held alone.
+func TestThreadOrderAppendSharesInstructions(t *testing.T) {
 	for name, data := range corpora(t) {
-		insts := x86.SweepAll(data)
-		want := x86.ThreadOrder(insts)
-		got := x86.ThreadOrderAppend(nil, insts)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d insts, want %d", name, len(got), len(want))
+		insts := x86.Refs(x86.SweepAll(data))
+		if len(insts) == 0 {
+			continue
 		}
-		for i := range want {
-			if !instEqual(got[i], want[i]) {
-				t.Fatalf("%s inst %d: got %v want %v", name, i, got[i], want[i])
+		given := make(map[*x86.Inst]bool, len(insts))
+		for _, in := range insts {
+			given[in] = true
+		}
+		sentinel := &x86.Inst{Op: x86.NOP}
+		got := x86.ThreadOrderAppend([]*x86.Inst{sentinel}, insts)
+		if got[0] != sentinel {
+			t.Fatalf("%s: dst prefix overwritten", name)
+		}
+		if got[1] != insts[0] && !(insts[0].Op == x86.JMP && insts[0].HasTarget) {
+			t.Fatalf("%s: threaded order does not start at the first instruction", name)
+		}
+		for i, in := range got[1:] {
+			if !given[in] {
+				t.Fatalf("%s inst %d: %v is not one of the input instructions (copied or repeated)", name, i, in)
 			}
+			delete(given, in)
 		}
 	}
 }
@@ -166,7 +179,7 @@ func TestDecodeAllocs(t *testing.T) {
 		if err != nil {
 			pos++
 		} else {
-			pos += in.Len
+			pos += int(in.Len)
 		}
 		if pos >= len(code)-16 {
 			pos = 0

@@ -1,8 +1,11 @@
 package x86
 
 import (
+	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // dec decodes a single instruction from b and fails the test on error.
@@ -54,7 +57,7 @@ func TestDecodeSimple(t *testing.T) {
 		if got := in.String(); got != c.want {
 			t.Errorf("Decode(% x) = %q, want %q", c.bytes, got, c.want)
 		}
-		if in.Len != c.len {
+		if int(in.Len) != c.len {
 			t.Errorf("Decode(% x) len = %d, want %d", c.bytes, in.Len, c.len)
 		}
 	}
@@ -244,7 +247,7 @@ func TestDecodePrefixes(t *testing.T) {
 		t.Errorf("rep stosb: %+v", in)
 	}
 	in = dec(t, 0x65, 0x8b, 0x00) // mov eax, gs:[eax]
-	if in.Args[1].Mem.Seg != "gs" {
+	if in.Args[1].Seg != SegGS {
 		t.Errorf("segment prefix: %+v", in)
 	}
 }
@@ -287,7 +290,7 @@ func TestSweepResync(t *testing.T) {
 	}
 	total := 0
 	for _, in := range insts {
-		total += in.Len
+		total += int(in.Len)
 	}
 	if total != len(b) {
 		t.Errorf("sweep covered %d bytes, want %d", total, len(b))
@@ -310,7 +313,7 @@ func TestThreadOrder(t *testing.T) {
 		JmpShort("two").
 		Label("three").Loop("one").
 		MustBytes()
-	ordered := ThreadOrder(SweepAll(b))
+	ordered := ThreadOrderAppend(nil, Refs(SweepAll(b)))
 	var mnems []string
 	for _, in := range ordered {
 		mnems = append(mnems, in.Mnemonic())
@@ -329,5 +332,45 @@ func TestCodeRatio(t *testing.T) {
 	}
 	if r := CodeRatio(nil); r != 0 {
 		t.Errorf("empty ratio = %f, want 0", r)
+	}
+}
+
+// TestInstSize pins the instruction layout the by-reference pipeline
+// is built around: one Inst is one cache line, an Operand 16 bytes.
+func TestInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got > 64 {
+		t.Errorf("sizeof(Inst) = %d, want at most 64", got)
+	}
+	if got := unsafe.Sizeof(Operand{}); got > 16 {
+		t.Errorf("sizeof(Operand) = %d, want at most 16", got)
+	}
+}
+
+// TestMaxInstLen builds the longest instruction the decoder accepts —
+// thirteen prefixes, then add dword ptr [eax+eax+disp32], imm32 — and
+// checks that one more prefix is rejected and that no decode of random
+// bytes is longer. The emulator's memo invalidation scans MaxInstLen-1
+// bytes back from a store on the strength of this bound.
+func TestMaxInstLen(t *testing.T) {
+	body := []byte{0x81, 0x84, 0x00, 1, 2, 3, 4, 5, 6, 7, 8}
+	longest := append(bytes.Repeat([]byte{0x2e}, 13), body...)
+	in, err := Decode(longest, 0)
+	if err != nil || int(in.Len) != MaxInstLen || len(longest) != MaxInstLen {
+		t.Fatalf("Decode(longest) = len %d, err %v; want len %d == MaxInstLen", in.Len, err, len(longest))
+	}
+	if _, err := Decode(append([]byte{0x2e}, longest...), 0); err == nil {
+		t.Error("fourteen prefixes decoded")
+	}
+	r := rand.New(rand.NewSource(5))
+	b := make([]byte, 64)
+	prefixes := []byte{0x66, 0x67, 0xf0, 0xf2, 0xf3, 0x26, 0x2e, 0x36, 0x3e, 0x64, 0x65}
+	for i := 0; i < 200000; i++ {
+		r.Read(b)
+		for j, n := 0, r.Intn(16); j < n; j++ {
+			b[j] = prefixes[r.Intn(len(prefixes))]
+		}
+		if in, err := Decode(b, 0); err == nil && int(in.Len) > MaxInstLen {
+			t.Fatalf("Decode(% x) has length %d > MaxInstLen", b, in.Len)
+		}
 	}
 }

@@ -22,7 +22,7 @@ func appendModRM(b []byte, regField byte, rm Operand) ([]byte, error) {
 		return append(b, 0xc0|regField<<3|rm.Reg.Num()), nil
 	case KindMem:
 		m := rm.Mem
-		if m.Seg != "" {
+		if rm.Seg != SegNone {
 			return nil, notEnc("segment overrides are emitted as prefixes, not in ModRM")
 		}
 		// Pure displacement: mod=00 rm=101 disp32.
@@ -101,7 +101,7 @@ func appendU32(b []byte, v uint32) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
-func appendImm(b []byte, v int64, size int) ([]byte, error) {
+func appendImm(b []byte, v int32, size int) ([]byte, error) {
 	switch size {
 	case 1:
 		if v < -128 || v > 255 {
@@ -114,9 +114,6 @@ func appendImm(b []byte, v int64, size int) ([]byte, error) {
 		}
 		return appendU16(b, uint16(v)), nil
 	default:
-		if v < -1<<31 || v > 1<<32-1 {
-			return nil, notEnc("immediate 0x%x does not fit in 32 bits", v)
-		}
 		return appendU32(b, uint32(v)), nil
 	}
 }
@@ -546,7 +543,7 @@ func encodeBranch(b []byte, in Inst) ([]byte, error) {
 	// relFor computes the displacement for a total instruction length of
 	// pfx+n bytes (prefixes included).
 	relFor := func(n int) int64 {
-		return int64(in.Target - (in.Addr + pfx + n))
+		return int64(in.Target) - int64(in.Addr) - int64(pfx+n)
 	}
 	fitsRel8 := func(n int) bool {
 		r := relFor(n)

@@ -74,11 +74,11 @@ func TestEncodeBranchForms(t *testing.T) {
 
 func TestEncodeNotEncodable(t *testing.T) {
 	bad := []Inst{
-		inst1(PUSH, RegOp(AL)),                     // no 8-bit push
-		inst2(MOV, ImmOp(1), RegOp(EAX)),           // imm destination
-		inst2(MOV, RegOp(EAX), ImmOp(0x1ffffffff)), // imm too wide
-		{Op: BAD},                          // undecodable marker
-		inst2(SHL, RegOp(EAX), RegOp(EBX)), // shift amount must be CL
+		inst1(PUSH, RegOp(AL)),              // no 8-bit push
+		inst2(MOV, ImmOp(1), RegOp(EAX)),    // imm destination
+		inst2(MOV, RegOp(AL), ImmOp(0x1ff)), // imm too wide for the register
+		{Op: BAD},                           // undecodable marker
+		inst2(SHL, RegOp(EAX), RegOp(EBX)),  // shift amount must be CL
 	}
 	for _, in := range bad {
 		if _, err := Encode(in); err == nil {
@@ -103,7 +103,7 @@ func TestAsmLabels(t *testing.T) {
 	if insts[1].Target != 0 {
 		t.Errorf("loop target = %d, want 0", insts[1].Target)
 	}
-	if insts[2].Target != len(b) {
+	if int(insts[2].Target) != len(b) {
 		t.Errorf("jmp target = %d, want %d", insts[2].Target, len(b))
 	}
 }
@@ -179,7 +179,7 @@ func TestEncodeDecodeCorpus(t *testing.T) {
 			t.Errorf("Decode(Encode(%v)) = % x: %v", want, enc, err)
 			continue
 		}
-		if got.Len != len(enc) {
+		if int(got.Len) != len(enc) {
 			t.Errorf("%v: decoded len %d, encoded %d bytes", want, got.Len, len(enc))
 		}
 		if !sameInst(got, want) {
@@ -225,4 +225,9 @@ func sameInst(a, b Inst) bool {
 		}
 	}
 	return true
+}
+
+func inst1(op Opcode, a Operand) Inst { return Inst{Op: op, Args: [3]Operand{a}} }
+func inst2(op Opcode, a, b Operand) Inst {
+	return Inst{Op: op, Args: [3]Operand{a, b}}
 }

@@ -16,7 +16,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if in.Len <= 0 || in.Len > len(b) {
+		if in.Len <= 0 || int(in.Len) > len(b) {
 			t.Fatalf("decoded length %d out of range for %d input bytes", in.Len, len(b))
 		}
 		_ = in.String() // formatter must not panic
@@ -36,10 +36,10 @@ func FuzzSweep(f *testing.F) {
 		insts := SweepAll(b)
 		pos := 0
 		for _, in := range insts {
-			if in.Addr != pos || in.Len <= 0 {
+			if int(in.Addr) != pos || in.Len <= 0 {
 				t.Fatalf("sweep gap at %d", pos)
 			}
-			pos += in.Len
+			pos += int(in.Len)
 		}
 		if pos != len(b) {
 			t.Fatalf("sweep covered %d of %d bytes", pos, len(b))

@@ -134,8 +134,8 @@ func genInst(r *rand.Rand) Inst {
 			return inst2(op, randRM(size), ImmOp(int64(r.Intn(30)+2)))
 		}
 	case 7: // branches
-		addr := r.Intn(1 << 12)
-		target := r.Intn(1 << 12)
+		addr := int32(r.Intn(1 << 12))
+		target := int32(r.Intn(1 << 12))
 		switch r.Intn(3) {
 		case 0:
 			return Inst{Op: JMP, HasTarget: true, Addr: addr, Target: target}
@@ -145,8 +145,8 @@ func genInst(r *rand.Rand) Inst {
 			return Inst{Op: CALL, HasTarget: true, Addr: addr, Target: target}
 		}
 	case 8: // loop family, short range only
-		addr := 200 + r.Intn(100)
-		target := addr + r.Intn(200) - 100
+		addr := int32(200 + r.Intn(100))
+		target := addr + int32(r.Intn(200)) - 100
 		ops := []Opcode{LOOP, LOOPE, LOOPNE, JECXZ}
 		return Inst{Op: ops[r.Intn(4)], HasTarget: true, Addr: addr, Target: target}
 	case 9: // no-operand instructions
@@ -244,14 +244,14 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		// Decode with the instruction placed at in.Addr so relative
 		// branch targets line up.
-		buf := make([]byte, in.Addr+len(enc))
+		buf := make([]byte, int(in.Addr)+len(enc))
 		copy(buf[in.Addr:], enc)
-		got, err := Decode(buf, in.Addr)
+		got, err := Decode(buf, int(in.Addr))
 		if err != nil {
 			t.Logf("Decode(%v = % x): %v", in, enc, err)
 			return false
 		}
-		if got.Len != len(enc) {
+		if int(got.Len) != len(enc) {
 			t.Logf("%v: len %d != %d", in, got.Len, len(enc))
 			return false
 		}
@@ -280,7 +280,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		return in.Len > 0 && in.Len <= n
+		return in.Len > 0 && int(in.Len) <= n
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Error(err)
@@ -298,10 +298,10 @@ func TestSweepCoversBuffer(t *testing.T) {
 		insts := SweepAll(b)
 		pos := 0
 		for _, in := range insts {
-			if in.Addr != pos || in.Len <= 0 {
+			if int(in.Addr) != pos || in.Len == 0 {
 				return false
 			}
-			pos += in.Len
+			pos += int(in.Len)
 		}
 		return pos == n
 	}

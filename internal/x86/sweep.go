@@ -15,15 +15,10 @@ func Sweep(b []byte, start int) []Inst {
 	for pos := start; pos < len(b); {
 		in, err := Decode(b, pos)
 		if err != nil {
-			out = append(out, Inst{
-				Addr: pos, Len: 1, Op: BAD,
-				Args: [3]Operand{ImmOp(int64(b[pos]))},
-			})
-			pos++
-			continue
+			in = badInst(pos, b[pos])
 		}
 		out = append(out, in)
-		pos += in.Len
+		pos += int(in.Len)
 	}
 	return out
 }
@@ -43,70 +38,75 @@ func CodeRatio(b []byte) float64 {
 	good := 0
 	for _, in := range insts {
 		if in.Op != BAD {
-			good += in.Len
+			good += int(in.Len)
 		}
 	}
 	return float64(good) / float64(len(b))
 }
 
-// threadScratch holds the per-call tables ThreadOrder needs; pooled so
-// the hot path does not reallocate them for every frame and offset.
+// threadScratch holds the per-call tables ThreadOrderAppend needs;
+// pooled so the hot path does not reallocate them for every frame and
+// offset.
 type threadScratch struct {
-	byAddr []int32 // instruction address -> index into insts; -1 = none
+	byAddr []int32 // instruction address -> 1 + index into insts; 0 = none
 	seen   []bool
 }
 
 var threadPool = sync.Pool{New: func() any { return new(threadScratch) }}
 
-// ThreadOrder recovers the execution order of instructions that have
-// been shuffled with unconditional jmp chains (the "out-of-order code"
-// obfuscation of Figure 1(c) in the paper). Starting from the first
+// Refs returns pointers to the elements of insts: the form in which
+// the by-reference stages (ThreadOrderAppend, ir.Program.Reuse) take a
+// stream that was decoded by value.
+func Refs(insts []Inst) []*Inst {
+	out := make([]*Inst, len(insts))
+	for i := range insts {
+		out[i] = &insts[i]
+	}
+	return out
+}
+
+// ThreadOrderAppend recovers the execution order of instructions that
+// have been shuffled with unconditional jmp chains (the "out-of-order
+// code" obfuscation of Figure 1(c) in the paper), appending it to dst
+// and returning the extended slice. Starting from the first
 // instruction, it follows straight-line flow, threads through
-// unconditional jumps with known in-frame targets, and returns the
+// unconditional jumps with known in-frame targets, and emits the
 // instructions in execution order. Conditional branches (including
 // loop) continue on the fall-through path, which matches how a
 // decryption loop body executes on its first iteration.
 //
 // Each instruction is visited at most once; cycles (the loop back-edge)
-// terminate the walk.
-func ThreadOrder(insts []Inst) []Inst {
-	return ThreadOrderAppend(nil, insts)
-}
-
-// ThreadOrderAppend appends the threaded execution order of insts to
-// dst and returns the extended slice. It is ThreadOrder with
-// caller-managed result storage, for hot paths that reuse buffers.
-func ThreadOrderAppend(dst []Inst, insts []Inst) []Inst {
+// terminate the walk. The result points at the same instructions as
+// insts; nothing is copied.
+func ThreadOrderAppend(dst []*Inst, insts []*Inst) []*Inst {
 	if len(insts) == 0 {
 		return dst
 	}
 	// Addresses are frame offsets; the largest is held by the last
 	// instruction of a sweep, but insts may be any order, so scan.
-	maxAddr := 0
-	for i := range insts {
-		if a := insts[i].Addr; a > maxAddr {
-			maxAddr = a
+	maxAddr := int32(0)
+	for _, in := range insts {
+		if in.Addr > maxAddr {
+			maxAddr = in.Addr
 		}
 	}
 	ts := threadPool.Get().(*threadScratch)
-	ts.byAddr = resetIndex(ts.byAddr, maxAddr+1)
+	ts.byAddr = resetIndex(ts.byAddr, int(maxAddr)+1)
 	if cap(ts.seen) < len(insts) {
 		ts.seen = make([]bool, len(insts))
 	} else {
 		ts.seen = ts.seen[:len(insts)]
 		clear(ts.seen)
 	}
-	for i := range insts {
-		ts.byAddr[insts[i].Addr] = int32(i)
+	for i, in := range insts {
+		ts.byAddr[in.Addr] = int32(i) + 1
 	}
-	lookup := func(addr int) (int, bool) {
+	// lookup returns the index of the instruction at addr, or -1.
+	lookup := func(addr int32) int {
 		if addr < 0 || addr > maxAddr {
-			return 0, false
+			return -1
 		}
-		if j := ts.byAddr[addr]; j >= 0 {
-			return int(j), true
-		}
-		return 0, false
+		return int(ts.byAddr[addr]) - 1
 	}
 
 	i := 0
@@ -115,11 +115,7 @@ func ThreadOrderAppend(dst []Inst, insts []Inst) []Inst {
 		in := insts[i]
 		if in.Op == JMP && in.HasTarget {
 			// Thread through the jump without emitting it.
-			j, ok := lookup(in.Target)
-			if !ok {
-				break
-			}
-			i = j
+			i = lookup(in.Target)
 			continue
 		}
 		dst = append(dst, in)
@@ -129,7 +125,7 @@ func ThreadOrderAppend(dst []Inst, insts []Inst) []Inst {
 		if in.Op == CALL && in.HasTarget {
 			// Follow in-frame calls: getpc idioms (jmp/call/pop) put
 			// the decoder body at the call target.
-			if j, ok := lookup(in.Target); ok {
+			if j := lookup(in.Target); j >= 0 {
 				i = j
 				continue
 			}

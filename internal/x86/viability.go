@@ -51,13 +51,13 @@ func (t *ViabilityTable) covered(seg uint64) uint64 {
 func isBreaker(op Opcode) bool { return op == BAD || op == RET || op == HLT }
 
 // isConnector reports whether the instruction can splice another run
-// onto the current one under jump threading (ThreadOrder follows
+// onto the current one under jump threading (ThreadOrderAppend follows
 // in-frame jmp/call targets). Viability gives up conservatively on
 // such runs — anything could become reachable — rather than chase
 // targets.
 func (c *DecodeCache) isConnector(in *Inst) bool {
 	return (in.Op == JMP || in.Op == CALL) && in.HasTarget &&
-		in.Target >= 0 && in.Target < len(c.b)
+		in.Target >= 0 && int(in.Target) < len(c.b)
 }
 
 // Viable reports whether any template in want could match a sweep
@@ -91,24 +91,21 @@ func (c *DecodeCache) Viable(off int, t *ViabilityTable, want uint64) bool {
 		return true
 	}
 	c.ensureVia(t)
-	if i := c.canonAt[off]; i >= 0 {
-		return c.viaChain[i]&want != 0
+	if i := c.canonAt[off]; i > 0 {
+		return c.viaChain[i-1]&want != 0
 	}
 	// Divergent prefix: walk until the chain (or the end), tracking
 	// the open run.
 	var seg uint64
 	pos := off
 	for pos < len(c.b) {
-		if i := c.canonAt[pos]; i >= 0 {
+		if i := c.canonAt[pos]; i > 0 {
 			// Joined the chain: the open run continues into the run
-			// starting at chain position i; later runs are viaChain.
-			if (t.covered(seg|c.segChain[i])|c.viaChain[i])&want != 0 {
-				return true
-			}
-			return false
+			// starting at chain position i-1; later runs are viaChain.
+			return (t.covered(seg|c.segChain[i-1])|c.viaChain[i-1])&want != 0
 		}
-		in := c.store[c.instAt(pos)]
-		if c.isConnector(&in) {
+		in := c.instAt(pos)
+		if c.isConnector(in) {
 			return true
 		}
 		if isBreaker(in.Op) {
@@ -119,7 +116,7 @@ func (c *DecodeCache) Viable(off int, t *ViabilityTable, want uint64) bool {
 				return true
 			}
 		}
-		pos += in.Len
+		pos += int(in.Len)
 	}
 	return false
 }
@@ -137,7 +134,7 @@ func (c *DecodeCache) ensureVia(t *ViabilityTable) {
 	c.segChain = growU64(c.segChain, n)
 	var seg, via uint64
 	for i := n - 1; i >= 0; i-- {
-		in := &c.canon[i]
+		in := c.canon[i]
 		switch {
 		case c.isConnector(in):
 			seg = t.all

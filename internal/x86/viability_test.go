@@ -14,9 +14,9 @@ func naiveViable(b []byte, start int, t *ViabilityTable, want uint64) bool {
 	for pos := start; pos < len(b); {
 		op, l := BAD, 1
 		if in, err := Decode(b, pos); err == nil {
-			op, l = in.Op, in.Len
+			op, l = in.Op, int(in.Len)
 			if (op == JMP || op == CALL) && in.HasTarget &&
-				in.Target >= 0 && in.Target < len(b) {
+				in.Target >= 0 && int(in.Target) < len(b) {
 				return want != 0
 			}
 		}
@@ -121,7 +121,7 @@ func TestCacheViableDifferential(t *testing.T) {
 					t.Fatalf("%s/%s: sweep %d length %d, want %d", name, oname, start, len(got), len(want))
 				}
 				for i := range want {
-					if got[i] != want[i] {
+					if *got[i] != want[i] {
 						t.Fatalf("%s/%s: sweep %d inst %d differs", name, oname, start, i)
 					}
 				}

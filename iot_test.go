@@ -2,6 +2,7 @@ package nids
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 
 	"semnids/internal/netpkt"
@@ -139,8 +140,31 @@ func TestDatagramFlowsOffSuiteByteIdentical(t *testing.T) {
 			e.Process(clonePacket(p))
 		}
 		e.Stop()
+		// Alerts() is in shard-scheduling order at two shards; the
+		// set is what must not change, so render it in canonical
+		// order (timestamp, 5-tuple, template).
+		alerts := e.Alerts()
+		sort.Slice(alerts, func(i, j int) bool {
+			a, b := &alerts[i], &alerts[j]
+			if a.TimestampUS != b.TimestampUS {
+				return a.TimestampUS < b.TimestampUS
+			}
+			if c := a.Src.Compare(b.Src); c != 0 {
+				return c < 0
+			}
+			if c := a.Dst.Compare(b.Dst); c != 0 {
+				return c < 0
+			}
+			if a.SrcPort != b.SrcPort {
+				return a.SrcPort < b.SrcPort
+			}
+			if a.DstPort != b.DstPort {
+				return a.DstPort < b.DstPort
+			}
+			return a.Detection.Template < b.Detection.Template
+		})
 		var buf bytes.Buffer
-		if err := report.WriteJSON(&buf, e.Alerts()); err != nil {
+		if err := report.WriteJSON(&buf, alerts); err != nil {
 			t.Fatal(err)
 		}
 		buf.WriteString(renderIncidents(t, e))
