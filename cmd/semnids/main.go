@@ -442,8 +442,8 @@ func runEngine(cfg nids.Config, pcapPath string, opts engineOpts) int {
 	m := e.Stats()
 	fmt.Printf("\npackets=%d selected=%d dropped=%d streams=%d frames=%d frame-bytes=%d alerts=%d\n",
 		m.Packets, m.Selected, m.Dropped, m.StreamsAnalyzed, m.Frames, m.FrameBytes, m.Alerts)
-	fmt.Printf("cache-hits=%d cache-misses=%d cache-rejected=%d evicted-idle=%d evicted-lru=%d\n",
-		m.CacheHits, m.CacheMisses, m.CacheRejected, m.FlowsEvictedIdle, m.FlowsEvictedLRU)
+	fmt.Printf("cache-hits=%d cache-misses=%d cache-rejected=%d evicted-idle=%d evicted-lru=%d sweep-starts=%d sweep-starts-lifted=%d\n",
+		m.CacheHits, m.CacheMisses, m.CacheRejected, m.FlowsEvictedIdle, m.FlowsEvictedLRU, m.SweepStarts, m.SweepStartsLifted)
 	if opts.stats {
 		for i, sh := range m.Shards {
 			fmt.Printf("shard[%d]: queue=%d/%d ewma-pps=%.1f\n", i, sh.QueueLen, sh.QueueCap, sh.PacketsPerSec)

@@ -191,6 +191,12 @@ type Metrics struct {
 	// hot entries).
 	CacheRejected uint64
 
+	// SweepStarts counts the sweep offsets the semantic analyzer
+	// considered on cache misses, SweepStartsLifted those it lifted
+	// and matched; the rest were skipped by the sweep-start viability
+	// pass (sem.Analyzer.SweepStats).
+	SweepStarts, SweepStartsLifted uint64
+
 	// Sketches counts structural-fingerprint computations (lineage
 	// mode: detected frames emulated and sketched; cache hits reuse
 	// the memoized sketch and are not counted).
@@ -427,6 +433,14 @@ func (e *Engine) registerTelemetry() {
 		"Batch first-packet to batch fully analyzed (ingest-to-verdict).")
 	e.tel.dispatchWaitNS = reg.Histogram("semnids_engine_dispatch_wait_ns",
 		"Feeder blocked handing a batch to a full shard queue (backpressure).")
+	reg.CounterFunc("semnids_analyzer_sweep_starts_total", "Sweep start offsets the semantic analyzer considered.", func() uint64 {
+		n, _ := e.analyzer.SweepStats()
+		return n
+	})
+	reg.CounterFunc("semnids_analyzer_sweep_starts_lifted_total", "Sweep starts lifted and matched (the rest were pruned as not viable).", func() uint64 {
+		_, n := e.analyzer.SweepStats()
+		return n
+	})
 	e.tel.frameNS = reg.Histogram("semnids_analyzer_frame_ns",
 		"One semantic analysis of one extracted frame (cache misses only).")
 }
@@ -558,6 +572,7 @@ func (e *Engine) Snapshot() Metrics {
 		FlowsEvictedUDPIdle: e.m.evictedDgram.Load(),
 		Sketches:            e.m.sketches.Load(),
 	}
+	m.SweepStarts, m.SweepStartsLifted = e.analyzer.SweepStats()
 	m.Shards = make([]ShardMetrics, len(e.shards))
 	for i, s := range e.shards {
 		m.FlowsActive += int(s.flows.Load())

@@ -369,3 +369,47 @@ func TestShedRingExhaustionAllocates(t *testing.T) {
 		s.putBatch(b)
 	}
 }
+
+// TestSweepPruneOnTraffic pins the sweep-start prune where it matters,
+// on whole traces through reassembly and extraction. Benign
+// HTTP/SMTP/FTP/POP3 payloads with the classifier off: at most 1 % of
+// the sweep starts the analyzer considers are lifted (0.12 % measured)
+// — protocol text decodes as xor/inc/jcc but not with a decryption
+// loop's operand shapes. A polymorphic outbreak: pruning loses no
+// delivery, alert for alert against the unpruned analyzer.
+func TestSweepPruneOnTraffic(t *testing.T) {
+	e := New(Config{Classify: classify.Config{Disabled: true}, Shards: 2})
+	for _, p := range traffic.Synthesize(traffic.TraceSpec{Seed: 14, BenignSessions: 2000}) {
+		e.Process(p)
+	}
+	e.Stop()
+	m := e.Snapshot()
+	if m.SweepStarts < 1000 {
+		t.Fatalf("%d sweep starts considered over 2000 benign sessions; the trace reaches the analyzer too rarely to pin a share", m.SweepStarts)
+	}
+	if m.SweepStartsLifted*100 > m.SweepStarts {
+		t.Errorf("benign traffic: %d of %d sweep starts lifted, want at most 1 %%", m.SweepStartsLifted, m.SweepStarts)
+	}
+
+	outbreak := traffic.PolymorphOutbreak(traffic.PolymorphSpec{Seed: 14, Generations: 3, FanoutPerHost: 3})
+	run := func(prune bool) ([]string, Metrics) {
+		e := New(Config{Classify: testClassify(), Shards: 1})
+		e.analyzer.DisableSweepPrune = !prune // before the first packet reaches a shard
+		for _, p := range outbreak {
+			e.Process(p)
+		}
+		e.Stop()
+		return alertSet(e.Alerts()), e.Snapshot()
+	}
+	want, _ := run(false)
+	got, pm := run(true)
+	if len(want) == 0 {
+		t.Fatal("unpruned analyzer raised no alert on the outbreak; trace spec is wrong")
+	}
+	if !equalSets(got, want) {
+		t.Errorf("outbreak: pruned alerts diverged\n got: %v\nwant: %v", got, want)
+	}
+	if pm.SweepStartsLifted == 0 || pm.SweepStartsLifted > pm.SweepStarts {
+		t.Errorf("outbreak: %d of %d sweep starts lifted", pm.SweepStartsLifted, pm.SweepStarts)
+	}
+}

@@ -146,26 +146,25 @@ func (s *shard) run() {
 	for msg := range s.in {
 		if msg.ctl != nil {
 			s.flushFlows()
+			// Gauges first: the Drain caller this releases may read them.
+			s.publishGauges()
 			msg.ctl.wg.Done()
-		} else {
-			for i := range msg.batch.entries {
-				en := &msg.batch.entries[i]
-				s.handle(en.pkt, en.reason)
-				en.pkt.Release()
-				*en = batchEntry{}
-				// Decrement per packet, not per batch: the queue gauge
-				// then counts exactly the packets not yet analyzed, even
-				// mid-batch, and can never undershoot past zero.
-				s.queued.Add(-1)
-			}
-			s.eng.tel.ingestNS.Observe(time.Since(msg.batch.created).Nanoseconds())
-			msg.batch.entries = msg.batch.entries[:0]
-			s.putBatch(msg.batch)
+			continue
 		}
-		s.flows.Store(int64(s.asm.FlowCount()))
-		s.bytes.Store(int64(s.asm.TotalBytes()))
-		s.dgramFlows.Store(int64(s.asm.DgramFlowCount()))
-		s.dgramBytes.Store(int64(s.asm.DgramBytes()))
+		for i := range msg.batch.entries {
+			en := &msg.batch.entries[i]
+			s.handle(en.pkt, en.reason)
+			en.pkt.Release()
+			*en = batchEntry{}
+			// Decrement per packet, not per batch: the queue gauge
+			// then counts exactly the packets not yet analyzed, even
+			// mid-batch, and can never undershoot past zero.
+			s.queued.Add(-1)
+		}
+		s.eng.tel.ingestNS.Observe(time.Since(msg.batch.created).Nanoseconds())
+		msg.batch.entries = msg.batch.entries[:0]
+		s.putBatch(msg.batch)
+		s.publishGauges()
 	}
 	// Queue closed (Stop): analyze what remains before exiting.
 	s.flushFlows()
@@ -173,6 +172,15 @@ func (s *shard) run() {
 	s.bytes.Store(0)
 	s.dgramFlows.Store(0)
 	s.dgramBytes.Store(0)
+}
+
+// publishGauges copies the assembler's flow and byte counts into the
+// gauges Snapshot reads.
+func (s *shard) publishGauges() {
+	s.flows.Store(int64(s.asm.FlowCount()))
+	s.bytes.Store(int64(s.asm.TotalBytes()))
+	s.dgramFlows.Store(int64(s.asm.DgramFlowCount()))
+	s.dgramBytes.Store(int64(s.asm.DgramBytes()))
 }
 
 // handle pushes one selected packet through reassembly and analysis —

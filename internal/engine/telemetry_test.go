@@ -62,6 +62,8 @@ func TestEngineTelemetryAllocFree(t *testing.T) {
 		"semnids_engine_shard_queue_depth{shard=\"0\"}",
 		"semnids_engine_ingest_latency_ns_count",
 		"semnids_analyzer_frame_ns_count",
+		"semnids_analyzer_sweep_starts_total",
+		"semnids_analyzer_sweep_starts_lifted_total",
 	} {
 		if !strings.Contains(expo, series) {
 			t.Errorf("exposition missing %s", series)
@@ -75,6 +77,10 @@ func TestEngineTelemetryAllocFree(t *testing.T) {
 	}
 	if !strings.Contains(expo, "semnids_engine_packets_total "+strconv.FormatUint(snap.Packets, 10)) {
 		t.Errorf("packets_total not reflecting engine counter %d:\n%s", snap.Packets, expo)
+	}
+	if !strings.Contains(expo, "semnids_analyzer_sweep_starts_total "+strconv.FormatUint(snap.SweepStarts, 10)) ||
+		!strings.Contains(expo, "semnids_analyzer_sweep_starts_lifted_total "+strconv.FormatUint(snap.SweepStartsLifted, 10)) {
+		t.Errorf("sweep-start counters not reflecting the analyzer's %d/%d:\n%s", snap.SweepStartsLifted, snap.SweepStarts, expo)
 	}
 }
 

@@ -278,32 +278,28 @@ var textProtocolVerbs = [][]byte{
 }
 
 // textProtocolCommand reports whether the payload starts with a known
-// text-protocol command (optionally preceded by an IMAP tag), and
-// returns the verb and argument region.
+// text-protocol command (optionally preceded by an IMAP tag, "a001
+// LOGIN ..."), and returns the verb and the argument region behind it.
 func textProtocolCommand(payload []byte) (verb, rest []byte, ok bool) {
 	line := payload
 	if i := bytes.IndexByte(line, '\n'); i >= 0 {
 		line = line[:i]
 	}
-	fields := bytes.Fields(line)
-	if len(fields) == 0 {
-		return nil, nil, false
-	}
-	match := func(f []byte) bool {
+	// end is where the previous field stopped. Only white space lies
+	// between it and the next field, and a verb is all letters, so a
+	// verb's first occurrence from end is the field itself — not the
+	// same letters inside the tag ("LOGIN1 LOGIN ...").
+	end, n := 0, 0
+	for f := range bytes.FieldsSeq(line) {
+		end += bytes.Index(payload[end:], f) + len(f)
 		for _, v := range textProtocolVerbs {
 			if bytes.EqualFold(f, v) {
-				return true
+				return f, payload[end:], true
 			}
 		}
-		return false
-	}
-	switch {
-	case match(fields[0]):
-		return fields[0], payload[len(fields[0]):], true
-	case len(fields) >= 2 && match(fields[1]):
-		// IMAP tag: "a001 LOGIN ..."
-		off := bytes.Index(payload, fields[1])
-		return fields[1], payload[off+len(fields[1]):], true
+		if n++; n == 2 {
+			break // the verb is the first field, or the second behind a tag
+		}
 	}
 	return nil, nil, false
 }

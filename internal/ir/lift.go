@@ -53,48 +53,63 @@ type Node struct {
 // executes, if known.
 func (n *Node) ConstBefore(r x86.Reg) (uint32, bool) { return n.Pre.Get(r) }
 
-// Advance reports whether the instruction adds a constant delta to the
-// full 32-bit register fam (covers add/sub imm, inc, dec, and
-// lea r, [r+disp]).
-func (n *Node) Advance() (fam x86.Reg, delta int64, ok bool) {
-	in := n.Inst
+// InstAdvance is the part of Advance the instruction alone decides:
+// whether it adds a delta to the full 32-bit register fam (inc, dec,
+// add/sub, lea r, [r+disp]), and the delta when the encoding carries
+// it. For add/sub fam, src the delta is src's value, which only a
+// lifted node knows: src names that register and delta is 0.
+func InstAdvance(in *x86.Inst) (fam x86.Reg, delta int64, src x86.Reg, ok bool) {
 	a0, a1 := in.Args[0], in.Args[1]
-	switch in.Op {
-	case x86.INC:
-		if a0.Kind == x86.KindReg && a0.Reg.Size() == 4 {
-			return a0.Reg, 1, true
-		}
-	case x86.DEC:
-		if a0.Kind == x86.KindReg && a0.Reg.Size() == 4 {
-			return a0.Reg, -1, true
-		}
-	case x86.ADD:
-		if a0.Kind == x86.KindReg && a0.Reg.Size() == 4 && a1.Kind == x86.KindImm {
-			return a0.Reg, int64(a1.Imm), true
-		}
-		// add reg, reg2 where reg2 holds a known constant
-		if a0.Kind == x86.KindReg && a0.Reg.Size() == 4 && a1.Kind == x86.KindReg {
-			if v, known := n.Pre.Get(a1.Reg); known {
-				return a0.Reg, int64(int32(v)), true
-			}
-		}
-	case x86.SUB:
-		if a0.Kind == x86.KindReg && a0.Reg.Size() == 4 && a1.Kind == x86.KindImm {
-			return a0.Reg, -int64(a1.Imm), true
-		}
-		if a0.Kind == x86.KindReg && a0.Reg.Size() == 4 && a1.Kind == x86.KindReg {
-			if v, known := n.Pre.Get(a1.Reg); known {
-				return a0.Reg, -int64(int32(v)), true
-			}
-		}
-	case x86.LEA:
-		if a0.Kind == x86.KindReg && a1.Kind == x86.KindMem &&
+	if a0.Kind != x86.KindReg {
+		return x86.RegNone, 0, x86.RegNone, false
+	}
+	if in.Op == x86.LEA {
+		if a1.Kind == x86.KindMem &&
 			a1.Mem.Base != x86.RegNone && a1.Mem.Index == x86.RegNone &&
 			a1.Mem.Base.Family() == a0.Reg.Family() {
-			return a0.Reg, int64(a1.Mem.Disp), true
+			return a0.Reg, int64(a1.Mem.Disp), x86.RegNone, true
+		}
+		return x86.RegNone, 0, x86.RegNone, false
+	}
+	if a0.Reg.Size() != 4 {
+		return x86.RegNone, 0, x86.RegNone, false
+	}
+	switch in.Op {
+	case x86.INC:
+		return a0.Reg, 1, x86.RegNone, true
+	case x86.DEC:
+		return a0.Reg, -1, x86.RegNone, true
+	case x86.ADD, x86.SUB:
+		switch a1.Kind {
+		case x86.KindImm:
+			delta = int64(a1.Imm)
+			if in.Op == x86.SUB {
+				delta = -delta
+			}
+			return a0.Reg, delta, x86.RegNone, true
+		case x86.KindReg:
+			return a0.Reg, 0, a1.Reg, true
 		}
 	}
-	return x86.RegNone, 0, false
+	return x86.RegNone, 0, x86.RegNone, false
+}
+
+// Advance reports whether the instruction adds a constant delta to the
+// full 32-bit register fam (covers add/sub imm, add/sub of a register
+// holding a known constant, inc, dec, and lea r, [r+disp]).
+func (n *Node) Advance() (fam x86.Reg, delta int64, ok bool) {
+	fam, delta, src, ok := InstAdvance(n.Inst)
+	if ok && src != x86.RegNone {
+		v, known := n.Pre.Get(src)
+		if !known {
+			return x86.RegNone, 0, false
+		}
+		delta = int64(int32(v))
+		if n.Inst.Op == x86.SUB {
+			delta = -delta
+		}
+	}
+	return fam, delta, ok
 }
 
 // Program is the lifted, analyzed form of a disassembled frame.

@@ -3,7 +3,9 @@ package sem
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"semnids/internal/ir"
 	"semnids/internal/x86"
@@ -50,6 +52,18 @@ type Analyzer struct {
 	// matching.
 	pruneTable *x86.ViabilityTable
 	tplBit     []uint64
+
+	// sweepStarts counts the sweep offsets the offset loop reached,
+	// sweepLifted those it went on to lift and match (SweepStats).
+	sweepStarts, sweepLifted atomic.Uint64
+}
+
+// SweepStats reports how many sweep starts the analyzer has considered
+// over its lifetime and how many of them it lifted and matched; the
+// rest were skipped by the sweep-start viability pass. Added once per
+// analyzed frame, safe to read concurrently.
+func (a *Analyzer) SweepStats() (considered, lifted uint64) {
+	return a.sweepStarts.Load(), a.sweepLifted.Load()
 }
 
 // NewAnalyzer returns an analyzer over the given templates with
@@ -74,13 +88,16 @@ func NewAnalyzer(tpls []*Template) *Analyzer {
 // buildPrune assigns one statement bit to each mandatory restricted-
 // vocabulary statement across the template set (up to 64 statements
 // and 64 templates) and builds the viability table driving the
-// sweep-start pass. A template that got no statement bits
-// (unrestricted vocabulary, or bit budget exhausted) ends with
-// tplBit == 0, which makes every offset viable whenever it is a
-// candidate — pruning can only ever skip offsets that provably cannot
-// match.
+// sweep-start pass: an instruction earns a statement's bit when its
+// opcode is in the statement's vocabulary and it passes the
+// statement's own shape test (prunable). A template that got no
+// statement bits (unrestricted vocabulary, or bit budget exhausted)
+// ends with tplBit == 0, which makes every offset viable whenever it
+// is a candidate — pruning can only ever skip offsets that provably
+// cannot match.
 func (a *Analyzer) buildPrune() {
 	var masks []x86.OpSet
+	var stmts []*cstmt // statement bit -> its statement
 	var reqs []uint64
 	a.tplBit = make([]uint64, len(a.Templates))
 	for i, tpl := range a.Templates {
@@ -89,21 +106,29 @@ func (a *Analyzer) buildPrune() {
 		}
 		ct := tpl.compiled()
 		var req uint64
-		for j := range ct.opNeeds {
-			if len(masks) >= 64 {
-				break
+		for j := range ct.stmts {
+			st := &ct.stmts[j]
+			if st.Kind == SFrameData {
+				continue // zero-width: consumes no instruction
 			}
-			// A statement whose vocabulary includes a run-breaking
-			// opcode could be satisfied by the breaker itself at a run
-			// boundary, which the viability pass cannot see (breakers
-			// reset the run without contributing bits). Skip such
-			// statements — the template keeps its other bits and the
-			// prune stays conservative.
-			if ct.opNeeds[j].Has(x86.BAD) || ct.opNeeds[j].Has(x86.RET) || ct.opNeeds[j].Has(x86.HLT) {
+			if !st.hasOps || st.ops.Has(x86.BAD) || st.ops.Has(x86.RET) || st.ops.Has(x86.HLT) {
+				// A statement the table cannot describe may match any
+				// node, a run-breaking one included (SConst matches
+				// the raw byte a BAD carries), and the statements
+				// after it then sit in the next run. Requiring only
+				// the statements before it keeps the conjunction
+				// inside one run.
+				if req != 0 {
+					break
+				}
+				continue
+			}
+			if st.Optional || len(masks) >= 64 {
 				continue
 			}
 			req |= 1 << uint(len(masks))
-			masks = append(masks, ct.opNeeds[j])
+			masks = append(masks, st.ops)
+			stmts = append(stmts, st)
 		}
 		if req == 0 {
 			continue
@@ -111,9 +136,19 @@ func (a *Analyzer) buildPrune() {
 		a.tplBit[i] = 1 << uint(len(reqs))
 		reqs = append(reqs, req)
 	}
-	if len(masks) > 0 {
-		a.pruneTable = x86.NewViabilityTable(masks, reqs)
+	if len(masks) == 0 {
+		return
 	}
+	a.pruneTable = x86.NewViabilityTable(masks, reqs)
+	a.pruneTable.SetShape(func(in *x86.Inst, earned uint64) uint64 {
+		keep := earned
+		for rest := earned; rest != 0; rest &= rest - 1 {
+			if k := bits.TrailingZeros64(rest); !stmts[k].prunable(in) {
+				keep &^= 1 << uint(k)
+			}
+		}
+		return keep
+	})
 }
 
 // frameScratch is the reusable per-AnalyzeFrame working state: the
@@ -231,6 +266,7 @@ candidates:
 		}
 	}
 
+	var starts, lifted uint64
 	for _, off := range a.SweepOffsets {
 		if off >= len(frame) {
 			break
@@ -238,9 +274,11 @@ candidates:
 		if len(cands) == 0 || len(seen) == names {
 			break
 		}
+		starts++
 		if pruneWant != 0 && !cache.Viable(off, a.pruneTable, pruneWant) {
 			continue
 		}
+		lifted++
 		sc.prog.Reuse(cache.Sweep(off))
 		orders := [2]struct {
 			name  string
@@ -264,6 +302,9 @@ candidates:
 			}
 		}
 	}
+
+	a.sweepStarts.Add(starts)
+	a.sweepLifted.Add(lifted)
 
 	if a.ReturnAddrDetect {
 		if d, ok := a.detectReturnAddrRegion(frame); ok {

@@ -24,7 +24,17 @@ type cstmt struct {
 	ptrVar int8 // id of Ptr, -1 if unnamed
 	regVar int8 // id of Reg, -1 if unnamed
 	keyVar int8 // id of Key, -1 if unnamed
+
+	// ops is the statement's opcode vocabulary (stmtOpMask); hasOps is
+	// false when any opcode is allowed.
+	ops    opMask
+	hasOps bool
 }
+
+// opAllowed reports whether op is in the statement's vocabulary: the
+// one-load test the search loop and the sweep-start pruner make before
+// anything finer.
+func (st *cstmt) opAllowed(op x86.Opcode) bool { return !st.hasOps || st.ops.Has(op) }
 
 // compiledTemplate is the one-time-preprocessed form of a Template:
 // repetitions expanded, variables interned, liveness precomputed, and
@@ -94,11 +104,14 @@ func compileTemplate(t *Template) *compiledTemplate {
 	}
 
 	for i, s := range expanded {
+		ops, hasOps := stmtOpMask(&s)
 		ct.stmts[i] = cstmt{
 			Stmt:   s,
 			ptrVar: intern(s.Ptr),
 			regVar: intern(s.Reg),
 			keyVar: intern(s.Key),
+			ops:    ops,
+			hasOps: hasOps,
 		}
 	}
 
@@ -131,8 +144,8 @@ func compileTemplate(t *Template) *compiledTemplate {
 			}
 			continue
 		}
-		if need, ok := stmtOpMask(&st.Stmt); ok {
-			ct.opNeeds = append(ct.opNeeds, need)
+		if st.hasOps {
+			ct.opNeeds = append(ct.opNeeds, st.ops)
 		}
 	}
 	return ct
@@ -140,8 +153,12 @@ func compileTemplate(t *Template) *compiledTemplate {
 
 // stmtOpMask returns the set of opcodes an instruction must have for
 // the statement to possibly match it, and whether such a restriction
-// exists. The sets mirror matchStmt's acceptance logic exactly and
-// must stay a (possibly proper) superset of what matchStmt accepts.
+// exists (cstmt.ops). It is the first-level filter only — one load
+// per instruction in canMatch, in the search loop and in the
+// sweep-start pruner — and must be a superset of the opcodes
+// cstmt.shape accepts, which TestShapeCoversMatch checks over the
+// decoder's whole opcode space. Everything finer (operand kinds,
+// sizes, ranges) lives in shape alone.
 func stmtOpMask(st *Stmt) (opMask, bool) {
 	var m opMask
 	switch st.Kind {

@@ -232,20 +232,24 @@ func (m *matcher) search(ct *compiledTemplate, s, prev, bi int, matched *[]int) 
 		if m.steps++; m.steps > maxSearchSteps {
 			return false
 		}
-		m.binds[bi+1] = *b
-		if m.matchStmt(st, i, &m.binds[bi+1]) {
-			// Bound live registers must not be clobbered, and control
-			// flow must not break, between the previous match and
-			// this one.
-			if prev >= 0 && (m.defsInRange(live, prev, i) || m.flowBroken(prev, i)) {
-				break
+		// The vocabulary test first: most nodes fail it, and it spares
+		// them the candidate binding's copy.
+		if st.opAllowed(m.nodes[i].Inst.Op) {
+			m.binds[bi+1] = *b
+			if m.matchStmt(st, i, &m.binds[bi+1]) {
+				// Bound live registers must not be clobbered, and
+				// control flow must not break, between the previous
+				// match and this one.
+				if prev >= 0 && (m.defsInRange(live, prev, i) || m.flowBroken(prev, i)) {
+					break
+				}
+				*matched = append(*matched, i)
+				if m.search(ct, s+1, i, bi+1, matched) {
+					m.binds[bi] = m.binds[bi+1]
+					return true
+				}
+				*matched = (*matched)[:len(*matched)-1]
 			}
-			*matched = append(*matched, i)
-			if m.search(ct, s+1, i, bi+1, matched) {
-				m.binds[bi] = m.binds[bi+1]
-				return true
-			}
-			*matched = (*matched)[:len(*matched)-1]
 		}
 		// Whether or not node i matched, if it clobbers a live
 		// register or ends control flow, no candidate beyond it can
@@ -269,58 +273,155 @@ func (m *matcher) frameHasData(st *Stmt) bool {
 	return len(st.FrameBytes) > 0 && bytes.Contains(m.frame, st.FrameBytes)
 }
 
+// shape is the part of a statement's test that the decoded instruction
+// alone decides: opcode in the vocabulary, operand kinds, the pointer
+// operand's form, a non-zero immediate key, an immediate inside the
+// statement's range. matchStmt runs it first, and the sweep-start
+// pruner's statement bit for an instruction is this same function
+// (Analyzer.buildPrune), so the pruner cannot reject an instruction
+// the matcher would accept. What is left to matchStmt needs the lifted
+// node (constants known before it) or the binding built so far.
+func (st *cstmt) shape(in *x86.Inst) bool {
+	a0, a1 := &in.Args[0], &in.Args[1]
+	switch st.Kind {
+	case SMemXform:
+		if !st.opAllowed(in.Op) || a0.Kind != x86.KindMem || !st.ptrMem(&a0.Mem) {
+			return false
+		}
+		switch a1.Kind {
+		case x86.KindImm:
+			// A zero key is not a transformation.
+			return uint32(a1.Imm)&widthMaskFor(a0.Mem.Size) != 0
+		case x86.KindNone:
+			// Unary transforms (not/neg/inc/dec on memory).
+			return in.Op == x86.NOT || in.Op == x86.NEG || in.Op == x86.INC || in.Op == x86.DEC
+		}
+		return true
+
+	case SMemLoad:
+		switch in.Op {
+		case x86.MOV:
+			return a0.Kind == x86.KindReg && a1.Kind == x86.KindMem && st.ptrMem(&a1.Mem)
+		case x86.LODSB, x86.LODSD:
+			return true
+		}
+		return false
+
+	case SMemStore:
+		switch in.Op {
+		case x86.MOV:
+			return a0.Kind == x86.KindMem && st.ptrMem(&a0.Mem) && a1.Kind == x86.KindReg
+		case x86.STOSB, x86.STOSD:
+			return true
+		}
+		return false
+
+	case SRegXform:
+		// Source must not be memory: loads are a separate statement.
+		return st.opAllowed(in.Op) && a0.Kind == x86.KindReg && a1.Kind != x86.KindMem
+
+	case SAdvance:
+		// add/sub reg, src: the delta is src's value, matchStmt's to
+		// resolve.
+		_, delta, src, ok := ir.InstAdvance(in)
+		return ok && (src != x86.RegNone || st.deltaOK(delta))
+
+	case SBackEdge:
+		return in.Op.IsCondBranch() && in.HasTarget
+
+	case SSyscall:
+		return in.Op == x86.INT && a0.Kind == x86.KindImm && a0.Imm == 0x80
+
+	case SConstInRange:
+		// mov reg, imm — or push imm (followed elsewhere by ret/pop).
+		imm := a0
+		switch {
+		case in.Op == x86.MOV && a0.Kind == x86.KindReg:
+			imm = a1
+		case in.Op != x86.PUSH:
+			return false
+		}
+		return imm.Kind == x86.KindImm && uint32(imm.Imm) >= st.Lo && uint32(imm.Imm) <= st.Hi
+
+	case SIndirect:
+		return (in.Op == x86.CALL || in.Op == x86.JMP) && indirectThrough(in) != x86.RegNone
+	}
+	return true
+}
+
+// prunable is shape as the sweep-start pruner asks it, with the one
+// test the pruner can make that matchStmt cannot. On a flow-unbroken
+// run no in-frame jmp/call touches, both instruction orders visit the
+// run in address order (ThreadOrderAppend splices only through those
+// two, and x86.DecodeCache.Viable makes any run containing one viable
+// outright), so SBackEdge's "target already visited" is "target
+// address below the branch's own": a forward branch cannot close a
+// loop there.
+func (st *cstmt) prunable(in *x86.Inst) bool {
+	if st.Kind == SBackEdge && (in.Target < 0 || in.Target >= in.Addr) {
+		return false
+	}
+	return st.shape(in)
+}
+
+// ptrMem accepts the effective-address shapes decryption loops
+// actually use: the pointer register itself, possibly with a small
+// displacement ([esi], [eax+1]). Random data misdecodes produce
+// operands like [ecx-0x49bbc9bb], which no loop that derives its
+// pointer from the payload address would ever contain.
+func (st *cstmt) ptrMem(m *x86.MemRef) bool {
+	if st.MemSize != 0 && m.Size != st.MemSize {
+		return false
+	}
+	return m.Base != x86.RegNone && m.Index == x86.RegNone &&
+		m.Disp >= -255 && m.Disp <= 255
+}
+
+// deltaOK applies SAdvance's |delta| bounds (1..8 when unset).
+func (st *cstmt) deltaOK(delta int64) bool {
+	if delta < 0 {
+		delta = -delta
+	}
+	min, max := st.MinDelta, st.MaxDelta
+	if min == 0 && max == 0 {
+		min, max = 1, 8
+	}
+	return delta >= min && delta <= max
+}
+
+// indirectThrough is the register a call/jmp transfers through:
+// directly, or as a memory operand's base.
+func indirectThrough(in *x86.Inst) x86.Reg {
+	switch a0 := &in.Args[0]; a0.Kind {
+	case x86.KindReg:
+		return a0.Reg
+	case x86.KindMem:
+		return a0.Mem.Base
+	}
+	return x86.RegNone
+}
+
 // matchStmt tests a single statement against node i, extending the
-// binding nb on success. The matcher's matched scratch holds the node
-// indices assigned to earlier statements.
+// binding nb on success: the instruction's shape first, then what
+// only the lifted node and the binding can decide. The matcher's
+// matched scratch holds the node indices assigned to earlier
+// statements.
 func (m *matcher) matchStmt(st *cstmt, i int, nb *binding) bool {
 	n := &m.nodes[i]
 	in := n.Inst
-
-	opAllowed := func(op x86.Opcode) bool {
-		if len(st.Ops) == 0 {
-			return true
-		}
-		for _, o := range st.Ops {
-			if o == op {
-				return true
-			}
-		}
+	if !st.shape(in) {
 		return false
 	}
-
-	// ptrMem accepts the effective-address shapes decryption loops
-	// actually use: the pointer register itself, possibly with a small
-	// displacement ([esi], [eax+1]). Random data misdecodes produce
-	// operands like [ecx-0x49bbc9bb], which no loop that derives its
-	// pointer from the payload address would ever contain.
-	ptrMem := func(m x86.MemRef) bool {
-		if st.MemSize != 0 && m.Size != st.MemSize {
-			return false
-		}
-		return m.Base != x86.RegNone && m.Index == x86.RegNone &&
-			m.Disp >= -255 && m.Disp <= 255
-	}
+	a0, a1 := &in.Args[0], &in.Args[1]
 
 	switch st.Kind {
 	case SMemXform:
-		if !opAllowed(in.Op) {
-			return false
-		}
-		a0, a1 := in.Args[0], in.Args[1]
-		if a0.Kind != x86.KindMem || !ptrMem(a0.Mem) {
-			return false
-		}
 		if !nb.bindReg(st.ptrVar, a0.Mem.Base) {
 			return false
 		}
-		// Resolve the key.
 		switch a1.Kind {
 		case x86.KindImm:
-			key := uint32(a1.Imm) & widthMaskFor(a0.Mem.Size)
-			if key == 0 {
-				return false // a zero key is not a transformation
-			}
-			nb.setKey(st.keyVar, key)
+			nb.setKey(st.keyVar, uint32(a1.Imm)&widthMaskFor(a0.Mem.Size))
 		case x86.KindReg:
 			// The key must resolve to a concrete constant, exactly as
 			// the symbolic constants of [5]'s templates must bind to a
@@ -330,83 +431,34 @@ func (m *matcher) matchStmt(st *cstmt, i int, nb *binding) bool {
 			// resolvable key and is rejected — the major benign-data
 			// false-positive class.
 			v, known := n.ConstBefore(a1.Reg)
-			if !known {
-				return false
-			}
 			key := v & widthMaskFor(a0.Mem.Size)
-			if key == 0 {
+			if !known || key == 0 {
 				return false
 			}
 			nb.setKey(st.keyVar, key)
-		case x86.KindNone:
-			// Unary transforms (not/neg/inc/dec on memory).
-			if in.Op != x86.NOT && in.Op != x86.NEG && in.Op != x86.INC && in.Op != x86.DEC {
-				return false
-			}
 		}
 		return true
 
 	case SMemLoad:
-		switch in.Op {
-		case x86.MOV:
-			a0, a1 := in.Args[0], in.Args[1]
-			if a0.Kind != x86.KindReg || a1.Kind != x86.KindMem || !ptrMem(a1.Mem) {
-				return false
-			}
+		if in.Op == x86.MOV {
 			return nb.bindReg(st.ptrVar, a1.Mem.Base) && nb.bindReg(st.regVar, a0.Reg)
-		case x86.LODSB, x86.LODSD:
-			return nb.bindReg(st.ptrVar, x86.ESI) && nb.bindReg(st.regVar, x86.EAX)
 		}
-		return false
+		return nb.bindReg(st.ptrVar, x86.ESI) && nb.bindReg(st.regVar, x86.EAX)
 
 	case SMemStore:
-		switch in.Op {
-		case x86.MOV:
-			a0, a1 := in.Args[0], in.Args[1]
-			if a0.Kind != x86.KindMem || !ptrMem(a0.Mem) || a1.Kind != x86.KindReg {
-				return false
-			}
+		if in.Op == x86.MOV {
 			return nb.bindReg(st.ptrVar, a0.Mem.Base)
-		case x86.STOSB, x86.STOSD:
-			return nb.bindReg(st.ptrVar, x86.EDI)
 		}
-		return false
+		return nb.bindReg(st.ptrVar, x86.EDI)
 
 	case SRegXform:
-		if !opAllowed(in.Op) {
-			return false
-		}
-		a0, a1 := in.Args[0], in.Args[1]
-		if a0.Kind != x86.KindReg {
-			return false
-		}
-		// Source must not be memory: loads are a separate statement.
-		if a1.Kind == x86.KindMem {
-			return false
-		}
-		return true
+		return true // all shape
 
 	case SAdvance:
 		fam, delta, ok := n.Advance()
-		if !ok {
-			return false
-		}
-		if delta < 0 {
-			delta = -delta
-		}
-		min, max := st.MinDelta, st.MaxDelta
-		if min == 0 && max == 0 {
-			min, max = 1, 8
-		}
-		if delta < min || delta > max {
-			return false
-		}
-		return nb.bindReg(st.ptrVar, fam)
+		return ok && st.deltaOK(delta) && nb.bindReg(st.ptrVar, fam)
 
 	case SBackEdge:
-		if !in.Op.IsCondBranch() || !in.HasTarget {
-			return false
-		}
 		// The target must be a real instruction boundary in this
 		// decode, already visited in sequence order. This covers both
 		// plain backward loops and out-of-order code (where the
@@ -428,24 +480,16 @@ func (m *matcher) matchStmt(st *cstmt, i int, nb *binding) bool {
 		// early returns: a BAD marker or a ret inside [target,
 		// backedge] means this "loop" is a phantom in misdecoded
 		// data, since execution could never complete an iteration.
-		if m.flowCount[i+1]-m.flowCount[j] > 0 {
-			return false
-		}
-		return true
+		return m.flowCount[i+1]-m.flowCount[j] == 0
 
 	case SSyscall:
-		if in.Op != x86.INT || in.Args[0].Kind != x86.KindImm || in.Args[0].Imm != 0x80 {
-			return false
-		}
 		v, known := n.ConstBefore(x86.EAX)
 		if !known || v != st.Num {
 			return false
 		}
 		if st.EBX != nil {
 			bv, bknown := n.ConstBefore(x86.EBX)
-			if !bknown || bv != *st.EBX {
-				return false
-			}
+			return bknown && bv == *st.EBX
 		}
 		return true
 
@@ -471,53 +515,23 @@ func (m *matcher) matchStmt(st *cstmt, i int, nb *binding) bool {
 		return false
 
 	case SConstInRange:
-		if in.Op != x86.MOV && in.Op != x86.PUSH {
-			return false
-		}
-		a0, a1 := in.Args[0], in.Args[1]
 		if in.Op == x86.MOV {
-			if a0.Kind != x86.KindReg || a1.Kind != x86.KindImm {
-				return false
-			}
-			v := uint32(a1.Imm)
-			if v < st.Lo || v > st.Hi {
-				return false
-			}
 			return nb.bindReg(st.regVar, a0.Reg)
 		}
-		// push imm in range (followed elsewhere by ret/pop)
-		if a0.Kind != x86.KindImm {
-			return false
-		}
-		v := uint32(a0.Imm)
-		return v >= st.Lo && v <= st.Hi
+		return true
 
 	case SIndirect:
-		if in.Op != x86.CALL && in.Op != x86.JMP {
-			return false
-		}
-		var through x86.Reg
-		switch a0 := in.Args[0]; a0.Kind {
-		case x86.KindReg:
-			through = a0.Reg
-		case x86.KindMem:
-			through = a0.Mem.Base
-		}
-		if through == x86.RegNone {
-			return false
-		}
+		through := indirectThrough(in)
 		if !nb.bindReg(st.regVar, through) {
 			return false
 		}
 		if st.Lo != 0 || st.Hi != 0 {
 			v, known := n.ConstBefore(through)
-			if !known || v < st.Lo || v > st.Hi {
-				return false
-			}
+			return known && v >= st.Lo && v <= st.Hi
 		}
 		return true
 	}
-	return false
+	return false // SFrameData: search handles it without consuming a node
 }
 
 func widthMaskFor(size uint8) uint32 {

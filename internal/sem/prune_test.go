@@ -1,10 +1,16 @@
 package sem
 
 import (
+	"bufio"
+	"encoding/hex"
 	"math/rand"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"semnids/internal/exploits"
+	"semnids/internal/morph"
 	"semnids/internal/polymorph"
 	"semnids/internal/shellcode"
 )
@@ -47,61 +53,140 @@ func pruneCorpora(t testing.TB) map[string][]byte {
 	return out
 }
 
+// pruneSeeds is pruneCorpora plus the frames where a shape bit is most
+// likely to be wrong: morph-rewritten cleartext shellcode (no decoder,
+// syscall templates), every stored CLET/ADMmutate frame of the sketch
+// golden (bare, overflow-packed, over morphed cleartext), and protocol
+// text with one decoder spliced in at each of a few offsets, so the
+// loop sits behind a divergent text prefix.
+func pruneSeeds(t testing.TB) map[string][]byte {
+	out := pruneCorpora(t)
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, p := range []shellcode.Shellcode{shellcode.ClassicPush(), shellcode.Dup2Shell(), shellcode.BindShell4444()} {
+			mutated, err := morph.New(seed).Mutate(p.Bytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out["morph-"+p.Name+"-"+strconv.FormatInt(seed, 10)] = mutated
+		}
+	}
+
+	f, err := os.Open("testdata/sketch_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 2 {
+			continue
+		}
+		frame, err := hex.DecodeString(fields[1])
+		if err != nil {
+			t.Fatalf("sketch golden %s: %v", fields[0], err)
+		}
+		out["golden-"+fields[0]] = frame
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	text := out["text"]
+	for _, at := range []int{0, 7, 30, len(text)} {
+		spliced := append(append(append([]byte(nil), text[:at]...), out["xor-loop"]...), text[at:]...)
+		out["text-spliced-"+strconv.Itoa(at)] = spliced
+	}
+	return out
+}
+
+// pruneAnalyzers returns the pruned analyzer and its unpruned oracle
+// over the builtin templates, both sweeping the given offsets (nil =
+// the default four).
+func pruneAnalyzers(offsets []int) (pruned, baseline *Analyzer) {
+	pruned, baseline = NewAnalyzer(BuiltinTemplates()), NewAnalyzer(BuiltinTemplates())
+	baseline.DisableSweepPrune = true
+	if offsets != nil {
+		pruned.SweepOffsets, baseline.SweepOffsets = offsets, offsets
+	}
+	return pruned, baseline
+}
+
+// wideOffsets is the exhaustive offset list (the fullscan shape) where
+// pruning has the most offsets to skip and the most opportunities to
+// get one wrong.
+func wideOffsets() []int {
+	offsets := make([]int, 16)
+	for i := range offsets {
+		offsets[i] = i
+	}
+	return offsets
+}
+
+// checkPruneAgrees fails unless the pruned analyzer reports exactly
+// the baseline's detections for the frame: template, order, addresses
+// and bindings. It returns how many there were.
+func checkPruneAgrees(t testing.TB, name string, pruned, baseline *Analyzer, frame []byte) int {
+	t.Helper()
+	want := baseline.AnalyzeFrame(frame)
+	got := pruned.AnalyzeFrame(frame)
+	if len(got) != len(want) {
+		t.Fatalf("%s: pruned %v, baseline %v", name, got, want)
+	}
+	for i := range want {
+		if got[i].String() != want[i].String() {
+			t.Errorf("%s detection %d: pruned %v, baseline %v", name, i, got[i], want[i])
+		}
+		if len(got[i].Bindings) != len(want[i].Bindings) {
+			t.Errorf("%s detection %d bindings: pruned %v, baseline %v", name, i, got[i].Bindings, want[i].Bindings)
+		}
+		for k, v := range want[i].Bindings {
+			if got[i].Bindings[k] != v {
+				t.Errorf("%s detection %d binding %s: pruned %s, baseline %s",
+					name, i, k, got[i].Bindings[k], v)
+			}
+		}
+	}
+	return len(want)
+}
+
 // TestSweepPruneDifferential proves the sweep-start viability pass
 // changes no detection: for every corpus frame, the pruned analyzer
 // reports exactly the same detections (template, order, addresses,
 // bindings) as the unpruned baseline.
 func TestSweepPruneDifferential(t *testing.T) {
-	pruned := NewAnalyzer(BuiltinTemplates())
-	baseline := NewAnalyzer(BuiltinTemplates())
-	baseline.DisableSweepPrune = true
-
+	pruned, baseline := pruneAnalyzers(nil)
 	for name, frame := range pruneCorpora(t) {
-		want := baseline.AnalyzeFrame(frame)
-		got := pruned.AnalyzeFrame(frame)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d detections pruned, %d baseline", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].String() != want[i].String() {
-				t.Errorf("%s detection %d: pruned %v, baseline %v", name, i, got[i], want[i])
-			}
-			for k, v := range want[i].Bindings {
-				if got[i].Bindings[k] != v {
-					t.Errorf("%s detection %d binding %s: pruned %s, baseline %s",
-						name, i, k, got[i].Bindings[k], v)
-				}
-			}
-		}
+		checkPruneAgrees(t, name, pruned, baseline, frame)
 	}
 }
 
-// TestSweepPruneWideOffsets runs the differential with an exhaustive
-// offset list (the fullscan shape) where pruning has the most offsets
-// to skip and the most opportunities to get one wrong.
+// TestSweepPruneWideOffsets runs the differential over every seed
+// frame with the exhaustive offset list.
 func TestSweepPruneWideOffsets(t *testing.T) {
-	offsets := make([]int, 16)
-	for i := range offsets {
-		offsets[i] = i
+	pruned, baseline := pruneAnalyzers(wideOffsets())
+	detected := 0
+	for name, frame := range pruneSeeds(t) {
+		detected += checkPruneAgrees(t, name, pruned, baseline, frame)
 	}
-	pruned := NewAnalyzer(BuiltinTemplates())
-	pruned.SweepOffsets = offsets
-	baseline := NewAnalyzer(BuiltinTemplates())
-	baseline.SweepOffsets = offsets
-	baseline.DisableSweepPrune = true
+	if detected < 100 {
+		t.Errorf("%d detections over the seed frames: the differential has too little to disagree on", detected)
+	}
+}
 
-	for name, frame := range pruneCorpora(t) {
-		want := baseline.AnalyzeFrame(frame)
-		got := pruned.AnalyzeFrame(frame)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d detections pruned, %d baseline", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].String() != want[i].String() {
-				t.Errorf("%s detection %d: pruned %v, baseline %v", name, i, got[i], want[i])
-			}
-		}
+// FuzzSweepPrune: on any frame, at the default and the exhaustive
+// offset lists, pruning changes no detection.
+func FuzzSweepPrune(f *testing.F) {
+	for _, frame := range pruneSeeds(f) {
+		f.Add(frame)
 	}
+	pruned, baseline := pruneAnalyzers(nil)
+	prunedWide, baselineWide := pruneAnalyzers(wideOffsets())
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		checkPruneAgrees(t, "default offsets", pruned, baseline, frame)
+		checkPruneAgrees(t, "wide offsets", prunedWide, baselineWide, frame)
+	})
 }
 
 // TestBuildPruneBits checks viability-bit assignment: every builtin
@@ -120,21 +205,30 @@ func TestBuildPruneBits(t *testing.T) {
 }
 
 // TestPruneSkipsHopelessFrame pins that the prune actually fires: a
-// frame whose every run lacks the templates' conjunctions (text with
-// no loop structure) must produce no detections, and an analyzer with
-// an impossible-template-only candidate set must behave identically
-// with pruning on and off.
+// frame whose every run lacks the templates' conjunctions has no
+// sweep start lifted, on code bytes (ret/nop) and on protocol text,
+// whose letters decode as xor/sub, inc/dec and jcc but never with a
+// decryption loop's operand shapes. The share over real traffic is
+// pinned by engine.TestSweepPruneOnTraffic.
 func TestPruneSkipsHopelessFrame(t *testing.T) {
-	frame := []byte{0xc3, 0xc3, 0xc3, 0xc3, 0x90, 0x90, 0x90, 0x90}
-	a := NewAnalyzer(BuiltinTemplates())
-	a.ReturnAddrDetect = false
-	if ds := a.AnalyzeFrame(frame); len(ds) != 0 {
-		t.Fatalf("ret/nop frame detected: %v", ds)
-	}
-	b := NewAnalyzer(BuiltinTemplates())
-	b.ReturnAddrDetect = false
-	b.DisableSweepPrune = true
-	if ds := b.AnalyzeFrame(frame); len(ds) != 0 {
-		t.Fatalf("baseline detected: %v", ds)
+	for name, frame := range map[string][]byte{
+		"ret-nop": {0xc3, 0xc3, 0xc3, 0xc3, 0x90, 0x90, 0x90, 0x90},
+		"text":    pruneCorpora(t)["text"],
+	} {
+		a, b := pruneAnalyzers(nil)
+		a.ReturnAddrDetect, b.ReturnAddrDetect = false, false
+		if ds := a.AnalyzeFrame(frame); len(ds) != 0 {
+			t.Fatalf("%s: detected %v", name, ds)
+		}
+		if ds := b.AnalyzeFrame(frame); len(ds) != 0 {
+			t.Fatalf("%s: baseline detected %v", name, ds)
+		}
+		considered, lifted := a.SweepStats()
+		if considered != 4 || lifted != 0 {
+			t.Errorf("%s: %d sweep starts considered, %d lifted; want 4 and 0", name, considered, lifted)
+		}
+		if considered, lifted := b.SweepStats(); considered != 4 || lifted != 4 {
+			t.Errorf("%s: unpruned baseline considered %d, lifted %d; want 4 and 4", name, considered, lifted)
+		}
 	}
 }

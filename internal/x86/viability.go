@@ -6,16 +6,18 @@ package x86
 //
 // Each mandatory restricted-vocabulary template statement owns one
 // statement bit (ops[opcode] = the statement bits an instruction with
-// that opcode can satisfy), and each template owns the set of
-// statement bits it requires (reqs). The matcher only accepts a
-// template when all its statements land inside one flow-unbroken run
-// of the instruction order — no BAD, RET or HLT between matched
-// statements — so a template is viable from p only if some single run
-// on the chain from p covers all its required bits.
+// that opcode can satisfy; shape, when set, then keeps only the bits
+// whose operand shape the instruction also has), and each template
+// owns the set of statement bits it requires (reqs). The matcher only
+// accepts a template when all its statements land inside one
+// flow-unbroken run of the instruction order — no BAD, RET or HLT
+// between matched statements — so a template is viable from p only if
+// some single run on the chain from p covers all its required bits.
 type ViabilityTable struct {
-	ops  [256]uint64
-	reqs []uint64
-	all  uint64
+	ops   [256]uint64
+	shape func(in *Inst, bits uint64) uint64
+	reqs  []uint64
+	all   uint64
 }
 
 // NewViabilityTable assigns statement bit i to masks[i] (at most 64
@@ -33,6 +35,25 @@ func NewViabilityTable(masks []OpSet, reqs []uint64) *ViabilityTable {
 		t.all |= 1 << uint(i)
 	}
 	return t
+}
+
+// SetShape installs the second-level filter: for an instruction whose
+// opcode earned the statement bits in bits (never 0 — an opcode that
+// earns none still costs one table load), shape returns the subset
+// the instruction's operands can satisfy as well. It must return a
+// subset of bits, and must keep every bit whose statement the matcher
+// could accept on this instruction; a table without one keeps the
+// opcode-only bits, a sound superset. Call it before the table's
+// first use.
+func (t *ViabilityTable) SetShape(shape func(in *Inst, bits uint64) uint64) { t.shape = shape }
+
+// bits returns the statement bits in can satisfy.
+func (t *ViabilityTable) bits(in *Inst) uint64 {
+	b := t.ops[in.Op]
+	if b != 0 && t.shape != nil {
+		b = t.shape(in, b)
+	}
+	return b
 }
 
 // covered returns the template bits whose requirements seg satisfies.
@@ -77,10 +98,12 @@ func (c *DecodeCache) isConnector(in *Inst) bool {
 //     chain, merging its open run with the chain's run at the join.
 //
 // The check is sound-conservative: it never reports false for an
-// offset the matcher could match (statement bits are supersets of
-// matchStmt's acceptance, run boundaries mirror the matcher's
-// flow-broken rule, and threading joins poison the run), so skipping
-// non-viable offsets cannot change detections.
+// offset the matcher could match (an instruction keeps every
+// statement bit the matcher could accept it for — the opcode table is
+// a superset and the shape function is the matcher's own — run
+// boundaries mirror the matcher's flow-broken rule, and threading
+// joins poison the run), so skipping non-viable offsets cannot change
+// detections.
 func (c *DecodeCache) Viable(off int, t *ViabilityTable, want uint64) bool {
 	if t == nil || want == 0 || off >= len(c.b) {
 		return false
@@ -110,7 +133,7 @@ func (c *DecodeCache) Viable(off int, t *ViabilityTable, want uint64) bool {
 		}
 		if isBreaker(in.Op) {
 			seg = 0
-		} else if bits := t.ops[in.Op]; seg|bits != seg {
+		} else if bits := t.bits(in); seg|bits != seg {
 			seg |= bits
 			if t.covered(seg)&want != 0 {
 				return true
@@ -141,7 +164,7 @@ func (c *DecodeCache) ensureVia(t *ViabilityTable) {
 		case isBreaker(in.Op):
 			seg = 0
 		default:
-			seg |= t.ops[in.Op]
+			seg |= t.bits(in)
 		}
 		via |= t.covered(seg)
 		c.segChain[i] = seg

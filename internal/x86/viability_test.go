@@ -8,22 +8,27 @@ import (
 // naiveViable recomputes DecodeCache.Viable the obvious way: walk the
 // chain from start, split it into flow-unbroken runs, poison runs
 // reached through an in-frame jmp/call, and report whether any run
-// covers a wanted template's requirements.
+// covers a wanted template's requirements. An instruction's statement
+// bits are its opcode's, narrowed by the table's shape function if it
+// has one.
 func naiveViable(b []byte, start int, t *ViabilityTable, want uint64) bool {
 	var seg uint64
 	for pos := start; pos < len(b); {
-		op, l := BAD, 1
+		op, l, bits := BAD, 1, uint64(0)
 		if in, err := Decode(b, pos); err == nil {
 			op, l = in.Op, int(in.Len)
 			if (op == JMP || op == CALL) && in.HasTarget &&
 				in.Target >= 0 && int(in.Target) < len(b) {
 				return want != 0
 			}
+			if bits = t.ops[op]; bits != 0 && t.shape != nil {
+				bits = t.shape(&in, bits)
+			}
 		}
 		if op == BAD || op == RET || op == HLT {
 			seg = 0
 		} else {
-			seg |= t.ops[op]
+			seg |= bits
 		}
 		if t.covered(seg)&want != 0 {
 			return true
@@ -54,10 +59,31 @@ func testViabilityTable() *ViabilityTable {
 	)
 }
 
+// testShapeTable is testViabilityTable with a second level in the
+// style of sem's: the transform bit needs a byte-sized memory
+// destination, the branch bit a backward target.
+func testShapeTable(t *testing.T) *ViabilityTable {
+	table := testViabilityTable()
+	table.SetShape(func(in *Inst, bits uint64) uint64 {
+		if bits == 0 {
+			t.Errorf("shape called for %v, whose opcode earned no bit", in)
+		}
+		if a0 := in.Args[0]; a0.Kind != KindMem || a0.Mem.Size != 1 {
+			bits &^= 0b0001
+		}
+		if !in.HasTarget || in.Target >= in.Addr {
+			bits &^= 0b0100
+		}
+		return bits
+	})
+	return table
+}
+
 func viabilityCorpora() map[string][]byte {
 	junk := make([]byte, 1024)
 	rand.New(rand.NewSource(7)).Read(junk)
 	text := []byte("GET /index.html HTTP/1.1\r\nHost: example.com\r\nAccept: text/plain\r\n\r\n")
+	smtp := []byte("220 mail.example.com ESMTP Postfix\r\nEHLO client.example.org\r\n250-SIZE 10240000\r\n")
 	code := []byte{
 		0xb9, 0x10, 0x00, 0x00, 0x00, // mov ecx, 0x10
 		0x80, 0x36, 0x55, // xor byte [esi], 0x55
@@ -74,6 +100,7 @@ func viabilityCorpora() map[string][]byte {
 	return map[string][]byte{
 		"junk":  junk,
 		"text":  text,
+		"smtp":  smtp,
 		"code":  code,
 		"jumpy": jumpy,
 		"tiny":  {0x90},
@@ -84,9 +111,14 @@ func viabilityCorpora() map[string][]byte {
 // (DecodeCache.Viable) agrees with the same reference at every offset,
 // in several sweep/viability interleavings: viability asked cold,
 // after the analyzer-style offset-0 sweep, and after sweeping all
-// offsets first.
+// offsets first — for the opcode-only table and for one with a shape
+// function.
 func TestCacheViableDifferential(t *testing.T) {
-	table := testViabilityTable()
+	t.Run("opcode-only", func(t *testing.T) { cacheViableDifferential(t, testViabilityTable()) })
+	t.Run("shape", func(t *testing.T) { cacheViableDifferential(t, testShapeTable(t)) })
+}
+
+func cacheViableDifferential(t *testing.T, table *ViabilityTable) {
 	wants := []uint64{0b01, 0b10, 0b11}
 	orders := map[string]func(c *DecodeCache, n int){
 		"cold":        func(c *DecodeCache, n int) {},
@@ -173,6 +205,32 @@ func TestViableRuns(t *testing.T) {
 	}
 	if c.Viable(0, table, 0b01) {
 		t.Error("decrypt loop viable in ret; int 0x80")
+	}
+}
+
+// TestViableShape pins what the second level changes: protocol text is
+// viable for the decrypt-loop template by opcode alone (its letters
+// decode as xor/sub, inc/dec and jcc) and not once operand shape is
+// asked; a real loop stays viable under both; and a connector still
+// makes its run viable whatever the shapes say.
+func TestViableShape(t *testing.T) {
+	opcodeOnly, shaped := testViabilityTable(), testShapeTable(t)
+	corpora := viabilityCorpora()
+	for _, c := range []struct {
+		frame                  string
+		wantOpcode, wantShaped bool
+	}{
+		{"smtp", true, false},
+		{"code", true, true},
+		{"jumpy", true, true},
+	} {
+		b := corpora[c.frame]
+		if got := NewDecodeCache(b).Viable(0, opcodeOnly, 0b01); got != c.wantOpcode {
+			t.Errorf("%s: opcode-only table viable = %v, want %v", c.frame, got, c.wantOpcode)
+		}
+		if got := NewDecodeCache(b).Viable(0, shaped, 0b01); got != c.wantShaped {
+			t.Errorf("%s: shape table viable = %v, want %v", c.frame, got, c.wantShaped)
+		}
 	}
 }
 

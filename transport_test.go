@@ -153,10 +153,11 @@ func TestFederationPushConvergesUnderFaults(t *testing.T) {
 			return st != nil && renderDerived(t, st) == want
 		})
 		for _, e := range sensors {
-			m := e.SinkStats()
-			if m.Push.Acked == 0 {
-				t.Errorf("shards=%d: sensor pushed nothing (%+v)", shards, m.Push)
-			}
+			// The aggregator can converge on a fold whose ack the fault
+			// plan dropped; the sensor's retry then collects it.
+			waitUntil(t, "an acked push from each sensor", func() bool {
+				return e.SinkStats().Push.Acked > 0
+			})
 			e.Stop()
 		}
 		if c := ft.Counts(); c.Drops == 0 && c.Truncations == 0 && c.Errs == 0 && c.Duplicates == 0 {
