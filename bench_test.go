@@ -32,8 +32,8 @@ import (
 	"semnids/internal/x86"
 )
 
-func coreCfg() core.Config {
-	return core.Config{
+func engineCfg() engine.Config {
+	return engine.Config{
 		Classify: classify.Config{
 			Honeypots:     []netip.Addr{traffic.HoneypotAddr},
 			DarkSpace:     []netip.Prefix{traffic.DarkNet},
@@ -163,11 +163,11 @@ func BenchmarkTable3CodeRedTrace(b *testing.B) {
 	b.SetBytes(total)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := core.New(coreCfg())
+		n := engine.New(engineCfg())
 		for _, p := range pkts {
-			n.ProcessPacket(p)
+			n.Process(p)
 		}
-		n.Flush()
+		n.Stop()
 		crii := 0
 		seen := map[netip.Addr]bool{}
 		for _, a := range n.Alerts() {
@@ -197,13 +197,13 @@ func BenchmarkFalsePositiveScan(b *testing.B) {
 	b.SetBytes(total)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := coreCfg()
+		cfg := engineCfg()
 		cfg.Classify.Disabled = true
-		n := core.New(cfg)
+		n := engine.New(cfg)
 		for _, p := range pkts {
-			n.ProcessPacket(p)
+			n.Process(p)
 		}
-		n.Flush()
+		n.Stop()
 		if a := n.Alerts(); len(a) != 0 {
 			b.Fatalf("false positives: %v", a)
 		}
@@ -218,40 +218,17 @@ func BenchmarkPipelineVsFullScan(b *testing.B) {
 	pkts := traffic.Synthesize(spec)
 	run := func(b *testing.B, fullScan bool) {
 		for i := 0; i < b.N; i++ {
-			cfg := coreCfg()
+			cfg := engineCfg()
 			cfg.FullScan = fullScan
-			n := core.New(cfg)
+			n := engine.New(cfg)
 			for _, p := range pkts {
-				n.ProcessPacket(p)
+				n.Process(p)
 			}
-			n.Flush()
+			n.Stop()
 		}
 	}
 	b.Run("pruned-pipeline", func(b *testing.B) { run(b, false) })
 	b.Run("fullscan-baseline", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkPipelineParallelism is the ablation for DESIGN.md decision 5
-// (concurrent analysis workers).
-func BenchmarkPipelineParallelism(b *testing.B) {
-	g := traffic.NewGen(66)
-	var pkts []*netpkt.Packet
-	for _, e := range exploits.Table1Exploits() {
-		pkts = append(pkts, g.ExploitAtHoneypot(g.RandClient(), e.DstPort, e.Payload)...)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "workers-1", 2: "workers-2", 4: "workers-4"}[workers], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := coreCfg()
-				cfg.Workers = workers
-				n := core.New(cfg)
-				for _, p := range pkts {
-					n.ProcessPacket(p)
-				}
-				n.Flush()
-			}
-		})
-	}
 }
 
 // BenchmarkEngineThroughput measures streaming-engine packet
@@ -506,8 +483,8 @@ func BenchmarkSigmatchBaseline(b *testing.B) {
 }
 
 // BenchmarkAnalyzeFrameParallel measures semantic-analysis throughput
-// with one long-lived analyzer shared by all workers over a mixed
-// frame set — the shape of the production worker pool. The pooled
+// with one long-lived analyzer shared by all goroutines over a mixed
+// frame set — how the engine's shards share theirs. The pooled
 // scratch state must scale without contention or per-frame allocation.
 func BenchmarkAnalyzeFrameParallel(b *testing.B) {
 	eng := polymorph.NewADMmutate(31337)

@@ -25,6 +25,7 @@ import (
 
 	"semnids/internal/classify"
 	"semnids/internal/core"
+	"semnids/internal/engine"
 	"semnids/internal/exploits"
 	"semnids/internal/netpkt"
 	"semnids/internal/polymorph"
@@ -56,8 +57,8 @@ func header(title string) {
 	fmt.Printf("\n%s\n%s\n", title, strings.Repeat("=", len(title)))
 }
 
-func defaultCfg() core.Config {
-	return core.Config{
+func defaultCfg() engine.Config {
+	return engine.Config{
 		Classify: classify.Config{
 			Honeypots:     []netip.Addr{traffic.HoneypotAddr},
 			DarkSpace:     []netip.Prefix{traffic.DarkNet},
@@ -193,17 +194,17 @@ func table3() {
 			BenignSessions:   sessions,
 			CodeRedInstances: actual,
 		}
-		n := core.New(defaultCfg())
+		n := engine.New(defaultCfg())
 		start := time.Now()
 		err := traffic.Stream(spec, func(p *netpkt.Packet) error {
-			n.ProcessPacket(p)
+			n.Process(p)
 			return nil
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		n.Flush()
+		n.Stop()
 		dur := time.Since(start)
 		srcs := make(map[netip.Addr]bool)
 		for _, a := range n.Alerts() {
@@ -249,7 +250,7 @@ func falsePositives() {
 	target := int(566 * 1024 * 1024 * *scale) // paper: 566MB of traffic
 	cfg := defaultCfg()
 	cfg.Classify.Disabled = true
-	n := core.New(cfg)
+	n := engine.New(cfg)
 	g := traffic.NewGen(424242)
 	bytesFed := 0
 	sessions := 0
@@ -257,11 +258,11 @@ func falsePositives() {
 	for bytesFed < target {
 		for _, p := range g.BenignSession() {
 			bytesFed += len(p.Payload)
-			n.ProcessPacket(p)
+			n.Process(p)
 		}
 		sessions++
 	}
-	n.Flush()
+	n.Stop()
 	dur := time.Since(start)
 	m := n.Snapshot()
 	fmt.Printf("benign traffic analyzed: %.1f MB in %d sessions (%d packets) in %s\n",

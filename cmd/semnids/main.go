@@ -4,8 +4,7 @@
 // Usage:
 //
 //	semnids -pcap trace.pcap [-honeypot 192.168.1.250] [-dark 192.168.2.0/24]
-//	        [-all] [-fullscan] [-workers N]
-//	semnids -pcap trace.pcap -stream [-shards N] [-shed] [-replay] [-speed X]
+//	        [-all] [-fullscan] [-shards N] [-shed] [-replay] [-speed X]
 //	        [-udp-flows] [-udp-idle 10s]
 //	        [-correlate] [-incident-window 30s] [-stats]
 //	        [-sensor ID] [-export FILE] [-import-incidents FILE] [-export-dir DIR]
@@ -13,13 +12,13 @@
 //	        [-listen :9443] [-stats-interval 10s]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// With -all the classifier is disabled and every payload is analyzed
-// (the paper's Section 5.4 configuration). With -stream the trace is
-// fed through the sharded streaming engine instead of the batch
-// pipeline; -replay paces packets by their capture timestamps (-speed
-// scales the pace, 1 = real time), exercising flow eviction and the
-// verdict cache as live traffic would. -correlate (implies -stream)
-// attaches the incident correlator: per-source kill-chain tracking
+// The trace is fed through the flow-sharded engine (-shards sets the
+// parallelism, default one shard per CPU). With -all the classifier is
+// disabled and every payload is analyzed (the paper's Section 5.4
+// configuration). -replay paces packets by their capture timestamps
+// (-speed scales the pace, 1 = real time), exercising flow eviction and
+// the verdict cache as live traffic would. -correlate attaches the
+// incident correlator: per-source kill-chain tracking
 // (RECON → EXPLOIT → PROPAGATION) with the fan-out window set by
 // -incident-window; incidents print as a table, or as JSONL after the
 // alerts with -json. -stats prints per-shard load gauges (EWMA
@@ -56,14 +55,13 @@
 // -stats adds the push transport's health line
 // (pushed/acked/retried/spooled, backoff).
 //
-// -listen serves the live telemetry surface while the run lasts
-// (implies -stream): /metrics (Prometheus text exposition), /statusz
-// (JSON snapshot of every registered series), /healthz (readiness:
-// spool recovered, engine running) and /debug/pprof. -stats-interval
-// (also implies -stream) emits the /statusz document to stderr as one
-// JSON line per interval — the same encoder, usable with or without
-// -listen, so headless runs still leave a machine-readable telemetry
-// trail.
+// -listen serves the live telemetry surface while the run lasts:
+// /metrics (Prometheus text exposition), /statusz (JSON snapshot of
+// every registered series), /healthz (readiness: spool recovered,
+// engine running) and /debug/pprof. -stats-interval emits the /statusz
+// document to stderr as one JSON line per interval — the same encoder,
+// usable with or without -listen, so headless runs still leave a
+// machine-readable telemetry trail.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (CPU
 // for its duration, heap at exit), so operators can profile a live
@@ -100,19 +98,17 @@ func run() int {
 		threshold    = flag.Int("t", 3, "dark-space scan threshold")
 		all          = flag.Bool("all", false, "disable classification: analyze every payload")
 		fullscan     = flag.Bool("fullscan", false, "disable extraction pruning too (exhaustive baseline)")
-		workers      = flag.Int("workers", 0, "analysis workers (0 = NumCPU)")
 		quiet        = flag.Bool("q", false, "suppress per-alert output")
 		jsonOut      = flag.Bool("json", false, "emit alerts as JSONL instead of text")
 		summary      = flag.Bool("summary", false, "print a per-source incident summary at exit")
 		tplFile      = flag.String("templates", "", "replace built-in templates with a template file (DSL)")
-		stream       = flag.Bool("stream", false, "run the sharded streaming engine instead of the batch pipeline")
-		shards       = flag.Int("shards", 0, "ingest shards for -stream (0 = NumCPU)")
-		udpFlows     = flag.Bool("udp-flows", false, "buffer UDP conversations per 5-tuple and analyze them as flows, reassembling CoAP block transfers (implies -stream)")
+		shards       = flag.Int("shards", 0, "ingest shards (0 = NumCPU)")
+		udpFlows     = flag.Bool("udp-flows", false, "buffer UDP conversations per 5-tuple and analyze them as flows, reassembling CoAP block transfers")
 		udpIdle      = flag.Duration("udp-idle", 0, "idle window closing a UDP conversation (0 = flow idle timeout; with -udp-flows)")
-		shed         = flag.Bool("shed", false, "shed packets under overload instead of blocking (with -stream)")
-		replay       = flag.Bool("replay", false, "pace packets by capture timestamp (with -stream)")
+		shed         = flag.Bool("shed", false, "shed packets under overload instead of blocking")
+		replay       = flag.Bool("replay", false, "pace packets by capture timestamp")
 		speed        = flag.Float64("speed", 1, "replay speed multiplier: 1 = real time (with -replay)")
-		correlate    = flag.Bool("correlate", false, "attach the incident correlator (implies -stream)")
+		correlate    = flag.Bool("correlate", false, "attach the incident correlator")
 		lineageOn    = flag.Bool("lineage", false, "compute structural fingerprints and trace payload ancestry (implies -correlate)")
 		incWindow    = flag.Duration("incident-window", 30*time.Second, "fan-out sliding window in trace time (with -correlate)")
 		sensor       = flag.String("sensor", "", "sensor ID stamped on exported incident evidence (default \"sensor\")")
@@ -123,9 +119,9 @@ func run() int {
 		pushURL      = flag.String("push", "", "stream evidence segments to federation aggregators at these comma-separated URLs in failover order, e.g. http://agg:9444/push,http://agg2:9444/push (requires -export-dir)")
 		pushWait     = flag.Duration("push-wait", 0, "after the trace, wait up to this long for the aggregator to ack the spool (with -push)")
 		pushCompress = flag.String("push-compress", "auto", "push body compression: auto (once the aggregator advertises support), on, or off (with -push)")
-		stats        = flag.Bool("stats", false, "print per-shard load gauges and correlator counters (with -stream)")
-		listen       = flag.String("listen", "", "serve /metrics, /statusz, /healthz and /debug/pprof on this address while the run lasts (implies -stream)")
-		statsEvery   = flag.Duration("stats-interval", 0, "emit a JSON-lines /statusz snapshot to stderr at this interval (implies -stream)")
+		stats        = flag.Bool("stats", false, "print per-shard load gauges and correlator counters")
+		listen       = flag.String("listen", "", "serve /metrics, /statusz, /healthz and /debug/pprof on this address while the run lasts")
+		statsEvery   = flag.Duration("stats-interval", 0, "emit a JSON-lines /statusz snapshot to stderr at this interval")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile   = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -166,11 +162,26 @@ func run() int {
 		return 2
 	}
 
-	cfg := nids.Config{
-		ScanThreshold:         *threshold,
-		DisableClassification: *all,
-		FullScan:              *fullscan,
-		Workers:               *workers,
+	cfg := nids.EngineConfig{
+		Config: nids.Config{
+			ScanThreshold:         *threshold,
+			DisableClassification: *all,
+			FullScan:              *fullscan,
+		},
+		Shards:         *shards,
+		ShedOnOverload: *shed,
+		DatagramFlows:  *udpFlows,
+		DatagramIdle:   *udpIdle,
+		// Every federation and lineage switch needs the correlator.
+		Correlate: *correlate || *lineageOn || *exportPath != "" || *importPath != "" ||
+			*exportDir != "" || *pushURL != "",
+		Lineage:              *lineageOn,
+		IncidentWindow:       *incWindow,
+		SensorID:             *sensor,
+		IncidentExportDir:    *exportDir,
+		IncidentKeepSegments: *exportKeep,
+		PushURLs:             splitList(*pushURL),
+		PushCompression:      *pushCompress,
 	}
 	if *honeypots != "" {
 		cfg.Honeypots = strings.Split(*honeypots, ",")
@@ -190,127 +201,14 @@ func run() int {
 		cfg.TemplatesDSL = string(text)
 	}
 
-	if *exportPath != "" || *importPath != "" || *exportDir != "" || *pushURL != "" || *lineageOn {
-		*correlate = true
-	}
-	if *listen != "" || *statsEvery > 0 || *udpFlows {
-		*stream = true
-	}
-	if *stream || *correlate {
-		return runEngine(cfg, *pcapPath, engineOpts{
-			shards: *shards, shed: *shed, replay: *replay, speed: *speed,
-			udpFlows: *udpFlows, udpIdle: *udpIdle,
-			jsonOut: *jsonOut, summary: *summary, stats: *stats,
-			correlate: *correlate, incidentWindow: *incWindow,
-			lineage: *lineageOn,
-			sensor:  *sensor, exportPath: *exportPath,
-			importPath: *importPath, exportDir: *exportDir,
-			exportKeep: *exportKeep,
-			pushURLs:   splitList(*pushURL),
-			pushWait:   *pushWait, pushCompress: *pushCompress,
-			listen: *listen, statsEvery: *statsEvery,
-		})
-	}
-
-	n, err := nids.New(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "semnids:", err)
-		return 1
-	}
-	f, err := os.Open(*pcapPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "semnids:", err)
-		return 1
-	}
-	defer f.Close()
-	if err := n.ProcessPcap(f); err != nil {
-		fmt.Fprintln(os.Stderr, "semnids:", err)
-		return 1
-	}
-	if *jsonOut {
-		if err := report.WriteJSON(os.Stdout, n.Alerts()); err != nil {
-			fmt.Fprintln(os.Stderr, "semnids:", err)
-			return 1
-		}
-	}
-	if *summary {
-		fmt.Println()
-		if err := report.WriteSummary(os.Stdout, n.Alerts()); err != nil {
-			fmt.Fprintln(os.Stderr, "semnids:", err)
-			return 1
-		}
-	}
-	m := n.Stats()
-	fmt.Printf("\npackets=%d selected=%d streams=%d frames=%d frame-bytes=%d alerts=%d\n",
-		m.Packets, m.Selected, m.StreamsAnalyzed, m.Frames, m.FrameBytes, m.Alerts)
-	return 0
-}
-
-// engineOpts bundles the streaming-engine command-line switches.
-type engineOpts struct {
-	shards         int
-	shed           bool
-	udpFlows       bool
-	udpIdle        time.Duration
-	replay         bool
-	speed          float64
-	jsonOut        bool
-	summary        bool
-	stats          bool
-	correlate      bool
-	lineage        bool
-	incidentWindow time.Duration
-	sensor         string
-	exportPath     string
-	importPath     string
-	exportDir      string
-	exportKeep     int
-	pushURLs       []string
-	pushWait       time.Duration
-	pushCompress   string
-	listen         string
-	statsEvery     time.Duration
-}
-
-// splitList splits a comma-separated flag value, dropping empty
-// elements so "a,,b" and "" behave as expected.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// runEngine feeds the trace through the streaming engine, optionally
-// paced by capture timestamps, and prints engine-level statistics
-// (verdict cache, evictions, shed packets) alongside the pipeline
-// counters — plus live incidents when the correlator is attached.
-func runEngine(cfg nids.Config, pcapPath string, opts engineOpts) int {
-	e, err := nids.NewEngine(nids.EngineConfig{
-		Config:               cfg,
-		Shards:               opts.shards,
-		ShedOnOverload:       opts.shed,
-		DatagramFlows:        opts.udpFlows,
-		DatagramIdle:         opts.udpIdle,
-		Correlate:            opts.correlate,
-		Lineage:              opts.lineage,
-		IncidentWindow:       opts.incidentWindow,
-		SensorID:             opts.sensor,
-		IncidentExportDir:    opts.exportDir,
-		IncidentKeepSegments: opts.exportKeep,
-		PushURLs:             opts.pushURLs,
-		PushCompression:      opts.pushCompress,
-	})
+	e, err := nids.NewEngine(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "semnids:", err)
 		return 1
 	}
 	defer e.Stop()
-	if opts.listen != "" {
-		ln, err := net.Listen("tcp", opts.listen)
+	if *listen != "" {
+		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
@@ -320,7 +218,7 @@ func runEngine(cfg nids.Config, pcapPath string, opts engineOpts) int {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "semnids: telemetry on http://%s/\n", ln.Addr())
 	}
-	if opts.statsEvery > 0 {
+	if *statsEvery > 0 {
 		// Reuses the /statusz encoder: each tick is one JSON object on
 		// one stderr line, so `semnids ... 2>stats.jsonl` captures a
 		// machine-readable telemetry trail even without -listen.
@@ -328,7 +226,7 @@ func runEngine(cfg nids.Config, pcapPath string, opts engineOpts) int {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			t := time.NewTicker(opts.statsEvery)
+			t := time.NewTicker(*statsEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -343,8 +241,8 @@ func runEngine(cfg nids.Config, pcapPath string, opts engineOpts) int {
 		}()
 		defer func() { close(stop); <-done }()
 	}
-	if opts.importPath != "" {
-		in, err := os.Open(opts.importPath)
+	if *importPath != "" {
+		in, err := os.Open(*importPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
@@ -356,14 +254,14 @@ func runEngine(cfg nids.Config, pcapPath string, opts engineOpts) int {
 			return 1
 		}
 	}
-	f, err := os.Open(pcapPath)
+	f, err := os.Open(*pcapPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "semnids:", err)
 		return 1
 	}
 	defer f.Close()
-	if opts.replay {
-		err = e.Replay(f, opts.speed)
+	if *replay {
+		err = e.Replay(f, *speed)
 	} else {
 		err = e.Run(f)
 	}
@@ -371,47 +269,47 @@ func runEngine(cfg nids.Config, pcapPath string, opts engineOpts) int {
 		fmt.Fprintln(os.Stderr, "semnids:", err)
 		return 1
 	}
-	if opts.jsonOut {
+	if *jsonOut {
 		if err := report.WriteJSON(os.Stdout, e.Alerts()); err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
 		}
-		if opts.correlate {
+		if cfg.Correlate {
 			if err := report.WriteIncidentsJSON(os.Stdout, e.Incidents()); err != nil {
 				fmt.Fprintln(os.Stderr, "semnids:", err)
 				return 1
 			}
 		}
-		if opts.lineage {
+		if cfg.Lineage {
 			if err := report.WriteAncestryJSON(os.Stdout, e.Ancestry()); err != nil {
 				fmt.Fprintln(os.Stderr, "semnids:", err)
 				return 1
 			}
 		}
 	}
-	if opts.summary {
+	if *summary {
 		fmt.Println()
 		if err := report.WriteSummary(os.Stdout, e.Alerts()); err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
 		}
 	}
-	if opts.correlate && !opts.jsonOut {
+	if cfg.Correlate && !*jsonOut {
 		fmt.Println()
 		if err := report.WriteIncidents(os.Stdout, e.Incidents()); err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
 		}
 	}
-	if opts.lineage && !opts.jsonOut {
+	if cfg.Lineage && !*jsonOut {
 		fmt.Println()
 		if err := report.WriteAncestry(os.Stdout, e.Ancestry()); err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
 		}
 	}
-	if opts.exportPath != "" {
-		out, err := os.Create(opts.exportPath)
+	if *exportPath != "" {
+		out, err := os.Create(*exportPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
@@ -425,7 +323,7 @@ func runEngine(cfg nids.Config, pcapPath string, opts engineOpts) int {
 			return 1
 		}
 	}
-	if len(opts.pushURLs) > 0 && opts.pushWait > 0 {
+	if len(cfg.PushURLs) > 0 && *pushWait > 0 {
 		// Commit the trace's full evidence durably first — Drain only
 		// *requests* a checkpoint, so without this the wait could see an
 		// empty spool and return before there is anything to push. Then
@@ -434,7 +332,7 @@ func runEngine(cfg nids.Config, pcapPath string, opts engineOpts) int {
 		if err := e.CheckpointIncidents(); err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 		}
-		deadline := time.Now().Add(opts.pushWait)
+		deadline := time.Now().Add(*pushWait)
 		for !e.PushSynced() && time.Now().Before(deadline) {
 			time.Sleep(50 * time.Millisecond)
 		}
@@ -444,25 +342,25 @@ func runEngine(cfg nids.Config, pcapPath string, opts engineOpts) int {
 		m.Packets, m.Selected, m.Dropped, m.StreamsAnalyzed, m.Frames, m.FrameBytes, m.Alerts)
 	fmt.Printf("cache-hits=%d cache-misses=%d cache-rejected=%d evicted-idle=%d evicted-lru=%d sweep-starts=%d sweep-starts-lifted=%d\n",
 		m.CacheHits, m.CacheMisses, m.CacheRejected, m.FlowsEvictedIdle, m.FlowsEvictedLRU, m.SweepStarts, m.SweepStartsLifted)
-	if opts.stats {
+	if *stats {
 		for i, sh := range m.Shards {
 			fmt.Printf("shard[%d]: queue=%d/%d ewma-pps=%.1f\n", i, sh.QueueLen, sh.QueueCap, sh.PacketsPerSec)
 		}
-		if opts.correlate {
+		if cfg.Correlate {
 			im := e.IncidentStats()
 			fmt.Printf("correlator: events=%d flow-opens=%d alerts=%d fingerprints=%d sources=%d incidents=%d evicted-lru=%d evicted-idle=%d\n",
 				im.Events, im.FlowOpens, im.Alerts, im.Fingerprints,
 				im.SourcesTracked, im.Incidents, im.SourcesEvictedLRU, im.SourcesEvictedIdle)
 		}
-		if opts.exportDir != "" {
+		if cfg.IncidentExportDir != "" {
 			sm := e.SinkStats()
 			fmt.Printf("sink: checkpoints=%d rotations=%d dropped=%d errors=%d\n",
 				sm.Checkpoints, sm.Rotations, sm.Dropped, sm.Errors)
-			if len(opts.pushURLs) > 0 {
+			if len(cfg.PushURLs) > 0 {
 				p := sm.Push
 				fmt.Printf("push: pushed=%d acked=%d retried=%d rejected=%d dropped=%d spooled=%d backoff=%s\n",
 					p.Pushed, p.Acked, p.Retried, p.Rejected, p.Dropped, p.Spooled, p.Backoff)
-				if len(opts.pushURLs) > 1 || p.Compressed > 0 {
+				if len(cfg.PushURLs) > 1 || p.Compressed > 0 {
 					fmt.Printf("push: upstream=%s failovers=%d compressed=%d raw-bytes=%d wire-bytes=%d\n",
 						p.ActiveUpstream, p.Failovers, p.Compressed, p.RawBytes, p.WireBytes)
 				}
@@ -473,6 +371,18 @@ func runEngine(cfg nids.Config, pcapPath string, opts engineOpts) int {
 		}
 	}
 	return 0
+}
+
+// splitList splits a comma-separated flag value, dropping empty
+// elements so "a,,b" and "" behave as expected.
+func splitList(s string) []string {
+	var out []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // hostScan analyzes an on-disk binary with the semantic stages only —

@@ -8,11 +8,6 @@ import (
 	"semnids/internal/sem"
 )
 
-// fingerprintOf is the engine's payload identity — the shared 128-bit
-// fingerprint (core.Fingerprint) also used by the incident correlator
-// to recognize a victim re-emitting the payload it was attacked with.
-func fingerprintOf(data []byte) core.Fingerprint { return core.FingerprintOf(data) }
-
 // verdictCache memoizes semantic-analysis verdicts by payload
 // fingerprint, bounded by an LRU policy with TinyLFU-style admission.
 // A cached verdict may be an empty detection list — knowing a frame is

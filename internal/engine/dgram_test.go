@@ -239,28 +239,9 @@ func TestDatagramSoakBoundedMemory(t *testing.T) {
 }
 
 // TestDatagramFlowsOffByteIdentical pins the feature flag's off state:
-// with DatagramFlows false the engine's alert set over the IoT trace
-// matches the batch pipeline's per-packet treatment — buffering is
-// strictly opt-in.
+// with DatagramFlows false the engine's alert sets over the IoT traces
+// are the ones the batch pipeline's per-packet treatment produced —
+// buffering is strictly opt-in.
 func TestDatagramFlowsOffByteIdentical(t *testing.T) {
-	pkts := iotTrace(t)
-
-	n := core.New(core.Config{Classify: testClassify()})
-	for _, p := range pkts {
-		n.ProcessPacket(p)
-	}
-	n.Flush()
-	want := alertSet(n.Alerts())
-
-	for _, shards := range []int{1, 3} {
-		e := New(Config{Classify: testClassify(), Shards: shards})
-		for _, p := range pkts {
-			e.Process(p)
-		}
-		e.Stop()
-		if got := alertSet(e.Alerts()); !equalSets(got, want) {
-			t.Errorf("shards=%d: datagram-flows-off alert set diverged from batch\n got: %v\nwant: %v",
-				shards, got, want)
-		}
-	}
+	checkGolden(t, loadGolden(t), goldenIoTTraces())
 }

@@ -1,7 +1,8 @@
-// Package engine is the continuously-running streaming layer over the
-// paper's five-stage pipeline. Where internal/core is a one-shot batch
-// detector (single feeder, analyze-at-Flush, dies after Flush), the
-// engine is built to run forever under load:
+// Package engine is the packet pipeline: the paper's five stages
+// (classify → extract → disassemble → IR → match, Figure 3) behind
+// flow-sharded ingestion, built to run forever under load. Every
+// front end — one pcap, a paced replay, live frames — feeds this one
+// engine:
 //
 //   - Ingestion is sharded: packets are dispatched by FlowKey hash to
 //     N shards, each owning its flow table, reassembler slice and
@@ -171,8 +172,10 @@ type Metrics struct {
 	// Dropped were shed under overload (PolicyShed only).
 	Packets, Selected, Dropped uint64
 
-	// StreamsAnalyzed, Frames, FrameBytes and Alerts mirror the batch
-	// pipeline's counters.
+	// StreamsAnalyzed counts stream views (TCP stream prefixes,
+	// datagram-flow buffers, lone datagram payloads) handed to
+	// extraction; Frames and FrameBytes what extraction forwarded to the
+	// analyzer; Alerts the deduplicated detections.
 	StreamsAnalyzed, Frames, FrameBytes, Alerts uint64
 
 	// CacheHits and CacheMisses count verdict-cache lookups; a hit
@@ -504,9 +507,9 @@ func (e *Engine) Process(p *netpkt.Packet) {
 
 // Drain dispatches the default feeder's buffered batches, waits for
 // every queued packet to be analyzed, then analyzes the unfinished
-// tail of every in-progress flow and resets per-flow state. Unlike
-// the batch pipeline's Flush, the engine stays live: the next trace
-// (or the next packet of live capture) can follow immediately.
+// tail of every in-progress flow and resets per-flow state. The
+// engine stays live: the next trace (or the next packet of live
+// capture) can follow immediately.
 // Callers feeding through their own Feeders must Flush each of them
 // first. No-op after Stop.
 func (e *Engine) Drain() {

@@ -46,35 +46,6 @@ func equalSets(a, b []string) bool {
 	return true
 }
 
-// TestShardDeterminism checks the tentpole invariant: the engine
-// produces the same alert set regardless of shard count, and that set
-// matches the batch pipeline's.
-func TestShardDeterminism(t *testing.T) {
-	pkts := traffic.Synthesize(traffic.TraceSpec{Seed: 11, BenignSessions: 60, CodeRedInstances: 3})
-
-	n := core.New(core.Config{Classify: testClassify()})
-	for _, p := range pkts {
-		n.ProcessPacket(p)
-	}
-	n.Flush()
-	want := alertSet(n.Alerts())
-	if len(want) == 0 {
-		t.Fatal("batch pipeline produced no alerts; trace spec is wrong")
-	}
-
-	for _, shards := range []int{1, 2, 3, 4, 8} {
-		e := New(Config{Classify: testClassify(), Shards: shards})
-		for _, p := range pkts {
-			e.Process(p)
-		}
-		e.Stop()
-		got := alertSet(e.Alerts())
-		if !equalSets(got, want) {
-			t.Errorf("shards=%d: alert set diverged\n got: %v\nwant: %v", shards, got, want)
-		}
-	}
-}
-
 // udpTo builds a UDP packet carrying payload to the honeypot.
 func udpTo(src netip.Addr, sport uint16, payload []byte, tsUS uint64) *netpkt.Packet {
 	return &netpkt.Packet{
@@ -145,8 +116,7 @@ func TestVerdictCacheDisabled(t *testing.T) {
 
 // TestIdleEvictionAnalyzesTail starves a never-finished exploit flow
 // of its FIN: the idle-eviction tick must analyze the tail and still
-// raise the alert — the batch pipeline would only have caught this at
-// Flush.
+// raise the alert, well before any Drain or Stop.
 func TestIdleEvictionAnalyzesTail(t *testing.T) {
 	exp := exploits.Table1Exploits()[0]
 	attacker := netip.MustParseAddr("10.7.0.1")
@@ -269,8 +239,7 @@ func TestOverloadShed(t *testing.T) {
 
 // TestDrainSurvivesAcrossTraces checks the live-lifecycle semantics:
 // Drain completes a trace's analysis but the engine keeps accepting
-// traffic, unlike the batch pipeline whose Flush is terminal. Stop is
-// idempotent and alerts stay readable after it.
+// traffic. Stop is idempotent and alerts stay readable after it.
 func TestDrainSurvivesAcrossTraces(t *testing.T) {
 	exp := exploits.Table1Exploits()[0]
 	e := New(Config{Classify: testClassify(), Shards: 2})

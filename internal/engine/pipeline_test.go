@@ -1,37 +1,37 @@
-package core
+package engine
 
 import (
 	"bytes"
+	"io"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"semnids/internal/classify"
+	"semnids/internal/core"
 	"semnids/internal/exploits"
 	"semnids/internal/netpkt"
 	"semnids/internal/traffic"
 )
 
-func defaultConfig() Config {
-	return Config{
-		Classify: classify.Config{
-			Honeypots:     []netip.Addr{traffic.HoneypotAddr},
-			DarkSpace:     []netip.Prefix{traffic.DarkNet},
-			ScanThreshold: 3,
-		},
-		Workers: 2,
-	}
+// The scenarios below are the detection pipeline's end-to-end cases:
+// one trace in, Stop, then assertions on the alerts and counters.
+
+func pipelineConfig() Config {
+	return Config{Classify: testClassify(), Shards: 2}
 }
 
-func feedAll(n *NIDS, pkts []*netpkt.Packet) {
+func feedOnly(e *Engine, pkts []*netpkt.Packet) {
 	for _, p := range pkts {
-		n.ProcessPacket(p)
+		e.Process(p)
 	}
-	n.Flush()
 }
 
-func alertTemplates(alerts []Alert) map[string]int {
+func feedAll(e *Engine, pkts []*netpkt.Packet) {
+	feedOnly(e, pkts)
+	e.Stop()
+}
+
+func alertTemplates(alerts []core.Alert) map[string]int {
 	out := make(map[string]int)
 	for _, a := range alerts {
 		out[a.Detection.Template]++
@@ -41,15 +41,15 @@ func alertTemplates(alerts []Alert) map[string]int {
 
 func TestExploitAtHoneypotDetected(t *testing.T) {
 	g := traffic.NewGen(1)
-	n := New(defaultConfig())
+	e := New(pipelineConfig())
 	attacker := netip.MustParseAddr("10.66.66.66")
 	exp := exploits.Table1Exploits()[0]
-	feedAll(n, g.ExploitAtHoneypot(attacker, exp.DstPort, exp.Payload))
-	got := alertTemplates(n.Alerts())
+	feedAll(e, g.ExploitAtHoneypot(attacker, exp.DstPort, exp.Payload))
+	got := alertTemplates(e.Alerts())
 	if got["linux-shell-spawn"] == 0 {
 		t.Fatalf("shell spawn not detected: %v", got)
 	}
-	for _, a := range n.Alerts() {
+	for _, a := range e.Alerts() {
 		if a.Src != attacker {
 			t.Errorf("alert attributed to %v, want %v", a.Src, attacker)
 		}
@@ -61,28 +61,28 @@ func TestExploitAtHoneypotDetected(t *testing.T) {
 
 func TestCleanTrafficNotAnalyzed(t *testing.T) {
 	g := traffic.NewGen(2)
-	n := New(defaultConfig())
+	e := New(pipelineConfig())
 	var pkts []*netpkt.Packet
 	for i := 0; i < 50; i++ {
 		pkts = append(pkts, g.BenignSession()...)
 	}
-	feedAll(n, pkts)
-	m := n.Snapshot()
+	feedAll(e, pkts)
+	m := e.Snapshot()
 	if m.Selected != 0 {
 		t.Errorf("classifier selected %d benign packets", m.Selected)
 	}
-	if len(n.Alerts()) != 0 {
-		t.Errorf("alerts on benign traffic: %v", n.Alerts())
+	if len(e.Alerts()) != 0 {
+		t.Errorf("alerts on benign traffic: %v", e.Alerts())
 	}
 }
 
 func TestScannerTripsDarkSpace(t *testing.T) {
 	g := traffic.NewGen(3)
-	n := New(defaultConfig())
+	e := New(pipelineConfig())
 	attacker := netip.MustParseAddr("10.7.7.7")
 	exp := exploits.IISASPOverflow()
-	feedAll(n, g.ScanThenExploit(attacker, traffic.WebServer, 80, exp.Payload, 4))
-	got := alertTemplates(n.Alerts())
+	feedAll(e, g.ScanThenExploit(attacker, traffic.WebServer, 80, exp.Payload, 4))
+	got := alertTemplates(e.Alerts())
 	if got["xor-decrypt-loop"] == 0 {
 		t.Fatalf("decryption loop not detected after scan: %v", got)
 	}
@@ -93,22 +93,22 @@ func TestExploitFromUnclassifiedSourceIgnored(t *testing.T) {
 	// that never scanned or touched the honeypot passes through
 	// unanalyzed — that is the classifier trade-off the paper makes.
 	g := traffic.NewGen(4)
-	n := New(defaultConfig())
+	e := New(pipelineConfig())
 	exp := exploits.IISASPOverflow()
-	feedAll(n, g.TCPSession(netip.MustParseAddr("10.8.8.8"), traffic.WebServer, 80, exp.Payload, nil))
-	if len(n.Alerts()) != 0 {
-		t.Errorf("unclassified exploit alerted: %v", n.Alerts())
+	feedAll(e, g.TCPSession(netip.MustParseAddr("10.8.8.8"), traffic.WebServer, 80, exp.Payload, nil))
+	if len(e.Alerts()) != 0 {
+		t.Errorf("unclassified exploit alerted: %v", e.Alerts())
 	}
 }
 
 func TestFullScanModeCatchesUnclassified(t *testing.T) {
-	cfg := defaultConfig()
+	cfg := pipelineConfig()
 	cfg.FullScan = true
 	g := traffic.NewGen(5)
-	n := New(cfg)
+	e := New(cfg)
 	exp := exploits.IISASPOverflow()
-	feedAll(n, g.TCPSession(netip.MustParseAddr("10.8.8.8"), traffic.WebServer, 80, exp.Payload, nil))
-	got := alertTemplates(n.Alerts())
+	feedAll(e, g.TCPSession(netip.MustParseAddr("10.8.8.8"), traffic.WebServer, 80, exp.Payload, nil))
+	got := alertTemplates(e.Alerts())
 	if got["xor-decrypt-loop"] == 0 {
 		t.Fatalf("fullscan missed the exploit: %v", got)
 	}
@@ -118,7 +118,7 @@ func TestSegmentedExploitReassembled(t *testing.T) {
 	// The exploit arrives split across many small TCP segments; the
 	// reassembler must stitch it before extraction.
 	g := traffic.NewGen(6)
-	n := New(defaultConfig())
+	e := New(pipelineConfig())
 	attacker := netip.MustParseAddr("10.5.5.5")
 	exp := exploits.Table1Exploits()[2]
 	pkts := g.ExploitAtHoneypot(attacker, exp.DstPort, exp.Payload)
@@ -140,8 +140,8 @@ func TestSegmentedExploitReassembled(t *testing.T) {
 			split = append(split, &q)
 		}
 	}
-	feedAll(n, split)
-	got := alertTemplates(n.Alerts())
+	feedAll(e, split)
+	got := alertTemplates(e.Alerts())
 	if got["linux-shell-spawn"] == 0 {
 		t.Fatalf("segmented exploit not detected: %v", got)
 	}
@@ -151,7 +151,7 @@ func TestAlertDeduplication(t *testing.T) {
 	// The same exploit retransmitted within one flow alerts once per
 	// template.
 	g := traffic.NewGen(7)
-	n := New(defaultConfig())
+	e := New(pipelineConfig())
 	attacker := netip.MustParseAddr("10.4.4.4")
 	exp := exploits.Table1Exploits()[0]
 	pkts := g.ExploitAtHoneypot(attacker, exp.DstPort, exp.Payload)
@@ -164,8 +164,8 @@ func TestAlertDeduplication(t *testing.T) {
 			doubled = append(doubled, &q)
 		}
 	}
-	feedAll(n, doubled)
-	got := alertTemplates(n.Alerts())
+	feedAll(e, doubled)
+	got := alertTemplates(e.Alerts())
 	for tpl, count := range got {
 		if count > 1 {
 			t.Errorf("template %s alerted %d times for one flow", tpl, count)
@@ -179,11 +179,11 @@ func TestTraceWithGroundTruth(t *testing.T) {
 		BenignSessions:   200,
 		CodeRedInstances: 5,
 	}
-	n := New(defaultConfig())
-	feedAll(n, traffic.Synthesize(spec))
+	e := New(pipelineConfig())
+	feedAll(e, traffic.Synthesize(spec))
 	crii := 0
 	srcs := make(map[netip.Addr]bool)
-	for _, a := range n.Alerts() {
+	for _, a := range e.Alerts() {
 		if a.Detection.Template == "code-red-ii" {
 			crii++
 			srcs[a.Src] = true
@@ -194,33 +194,44 @@ func TestTraceWithGroundTruth(t *testing.T) {
 	}
 }
 
-func TestPcapRoundTripThroughNIDS(t *testing.T) {
+func TestPcapRoundTripThroughEngine(t *testing.T) {
 	var buf bytes.Buffer
 	spec := traffic.TraceSpec{Seed: 12, BenignSessions: 40, CodeRedInstances: 2}
 	count, err := traffic.WritePcap(&buf, spec)
 	if err != nil || count == 0 {
 		t.Fatalf("write pcap: %d, %v", count, err)
 	}
-	n := New(defaultConfig())
-	if err := n.ProcessPcap(&buf); err != nil {
+	e := New(pipelineConfig())
+	pr, err := netpkt.NewTraceReader(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := alertTemplates(n.Alerts())["code-red-ii"]; got != 2 {
+	for {
+		p, err := pr.NextPacket(nil)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Process(p)
+	}
+	e.Stop()
+	if got := alertTemplates(e.Alerts())["code-red-ii"]; got != 2 {
 		t.Errorf("pcap run detected %d Code Red II, want 2", got)
 	}
-	if n.Snapshot().Packets != uint64(count) {
-		t.Errorf("processed %d packets, wrote %d", n.Snapshot().Packets, count)
+	if e.Snapshot().Packets != uint64(count) {
+		t.Errorf("processed %d packets, wrote %d", e.Snapshot().Packets, count)
 	}
 }
 
 func TestMetricsAccounting(t *testing.T) {
 	g := traffic.NewGen(13)
-	n := New(defaultConfig())
+	e := New(pipelineConfig())
 	attacker := netip.MustParseAddr("10.3.3.3")
 	exp := exploits.Table1Exploits()[1]
-	pkts := g.ExploitAtHoneypot(attacker, exp.DstPort, exp.Payload)
-	feedAll(n, pkts)
-	m := n.Snapshot()
+	feedAll(e, g.ExploitAtHoneypot(attacker, exp.DstPort, exp.Payload))
+	m := e.Snapshot()
 	if m.Packets == 0 || m.Selected == 0 || m.Frames == 0 || m.Alerts == 0 {
 		t.Errorf("metrics not accounted: %+v", m)
 	}
@@ -230,70 +241,72 @@ func TestMetricsAccounting(t *testing.T) {
 }
 
 func TestOnAlertCallback(t *testing.T) {
-	cfg := defaultConfig()
+	cfg := pipelineConfig()
 	var calls int
-	done := make(chan struct{}, 64)
-	cfg.OnAlert = func(a Alert) {
-		calls++
-		done <- struct{}{}
-	}
+	cfg.OnAlert = func(core.Alert) { calls++ } // one flow, so one shard goroutine
 	g := traffic.NewGen(14)
-	n := New(cfg)
+	e := New(cfg)
 	exp := exploits.Table1Exploits()[0]
-	feedAll(n, g.ExploitAtHoneypot(netip.MustParseAddr("10.2.2.2"), exp.DstPort, exp.Payload))
-	if len(n.Alerts()) == 0 {
+	feedAll(e, g.ExploitAtHoneypot(netip.MustParseAddr("10.2.2.2"), exp.DstPort, exp.Payload))
+	if len(e.Alerts()) == 0 {
 		t.Fatal("no alerts")
 	}
-	if calls != len(n.Alerts()) {
-		t.Errorf("callback fired %d times for %d alerts", calls, len(n.Alerts()))
+	if calls != len(e.Alerts()) {
+		t.Errorf("callback fired %d times for %d alerts", calls, len(e.Alerts()))
 	}
 }
 
-func TestAnalyzeBytesHostScan(t *testing.T) {
-	bin := exploits.NetskyBinary(1, 22*1024)
-	ds := AnalyzeBytes(bin, nil, nil)
-	found := false
-	for _, d := range ds {
-		if d.Template == "xor-decrypt-loop" {
-			found = true
+func TestDoubleStopSafe(t *testing.T) {
+	e := New(pipelineConfig())
+	e.Stop()
+	e.Stop() // must not panic or deadlock
+}
+
+// TestEmailWormDetected covers the paper's Section 6 future-work
+// extension end to end: a mass-mailer delivers a packed (decryptor-
+// carrying) executable as a base64 attachment over SMTP; the engine
+// decodes the attachment and the decryption-loop template fires.
+func TestEmailWormDetected(t *testing.T) {
+	g := traffic.NewGen(31)
+	cfg := pipelineConfig()
+	// Mass mailers do not scan dark space; the mail server operator
+	// analyzes all mail submissions.
+	cfg.Classify.Disabled = true
+	e := New(cfg)
+
+	// Background mail first: must stay silent.
+	for i := 0; i < 10; i++ {
+		feedOnly(e, g.SMTPSession(g.RandClient()))
+	}
+	// The infected message: a Netsky-like packed binary attachment.
+	worm := exploits.NetskyBinary(3, 8*1024)
+	infected := netip.MustParseAddr("10.99.99.99")
+	feedAll(e, g.InfectedMailSession(infected, worm))
+
+	var hit bool
+	for _, a := range e.Alerts() {
+		if a.Detection.Template == "xor-decrypt-loop" && a.FrameSource == "smtp-attachment" {
+			hit = true
+			if a.Src != infected {
+				t.Errorf("alert attributed to %v, want %v", a.Src, infected)
+			}
 		}
 	}
-	if !found {
-		t.Error("host scan missed the netsky decryptor")
+	if !hit {
+		t.Fatalf("email worm not detected: %v", e.Alerts())
 	}
 }
 
-func TestDoubleFlushSafe(t *testing.T) {
-	n := New(defaultConfig())
-	n.Flush()
-	n.Flush() // must not panic or deadlock
-}
-
-func TestEvidenceCapture(t *testing.T) {
-	dir := t.TempDir()
-	cfg := defaultConfig()
-	cfg.EvidenceDir = dir
-	g := traffic.NewGen(41)
-	n := New(cfg)
-	exp := exploits.Table1Exploits()[0]
-	feedAll(n, g.ExploitAtHoneypot(netip.MustParseAddr("10.6.6.6"), exp.DstPort, exp.Payload))
-	if len(n.Alerts()) == 0 {
-		t.Fatal("no alerts")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != len(n.Alerts()) {
-		t.Fatalf("%d evidence files for %d alerts", len(entries), len(n.Alerts()))
-	}
-	// Evidence must contain analyzable content: re-running the
-	// analyzer over a saved frame reproduces a detection.
-	data, err := os.ReadFile(filepath.Join(dir, entries[0].Name()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(AnalyzeBytes(data, nil, nil)) == 0 {
-		t.Error("saved evidence does not re-analyze")
+// TestBenignAttachmentNotFlagged: a clean binary attachment (functions
+// but no decryptor) passes through without alerts.
+func TestBenignAttachmentNotFlagged(t *testing.T) {
+	g := traffic.NewGen(32)
+	cfg := pipelineConfig()
+	cfg.Classify.Disabled = true
+	e := New(cfg)
+	clean := exploits.BenignBinary(5, 8*1024)
+	feedAll(e, g.InfectedMailSession(netip.MustParseAddr("10.1.1.2"), clean))
+	if len(e.Alerts()) != 0 {
+		t.Errorf("clean attachment alerted: %v", e.Alerts())
 	}
 }

@@ -119,22 +119,11 @@ func newShard(e *Engine, id int) *shard {
 	// Analysis here is synchronous, so the stream buffer goes straight
 	// back to the assembler's pool.
 	s.asm.SetEvictHandler(func(st *reasm.Stream) {
-		if len(st.Data) > s.lastAnalyzed[st.Key] {
-			info := s.meta[st.Key]
-			if st.Dgram {
-				s.analyzeDgram(st, info.reason, info.ts)
-			} else {
-				s.analyze(st.Data, st.Key, info.reason, info.ts)
-			}
-		}
+		s.analyzeTail(st)
 		delete(s.lastAnalyzed, st.Key)
 		delete(s.meta, st.Key)
 		if tap := e.cfg.OnEvent; tap != nil {
-			tap(core.Event{
-				Kind: core.EventFlowEvict, TimestampUS: s.maxTS,
-				Src: st.Key.SrcIP, Dst: st.Key.DstIP,
-				SrcPort: st.Key.SrcPort, DstPort: st.Key.DstPort,
-			})
+			tap(flowEvent(core.EventFlowEvict, s.maxTS, st.Key))
 		}
 		s.asm.Recycle(st.Data)
 	})
@@ -183,8 +172,7 @@ func (s *shard) publishGauges() {
 	s.dgramBytes.Store(int64(s.asm.DgramBytes()))
 }
 
-// handle pushes one selected packet through reassembly and analysis —
-// the same progression as core.ProcessPacket after classification.
+// handle pushes one selected packet through reassembly and analysis.
 func (s *shard) handle(p *netpkt.Packet, reason classify.Reason) {
 	if p.TimestampUS > s.maxTS {
 		s.maxTS = p.TimestampUS
@@ -216,7 +204,7 @@ func (s *shard) handle(p *netpkt.Packet, reason classify.Reason) {
 	}
 	if core.ShouldAnalyze(stream.Finished, len(stream.Data), s.lastAnalyzed[flow], s.eng.cfg.MinAnalyzeBytes) {
 		s.lastAnalyzed[flow] = len(stream.Data)
-		s.analyze(stream.Data, flow, reason, p.TimestampUS)
+		s.analyze(stream.Data, nil, flow, reason, p.TimestampUS)
 	}
 	if stream.Finished {
 		// Analysis of the final view (above) is synchronous, so the
@@ -252,7 +240,7 @@ func (s *shard) handleDatagram(p *netpkt.Packet, reason classify.Reason) {
 			}
 			s.dgramSeen[flow] = p.TimestampUS
 		}
-		s.analyze(p.Payload, flow, reason, p.TimestampUS)
+		s.analyze(p.Payload, nil, flow, reason, p.TimestampUS)
 		return
 	}
 	if s.eng.cfg.OnEvent != nil {
@@ -267,15 +255,15 @@ func (s *shard) handleDatagram(p *netpkt.Packet, reason classify.Reason) {
 	}
 	if core.ShouldAnalyze(false, len(stream.Data), s.lastAnalyzed[flow], s.eng.cfg.MinAnalyzeBytes) {
 		s.lastAnalyzed[flow] = len(stream.Data)
-		s.analyzeDgram(stream, reason, p.TimestampUS)
+		s.analyze(stream.Data, stream.Bounds, flow, reason, p.TimestampUS)
 	}
 }
 
 // maybeTick runs the flow-lifecycle maintenance pass once per
 // configured interval of trace time: idle flows first (tail-analyzed
-// via the evict handler), then LRU eviction down to the byte budget.
-// This replaces the batch pipeline's analyze-only-at-Flush: stale
-// streams are inspected while the engine keeps running.
+// via the evict handler), then LRU eviction down to the byte budget, so
+// stale streams are inspected while the engine keeps running instead of
+// waiting for Drain or Stop.
 func (s *shard) maybeTick() {
 	cfg := &s.eng.cfg
 	if s.maxTS-s.lastTick < cfg.TickIntervalUS {
@@ -325,11 +313,17 @@ func (s *shard) updateEWMA(elapsedUS uint64) {
 // tapFlowOpen publishes a flow-open event when a tap is attached.
 func (s *shard) tapFlowOpen(flow netpkt.FlowKey, ts uint64) {
 	if tap := s.eng.cfg.OnEvent; tap != nil {
-		tap(core.Event{
-			Kind: core.EventFlowOpen, TimestampUS: ts,
-			Src: flow.SrcIP, Dst: flow.DstIP,
-			SrcPort: flow.SrcPort, DstPort: flow.DstPort,
-		})
+		tap(flowEvent(core.EventFlowOpen, ts, flow))
+	}
+}
+
+// flowEvent builds a tap event attributed to flow; alert and
+// fingerprint events add their payload fields to it.
+func flowEvent(kind core.EventKind, ts uint64, flow netpkt.FlowKey) core.Event {
+	return core.Event{
+		Kind: kind, TimestampUS: ts,
+		Src: flow.SrcIP, Dst: flow.DstIP,
+		SrcPort: flow.SrcPort, DstPort: flow.DstPort,
 	}
 }
 
@@ -339,14 +333,7 @@ func (s *shard) tapFlowOpen(flow netpkt.FlowKey, ts uint64) {
 // traffic.
 func (s *shard) flushFlows() {
 	for _, st := range s.asm.Drain() {
-		if len(st.Data) > s.lastAnalyzed[st.Key] {
-			info := s.meta[st.Key]
-			if st.Dgram {
-				s.analyzeDgram(st, info.reason, info.ts)
-			} else {
-				s.analyze(st.Data, st.Key, info.reason, info.ts)
-			}
-		}
+		s.analyzeTail(st)
 		s.asm.Recycle(st.Data)
 	}
 	clear(s.lastAnalyzed)
@@ -355,9 +342,22 @@ func (s *shard) flushFlows() {
 	clear(s.dgramSeen)
 }
 
+// analyzeTail analyzes whatever a departing flow (evicted or drained)
+// still holds past its last analysis.
+func (s *shard) analyzeTail(st *reasm.Stream) {
+	if len(st.Data) > s.lastAnalyzed[st.Key] {
+		info := s.meta[st.Key]
+		s.analyze(st.Data, st.Bounds, st.Key, info.reason, info.ts)
+	}
+}
+
 // analyze runs extraction (or, in FullScan mode, forwards the whole
-// payload) and the semantic stages over one stream view.
-func (s *shard) analyze(data []byte, flow netpkt.FlowKey, reason classify.Reason, ts uint64) {
+// payload) and the semantic stages over one stream view. bounds holds
+// a datagram flow's message start offsets, so boundary-sensitive
+// carriers (CoAP) are parsed message by message and block transfers
+// reassembled; it is empty for a TCP stream or a lone datagram, which
+// extract.ExtractDatagrams then hands to extract.Extract unchanged.
+func (s *shard) analyze(data []byte, bounds []int, flow netpkt.FlowKey, reason classify.Reason, ts uint64) {
 	if len(data) == 0 {
 		return
 	}
@@ -366,27 +366,8 @@ func (s *shard) analyze(data []byte, flow netpkt.FlowKey, reason classify.Reason
 		s.analyzeFrame(extract.Frame{Data: data, Source: "fullscan"}, flow, reason, ts)
 		return
 	}
-	for _, f := range extract.Extract(data) {
+	for _, f := range extract.ExtractDatagrams(data, bounds) {
 		s.analyzeFrame(f, flow, reason, ts)
-	}
-}
-
-// analyzeDgram is analyze for a datagram-flow view: extraction walks
-// the concatenation with its datagram boundaries, so
-// boundary-sensitive carriers (CoAP) are parsed message by message and
-// block transfers reassembled. A single-datagram flow takes exactly
-// the Extract path analyze would.
-func (s *shard) analyzeDgram(st *reasm.Stream, reason classify.Reason, ts uint64) {
-	if len(st.Data) == 0 {
-		return
-	}
-	s.eng.m.streams.Add(1)
-	if s.eng.cfg.FullScan {
-		s.analyzeFrame(extract.Frame{Data: st.Data, Source: "fullscan"}, st.Key, reason, ts)
-		return
-	}
-	for _, f := range extract.ExtractDatagrams(st.Data, st.Bounds) {
-		s.analyzeFrame(f, st.Key, reason, ts)
 	}
 }
 
@@ -403,40 +384,36 @@ func (s *shard) analyzeFrame(f extract.Frame, flow netpkt.FlowKey, reason classi
 	tap := e.cfg.OnEvent
 	var fp core.Fingerprint
 	if e.cache != nil || tap != nil {
-		fp = fingerprintOf(f.Data)
+		fp = core.FingerprintOf(f.Data)
 	}
-	// f.Code is only non-nil when the extraction stage already decoded
-	// the frame (code-ratio estimate); otherwise pass nil so the
-	// analyzer uses its pooled scratch cache instead of allocating a
-	// fresh decode cache per frame.
-	var ds []sem.Detection
-	var sk sem.Sketch
+	var (
+		ds     []sem.Detection
+		sk     sem.Sketch
+		cached bool
+	)
 	if e.cache != nil {
-		if cached, csk, ok := e.cache.get(fp); ok {
+		if ds, sk, cached = e.cache.get(fp); cached {
 			e.m.cacheHits.Add(1)
-			ds, sk = cached, csk
 		} else {
 			e.m.cacheMisses.Add(1)
-			t0 := time.Now()
-			ds = e.analyzer.AnalyzeFrameCached(f.Data, f.Code)
-			e.tel.frameNS.Observe(time.Since(t0).Nanoseconds())
-			sk = s.sketch(f.Data, ds)
-			e.cache.put(fp, ds, sk)
 		}
-	} else {
+	}
+	if !cached {
+		// f.Code is nil unless the extraction stage already decoded the
+		// frame; nil makes the analyzer use its pooled scratch cache
+		// instead of allocating a decode cache per frame.
 		t0 := time.Now()
 		ds = e.analyzer.AnalyzeFrameCached(f.Data, f.Code)
 		e.tel.frameNS.Observe(time.Since(t0).Nanoseconds())
 		sk = s.sketch(f.Data, ds)
+		if e.cache != nil {
+			e.cache.put(fp, ds, sk)
+		}
 	}
 	if tap != nil {
-		tap(core.Event{
-			Kind: core.EventFingerprint, TimestampUS: ts,
-			Src: flow.SrcIP, Dst: flow.DstIP,
-			SrcPort: flow.SrcPort, DstPort: flow.DstPort,
-			Fingerprint: fp,
-			Sketch:      sk,
-		})
+		ev := flowEvent(core.EventFingerprint, ts, flow)
+		ev.Fingerprint, ev.Sketch = fp, sk
+		tap(ev)
 	}
 	for _, d := range ds {
 		s.emit(f, flow, reason, ts, fp, sk, d)
@@ -480,15 +457,10 @@ func (s *shard) emit(f extract.Frame, flow netpkt.FlowKey, reason classify.Reaso
 	// Follow-on traffic from a confirmed attacker is always analyzed.
 	e.classifier.MarkSuspicious(flow.SrcIP, ts)
 	if tap := e.cfg.OnEvent; tap != nil {
-		tap(core.Event{
-			Kind: core.EventAlert, TimestampUS: ts,
-			Src: flow.SrcIP, Dst: flow.DstIP,
-			SrcPort: flow.SrcPort, DstPort: flow.DstPort,
-			Fingerprint: fp,
-			Sketch:      sk,
-			Template:    d.Template,
-			Severity:    d.Severity,
-		})
+		ev := flowEvent(core.EventAlert, ts, flow)
+		ev.Fingerprint, ev.Sketch = fp, sk
+		ev.Template, ev.Severity = d.Template, d.Severity
+		tap(ev)
 	}
 	if e.cfg.OnAlert != nil {
 		e.cfg.OnAlert(a)

@@ -10,8 +10,8 @@ import (
 )
 
 // TestSoakBoundedMemory runs the engine over a million packets of
-// long-lived flows that never finish — the workload that made the
-// batch pipeline's flow tables grow without bound. The engine must
+// long-lived flows that never finish — the workload that grows an
+// unmanaged flow table without bound. The engine must
 // complete with buffered bytes held near the configured budget and
 // flow-table memory bounded, with evictions visible in the metrics.
 func TestSoakBoundedMemory(t *testing.T) {

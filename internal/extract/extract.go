@@ -43,28 +43,10 @@ type Frame struct {
 	// Offset is where in the original payload the region began.
 	Offset int
 
-	// Code memoizes instruction decoding over Data. The extraction
-	// stage's code-ratio estimate and the downstream semantic analyzer
-	// sweep the same bytes; sharing one cache means every byte
-	// position is decoded at most once across both stages. Built
-	// lazily by DecodeCache.
+	// Code, when non-nil, is a decode cache over Data that the semantic
+	// analyzer reuses instead of decoding the frame again. Extraction
+	// leaves it nil, and the analyzer then takes a pooled scratch cache.
 	Code *x86.DecodeCache
-}
-
-// DecodeCache returns the frame's shared decode cache, creating it on
-// first use.
-func (f *Frame) DecodeCache() *x86.DecodeCache {
-	if f.Code == nil {
-		f.Code = x86.NewDecodeCache(f.Data)
-	}
-	return f.Code
-}
-
-// CodeRatio estimates how much of the frame decodes as plausible
-// instructions, memoized in the shared decode cache so the analyzer
-// reuses the same sweep instead of re-decoding the frame.
-func (f *Frame) CodeRatio() float64 {
-	return f.DecodeCache().CodeRatio()
 }
 
 // isTextByte reports whether b is plausible protocol text.

@@ -21,6 +21,11 @@
 //	detector.ProcessFrame(ethernetFrame, timestampMicros)
 //	detector.Flush()
 //	for _, alert := range detector.Alerts() { ... }
+//
+// A whole capture — classic pcap with microsecond or nanosecond
+// timestamps, or pcapng — goes through ProcessPcap instead. NIDS is an
+// Engine that ends with its trace; NewEngine gives the same pipeline
+// with its lifecycle, correlation and federation surface exposed.
 package nids
 
 import (
@@ -50,8 +55,8 @@ type Alert = core.Alert
 // Detection describes the matched template within an alert.
 type Detection = sem.Detection
 
-// Metrics reports pipeline counters.
-type Metrics = core.Metrics
+// Metrics reports pipeline counters and gauges.
+type Metrics = EngineMetrics
 
 // Config configures a detector.
 type Config struct {
@@ -76,10 +81,6 @@ type Config struct {
 	// baseline used for efficiency comparisons.
 	FullScan bool
 
-	// Workers sets the analysis worker pool size (default: number of
-	// CPUs).
-	Workers int
-
 	// XorTemplateOnly restricts the template set to the xor
 	// decryption template (the paper's first Table 2 configuration).
 	XorTemplateOnly bool
@@ -91,19 +92,19 @@ type Config struct {
 	TemplatesDSL string
 
 	// OnAlert, when non-nil, is invoked for each alert as it fires
-	// (from worker goroutines).
+	// (from shard goroutines).
 	OnAlert func(Alert)
 }
 
-// NIDS is a running detector instance. Feed packets from one
-// goroutine; analysis runs concurrently inside.
+// NIDS is a detector for one trace: an Engine with the default shard
+// count whose Flush is terminal. Feed packets from one goroutine;
+// analysis runs concurrently inside.
 type NIDS struct {
-	inner *core.NIDS
+	e *Engine
 }
 
-// pipeline translates the public configuration into the classifier
-// config and template set shared by the batch detector and the
-// streaming engine.
+// pipeline translates the public configuration into the engine's
+// classifier config and template set.
 func (cfg Config) pipeline() (classify.Config, []*sem.Template, error) {
 	var ccfg classify.Config
 	for _, h := range cfg.Honeypots {
@@ -139,48 +140,38 @@ func (cfg Config) pipeline() (classify.Config, []*sem.Template, error) {
 
 // New validates the configuration and starts a detector.
 func New(cfg Config) (*NIDS, error) {
-	ccfg, tpls, err := cfg.pipeline()
+	e, err := NewEngine(EngineConfig{Config: cfg})
 	if err != nil {
 		return nil, err
 	}
-	inner := core.New(core.Config{
-		Classify:  ccfg,
-		Templates: tpls,
-		Workers:   cfg.Workers,
-		FullScan:  cfg.FullScan,
-		OnAlert:   cfg.OnAlert,
-	})
-	return &NIDS{inner: inner}, nil
+	return &NIDS{e: e}, nil
 }
 
 // ProcessFrame feeds one raw Ethernet frame with its capture timestamp
 // (microseconds). Unparseable frames are ignored and reported as an
-// error without stopping the detector.
+// error without stopping the detector. The frame buffer may be reused
+// as soon as the call returns.
 func (n *NIDS) ProcessFrame(frame []byte, tsUS uint64) error {
-	p, err := netpkt.Parse(frame)
-	if err != nil {
-		return err
-	}
-	p.TimestampUS = tsUS
-	n.inner.ProcessPacket(p)
-	return nil
+	return n.e.ProcessFrame(frame, tsUS)
 }
 
-// ProcessPcap runs the detector over a classic-format pcap stream and
-// flushes.
+// ProcessPcap runs the detector over a capture stream (classic pcap
+// with microsecond or nanosecond timestamps, or pcapng) and flushes.
 func (n *NIDS) ProcessPcap(r io.Reader) error {
-	return n.inner.ProcessPcap(r)
+	err := n.e.Run(r)
+	n.e.Stop()
+	return err
 }
 
-// Flush analyzes unfinished flows and drains the worker pool. The
-// detector cannot be fed after Flush.
-func (n *NIDS) Flush() { n.inner.Flush() }
+// Flush analyzes unfinished flows and stops the detector, which cannot
+// be fed afterwards. Idempotent.
+func (n *NIDS) Flush() { n.e.Stop() }
 
 // Alerts returns the alerts recorded so far (complete after Flush).
-func (n *NIDS) Alerts() []Alert { return n.inner.Alerts() }
+func (n *NIDS) Alerts() []Alert { return n.e.Alerts() }
 
 // Stats returns pipeline counters.
-func (n *NIDS) Stats() Metrics { return n.inner.Snapshot() }
+func (n *NIDS) Stats() Metrics { return n.e.Stats() }
 
 // AnalyzeBytes runs only the semantic stages (disassembler, IR,
 // template matcher) over a binary — the host-scan mode used for
@@ -200,8 +191,7 @@ func AnalyzePayload(payload []byte) []Detection {
 type EngineMetrics = engine.Metrics
 
 // EngineConfig configures a streaming Engine: the detector settings
-// plus the sharding, lifecycle and overload knobs. Config.Workers is
-// ignored — the shards are the workers.
+// plus the sharding, lifecycle and overload knobs.
 type EngineConfig struct {
 	Config
 
@@ -442,8 +432,7 @@ func DeriveIncidents(ex *EvidenceExport) ([]Incident, error) { return incident.D
 // ingestion, bounded flow state with eviction, and verdict caching.
 // Unlike NIDS, it survives beyond a single trace — Drain flushes
 // in-progress flows and keeps it live; only Stop terminates it. Feed
-// from one goroutine; ProcessFrame and Flush are drop-in compatible
-// with the batch NIDS surface.
+// from one goroutine.
 type Engine struct {
 	inner *engine.Engine
 	corr  *incident.Correlator
@@ -744,9 +733,8 @@ func (e *Engine) Drain() {
 	}
 }
 
-// Flush is Drain under the batch detector's name, so the engine is a
-// drop-in replacement for NIDS — with the difference that the engine
-// can still be fed afterwards.
+// Flush is Drain under NIDS's name for it — with the difference that
+// the engine can still be fed afterwards.
 func (e *Engine) Flush() { e.Drain() }
 
 // Stop drains and terminates the engine, any attached correlator,

@@ -13,7 +13,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	n, err := New(Config{
 		Honeypots: []string{traffic.HoneypotAddr.String()},
 		DarkSpace: []string{traffic.DarkNet.String()},
-		Workers:   2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +96,7 @@ func TestAnalyzePayloadFacade(t *testing.T) {
 }
 
 func TestXorTemplateOnlyConfig(t *testing.T) {
-	n, err := New(Config{DisableClassification: true, XorTemplateOnly: true, Workers: 1})
+	n, err := New(Config{DisableClassification: true, XorTemplateOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,6 @@ func TestTemplatesDSLConfig(t *testing.T) {
 	n, err := New(Config{
 		Honeypots:    []string{traffic.HoneypotAddr.String()},
 		TemplatesDSL: dsl,
-		Workers:      1,
 	})
 	if err != nil {
 		t.Fatal(err)

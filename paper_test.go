@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"semnids/internal/classify"
-	"semnids/internal/core"
+	"semnids/internal/engine"
 	"semnids/internal/exploits"
 	"semnids/internal/polymorph"
 	"semnids/internal/sem"
@@ -132,18 +132,18 @@ func TestTable2IISASP(t *testing.T) {
 func TestTable3CodeRedII(t *testing.T) {
 	instances := []int{3, 1, 4, 2, 5, 2, 1, 3, 6, 2, 4, 3}
 	for i, actual := range instances {
-		cfg := core.Config{Classify: classify.Config{
+		cfg := engine.Config{Classify: classify.Config{
 			Honeypots:     []netip.Addr{traffic.HoneypotAddr},
 			DarkSpace:     []netip.Prefix{traffic.DarkNet},
 			ScanThreshold: 3,
 		}}
-		n := core.New(cfg)
+		n := engine.New(cfg)
 		for _, p := range traffic.Synthesize(traffic.TraceSpec{
 			Seed: int64(100 + i), BenignSessions: 60, CodeRedInstances: actual,
 		}) {
-			n.ProcessPacket(p)
+			n.Process(p)
 		}
-		n.Flush()
+		n.Stop()
 		srcs := map[netip.Addr]bool{}
 		for _, a := range n.Alerts() {
 			if a.Detection.Template == "code-red-ii" {
@@ -168,10 +168,9 @@ func TestFalsePositiveZero(t *testing.T) {
 	if testing.Short() {
 		sessions = 50
 	}
-	inner := nInner(n)
 	for i := 0; i < sessions; i++ {
 		for _, p := range g.BenignSession() {
-			inner.ProcessPacket(p)
+			n.e.Process(p)
 		}
 	}
 	n.Flush()
@@ -191,7 +190,3 @@ func decryptorIn(ds []Detection) bool {
 	}
 	return false
 }
-
-// nInner reaches the core pipeline to feed parsed packets directly
-// (test-only; the public API takes frames or pcap streams).
-func nInner(n *NIDS) *core.NIDS { return n.inner }
