@@ -1,8 +1,9 @@
 // Command fedagg is the federation aggregation daemon: it accepts
 // evidence segments pushed by sensors (semnids -push, or any
 // transport.Pusher), folds them into one deterministic federated
-// state with fed.Merge, and checkpoints that state to its own
-// crash-recoverable sink directory. Acks are durable: a sensor sees
+// state — fed.Merge's result, kept live so a push costs what it changes
+// — and checkpoints that state to its own crash-recoverable sink
+// directory. Acks are durable: a sensor sees
 // 2xx only after the fold is committed, so an aggregator crash never
 // loses acknowledged evidence — on restart the newest committed
 // checkpoint is recovered and resumed sensors simply re-push anything
@@ -129,11 +130,19 @@ func run() int {
 	health.Set("state", true, "recovered")
 	telemetry.RegisterProcessMetrics(agg.Telemetry())
 	statusInfo := func() map[string]any {
-		st := agg.Export()
 		info := map[string]any{"dir": *dir}
-		if st != nil {
+		if st := agg.Export(); st != nil {
 			info["sensors"] = st.Sensors
 			info["sources"] = len(st.Sources)
+		}
+		// How much of the push traffic the live fold had already seen,
+		// and what the rest cost (the semnids_agg_fold_* series).
+		m := agg.Metrics()
+		info["fold"] = map[string]any{
+			"frames_folded":     m.FramesFolded,
+			"frames_skipped":    m.FramesSkipped,
+			"records_reencoded": m.RecordsReencoded,
+			"memo_entries":      m.MemoEntries,
 		}
 		// Tree nodes expose their upstream health: which URL the pusher
 		// is on, how deep the unacked spool is, and whether everything

@@ -2,7 +2,10 @@ package fed
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+
+	"semnids/internal/incident"
 )
 
 // FuzzDecodeEvidence hammers the evidence wire decoder with arbitrary
@@ -55,6 +58,71 @@ func FuzzDecodeEvidence(f *testing.F) {
 		}
 		if len(again.Sources) != len(ex.Sources) {
 			t.Fatalf("round trip changed source count: %d != %d", len(again.Sources), len(ex.Sources))
+		}
+	})
+}
+
+// FuzzFoldSegment folds arbitrary bytes into a valid live state — two
+// exports in, memo warm — and holds the result to the reference path:
+// the push decoder picks what referenceDecode picks (which is what
+// ReadExport picks unless a well-framed frame is malformed), and the
+// state afterwards is Merge(state before, that export) on wire bytes,
+// or untouched if the segment is refused. Never a panic.
+func FuzzFoldSegment(f *testing.F) {
+	a := synthLineage(synthExport(f, "sensor-a", 1, 60), "sensor-a", 1, 6)
+	b := synthExport(f, "sensor-b", 2, 60)
+	grown := synthLineage(synthExport(f, "sensor-a", 1, 120), "sensor-a", 1, 10)
+	other := synthLineage(synthExport(f, "sensor-c", 3, 80), "sensor-c", 3, 4)
+	skewed := *other
+	skewed.WindowUS *= 2
+	for _, data := range [][]byte{
+		encode(f, a), encode(f, grown), encode(f, other),
+		growingSegment(f, a, grown),
+		growingSegment(f, other, a, grown),
+		encode(f, &skewed),
+	} {
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(data[:len(data)-1])
+		f.Add(append(append([]byte(nil), data...), data[len(data)/3:]...))
+	}
+	f.Add([]byte("9999999 {}\n"))
+	f.Add([]byte(`14 {"k":"ckpt"}` + "\n"))
+
+	base := [][]byte{encode(f, a), encode(f, b)}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st := NewState()
+		for _, seg := range base {
+			folded, err := st.Fold(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Commit(folded)
+		}
+		before := st.Export()
+
+		ref, malformed, refErr := referenceDecode(data)
+		if !malformed {
+			want, wantErr := ReadExport(bytes.NewReader(data))
+			if (wantErr == nil) != (refErr == nil) || (wantErr == nil && !reflect.DeepEqual(want, ref)) {
+				t.Fatalf("reference decoder = (%v, %v), ReadExport = (%v, %v) on a segment with no malformed frame", ref != nil, refErr, want != nil, wantErr)
+			}
+		}
+		var want *incident.EvidenceExport
+		if refErr == nil {
+			want, _ = Merge(before, ref)
+		}
+		_, err := st.Fold(data)
+		if want == nil {
+			if err == nil {
+				t.Fatalf("folded a segment the reference path refuses (%v)", refErr)
+			}
+			want = before
+		} else if err != nil {
+			t.Fatalf("refused a segment the reference path folds: %v", err)
+		}
+		if got := encode(t, st.Export()); !bytes.Equal(got, encode(t, want)) {
+			t.Fatal("state after the fold is not the reference path's")
 		}
 	})
 }

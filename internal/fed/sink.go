@@ -57,6 +57,10 @@ type SinkConfig struct {
 	// floor under every durable ack). Nil creates a private registry.
 	Telemetry *telemetry.Registry
 
+	// source, when set, supplies checkpoints in place of Export: a
+	// State hands its cached frames over (State.OpenSink).
+	source func() (*snapshot, error)
+
 	// openSeg opens a new segment file; a seam so tests can inject
 	// write failures (ENOSPC) without a real full disk. Nil uses the
 	// filesystem. Must preserve O_CREATE|O_EXCL semantics: an
@@ -68,7 +72,6 @@ type SinkConfig struct {
 type segmentFile interface {
 	io.Writer
 	Sync() error
-	Seek(offset int64, whence int) (int64, error)
 	Close() error
 }
 
@@ -93,6 +96,14 @@ func (cfg SinkConfig) withDefaults() SinkConfig {
 	}
 	if cfg.openSeg == nil {
 		cfg.openSeg = openSegFile
+	}
+	if export := cfg.Export; cfg.source == nil && export != nil {
+		cfg.source = func() (*snapshot, error) {
+			if ex := export(); ex != nil {
+				return exportSnapshot(ex), nil
+			}
+			return nil, nil
+		}
 	}
 	return cfg
 }
@@ -149,7 +160,8 @@ type Sink struct {
 	// goroutine's write cost and the latency floor of a durable ack.
 	fsyncNS *telemetry.Histogram
 
-	// Writer state, sink goroutine only.
+	// Writer state, sink goroutine only. size counts the bytes handed
+	// to the open segment.
 	f        segmentFile
 	bw       *bufio.Writer
 	size     int64
@@ -175,7 +187,7 @@ func OpenSink(cfg SinkConfig) (*Sink, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("fed: sink needs a directory")
 	}
-	if cfg.Export == nil {
+	if cfg.source == nil {
 		return nil, fmt.Errorf("fed: sink needs an Export snapshot function")
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -319,19 +331,23 @@ func (s *Sink) run() {
 // checkpoint snapshots the evidence and appends one committed group,
 // rotating first when the current segment is over size or age.
 func (s *Sink) checkpoint() error {
-	ex := s.cfg.Export()
-	if ex == nil {
+	sn, err := s.cfg.source()
+	if err != nil {
+		s.m.errors.Add(1)
+		return err
+	}
+	if sn == nil {
 		return nil
 	}
 	if s.f == nil || s.size >= s.cfg.RotateBytes || time.Since(s.openedAt) >= s.cfg.RotateEvery {
-		if err := s.rotate(ex); err != nil {
+		if err := s.rotate(sn.hdr); err != nil {
 			s.m.errors.Add(1)
 			s.degrade()
 			return err
 		}
 	}
 	s.seq++
-	if err := s.append(ex); err != nil {
+	if err := s.append(sn); err != nil {
 		s.m.errors.Add(1)
 		// The segment tail is now suspect: force a fresh segment on the
 		// next checkpoint rather than appending after a partial group.
@@ -346,7 +362,7 @@ func (s *Sink) checkpoint() error {
 
 // rotate closes the current segment, opens the next, writes its
 // header, and prunes old segments.
-func (s *Sink) rotate(ex *incident.EvidenceExport) error {
+func (s *Sink) rotate(hdr *header) error {
 	s.closeSegment()
 	var f segmentFile
 	for {
@@ -364,13 +380,13 @@ func (s *Sink) rotate(ex *incident.EvidenceExport) error {
 		s.segIndex++
 	}
 	s.f = f
-	s.bw = bufio.NewWriter(f)
+	s.bw = bufio.NewWriterSize(sizeCounter{f, &s.size}, segmentBufBytes)
 	s.size = 0
 	s.openedAt = time.Now()
 	s.segIndex++
 	s.m.rotations.Add(1)
 	if err := s.writeFrames(func(bw *bufio.Writer) error {
-		return writeRecord(bw, &wireRecord{Kind: kindHeader, Hdr: headerFor(ex)})
+		return writeRecord(bw, &wireRecord{Kind: kindHeader, Hdr: hdr})
 	}); err != nil {
 		s.closeSegment()
 		return err
@@ -380,10 +396,10 @@ func (s *Sink) rotate(ex *incident.EvidenceExport) error {
 }
 
 // append writes one committed checkpoint group and syncs it to disk.
-func (s *Sink) append(ex *incident.EvidenceExport) error {
+func (s *Sink) append(sn *snapshot) error {
 	t0 := time.Now()
 	err := s.writeFrames(func(bw *bufio.Writer) error {
-		return writeCheckpoint(bw, s.seq, ex)
+		return writeCheckpoint(bw, s.seq, sn)
 	})
 	if err == nil {
 		s.fsyncNS.Observe(time.Since(t0).Nanoseconds())
@@ -392,7 +408,7 @@ func (s *Sink) append(ex *incident.EvidenceExport) error {
 }
 
 // writeFrames runs one framed write against the current segment,
-// flushing, syncing and accounting its size.
+// flushing and syncing it.
 func (s *Sink) writeFrames(write func(*bufio.Writer) error) error {
 	if s.f == nil {
 		return fmt.Errorf("fed: no open segment")
@@ -403,15 +419,25 @@ func (s *Sink) writeFrames(write func(*bufio.Writer) error) error {
 	if err := s.bw.Flush(); err != nil {
 		return err
 	}
-	if err := s.f.Sync(); err != nil {
-		return err
-	}
-	size, err := s.f.Seek(0, 2)
-	if err != nil {
-		return err
-	}
-	s.size = size
-	return nil
+	return s.f.Sync()
+}
+
+// segmentBufBytes sizes a segment's write buffer: a checkpoint is
+// megabytes of frames of a few hundred bytes each, so the default 4 KiB
+// buffer would cost a write call per eight frames.
+const segmentBufBytes = 64 << 10
+
+// sizeCounter adds what reaches the segment file to the sink's size
+// account, which decides rotation.
+type sizeCounter struct {
+	w    io.Writer
+	size *int64
+}
+
+func (c sizeCounter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	*c.size += int64(n)
+	return n, err
 }
 
 func (s *Sink) closeSegment() {

@@ -3,14 +3,16 @@
 // gracefully instead of losing or duplicating evidence.
 //
 // The delivery contract is at-least-once transport composed with an
-// idempotent, commutative fold (fed.Merge): a sensor pushes each
-// committed evidence segment until the aggregator acknowledges it,
-// and the aggregator folds whatever arrives — duplicates, resends
-// after lost acks, segments replayed across an aggregator restart —
-// into the same deterministic state. At-least-once delivery plus
+// idempotent, commutative fold (fed.Merge's, kept live in a
+// fed.State): a sensor pushes each committed evidence segment until
+// the aggregator acknowledges it, and the aggregator folds whatever
+// arrives — duplicates, resends after lost acks, segments replayed
+// across an aggregator restart — into the same deterministic state. At-least-once delivery plus
 // idempotent merge yields exactly-once *effect* without any
 // distributed bookkeeping: no sequence negotiation, no dedup window,
-// no sensor registry.
+// no sensor registry. (The aggregator does remember hashes of frames
+// it has folded, fed.State's memo, but only to skip work: losing the
+// memo, or never having it, changes no result.)
 //
 // Failure modes and their outcomes:
 //
@@ -25,7 +27,8 @@
 //     makes truncation detectable at every byte, and the resend
 //     supersedes the prefix idempotently).
 //   - Lost ack / duplicate delivery: the segment is pushed again;
-//     fed.Merge(state, X) twice equals once.
+//     folding X twice equals once (and the second time its frames
+//     are recognized and skipped).
 //   - Aggregator crash: acks are durable — a 2xx is written only
 //     after the merged state is committed to the aggregator's own
 //     crash-recoverable sink — so restart recovers everything acked,
@@ -36,6 +39,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -159,6 +163,16 @@ type AggregatorMetrics struct {
 
 	// Sensors and Sources describe the current merged state.
 	Sensors, Sources int
+
+	// FramesFolded and FramesSkipped split the evidence record frames of
+	// accepted pushes into those decoded and folded and those skipped
+	// because the memo showed the state already held them — the
+	// redundancy share of the push traffic. RecordsReencoded counts
+	// merged records rendered and marshalled again because a fold
+	// changed them; MemoEntries is the memo's size (a skipped share
+	// that falls while it sits at its bound says the memo is too small).
+	FramesFolded, FramesSkipped, RecordsReencoded uint64
+	MemoEntries                                   int
 }
 
 // Aggregator folds pushed evidence segments into one deterministic
@@ -168,16 +182,16 @@ type AggregatorMetrics struct {
 type Aggregator struct {
 	cfg AggregatorConfig
 
-	mu    sync.Mutex
-	state *incident.EvidenceExport // nil until the first fold
-
+	// state is the live fold: a push folds only its own records into
+	// it, and the sink checkpoints it from cached frames.
+	state  *fed.State
 	sink   *fed.Sink
 	closed atomic.Bool
 
 	// push delivers the folded state up the tree (nil for a root).
 	push *Pusher
 
-	// Topology observed from incoming pushes: the deepest hop count
+	// Topology observed from folded pushes: the deepest hop count
 	// seen and the union of Via sets (bounded). An interior node's own
 	// upstream pushes stamp hops = maxSeenHops+1 and via = {NodeID} ∪
 	// seenVia, so depth and provenance accumulate tier over tier.
@@ -221,7 +235,7 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("transport: aggregator needs a sink directory")
 	}
-	a := &Aggregator{cfg: cfg, ackedAt: make(map[netip.Addr]uint64), seenVia: make(map[string]bool)}
+	a := &Aggregator{cfg: cfg, state: fed.NewState(), ackedAt: make(map[netip.Addr]uint64), seenVia: make(map[string]bool)}
 	if a.cfg.Telemetry == nil {
 		a.cfg.Telemetry = telemetry.NewRegistry()
 	}
@@ -229,14 +243,13 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: aggregator recovery: %w", err)
 	}
-	a.state = rec
-	sink, err := fed.OpenSink(fed.SinkConfig{
+	a.state.Adopt(rec)
+	sink, err := a.state.OpenSink(fed.SinkConfig{
 		Dir:             cfg.Dir,
 		RotateBytes:     cfg.RotateBytes,
 		RotateEvery:     cfg.RotateEvery,
 		CheckpointEvery: cfg.CheckpointEvery,
 		KeepSegments:    cfg.KeepSegments,
-		Export:          a.Export,
 		Telemetry:       a.cfg.Telemetry,
 	})
 	if err != nil {
@@ -299,18 +312,22 @@ func (a *Aggregator) registerTelemetry() {
 	reg.CounterFunc("semnids_agg_cycles_total", "Pushes refused by the topology guards: Via-set cycle or hop budget (409).", a.m.cycles.Load)
 	reg.CounterFunc("semnids_agg_unsupported_total", "Pushes refused for an unknown Content-Encoding (415).", a.m.unsupported.Load)
 	reg.GaugeFunc("semnids_agg_sensors", "Distinct sensors in the merged state.", func() int64 {
-		st := a.Export()
-		if st == nil {
-			return 0
-		}
-		return int64(len(st.Sensors))
+		return int64(a.state.Stats().Sensors)
 	})
 	reg.GaugeFunc("semnids_agg_sources", "Distinct sources in the merged state.", func() int64 {
-		st := a.Export()
-		if st == nil {
-			return 0
-		}
-		return int64(len(st.Sources))
+		return int64(a.state.Stats().Sources)
+	})
+	reg.CounterFunc(`semnids_agg_fold_frames_total{result="folded"}`, "Pushed record frames by outcome: decoded and folded, or skipped as already held.", func() uint64 {
+		return a.state.Stats().FramesFolded
+	})
+	reg.CounterFunc(`semnids_agg_fold_frames_total{result="skipped"}`, "Pushed record frames by outcome: decoded and folded, or skipped as already held.", func() uint64 {
+		return a.state.Stats().FramesSkipped
+	})
+	reg.CounterFunc("semnids_agg_fold_records_reencoded_total", "Merged records rendered and marshalled again because a fold changed them.", func() uint64 {
+		return a.state.Stats().RecordsReencoded
+	})
+	reg.GaugeFunc("semnids_agg_fold_memo_entries", "Frames the folded-frame memo holds (bounded by the live record count).", func() int64 {
+		return int64(a.state.Stats().MemoEntries)
 	})
 	reg.GaugeFunc("semnids_agg_acked_sources", "Sources with a recorded first durable-ack time.", func() int64 {
 		a.ackMu.Lock()
@@ -328,12 +345,11 @@ func (a *Aggregator) Telemetry() *telemetry.Registry { return a.cfg.Telemetry }
 // recordAcks stamps the first durable-ack wall time for every source
 // covered by a committed fold. Called after the push's evidence is
 // durable (or queued durable under AsyncAck).
-func (a *Aggregator) recordAcks(ex *incident.EvidenceExport) {
+func (a *Aggregator) recordAcks(sources []netip.Addr) {
 	now := uint64(time.Now().UnixMicro())
 	a.ackMu.Lock()
 	defer a.ackMu.Unlock()
-	for i := range ex.Sources {
-		src := ex.Sources[i].Src
+	for _, src := range sources {
 		if _, ok := a.ackedAt[src]; !ok && len(a.ackedAt) < maxAckedSources {
 			a.ackedAt[src] = now
 		}
@@ -357,14 +373,12 @@ func (a *Aggregator) AnnotateTimelines(incs []incident.Incident) []incident.Inci
 }
 
 // Export returns the current merged evidence state (nil before the
-// first fold). The returned export is immutable — folds replace the
-// state wholesale — so callers may read it without synchronization
-// but must not modify it.
-func (a *Aggregator) Export() *incident.EvidenceExport {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.state
-}
+// first fold), rendered from the live state's cached records on the
+// first call after a fold and memoized until the next. The returned
+// export is immutable — a later fold renders a new one and leaves this
+// one as it was — so callers may read it without synchronization but
+// must not modify it.
+func (a *Aggregator) Export() *incident.EvidenceExport { return a.state.Export() }
 
 // Metrics returns current aggregator counters and gauges.
 func (a *Aggregator) Metrics() AggregatorMetrics {
@@ -378,10 +392,10 @@ func (a *Aggregator) Metrics() AggregatorMetrics {
 		Cycles:      a.m.cycles.Load(),
 		Unsupported: a.m.unsupported.Load(),
 	}
-	if st := a.Export(); st != nil {
-		m.Sensors = len(st.Sensors)
-		m.Sources = len(st.Sources)
-	}
+	st := a.state.Stats()
+	m.Sensors, m.Sources = st.Sensors, st.Sources
+	m.FramesFolded, m.FramesSkipped = st.FramesFolded, st.FramesSkipped
+	m.RecordsReencoded, m.MemoEntries = st.RecordsReencoded, st.MemoEntries
 	return m
 }
 
@@ -493,24 +507,12 @@ func (a *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("transport: hop count %d exceeds the %d-tier budget", hops, a.cfg.MaxHops), http.StatusConflict)
 		return
 	}
-	a.topoMu.Lock()
-	if hops > a.maxSeenHops {
-		a.maxSeenHops = hops
-	}
-	for _, id := range via {
-		if len(a.seenVia) >= maxVia {
-			break
-		}
-		a.seenVia[id] = true
-	}
-	a.topoMu.Unlock()
-
 	// Bound the body before the decoder sees it. The decoder's own
-	// MaxRecordBytes bound refuses oversized per-record claims before
-	// allocating; this bound caps the whole segment — on both sides of
-	// the content decoding, so a small compressed body cannot expand
-	// past the budget. One extra byte of budget distinguishes "fits
-	// exactly" from "was cut off".
+	// MaxRecordBytes bound refuses oversized per-record claims; this
+	// bound caps the whole segment — on both sides of the content
+	// decoding, so a small compressed body cannot expand past the
+	// budget. One extra byte of budget distinguishes "fits exactly"
+	// from "was cut off".
 	wireLR := &io.LimitedReader{R: r.Body, N: a.cfg.MaxBodyBytes + 1}
 	var body io.Reader = wireLR
 	var decLR *io.LimitedReader
@@ -524,42 +526,52 @@ func (a *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("transport: unsupported content encoding %q", enc), http.StatusUnsupportedMediaType)
 		return
 	}
-	ex, err := fed.ReadExport(body)
+	// A read error is a connection drop or a torn compressed stream:
+	// what arrived is a truncated segment, and the framing decides how
+	// much of it is committed.
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	_, _ = buf.ReadFrom(body)
 	if wireLR.N <= 0 || (decLR != nil && decLR.N <= 0) {
 		a.m.tooLarge.Add(1)
 		http.Error(w, fmt.Sprintf("transport: segment body exceeds the %d-byte bound", a.cfg.MaxBodyBytes), http.StatusRequestEntityTooLarge)
 		return
 	}
-	if err != nil {
+	folded, err := a.state.Fold(buf.Bytes())
+	switch {
+	case errors.Is(err, fed.ErrSkew):
+		a.m.skew.Add(1)
+		http.Error(w, fmt.Sprintf("transport: %v", err), http.StatusConflict)
+		return
+	case errors.Is(err, fed.ErrNoCheckpoint):
+		// A committed-checkpoint-less segment carries no evidence:
+		// still a 400 (nothing was folded), but a distinct message —
+		// the pusher pre-filters these, so seeing one here usually
+		// means a truncated copy.
 		a.m.rejected.Add(1)
-		status := http.StatusBadRequest
-		if errors.Is(err, fed.ErrNoCheckpoint) {
-			// A committed-checkpoint-less segment carries no evidence:
-			// still a 400 (nothing was folded), but a distinct message —
-			// the pusher pre-filters these, so seeing one here usually
-			// means a truncated copy.
-			http.Error(w, "transport: segment has no committed checkpoint", status)
-			return
-		}
-		http.Error(w, fmt.Sprintf("transport: bad segment: %v", err), status)
+		http.Error(w, "transport: segment has no committed checkpoint", http.StatusBadRequest)
+		return
+	case err != nil:
+		a.m.rejected.Add(1)
+		http.Error(w, fmt.Sprintf("transport: bad segment: %v", err), http.StatusBadRequest)
 		return
 	}
-
-	a.mu.Lock()
-	if a.state == nil {
-		a.state = ex
-	} else {
-		merged, err := fed.Merge(a.state, ex)
-		if err != nil {
-			a.mu.Unlock()
-			a.m.skew.Add(1)
-			http.Error(w, fmt.Sprintf("transport: %v", err), http.StatusConflict)
-			return
-		}
-		a.state = merged
-	}
-	a.mu.Unlock()
 	a.m.merged.Add(1)
+
+	// Topology is learned from folded pushes only: a refused request's
+	// headers must not deepen or pollute this node's own upstream stamp.
+	a.topoMu.Lock()
+	if hops > a.maxSeenHops {
+		a.maxSeenHops = hops
+	}
+	for _, id := range via {
+		if len(a.seenVia) >= maxVia {
+			break
+		}
+		a.seenVia[id] = true
+	}
+	a.topoMu.Unlock()
 
 	if a.cfg.AsyncAck {
 		a.sink.Notify()
@@ -570,7 +582,10 @@ func (a *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("transport: durable commit failed: %v", err), http.StatusInternalServerError)
 		return
 	}
-	a.recordAcks(ex)
+	// Acknowledged: from here on these frames may be skipped when they
+	// arrive again.
+	a.state.Commit(folded)
+	a.recordAcks(folded.Sources)
 	a.foldNS.Observe(time.Since(t0).Nanoseconds())
 	if a.push != nil {
 		// The fold just grew this node's own sink segment: nudge the
@@ -581,3 +596,7 @@ func (a *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	io.WriteString(w, "ok\n")
 }
+
+// bodyPool recycles push body buffers: a body is only read while its
+// push is being decoded, and nothing decoded from it aliases it.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}

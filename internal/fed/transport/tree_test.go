@@ -333,21 +333,26 @@ func TestPusherInteropWithOldAggregator(t *testing.T) {
 // TestAggregatorLoopGuards pins the topology refusals: a Via set
 // naming this node is a cycle, a hop count over budget is refused, and
 // both are counted — while legitimate deep pushes fold and feed the
-// node's own route stamp.
+// node's own route stamp, and pushes refused for their body (corrupt,
+// oversized, unknown encoding, skewed) leave that stamp alone.
 func TestAggregatorLoopGuards(t *testing.T) {
 	agg := newAggregator(t, t.TempDir(), func(c *AggregatorConfig) {
 		c.NodeID = "mid1"
 		c.MaxHops = 3
+		c.MaxBodyBytes = 256 << 10
 	})
 	defer agg.Close()
 	srv := httptest.NewServer(agg)
 	defer srv.Close()
 	data := encode(t, synthExport(t, "sensor-a", 61, 300))
 
-	postWith := func(hops, via string) int {
-		req, err := http.NewRequest(http.MethodPost, srv.URL, bytes.NewReader(data))
+	postBody := func(hops, via, encoding string, body []byte) int {
+		req, err := http.NewRequest(http.MethodPost, srv.URL, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if encoding != "" {
+			req.Header.Set("Content-Encoding", encoding)
 		}
 		if hops != "" {
 			req.Header.Set(HeaderHops, hops)
@@ -362,6 +367,7 @@ func TestAggregatorLoopGuards(t *testing.T) {
 		defer resp.Body.Close()
 		return resp.StatusCode
 	}
+	postWith := func(hops, via string) int { return postBody(hops, via, "", data) }
 
 	if got := postWith("2", "root,mid1"); got != http.StatusConflict {
 		t.Fatalf("cycle push = %d, want 409", got)
@@ -372,8 +378,31 @@ func TestAggregatorLoopGuards(t *testing.T) {
 	if m := agg.Metrics(); m.Cycles != 2 || m.Merged != 0 {
 		t.Fatalf("metrics = %+v, want 2 topology refusals and no fold", m)
 	}
+	// Any client that can reach /push can send these; none of them
+	// folds, so none may deepen or pollute this node's upstream stamp
+	// (a forged depth would get its own pushes refused by the parent).
+	for name, c := range map[string]struct {
+		encoding string
+		body     []byte
+		want     int
+	}{
+		"corrupt":          {"", data[:len(data)-3], http.StatusBadRequest},
+		"oversized":        {"", append(append([]byte(nil), data...), bytes.Repeat([]byte("2 {}\n"), 1<<17)...), http.StatusRequestEntityTooLarge},
+		"unknown encoding": {"br", data, http.StatusUnsupportedMediaType},
+	} {
+		if got := postBody("3", "forged-"+name, c.encoding, c.body); got != c.want {
+			t.Fatalf("%s body with forged topology = %d, want %d", name, got, c.want)
+		}
+	}
+	if hops, via := agg.route(); hops != 1 || len(via) != 1 {
+		t.Fatalf("route after refused pushes = (%d, %v), want (1, [mid1])", hops, via)
+	}
 	if got := postWith("3", "mid9"); got != http.StatusOK {
 		t.Fatalf("legitimate deep push = %d, want 200", got)
+	}
+	skew := encode(t, synthExportWindow(t, "sensor-skew", 62, 100, 60e6))
+	if got := postBody("3", "forged-skew", "", skew); got != http.StatusConflict {
+		t.Fatalf("skewed push with forged topology = %d, want 409", got)
 	}
 	// The node's own upstream route must now be one tier deeper than
 	// the deepest accepted push, via itself plus everything seen.

@@ -24,10 +24,12 @@ package fed
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"semnids/internal/incident"
 	"semnids/internal/lineage"
@@ -98,16 +100,56 @@ type wireRecord struct {
 // complete write.
 var ErrNoCheckpoint = errors.New("fed: segment has no committed checkpoint")
 
+// marshalRecord renders one record's JSON document under the wire
+// bound.
+func marshalRecord(rec *wireRecord) ([]byte, error) {
+	data, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > MaxRecordBytes {
+		return nil, fmt.Errorf("fed: record of %d bytes exceeds the %d-byte wire bound", len(data), MaxRecordBytes)
+	}
+	return data, nil
+}
+
+// frameEncoder renders records as complete frames through one
+// buffer: json.Encoder writes the document and the terminating
+// newline, and the length prefix is filled in before it.
+type frameEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+func (e *frameEncoder) encode(rec *wireRecord) ([]byte, error) {
+	if e.enc == nil {
+		e.enc = json.NewEncoder(&e.buf)
+	}
+	const room = maxLenDigits + 1
+	var digits [room]byte
+	e.buf.Reset()
+	e.buf.Write(digits[:])
+	if err := e.enc.Encode(rec); err != nil {
+		return nil, err
+	}
+	b := e.buf.Bytes()
+	n := len(b) - room - 1
+	if n > MaxRecordBytes {
+		return nil, fmt.Errorf("fed: record of %d bytes exceeds the %d-byte wire bound", n, MaxRecordBytes)
+	}
+	prefix := append(strconv.AppendInt(digits[:0], int64(n), 10), ' ')
+	start := room - len(prefix)
+	copy(b[start:], prefix)
+	return bytes.Clone(b[start:]), nil
+}
+
 // writeRecord frames one record.
 func writeRecord(w *bufio.Writer, rec *wireRecord) error {
-	data, err := json.Marshal(rec)
+	data, err := marshalRecord(rec)
 	if err != nil {
 		return err
 	}
-	if len(data) > MaxRecordBytes {
-		return fmt.Errorf("fed: record of %d bytes exceeds the %d-byte wire bound", len(data), MaxRecordBytes)
-	}
-	if _, err := fmt.Fprintf(w, "%d ", len(data)); err != nil {
+	if _, err := w.Write(append(strconv.AppendInt(w.AvailableBuffer(), int64(len(data)), 10), ' ')); err != nil {
 		return err
 	}
 	if _, err := w.Write(data); err != nil {
@@ -116,50 +158,97 @@ func writeRecord(w *bufio.Writer, rec *wireRecord) error {
 	return w.WriteByte('\n')
 }
 
-// readRecord decodes one frame. io.EOF means a clean end between
-// records; any other error means the stream is corrupt or truncated
-// at this record.
-func readRecord(br *bufio.Reader) (*wireRecord, error) {
-	n := 0
-	digits := 0
-	for {
-		b, err := br.ReadByte()
+// lenPrefix parses a frame's length prefix a byte at a time, for the
+// stream and the slice decoder alike.
+type lenPrefix struct{ n, digits int }
+
+// feed takes the next byte; done reports the terminating space, after
+// which n is the record's length.
+func (p *lenPrefix) feed(b byte) (done bool, err error) {
+	if b == ' ' {
+		if p.digits == 0 {
+			return false, errors.New("fed: empty length prefix")
+		}
+		if p.n == 0 || p.n > MaxRecordBytes {
+			return false, fmt.Errorf("fed: record length %d outside (0, %d]", p.n, MaxRecordBytes)
+		}
+		return true, nil
+	}
+	if b < '0' || b > '9' {
+		return false, fmt.Errorf("fed: bad length prefix byte %q", b)
+	}
+	if p.digits++; p.digits > maxLenDigits {
+		return false, errors.New("fed: oversized length prefix")
+	}
+	p.n = p.n*10 + int(b-'0')
+	return false, nil
+}
+
+// frameReader decodes the frames of one stream through one buffer.
+type frameReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+// next decodes one frame into rec, which it resets first: a decoded
+// record never shares memory with the one before it. io.EOF means a
+// clean end between records; any other error means the stream is
+// corrupt or truncated at this record.
+func (fr *frameReader) next(rec *wireRecord) error {
+	var prefix lenPrefix
+	for done := false; !done; {
+		b, err := fr.br.ReadByte()
 		if err != nil {
-			if err == io.EOF && digits == 0 {
-				return nil, io.EOF
+			if err == io.EOF && prefix.digits == 0 {
+				return io.EOF
 			}
-			return nil, fmt.Errorf("fed: truncated length prefix: %w", err)
+			return fmt.Errorf("fed: truncated length prefix: %w", err)
 		}
-		if b == ' ' {
-			if digits == 0 {
-				return nil, errors.New("fed: empty length prefix")
-			}
-			break
+		if done, err = prefix.feed(b); err != nil {
+			return err
 		}
-		if b < '0' || b > '9' {
-			return nil, fmt.Errorf("fed: bad length prefix byte %q", b)
-		}
-		digits++
-		if digits > maxLenDigits {
-			return nil, errors.New("fed: oversized length prefix")
-		}
-		n = n*10 + int(b-'0')
 	}
-	if n == 0 || n > MaxRecordBytes {
-		return nil, fmt.Errorf("fed: record length %d outside (0, %d]", n, MaxRecordBytes)
+	n := prefix.n
+	if cap(fr.buf) < n+1 {
+		fr.buf = make([]byte, n+1)
 	}
-	buf := make([]byte, n+1)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("fed: truncated record: %w", err)
+	buf := fr.buf[:n+1]
+	if _, err := io.ReadFull(fr.br, buf); err != nil {
+		return fmt.Errorf("fed: truncated record: %w", err)
 	}
 	if buf[n] != '\n' {
-		return nil, errors.New("fed: record missing terminator")
+		return errors.New("fed: record missing terminator")
 	}
-	rec := &wireRecord{}
+	*rec = wireRecord{}
 	if err := json.Unmarshal(buf[:n], rec); err != nil {
-		return nil, fmt.Errorf("fed: bad record JSON: %w", err)
+		return fmt.Errorf("fed: bad record JSON: %w", err)
 	}
-	return rec, nil
+	return nil
+}
+
+// nextFrame slices the first frame off data, under the framing rules
+// frameReader applies to a stream. io.EOF means data is empty.
+func nextFrame(data []byte) (payload, rest []byte, err error) {
+	var prefix lenPrefix
+	for done := false; !done; data = data[1:] {
+		if len(data) == 0 {
+			if prefix.digits == 0 {
+				return nil, nil, io.EOF
+			}
+			return nil, nil, fmt.Errorf("fed: truncated length prefix: %w", io.ErrUnexpectedEOF)
+		}
+		if done, err = prefix.feed(data[0]); err != nil {
+			return nil, nil, err
+		}
+	}
+	n := prefix.n
+	if len(data) < n+1 {
+		return nil, nil, fmt.Errorf("fed: truncated record: %w", io.ErrUnexpectedEOF)
+	}
+	if data[n] != '\n' {
+		return nil, nil, errors.New("fed: record missing terminator")
+	}
+	return data[:n], data[n+1:], nil
 }
 
 // headerFor renders an export's parameters as a segment header.
@@ -174,6 +263,52 @@ func headerFor(ex *incident.EvidenceExport) *header {
 	}
 }
 
+// snapshot is one evidence state as a checkpoint writes it: the
+// segment header it belongs under, the record counts its marks
+// declare, and the record frames, sources first, then classifier,
+// then lineage. Frames come either from an export, marshalled as they
+// are written, or from a State's cache of already encoded records.
+type snapshot struct {
+	hdr             *header
+	count, cls, lin int
+
+	ex     *incident.EvidenceExport
+	frames [][]byte
+}
+
+// exportSnapshot adapts a plain export.
+func exportSnapshot(ex *incident.EvidenceExport) *snapshot {
+	return &snapshot{hdr: headerFor(ex), count: len(ex.Sources), cls: len(ex.Classifier), lin: len(ex.Lineage), ex: ex}
+}
+
+// writeRecords writes the snapshot's record frames.
+func (sn *snapshot) writeRecords(w *bufio.Writer) error {
+	for _, frame := range sn.frames {
+		if _, err := w.Write(frame); err != nil {
+			return err
+		}
+	}
+	if sn.ex == nil {
+		return nil
+	}
+	for i := range sn.ex.Sources {
+		if err := writeRecord(w, &wireRecord{Kind: kindSource, Src: &sn.ex.Sources[i]}); err != nil {
+			return err
+		}
+	}
+	for i := range sn.ex.Classifier {
+		if err := writeRecord(w, &wireRecord{Kind: kindClassifier, Cls: &sn.ex.Classifier[i]}); err != nil {
+			return err
+		}
+	}
+	for i := range sn.ex.Lineage {
+		if err := writeRecord(w, &wireRecord{Kind: kindLineage, Lin: &sn.ex.Lineage[i]}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // writeCheckpoint appends one committed evidence snapshot. The commit
 // mark echoes the opening mark's counts but not the sensors — the
 // decoder validates the group on seq and counts alone. Lineage ("lin")
@@ -181,25 +316,13 @@ func headerFor(ex *incident.EvidenceExport) *header {
 // mark declares their count and older decoders skip unknown kinds, so
 // segments with lineage remain readable by pre-lineage builds (which
 // simply drop the ancestry plane).
-func writeCheckpoint(w *bufio.Writer, seq uint64, ex *incident.EvidenceExport) error {
-	open := &checkpointMark{Seq: seq, Count: len(ex.Sources), Cls: len(ex.Classifier), Lin: len(ex.Lineage), Sensors: ex.Sensors}
+func writeCheckpoint(w *bufio.Writer, seq uint64, sn *snapshot) error {
+	open := &checkpointMark{Seq: seq, Count: sn.count, Cls: sn.cls, Lin: sn.lin, Sensors: sn.hdr.Sensors}
 	if err := writeRecord(w, &wireRecord{Kind: kindCheckpoint, Ckpt: open}); err != nil {
 		return err
 	}
-	for i := range ex.Sources {
-		if err := writeRecord(w, &wireRecord{Kind: kindSource, Src: &ex.Sources[i]}); err != nil {
-			return err
-		}
-	}
-	for i := range ex.Classifier {
-		if err := writeRecord(w, &wireRecord{Kind: kindClassifier, Cls: &ex.Classifier[i]}); err != nil {
-			return err
-		}
-	}
-	for i := range ex.Lineage {
-		if err := writeRecord(w, &wireRecord{Kind: kindLineage, Lin: &ex.Lineage[i]}); err != nil {
-			return err
-		}
+	if err := sn.writeRecords(w); err != nil {
+		return err
 	}
 	end := &checkpointMark{Seq: seq, Count: open.Count, Cls: open.Cls, Lin: open.Lin}
 	return writeRecord(w, &wireRecord{Kind: kindCommit, End: end})
@@ -209,29 +332,18 @@ func writeCheckpoint(w *bufio.Writer, seq uint64, ex *incident.EvidenceExport) e
 // header plus a single committed checkpoint.
 func WriteExport(w io.Writer, ex *incident.EvidenceExport) error {
 	bw := bufio.NewWriter(w)
-	if err := writeRecord(bw, &wireRecord{Kind: kindHeader, Hdr: headerFor(ex)}); err != nil {
+	sn := exportSnapshot(ex)
+	if err := writeRecord(bw, &wireRecord{Kind: kindHeader, Hdr: sn.hdr}); err != nil {
 		return err
 	}
-	if err := writeCheckpoint(bw, 1, ex); err != nil {
+	if err := writeCheckpoint(bw, 1, sn); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// ReadExport decodes a segment, returning the newest committed
-// checkpoint as an evidence export. Corruption or truncation after a
-// committed checkpoint is tolerated (the committed state is
-// returned); a segment with no committed checkpoint, a bad header, or
-// a version this build does not speak is an error.
-func ReadExport(r io.Reader) (*incident.EvidenceExport, error) {
-	br := bufio.NewReader(r)
-	rec, err := readRecord(br)
-	if err != nil {
-		if err == io.EOF {
-			return nil, errors.New("fed: empty segment")
-		}
-		return nil, err
-	}
+// checkHeader validates a segment's first record.
+func checkHeader(rec *wireRecord) (*header, error) {
 	if rec.Kind != kindHeader || rec.Hdr == nil {
 		return nil, fmt.Errorf("fed: segment does not start with a header (got %q)", rec.Kind)
 	}
@@ -251,6 +363,27 @@ func ReadExport(r io.Reader) (*incident.EvidenceExport, error) {
 		hdr.Limits.MaxFingerprints <= 0 || hdr.Limits.MaxVictims <= 0 {
 		return nil, fmt.Errorf("fed: header carries invalid correlation parameters (window=%d fanout=%d limits=%+v)",
 			hdr.WindowUS, hdr.FanoutThreshold, hdr.Limits)
+	}
+	return hdr, nil
+}
+
+// ReadExport decodes a segment, returning the newest committed
+// checkpoint as an evidence export. Corruption or truncation after a
+// committed checkpoint is tolerated (the committed state is
+// returned); a segment with no committed checkpoint, a bad header, or
+// a version this build does not speak is an error.
+func ReadExport(r io.Reader) (*incident.EvidenceExport, error) {
+	fr := &frameReader{br: bufio.NewReader(r)}
+	rec := &wireRecord{}
+	if err := fr.next(rec); err != nil {
+		if err == io.EOF {
+			return nil, errors.New("fed: empty segment")
+		}
+		return nil, err
+	}
+	hdr, err := checkHeader(rec)
+	if err != nil {
+		return nil, err
 	}
 
 	ex := &incident.EvidenceExport{
@@ -273,8 +406,7 @@ func ReadExport(r io.Reader) (*incident.EvidenceExport, error) {
 		open, pending, pendingCls, pendingLin = nil, nil, nil, nil
 	}
 	for {
-		rec, err := readRecord(br)
-		if err != nil {
+		if err := fr.next(rec); err != nil {
 			// Clean EOF between records ends the segment; anything else
 			// is a truncated tail — either way the newest committed
 			// checkpoint stands.

@@ -184,6 +184,10 @@ type Correlator struct {
 	subMu   sync.Mutex
 	subs    map[int]chan Incident
 	nextSub int
+
+	// track is set only on a Fold's merge state (nil on every other
+	// correlator; its methods accept nil).
+	track *foldTrack
 }
 
 // New builds and starts a correlator; its goroutine runs until Stop.
@@ -474,10 +478,27 @@ func (c *Correlator) escalate(attacker, victim netip.Addr, echoTS uint64) {
 	if c.maxTS > a.echoUS {
 		a.echoUS = c.maxTS
 	}
-	if a.propagationAt == 0 || echoTS < a.propagationAt {
+	// A Fold's merge state (track set) also wants to know whether the
+	// attacker's rendered evidence — the propagation instant, victim
+	// membership and earliest echoes — changed; nothing listens to it,
+	// so it skips the notify.
+	tracked := c.track != nil
+	var before span
+	var had bool
+	if tracked {
+		before, had = a.victims.get(victim)
+	}
+	moved := a.propagationAt == 0 || echoTS < a.propagationAt
+	if moved {
 		a.propagationAt = echoTS
 	}
 	a.victims.put(victim, echoTS, c.cfg.MaxVictims)
+	if tracked {
+		if after, has := a.victims.get(victim); moved || had != has || before.first != after.first {
+			c.track.changed(attacker)
+		}
+		return
+	}
 	c.notify(a)
 }
 
@@ -503,6 +524,12 @@ func (c *Correlator) source(src netip.Addr, ts uint64) *sourceState {
 		}
 		s.elem = c.lru.PushFront(s)
 		c.sources[src] = s
+		if rec := c.track.held(src); rec != nil {
+			// A Fold's merge state holds only the sources a merge
+			// touches: bring this one in from its rendered record.
+			c.foldRecord(s, rec)
+			c.touchLRU(s, rec.LastSeenUS)
+		}
 	}
 	c.touchLRU(s, ts)
 	return s

@@ -422,6 +422,14 @@ func (c *Correlator) Import(ex *EvidenceExport) error {
 // the corresponding live events.
 func (c *Correlator) importSource(rec *SourceEvidence) *sourceState {
 	s := c.source(rec.Src, rec.LastSeenUS)
+	c.track.changed(rec.Src)
+	c.foldRecord(s, rec)
+	return s
+}
+
+// foldRecord is importSource's fold of one record's evidence sets and
+// scalars into a source state (recency is source()'s business).
+func (c *Correlator) foldRecord(s *sourceState, rec *SourceEvidence) {
 	if rec.FirstUS > 0 {
 		s.touchContent(rec.FirstUS)
 	}
@@ -471,7 +479,6 @@ func (c *Correlator) importSource(rec *SourceEvidence) *sourceState {
 	for _, v := range rec.Victims {
 		s.victims.put(v.Addr, v.EchoUS, c.cfg.MaxVictims)
 	}
-	return s
 }
 
 // rederivePropagation re-runs the propagation check over one source's
@@ -484,6 +491,7 @@ func (c *Correlator) importSource(rec *SourceEvidence) *sourceState {
 // purely from victim-side evidence can name them. Called with mu
 // held.
 func (c *Correlator) rederivePropagation(v *sourceState) {
+	c.track.rederived(v.src)
 	for fp, refs := range v.targetedBy {
 		sp, ok := v.emitted.get(fp)
 		if !ok {
@@ -497,8 +505,15 @@ func (c *Correlator) rederivePropagation(v *sourceState) {
 					if a.sensors == nil {
 						a.sensors = make(map[string]bool, len(v.sensors))
 					}
+					grew := false
 					for sn := range v.sensors {
-						a.sensors[sn] = true
+						if !a.sensors[sn] {
+							a.sensors[sn] = true
+							grew = true
+						}
+					}
+					if grew {
+						c.track.provenanceGrew(a.src)
 					}
 				}
 			}
@@ -547,9 +562,8 @@ func newMergeState(ex *EvidenceExport) *Correlator {
 // guarantee is the correlator's own: byte-identical to a single
 // sensor that saw the whole trace, for evidence within the caps.
 func MergeExports(a, b *EvidenceExport) (*EvidenceExport, error) {
-	if a.WindowUS != b.WindowUS || a.FanoutThreshold != b.FanoutThreshold || a.Limits != b.Limits {
-		return nil, fmt.Errorf("incident: cannot merge exports with different correlation parameters: %d/%d/%+v vs %d/%d/%+v",
-			a.WindowUS, a.FanoutThreshold, a.Limits, b.WindowUS, b.FanoutThreshold, b.Limits)
+	if err := mergeable(a, b.WindowUS, b.FanoutThreshold, b.Limits); err != nil {
+		return nil, err
 	}
 	c := newMergeState(a)
 	if err := c.Import(a); err != nil {
@@ -565,6 +579,16 @@ func MergeExports(a, b *EvidenceExport) (*EvidenceExport, error) {
 	return merged, nil
 }
 
+// mergeable is the precondition of every merge: evidence gathered
+// under other correlation parameters does not fold into a's.
+func mergeable(a *EvidenceExport, windowUS uint64, fanout int, limits EvidenceLimits) error {
+	if a.WindowUS != windowUS || a.FanoutThreshold != fanout || a.Limits != limits {
+		return fmt.Errorf("incident: cannot merge exports with different correlation parameters: %d/%d/%+v vs %d/%d/%+v",
+			a.WindowUS, a.FanoutThreshold, a.Limits, windowUS, fanout, limits)
+	}
+	return nil
+}
+
 // exportMerged renders a merge correlator's state without stamping a
 // local sensor: provenance comes entirely from the merged records.
 func (c *Correlator) exportMerged() *EvidenceExport {
@@ -577,17 +601,23 @@ func (c *Correlator) exportMerged() *EvidenceExport {
 		Sources:         make([]SourceEvidence, 0, len(c.sources)),
 	}
 	for _, s := range c.sources {
-		rec := s.export("", c.cfg.WindowUS, c.cfg.FanoutThreshold)
-		// Drop the placeholder empty sensor; keep only real provenance.
-		rec.Sensors = rec.Sensors[:0]
-		for sn := range s.sensors {
-			rec.Sensors = append(rec.Sensors, sn)
-		}
-		sort.Strings(rec.Sensors)
-		ex.Sources = append(ex.Sources, rec)
+		ex.Sources = append(ex.Sources, c.renderMerged(s))
 	}
 	sort.Slice(ex.Sources, func(i, j int) bool { return ex.Sources[i].Src.Less(ex.Sources[j].Src) })
 	return ex
+}
+
+// renderMerged renders one source of a merge correlator: provenance is
+// the record's own sensor set, with no local sensor stamped.
+func (c *Correlator) renderMerged(s *sourceState) SourceEvidence {
+	rec := s.export("", c.cfg.WindowUS, c.cfg.FanoutThreshold)
+	// Drop the placeholder empty sensor; keep only real provenance.
+	rec.Sensors = rec.Sensors[:0]
+	for sn := range s.sensors {
+		rec.Sensors = append(rec.Sensors, sn)
+	}
+	sort.Strings(rec.Sensors)
+	return rec
 }
 
 func unionSensors(a, b []string) []string {

@@ -25,6 +25,7 @@ package lineage
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -326,3 +327,65 @@ func Merge(a, b []Observation) []Observation {
 	}
 	return out
 }
+
+// Set is Merge kept live: the keyed observation set a chain of Merge
+// calls rebuilds from scratch each time, folded one observation at a
+// time so a long-lived federated state pays only for what arrives.
+// Folding the observations of b into a Set that holds a, then Trim,
+// leaves exactly Merge(a, b). Not safe for concurrent use.
+type Set struct {
+	obs map[core.Fingerprint]*Observation
+}
+
+// NewSet returns an empty set.
+func NewSet() *Set { return &Set{obs: make(map[core.Fingerprint]*Observation)} }
+
+// Get returns the folded observation for one exact fingerprint. The
+// returned value shares no mutable memory with the set: sensor sets
+// are replaced, never appended to in place.
+func (s *Set) Get(exact core.Fingerprint) (Observation, bool) {
+	o, ok := s.obs[exact]
+	if !ok {
+		return Observation{}, false
+	}
+	return *o, true
+}
+
+// Fold merges one observation and reports whether the set changed.
+func (s *Set) Fold(o *Observation) bool {
+	cur, ok := s.obs[o.Exact]
+	if !ok {
+		cp := *o
+		cp.Sensors = append([]string(nil), o.Sensors...)
+		s.obs[o.Exact] = &cp
+		return true
+	}
+	before := *cur
+	foldInto(cur, o)
+	return cur.FirstUS != before.FirstUS || cur.Src != before.Src || cur.Dst != before.Dst ||
+		cur.Tail != before.Tail || cur.TemplateSym != before.TemplateSym || cur.StmtsSym != before.StmtsSym ||
+		!slices.Equal(cur.Sensors, before.Sensors)
+}
+
+// Trim enforces MergeCap the way Merge does — the smallest witnesses
+// stay — and returns the fingerprints it dropped.
+func (s *Set) Trim() []core.Fingerprint {
+	if len(s.obs) <= MergeCap {
+		return nil
+	}
+	all := make([]*Observation, 0, len(s.obs))
+	for _, o := range s.obs {
+		all = append(all, o)
+	}
+	sort.Slice(all, func(i, j int) bool { return witnessLess(all[i], all[j]) })
+	dropped := make([]core.Fingerprint, 0, len(all)-MergeCap)
+	for _, o := range all[MergeCap:] {
+		dropped = append(dropped, o.Exact)
+		delete(s.obs, o.Exact)
+	}
+	return dropped
+}
+
+// Less is the canonical export order of observations (earliest
+// witness first), the order Merge and Store.Export sort under.
+func Less(a, b *Observation) bool { return witnessLess(a, b) }

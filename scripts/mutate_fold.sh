@@ -1,0 +1,52 @@
+#!/usr/bin/env bash
+# Mutation check for the aggregator's live fold (DESIGN 10, "Live
+# fold"): each mutant below removes one thing the differential suite
+# (TestFoldDifferential, internal/fed/transport) exists to notice, in a
+# scratch copy of the tree, and the suite must fail on it. A mutant
+# that survives, or an anchor line that no longer matches, fails the
+# script.
+#
+#   bash scripts/mutate_fold.sh
+set -euo pipefail
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+(cd "$root" && tar --exclude=.git --exclude=.bench_build --exclude=bench -cf - .) | tar -xf - -C "$work"
+
+# mutant NAME FILE SED-EXPRESSION
+mutant() {
+	local name="$1" file="$work/$2" expr="$3"
+	cp "$file" "$file.orig"
+	sed -i "$expr" "$file"
+	if cmp -s "$file" "$file.orig"; then
+		echo "mutate_fold: $name: anchor not found in $2" >&2
+		exit 1
+	fi
+	if (cd "$work" && go test -count=1 -run 'TestFoldDifferential' ./internal/fed/transport/ >"$work/out.txt" 2>&1); then
+		echo "mutate_fold: $name: the differential suite passed on the mutant" >&2
+		exit 1
+	fi
+	if ! grep -q -- '--- FAIL: TestFoldDifferential' "$work/out.txt"; then
+		echo "mutate_fold: $name: the mutant did not build or the suite did not run:" >&2
+		cat "$work/out.txt" >&2
+		exit 1
+	fi
+	echo "mutate_fold: $name: killed"
+	mv "$file.orig" "$file"
+}
+
+# An attacker escalated by another sensor's victim evidence is not
+# marked changed, so its cached record and frame go stale.
+mutant "escalate without dirty-marking" internal/incident/correlator.go \
+	's/^\t\t\tc\.track\.changed(attacker)$/\t\t\t_ = attacker/'
+
+# A changed source keeps the frame it was first encoded with, so the
+# checkpoint on disk lags the state.
+mutant "dirty record not re-encoded" internal/fed/state.go \
+	's/^\t\tst\.src\.set(src, src, \(.*\))$/\t\tif st.src.byKey[src] == nil { st.src.set(src, src, \1) }/'
+
+# Frames enter the memo when decoded, before the push is accepted, so
+# a refused push makes its frames look folded.
+mutant "memo filled before the commit" internal/fed/state.go \
+	's/^\tif st\.fold != nil {$/\tst.remember(in.keys)\n&/'

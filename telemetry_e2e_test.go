@@ -97,6 +97,9 @@ func TestTelemetryEndToEndFederatedWorm(t *testing.T) {
 		"semnids_agg_received_total",
 		"semnids_agg_merged_total",
 		"semnids_agg_push_fold_ns",
+		"semnids_agg_fold_frames_total", // the live fold: folded / skipped frames,
+		"semnids_agg_fold_records_reencoded_total",
+		"semnids_agg_fold_memo_entries",
 		"semnids_sink_checkpoints_total", // the aggregator's own sink shares the registry
 	} {
 		if !strings.Contains(aggExpo, series) {
