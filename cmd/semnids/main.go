@@ -338,8 +338,8 @@ func run() int {
 		}
 	}
 	m := e.Stats()
-	fmt.Printf("\npackets=%d selected=%d dropped=%d streams=%d frames=%d frame-bytes=%d alerts=%d\n",
-		m.Packets, m.Selected, m.Dropped, m.StreamsAnalyzed, m.Frames, m.FrameBytes, m.Alerts)
+	fmt.Printf("\npackets=%d selected=%d dropped=%d unparsed=%d streams=%d frames=%d frame-bytes=%d alerts=%d\n",
+		m.Packets, m.Selected, m.Dropped, m.Unparsed, m.StreamsAnalyzed, m.Frames, m.FrameBytes, m.Alerts)
 	fmt.Printf("cache-hits=%d cache-misses=%d cache-rejected=%d evicted-idle=%d evicted-lru=%d sweep-starts=%d sweep-starts-lifted=%d\n",
 		m.CacheHits, m.CacheMisses, m.CacheRejected, m.FlowsEvictedIdle, m.FlowsEvictedLRU, m.SweepStarts, m.SweepStartsLifted)
 	if *stats {

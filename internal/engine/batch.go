@@ -7,26 +7,35 @@ import (
 	"semnids/internal/netpkt"
 )
 
-// batchEntry is one selected packet riding a dispatch batch.
+// batchEntry is one selected packet riding a dispatch batch: the
+// batch's own copy, header by value, Payload a slice of its arena.
 type batchEntry struct {
-	pkt    *netpkt.Packet
+	pkt    netpkt.Packet
 	reason classify.Reason
 }
 
-// pktBatch is one unit of shard dispatch: up to batchCap selected
-// packets handed over in a single channel send. Batch buffers live in
-// a fixed ring per shard (the free channel) and shuttle between feeder
-// and shard, so steady-state dispatch performs no allocation — and,
-// far more importantly, one channel handoff (with its potential
-// futex wake) covers a whole batch instead of every packet.
+// batchArenaBytes bounds the payload bytes one batch carries: the arena
+// is allocated once at this size and never grows under a slot that
+// points into it. Full-MTU segments cross 11 to a batch, which measured
+// no slower; at 32 and 64 KiB, one fresh engine per capture raised a
+// 27 MB process's peak RSS by 7 and 10 MB.
+const batchArenaBytes = 16 << 10
+
+// pktBatch is one unit of shard dispatch: up to BatchSize selected
+// packets and batchArenaBytes of payload in a single channel send, so
+// one handoff (with its potential futex wake) covers a whole batch. The
+// feeder copies the packets that pass classification into the batch,
+// which owns them from then on: the shard works on &entries[i].pkt, and
+// recycling a batch is truncating its two slices. Batches shuttle
+// between feeder and shard through a ring per shard (the free channel),
+// so steady-state dispatch does not allocate.
 type pktBatch struct {
 	entries []batchEntry
+	arena   []byte
 
 	// created is stamped when the batch receives its first packet and
 	// read by the shard after the last packet is analyzed — the
-	// ingest→verdict latency series at one clock read per batch,
-	// amortizing the wall-clock cost the hot path would otherwise pay
-	// per packet.
+	// ingest→verdict latency series at one clock read per batch.
 	created time.Time
 }
 
@@ -44,7 +53,8 @@ type pktBatch struct {
 // cross-feeder completion.
 type Feeder struct {
 	e           *Engine
-	pending     []*pktBatch // per shard; nil when empty
+	pkt         netpkt.Packet // ProcessFrame's parse target, reused
+	pending     []*pktBatch   // per shard; nil when empty
 	maxTS       uint64
 	lastFlushTS uint64
 }
@@ -57,19 +67,36 @@ func (e *Engine) NewFeeder() *Feeder {
 	return &Feeder{e: e, pending: make([]*pktBatch, len(e.shards))}
 }
 
-// Process offers one parsed packet to the engine, which takes
-// ownership of it (pooled packets are released once fully handled,
-// whatever path they take). Packets offered after Stop are ignored.
+// ProcessFrame parses one raw Ethernet frame into the feeder's reused
+// packet and offers it; a frame the parser rejects is counted
+// (Metrics.Unparsed) and its error returned. frame is only borrowed.
+func (f *Feeder) ProcessFrame(frame []byte, tsUS uint64) error {
+	if err := netpkt.ParseInto(&f.pkt, frame); err != nil {
+		if !f.e.stopped.Load() {
+			f.e.m.unparsed.Add(1)
+		}
+		return err
+	}
+	f.pkt.TimestampUS = tsUS
+	f.Process(&f.pkt)
+	return nil
+}
+
+// Process offers one parsed packet to the engine, which consumes it:
+// p and its payload are only read during the call (a packet that passes
+// classification is copied into the batch it rides) and p is released
+// before Process returns, a no-op unless p was drawn from a pool — the
+// caller may reuse or scribble both at once.
+// Packets offered after Stop are ignored.
 func (f *Feeder) Process(p *netpkt.Packet) {
+	defer p.Release()
 	e := f.e
 	if e.stopped.Load() {
-		p.Release()
 		return
 	}
 	e.m.packets.Add(1)
 	ok, reason := e.classifier.Classify(p)
 	if !ok {
-		p.Release()
 		return
 	}
 	e.m.selected.Add(1)
@@ -90,19 +117,22 @@ func (f *Feeder) Process(p *netpkt.Packet) {
 	si := shardIndex(k, len(e.shards))
 	s := e.shards[si]
 	b := f.pending[si]
+	if b != nil && !b.fits(len(p.Payload)) {
+		f.dispatch(si)
+		b = nil
+	}
 	if b == nil {
 		if b = s.getBatch(e.cfg.Overload); b == nil {
 			// Shed policy with every batch buffer in flight: the shard
 			// is saturated and its queue full.
 			e.m.dropped.Add(1)
-			p.Release()
 			return
 		}
 		b.created = time.Now()
 		f.pending[si] = b
 	}
-	b.entries = append(b.entries, batchEntry{pkt: p, reason: reason})
-	if len(b.entries) >= s.batchCap {
+	b.add(p, reason)
+	if len(b.entries) == cap(b.entries) {
 		f.dispatch(si)
 	}
 
@@ -114,9 +144,25 @@ func (f *Feeder) Process(p *netpkt.Packet) {
 	}
 }
 
+// fits reports whether the batch has a slot and arena room for one
+// more packet with n payload bytes. An empty batch takes any packet: a
+// payload above the arena bound rides alone, in an arena append grows.
+func (b *pktBatch) fits(n int) bool {
+	return len(b.entries) == 0 || len(b.entries) < cap(b.entries) && len(b.arena)+n <= cap(b.arena)
+}
+
+// add copies p into the batch's next slot and its payload into the
+// arena. The caller has checked fits.
+func (b *pktBatch) add(p *netpkt.Packet, reason classify.Reason) {
+	start := len(b.arena)
+	b.arena = append(b.arena, p.Payload...)
+	b.entries = append(b.entries, batchEntry{reason: reason})
+	p.CopyTo(&b.entries[len(b.entries)-1].pkt, b.arena[start:])
+}
+
 // dispatch sends shard si's pending batch. Under the shed policy a
 // full queue drops the whole batch (counted per packet) rather than
-// blocking the feeder. After Stop the batch is released instead of
+// blocking the feeder. After Stop the batch is recycled instead of
 // sent (the shard queues are closed), so a straggling feeder's Flush
 // is safe rather than a panic.
 func (f *Feeder) dispatch(si int) {
@@ -126,33 +172,23 @@ func (f *Feeder) dispatch(si int) {
 	}
 	f.pending[si] = nil
 	s := f.e.shards[si]
-	if len(b.entries) == 0 {
-		s.putBatch(b)
-		return
-	}
-	if f.e.stopped.Load() {
-		releaseBatch(b)
+	if len(b.entries) == 0 || f.e.stopped.Load() {
 		s.putBatch(b)
 		return
 	}
 	// Count the packets as queued before the send so the gauge never
 	// misses in-queue work (the shard decrements after processing).
 	s.queued.Add(int64(len(b.entries)))
-	if f.e.cfg.Overload == PolicyShed {
-		select {
-		case s.in <- shardMsg{batch: b}:
-		default:
-			s.queued.Add(-int64(len(b.entries)))
-			f.e.m.dropped.Add(uint64(len(b.entries)))
-			releaseBatch(b)
-			s.putBatch(b)
-		}
-		return
-	}
 	select {
 	case s.in <- shardMsg{batch: b}:
 		// Fast path: queue had room, no backpressure to record.
 	default:
+		if f.e.cfg.Overload == PolicyShed {
+			s.queued.Add(-int64(len(b.entries)))
+			f.e.m.dropped.Add(uint64(len(b.entries)))
+			s.putBatch(b)
+			return
+		}
 		t0 := time.Now()
 		s.in <- shardMsg{batch: b}
 		f.e.tel.dispatchWaitNS.Observe(time.Since(t0).Nanoseconds())
@@ -167,25 +203,13 @@ func (f *Feeder) Flush() {
 	f.lastFlushTS = f.maxTS
 }
 
-// releaseBatch releases every packet in a dropped batch and resets it.
-func releaseBatch(b *pktBatch) {
-	for i := range b.entries {
-		b.entries[i].pkt.Release()
-		b.entries[i] = batchEntry{}
-	}
-	b.entries = b.entries[:0]
-}
-
-// getBatch draws a batch buffer from the shard's ring. An exhausted
-// ring means every buffer is queued, in processing, or pending on
-// some feeder: under the block policy an overflow buffer is allocated
-// (backpressure comes from the bounded queue send, and the ring
-// simply declines to grow at putBatch). Under shed an empty ring
-// alone is not overload — other feeders may simply be holding partial
-// batches — so a buffer is still allocated while the queue has room,
-// and only an empty ring WITH a full queue (genuine saturation) makes
-// the caller drop. Memory stays bounded either way: allocation stops
-// the moment the queue fills, and overload itself never allocates.
+// getBatch draws a batch buffer from the shard's ring, or allocates
+// one when the ring is empty: every buffer is in flight, or traffic has
+// not needed this many yet. Backpressure comes from the bounded queue
+// send, and the ring declines to grow at putBatch. Under shed an empty
+// ring alone is not overload — other feeders may be holding partial
+// batches — so only an empty ring WITH a full queue makes the caller
+// drop: allocation stops the moment the queue fills.
 func (s *shard) getBatch(policy OverloadPolicy) *pktBatch {
 	select {
 	case b := <-s.free:
@@ -195,14 +219,19 @@ func (s *shard) getBatch(policy OverloadPolicy) *pktBatch {
 	if policy == PolicyShed && len(s.in) >= cap(s.in) {
 		return nil
 	}
-	return &pktBatch{entries: make([]batchEntry, 0, s.batchCap)}
+	return &pktBatch{entries: make([]batchEntry, 0, s.eng.cfg.BatchSize), arena: make([]byte, 0, batchArenaBytes)}
 }
 
-// putBatch returns a processed (or dropped) batch buffer to the ring.
+// putBatch empties a processed (or dropped) batch buffer and returns it
+// to the ring — unless the ring is full (an overflow buffer) or the
+// arena grew for an oversized payload: those are let go.
 func (s *shard) putBatch(b *pktBatch) {
+	if cap(b.arena) > batchArenaBytes {
+		return
+	}
+	b.entries, b.arena = b.entries[:0], b.arena[:0]
 	select {
 	case s.free <- b:
 	default:
-		// The ring is full (an overflow buffer): let it go.
 	}
 }

@@ -25,6 +25,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"math"
 	"runtime"
 	"strconv"
@@ -169,8 +170,10 @@ type Config struct {
 // Metrics is a snapshot of engine counters and gauges.
 type Metrics struct {
 	// Packets offered to the engine; Selected passed classification;
-	// Dropped were shed under overload (PolicyShed only).
-	Packets, Selected, Dropped uint64
+	// Dropped were shed under overload (PolicyShed only). Unparsed
+	// frames never became packets: frames read = Unparsed + Packets,
+	// and Packets − Selected is what classification filtered.
+	Packets, Selected, Dropped, Unparsed uint64
 
 	// StreamsAnalyzed counts stream views (TCP stream prefixes,
 	// datagram-flow buffers, lone datagram payloads) handed to
@@ -262,6 +265,7 @@ type Engine struct {
 
 	m struct {
 		packets, selected, dropped          atomic.Uint64
+		unparsed                            atomic.Uint64
 		streams, frames, frameBytes, alerts atomic.Uint64
 		cacheHits, cacheMisses              atomic.Uint64
 		evictedIdle, evictedLRU             atomic.Uint64
@@ -374,6 +378,7 @@ func (e *Engine) registerTelemetry() {
 	cf("semnids_engine_packets_total", "Packets offered to the engine.", &e.m.packets)
 	cf("semnids_engine_selected_total", "Packets passing classification into shard analysis.", &e.m.selected)
 	cf("semnids_engine_dropped_total", "Packets shed under overload (PolicyShed).", &e.m.dropped)
+	cf("semnids_engine_unparsed_frames_total", "Frames the packet parser rejected (never offered as packets).", &e.m.unparsed)
 	cf("semnids_engine_streams_analyzed_total", "Stream views handed to extraction+analysis.", &e.m.streams)
 	cf("semnids_engine_frames_total", "Frames extracted and resolved.", &e.m.frames)
 	cf("semnids_engine_frame_bytes_total", "Bytes across resolved frames.", &e.m.frameBytes)
@@ -460,28 +465,24 @@ func (e *Engine) Classifier() *classify.Classifier { return e.classifier }
 // after defaulting).
 func (e *Engine) SensorID() string { return e.cfg.SensorID }
 
-// FlowHash maps a directional flow key to a bucket in [0, n) with an
-// FNV-1a hash — the engine's shard-ownership function, exported so
-// parallel capture loops can partition packets across Feeders with
-// the same flow affinity the shards use.
+// FlowHash maps a directional flow key to a bucket in [0, n) — the
+// engine's shard-ownership function, exported so parallel capture
+// loops can partition packets across Feeders with the same flow
+// affinity the shards use. The key is mixed five 64-bit words at a
+// time, a multiply and a fold each, and finished so n sees every bit.
 func FlowHash(k netpkt.FlowKey, n int) int {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(b byte) {
-		h = (h ^ uint64(b)) * prime
-	}
+	const m = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
 	src, dst := k.SrcIP.As16(), k.DstIP.As16()
-	for _, b := range src {
-		mix(b)
+	h := uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto)
+	for _, w := range [4]uint64{
+		binary.LittleEndian.Uint64(src[:8]), binary.LittleEndian.Uint64(src[8:]),
+		binary.LittleEndian.Uint64(dst[:8]), binary.LittleEndian.Uint64(dst[8:]),
+	} {
+		h = (h ^ w) * m
+		h ^= h >> 32
 	}
-	for _, b := range dst {
-		mix(b)
-	}
-	mix(byte(k.SrcPort >> 8))
-	mix(byte(k.SrcPort))
-	mix(byte(k.DstPort >> 8))
-	mix(byte(k.DstPort))
-	mix(k.Proto)
+	h *= m
+	h ^= h >> 29
 	return int(h % uint64(n))
 }
 
@@ -494,15 +495,22 @@ func shardIndex(k netpkt.FlowKey, n int) int {
 	return FlowHash(k, n)
 }
 
-// Process offers one parsed packet to the engine, which takes
-// ownership of it (pooled packets are released once fully handled).
-// Call from a single goroutine (the capture or replay loop) — or use
-// per-goroutine Feeders from NewFeeder for parallel ingestion.
-// Packets offered after Stop are ignored.
+// Process offers one parsed packet to the engine, which consumes it
+// (see Feeder.Process). Call from a single goroutine (the capture or
+// replay loop) — or use per-goroutine Feeders from NewFeeder for
+// parallel ingestion. Packets offered after Stop are ignored.
 func (e *Engine) Process(p *netpkt.Packet) {
 	e.feedMu.Lock()
 	e.feeder.Process(p)
 	e.feedMu.Unlock()
+}
+
+// ProcessFrame offers one raw Ethernet frame through the default
+// feeder (see Feeder.ProcessFrame): the capture loop's entry point.
+func (e *Engine) ProcessFrame(frame []byte, tsUS uint64) error {
+	e.feedMu.Lock()
+	defer e.feedMu.Unlock()
+	return e.feeder.ProcessFrame(frame, tsUS)
 }
 
 // Drain dispatches the default feeder's buffered batches, waits for
@@ -532,7 +540,7 @@ func (e *Engine) Drain() {
 // remaining flow tails, and terminates the shard goroutines.
 // Idempotent and safe to call concurrently with alert and metric
 // reads. Feeders created with NewFeeder must not be fed during Stop
-// (their Flush afterwards is safe: batches are released, not sent).
+// (their Flush afterwards is safe: batches are recycled, not sent).
 func (e *Engine) Stop() {
 	e.stopOnce.Do(func() {
 		e.feedMu.Lock()
@@ -564,6 +572,7 @@ func (e *Engine) Snapshot() Metrics {
 		Packets:             e.m.packets.Load(),
 		Selected:            e.m.selected.Load(),
 		Dropped:             e.m.dropped.Load(),
+		Unparsed:            e.m.unparsed.Load(),
 		StreamsAnalyzed:     e.m.streams.Load(),
 		Frames:              e.m.frames.Load(),
 		FrameBytes:          e.m.frameBytes.Load(),

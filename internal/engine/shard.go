@@ -29,11 +29,6 @@ type ctl struct {
 	wg *sync.WaitGroup
 }
 
-type flowInfo struct {
-	reason classify.Reason
-	ts     uint64
-}
-
 type alertKey struct {
 	flow     netpkt.FlowKey
 	template string
@@ -48,20 +43,19 @@ type shard struct {
 	in   chan shardMsg
 	done chan struct{}
 
-	// batchCap is the dispatch granularity; free is the ring of batch
-	// buffers shuttling between feeders and this shard. queued counts
+	// free is the ring of batch buffers (cfg.BatchSize packets each)
+	// shuttling between feeders and this shard. queued counts
 	// the packets currently enqueued or being processed exactly:
 	// incremented per batch before the send, decremented per packet as
 	// each is analyzed, so readers see true occupancy (never negative,
 	// never overstated by a whole in-progress batch).
-	batchCap int
-	free     chan *pktBatch
-	queued   atomic.Int64
+	free   chan *pktBatch
+	queued atomic.Int64
 
-	asm          *reasm.Assembler
-	lastAnalyzed map[netpkt.FlowKey]int
-	meta         map[netpkt.FlowKey]flowInfo
-	seen         map[alertKey]bool
+	// asm's flow records carry this shard's per-flow side state too
+	// (reasm.FlowState), so a packet costs one flow lookup, asm's own.
+	asm  *reasm.Assembler
+	seen map[alertKey]bool
 
 	// dgramSeen deduplicates flow-open events for untracked datagram
 	// traffic (DatagramFlows off): one event per conversation
@@ -92,36 +86,26 @@ type shard struct {
 const maxDgramSeen = 1 << 16
 
 func newShard(e *Engine, id int) *shard {
-	batchCap := e.cfg.BatchSize
-	queueBatches := e.cfg.QueueDepth / batchCap
+	queueBatches := e.cfg.QueueDepth / e.cfg.BatchSize
 	if queueBatches < 1 {
 		queueBatches = 1
 	}
 	s := &shard{
-		eng:          e,
-		id:           id,
-		in:           make(chan shardMsg, queueBatches),
-		done:         make(chan struct{}),
-		batchCap:     batchCap,
-		free:         make(chan *pktBatch, queueBatches+2),
-		asm:          reasm.New(),
-		lastAnalyzed: make(map[netpkt.FlowKey]int),
-		meta:         make(map[netpkt.FlowKey]flowInfo),
-		seen:         make(map[alertKey]bool),
-		dgramSeen:    make(map[netpkt.FlowKey]uint64),
-	}
-	for i := 0; i < cap(s.free); i++ {
-		s.free <- &pktBatch{entries: make([]batchEntry, 0, batchCap)}
+		eng:       e,
+		id:        id,
+		in:        make(chan shardMsg, queueBatches),
+		done:      make(chan struct{}),
+		free:      make(chan *pktBatch, queueBatches+2),
+		asm:       reasm.New(),
+		seen:      make(map[alertKey]bool),
+		dgramSeen: make(map[netpkt.FlowKey]uint64),
 	}
 	// Evicted flows (idle, over-budget, or reassembler capacity) get
-	// their unanalyzed tail analyzed and their side state released —
-	// eviction bounds memory, it never silently discards evidence.
-	// Analysis here is synchronous, so the stream buffer goes straight
-	// back to the assembler's pool.
+	// their unanalyzed tail analyzed — eviction bounds memory, it never
+	// silently discards evidence. Analysis here is synchronous, so the
+	// stream buffer goes straight back to the assembler's pool.
 	s.asm.SetEvictHandler(func(st *reasm.Stream) {
 		s.analyzeTail(st)
-		delete(s.lastAnalyzed, st.Key)
-		delete(s.meta, st.Key)
 		if tap := e.cfg.OnEvent; tap != nil {
 			tap(flowEvent(core.EventFlowEvict, s.maxTS, st.Key))
 		}
@@ -142,16 +126,13 @@ func (s *shard) run() {
 		}
 		for i := range msg.batch.entries {
 			en := &msg.batch.entries[i]
-			s.handle(en.pkt, en.reason)
-			en.pkt.Release()
-			*en = batchEntry{}
+			s.handle(&en.pkt, en.reason)
 			// Decrement per packet, not per batch: the queue gauge
 			// then counts exactly the packets not yet analyzed, even
 			// mid-batch, and can never undershoot past zero.
 			s.queued.Add(-1)
 		}
 		s.eng.tel.ingestNS.Observe(time.Since(msg.batch.created).Nanoseconds())
-		msg.batch.entries = msg.batch.entries[:0]
 		s.putBatch(msg.batch)
 		s.publishGauges()
 	}
@@ -186,13 +167,8 @@ func (s *shard) handle(p *netpkt.Packet, reason classify.Reason) {
 	}
 
 	flow := p.Flow()
-	if s.eng.cfg.OnEvent != nil {
-		if _, tracked := s.meta[flow]; !tracked {
-			s.tapFlowOpen(flow, p.TimestampUS)
-		}
-	}
-	s.meta[flow] = flowInfo{reason: reason, ts: p.TimestampUS}
 	stream := s.asm.Feed(p)
+	fl := s.track(flow, reason, p.TimestampUS)
 	if stream == nil {
 		return
 	}
@@ -200,10 +176,10 @@ func (s *shard) handle(p *netpkt.Packet, reason classify.Reason) {
 		// A LastWins retransmission changed already-analyzed bytes:
 		// the analyzed-prefix watermark no longer describes the
 		// stream's content, so analysis must start over.
-		delete(s.lastAnalyzed, flow)
+		fl.Analyzed = 0
 	}
-	if core.ShouldAnalyze(stream.Finished, len(stream.Data), s.lastAnalyzed[flow], s.eng.cfg.MinAnalyzeBytes) {
-		s.lastAnalyzed[flow] = len(stream.Data)
+	if core.ShouldAnalyze(stream.Finished, len(stream.Data), fl.Analyzed, s.eng.cfg.MinAnalyzeBytes) {
+		fl.Analyzed = len(stream.Data)
 		s.analyze(stream.Data, nil, flow, reason, p.TimestampUS)
 	}
 	if stream.Finished {
@@ -212,9 +188,20 @@ func (s *shard) handle(p *netpkt.Packet, reason classify.Reason) {
 		if closed := s.asm.Close(flow); closed != nil {
 			s.asm.Recycle(closed.Data)
 		}
-		delete(s.lastAnalyzed, flow)
-		delete(s.meta, flow)
 	}
+}
+
+// track notes the packet just fed on its flow's record (a tail
+// analysis is attributed to the latest) and publishes flow-open when
+// the record is new: once per tracked flow, again after an eviction.
+func (s *shard) track(flow netpkt.FlowKey, reason classify.Reason, ts uint64) *reasm.FlowState {
+	fl := s.asm.Touched()
+	if !fl.Opened {
+		fl.Opened = true
+		s.tapFlowOpen(flow, ts)
+	}
+	fl.Reason, fl.LastTS = string(reason), ts
+	return fl
 }
 
 // handleDatagram is the non-TCP arm of handle. Without datagram flows
@@ -223,8 +210,7 @@ func (s *shard) handle(p *netpkt.Packet, reason classify.Reason) {
 // direction per idle window (dgramSeen), not once per datagram. With
 // datagram flows on, the payload joins its flow's idle-windowed buffer
 // (boundaries preserved) and is swept like a TCP stream; flow-open
-// then follows the TCP discipline — once per tracked flow, re-emitted
-// after eviction, because eviction deletes the meta entry.
+// then follows the TCP discipline (track).
 func (s *shard) handleDatagram(p *netpkt.Packet, reason classify.Reason) {
 	if len(p.Payload) == 0 {
 		return
@@ -243,18 +229,13 @@ func (s *shard) handleDatagram(p *netpkt.Packet, reason classify.Reason) {
 		s.analyze(p.Payload, nil, flow, reason, p.TimestampUS)
 		return
 	}
-	if s.eng.cfg.OnEvent != nil {
-		if _, tracked := s.meta[flow]; !tracked {
-			s.tapFlowOpen(flow, p.TimestampUS)
-		}
-	}
-	s.meta[flow] = flowInfo{reason: reason, ts: p.TimestampUS}
 	stream := s.asm.FeedDatagram(flow, p.Payload, p.TimestampUS)
+	fl := s.track(flow, reason, p.TimestampUS)
 	if stream == nil {
 		return
 	}
-	if core.ShouldAnalyze(false, len(stream.Data), s.lastAnalyzed[flow], s.eng.cfg.MinAnalyzeBytes) {
-		s.lastAnalyzed[flow] = len(stream.Data)
+	if core.ShouldAnalyze(false, len(stream.Data), fl.Analyzed, s.eng.cfg.MinAnalyzeBytes) {
+		fl.Analyzed = len(stream.Data)
 		s.analyze(stream.Data, stream.Bounds, flow, reason, p.TimestampUS)
 	}
 }
@@ -336,8 +317,6 @@ func (s *shard) flushFlows() {
 		s.analyzeTail(st)
 		s.asm.Recycle(st.Data)
 	}
-	clear(s.lastAnalyzed)
-	clear(s.meta)
 	clear(s.seen)
 	clear(s.dgramSeen)
 }
@@ -345,9 +324,8 @@ func (s *shard) flushFlows() {
 // analyzeTail analyzes whatever a departing flow (evicted or drained)
 // still holds past its last analysis.
 func (s *shard) analyzeTail(st *reasm.Stream) {
-	if len(st.Data) > s.lastAnalyzed[st.Key] {
-		info := s.meta[st.Key]
-		s.analyze(st.Data, st.Bounds, st.Key, info.reason, info.ts)
+	if fl := st.Flow; len(st.Data) > fl.Analyzed {
+		s.analyze(st.Data, st.Bounds, st.Key, classify.Reason(fl.Reason), fl.LastTS)
 	}
 }
 

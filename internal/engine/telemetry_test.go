@@ -59,6 +59,7 @@ func TestEngineTelemetryAllocFree(t *testing.T) {
 	expo := sb.String()
 	for _, series := range []string{
 		"semnids_engine_packets_total",
+		"semnids_engine_unparsed_frames_total",
 		"semnids_engine_shard_queue_depth{shard=\"0\"}",
 		"semnids_engine_ingest_latency_ns_count",
 		"semnids_analyzer_frame_ns_count",

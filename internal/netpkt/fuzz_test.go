@@ -3,6 +3,7 @@ package netpkt
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"testing"
 )
 
@@ -24,8 +25,30 @@ func FuzzParse(f *testing.F) {
 	f.Add(uf)
 	f.Add(uf[:len(uf)-9]) // snaplen-clipped datagram: truncated-prefix path
 	f.Add([]byte{})
+	// reused is parsed into again and again, as a capture loop does. It
+	// starts out with every field set, and whatever it holds from the
+	// frame before, nothing of that may show after the next parse.
+	reused := Packet{
+		SrcMAC: MAC{1, 2, 3, 4, 5, 6}, DstMAC: MAC{6, 5, 4, 3, 2, 1}, EtherType: EtherTypeIPv4,
+		SrcIP: mustAddr("192.0.2.1"), DstIP: mustAddr("192.0.2.2"), Proto: ProtoTCP, TTL: 9, IPID: 9,
+		HasTCP: true, HasUDP: true, SrcPort: 9, DstPort: 9, Seq: 9, Ack: 9, Flags: 0xff, Window: 9,
+		Payload: []byte("stale"), Truncated: true, TimestampUS: 9,
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		pkt, err := Parse(b)
+		if rerr := ParseInto(&reused, b); rerr != err {
+			t.Fatalf("ParseInto: %v, Parse: %v", rerr, err)
+		}
+		if err != nil {
+			// What a failed parse leaves behind is the fresh struct's
+			// partial decode, never the previous packet.
+			var fresh Packet
+			_ = ParseInto(&fresh, b)
+			pkt = &fresh
+		}
+		if !reflect.DeepEqual(reused, *pkt) {
+			t.Fatalf("reused struct differs from a fresh parse:\n reused %+v\n fresh  %+v", reused, *pkt)
+		}
 		if err != nil {
 			return
 		}

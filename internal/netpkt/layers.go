@@ -238,15 +238,20 @@ func (p *Packet) Serialize() []byte {
 // TCP/UDP are returned with the raw IP payload.
 func Parse(frame []byte) (*Packet, error) {
 	p := &Packet{}
-	if err := parseInto(p, frame); err != nil {
+	if err := ParseInto(p, frame); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// parseInto is Parse decoding into caller-provided (typically pooled)
-// storage. Layer fields are overwritten; pooling state is preserved.
-func parseInto(p *Packet, frame []byte) error {
+// ParseInto is Parse decoding into caller-provided storage: a capture
+// loop parses every frame into one reused Packet. Every layer field and
+// the timestamp are reset first, so nothing of the packet p held before
+// survives, whatever the frame's layers and whether or not it parses;
+// pooling state is preserved. Payload aliases frame: it is valid for as
+// long as frame is.
+func ParseInto(p *Packet, frame []byte) error {
+	*p = Packet{pool: p.pool, buf: p.buf, refs: p.refs}
 	if len(frame) < 14 {
 		return ErrTruncated
 	}
@@ -271,7 +276,6 @@ func parseInto(p *Packet, frame []byte) error {
 	if totalLen < ihl {
 		return ErrBadLength
 	}
-	p.Truncated = false
 	if totalLen > len(ip) {
 		// The capture clipped the packet (snaplen) short of what the
 		// IP header promises. A UDP datagram has no framing below the

@@ -1,6 +1,7 @@
 package netpkt
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -70,32 +71,77 @@ func (pw *PcapWriter) WritePacket(p *Packet) error {
 // Count returns the number of packets written.
 func (pw *PcapWriter) Count() int { return pw.count }
 
+// recordReader hands out the next n bytes of a capture as a view of the
+// read buffer under it (Peek, with the Discard deferred to the next
+// call), so reading a record copies nothing beyond what bufio itself
+// moves at a buffer boundary. Only a record larger than the whole
+// buffer is copied, into spill.
+type recordReader struct {
+	br    *bufio.Reader
+	held  int    // length of the view handed out last, not yet discarded
+	spill []byte // reused copy of a record the buffer cannot hold
+}
+
+// traceBufSize is the read buffer under a capture: maxSnapLen, so every
+// classic pcap record fits it and only a pcapng block padded past the
+// snap length spills.
+const traceBufSize = maxSnapLen
+
+// newRecordReader reads r through a traceBufSize buffer, or through r
+// itself when it already is a *bufio.Reader at least that large
+// (bufio.NewReaderSize hands such a reader back unchanged).
+func newRecordReader(r io.Reader) recordReader {
+	return recordReader{br: bufio.NewReaderSize(r, traceBufSize)}
+}
+
+// next returns the capture's next n bytes, valid until the following
+// call. Like io.ReadFull it fails with io.EOF when no byte is left and
+// io.ErrUnexpectedEOF when fewer than n are.
+func (rr *recordReader) next(n int) ([]byte, error) {
+	if rr.held > 0 {
+		rr.br.Discard(rr.held) // cannot fail: Peek buffered these bytes
+		rr.held = 0
+	}
+	b, err := rr.br.Peek(n)
+	switch {
+	case err == nil:
+		rr.held = n
+		return b, nil
+	case err == bufio.ErrBufferFull:
+		if cap(rr.spill) < n {
+			rr.spill = make([]byte, n)
+		}
+		b = rr.spill[:n]
+		_, err = io.ReadFull(rr.br, b)
+		return b, err
+	case err == io.EOF && len(b) > 0:
+		err = io.ErrUnexpectedEOF
+	}
+	return nil, err
+}
+
 // PcapReader streams packets out of a classic pcap file
 // (microsecond- or nanosecond-resolution magic, either endianness).
 type PcapReader struct {
-	r       io.Reader
+	rr      recordReader
 	swapped bool
 	nano    bool // timestamps are in nanoseconds (converted to µs)
 	link    uint32
-
-	// Record-header and frame buffers, reused across NextFrame calls
-	// so reading a trace does not allocate two slices per packet.
-	rec   [16]byte
-	frame []byte
 
 	// pool, when set, recycles packets and payload buffers through
 	// NextPacket (see SetPool).
 	pool *PacketPool
 }
 
-// NewPcapReader validates the global header.
+// NewPcapReader validates the global header. r is read through a
+// 256 KiB buffer (see newRecordReader).
 func NewPcapReader(r io.Reader) (*PcapReader, error) {
-	hdr := make([]byte, 24)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	pr := &PcapReader{rr: newRecordReader(r)}
+	hdr, err := pr.rr.next(24)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPcap, err)
 	}
 	magic := binary.LittleEndian.Uint32(hdr[0:4])
-	pr := &PcapReader{r: r}
 	switch magic {
 	case pcapMagic:
 	case pcapMagicSwapped:
@@ -123,27 +169,25 @@ func (pr *PcapReader) u32(b []byte) uint32 {
 }
 
 // NextFrame returns the next raw frame and its timestamp
-// (microseconds), or io.EOF. The returned slice aliases an internal
-// buffer that is overwritten by the next NextFrame call; callers that
-// retain the frame must copy it.
+// (microseconds), or io.EOF. The returned slice is a view of the read
+// buffer, overwritten by the next NextFrame call; callers that retain
+// the frame must copy it.
 func (pr *PcapReader) NextFrame() ([]byte, uint64, error) {
-	if _, err := io.ReadFull(pr.r, pr.rec[:]); err != nil {
+	rec, err := pr.rr.next(16)
+	if err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, 0, fmt.Errorf("%w: truncated record header", ErrBadPcap)
 		}
 		return nil, 0, err
 	}
-	sec := pr.u32(pr.rec[0:4])
-	frac := pr.u32(pr.rec[4:8])
-	capLen := pr.u32(pr.rec[8:12])
+	sec := pr.u32(rec[0:4])
+	frac := pr.u32(rec[4:8])
+	capLen := pr.u32(rec[8:12])
 	if capLen > maxSnapLen {
 		return nil, 0, fmt.Errorf("%w: capture length %d too large", ErrBadPcap, capLen)
 	}
-	if uint32(cap(pr.frame)) < capLen {
-		pr.frame = make([]byte, capLen)
-	}
-	frame := pr.frame[:capLen]
-	if _, err := io.ReadFull(pr.r, frame); err != nil {
+	frame, err := pr.rr.next(int(capLen))
+	if err != nil {
 		return nil, 0, fmt.Errorf("%w: truncated frame", ErrBadPcap)
 	}
 	ts := uint64(sec)*1e6 + uint64(frac)
@@ -184,7 +228,7 @@ func nextPacket(fr interface {
 		var perr error
 		if pool != nil {
 			p = pool.Get()
-			if perr = parseInto(p, frame); perr == nil && len(p.Payload) > 0 {
+			if perr = ParseInto(p, frame); perr == nil && len(p.Payload) > 0 {
 				pool.attachPayload(p, p.Payload)
 			}
 			if perr != nil {
@@ -210,9 +254,10 @@ func nextPacket(fr interface {
 	}
 }
 
-// ReadAll drains a reader into a packet slice.
+// ReadAll drains a capture of either format (see NewTraceReader) into
+// a slice of packets that own their payloads.
 func ReadAll(r io.Reader) ([]*Packet, error) {
-	pr, err := NewPcapReader(r)
+	pr, err := NewTraceReader(r)
 	if err != nil {
 		return nil, err
 	}

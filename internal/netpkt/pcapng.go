@@ -58,29 +58,27 @@ func (ifc *ngIface) toMicros(ts uint64) uint64 {
 // and per-interface timestamp resolution (if_tsresol). Unknown block
 // types and non-Ethernet interfaces are skipped.
 type PcapNGReader struct {
-	r      io.Reader
+	rr     recordReader
 	bo     binary.ByteOrder
 	ifaces []ngIface
-
-	hdr   [8]byte
-	block []byte // reused body buffer
 
 	// pool, when set, recycles packets and payload buffers through
 	// NextPacket (see SetPool).
 	pool *PacketPool
 }
 
-// NewPcapNGReader validates the leading Section Header Block.
+// NewPcapNGReader validates the leading Section Header Block. r is
+// read through a 256 KiB buffer (see newRecordReader).
 func NewPcapNGReader(r io.Reader) (*PcapNGReader, error) {
-	pr := &PcapNGReader{r: r}
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	pr := &PcapNGReader{rr: newRecordReader(r)}
+	hdr, err := pr.rr.next(8)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPcapNG, err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:4]) != ngBlockSHB {
 		return nil, fmt.Errorf("%w: not a section header", ErrBadPcapNG)
 	}
-	if err := pr.readSection(hdr[4:8]); err != nil {
+	if err := pr.readSection([4]byte(hdr[4:8])); err != nil {
 		return nil, err
 	}
 	return pr, nil
@@ -89,12 +87,12 @@ func NewPcapNGReader(r io.Reader) (*PcapNGReader, error) {
 // readSection consumes a Section Header Block body given the raw
 // (endianness-unknown) total-length field, establishing the section's
 // byte order and resetting the interface table.
-func (pr *PcapNGReader) readSection(rawLen []byte) error {
-	var bom [4]byte
-	if _, err := io.ReadFull(pr.r, bom[:]); err != nil {
+func (pr *PcapNGReader) readSection(rawLen [4]byte) error {
+	bom, err := pr.rr.next(4)
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadPcapNG, err)
 	}
-	switch binary.LittleEndian.Uint32(bom[:]) {
+	switch binary.LittleEndian.Uint32(bom) {
 	case ngByteOrderMagic:
 		pr.bo = binary.LittleEndian
 	case 0x4d3c2b1a:
@@ -102,7 +100,7 @@ func (pr *PcapNGReader) readSection(rawLen []byte) error {
 	default:
 		return fmt.Errorf("%w: bad byte-order magic", ErrBadPcapNG)
 	}
-	total := pr.bo.Uint32(rawLen)
+	total := pr.bo.Uint32(rawLen[:])
 	// 12 bytes header already read plus the 4-byte byte-order magic;
 	// the body holds version, section length, options, trailing length.
 	if total < 28 || total > ngMaxBlockLen || total%4 != 0 {
@@ -115,13 +113,11 @@ func (pr *PcapNGReader) readSection(rawLen []byte) error {
 	return nil
 }
 
-// body reads n bytes into the reused block buffer.
+// body returns the n bytes that finish the current block, as a view
+// valid until the next read.
 func (pr *PcapNGReader) body(n int) ([]byte, error) {
-	if cap(pr.block) < n {
-		pr.block = make([]byte, n)
-	}
-	b := pr.block[:n]
-	if _, err := io.ReadFull(pr.r, b); err != nil {
+	b, err := pr.rr.next(n)
+	if err != nil {
 		return nil, fmt.Errorf("%w: truncated block", ErrBadPcapNG)
 	}
 	return b, nil
@@ -165,25 +161,26 @@ func (pr *PcapNGReader) addIface(b []byte) error {
 
 // NextFrame returns the next captured Ethernet frame and its timestamp
 // (microseconds), or io.EOF. Like PcapReader.NextFrame, the returned
-// slice aliases a reused buffer valid only until the next call.
+// slice is a view of the read buffer valid only until the next call.
 func (pr *PcapNGReader) NextFrame() ([]byte, uint64, error) {
 	for {
-		if _, err := io.ReadFull(pr.r, pr.hdr[:]); err != nil {
+		hdr, err := pr.rr.next(8)
+		if err != nil {
 			if err == io.ErrUnexpectedEOF {
 				return nil, 0, fmt.Errorf("%w: truncated block header", ErrBadPcapNG)
 			}
 			return nil, 0, err
 		}
-		typ := pr.bo.Uint32(pr.hdr[0:4])
+		typ := pr.bo.Uint32(hdr[0:4])
 		if typ == ngBlockSHB {
 			// A new section may flip endianness; its length field is
 			// in the new section's byte order.
-			if err := pr.readSection(pr.hdr[4:8]); err != nil {
+			if err := pr.readSection([4]byte(hdr[4:8])); err != nil {
 				return nil, 0, err
 			}
 			continue
 		}
-		total := pr.bo.Uint32(pr.hdr[4:8])
+		total := pr.bo.Uint32(hdr[4:8])
 		if total < 12 || total > ngMaxBlockLen || total%4 != 0 {
 			return nil, 0, fmt.Errorf("%w: block length %d", ErrBadPcapNG, total)
 		}
@@ -253,7 +250,8 @@ func (pr *PcapNGReader) NextPacket(skipped *int) (*Packet, error) {
 // TraceReader is a capture stream of either supported trace format.
 type TraceReader interface {
 	// NextFrame returns the next raw Ethernet frame and its timestamp
-	// in microseconds; the slice aliases a reused internal buffer.
+	// in microseconds; the slice is a view of the read buffer, valid
+	// until the next call.
 	NextFrame() ([]byte, uint64, error)
 	// NextPacket parses the next frame, skipping unparseable ones.
 	NextPacket(skipped *int) (*Packet, error)
@@ -262,16 +260,10 @@ type TraceReader interface {
 	SetPool(*PacketPool)
 }
 
-// traceBufSize is the read buffer NewTraceReader puts under a capture.
-// The readers fetch a record header and then its body, so an
-// unbuffered file costs two read(2) calls per packet.
-const traceBufSize = 256 << 10
-
 // NewTraceReader sniffs the capture format from its magic number and
 // returns the matching reader: classic pcap (microsecond or nanosecond
 // magic, either endianness) or pcapng. r is read through a 256 KiB
-// buffer unless it already is a *bufio.Reader at least that large
-// (bufio.NewReaderSize hands such a reader back unchanged).
+// buffer unless it already is a *bufio.Reader at least that large.
 func NewTraceReader(r io.Reader) (TraceReader, error) {
 	br := bufio.NewReaderSize(r, traceBufSize)
 	magic, err := br.Peek(4)

@@ -323,3 +323,50 @@ func TestTraceReaderBuffersBareReaders(t *testing.T) {
 		t.Error("the caller's bufio.Reader was drained into a second buffer")
 	}
 }
+
+// TestRecordReaderViews drives the readers' record source over a small
+// buffer, so that every way a record can meet the buffer occurs within
+// a few hundred bytes: wholly buffered, straddling the end (bufio
+// slides and refills), exactly the buffer's size, larger than it
+// (copied out), empty. Each view must hold the right bytes until the
+// next call, and the end of input must read as io.ReadFull reports it.
+func TestRecordReaderViews(t *testing.T) {
+	src := make([]byte, 600)
+	for i := range src {
+		src[i] = byte(i*7 + i>>8)
+	}
+	const bufSize = 32
+	for _, sizes := range [][]int{
+		{8, 20, 20, 0, 32, 5, 33, 31, 100, 1, 16, 16, 64},
+		{32, 32, 33, 32, 1, 0, 0, 31, 2},
+		{600},
+	} {
+		rr := recordReader{br: bufio.NewReaderSize(bytes.NewReader(src), bufSize)}
+		off := 0
+		for i, n := range sizes {
+			b, err := rr.next(n)
+			if err != nil {
+				t.Fatalf("sizes %v: record %d (%d bytes at %d): %v", sizes, i, n, off, err)
+			}
+			if !bytes.Equal(b, src[off:off+n]) {
+				t.Fatalf("sizes %v: record %d (%d bytes at %d) holds the wrong bytes", sizes, i, n, off)
+			}
+			off += n
+		}
+		// A record running past the end, then the end itself.
+		if rest := len(src) - off; rest > 0 {
+			for _, n := range []int{rest + 1, rest + bufSize + 1} {
+				if _, err := rr.next(n); err != io.ErrUnexpectedEOF {
+					t.Fatalf("sizes %v: %d bytes with %d left: %v, want io.ErrUnexpectedEOF", sizes, n, rest, err)
+				}
+				rr = recordReader{br: bufio.NewReaderSize(bytes.NewReader(src[off:]), bufSize)}
+			}
+			if _, err := rr.next(rest); err != nil {
+				t.Fatalf("sizes %v: last %d bytes: %v", sizes, rest, err)
+			}
+		}
+		if _, err := rr.next(4); err != io.EOF {
+			t.Fatalf("sizes %v: read at the end: %v, want io.EOF", sizes, err)
+		}
+	}
+}

@@ -54,6 +54,16 @@ func (pl *PacketPool) attachPayload(p *Packet, src []byte) {
 	p.Payload = b
 }
 
+// CopyTo copies p's layer fields and timestamp into dst, with payload —
+// the caller's own copy of p.Payload — as dst's payload. dst carries no
+// pooling state: it belongs to whoever owns its storage, and outlives
+// p's release.
+func (p *Packet) CopyTo(dst *Packet, payload []byte) {
+	*dst = *p
+	dst.Payload = payload
+	dst.pool, dst.buf, dst.refs = nil, nil, 0
+}
+
 // Retain adds a reference to a pooled packet (no-op otherwise): the
 // packet and its payload stay valid until a matching Release.
 func (p *Packet) Retain() {

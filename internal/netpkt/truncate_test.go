@@ -98,7 +98,7 @@ func TestTruncatedResetsOnReuse(t *testing.T) {
 	pl := NewPacketPool()
 	frame := udpFrame(bytes.Repeat([]byte{0x11}, 40))
 	clipped := pl.Get()
-	if err := parseInto(clipped, frame[:len(frame)-10]); err != nil {
+	if err := ParseInto(clipped, frame[:len(frame)-10]); err != nil {
 		t.Fatal(err)
 	}
 	if !clipped.Truncated {
@@ -107,7 +107,7 @@ func TestTruncatedResetsOnReuse(t *testing.T) {
 	clipped.Release()
 	clean := pl.Get()
 	defer clean.Release()
-	if err := parseInto(clean, frame); err != nil {
+	if err := ParseInto(clean, frame); err != nil {
 		t.Fatal(err)
 	}
 	if clean.Truncated {

@@ -50,7 +50,9 @@ func TestRecycleReusesBuffer(t *testing.T) {
 }
 
 // TestRecycleLimits pins the pool's safety valves: nil and oversized
-// buffers are dropped, and the free list is bounded.
+// buffers are dropped, and the free list is bounded by count (small
+// buffers) and by bytes (large ones), with the byte count following
+// what getBuf takes back out.
 func TestRecycleLimits(t *testing.T) {
 	a := New()
 	a.Recycle(nil)
@@ -61,11 +63,80 @@ func TestRecycleLimits(t *testing.T) {
 	if got := len(a.freeBufs); got != 0 {
 		t.Errorf("oversized buffer recycled: free list %d", got)
 	}
-	for i := 0; i < maxFreeBufs+10; i++ {
+	for i := 0; i < maxFreeStreams+10; i++ {
 		a.Recycle(make([]byte, 16))
 	}
-	if got := len(a.freeBufs); got != maxFreeBufs {
-		t.Errorf("free list grew to %d, cap %d", got, maxFreeBufs)
+	if got := len(a.freeBufs); got != maxFreeStreams {
+		t.Errorf("free list grew to %d buffers, cap %d", got, maxFreeStreams)
+	}
+
+	a = New()
+	const big = 64 << 10
+	for i := 0; i < maxFreeBufBytes/big+10; i++ {
+		a.Recycle(make([]byte, big))
+	}
+	if a.freeBufBytes != maxFreeBufBytes || len(a.freeBufs) != maxFreeBufBytes/big {
+		t.Errorf("free list holds %d bytes in %d buffers, cap %d bytes", a.freeBufBytes, len(a.freeBufs), maxFreeBufBytes)
+	}
+	for a.getBuf() != nil {
+	}
+	if a.freeBufBytes != 0 {
+		t.Errorf("emptied free list still counts %d bytes", a.freeBufBytes)
+	}
+}
+
+// TestSideStateFollowsTheFlow pins the FlowState contract: it is
+// reachable after a Feed that returns no view, shared by every view of
+// the flow (Feed, Close, Drain, the evict handler), and zeroed when the
+// record is reused for another flow.
+func TestSideStateFollowsTheFlow(t *testing.T) {
+	a := New()
+	var evicted *FlowState
+	a.SetEvictHandler(func(st *Stream) { evicted = st.Flow })
+	if a.Touched() != nil {
+		t.Fatal("side state before any flow")
+	}
+
+	// A bare SYN returns no view; the side state is there all the same.
+	if st := a.Feed(tcpSeg(1, 99, nil, netpkt.FlagSYN)); st != nil {
+		t.Fatalf("view from a bare SYN: %v", st)
+	}
+	fl := a.Touched()
+	if fl == nil || *fl != (FlowState{}) {
+		t.Fatalf("new flow's side state: %+v", fl)
+	}
+	*fl = FlowState{Reason: "r", LastTS: 7, Analyzed: 3, Opened: true}
+	st := a.Feed(tcpSeg(1, 100, []byte("data"), netpkt.FlagACK))
+	if st == nil || st.Flow != fl || a.Touched() != fl {
+		t.Fatalf("view does not carry the flow's side state: %+v", st)
+	}
+	key := st.Key // the view is reused by the next call
+	// Another flow has its own.
+	a.FeedDatagram(netpkt.FlowKey{SrcPort: 1, Proto: netpkt.ProtoUDP}, []byte("x"), 5)
+	if got := a.Touched(); got == fl || *got != (FlowState{}) {
+		t.Fatalf("second flow's side state: %+v", got)
+	}
+	a.Touched().Analyzed = 1
+
+	if n := a.EvictDgramIdle(6); n != 1 || evicted == nil || evicted.Analyzed != 1 {
+		t.Fatalf("evicted %d, side state %+v", n, evicted)
+	}
+	if closed := a.Close(key); closed == nil || *closed.Flow != *fl {
+		t.Fatalf("closed view: %+v", closed)
+	}
+	// Both records are on the free list now; the next flows reuse them
+	// and must start clean.
+	for src := byte(2); src < 4; src++ {
+		a.Feed(tcpSeg(src, 1, []byte("y"), netpkt.FlagACK))
+		if got := a.Touched(); *got != (FlowState{}) {
+			t.Errorf("reused record kept side state %+v", got)
+		}
+		a.Touched().Analyzed = 9
+	}
+	for _, d := range a.Drain() {
+		if d.Flow == nil || d.Flow.Analyzed != 9 {
+			t.Errorf("drained view's side state: %+v", d.Flow)
+		}
 	}
 }
 

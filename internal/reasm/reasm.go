@@ -66,6 +66,18 @@ type stream struct {
 	rewritten bool  // LastWins changed already-buffered bytes since last report
 	dgram     bool  // datagram flow (FeedDatagram) rather than TCP
 	bounds    []int // start offset in data of each buffered datagram
+	side      FlowState
+}
+
+// FlowState is the side state of whoever drives the assembler, kept on
+// the flow's own record so that the driver needs no second table keyed
+// by the same FlowKey. The assembler zeroes it when it creates the flow
+// and never reads it. It is reached through Stream.Flow and Touched.
+type FlowState struct {
+	Reason   string // why the flow's latest packet was selected
+	LastTS   uint64 // that packet's timestamp
+	Analyzed int    // length of the prefix of Data already analyzed
+	Opened   bool   // the flow's opening has been published
 }
 
 // footprint is the stream's buffered-memory cost, used for the
@@ -93,16 +105,23 @@ type Stream struct {
 	// reused buffer with the same lifetime as the view itself.
 	Dgram  bool
 	Bounds []int
+
+	// Flow is the driver's side state for this flow (see FlowState),
+	// with the view's own lifetime.
+	Flow *FlowState
 }
 
-// Pool limits: how many stream-data buffers the assembler retains for
-// reuse, and the largest buffer capacity worth keeping (oversized
-// buffers are dropped so one huge flow cannot pin its worth of memory
-// forever).
+// Pool limits. One lifecycle tick can evict thousands of flows and the
+// traffic behind it opens as many again, so the free lists hold what a
+// tick returns: flow records up to maxFreeStreams (~1 MiB of structs),
+// and as many stream-data buffers at most, up to maxFreeBufBytes of
+// capacity in total. The
+// largest buffer worth keeping is maxRecycledBuf (oversized buffers are
+// dropped so one huge flow cannot pin its worth of memory forever).
 const (
-	maxFreeBufs     = 64
+	maxFreeBufBytes = 1 << 20
 	maxRecycledBuf  = 1 << 18
-	maxFreeStreams  = 256
+	maxFreeStreams  = 4096
 	maxFreePendSegs = 16
 	maxFreeBounds   = 256
 )
@@ -127,15 +146,21 @@ type Assembler struct {
 
 	// res is the reused Feed result: one Stream view handed out per
 	// Feed call instead of one allocation per packet. It is valid
-	// until the next Feed/Close/Drain call.
-	res Stream
+	// until the next Feed/Close/Drain call. ev is the same for the
+	// evict handler, apart so that an eviction inside or after a Feed
+	// leaves the caller's view alone.
+	res, ev Stream
+
+	// touched is the flow the latest Feed or FeedDatagram fed.
+	touched *stream
 
 	// freeBufs and freeStreams recycle stream-data buffers (returned
 	// by the owner via Recycle) and flow-state structs (recycled
 	// internally when a flow is closed, drained or evicted), so
 	// steady-state flow churn does not allocate.
-	freeBufs    [][]byte
-	freeStreams []*stream
+	freeBufs     [][]byte
+	freeBufBytes int // summed capacity of freeBufs
+	freeStreams  []*stream
 }
 
 // New returns an empty assembler.
@@ -159,10 +184,11 @@ func (a *Assembler) SetOverlapPolicy(p OverlapPolicy) { a.policy = p }
 // synchronously analyzing an evicted or closed stream. Unsuitable
 // buffers are simply dropped.
 func (a *Assembler) Recycle(data []byte) {
-	if data == nil || cap(data) > maxRecycledBuf || len(a.freeBufs) >= maxFreeBufs {
+	if data == nil || cap(data) > maxRecycledBuf || len(a.freeBufs) >= maxFreeStreams || a.freeBufBytes+cap(data) > maxFreeBufBytes {
 		return
 	}
 	a.freeBufs = append(a.freeBufs, data[:0])
+	a.freeBufBytes += cap(data)
 }
 
 // getBuf pops a recycled data buffer, or returns nil (append grows
@@ -171,6 +197,7 @@ func (a *Assembler) getBuf() []byte {
 	if n := len(a.freeBufs); n > 0 {
 		b := a.freeBufs[n-1]
 		a.freeBufs = a.freeBufs[:n-1]
+		a.freeBufBytes -= cap(b)
 		return b
 	}
 	return nil
@@ -233,6 +260,7 @@ func (a *Assembler) Feed(p *netpkt.Packet) *Stream {
 		st = a.getStream(key)
 		a.flows[key] = st
 	}
+	a.touched = st
 	st.lastSeen = p.TimestampUS
 
 	if p.Flags&(netpkt.FlagFIN|netpkt.FlagRST) != 0 {
@@ -270,9 +298,20 @@ func (a *Assembler) result(st *stream, grew bool) *Stream {
 	if len(st.data) == 0 {
 		return nil
 	}
-	a.res = Stream{Key: st.key, Data: st.data, Finished: st.finished, Rewritten: st.rewritten, Dgram: st.dgram, Bounds: st.bounds}
+	a.res = Stream{Key: st.key, Data: st.data, Finished: st.finished, Rewritten: st.rewritten, Dgram: st.dgram, Bounds: st.bounds, Flow: &st.side}
 	st.rewritten = false // reported; the consumer owns the reset now
 	return &a.res
+}
+
+// Touched returns the side state of the flow the latest Feed (of a TCP
+// packet) or FeedDatagram call fed, whether or not that call returned a
+// view; nil before the first. Valid until the next call on the
+// assembler.
+func (a *Assembler) Touched() *FlowState {
+	if a.touched == nil {
+		return nil
+	}
+	return &a.touched.side
 }
 
 // FeedDatagram appends one datagram's payload to its flow's buffer,
@@ -293,6 +332,7 @@ func (a *Assembler) FeedDatagram(key netpkt.FlowKey, payload []byte, tsUS uint64
 		a.flows[key] = st
 		a.dgramFlows++
 	}
+	a.touched = st
 	st.lastSeen = tsUS
 	if len(payload) == 0 {
 		return a.result(st, false)
@@ -419,8 +459,8 @@ func (a *Assembler) evict(st *stream) {
 	a.noteRemove(st)
 	delete(a.flows, st.key)
 	if a.onEvict != nil {
-		ev := Stream{Key: st.key, Data: st.data, Finished: false, Dgram: st.dgram, Bounds: st.bounds}
-		a.onEvict(&ev)
+		a.ev = Stream{Key: st.key, Data: st.data, Finished: false, Dgram: st.dgram, Bounds: st.bounds, Flow: &st.side}
+		a.onEvict(&a.ev)
 	} else {
 		a.Recycle(st.data)
 	}
@@ -519,7 +559,7 @@ func (a *Assembler) Close(key netpkt.FlowKey) *Stream {
 		a.Recycle(data)
 		return nil
 	}
-	a.res = Stream{Key: key, Data: data, Finished: true, Dgram: dg, Bounds: bounds}
+	a.res = Stream{Key: key, Data: data, Finished: true, Dgram: dg, Bounds: bounds, Flow: &st.side}
 	return &a.res
 }
 
@@ -539,7 +579,7 @@ func (a *Assembler) Drain() []*Stream {
 	var out []*Stream
 	for k, st := range a.flows {
 		if len(st.data) > 0 {
-			out = append(out, &Stream{Key: k, Data: st.data, Finished: true, Dgram: st.dgram, Bounds: st.bounds})
+			out = append(out, &Stream{Key: k, Data: st.data, Finished: true, Dgram: st.dgram, Bounds: st.bounds, Flow: &st.side})
 		} else {
 			a.Recycle(st.data)
 		}

@@ -17,12 +17,33 @@ type frameFeeder interface {
 	Alerts() []Alert
 }
 
+// packetFeeder offers each frame as a hand-built packet through
+// Engine.Process and wrecks the packet — struct and payload — the
+// moment Process returns: the engine consumes what it is offered, so
+// nothing it queued may still point at either.
+type packetFeeder struct{ *Engine }
+
+func (f packetFeeder) ProcessFrame(frame []byte, tsUS uint64) error {
+	p, err := netpkt.Parse(frame)
+	if err != nil {
+		return err
+	}
+	p.TimestampUS = tsUS
+	f.Process(p)
+	for i := range p.Payload {
+		p.Payload[i] = 0xcc
+	}
+	*p = netpkt.Packet{}
+	return nil
+}
+
 // TestProcessFrameReusedBuffer pins the ProcessFrame contract a capture
 // loop relies on: the frame buffer belongs to the caller again as soon
 // as the call returns. Twenty UDP exploit datagrams go through one
 // buffer that is overwritten after every call; each must still alert,
-// on both front ends, every round. (The old batch NIDS queued the
-// payload still aliasing the buffer, and lost alerts in most rounds.)
+// on both front ends and through Engine.Process, every round. (The old
+// batch NIDS queued the payload still aliasing the buffer, and lost
+// alerts in most rounds.)
 func TestProcessFrameReusedBuffer(t *testing.T) {
 	const frames, rounds = 20, 50
 	payload := exploits.Table1Exploits()[0].Payload
@@ -65,6 +86,12 @@ func TestProcessFrameReusedBuffer(t *testing.T) {
 		}
 		if got := feed(e, e.Stop); got != want {
 			t.Fatalf("round %d: Engine raised %d alerts from a reused buffer, want %d", round, got, want)
+		}
+		if e, err = NewEngine(EngineConfig{Config: cfg}); err != nil {
+			t.Fatal(err)
+		}
+		if got := feed(packetFeeder{e}, e.Stop); got != want {
+			t.Fatalf("round %d: Engine raised %d alerts from scribbled packets, want %d", round, got, want)
 		}
 	}
 }

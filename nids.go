@@ -22,10 +22,14 @@
 //	detector.Flush()
 //	for _, alert := range detector.Alerts() { ... }
 //
-// A whole capture — classic pcap with microsecond or nanosecond
-// timestamps, or pcapng — goes through ProcessPcap instead. NIDS is an
-// Engine that ends with its trace; NewEngine gives the same pipeline
-// with its lifecycle, correlation and federation surface exposed.
+// ProcessFrame borrows the frame: it is parsed and classified where it
+// lies and copied only if classification selects it, so the buffer is
+// the caller's again when the call returns and a discarded packet costs
+// a header parse. A whole capture — classic pcap with microsecond or
+// nanosecond timestamps, or pcapng — goes through ProcessPcap instead,
+// frame by frame over the same path. NIDS is an Engine that ends with
+// its trace; NewEngine gives the same pipeline with its lifecycle,
+// correlation and federation surface exposed.
 package nids
 
 import (
@@ -456,11 +460,6 @@ type Engine struct {
 	// PushURL is configured; nil otherwise.
 	push *transport.Pusher
 
-	// pool recycles packet structs and payload buffers across every
-	// trace fed through Run/Replay — one pool for the engine's
-	// lifetime, so back-to-back traces reuse warm buffers.
-	pool *netpkt.PacketPool
-
 	// tel is the registry shared by every layer of this engine;
 	// health backs the /healthz readiness checks ("engine" flips
 	// not-ready on Stop, "spool" records the recovery outcome).
@@ -619,7 +618,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			e.push = push
 		}
 	}
-	e.pool = netpkt.NewPacketPool()
 	return e, nil
 }
 
@@ -638,26 +636,18 @@ func (e *Engine) shutdownPartial() {
 }
 
 // ProcessFrame feeds one raw Ethernet frame with its capture
-// timestamp (microseconds). Unparseable frames are reported as an
-// error without stopping the engine.
+// timestamp (microseconds). Unparseable frames are counted
+// (EngineMetrics.Unparsed) and reported as an error without stopping
+// the engine. The frame is only borrowed: a selected packet is copied
+// into the shard batch that then owns it, a discarded one never.
 func (e *Engine) ProcessFrame(frame []byte, tsUS uint64) error {
-	p, err := netpkt.Parse(frame)
-	if err != nil {
-		return err
-	}
-	// Parse subslices the caller's buffer; the engine holds packets
-	// asynchronously, so detach the payload.
-	if len(p.Payload) > 0 {
-		p.Payload = append([]byte(nil), p.Payload...)
-	}
-	p.TimestampUS = tsUS
-	e.inner.Process(p)
-	return nil
+	return e.inner.ProcessFrame(frame, tsUS)
 }
 
 // Run streams a capture (classic pcap or pcapng) through the engine
-// as fast as it reads, then drains. The engine remains live for the
-// next capture or live traffic.
+// as fast as it reads, then drains. Each frame goes through
+// ProcessFrame as a view of the capture's read buffer: one ingest path.
+// The engine remains live for the next capture or live traffic.
 func (e *Engine) Run(r io.Reader) error {
 	return e.feed(r, 0)
 }
@@ -676,18 +666,12 @@ func (e *Engine) feed(r io.Reader, speed float64) error {
 	if err != nil {
 		return err
 	}
-	// Packets and payload buffers cycle through the engine's pool: the
-	// shard that finishes with a packet releases it back for the
-	// reader to reuse, so the capture loop allocates nothing per
-	// packet in steady state — across traces, not just within one.
-	tr.SetPool(e.pool)
 	var (
-		started bool
 		firstTS uint64
-		start   time.Time
+		start   time.Time // of the first frame; zero until then
 	)
 	for {
-		p, err := tr.NextPacket(nil)
+		frame, ts, err := tr.NextFrame()
 		if err == io.EOF {
 			break
 		}
@@ -695,18 +679,17 @@ func (e *Engine) feed(r io.Reader, speed float64) error {
 			return err
 		}
 		if speed > 0 {
-			if !started {
-				started = true
-				firstTS = p.TimestampUS
-				start = time.Now()
-			} else if p.TimestampUS > firstTS {
-				due := start.Add(time.Duration(float64(p.TimestampUS-firstTS)/speed) * time.Microsecond)
+			if start.IsZero() {
+				firstTS, start = ts, time.Now()
+			} else if ts > firstTS {
+				due := start.Add(time.Duration(float64(ts-firstTS)/speed) * time.Microsecond)
 				if d := time.Until(due); d > 0 {
 					time.Sleep(d)
 				}
 			}
 		}
-		e.inner.Process(p)
+		// A rejected frame is counted, and a damaged trace reads on.
+		_ = e.inner.ProcessFrame(frame, ts)
 	}
 	e.Drain()
 	return nil
