@@ -87,7 +87,6 @@ func run() int {
 		node         = flag.String("node", "", "aggregator node ID stamped on responses and push Via headers (default \"agg\"; must be unique per tree node)")
 		maxHops      = flag.Int("max-hops", 0, "reject pushes whose hop count exceeds this tree-depth budget (0 = default 16)")
 		upstream     = flag.String("upstream", "", "push folded segments up the tree to these comma-separated aggregator URLs in failover order (makes this node a mid-tier fan-in)")
-		pushCompress = flag.String("push-compress", "auto", "upstream push body compression: auto, on, or off (with -upstream)")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -95,12 +94,6 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	comp, err := transport.ParseCompression(*pushCompress)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fedagg:", err)
-		return 2
-	}
-
 	agg, err := transport.NewAggregator(transport.AggregatorConfig{
 		Dir:          *dir,
 		MaxBodyBytes: *maxBody,
@@ -111,7 +104,6 @@ func run() int {
 		NodeID:       *node,
 		MaxHops:      *maxHops,
 		Upstreams:    splitList(*upstream),
-		Compression:  comp,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedagg:", err)

@@ -46,11 +46,11 @@
 // costs lag, never ingest. Several comma-separated URLs form a
 // failover list: pushes go to the first, demote to the next on
 // sustained failure, and promote back when a probe finds an earlier
-// one healthy. -push-compress selects the body encoding (auto/on/off;
-// auto compresses once the aggregator advertises support, so old
-// aggregators keep working). -export-keep bounds the spool (segments
-// pruned past it before ack are counted as dropped — lag, not loss,
-// since checkpoints are full snapshots). -push-wait bounds a
+// one healthy. Push bodies go gzip-compressed once an aggregator
+// advertises support, so older aggregators keep receiving identity
+// bodies. -export-keep bounds the spool (segments pruned past it
+// before ack are counted as dropped — lag, not loss, since
+// checkpoints are full snapshots). -push-wait bounds a
 // best-effort wait at exit for the aggregator to ack the spool;
 // -stats adds the push transport's health line
 // (pushed/acked/retried/spooled, backoff).
@@ -91,39 +91,38 @@ func main() {
 // before the process exits whatever path the run takes.
 func run() int {
 	var (
-		pcapPath     = flag.String("pcap", "", "pcap trace to analyze")
-		scanPath     = flag.String("scan", "", "binary file to host-scan instead of a trace")
-		honeypots    = flag.String("honeypot", "192.168.1.250", "comma-separated decoy addresses")
-		dark         = flag.String("dark", "192.168.2.0/24", "comma-separated un-used CIDR prefixes")
-		threshold    = flag.Int("t", 3, "dark-space scan threshold")
-		all          = flag.Bool("all", false, "disable classification: analyze every payload")
-		fullscan     = flag.Bool("fullscan", false, "disable extraction pruning too (exhaustive baseline)")
-		quiet        = flag.Bool("q", false, "suppress per-alert output")
-		jsonOut      = flag.Bool("json", false, "emit alerts as JSONL instead of text")
-		summary      = flag.Bool("summary", false, "print a per-source incident summary at exit")
-		tplFile      = flag.String("templates", "", "replace built-in templates with a template file (DSL)")
-		shards       = flag.Int("shards", 0, "ingest shards (0 = NumCPU)")
-		udpFlows     = flag.Bool("udp-flows", false, "buffer UDP conversations per 5-tuple and analyze them as flows, reassembling CoAP block transfers")
-		udpIdle      = flag.Duration("udp-idle", 0, "idle window closing a UDP conversation (0 = flow idle timeout; with -udp-flows)")
-		shed         = flag.Bool("shed", false, "shed packets under overload instead of blocking")
-		replay       = flag.Bool("replay", false, "pace packets by capture timestamp")
-		speed        = flag.Float64("speed", 1, "replay speed multiplier: 1 = real time (with -replay)")
-		correlate    = flag.Bool("correlate", false, "attach the incident correlator")
-		lineageOn    = flag.Bool("lineage", false, "compute structural fingerprints and trace payload ancestry (implies -correlate)")
-		incWindow    = flag.Duration("incident-window", 30*time.Second, "fan-out sliding window in trace time (with -correlate)")
-		sensor       = flag.String("sensor", "", "sensor ID stamped on exported incident evidence (default \"sensor\")")
-		exportPath   = flag.String("export", "", "write the correlator's evidence export here at exit (implies -correlate)")
-		importPath   = flag.String("import-incidents", "", "seed the correlator from an evidence export before the run (implies -correlate)")
-		exportDir    = flag.String("export-dir", "", "durable incident sink: rotated evidence segments + crash recovery (implies -correlate)")
-		exportKeep   = flag.Int("export-keep", 0, "retained evidence segments in -export-dir — the push spool bound (0 = default 4, floor 2)")
-		pushURL      = flag.String("push", "", "stream evidence segments to federation aggregators at these comma-separated URLs in failover order, e.g. http://agg:9444/push,http://agg2:9444/push (requires -export-dir)")
-		pushWait     = flag.Duration("push-wait", 0, "after the trace, wait up to this long for the aggregator to ack the spool (with -push)")
-		pushCompress = flag.String("push-compress", "auto", "push body compression: auto (once the aggregator advertises support), on, or off (with -push)")
-		stats        = flag.Bool("stats", false, "print per-shard load gauges and correlator counters")
-		listen       = flag.String("listen", "", "serve /metrics, /statusz, /healthz and /debug/pprof on this address while the run lasts")
-		statsEvery   = flag.Duration("stats-interval", 0, "emit a JSON-lines /statusz snapshot to stderr at this interval")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile   = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		pcapPath   = flag.String("pcap", "", "pcap trace to analyze")
+		scanPath   = flag.String("scan", "", "binary file to host-scan instead of a trace")
+		honeypots  = flag.String("honeypot", "192.168.1.250", "comma-separated decoy addresses")
+		dark       = flag.String("dark", "192.168.2.0/24", "comma-separated un-used CIDR prefixes")
+		threshold  = flag.Int("t", 3, "dark-space scan threshold")
+		all        = flag.Bool("all", false, "disable classification: analyze every payload")
+		fullscan   = flag.Bool("fullscan", false, "disable extraction pruning too (exhaustive baseline)")
+		quiet      = flag.Bool("q", false, "suppress per-alert output")
+		jsonOut    = flag.Bool("json", false, "emit alerts as JSONL instead of text")
+		summary    = flag.Bool("summary", false, "print a per-source incident summary at exit")
+		tplFile    = flag.String("templates", "", "replace built-in templates with a template file (DSL)")
+		shards     = flag.Int("shards", 0, "ingest shards (0 = NumCPU)")
+		udpFlows   = flag.Bool("udp-flows", false, "buffer UDP conversations per 5-tuple and analyze them as flows, reassembling CoAP block transfers")
+		udpIdle    = flag.Duration("udp-idle", 0, "idle window closing a UDP conversation (0 = flow idle timeout; with -udp-flows)")
+		shed       = flag.Bool("shed", false, "shed packets under overload instead of blocking")
+		replay     = flag.Bool("replay", false, "pace packets by capture timestamp")
+		speed      = flag.Float64("speed", 1, "replay speed multiplier: 1 = real time (with -replay)")
+		correlate  = flag.Bool("correlate", false, "attach the incident correlator")
+		lineageOn  = flag.Bool("lineage", false, "compute structural fingerprints and trace payload ancestry (implies -correlate)")
+		incWindow  = flag.Duration("incident-window", 30*time.Second, "fan-out sliding window in trace time (with -correlate)")
+		sensor     = flag.String("sensor", "", "sensor ID stamped on exported incident evidence (default \"sensor\")")
+		exportPath = flag.String("export", "", "write the correlator's evidence export here at exit (implies -correlate)")
+		importPath = flag.String("import-incidents", "", "seed the correlator from an evidence export before the run (implies -correlate)")
+		exportDir  = flag.String("export-dir", "", "durable incident sink: rotated evidence segments + crash recovery (implies -correlate)")
+		exportKeep = flag.Int("export-keep", 0, "retained evidence segments in -export-dir — the push spool bound (0 = default 4, floor 2)")
+		pushURL    = flag.String("push", "", "stream evidence segments to federation aggregators at these comma-separated URLs in failover order, e.g. http://agg:9444/push,http://agg2:9444/push (requires -export-dir)")
+		pushWait   = flag.Duration("push-wait", 0, "after the trace, wait up to this long for the aggregator to ack the spool (with -push)")
+		stats      = flag.Bool("stats", false, "print per-shard load gauges and correlator counters")
+		listen     = flag.String("listen", "", "serve /metrics, /statusz, /healthz and /debug/pprof on this address while the run lasts")
+		statsEvery = flag.Duration("stats-interval", 0, "emit a JSON-lines /statusz snapshot to stderr at this interval")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
 	if *cpuProfile != "" {
@@ -181,7 +180,6 @@ func run() int {
 		IncidentExportDir:    *exportDir,
 		IncidentKeepSegments: *exportKeep,
 		PushURLs:             splitList(*pushURL),
-		PushCompression:      *pushCompress,
 	}
 	if *honeypots != "" {
 		cfg.Honeypots = strings.Split(*honeypots, ",")

@@ -1,539 +1,60 @@
-// Package compress implements the tiny-window LZSS stream framing used
-// for federation push bodies (Content-Encoding: semnids-lzss).
-//
-// Evidence JSONL is highly repetitive — long runs of identical keys,
-// addresses and class names — so even a 2 KiB sliding window recovers
-// most of the redundancy while keeping encoder and decoder state small
-// enough to live on every push path without pooling heroics.
-//
-// The format is deliberately minimal, in the spirit of heatshrink-style
-// embedded coders:
-//
-//	header:  'S' 'Z' <param>        param = windowBits<<4 | lookaheadBits
-//	stream:  a sequence of tokens, MSB-first bit packing
-//	  1 <8-bit literal>                              one byte verbatim
-//	  0 <L-bit lenField> <W-bit distField>           backreference
-//	  0 <L-bit zero>                                 end of stream
-//
-// lenField 0 is reserved for the end-of-stream marker; otherwise the
-// match length is lenField+1 (2 .. 1<<L) and the distance is
-// distField+1 (1 .. 1<<W). After the end-of-stream marker the final
-// byte is zero-padded.
-//
-// The decoder is an incremental state machine: every byte of output it
-// produces is final, so a stream cut at ANY byte offset decodes to a
-// strict prefix of the original and then fails with ErrTruncated. That
-// composes with the evidence wire format's committed-checkpoint
-// semantics — a truncated compressed push body decodes to a truncated
-// JSONL body, which fed.ReadExport already handles (newest committed
-// checkpoint wins, partial tail dropped).
+// Package compress owns the federation push body encoding: gzip at
+// BestSpeed. A body cut off at any byte decodes to a prefix of the
+// original, because compress/flate hands out everything it decoded
+// before it returns the error; fed.ReadExport then keeps the newest
+// checkpoint committed inside that prefix.
 package compress
 
 import (
+	"compress/flate"
+	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
 )
 
-// ContentEncoding is the HTTP Content-Encoding token for this framing.
-const ContentEncoding = "semnids-lzss"
+// ContentEncoding is the HTTP Content-Encoding token of a push body.
+const ContentEncoding = "gzip"
 
-// Sentinel errors. Callers branch on these to distinguish a cleanly
-// detected mid-body fault from garbage input.
+// Decode failures. Errors of the underlying reader pass through.
 var (
-	// ErrTruncated reports that the input ended before the encoder's
-	// end-of-stream marker: everything decoded so far is a strict
-	// prefix of the original, and the rest is missing.
+	// ErrTruncated: the stream was torn; what was read is a prefix.
 	ErrTruncated = errors.New("compress: input truncated before end of stream")
-
-	// ErrBadStateOnClose reports Close on a stream that had not
-	// reached a clean end of stream (reader: EOS not seen; writer: a
-	// downstream write failed and the tail was never emitted).
-	ErrBadStateOnClose = errors.New("compress: close in bad state")
-
-	// ErrCorrupt reports input that can never have been produced by
-	// the encoder (bad magic, out-of-range parameters, or a
-	// backreference past the start of the stream).
+	// ErrCorrupt: a bad header, a checksum mismatch or invalid deflate.
 	ErrCorrupt = errors.New("compress: corrupt input")
 )
 
-// Default and legal parameter ranges. The defaults (2 KiB window,
-// 32-byte lookahead) are tuned for evidence JSONL; see the compression
-// benchmarks.
-const (
-	DefaultWindowBits    = 11
-	DefaultLookaheadBits = 5
-
-	minWindowBits    = 4
-	maxWindowBits    = 13
-	minLookaheadBits = 2
-	maxLookaheadBits = 7
-)
-
-const (
-	magic0 = 'S'
-	magic1 = 'Z'
-
-	minMatch = 2
-
-	// Encoder hash-chain shape: 15-bit multiplicative hash over the
-	// next two bytes, bounded chain walks. Collisions are harmless —
-	// candidates are byte-verified before use.
-	hashBits  = 15
-	hashSize  = 1 << hashBits
-	maxChain  = 32
-	compactAt = 1 << 15 // slide the encode buffer once this much is consumed
-	chunkMax  = 1 << 14 // largest slice appended to the buffer per step
-)
-
-func hash2(a, b byte) uint32 {
-	return ((uint32(a)<<8 | uint32(b)) * 2654435761) >> (32 - hashBits)
+// NewWriter returns a gzip writer at BestSpeed; Close writes the trailer.
+func NewWriter(w io.Writer) *gzip.Writer {
+	zw, _ := gzip.NewWriterLevel(w, gzip.BestSpeed) // a valid level cannot fail
+	return zw
 }
 
-func validParams(windowBits, lookaheadBits int) error {
-	if windowBits < minWindowBits || windowBits > maxWindowBits {
-		return fmt.Errorf("%w: window bits %d out of range [%d,%d]", ErrCorrupt, windowBits, minWindowBits, maxWindowBits)
-	}
-	if lookaheadBits < minLookaheadBits || lookaheadBits > maxLookaheadBits {
-		return fmt.Errorf("%w: lookahead bits %d out of range [%d,%d]", ErrCorrupt, lookaheadBits, minLookaheadBits, maxLookaheadBits)
-	}
-	if lookaheadBits >= windowBits {
-		return fmt.Errorf("%w: lookahead bits %d must be smaller than window bits %d", ErrCorrupt, lookaheadBits, windowBits)
-	}
-	return nil
+// NewReader decodes a stream written by NewWriter. The header is read
+// on the first Read, so an empty or torn header is ErrTruncated there.
+func NewReader(r io.Reader) io.Reader { return &reader{r: r} }
+
+type reader struct {
+	r   io.Reader
+	z   *gzip.Reader
+	err error // sticky header failure
 }
 
-// Writer is a streaming LZSS encoder. Close flushes the end-of-stream
-// marker; until then the output is a resumable prefix.
-type Writer struct {
-	w     io.Writer
-	wBits int
-	lBits int
-
-	winSize  int
-	maxMatch int
-
-	buf []byte // window history + pending input
-	pos int    // buf[:pos] is encoded history, buf[pos:] pending
-
-	head []int32 // hash -> newest buf position + 1 (0 = empty)
-	prev []int32 // buf position -> previous position with same hash + 1
-
-	bitBuf uint64
-	bitN   uint
-	out    []byte
-
-	wroteHeader bool
-	closed      bool
-	err         error
-}
-
-// NewWriter returns a Writer with the default window and lookahead.
-func NewWriter(w io.Writer) *Writer {
-	wr, err := NewWriterSize(w, DefaultWindowBits, DefaultLookaheadBits)
-	if err != nil {
-		// Defaults are always legal.
-		panic(err)
-	}
-	return wr
-}
-
-// NewWriterSize returns a Writer with an explicit window (1<<windowBits
-// bytes) and lookahead (max match 1<<lookaheadBits bytes).
-func NewWriterSize(w io.Writer, windowBits, lookaheadBits int) (*Writer, error) {
-	if err := validParams(windowBits, lookaheadBits); err != nil {
-		return nil, err
-	}
-	return &Writer{
-		w:        w,
-		wBits:    windowBits,
-		lBits:    lookaheadBits,
-		winSize:  1 << windowBits,
-		maxMatch: 1 << lookaheadBits,
-		head:     make([]int32, hashSize),
-		prev:     make([]int32, compactAt+(1<<maxWindowBits)+chunkMax+(1<<maxLookaheadBits)),
-		out:      make([]byte, 0, 4096),
-	}, nil
-}
-
-func (w *Writer) Write(p []byte) (int, error) {
-	if w.err != nil {
-		return 0, w.err
-	}
-	if w.closed {
-		w.err = errors.New("compress: write after close")
-		return 0, w.err
-	}
-	total := 0
-	for len(p) > 0 {
-		n := len(p)
-		if n > chunkMax {
-			n = chunkMax
-		}
-		w.buf = append(w.buf, p[:n]...)
-		p = p[n:]
-		total += n
-		w.encode(false)
-		if w.err != nil {
-			return total, w.err
+func (d *reader) Read(p []byte) (n int, err error) {
+	if d.z == nil && d.err == nil {
+		if d.z, d.err = gzip.NewReader(d.r); d.err == io.EOF {
+			d.err = io.ErrUnexpectedEOF // an empty body is a cut at offset 0
 		}
 	}
-	return total, nil
-}
-
-// Close encodes any buffered input, emits the end-of-stream marker and
-// flushes. It does not close the underlying writer. If an earlier
-// write failed, Close reports ErrBadStateOnClose: the stream on the
-// wire is an unterminated prefix.
-func (w *Writer) Close() error {
-	if w.closed {
-		return w.err
+	if err = d.err; err == nil {
+		n, err = d.z.Read(p)
 	}
-	w.closed = true
-	if w.err != nil {
-		w.err = fmt.Errorf("%w: %v", ErrBadStateOnClose, w.err)
-		return w.err
+	var ce flate.CorruptInputError
+	switch {
+	case err == io.ErrUnexpectedEOF:
+		return n, ErrTruncated
+	case errors.Is(err, gzip.ErrHeader), errors.Is(err, gzip.ErrChecksum), errors.As(err, &ce):
+		return n, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	w.encode(true)
-	if w.err == nil {
-		// End of stream: backref tag with lenField 0, then pad.
-		w.putBits(0, 1)
-		w.putBits(0, uint(w.lBits))
-		if w.bitN > 0 {
-			w.bitBuf <<= 8 - w.bitN
-			w.out = append(w.out, byte(w.bitBuf))
-			w.bitBuf, w.bitN = 0, 0
-		}
-		w.flush()
-	}
-	if w.err != nil {
-		w.err = fmt.Errorf("%w: %v", ErrBadStateOnClose, w.err)
-	}
-	return w.err
-}
-
-func (w *Writer) putBits(v uint64, n uint) {
-	w.bitBuf = w.bitBuf<<n | (v & (1<<n - 1))
-	w.bitN += n
-	for w.bitN >= 8 {
-		w.bitN -= 8
-		w.out = append(w.out, byte(w.bitBuf>>w.bitN))
-	}
-	if len(w.out) >= 4096 {
-		w.flush()
-	}
-}
-
-func (w *Writer) flush() {
-	if w.err != nil || len(w.out) == 0 {
-		return
-	}
-	if _, err := w.w.Write(w.out); err != nil {
-		w.err = err
-	}
-	w.out = w.out[:0]
-}
-
-func (w *Writer) encode(final bool) {
-	if w.err != nil {
-		return
-	}
-	if !w.wroteHeader {
-		w.wroteHeader = true
-		w.out = append(w.out, magic0, magic1, byte(w.wBits<<4|w.lBits))
-	}
-	for {
-		avail := len(w.buf) - w.pos
-		if avail == 0 {
-			break
-		}
-		// Hold back until a full lookahead is buffered so the greedy
-		// choice at pos never improves with more input.
-		if !final && avail < w.maxMatch {
-			break
-		}
-		bestLen, bestDist := w.findMatch(avail)
-		if bestLen >= minMatch {
-			w.putBits(0, 1)
-			w.putBits(uint64(bestLen-1), uint(w.lBits))
-			w.putBits(uint64(bestDist-1), uint(w.wBits))
-			end := w.pos + bestLen
-			for ; w.pos < end; w.pos++ {
-				w.insert(w.pos)
-			}
-		} else {
-			w.putBits(1, 1)
-			w.putBits(uint64(w.buf[w.pos]), 8)
-			w.insert(w.pos)
-			w.pos++
-		}
-		if w.err != nil {
-			return
-		}
-		if w.pos >= compactAt {
-			w.compact()
-		}
-	}
-}
-
-func (w *Writer) findMatch(avail int) (length, dist int) {
-	if avail < minMatch {
-		return 0, 0
-	}
-	maxLen := avail
-	if maxLen > w.maxMatch {
-		maxLen = w.maxMatch
-	}
-	pos := w.pos
-	cand := int(w.head[hash2(w.buf[pos], w.buf[pos+1])]) - 1
-	best := 0
-	for chain := maxChain; cand >= 0 && chain > 0; chain-- {
-		if pos-cand > w.winSize {
-			break
-		}
-		// Cheap rejection: the byte that would extend the best match.
-		if best == 0 || w.buf[cand+best] == w.buf[pos+best] {
-			n := 0
-			for n < maxLen && w.buf[cand+n] == w.buf[pos+n] {
-				n++
-			}
-			if n > best {
-				best, dist = n, pos-cand
-				if best == maxLen {
-					break
-				}
-			}
-		}
-		cand = int(w.prev[cand]) - 1
-	}
-	return best, dist
-}
-
-func (w *Writer) insert(i int) {
-	if i+1 >= len(w.buf) {
-		return
-	}
-	h := hash2(w.buf[i], w.buf[i+1])
-	w.prev[i] = w.head[h]
-	w.head[h] = int32(i + 1)
-}
-
-// compact slides the buffer so only the live window plus pending input
-// remain, then rebuilds the hash chains for the retained window. This
-// bounds both the buffer and the prev table for unbounded streams.
-func (w *Writer) compact() {
-	keep := w.pos - w.winSize
-	if keep <= 0 {
-		return
-	}
-	n := copy(w.buf, w.buf[keep:])
-	w.buf = w.buf[:n]
-	w.pos -= keep
-	for i := range w.head {
-		w.head[i] = 0
-	}
-	for i := 0; i < w.pos; i++ {
-		w.insert(i)
-	}
-}
-
-// Reader is a streaming LZSS decoder. It produces output incrementally:
-// any byte returned by Read is final, so a truncated input yields a
-// strict prefix of the original followed by ErrTruncated.
-type Reader struct {
-	r io.Reader
-
-	wBits int
-	lBits int
-
-	win   []byte // ring buffer of decoded history
-	wMask int
-	wPos  int
-	total int64 // bytes decoded so far (backref validation)
-
-	in    [512]byte
-	inPos int
-	inLen int
-
-	bitBuf uint32
-	bitN   uint
-
-	state    rdState
-	copyLen  int
-	copyDist int
-
-	err error
-}
-
-type rdState uint8
-
-const (
-	rdHeader rdState = iota
-	rdTag
-	rdLiteral
-	rdLen
-	rdDist
-	rdCopy
-	rdDone
-)
-
-// NewReader returns a Reader decoding the stream from r. Parameters
-// are taken from the stream header.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r}
-}
-
-func (d *Reader) Read(p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		switch d.state {
-		case rdDone:
-			if n > 0 {
-				return n, nil
-			}
-			return 0, io.EOF
-		case rdHeader:
-			if err := d.readHeader(); err != nil {
-				return n, d.fail(err)
-			}
-			d.state = rdTag
-		case rdTag:
-			b, err := d.getBits(1)
-			if err != nil {
-				return n, d.fail(err)
-			}
-			if b == 1 {
-				d.state = rdLiteral
-			} else {
-				d.state = rdLen
-			}
-		case rdLiteral:
-			b, err := d.getBits(8)
-			if err != nil {
-				return n, d.fail(err)
-			}
-			p[n] = byte(b)
-			d.emit(byte(b))
-			n++
-			d.state = rdTag
-		case rdLen:
-			v, err := d.getBits(uint(d.lBits))
-			if err != nil {
-				return n, d.fail(err)
-			}
-			if v == 0 {
-				d.state = rdDone
-				continue
-			}
-			d.copyLen = int(v) + 1
-			d.state = rdDist
-		case rdDist:
-			v, err := d.getBits(uint(d.wBits))
-			if err != nil {
-				return n, d.fail(err)
-			}
-			d.copyDist = int(v) + 1
-			if int64(d.copyDist) > d.total {
-				return n, d.fail(fmt.Errorf("%w: backreference distance %d exceeds %d decoded bytes", ErrCorrupt, d.copyDist, d.total))
-			}
-			d.state = rdCopy
-		case rdCopy:
-			// Byte-at-a-time via the ring: distances may be shorter
-			// than the match (run-length encoding of repeats).
-			for d.copyLen > 0 && n < len(p) {
-				b := d.win[(d.wPos-d.copyDist)&d.wMask]
-				p[n] = b
-				d.emit(b)
-				n++
-				d.copyLen--
-			}
-			if d.copyLen == 0 {
-				d.state = rdTag
-			}
-		}
-	}
-	return n, nil
-}
-
-func (d *Reader) fail(err error) error {
-	if d.err == nil {
-		d.err = err
-	}
-	return d.err
-}
-
-func (d *Reader) emit(b byte) {
-	d.win[d.wPos&d.wMask] = b
-	d.wPos++
-	d.total++
-}
-
-func (d *Reader) readHeader() error {
-	var hdr [3]byte
-	for i := 0; i < len(hdr); {
-		b, err := d.nextByte()
-		if err != nil {
-			return err
-		}
-		hdr[i] = b
-		i++
-	}
-	if hdr[0] != magic0 || hdr[1] != magic1 {
-		return fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:2])
-	}
-	wBits, lBits := int(hdr[2]>>4), int(hdr[2]&0xf)
-	if err := validParams(wBits, lBits); err != nil {
-		return err
-	}
-	d.wBits, d.lBits = wBits, lBits
-	d.win = make([]byte, 1<<wBits)
-	d.wMask = 1<<wBits - 1
-	return nil
-}
-
-func (d *Reader) nextByte() (byte, error) {
-	for d.inPos >= d.inLen {
-		n, err := d.r.Read(d.in[:])
-		if n > 0 {
-			d.inPos, d.inLen = 0, n
-			break
-		}
-		if err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				// Out of input before the end-of-stream marker:
-				// clean strict-prefix truncation.
-				return 0, ErrTruncated
-			}
-			return 0, err
-		}
-	}
-	b := d.in[d.inPos]
-	d.inPos++
-	return b, nil
-}
-
-func (d *Reader) getBits(n uint) (uint32, error) {
-	for d.bitN < n {
-		b, err := d.nextByte()
-		if err != nil {
-			return 0, err
-		}
-		d.bitBuf = d.bitBuf<<8 | uint32(b)
-		d.bitN += 8
-	}
-	d.bitN -= n
-	return (d.bitBuf >> d.bitN) & (1<<n - 1), nil
-}
-
-// Close reports whether the stream terminated cleanly. A Reader that
-// never saw the end-of-stream marker (truncated or abandoned input)
-// returns ErrBadStateOnClose. It does not close the underlying reader.
-func (d *Reader) Close() error {
-	if d.state == rdDone {
-		return nil
-	}
-	if d.err != nil && d.err != ErrTruncated {
-		return fmt.Errorf("%w: %v", ErrBadStateOnClose, d.err)
-	}
-	return ErrBadStateOnClose
+	return n, err
 }

@@ -6,12 +6,21 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/netip"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"semnids/internal/core"
+	"semnids/internal/fed"
+	"semnids/internal/incident"
+	"semnids/internal/lineage"
 )
 
-// encode compresses b with the default parameters and returns the wire
-// bytes, failing the test on any writer error.
+// encode compresses b and returns the wire bytes, failing the test on
+// any writer error.
 func encode(t testing.TB, b []byte) []byte {
 	t.Helper()
 	var out bytes.Buffer
@@ -27,19 +36,15 @@ func encode(t testing.TB, b []byte) []byte {
 
 func decode(t testing.TB, b []byte) []byte {
 	t.Helper()
-	r := NewReader(bytes.NewReader(b))
-	got, err := io.ReadAll(r)
+	got, err := io.ReadAll(NewReader(bytes.NewReader(b)))
 	if err != nil {
 		t.Fatalf("ReadAll: %v", err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("Reader.Close: %v", err)
 	}
 	return got
 }
 
 // corpus builds inputs that exercise literals, short and long matches,
-// overlapping runs and window-crossing repetition.
+// overlapping runs and incompressible data.
 func corpus() map[string][]byte {
 	rng := rand.New(rand.NewSource(42))
 	random := make([]byte, 50000)
@@ -63,21 +68,126 @@ func corpus() map[string][]byte {
 		"ascii":       []byte("the quick brown fox jumps over the lazy dog"),
 		"random":      random,
 		"jsonish":     jsonish(400),
-		"big-jsonish": jsonish(4000), // crosses the compaction threshold
+		"big-jsonish": jsonish(4000), // several deflate blocks
 		"binary-rep":  bytes.Repeat([]byte{0, 1, 2, 3, 0xff, 0xfe}, 9000),
 	}
+}
+
+// evidence is a sensor's export after events correlator events, with
+// the canonical lineage set of obs observations a sensor running with
+// lineage attaches.
+func evidence(t testing.TB, sensor string, seed int64, events, obs int) *incident.EvidenceExport {
+	t.Helper()
+	c := incident.New(incident.Config{WindowUS: 30e6, FanoutThreshold: 3})
+	defer c.Stop()
+	rng := rand.New(rand.NewSource(seed))
+	host := func(i int) netip.Addr { return netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}) }
+	fp := func(i int) core.Fingerprint { return core.FingerprintOf([]byte(fmt.Sprintf("payload-%d", i))) }
+	for i := 0; i < events; i++ {
+		ev := core.Event{
+			Kind: core.EventAlert, TimestampUS: uint64(1000 + rng.Intn(2_000_000)),
+			Src: host(rng.Intn(events/8 + 1)), Dst: host(4096 + rng.Intn(64)), SrcPort: 1234, DstPort: 80,
+			Fingerprint: fp(rng.Intn(16)), Template: "code-red-ii", Severity: "high",
+		}
+		if rng.Intn(2) == 0 {
+			ev.Kind, ev.Src, ev.Dst = core.EventFingerprint, ev.Dst, host(8192+rng.Intn(64))
+		}
+		c.Publish(ev)
+	}
+	c.Flush()
+	ex := c.Export(sensor)
+	var lin []lineage.Observation
+	for i := 0; i < obs; i++ {
+		id := rng.Intn(obs)
+		lin = append(lin, lineage.Observation{
+			Exact:       core.FingerprintOf([]byte(fmt.Sprintf("%s-variant-%d", sensor, id))),
+			Tail:        fp(id % 2),
+			TemplateSym: uint64(id%4) + 1,
+			StmtsSym:    uint64(id%6) + 1,
+			FirstUS:     uint64(1000 + rng.Intn(100000)),
+			Src:         host(rng.Intn(64)),
+			Dst:         host(4096 + rng.Intn(64)),
+			Sensors:     []string{sensor},
+		})
+	}
+	ex.Lineage = lineage.Merge(lin, nil)
+	return ex
+}
+
+// lineageSegment has a sink write two growing lineage checkpoints into
+// one segment and returns its bytes and the length of its first
+// committed checkpoint group.
+func lineageSegment(t testing.TB) (seg []byte, firstEnd int) {
+	t.Helper()
+	dir := t.TempDir()
+	exports := []*incident.EvidenceExport{evidence(t, "sensor-a", 1, 24, 6), evidence(t, "sensor-a", 1, 48, 12)}
+	next := 0
+	sink, err := fed.OpenSink(fed.SinkConfig{
+		Dir:             dir,
+		CheckpointEvery: time.Hour,
+		Export:          func() *incident.EvidenceExport { return exports[next] },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Kill()
+	size := func() int {
+		segs, err := fed.Segments(dir)
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("segments %v, %v: want exactly one", segs, err)
+		}
+		return int(segs[0].Size)
+	}
+	if err := sink.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	firstEnd, next = size(), 1
+	if err := sink.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := fed.Segments(dir)
+	seg, err = os.ReadFile(filepath.Join(dir, segs[0].Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seg, firstEnd
+}
+
+// readBack renders the checkpoint fed.ReadExport finds in a segment
+// prefix as wire bytes, or "error" when it finds none.
+func readBack(t testing.TB, seg []byte) string {
+	t.Helper()
+	ex, err := fed.ReadExport(bytes.NewReader(seg))
+	if err != nil {
+		return "error"
+	}
+	var buf bytes.Buffer
+	if err := fed.WriteExport(&buf, ex); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }
 
 func TestRoundTrip(t *testing.T) {
 	for name, in := range corpus() {
 		t.Run(name, func(t *testing.T) {
-			wire := encode(t, in)
-			got := decode(t, wire)
-			if !bytes.Equal(got, in) {
+			if got := decode(t, encode(t, in)); !bytes.Equal(got, in) {
 				t.Fatalf("round trip mismatch: got %d bytes, want %d", len(got), len(in))
 			}
 		})
 	}
+	t.Run("multi-mb-export", func(t *testing.T) {
+		var raw bytes.Buffer
+		if err := fed.WriteExport(&raw, evidence(t, "sensor-big", 7, 60000, 4000)); err != nil {
+			t.Fatal(err)
+		}
+		if raw.Len() < 2<<20 {
+			t.Fatalf("export only %d bytes, want a multi-MB fixture", raw.Len())
+		}
+		if got := decode(t, encode(t, raw.Bytes())); !bytes.Equal(got, raw.Bytes()) {
+			t.Fatalf("round trip mismatch: got %d bytes, want %d", len(got), raw.Len())
+		}
+	})
 }
 
 func TestRoundTripChunked(t *testing.T) {
@@ -85,11 +195,7 @@ func TestRoundTripChunked(t *testing.T) {
 	var out bytes.Buffer
 	w := NewWriter(&out)
 	for i := 0; i < len(in); i += 3 {
-		end := i + 3
-		if end > len(in) {
-			end = len(in)
-		}
-		if _, err := w.Write(in[i:end]); err != nil {
+		if _, err := w.Write(in[i:min(i+3, len(in))]); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
 	}
@@ -115,92 +221,72 @@ func TestRoundTripChunked(t *testing.T) {
 	}
 }
 
-func TestRoundTripAllParams(t *testing.T) {
-	in := corpus()["jsonish"]
-	for wb := minWindowBits; wb <= maxWindowBits; wb++ {
-		for lb := minLookaheadBits; lb <= maxLookaheadBits && lb < wb; lb++ {
-			var out bytes.Buffer
-			w, err := NewWriterSize(&out, wb, lb)
-			if err != nil {
-				t.Fatalf("NewWriterSize(%d,%d): %v", wb, lb, err)
-			}
-			if _, err := w.Write(in); err != nil {
-				t.Fatalf("Write: %v", err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			if got := decode(t, out.Bytes()); !bytes.Equal(got, in) {
-				t.Fatalf("W=%d L=%d round trip mismatch", wb, lb)
-			}
-		}
-	}
-}
-
-// TestTruncationEveryOffset is the strict-prefix guarantee: a stream
-// cut at ANY byte offset must decode to a prefix of the original and
-// fail with ErrTruncated, and Close must report ErrBadStateOnClose.
+// TestTruncationEveryOffset is the prefix guarantee the push path
+// relies on: a compressed lineage segment cut at any byte decodes to a
+// prefix of the segment and fails with ErrTruncated, and that prefix
+// reads back as the newest checkpoint committed inside it.
 func TestTruncationEveryOffset(t *testing.T) {
-	in := corpus()["jsonish"][:4000]
-	wire := encode(t, in)
-	if len(wire) < 64 {
-		t.Fatalf("wire too small to be interesting: %d bytes", len(wire))
+	seg, firstEnd := lineageSegment(t)
+	first := readBack(t, seg[:firstEnd])
+	second := readBack(t, seg)
+	if first == "error" || second == "error" || first == second {
+		t.Fatalf("fixture does not hold two distinct committed checkpoints")
 	}
+	wire := encode(t, seg)
+	t.Logf("segment: %d bytes, first checkpoint commits at %d, %d on the wire", len(seg), firstEnd, len(wire))
+	prevLen, prevWant := -1, ""
 	for cut := 0; cut < len(wire); cut++ {
-		r := NewReader(bytes.NewReader(wire[:cut]))
-		got, err := io.ReadAll(r)
+		got, err := io.ReadAll(NewReader(bytes.NewReader(wire[:cut])))
 		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut=%d: err = %v, want ErrTruncated", cut, err)
 		}
-		if !bytes.HasPrefix(in, got) {
-			t.Fatalf("cut=%d: decoded %d bytes are not a prefix of the original", cut, len(got))
+		if !bytes.HasPrefix(seg, got) {
+			t.Fatalf("cut=%d: decoded %d bytes are not a prefix of the segment", cut, len(got))
 		}
-		// Only a cut inside the trailing end-of-stream marker (at
-		// most the final two bytes) may still recover every payload
-		// byte; anywhere earlier, output must be missing.
-		if len(got) == len(in) && cut < len(wire)-2 {
-			t.Fatalf("cut=%d/%d: full output recovered from truncated input", cut, len(wire))
+		if len(got) == prevLen {
+			continue // the same prefix reads back the same
 		}
-		if err := r.Close(); !errors.Is(err, ErrBadStateOnClose) {
-			t.Fatalf("cut=%d: Close = %v, want ErrBadStateOnClose", cut, err)
+		want := "error"
+		switch {
+		case len(got) == len(seg):
+			want = second
+		case len(got) >= firstEnd:
+			want = first
 		}
+		if have := readBack(t, got); have != want {
+			t.Fatalf("cut=%d: %d-byte prefix reads back the wrong checkpoint (first commits at %d of %d)",
+				cut, len(got), firstEnd, len(seg))
+		}
+		prevLen, prevWant = len(got), want
+	}
+	if prevWant != second {
+		t.Fatalf("no cut recovered the complete segment")
 	}
 }
 
 func TestCorruptInput(t *testing.T) {
 	valid := encode(t, []byte("hello hello hello"))
-
-	t.Run("bad-magic", func(t *testing.T) {
-		wire := append([]byte{}, valid...)
-		wire[0] = 'X'
-		_, err := io.ReadAll(NewReader(bytes.NewReader(wire)))
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-	})
-	t.Run("bad-params", func(t *testing.T) {
-		wire := append([]byte{}, valid...)
-		wire[2] = 0xff // windowBits 15 out of range
-		_, err := io.ReadAll(NewReader(bytes.NewReader(wire)))
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-	})
-	t.Run("backref-before-start", func(t *testing.T) {
-		// Header then a backreference with nothing decoded yet:
-		// tag=0, lenField=1, dist bits... craft by hand: after the
-		// 3-byte header, bits 0 00001 00000000001 → invalid distance.
-		wire := []byte{magic0, magic1, DefaultWindowBits<<4 | DefaultLookaheadBits, 0b00000100, 0b00000001, 0x00}
-		_, err := io.ReadAll(NewReader(bytes.NewReader(wire)))
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-	})
+	gzipHeader := valid[:10]
+	for name, wire := range map[string][]byte{
+		"bad-magic":  append([]byte{'X'}, valid[1:]...),
+		"bad-params": append(append([]byte{}, valid[:2]...), append([]byte{7}, valid[3:]...)...), // method 7, not deflate
+		// A fixed-Huffman block whose first symbol copies from distance 1
+		// with nothing decoded yet.
+		"backref-before-start": append(append([]byte{}, gzipHeader...), 0x03, 0x02, 0, 0, 0, 0, 0, 0, 0, 0),
+		"bad-checksum":         append(append([]byte{}, valid[:len(valid)-8]...), 0xde, 0xad, 0xbe, 0xef, 17, 0, 0, 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := io.ReadAll(NewReader(bytes.NewReader(wire))); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+		})
+	}
 }
 
+// TestWriterCloseAfterWriteError: a stream whose bytes never reached
+// the destination must not close cleanly.
 func TestWriterCloseAfterWriteError(t *testing.T) {
 	w := NewWriter(failWriter{})
-	// Enough input to force a flush through the failing writer.
 	big := bytes.Repeat([]byte("abcdefgh"), 4096)
 	var werr error
 	for i := 0; i < 64 && werr == nil; i++ {
@@ -209,26 +295,14 @@ func TestWriterCloseAfterWriteError(t *testing.T) {
 	if werr == nil {
 		t.Fatalf("Write never surfaced the downstream failure")
 	}
-	if err := w.Close(); !errors.Is(err, ErrBadStateOnClose) {
-		t.Fatalf("Close = %v, want ErrBadStateOnClose", err)
+	if err := w.Close(); err == nil {
+		t.Fatalf("Close succeeded after a failed write")
 	}
 }
 
 type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("disk full") }
-
-func TestReaderCloseCleanAndEmpty(t *testing.T) {
-	wire := encode(t, nil)
-	r := NewReader(bytes.NewReader(wire))
-	got, err := io.ReadAll(r)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty stream: got %d bytes, err %v", len(got), err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("Close after clean EOS: %v", err)
-	}
-}
 
 func TestCompressionRatioJSONL(t *testing.T) {
 	in := corpus()["big-jsonish"]
@@ -238,64 +312,42 @@ func TestCompressionRatioJSONL(t *testing.T) {
 	if ratio < 3.0 {
 		t.Fatalf("compression ratio %.2fx below 3x floor on repetitive JSONL", ratio)
 	}
-	// Incompressible input must not blow up badly: worst case is
-	// 9 bits per literal plus header and EOS.
+	// Incompressible input must not blow up: at worst stored blocks,
+	// five bytes per block plus the header and trailer.
 	rnd := corpus()["random"]
-	rw := encode(t, rnd)
-	if float64(len(rw)) > float64(len(rnd))*9.0/8.0+16 {
+	if rw := encode(t, rnd); len(rw) > len(rnd)+len(rnd)/100+64 {
 		t.Fatalf("incompressible expansion too large: %d -> %d", len(rnd), len(rw))
 	}
 }
 
 // FuzzDecompress drives the decoder over arbitrary input: it must never
-// panic, never return more than the bounded output, and on valid
-// prefixes must fail with the sentinel errors only.
+// panic or exceed the output bound, and every failure must be one of
+// the two sentinels.
 func FuzzDecompress(f *testing.F) {
 	seeds := [][]byte{
 		nil,
-		{magic0},
-		{magic0, magic1},
-		{magic0, magic1, DefaultWindowBits<<4 | DefaultLookaheadBits},
+		{0x1f},
+		{0x1f, 0x8b},
+		{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff},
 		{0xff, 0xff, 0xff, 0xff},
 	}
 	for _, in := range corpus() {
-		wire := encodeFuzzSeed(in)
-		seeds = append(seeds, wire)
-		if len(wire) > 4 {
-			seeds = append(seeds, wire[:len(wire)/2], wire[:len(wire)-1])
-		}
+		wire := encode(f, in)
+		seeds = append(seeds, wire, wire[:len(wire)/2], wire[:len(wire)-1])
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxOut = 1 << 22
-		r := NewReader(bytes.NewReader(data))
-		n, err := io.Copy(io.Discard, io.LimitReader(r, maxOut))
+		n, err := io.Copy(io.Discard, io.LimitReader(NewReader(bytes.NewReader(data)), maxOut))
 		if n > maxOut {
 			t.Fatalf("decoder exceeded output bound")
 		}
-		if err == nil {
-			// Either clean EOS or the output bound was hit
-			// mid-stream; Close distinguishes.
-			_ = r.Close()
-			return
-		}
-		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
+		if err != nil && !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("unexpected error class: %v", err)
 		}
-		if cerr := r.Close(); cerr == nil {
-			t.Fatalf("Close succeeded after decode error %v", err)
-		}
 	})
-}
-
-func encodeFuzzSeed(b []byte) []byte {
-	var out bytes.Buffer
-	w := NewWriter(&out)
-	w.Write(b)
-	w.Close()
-	return out.Bytes()
 }
 
 func BenchmarkCompressJSONL(b *testing.B) {
@@ -304,11 +356,7 @@ func BenchmarkCompressJSONL(b *testing.B) {
 	b.ReportAllocs()
 	var wireLen int
 	for i := 0; i < b.N; i++ {
-		var out bytes.Buffer
-		w := NewWriter(&out)
-		w.Write(in)
-		w.Close()
-		wireLen = out.Len()
+		wireLen = len(encode(b, in))
 	}
 	b.ReportMetric(float64(len(in))/float64(wireLen), "ratio")
 }
@@ -319,8 +367,7 @@ func BenchmarkDecompressJSONL(b *testing.B) {
 	b.SetBytes(int64(len(in)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := NewReader(bytes.NewReader(wire))
-		if _, err := io.Copy(io.Discard, r); err != nil {
+		if _, err := io.Copy(io.Discard, NewReader(bytes.NewReader(wire))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -109,7 +109,7 @@ type AggregatorConfig struct {
 	Upstreams []string
 
 	// UpstreamClient / PushInterval / PushTimeout / PushBackoffMin /
-	// PushBackoffMax / PushProbeInterval / PushSeed / Compression tune
+	// PushBackoffMax / PushProbeInterval / PushSeed tune
 	// the upstream pusher (see PusherConfig; zero values take its
 	// defaults). Ignored without Upstreams.
 	UpstreamClient    *http.Client
@@ -119,7 +119,6 @@ type AggregatorConfig struct {
 	PushBackoffMax    time.Duration
 	PushProbeInterval time.Duration
 	PushSeed          int64
-	Compression       Compression
 }
 
 func (cfg AggregatorConfig) withDefaults() AggregatorConfig {
@@ -143,9 +142,10 @@ type AggregatorMetrics struct {
 	// which is the point).
 	Received, Merged uint64
 
-	// Rejected counts bodies refused as corrupt or checkpoint-less
-	// (400), TooLarge those over MaxBodyBytes (413), Skew those
-	// carrying incompatible correlation parameters (409).
+	// Rejected counts bodies refused as corrupt (including a compressed
+	// body that fails its decoder's checks) or checkpoint-less (400),
+	// TooLarge those over MaxBodyBytes (413), Skew those carrying
+	// incompatible correlation parameters (409).
 	Rejected, TooLarge, Skew uint64
 
 	// Errors counts folds that merged but failed to commit durably
@@ -270,7 +270,6 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 			BackoffMax:     cfg.PushBackoffMax,
 			ProbeInterval:  cfg.PushProbeInterval,
 			Seed:           cfg.PushSeed,
-			Compression:    cfg.Compression,
 			Route:          a.route,
 			Telemetry:      a.cfg.Telemetry,
 		})
@@ -451,7 +450,8 @@ func (a *Aggregator) Kill() {
 //
 //	200 — folded and (unless AsyncAck) durably committed
 //	204 — probe (GET/HEAD)
-//	400 — corrupt, truncated-before-first-checkpoint, or empty body
+//	400 — corrupt (segment or compressed stream), truncated before
+//	      the first checkpoint, or empty body
 //	405 — not a POST/GET/HEAD
 //	409 — correlation-parameter skew, or a topology-guard refusal
 //	      (Via-set cycle / hop budget) — retrying cannot help
@@ -526,16 +526,22 @@ func (a *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("transport: unsupported content encoding %q", enc), http.StatusUnsupportedMediaType)
 		return
 	}
-	// A read error is a connection drop or a torn compressed stream:
-	// what arrived is a truncated segment, and the framing decides how
-	// much of it is committed.
+	// A connection drop or a torn compressed stream leaves a truncated
+	// segment, and the framing decides how much of it is committed. A
+	// compressed stream that fails its checks folds nothing: the
+	// pusher's identity retry delivers the segment instead.
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer bodyPool.Put(buf)
 	buf.Reset()
-	_, _ = buf.ReadFrom(body)
+	_, readErr := buf.ReadFrom(body)
 	if wireLR.N <= 0 || (decLR != nil && decLR.N <= 0) {
 		a.m.tooLarge.Add(1)
 		http.Error(w, fmt.Sprintf("transport: segment body exceeds the %d-byte bound", a.cfg.MaxBodyBytes), http.StatusRequestEntityTooLarge)
+		return
+	}
+	if errors.Is(readErr, compress.ErrCorrupt) {
+		a.m.rejected.Add(1)
+		http.Error(w, fmt.Sprintf("transport: bad segment body: %v", readErr), http.StatusBadRequest)
 		return
 	}
 	folded, err := a.state.Fold(buf.Bytes())

@@ -115,7 +115,21 @@ func newAggregator(t testing.TB, dir string, mut func(*AggregatorConfig)) *Aggre
 // post pushes raw bytes at an aggregator server, returning the status.
 func post(t testing.TB, url string, body []byte) int {
 	t.Helper()
-	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+	return postEncoded(t, url, "", body)
+}
+
+// postEncoded pushes a body under a Content-Encoding ("" for none).
+func postEncoded(t testing.TB, url, encoding string, body []byte) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	if encoding != "" {
+		req.Header.Set("Content-Encoding", encoding)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,16 +137,45 @@ func post(t testing.TB, url string, body []byte) int {
 	return resp.StatusCode
 }
 
-// testCompression is the suite-wide push encoding: CI reruns the whole
-// transport fault suite with SEMNIDS_PUSH_COMPRESSION=on so every
-// convergence property is proven over compressed bodies too.
-func testCompression(t testing.TB) Compression {
+// gzipBytes is a push body as the pusher compresses it.
+func gzipBytes(t testing.TB, data []byte) []byte {
 	t.Helper()
-	comp, err := ParseCompression(os.Getenv("SEMNIDS_PUSH_COMPRESSION"))
+	wire := compressBytes(data)
+	if wire == nil {
+		t.Fatal("compressBytes failed")
+	}
+	return wire
+}
+
+// growingSegment has a sink write one checkpoint per export into a
+// single segment, as a sensor's spool segment grows, and returns it.
+func growingSegment(t testing.TB, exports ...*incident.EvidenceExport) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	next := 0
+	sink, err := fed.OpenSink(fed.SinkConfig{
+		Dir:             dir,
+		CheckpointEvery: time.Hour,
+		Export:          func() *incident.EvidenceExport { return exports[next] },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return comp
+	defer sink.Kill()
+	for next = range exports {
+		if err := sink.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := fed.Segments(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v: want exactly one", segs, err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segs[0].Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // fastPusher starts a pusher tuned for test cadence.
@@ -147,7 +190,6 @@ func fastPusher(t testing.TB, dir, url string, client *http.Client) *Pusher {
 		BackoffMin:     5 * time.Millisecond,
 		BackoffMax:     40 * time.Millisecond,
 		Seed:           1,
-		Compression:    testCompression(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,15 +280,84 @@ func TestAggregatorStatuses(t *testing.T) {
 		t.Fatalf("oversized fixture only %d bytes", len(data))
 	}
 
+	// The bound holds on the decoded side too: a compressed body well
+	// under it that expands past it is refused.
+	bomb := gzipBytes(t, append(append([]byte(nil), data...), bytes.Repeat([]byte("2 {}\n"), 1<<16)...))
+	if len(bomb) >= 64<<10 {
+		t.Fatalf("decompression-bomb fixture is %d bytes on the wire, want under the bound", len(bomb))
+	}
+	if got := postEncoded(t, srv.URL, compress.ContentEncoding, bomb); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("expanding compressed body = %d, want 413", got)
+	}
+
 	// Correlation-parameter skew: same wire format, incompatible fold.
 	skew := synthExportWindow(t, "sensor-skew", 3, 300, 60e6)
 	if got := post(t, srv.URL, encode(t, skew)); got != http.StatusConflict {
 		t.Errorf("skewed parameters = %d, want 409", got)
 	}
 
+	// The encoding of LZSS-era pushers is no longer spoken.
+	if got := postEncoded(t, srv.URL, "semnids-lzss", data); got != http.StatusUnsupportedMediaType {
+		t.Errorf("semnids-lzss body = %d, want 415", got)
+	}
+
 	m := agg.Metrics()
-	if m.Rejected < 3 || m.TooLarge != 1 || m.Skew != 1 || m.Merged != 2 {
-		t.Errorf("metrics = %+v, want rejected>=3 tooLarge=1 skew=1 merged=2", m)
+	if m.Rejected < 3 || m.TooLarge != 2 || m.Skew != 1 || m.Unsupported != 1 || m.Merged != 2 {
+		t.Errorf("metrics = %+v, want rejected>=3 tooLarge=2 skew=1 unsupported=1 merged=2", m)
+	}
+	if !bytes.Equal(encode(t, agg.Export()), before) {
+		t.Fatal("a refused push changed the aggregator state")
+	}
+}
+
+// TestAggregatorRefusesCorruptCompressedBody: a compressed body that
+// fails its decoder's checks (a flipped byte, a bad CRC) is refused
+// with 400 and folds nothing, while the same body torn mid-stream is a
+// truncation like any other and folds its committed prefix.
+func TestAggregatorRefusesCorruptCompressedBody(t *testing.T) {
+	agg := newAggregator(t, t.TempDir(), nil)
+	defer agg.Close()
+	srv := httptest.NewServer(agg)
+	defer srv.Close()
+
+	base := synthExport(t, "sensor-a", 1, 300)
+	if got := post(t, srv.URL, encode(t, base)); got != http.StatusOK {
+		t.Fatalf("base push = %d, want 200", got)
+	}
+	e1 := synthExport(t, "sensor-b", 2, 300)
+	e2 := foldAll(t, e1, synthExport(t, "sensor-b", 3, 300))
+	wire := gzipBytes(t, growingSegment(t, e1, e2))
+
+	before := encode(t, agg.Export())
+	flipped := append([]byte(nil), wire...)
+	flipped[len(flipped)/2] ^= 0xff
+	badCRC := append([]byte(nil), wire...)
+	badCRC[len(badCRC)-8] ^= 0xff // the trailer is CRC-32 then length
+	for name, body := range map[string][]byte{"flipped byte": flipped, "bad CRC": badCRC} {
+		if got := postEncoded(t, srv.URL, compress.ContentEncoding, body); got != http.StatusBadRequest {
+			t.Errorf("%s = %d, want 400", name, got)
+		}
+		if !bytes.Equal(encode(t, agg.Export()), before) {
+			t.Fatalf("%s body changed the aggregator state", name)
+		}
+	}
+	if m := agg.Metrics(); m.Rejected != 2 || m.Merged != 1 {
+		t.Fatalf("metrics = %+v, want rejected=2 merged=1", m)
+	}
+
+	// Torn near the end: the second checkpoint's commit mark is lost,
+	// the first one's survives.
+	if got := postEncoded(t, srv.URL, compress.ContentEncoding, wire[:len(wire)-16]); got != http.StatusOK {
+		t.Fatalf("torn body = %d, want 200", got)
+	}
+	if !bytes.Equal(encode(t, agg.Export()), encode(t, foldAll(t, base, e1))) {
+		t.Fatal("torn body did not fold exactly its committed prefix")
+	}
+	if got := postEncoded(t, srv.URL, compress.ContentEncoding, wire); got != http.StatusOK {
+		t.Fatalf("whole body = %d, want 200", got)
+	}
+	if !bytes.Equal(encode(t, agg.Export()), encode(t, foldAll(t, base, e2))) {
+		t.Fatal("whole body did not fold the newest checkpoint")
 	}
 }
 
@@ -494,6 +605,13 @@ func TestPushConvergesUnderFaults(t *testing.T) {
 		}
 		return true
 	})
+	// Every pusher compressed once its first ack taught it the encoding,
+	// so faults landed inside compressed bodies too.
+	for i, p := range pushers {
+		if m := p.Metrics(); m.Compressed == 0 {
+			t.Errorf("sensor %d delivered no compressed push: %+v", i, m)
+		}
+	}
 
 	want := encode(t, foldAll(t, finals...))
 	if got := encode(t, agg.Export()); !bytes.Equal(got, want) {

@@ -144,13 +144,6 @@ func TestNoGoroutineLeak(t *testing.T) {
 				t.Fatal("accepted")
 			}
 		}},
-		{"bad PushCompression", func(t *testing.T) {
-			_, err := NewEngine(EngineConfig{Config: sensor, Correlate: true, IncidentExportDir: t.TempDir(),
-				PushURL: "http://127.0.0.1:1/push", PushCompression: "zstd"})
-			if err == nil {
-				t.Fatal("accepted")
-			}
-		}},
 		{"PushURL without export dir", func(t *testing.T) {
 			if _, err := NewEngine(EngineConfig{Config: sensor, Correlate: true, PushURL: "http://127.0.0.1:1/push"}); err == nil {
 				t.Fatal("accepted")

@@ -319,11 +319,6 @@ type EngineConfig struct {
 	// equivalent to PushURL.
 	PushURLs []string
 
-	// PushCompression selects the push body encoding: "auto" (default;
-	// compress once the upstream advertises support), "on" (always
-	// compress), or "off" (identity only).
-	PushCompression string
-
 	// PushInterval is the pusher's idle spool re-scan cadence (default
 	// 2s); PushTimeout bounds one upload end to end (default 10s);
 	// PushBackoffMin / PushBackoffMax bound the jittered exponential
@@ -552,11 +547,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.PushURL != "" {
 		pushURLs = []string{cfg.PushURL}
 	}
-	pushComp, err := transport.ParseCompression(cfg.PushCompression)
-	if err != nil {
-		e.shutdownPartial()
-		return nil, fmt.Errorf("nids: %w", err)
-	}
 	if len(pushURLs) > 0 && (!cfg.Correlate || cfg.IncidentExportDir == "") {
 		e.shutdownPartial()
 		return nil, fmt.Errorf("nids: PushURL requires Correlate and IncidentExportDir (the sink's segment directory is the push spool)")
@@ -608,7 +598,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 				BackoffMin:     cfg.PushBackoffMin,
 				BackoffMax:     cfg.PushBackoffMax,
 				Seed:           cfg.PushSeed,
-				Compression:    pushComp,
 				Telemetry:      tel,
 			})
 			if err != nil {

@@ -154,9 +154,16 @@ func TestFederationPushConvergesUnderFaults(t *testing.T) {
 		})
 		for _, e := range sensors {
 			// The aggregator can converge on a fold whose ack the fault
-			// plan dropped; the sensor's retry then collects it.
-			waitUntil(t, "an acked push from each sensor", func() bool {
-				return e.SinkStats().Push.Acked > 0
+			// plan dropped; the sensor's retry then collects it. The
+			// first ack teaches the pusher gzip, so a nudged checkpoint
+			// afterwards goes compressed: drops and truncations land
+			// inside compressed bodies too.
+			waitUntil(t, "an acked compressed push from each sensor", func() bool {
+				p := e.SinkStats().Push
+				if p.Compressed == 0 {
+					e.Drain()
+				}
+				return p.Acked > 0 && p.Compressed > 0
 			})
 			e.Stop()
 		}
