@@ -338,8 +338,12 @@ func run() int {
 	m := e.Stats()
 	fmt.Printf("\npackets=%d selected=%d dropped=%d unparsed=%d streams=%d frames=%d frame-bytes=%d alerts=%d\n",
 		m.Packets, m.Selected, m.Dropped, m.Unparsed, m.StreamsAnalyzed, m.Frames, m.FrameBytes, m.Alerts)
-	fmt.Printf("cache-hits=%d cache-misses=%d cache-rejected=%d evicted-idle=%d evicted-lru=%d sweep-starts=%d sweep-starts-lifted=%d\n",
-		m.CacheHits, m.CacheMisses, m.CacheRejected, m.FlowsEvictedIdle, m.FlowsEvictedLRU, m.SweepStarts, m.SweepStartsLifted)
+	fmt.Printf("cache-hits=%d cache-misses=%d cache-rejected=%d evicted-idle=%d evicted-lru=%d sweep-starts=%d sweep-starts-lifted=%d search-exhausted=%d\n",
+		m.CacheHits, m.CacheMisses, m.CacheRejected, m.FlowsEvictedIdle, m.FlowsEvictedLRU, m.SweepStarts, m.SweepStartsLifted, m.SearchesExhausted)
+	if m.SketchAttempts != 0 {
+		fmt.Printf("sketch-attempts=%d sketch-run=%d sketch-merged=%d sketch-step-limit=%d\n",
+			m.SketchAttempts, m.SketchAttemptsRun, m.SketchAttemptsMerged, m.SketchAttemptsStepLimit)
+	}
 	if *stats {
 		for i, sh := range m.Shards {
 			fmt.Printf("shard[%d]: queue=%d/%d ewma-pps=%.1f\n", i, sh.QueueLen, sh.QueueCap, sh.PacketsPerSec)

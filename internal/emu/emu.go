@@ -3,18 +3,22 @@
 // stack. It executes the instruction subset our shellcode corpus and
 // polymorphic engines emit, and stops at system calls.
 //
-// Its role in the reproduction is dynamic validation: the test suite
-// *executes* generated exploit samples — the sled, the getpc idiom,
-// the obfuscated decoder loop — and verifies that the decoded payload
-// bytes materialize in memory and that execution reaches
-// execve("/bin/sh") with the right register state. This proves the
-// workloads are real attacks, not byte soup that happens to match the
-// templates.
+// It has two roles. On the lineage hot path, sem.Sketch runs every
+// detected frame from several entry points (Load, Explore) to recover
+// the decoded tail a self-decrypting payload writes into itself — the
+// symbol lineage tracing keys on. In the test suite it is dynamic
+// validation: tests *execute* generated exploit samples — the sled,
+// the getpc idiom, the obfuscated decoder loop — and verify that the
+// decoded payload bytes materialize in memory and that execution
+// reaches execve("/bin/sh") with the right register state, proving
+// the workloads are real attacks, not byte soup that happens to match
+// the templates.
 package emu
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"semnids/internal/x86"
 )
@@ -27,6 +31,11 @@ var (
 	ErrUnsupported = errors.New("emu: unsupported instruction")
 	ErrMemFault    = errors.New("emu: memory access out of range")
 	ErrStack       = errors.New("emu: stack fault")
+
+	// ErrMerged ends an Explore attempt that reached a state an
+	// earlier attempt over the same image had already passed through
+	// (see Explore); it ran no further.
+	ErrMerged = errors.New("emu: attempt merged into an earlier one")
 )
 
 // StopKind says why execution stopped.
@@ -42,7 +51,7 @@ const (
 // addresses [0, len(Mem)); the stack is a separate region growing down
 // from StackBase. Mem is for reading: the machine memoizes the
 // instructions it decodes from it, so memory is rewritten only by the
-// running program or by Reset.
+// running program or by Reset, Load and Explore.
 type Machine struct {
 	Mem   []byte
 	Regs  [8]uint32 // indexed by register family number
@@ -74,12 +83,25 @@ type Machine struct {
 	//
 	// Invariant: a slot with Len != 0 equals x86.Decode(Mem, p) for
 	// its position p. Decode's result depends only on the bytes
-	// [p, p+Len) and on len(Mem), every write to Mem goes through
-	// store or Reset, and both invalidate every slot whose byte range
-	// contains a written byte.
+	// [p, p+Len) and on len(Mem), and every write to Mem either goes
+	// through store or restoreByte, which invalidate every slot whose
+	// byte range contains a written byte, or empties the memo (Load).
 	memo    []x86.Inst
 	memoAt  []int32
 	covered []bool
+
+	// lo and hi bound the bytes stores have written since memory was
+	// last made whole (Reset, Load, Explore); lo >= hi when none.
+	lo, hi int
+
+	// image is the copy Load took, which Explore restores and
+	// AppendChanged compares against (empty outside Load). ex remembers
+	// the attempts Explore ran over it, and exploring says the running
+	// attempt has not stored yet and still checks its states against
+	// theirs.
+	image     []byte
+	ex        *explored
+	exploring bool
 }
 
 // stackBase is the virtual ESP start; only relative motion matters.
@@ -101,34 +123,234 @@ func New(image []byte) *Machine {
 func (m *Machine) Reset(image []byte) {
 	if len(image) != len(m.Mem) {
 		m.Mem = append(m.Mem[:0], image...)
-		if m.memo == nil {
-			m.memo = make([]x86.Inst, 0, 64) // a decoder stub, without regrowth
-		}
-		m.memo = m.memo[:0]
-		if cap(m.memoAt) < len(image) {
-			m.memoAt = make([]int32, len(image))
-			m.covered = make([]bool, len(image))
-		} else {
-			m.memoAt = m.memoAt[:len(image)]
-			m.covered = m.covered[:len(image)]
-			clear(m.memoAt)
-			clear(m.covered)
-		}
+		m.forget()
 	} else {
 		for i, b := range image {
-			if m.Mem[i] != b {
-				m.Mem[i] = b
-				if m.covered[i] {
-					m.invalidate(i, 1)
-				}
-			}
+			m.restoreByte(i, b)
 		}
 	}
+	m.image = m.image[:0]
+	m.exploring = false
+	m.lo, m.hi = len(m.Mem), 0
+	m.restart()
+}
+
+// forget empties the fetch memo and sizes its tables for Mem.
+func (m *Machine) forget() {
+	n := len(m.Mem)
+	if m.memo == nil {
+		m.memo = make([]x86.Inst, 0, 64) // a decoder stub, without regrowth
+	}
+	m.memo = m.memo[:0]
+	if cap(m.memoAt) < n {
+		m.memoAt = make([]int32, n)
+		m.covered = make([]bool, n)
+	} else {
+		m.memoAt = m.memoAt[:n]
+		m.covered = m.covered[:n]
+		clear(m.memoAt)
+		clear(m.covered)
+	}
+}
+
+// restoreByte writes b at i, dropping any memoized instruction it
+// changes.
+func (m *Machine) restoreByte(i int, b byte) {
+	if m.Mem[i] != b {
+		m.Mem[i] = b
+		if m.covered[i] {
+			m.invalidate(i, 1)
+		}
+	}
+}
+
+// restart puts registers, flags, stack and step count in the state
+// New leaves them in.
+func (m *Machine) restart() {
 	m.Regs = [8]uint32{}
 	m.Regs[x86.ESP.Num()] = stackBase
 	m.ZF, m.SF, m.CF, m.OF, m.DF = false, false, false, false, false
 	m.EIP, m.Steps = 0, 0
 	m.stack = m.stack[:0]
+}
+
+// Load binds the machine to a copy of image for Explore, reusing its
+// storage: memory, registers, flags, stack and step count as New
+// leaves them (MaxSteps kept), an empty fetch memo — so a recycled
+// machine never serves an instruction decoded from an earlier image —
+// and no attempts explored yet.
+func (m *Machine) Load(image []byte) {
+	m.Mem = append(m.Mem[:0], image...)
+	m.image = append(m.image[:0], image...)
+	m.forget()
+	m.lo, m.hi = len(m.Mem), 0
+	m.restart()
+	if m.ex == nil {
+		m.ex = new(explored)
+	}
+	m.ex.reset()
+}
+
+// Explore runs one attempt over the image Load bound: it restores
+// memory, registers, flags, stack and step count to what Load left
+// and runs from entry as Run does, keeping the fetch memo for every
+// instruction the previous attempt left unwritten.
+//
+// Attempts that reach the same state share their work. Until its
+// first store, an attempt records each state it steps from — EIP, the
+// eight registers, the five flags and the whole modeled stack; memory
+// is the loaded image by construction. A later attempt that steps from
+// a recorded state stops there with ErrMerged, provided the recording
+// attempt ended without ErrStepLimit and the step budget left covers
+// the steps it took from that state: execution is deterministic, so
+// the merged attempt would have ended in the same stop, registers and
+// memory as that attempt. Any other match to a recorded state (a
+// store-free cycle, an attempt that hit the step limit, too little
+// budget) only ends the checking for the rest of the attempt.
+func (m *Machine) Explore(entry int) (Stop, error) {
+	if m.ex == nil || len(m.image) != len(m.Mem) {
+		panic("emu: Explore without Load")
+	}
+	for i := m.lo; i < m.hi; i++ {
+		m.restoreByte(i, m.image[i])
+	}
+	m.lo, m.hi = len(m.Mem), 0
+	m.restart()
+	x := m.ex
+	x.cur, x.window = int32(len(x.ends)), exploreWindow
+	m.exploring = true
+	stop, err := m.runFrom(entry)
+	m.exploring = false
+	end := attemptEnd{steps: m.Steps, finished: !errors.Is(err, ErrStepLimit)}
+	if err == ErrMerged {
+		end.steps = x.mergedSteps
+	}
+	x.ends = append(x.ends, end)
+	return stop, err
+}
+
+// AppendChanged appends to dst, in address order, every byte of memory
+// that differs from the image Load bound: what the last Explore
+// attempt rewrote in itself.
+func (m *Machine) AppendChanged(dst []byte) []byte {
+	for i := m.lo; i < min(m.hi, len(m.image)); i++ {
+		if c := m.Mem[i]; c != m.image[i] {
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// Bounds on what Explore records per loaded image: the state table's
+// slots (a second state hashing to a taken slot is not recorded), the
+// pre-store steps one attempt checks, and the stack words the recorded
+// states hold together. Recording less only merges less.
+const (
+	exploreBits     = 12
+	exploreWindow   = 1 << 12
+	exploreMaxStack = 1 << 15
+)
+
+// explored is what Explore remembers about the attempts it ran over
+// one loaded image.
+type explored struct {
+	gen    uint32                   // the current image's stamp in slots
+	slots  [1 << exploreBits]uint64 // gen<<32 | 1+index into states, by state hash
+	states []exploreState
+	stack  []uint32 // the recorded states' stacks, back to back
+	ends   []attemptEnd
+
+	cur         int32 // the running attempt's index into ends
+	window      int   // pre-store steps the running attempt may still check
+	mergedSteps int   // the step count a merged attempt would have ended at
+}
+
+// exploreState is one recorded pre-store state and the attempt and
+// step count that reached it.
+type exploreState struct {
+	eip, steps       int
+	regs             [8]uint32
+	flags            uint8
+	attempt          int32
+	stackAt, stackTo int32
+}
+
+// attemptEnd is how an Explore attempt ended: its final step count and
+// whether it ended without ErrStepLimit.
+type attemptEnd struct {
+	steps    int
+	finished bool
+}
+
+func (x *explored) reset() {
+	if x.gen++; x.gen == 0 {
+		clear(x.slots[:])
+		x.gen = 1
+	}
+	x.states, x.stack, x.ends = x.states[:0], x.stack[:0], x.ends[:0]
+}
+
+// flagBits packs ZF, SF, CF, OF and DF.
+func (m *Machine) flagBits() uint8 {
+	var f uint8
+	for i, b := range [5]bool{m.ZF, m.SF, m.CF, m.OF, m.DF} {
+		if b {
+			f |= 1 << i
+		}
+	}
+	return f
+}
+
+// converged checks the state the running attempt is about to step
+// from against the recorded ones and records it when its slot is free
+// (Explore). It reports whether the attempt can stop, having set
+// mergedSteps to the step count it would have ended at.
+func (m *Machine) converged() bool {
+	x := m.ex
+	if x.window == 0 {
+		m.exploring = false
+		return false
+	}
+	x.window--
+	flags := m.flagBits()
+	h := uint64(uint32(m.EIP)) | uint64(flags)<<32
+	for _, r := range m.Regs {
+		h = (h ^ uint64(r)) * 0x9e3779b97f4a7c15
+	}
+	slot := &x.slots[h>>(64-exploreBits)]
+	if uint32(*slot>>32) != x.gen {
+		if len(x.stack)+len(m.stack) <= exploreMaxStack {
+			at := len(x.stack)
+			x.stack = append(x.stack, m.stack...)
+			x.states = append(x.states, exploreState{
+				eip: m.EIP, steps: m.Steps, regs: m.Regs, flags: flags,
+				attempt: x.cur, stackAt: int32(at), stackTo: int32(len(x.stack)),
+			})
+			*slot = uint64(x.gen)<<32 | uint64(len(x.states))
+		}
+		return false
+	}
+	st := &x.states[uint32(*slot)-1]
+	if st.eip != m.EIP || st.regs != m.Regs || st.flags != flags ||
+		!slices.Equal(x.stack[st.stackAt:st.stackTo], m.stack) {
+		return false // another state took the slot
+	}
+	// From here this attempt repeats the recorded one; whatever
+	// decides below decides for every later step as well.
+	m.exploring = false
+	if st.attempt == x.cur {
+		return false // a store-free cycle: it spins to the step limit
+	}
+	end := x.ends[st.attempt]
+	if !end.finished {
+		return false
+	}
+	steps := m.Steps + end.steps - st.steps
+	if steps > m.MaxSteps {
+		return false
+	}
+	x.mergedSteps = steps
+	return true
 }
 
 // fetch returns the instruction at pos, decoding it at most once while
@@ -229,6 +451,8 @@ func (m *Machine) store(addr uint32, size int, v uint32) error {
 		return fmt.Errorf("%w: write %d@%#x", ErrMemFault, size, addr)
 	}
 	a := int(addr)
+	m.lo, m.hi = min(m.lo, a), max(m.hi, a+size)
+	m.exploring = false
 	hit := false
 	for i := 0; i < size; i++ {
 		m.Mem[a+i] = byte(v >> (8 * i))
@@ -407,6 +631,9 @@ func (m *Machine) ResumeAfterSyscall(ret uint32) (Stop, error) {
 func (m *Machine) runFrom(entry int) (Stop, error) {
 	m.EIP = entry
 	for {
+		if m.exploring && m.converged() {
+			return Stop{}, ErrMerged
+		}
 		if stop, done, err := m.beginStep(); done {
 			return stop, err
 		}

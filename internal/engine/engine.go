@@ -208,6 +208,19 @@ type Metrics struct {
 	// the memoized sketch and are not counted).
 	Sketches uint64
 
+	// SketchAttempts counts the emulation attempts those sketches made
+	// from sweep offsets, and the other three how they ended: run to a
+	// stop or an emulator error, merged into an earlier attempt over
+	// the same frame, or cut off at the step limit; SketchAttempts =
+	// SketchAttemptsRun + SketchAttemptsMerged +
+	// SketchAttemptsStepLimit (sem.Analyzer.SketchAttempts).
+	SketchAttempts, SketchAttemptsRun, SketchAttemptsMerged, SketchAttemptsStepLimit uint64
+
+	// SearchesExhausted counts template searches the analyzer's
+	// backtracking budget cut off; each counted as no match
+	// (sem.Analyzer.SearchesExhausted).
+	SearchesExhausted uint64
+
 	// FlowsActive and BufferedBytes are gauges summed over shards;
 	// CacheEntries is the verdict cache's current size.
 	// UDPFlowsActive and UDPBufferedBytes are the datagram-flow subset
@@ -449,6 +462,15 @@ func (e *Engine) registerTelemetry() {
 		_, n := e.analyzer.SweepStats()
 		return n
 	})
+	reg.CounterFunc("semnids_analyzer_search_exhausted_total", "Template searches cut off by the backtracking budget (counted as no match).", e.analyzer.SearchesExhausted)
+	for i, outcome := range []string{"run", "merged", "step_limit"} {
+		reg.CounterFunc(`semnids_sketch_attempts_total{outcome="`+outcome+`"}`,
+			"Decoded-tail emulation attempts by how they ended.", func() uint64 {
+				var n [3]uint64
+				_, n[0], n[1], n[2] = e.analyzer.SketchAttempts()
+				return n[i]
+			})
+	}
 	e.tel.frameNS = reg.Histogram("semnids_analyzer_frame_ns",
 		"One semantic analysis of one extracted frame (cache misses only).")
 }
@@ -585,6 +607,8 @@ func (e *Engine) Snapshot() Metrics {
 		Sketches:            e.m.sketches.Load(),
 	}
 	m.SweepStarts, m.SweepStartsLifted = e.analyzer.SweepStats()
+	m.SketchAttempts, m.SketchAttemptsRun, m.SketchAttemptsMerged, m.SketchAttemptsStepLimit = e.analyzer.SketchAttempts()
+	m.SearchesExhausted = e.analyzer.SearchesExhausted()
 	m.Shards = make([]ShardMetrics, len(e.shards))
 	for i, s := range e.shards {
 		m.FlowsActive += int(s.flows.Load())

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"semnids/internal/core"
 	"semnids/internal/exploits"
 	"semnids/internal/netpkt"
+	"semnids/internal/telemetry"
 	"semnids/internal/traffic"
 )
 
@@ -380,5 +383,45 @@ func TestSweepPruneOnTraffic(t *testing.T) {
 	}
 	if pm.SweepStartsLifted == 0 || pm.SweepStartsLifted > pm.SweepStarts {
 		t.Errorf("outbreak: %d of %d sweep starts lifted", pm.SweepStartsLifted, pm.SweepStarts)
+	}
+}
+
+// TestSketchAttemptAccounting states the sketch's conservation law at
+// Stop on a polymorphic outbreak with lineage on: every emulation
+// attempt ends run, merged into an earlier attempt over the same
+// frame, or step-limited, and the counters sum. The outbreak's
+// decoders converge from every sweep offset, so merges must occur.
+// The telemetry series must read the same counters.
+func TestSketchAttemptAccounting(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	e := New(Config{Classify: testClassify(), Shards: 2, Lineage: true, Telemetry: reg})
+	for _, p := range traffic.PolymorphOutbreak(traffic.PolymorphSpec{Seed: 14, Generations: 3, FanoutPerHost: 3}) {
+		e.Process(p)
+	}
+	e.Stop()
+	m := e.Snapshot()
+	if m.Sketches == 0 || m.SketchAttempts == 0 {
+		t.Fatalf("%d sketches, %d attempts; the outbreak reached no sketch", m.Sketches, m.SketchAttempts)
+	}
+	if sum := m.SketchAttemptsRun + m.SketchAttemptsMerged + m.SketchAttemptsStepLimit; sum != m.SketchAttempts {
+		t.Errorf("sketch attempts %d, run %d + merged %d + step-limited %d = %d",
+			m.SketchAttempts, m.SketchAttemptsRun, m.SketchAttemptsMerged, m.SketchAttemptsStepLimit, sum)
+	}
+	if m.SketchAttemptsMerged == 0 {
+		t.Errorf("no attempt merged over %d attempts", m.SketchAttempts)
+	}
+	t.Logf("%d sketches: %d attempts, %d run, %d merged, %d step-limited",
+		m.Sketches, m.SketchAttempts, m.SketchAttemptsRun, m.SketchAttemptsMerged, m.SketchAttemptsStepLimit)
+	var sb strings.Builder
+	if err := telemetry.WritePrometheus(&sb, reg); err != nil {
+		t.Fatal(err)
+	}
+	for outcome, n := range map[string]uint64{"run": m.SketchAttemptsRun, "merged": m.SketchAttemptsMerged, "step_limit": m.SketchAttemptsStepLimit} {
+		if series := `semnids_sketch_attempts_total{outcome="` + outcome + `"} ` + strconv.FormatUint(n, 10); !strings.Contains(sb.String(), series) {
+			t.Errorf("exposition missing %s", series)
+		}
+	}
+	if series := "semnids_analyzer_search_exhausted_total " + strconv.FormatUint(m.SearchesExhausted, 10); !strings.Contains(sb.String(), series) {
+		t.Errorf("exposition missing %s", series)
 	}
 }

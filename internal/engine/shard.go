@@ -321,8 +321,9 @@ func (s *shard) flushFlows() {
 	clear(s.dgramSeen)
 }
 
-// analyzeTail analyzes whatever a departing flow (evicted or drained)
-// still holds past its last analysis.
+// analyzeTail re-analyzes the whole view a departing flow (evicted or
+// drained) holds if it grew since its last analysis; frames already
+// analyzed in that view hit the verdict cache.
 func (s *shard) analyzeTail(st *reasm.Stream) {
 	if fl := st.Flow; len(st.Data) > fl.Analyzed {
 		s.analyze(st.Data, st.Bounds, st.Key, classify.Reason(fl.Reason), fl.LastTS)

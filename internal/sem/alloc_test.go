@@ -47,10 +47,13 @@ func TestAnalyzeFrameAllocs(t *testing.T) {
 }
 
 // TestSketchAllocs pins the lineage path's allocation behavior on a
-// decoder frame: one emulator (memory image, memo tables, stack), the
-// tail buffers and the sorted name lists — a constant that does not
-// grow with the thousands of steps the decoder loop executes. Before
-// the fetch memo every executed step allocated its instruction.
+// decoder frame. The emulator, its memo tables and the tail buffers
+// come from the analyzer's scratch pool, so what is left is the two
+// sorted name lists and their sort — a constant that neither grows
+// with the thousands of steps the decoder loop executes (before the
+// fetch memo every step allocated its instruction) nor with the frame
+// (before the pooled machine every sketch allocated three frame-sized
+// slices).
 func TestSketchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates; allocation pin not meaningful")
@@ -67,8 +70,10 @@ func TestSketchAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		a.Sketch(frame, ds)
 	})
-	if allocs > 24 {
-		t.Errorf("Sketch allocates %.1f objects per decoder frame, want <= 24", allocs)
+	// Steady state is 4; 2 leaves slack for pool refills after a GC
+	// cycle.
+	if allocs > 6 {
+		t.Errorf("Sketch allocates %.1f objects per decoder frame, want <= 6", allocs)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"semnids/internal/emu"
 	"semnids/internal/ir"
 	"semnids/internal/x86"
 )
@@ -56,6 +57,13 @@ type Analyzer struct {
 	// sweepStarts counts the sweep offsets the offset loop reached,
 	// sweepLifted those it went on to lift and match (SweepStats).
 	sweepStarts, sweepLifted atomic.Uint64
+
+	// searchExhausted counts template searches that ran out of
+	// maxSearchSteps (SearchesExhausted); the sketch counters count
+	// decoded-tail emulation attempts and how each ended
+	// (SketchAttempts).
+	searchExhausted                                      atomic.Uint64
+	sketchAttempts, sketchRun, sketchMerged, sketchLimit atomic.Uint64
 }
 
 // SweepStats reports how many sweep starts the analyzer has considered
@@ -64,6 +72,20 @@ type Analyzer struct {
 // analyzed frame, safe to read concurrently.
 func (a *Analyzer) SweepStats() (considered, lifted uint64) {
 	return a.sweepStarts.Load(), a.sweepLifted.Load()
+}
+
+// SearchesExhausted reports how many template searches stopped at the
+// backtracking budget rather than deciding; each counts as no match.
+// Safe to read concurrently.
+func (a *Analyzer) SearchesExhausted() uint64 { return a.searchExhausted.Load() }
+
+// SketchAttempts reports the emulation attempts Sketch has made to
+// recover decoded tails and how they ended: run to a stop or an
+// emulator error, merged into an earlier attempt over the same frame
+// (emu.ErrMerged), or cut off at the step limit. attempts = run +
+// merged + stepLimit once no Sketch is in flight.
+func (a *Analyzer) SketchAttempts() (attempts, run, merged, stepLimit uint64) {
+	return a.sketchAttempts.Load(), a.sketchRun.Load(), a.sketchMerged.Load(), a.sketchLimit.Load()
 }
 
 // NewAnalyzer returns an analyzer over the given templates with
@@ -154,13 +176,18 @@ func (a *Analyzer) buildPrune() {
 // frameScratch is the reusable per-AnalyzeFrame working state: the
 // memoized decode cache, the lifted program, the matcher's index
 // tables and the small bookkeeping slices. Pooling it makes the whole
-// hot path allocation-free in steady state.
+// hot path allocation-free in steady state. Sketch draws from the same
+// pool for its emulator and the two tail buffers decodedTail swaps;
+// emu.Machine.Load starts each frame from an empty fetch memo.
 type frameScratch struct {
 	cache x86.DecodeCache
 	prog  ir.Program
 	m     matcher
 	seen  []string
 	cands []candidate
+
+	mach       emu.Machine
+	best, tail []byte
 }
 
 // candidate pairs a template with its compiled form for the offset
@@ -267,6 +294,7 @@ candidates:
 	}
 
 	var starts, lifted uint64
+	sc.m.exhausted = 0
 	for _, off := range a.SweepOffsets {
 		if off >= len(frame) {
 			break
@@ -305,6 +333,9 @@ candidates:
 
 	a.sweepStarts.Add(starts)
 	a.sweepLifted.Add(lifted)
+	if sc.m.exhausted != 0 {
+		a.searchExhausted.Add(sc.m.exhausted)
+	}
 
 	if a.ReturnAddrDetect {
 		if d, ok := a.detectReturnAddrRegion(frame); ok {

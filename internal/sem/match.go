@@ -50,7 +50,8 @@ type matcher struct {
 	// passed into a recursive call escapes.
 	binds []binding
 
-	steps int // backtracking budget
+	steps     int    // backtracking budget
+	exhausted uint64 // searches that ran out of it
 }
 
 // maxSearchSteps bounds the backtracking search so that adversarial
@@ -195,7 +196,11 @@ func (m *matcher) match(ct *compiledTemplate) (*binding, []int, bool) {
 	}
 	m.binds[0] = binding{}
 	m.matched = m.matched[:0]
-	if m.search(ct, 0, -1, 0, &m.matched) {
+	ok := m.search(ct, 0, -1, 0, &m.matched)
+	if m.steps > maxSearchSteps {
+		m.exhausted++
+	}
+	if ok {
 		return &m.binds[0], m.matched, true
 	}
 	return nil, nil, false

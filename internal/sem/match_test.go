@@ -1,6 +1,7 @@
 package sem
 
 import (
+	"bytes"
 	"testing"
 
 	"semnids/internal/x86"
@@ -402,5 +403,27 @@ func TestEmptyFrame(t *testing.T) {
 	}
 	if ds := analyzeAll(t, []byte{0x90}); len(ds) != 0 {
 		t.Errorf("single nop produced detections: %v", ds)
+	}
+}
+
+// TestSearchExhaustedCounted checks that a search cut off by the
+// backtracking budget is counted rather than passing as a plain "no
+// match": three unbound inc statements over a run of 300 incs, then a
+// syscall nothing satisfies, make C(300, 4) candidate placements.
+func TestSearchExhaustedCounted(t *testing.T) {
+	inc := Stmt{Kind: SRegXform, Ops: []x86.Opcode{x86.INC}}
+	tpl := &Template{Name: "exhaust", Stmts: []Stmt{inc, inc, inc, {Kind: SSyscall, Num: 0x1234}}}
+	a := NewAnalyzer([]*Template{tpl})
+	a.DisableSweepPrune = true
+	a.ReturnAddrDetect = false
+	if ds := a.AnalyzeFrame(fig1a()); len(ds) != 0 || a.SearchesExhausted() != 0 {
+		t.Fatalf("short frame: detections %v, %d searches exhausted", ds, a.SearchesExhausted())
+	}
+	frame := append([]byte{0xcd, 0x80}, bytes.Repeat([]byte{0x40}, 300)...) // int 0x80; inc eax × 300
+	if ds := a.AnalyzeFrame(frame); len(ds) != 0 {
+		t.Fatalf("detections %v, want none", ds)
+	}
+	if a.SearchesExhausted() == 0 {
+		t.Fatal("the budget cut the search off, but no exhausted search was counted")
 	}
 }

@@ -1,6 +1,7 @@
 package sem
 
 import (
+	"errors"
 	"sort"
 
 	"semnids/internal/emu"
@@ -128,9 +129,22 @@ func (a *Analyzer) Sketch(frame []byte, ds []Detection) Sketch {
 	sort.Strings(mnems)
 	sk.Stmts = hashStrings(mnems)
 
-	sk.TailA, sk.TailB, sk.TailN = decodedTail(frame, a.SweepOffsets)
+	sc := scratchPool.Get().(*frameScratch)
+	var n attemptCounts
+	sk.TailA, sk.TailB, sk.TailN = decodedTail(sc, frame, a.SweepOffsets, &n)
+	scratchPool.Put(sc)
+	if n.attempts != 0 {
+		a.sketchAttempts.Add(n.attempts)
+		a.sketchRun.Add(n.run)
+		a.sketchMerged.Add(n.merged)
+		a.sketchLimit.Add(n.stepLimit)
+	}
 	return sk
 }
+
+// attemptCounts tallies one decodedTail call's emulation attempts by
+// outcome (Analyzer.SketchAttempts).
+type attemptCounts struct{ attempts, run, merged, stepLimit uint64 }
 
 // decodedTail executes the frame in the emulator and hashes the bytes
 // it rewrote in itself — the decoded payload a self-decrypting frame
@@ -142,19 +156,23 @@ func (a *Analyzer) Sketch(frame []byte, ds []Detection) Sketch {
 // then hit an unmodeled instruction has already left the cleartext in
 // memory.
 //
-// The attempts share one machine: Reset restores the frame and keeps
-// the fetch memo for every instruction the previous attempt left
-// unwritten, so the decoder stub is decoded once however many entries
-// run through it.
-func decodedTail(frame []byte, entries []int) (a, b uint64, n int) {
+// The attempts share sc's machine and pay once for each distinct
+// decoder run. An attempt that reaches a state an earlier one passed
+// through before its first store ends with emu.ErrMerged
+// (emu.Machine.Explore): it would have left memory exactly as that
+// attempt did, so its tail equals a tail already compared, and since
+// only a strictly longer tail replaces the best, dropping it changes
+// nothing.
+func decodedTail(sc *frameScratch, frame []byte, entries []int, n *attemptCounts) (a, b uint64, tailN int) {
 	if len(frame) > sketchMaxFrame {
 		return 0, 0, 0
 	}
-	m := emu.New(frame)
+	m := &sc.mach
 	m.MaxSteps = sketchMaxSteps
-	// Two buffers swap roles as attempts beat the best so far; sized
-	// for a typical decoded payload, grown by append past that.
-	best, tail := make([]byte, 0, min(len(frame), 1024)), make([]byte, 0, min(len(frame), 1024))
+	m.Load(frame)
+	// Two buffers swap roles as attempts beat the best so far.
+	best, tail := sc.best[:0], sc.tail[:0]
+	defer func() { sc.best, sc.tail = best[:0], tail[:0] }()
 	tried := 0
 	for _, entry := range entries {
 		if tried >= sketchMaxEntries {
@@ -164,15 +182,18 @@ func decodedTail(frame []byte, entries []int) (a, b uint64, n int) {
 			continue
 		}
 		tried++
-		m.Reset(frame)
-		m.Run(entry)
-		tail = tail[:0]
-		for i, c := range m.Mem {
-			if c != frame[i] {
-				tail = append(tail, c)
-			}
+		n.attempts++
+		_, err := m.Explore(entry)
+		switch {
+		case errors.Is(err, emu.ErrMerged):
+			n.merged++
+			continue
+		case errors.Is(err, emu.ErrStepLimit):
+			n.stepLimit++
+		default:
+			n.run++
 		}
-		if len(tail) > len(best) {
+		if tail = m.AppendChanged(tail[:0]); len(tail) > len(best) {
 			best, tail = tail, best
 		}
 	}
