@@ -31,7 +31,6 @@
 //	GET  /export       current merged evidence export (wire format)
 //	GET  /metrics      Prometheus text exposition (aggregator + sink series)
 //	GET  /statusz      JSON snapshot of every registered series
-//	GET  /stats        alias for /statusz (kept for older scrapers)
 //	GET  /healthz      200 ready / 503 while recovering or draining
 //	GET  /debug/pprof  runtime profiles
 //
@@ -62,56 +61,51 @@ func main() {
 	os.Exit(run())
 }
 
-// splitList splits a comma-separated flag value, dropping empty
-// elements so "a,,b" and "" behave as expected.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+// options is the command line: the aggregator configuration, which
+// flags set in place, and the flags that steer the daemon itself.
+type options struct {
+	cfg              transport.AggregatorConfig
+	listen, upstream string
+	drainGrace       time.Duration
+}
+
+// bindFlags registers the daemon's flags on fs. Defaults the packages
+// own come from their constants.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	c := &o.cfg
+	fs.StringVar(&o.listen, "listen", ":9444", "HTTP listen address")
+	fs.StringVar(&c.Dir, "dir", "", "durable state directory (required)")
+	fs.Int64Var(&c.MaxBodyBytes, "max-body", transport.DefaultMaxBodyBytes, "maximum pushed segment size in bytes")
+	fs.Int64Var(&c.Retention.RotateBytes, "rotate-bytes", 0, "sink segment rotation size (0 = default)")
+	fs.DurationVar(&c.Retention.RotateEvery, "rotate-every", 0, "sink segment rotation age (0 = default)")
+	fs.IntVar(&c.Retention.KeepSegments, "keep-segments", 0, "sink segments to retain (0 = default)")
+	fs.BoolVar(&c.AsyncAck, "async-ack", false, "acknowledge pushes before the fold is durably committed (lower latency, crash may lose acked evidence)")
+	fs.DurationVar(&o.drainGrace, "drain-grace", 2*time.Second, "on shutdown signal, serve 503 on /healthz this long before closing the listener")
+	fs.StringVar(&c.NodeID, "node", "", fmt.Sprintf("aggregator node ID stamped on responses and push Via headers (default %q; must be unique per tree node)", transport.DefaultNodeID))
+	fs.IntVar(&c.MaxHops, "max-hops", 0, fmt.Sprintf("reject pushes whose hop count exceeds this tree-depth budget (0 = default %d)", transport.DefaultMaxHops))
+	fs.StringVar(&o.upstream, "upstream", "", "push folded segments up the tree to these comma-separated aggregator URLs in failover order (makes this node a mid-tier fan-in)")
+	return o
 }
 
 func run() int {
-	var (
-		listen       = flag.String("listen", ":9444", "HTTP listen address")
-		dir          = flag.String("dir", "", "durable state directory (required)")
-		maxBody      = flag.Int64("max-body", 32<<20, "maximum pushed segment size in bytes")
-		rotateBytes  = flag.Int64("rotate-bytes", 0, "sink segment rotation size (0 = default)")
-		rotateEvery  = flag.Duration("rotate-every", 0, "sink segment rotation age (0 = default)")
-		keepSegments = flag.Int("keep-segments", 0, "sink segments to retain (0 = default)")
-		asyncAck     = flag.Bool("async-ack", false, "acknowledge pushes before the fold is durably committed (lower latency, crash may lose acked evidence)")
-		drainGrace   = flag.Duration("drain-grace", 2*time.Second, "on shutdown signal, serve 503 on /healthz this long before closing the listener")
-		node         = flag.String("node", "", "aggregator node ID stamped on responses and push Via headers (default \"agg\"; must be unique per tree node)")
-		maxHops      = flag.Int("max-hops", 0, "reject pushes whose hop count exceeds this tree-depth budget (0 = default 16)")
-		upstream     = flag.String("upstream", "", "push folded segments up the tree to these comma-separated aggregator URLs in failover order (makes this node a mid-tier fan-in)")
-	)
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
-	if *dir == "" {
+	dir := o.cfg.Dir
+	if dir == "" {
 		fmt.Fprintln(os.Stderr, "fedagg: -dir is required")
 		flag.Usage()
 		return 2
 	}
-	agg, err := transport.NewAggregator(transport.AggregatorConfig{
-		Dir:          *dir,
-		MaxBodyBytes: *maxBody,
-		RotateBytes:  *rotateBytes,
-		RotateEvery:  *rotateEvery,
-		KeepSegments: *keepSegments,
-		AsyncAck:     *asyncAck,
-		NodeID:       *node,
-		MaxHops:      *maxHops,
-		Upstreams:    splitList(*upstream),
-	})
+	o.cfg.Upstream.URLs = transport.SplitList(o.upstream)
+	agg, err := transport.NewAggregator(o.cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedagg:", err)
 		return 1
 	}
 	if st := agg.Export(); st != nil {
 		fmt.Fprintf(os.Stderr, "fedagg: recovered state from %s: sensors=%s sources=%d\n",
-			*dir, strings.Join(st.Sensors, ","), len(st.Sources))
+			dir, strings.Join(st.Sensors, ","), len(st.Sources))
 	}
 
 	// The observability surface is the shared telemetry mux (the same
@@ -122,7 +116,7 @@ func run() int {
 	health.Set("state", true, "recovered")
 	telemetry.RegisterProcessMetrics(agg.Telemetry())
 	statusInfo := func() map[string]any {
-		info := map[string]any{"dir": *dir}
+		info := map[string]any{"dir": dir}
 		if st := agg.Export(); st != nil {
 			info["sensors"] = st.Sensors
 			info["sources"] = len(st.Sources)
@@ -189,21 +183,15 @@ func run() int {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		fed.WriteExport(w, st)
 	})
-	// /stats predates /statusz; keep it as an alias on the same encoder
-	// so existing scrapers see the superset document.
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		telemetry.WriteStatusJSON(w, agg.Telemetry(), statusInfo())
-	})
 
 	srv := &http.Server{
-		Addr:              *listen,
+		Addr:              o.listen,
 		Handler:           mux,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "fedagg: listening on %s, state in %s\n", *listen, *dir)
+	fmt.Fprintf(os.Stderr, "fedagg: listening on %s, state in %s\n", o.listen, dir)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -221,7 +209,7 @@ func run() int {
 	// checkpoint. Sensors retry anything unacked, so cutting the grace
 	// short costs re-pushes, never evidence.
 	health.SetDraining(true)
-	time.Sleep(*drainGrace)
+	time.Sleep(o.drainGrace)
 	srv.Close()
 	agg.Close()
 	return 0

@@ -80,6 +80,11 @@ import (
 	"time"
 
 	nids "semnids"
+	"semnids/internal/classify"
+	"semnids/internal/engine"
+	"semnids/internal/fed"
+	"semnids/internal/fed/transport"
+	"semnids/internal/incident"
 	"semnids/internal/report"
 )
 
@@ -87,46 +92,65 @@ func main() {
 	os.Exit(run())
 }
 
+// options is the command line: the engine configuration, which flags
+// set in place, and the flags that steer the command itself.
+type options struct {
+	cfg nids.EngineConfig
+
+	pcap, scan, templates, honeypots, dark, push       string
+	export, importPath, listen, cpuProfile, memProfile string
+	quiet, json, summary, replay, stats                bool
+	speed                                              float64
+	pushWait, statsEvery                               time.Duration
+}
+
+// bindFlags registers the command's flags on fs. Defaults the packages
+// own come from their constants.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	c := &o.cfg
+	fs.StringVar(&o.pcap, "pcap", "", "pcap trace to analyze")
+	fs.StringVar(&o.scan, "scan", "", "binary file to host-scan instead of a trace")
+	fs.StringVar(&o.honeypots, "honeypot", "192.168.1.250", "comma-separated decoy addresses")
+	fs.StringVar(&o.dark, "dark", "192.168.2.0/24", "comma-separated un-used CIDR prefixes")
+	fs.IntVar(&c.ScanThreshold, "t", classify.DefaultScanThreshold, "dark-space scan threshold")
+	fs.BoolVar(&c.DisableClassification, "all", false, "disable classification: analyze every payload")
+	fs.BoolVar(&c.FullScan, "fullscan", false, "disable extraction pruning too (exhaustive baseline)")
+	fs.BoolVar(&o.quiet, "q", false, "suppress per-alert output")
+	fs.BoolVar(&o.json, "json", false, "emit alerts as JSONL instead of text")
+	fs.BoolVar(&o.summary, "summary", false, "print a per-source incident summary at exit")
+	fs.StringVar(&o.templates, "templates", "", "replace built-in templates with a template file (DSL)")
+	fs.IntVar(&c.Shards, "shards", 0, "ingest shards (0 = NumCPU)")
+	fs.BoolVar(&c.DatagramFlows, "udp-flows", false, "buffer UDP conversations per 5-tuple and analyze them as flows, reassembling CoAP block transfers")
+	fs.DurationVar(&c.DatagramIdle, "udp-idle", 0, "idle window closing a UDP conversation (0 = flow idle timeout; with -udp-flows)")
+	fs.BoolVar(&c.ShedOnOverload, "shed", false, "shed packets under overload instead of blocking")
+	fs.BoolVar(&o.replay, "replay", false, "pace packets by capture timestamp")
+	fs.Float64Var(&o.speed, "speed", 1, "replay speed multiplier: 1 = real time (with -replay)")
+	fs.BoolVar(&c.Correlate, "correlate", false, "attach the incident correlator")
+	fs.BoolVar(&c.Lineage, "lineage", false, "compute structural fingerprints and trace payload ancestry (implies -correlate)")
+	fs.DurationVar(&c.IncidentWindow, "incident-window", incident.DefaultWindowUS*time.Microsecond, "fan-out sliding window in trace time (with -correlate)")
+	fs.StringVar(&c.SensorID, "sensor", "", fmt.Sprintf("sensor ID stamped on exported incident evidence (default %q)", engine.DefaultSensorID))
+	fs.StringVar(&o.export, "export", "", "write the correlator's evidence export here at exit (implies -correlate)")
+	fs.StringVar(&o.importPath, "import-incidents", "", "seed the correlator from an evidence export before the run (implies -correlate)")
+	fs.StringVar(&c.IncidentExportDir, "export-dir", "", "durable incident sink: rotated evidence segments + crash recovery (implies -correlate)")
+	fs.IntVar(&c.Export.KeepSegments, "export-keep", 0, fmt.Sprintf("retained evidence segments in -export-dir — the push spool bound (0 = default %d, floor %d)", fed.DefaultKeepSegments, fed.MinKeepSegments))
+	fs.StringVar(&o.push, "push", "", "stream evidence segments to federation aggregators at these comma-separated URLs in failover order, e.g. http://agg:9444/push,http://agg2:9444/push (requires -export-dir)")
+	fs.DurationVar(&o.pushWait, "push-wait", 0, "after the trace, wait up to this long for the aggregator to ack the spool (with -push)")
+	fs.BoolVar(&o.stats, "stats", false, "print per-shard load gauges and correlator counters")
+	fs.StringVar(&o.listen, "listen", "", "serve /metrics, /statusz, /healthz and /debug/pprof on this address while the run lasts")
+	fs.DurationVar(&o.statsEvery, "stats-interval", 0, "emit a JSON-lines /statusz snapshot to stderr at this interval")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile at exit to this file")
+	return o
+}
+
 // run is main behind an exit code, so deferred profile writers fire
 // before the process exits whatever path the run takes.
 func run() int {
-	var (
-		pcapPath   = flag.String("pcap", "", "pcap trace to analyze")
-		scanPath   = flag.String("scan", "", "binary file to host-scan instead of a trace")
-		honeypots  = flag.String("honeypot", "192.168.1.250", "comma-separated decoy addresses")
-		dark       = flag.String("dark", "192.168.2.0/24", "comma-separated un-used CIDR prefixes")
-		threshold  = flag.Int("t", 3, "dark-space scan threshold")
-		all        = flag.Bool("all", false, "disable classification: analyze every payload")
-		fullscan   = flag.Bool("fullscan", false, "disable extraction pruning too (exhaustive baseline)")
-		quiet      = flag.Bool("q", false, "suppress per-alert output")
-		jsonOut    = flag.Bool("json", false, "emit alerts as JSONL instead of text")
-		summary    = flag.Bool("summary", false, "print a per-source incident summary at exit")
-		tplFile    = flag.String("templates", "", "replace built-in templates with a template file (DSL)")
-		shards     = flag.Int("shards", 0, "ingest shards (0 = NumCPU)")
-		udpFlows   = flag.Bool("udp-flows", false, "buffer UDP conversations per 5-tuple and analyze them as flows, reassembling CoAP block transfers")
-		udpIdle    = flag.Duration("udp-idle", 0, "idle window closing a UDP conversation (0 = flow idle timeout; with -udp-flows)")
-		shed       = flag.Bool("shed", false, "shed packets under overload instead of blocking")
-		replay     = flag.Bool("replay", false, "pace packets by capture timestamp")
-		speed      = flag.Float64("speed", 1, "replay speed multiplier: 1 = real time (with -replay)")
-		correlate  = flag.Bool("correlate", false, "attach the incident correlator")
-		lineageOn  = flag.Bool("lineage", false, "compute structural fingerprints and trace payload ancestry (implies -correlate)")
-		incWindow  = flag.Duration("incident-window", 30*time.Second, "fan-out sliding window in trace time (with -correlate)")
-		sensor     = flag.String("sensor", "", "sensor ID stamped on exported incident evidence (default \"sensor\")")
-		exportPath = flag.String("export", "", "write the correlator's evidence export here at exit (implies -correlate)")
-		importPath = flag.String("import-incidents", "", "seed the correlator from an evidence export before the run (implies -correlate)")
-		exportDir  = flag.String("export-dir", "", "durable incident sink: rotated evidence segments + crash recovery (implies -correlate)")
-		exportKeep = flag.Int("export-keep", 0, "retained evidence segments in -export-dir — the push spool bound (0 = default 4, floor 2)")
-		pushURL    = flag.String("push", "", "stream evidence segments to federation aggregators at these comma-separated URLs in failover order, e.g. http://agg:9444/push,http://agg2:9444/push (requires -export-dir)")
-		pushWait   = flag.Duration("push-wait", 0, "after the trace, wait up to this long for the aggregator to ack the spool (with -push)")
-		stats      = flag.Bool("stats", false, "print per-shard load gauges and correlator counters")
-		listen     = flag.String("listen", "", "serve /metrics, /statusz, /healthz and /debug/pprof on this address while the run lasts")
-		statsEvery = flag.Duration("stats-interval", 0, "emit a JSON-lines /statusz snapshot to stderr at this interval")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
-	)
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
@@ -138,8 +162,8 @@ func run() int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
-		path := *memProfile
+	if o.memProfile != "" {
+		path := o.memProfile
 		defer func() {
 			f, err := os.Create(path)
 			if err != nil {
@@ -153,45 +177,30 @@ func run() int {
 			}
 		}()
 	}
-	if *scanPath != "" {
-		return hostScan(*scanPath)
+	if o.scan != "" {
+		return hostScan(o.scan)
 	}
-	if *pcapPath == "" {
+	if o.pcap == "" {
 		flag.Usage()
 		return 2
 	}
 
-	cfg := nids.EngineConfig{
-		Config: nids.Config{
-			ScanThreshold:         *threshold,
-			DisableClassification: *all,
-			FullScan:              *fullscan,
-		},
-		Shards:         *shards,
-		ShedOnOverload: *shed,
-		DatagramFlows:  *udpFlows,
-		DatagramIdle:   *udpIdle,
-		// Every federation and lineage switch needs the correlator.
-		Correlate: *correlate || *lineageOn || *exportPath != "" || *importPath != "" ||
-			*exportDir != "" || *pushURL != "",
-		Lineage:              *lineageOn,
-		IncidentWindow:       *incWindow,
-		SensorID:             *sensor,
-		IncidentExportDir:    *exportDir,
-		IncidentKeepSegments: *exportKeep,
-		PushURLs:             splitList(*pushURL),
+	cfg := &o.cfg
+	cfg.Push.URLs = transport.SplitList(o.push)
+	// Every federation and lineage switch needs the correlator.
+	cfg.Correlate = cfg.Correlate || cfg.Lineage || o.export != "" || o.importPath != "" ||
+		cfg.IncidentExportDir != "" || len(cfg.Push.URLs) > 0
+	if o.honeypots != "" {
+		cfg.Honeypots = strings.Split(o.honeypots, ",")
 	}
-	if *honeypots != "" {
-		cfg.Honeypots = strings.Split(*honeypots, ",")
+	if o.dark != "" {
+		cfg.DarkSpace = strings.Split(o.dark, ",")
 	}
-	if *dark != "" {
-		cfg.DarkSpace = strings.Split(*dark, ",")
-	}
-	if !*quiet && !*jsonOut {
+	if !o.quiet && !o.json {
 		cfg.OnAlert = func(a nids.Alert) { fmt.Println(a) }
 	}
-	if *tplFile != "" {
-		text, err := os.ReadFile(*tplFile)
+	if o.templates != "" {
+		text, err := os.ReadFile(o.templates)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
@@ -199,14 +208,14 @@ func run() int {
 		cfg.TemplatesDSL = string(text)
 	}
 
-	e, err := nids.NewEngine(cfg)
+	e, err := nids.NewEngine(*cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "semnids:", err)
 		return 1
 	}
 	defer e.Stop()
-	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
+	if o.listen != "" {
+		ln, err := net.Listen("tcp", o.listen)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
@@ -216,7 +225,7 @@ func run() int {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "semnids: telemetry on http://%s/\n", ln.Addr())
 	}
-	if *statsEvery > 0 {
+	if o.statsEvery > 0 {
 		// Reuses the /statusz encoder: each tick is one JSON object on
 		// one stderr line, so `semnids ... 2>stats.jsonl` captures a
 		// machine-readable telemetry trail even without -listen.
@@ -224,7 +233,7 @@ func run() int {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			t := time.NewTicker(*statsEvery)
+			t := time.NewTicker(o.statsEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -239,8 +248,8 @@ func run() int {
 		}()
 		defer func() { close(stop); <-done }()
 	}
-	if *importPath != "" {
-		in, err := os.Open(*importPath)
+	if o.importPath != "" {
+		in, err := os.Open(o.importPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
@@ -252,14 +261,14 @@ func run() int {
 			return 1
 		}
 	}
-	f, err := os.Open(*pcapPath)
+	f, err := os.Open(o.pcap)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "semnids:", err)
 		return 1
 	}
 	defer f.Close()
-	if *replay {
-		err = e.Replay(f, *speed)
+	if o.replay {
+		err = e.Replay(f, o.speed)
 	} else {
 		err = e.Run(f)
 	}
@@ -267,7 +276,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "semnids:", err)
 		return 1
 	}
-	if *jsonOut {
+	if o.json {
 		if err := report.WriteJSON(os.Stdout, e.Alerts()); err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
@@ -285,29 +294,29 @@ func run() int {
 			}
 		}
 	}
-	if *summary {
+	if o.summary {
 		fmt.Println()
 		if err := report.WriteSummary(os.Stdout, e.Alerts()); err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
 		}
 	}
-	if cfg.Correlate && !*jsonOut {
+	if cfg.Correlate && !o.json {
 		fmt.Println()
 		if err := report.WriteIncidents(os.Stdout, e.Incidents()); err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
 		}
 	}
-	if cfg.Lineage && !*jsonOut {
+	if cfg.Lineage && !o.json {
 		fmt.Println()
 		if err := report.WriteAncestry(os.Stdout, e.Ancestry()); err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
 		}
 	}
-	if *exportPath != "" {
-		out, err := os.Create(*exportPath)
+	if o.export != "" {
+		out, err := os.Create(o.export)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 			return 1
@@ -321,7 +330,7 @@ func run() int {
 			return 1
 		}
 	}
-	if len(cfg.PushURLs) > 0 && *pushWait > 0 {
+	if len(cfg.Push.URLs) > 0 && o.pushWait > 0 {
 		// Commit the trace's full evidence durably first — Drain only
 		// *requests* a checkpoint, so without this the wait could see an
 		// empty spool and return before there is anything to push. Then
@@ -330,7 +339,7 @@ func run() int {
 		if err := e.CheckpointIncidents(); err != nil {
 			fmt.Fprintln(os.Stderr, "semnids:", err)
 		}
-		deadline := time.Now().Add(*pushWait)
+		deadline := time.Now().Add(o.pushWait)
 		for !e.PushSynced() && time.Now().Before(deadline) {
 			time.Sleep(50 * time.Millisecond)
 		}
@@ -344,7 +353,7 @@ func run() int {
 		fmt.Printf("sketch-attempts=%d sketch-run=%d sketch-merged=%d sketch-step-limit=%d\n",
 			m.SketchAttempts, m.SketchAttemptsRun, m.SketchAttemptsMerged, m.SketchAttemptsStepLimit)
 	}
-	if *stats {
+	if o.stats {
 		for i, sh := range m.Shards {
 			fmt.Printf("shard[%d]: queue=%d/%d ewma-pps=%.1f\n", i, sh.QueueLen, sh.QueueCap, sh.PacketsPerSec)
 		}
@@ -358,11 +367,11 @@ func run() int {
 			sm := e.SinkStats()
 			fmt.Printf("sink: checkpoints=%d rotations=%d dropped=%d errors=%d\n",
 				sm.Checkpoints, sm.Rotations, sm.Dropped, sm.Errors)
-			if len(cfg.PushURLs) > 0 {
+			if len(cfg.Push.URLs) > 0 {
 				p := sm.Push
 				fmt.Printf("push: pushed=%d acked=%d retried=%d rejected=%d dropped=%d spooled=%d backoff=%s\n",
 					p.Pushed, p.Acked, p.Retried, p.Rejected, p.Dropped, p.Spooled, p.Backoff)
-				if len(cfg.PushURLs) > 1 || p.Compressed > 0 {
+				if len(cfg.Push.URLs) > 1 || p.Compressed > 0 {
 					fmt.Printf("push: upstream=%s failovers=%d compressed=%d raw-bytes=%d wire-bytes=%d\n",
 						p.ActiveUpstream, p.Failovers, p.Compressed, p.RawBytes, p.WireBytes)
 				}
@@ -373,18 +382,6 @@ func run() int {
 		}
 	}
 	return 0
-}
-
-// splitList splits a comma-separated flag value, dropping empty
-// elements so "a,,b" and "" behave as expected.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // hostScan analyzes an on-disk binary with the semantic stages only —

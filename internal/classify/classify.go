@@ -67,10 +67,13 @@ type Classifier struct {
 	total, selected uint64
 }
 
+// DefaultScanThreshold is Config.ScanThreshold's default.
+const DefaultScanThreshold = 3
+
 // New builds a classifier from cfg.
 func New(cfg Config) *Classifier {
 	if cfg.ScanThreshold <= 0 {
-		cfg.ScanThreshold = 3
+		cfg.ScanThreshold = DefaultScanThreshold
 	}
 	if cfg.SuspiciousTTLUS == 0 {
 		cfg.SuspiciousTTLUS = 10 * 60 * 1e6

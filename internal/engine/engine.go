@@ -66,7 +66,7 @@ type Config struct {
 	// SensorID names this engine instance in exported incident
 	// evidence: every evidence record a tap-fed correlator exports
 	// carries it as provenance, so federated merges stay traceable to
-	// the sensor that observed each piece (default "sensor").
+	// the sensor that observed each piece (default DefaultSensorID).
 	SensorID string
 
 	// Shards is the number of ingest shards (default: GOMAXPROCS).
@@ -307,11 +307,14 @@ type Engine struct {
 	}
 }
 
+// DefaultSensorID is Config.SensorID's default.
+const DefaultSensorID = "sensor"
+
 // New builds and starts an engine: its shard goroutines run until
 // Stop.
 func New(cfg Config) *Engine {
 	if cfg.SensorID == "" {
-		cfg.SensorID = "sensor"
+		cfg.SensorID = DefaultSensorID
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)

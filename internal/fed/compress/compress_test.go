@@ -123,9 +123,9 @@ func lineageSegment(t testing.TB) (seg []byte, firstEnd int) {
 	exports := []*incident.EvidenceExport{evidence(t, "sensor-a", 1, 24, 6), evidence(t, "sensor-a", 1, 48, 12)}
 	next := 0
 	sink, err := fed.OpenSink(fed.SinkConfig{
-		Dir:             dir,
-		CheckpointEvery: time.Hour,
-		Export:          func() *incident.EvidenceExport { return exports[next] },
+		Dir:       dir,
+		Retention: fed.Retention{CheckpointEvery: time.Hour},
+		Export:    func() *incident.EvidenceExport { return exports[next] },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,15 +23,11 @@ const (
 	segSuffix = ".seg"
 )
 
-// SinkConfig parameterizes a durable evidence sink.
-type SinkConfig struct {
-	// Dir is the segment directory (created if missing).
-	Dir string
-
-	// Export snapshots the correlator's evidence; called from the sink
-	// goroutine only. A nil return skips the checkpoint.
-	Export func() *incident.EvidenceExport
-
+// Retention is a sink's segment policy: when it rotates, how often it
+// checkpoints unprompted, and how many segments it keeps. Zero fields
+// take their defaults. A sensor's sink and an aggregator's hold the
+// same policy.
+type Retention struct {
 	// RotateBytes rotates to a new segment once the current one grows
 	// past this size (default 1 MiB).
 	RotateBytes int64
@@ -47,10 +43,49 @@ type SinkConfig struct {
 	CheckpointEvery time.Duration
 
 	// KeepSegments bounds retained rotated segments; older ones are
-	// deleted (default 4, floored at 2 so the previous segment — the
-	// newest one guaranteed to hold a committed checkpoint — always
-	// survives a rotation).
+	// deleted (default DefaultKeepSegments, floored at MinKeepSegments
+	// so the previous segment — the newest one guaranteed to hold a
+	// committed checkpoint — always survives a rotation). On a pushing
+	// sensor it is also the spool bound: segments pruned before they
+	// were acked are dropped evidence.
 	KeepSegments int
+}
+
+// DefaultKeepSegments and MinKeepSegments are Retention.KeepSegments'
+// default and floor.
+const (
+	DefaultKeepSegments = 4
+	MinKeepSegments     = 2
+)
+
+func (r Retention) withDefaults() Retention {
+	if r.RotateBytes <= 0 {
+		r.RotateBytes = 1 << 20
+	}
+	if r.RotateEvery <= 0 {
+		r.RotateEvery = time.Minute
+	}
+	if r.CheckpointEvery <= 0 {
+		r.CheckpointEvery = 10 * time.Second
+	}
+	if r.KeepSegments <= 0 {
+		r.KeepSegments = DefaultKeepSegments
+	} else if r.KeepSegments < MinKeepSegments {
+		r.KeepSegments = MinKeepSegments
+	}
+	return r
+}
+
+// SinkConfig parameterizes a durable evidence sink.
+type SinkConfig struct {
+	// Dir is the segment directory (created if missing).
+	Dir string
+
+	// Export snapshots the correlator's evidence; called from the sink
+	// goroutine only. A nil return skips the checkpoint.
+	Export func() *incident.EvidenceExport
+
+	Retention
 
 	// Telemetry receives the sink's metric series: counters bridged at
 	// scrape time plus the checkpoint fsync-latency histogram (the
@@ -80,20 +115,7 @@ func openSegFile(path string) (segmentFile, error) {
 }
 
 func (cfg SinkConfig) withDefaults() SinkConfig {
-	if cfg.RotateBytes <= 0 {
-		cfg.RotateBytes = 1 << 20
-	}
-	if cfg.RotateEvery <= 0 {
-		cfg.RotateEvery = time.Minute
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 10 * time.Second
-	}
-	if cfg.KeepSegments <= 0 {
-		cfg.KeepSegments = 4
-	} else if cfg.KeepSegments == 1 {
-		cfg.KeepSegments = 2
-	}
+	cfg.Retention = cfg.Retention.withDefaults()
 	if cfg.openSeg == nil {
 		cfg.openSeg = openSegFile
 	}

@@ -47,10 +47,12 @@ func TestSinkDiskExhaustionDegrades(t *testing.T) {
 	var calls atomic.Int64
 	var diskFull atomic.Bool
 	s, err := OpenSink(SinkConfig{
-		Dir:             dir,
-		RotateBytes:     1, // every checkpoint rotates into a fresh segment
-		CheckpointEvery: time.Hour,
-		KeepSegments:    16, // retention out of the way: shedding is under test
+		Dir: dir,
+		Retention: Retention{
+			RotateBytes:     1, // every checkpoint rotates into a fresh segment
+			CheckpointEvery: time.Hour,
+			KeepSegments:    16, // retention out of the way: shedding is under test
+		},
 		Export: func() *incident.EvidenceExport {
 			return exportAt(calls.Add(1), exports)
 		},

@@ -38,9 +38,11 @@ func checkpointAll(t *testing.T, dir string, exports []*incident.EvidenceExport,
 	t.Helper()
 	var calls atomic.Int64
 	s, err := OpenSink(SinkConfig{
-		Dir:             dir,
-		RotateBytes:     rotateBytes,
-		CheckpointEvery: time.Hour, // notify-driven only, deterministic
+		Dir: dir,
+		Retention: Retention{
+			RotateBytes:     rotateBytes,
+			CheckpointEvery: time.Hour, // notify-driven only, deterministic
+		},
 		Export: func() *incident.EvidenceExport {
 			i := int(calls.Add(1)) - 1
 			if i >= len(exports) {
@@ -250,7 +252,7 @@ func TestSinkPruneSparesCommitted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := &Sink{cfg: SinkConfig{Dir: dir, KeepSegments: 2}.withDefaults(), committedSeg: 0}
+	s := &Sink{cfg: SinkConfig{Dir: dir, Retention: Retention{KeepSegments: 2}}.withDefaults(), committedSeg: 0}
 	s.prune()
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -271,7 +273,7 @@ func TestSinkPruneSparesCommitted(t *testing.T) {
 
 	// KeepSegments=1 is floored to 2: the previous (committed) segment
 	// always survives a rotation.
-	if got := (SinkConfig{KeepSegments: 1}.withDefaults()).KeepSegments; got != 2 {
+	if got := (Retention{KeepSegments: 1}.withDefaults()).KeepSegments; got != 2 {
 		t.Fatalf("KeepSegments floor = %d, want 2", got)
 	}
 }
@@ -284,8 +286,8 @@ func TestSinkNotifyNeverBlocks(t *testing.T) {
 	ex := synthExport(t, "sensor-a", 7, 100)
 	block := make(chan struct{})
 	s, err := OpenSink(SinkConfig{
-		Dir:             dir,
-		CheckpointEvery: time.Hour,
+		Dir:       dir,
+		Retention: Retention{CheckpointEvery: time.Hour},
 		Export: func() *incident.EvidenceExport {
 			<-block // wedge the sink goroutine mid-checkpoint
 			return ex

@@ -64,18 +64,15 @@ type AggregatorConfig struct {
 	// merged state is checkpointed here and recovered on restart.
 	Dir string
 
-	// MaxBodyBytes bounds one pushed segment body (default 32 MiB). A
-	// body at or over the bound is rejected with 413 — including one
-	// whose committed prefix decoded cleanly, because an ack must
-	// cover the whole segment the sensor will mark delivered.
+	// MaxBodyBytes bounds one pushed segment body (default
+	// DefaultMaxBodyBytes). A body at or over the bound is rejected
+	// with 413 — including one whose committed prefix decoded cleanly,
+	// because an ack must cover the whole segment the sensor will mark
+	// delivered.
 	MaxBodyBytes int64
 
-	// RotateBytes / RotateEvery / CheckpointEvery / KeepSegments tune
-	// the aggregator's sink (see fed.SinkConfig).
-	RotateBytes     int64
-	RotateEvery     time.Duration
-	CheckpointEvery time.Duration
-	KeepSegments    int
+	// Retention is the aggregator's own sink policy.
+	Retention fed.Retention
 
 	// AsyncAck acknowledges pushes before the merged state is durably
 	// checkpointed. The default (false) holds the 2xx until the sink
@@ -102,34 +99,29 @@ type AggregatorConfig struct {
 	// (e.g. a cycle wider than the bounded set).
 	MaxHops int
 
-	// Upstreams makes this aggregator an interior tree node: its own
-	// sink directory doubles as the spool of a Pusher delivering the
-	// folded state up the tree, in priority order with failover. Empty
-	// means a root (or standalone) aggregator.
-	Upstreams []string
-
-	// UpstreamClient / PushInterval / PushTimeout / PushBackoffMin /
-	// PushBackoffMax / PushProbeInterval / PushSeed tune
-	// the upstream pusher (see PusherConfig; zero values take its
-	// defaults). Ignored without Upstreams.
-	UpstreamClient    *http.Client
-	PushInterval      time.Duration
-	PushTimeout       time.Duration
-	PushBackoffMin    time.Duration
-	PushBackoffMax    time.Duration
-	PushProbeInterval time.Duration
-	PushSeed          int64
+	// Upstream with URLs makes this aggregator an interior tree node:
+	// its own sink directory doubles as the spool of a Pusher
+	// delivering the folded state up the tree, in priority order with
+	// failover. No URLs means a root (or standalone) aggregator.
+	Upstream Upstream
 }
+
+// AggregatorConfig defaults.
+const (
+	DefaultMaxBodyBytes = 32 << 20
+	DefaultNodeID       = "agg"
+	DefaultMaxHops      = 16
+)
 
 func (cfg AggregatorConfig) withDefaults() AggregatorConfig {
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 32 << 20
+		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if cfg.NodeID == "" {
-		cfg.NodeID = "agg"
+		cfg.NodeID = DefaultNodeID
 	}
 	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = 16
+		cfg.MaxHops = DefaultMaxHops
 	}
 	return cfg
 }
@@ -244,35 +236,16 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		return nil, fmt.Errorf("transport: aggregator recovery: %w", err)
 	}
 	a.state.Adopt(rec)
-	sink, err := a.state.OpenSink(fed.SinkConfig{
-		Dir:             cfg.Dir,
-		RotateBytes:     cfg.RotateBytes,
-		RotateEvery:     cfg.RotateEvery,
-		CheckpointEvery: cfg.CheckpointEvery,
-		KeepSegments:    cfg.KeepSegments,
-		Telemetry:       a.cfg.Telemetry,
-	})
+	sink, err := a.state.OpenSink(fed.SinkConfig{Dir: cfg.Dir, Retention: cfg.Retention, Telemetry: a.cfg.Telemetry})
 	if err != nil {
 		return nil, fmt.Errorf("transport: aggregator sink: %w", err)
 	}
 	a.sink = sink
-	if len(cfg.Upstreams) > 0 {
+	if len(cfg.Upstream.URLs) > 0 {
 		// The aggregator's own sink directory is the upstream spool:
 		// every durable fold grows a segment the pusher will deliver,
 		// and fold associativity makes any tree bracketing converge.
-		push, err := NewPusher(PusherConfig{
-			Dir:            cfg.Dir,
-			URLs:           cfg.Upstreams,
-			Client:         cfg.UpstreamClient,
-			ScanInterval:   cfg.PushInterval,
-			RequestTimeout: cfg.PushTimeout,
-			BackoffMin:     cfg.PushBackoffMin,
-			BackoffMax:     cfg.PushBackoffMax,
-			ProbeInterval:  cfg.PushProbeInterval,
-			Seed:           cfg.PushSeed,
-			Route:          a.route,
-			Telemetry:      a.cfg.Telemetry,
-		})
+		push, err := NewPusher(PusherConfig{Dir: cfg.Dir, Upstream: cfg.Upstream, Route: a.route, Telemetry: a.cfg.Telemetry})
 		if err != nil {
 			sink.Close()
 			return nil, fmt.Errorf("transport: aggregator upstream pusher: %w", err)
@@ -487,14 +460,7 @@ func (a *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			hops = n
 		}
 	}
-	var via []string
-	if v := r.Header.Get(HeaderVia); v != "" {
-		for _, id := range strings.Split(v, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				via = append(via, id)
-			}
-		}
-	}
+	via := SplitList(r.Header.Get(HeaderVia))
 	for _, id := range via {
 		if id == a.cfg.NodeID {
 			a.m.cycles.Add(1)

@@ -43,44 +43,28 @@ const (
 	HeaderNode = "X-Fed-Node"
 )
 
-// PusherConfig parameterizes a segment pusher.
-type PusherConfig struct {
-	// Dir is the fed.Sink segment directory to watch (required). The
-	// directory is also the spool: an unreachable aggregator costs
-	// nothing but lag, bounded by the sink's prune policy.
-	Dir string
-
-	// URL is the aggregator push endpoint, e.g.
-	// "http://agg:9444/push". Shorthand for a one-element URLs.
-	URL string
-
-	// URLs is the ordered upstream list: the pusher delivers to the
-	// first reachable upstream, fails over down the list when the
-	// active one stops acking, and probes earlier (higher-priority)
-	// upstreams to promote back. One of URL/URLs is required; URLs
-	// wins when both are set.
+// Upstream is where and how a pusher delivers: the aggregators in
+// failover order and the retry policy toward them. Zero fields take
+// their defaults; no URLs means no pushing. A sensor's pusher and an
+// interior aggregator's hold the same policy.
+type Upstream struct {
+	// URLs is the ordered upstream list, e.g. "http://agg:9444/push":
+	// the pusher delivers to the first reachable upstream, fails over
+	// down the list when the active one stops acking, and probes
+	// earlier (higher-priority) upstreams to promote back.
 	URLs []string
-
-	// ProbeInterval is how often a pusher that has failed away from
-	// the primary probes higher-priority upstreams for promotion
-	// (default 5s).
-	ProbeInterval time.Duration
-
-	// Route supplies the topology stamp for each push: how many tiers
-	// the spooled evidence has already traversed and through which
-	// aggregator node IDs. Nil means a leaf sensor (hops 1, no via).
-	Route func() (hops int, via []string)
 
 	// Client issues the push requests (default: a plain http.Client).
 	// Per-request timeouts come from RequestTimeout, not the client;
-	// replacing the client's Transport is the fault-injection hook.
+	// replacing the client's Transport is the fault-injection hook (see
+	// faultnet).
 	Client *http.Client
 
 	// RequestTimeout bounds one upload end to end (default 10s).
 	RequestTimeout time.Duration
 
-	// ScanInterval is the idle re-scan cadence (default 2s); Notify
-	// nudges a scan sooner.
+	// ScanInterval is the idle spool re-scan cadence (default 2s);
+	// Notify nudges a scan sooner.
 	ScanInterval time.Duration
 
 	// BackoffMin / BackoffMax bound the exponential backoff applied
@@ -89,43 +73,78 @@ type PusherConfig struct {
 	// sensors does not retry in lockstep.
 	BackoffMin, BackoffMax time.Duration
 
+	// ProbeInterval is how often a pusher that has failed away from
+	// the primary probes higher-priority upstreams for promotion
+	// (default 5s).
+	ProbeInterval time.Duration
+
 	// Seed seeds the backoff jitter (default 1). Fixed seeds make
 	// fault-injection runs deterministic.
 	Seed int64
+}
+
+func (u Upstream) withDefaults() Upstream {
+	if u.Client == nil {
+		u.Client = &http.Client{}
+	}
+	if u.RequestTimeout <= 0 {
+		u.RequestTimeout = 10 * time.Second
+	}
+	if u.ScanInterval <= 0 {
+		u.ScanInterval = 2 * time.Second
+	}
+	if u.BackoffMin <= 0 {
+		u.BackoffMin = 250 * time.Millisecond
+	}
+	if u.BackoffMax <= 0 {
+		u.BackoffMax = 30 * time.Second
+	}
+	if u.BackoffMax < u.BackoffMin {
+		u.BackoffMax = u.BackoffMin
+	}
+	if u.ProbeInterval <= 0 {
+		u.ProbeInterval = 5 * time.Second
+	}
+	if u.Seed == 0 {
+		u.Seed = 1
+	}
+	return u
+}
+
+// SplitList parses a comma-separated list: Upstream.URLs on a command
+// line, or a push's HeaderVia. Blanks around an element are trimmed
+// and empty elements dropped, so "a,,b" is two elements and "" none.
+func SplitList(s string) []string {
+	var out []string
+	for _, e := range strings.Split(s, ",") {
+		if e = strings.TrimSpace(e); e != "" {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// PusherConfig parameterizes a segment pusher.
+type PusherConfig struct {
+	// Dir is the fed.Sink segment directory to watch (required). The
+	// directory is also the spool: an unreachable aggregator costs
+	// nothing but lag, bounded by the sink's prune policy.
+	Dir string
+
+	// Upstream names the aggregators (at least one URL is required)
+	// and the retry policy toward them.
+	Upstream
+
+	// Route supplies the topology stamp for each push: how many tiers
+	// the spooled evidence has already traversed and through which
+	// aggregator node IDs. Nil means a leaf sensor (hops 1, no via).
+	Route func() (hops int, via []string)
 
 	// Telemetry receives the pusher's metric series: counters and
 	// health gauges bridged at scrape time, push round-trip and
 	// written→acked latency histograms, and the spool-age gauge. Nil
 	// creates a private registry.
 	Telemetry *telemetry.Registry
-}
-
-func (cfg PusherConfig) withDefaults() PusherConfig {
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 10 * time.Second
-	}
-	if cfg.ScanInterval <= 0 {
-		cfg.ScanInterval = 2 * time.Second
-	}
-	if cfg.BackoffMin <= 0 {
-		cfg.BackoffMin = 250 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 30 * time.Second
-	}
-	if cfg.BackoffMax < cfg.BackoffMin {
-		cfg.BackoffMax = cfg.BackoffMin
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 5 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if len(cfg.URLs) == 0 && cfg.URL != "" {
-		cfg.URLs = []string{cfg.URL}
-	}
-	return cfg
 }
 
 // PushMetrics is a snapshot of pusher counters and health gauges — a
@@ -233,8 +252,7 @@ func (s *segState) handled() int64 {
 // spool intact; every success is recorded so a segment is re-pushed
 // only when it grows.
 type Pusher struct {
-	cfg    PusherConfig
-	client *http.Client
+	cfg PusherConfig
 
 	trigger chan struct{}
 	closing chan struct{}
@@ -271,7 +289,7 @@ type Pusher struct {
 
 // NewPusher validates the configuration and starts the push loop.
 func NewPusher(cfg PusherConfig) (*Pusher, error) {
-	cfg = cfg.withDefaults()
+	cfg.Upstream = cfg.Upstream.withDefaults()
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("transport: pusher needs a segment directory")
 	}
@@ -280,15 +298,11 @@ func NewPusher(cfg PusherConfig) (*Pusher, error) {
 	}
 	p := &Pusher{
 		cfg:     cfg,
-		client:  cfg.Client,
 		trigger: make(chan struct{}, 1),
 		closing: make(chan struct{}),
 		done:    make(chan struct{}),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		segs:    make(map[int]*segState),
-	}
-	if p.client == nil {
-		p.client = &http.Client{}
 	}
 	for _, u := range cfg.URLs {
 		p.ups = append(p.ups, &upstream{url: u})
@@ -665,7 +679,7 @@ func (p *Pusher) attempt(u *upstream, name string, body []byte, compressed bool)
 	p.m.Pushed++
 	p.mu.Unlock()
 	t0 := time.Now()
-	resp, err := p.client.Do(req)
+	resp, err := p.cfg.Client.Do(req)
 	rtt := time.Since(t0).Nanoseconds()
 	p.rttNS.Observe(rtt)
 	u.rtt.Observe(rtt)
@@ -746,7 +760,7 @@ func (p *Pusher) probe(u *upstream) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := p.client.Do(req)
+	resp, err := p.cfg.Client.Do(req)
 	if err != nil {
 		return false
 	}

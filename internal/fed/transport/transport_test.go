@@ -154,9 +154,9 @@ func growingSegment(t testing.TB, exports ...*incident.EvidenceExport) []byte {
 	dir := t.TempDir()
 	next := 0
 	sink, err := fed.OpenSink(fed.SinkConfig{
-		Dir:             dir,
-		CheckpointEvery: time.Hour,
-		Export:          func() *incident.EvidenceExport { return exports[next] },
+		Dir:       dir,
+		Retention: fed.Retention{CheckpointEvery: time.Hour},
+		Export:    func() *incident.EvidenceExport { return exports[next] },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,19 +178,24 @@ func growingSegment(t testing.TB, exports ...*incident.EvidenceExport) []byte {
 	return data
 }
 
-// fastPusher starts a pusher tuned for test cadence.
-func fastPusher(t testing.TB, dir, url string, client *http.Client) *Pusher {
-	t.Helper()
-	p, err := NewPusher(PusherConfig{
-		Dir:            dir,
-		URL:            url,
+// fastUpstream is a push policy tuned for test cadence.
+func fastUpstream(client *http.Client, urls ...string) Upstream {
+	return Upstream{
+		URLs:           urls,
 		Client:         client,
 		RequestTimeout: 2 * time.Second,
 		ScanInterval:   10 * time.Millisecond,
 		BackoffMin:     5 * time.Millisecond,
 		BackoffMax:     40 * time.Millisecond,
+		ProbeInterval:  20 * time.Millisecond,
 		Seed:           1,
-	})
+	}
+}
+
+// fastPusher starts a pusher tuned for test cadence.
+func fastPusher(t testing.TB, dir, url string, client *http.Client) *Pusher {
+	t.Helper()
+	p, err := NewPusher(PusherConfig{Dir: dir, Upstream: fastUpstream(client, url)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,5 +630,62 @@ func TestPushConvergesUnderFaults(t *testing.T) {
 		// Truncated uploads that reach the server must have been
 		// refused (400), never folded.
 		t.Logf("note: no server-side rejections (truncations may have died client-side): %+v", m)
+	}
+}
+
+// TestAggregatorConfigReachesSinkAndPusher: AggregatorConfig.Retention
+// and AggregatorConfig.Upstream are handed to the aggregator's sink and
+// its upstream pusher whole. A one-byte rotation with two kept
+// segments leaves exactly two segments after five acked pushes (the
+// defaults would leave one), and relaying to a dead upstream backs off
+// from the configured floor (the default is 250ms).
+func TestAggregatorConfigReachesSinkAndPusher(t *testing.T) {
+	const backoffMin = 700 * time.Millisecond
+	dir := t.TempDir()
+	agg := newAggregator(t, dir, func(c *AggregatorConfig) {
+		c.Retention = fed.Retention{RotateBytes: 1, KeepSegments: 2, CheckpointEvery: time.Hour}
+		c.Upstream = Upstream{
+			URLs:         []string{"http://127.0.0.1:1/push"},
+			ScanInterval: 10 * time.Millisecond,
+			BackoffMin:   backoffMin,
+			BackoffMax:   time.Hour,
+		}
+	})
+	defer agg.Close()
+	srv := httptest.NewServer(agg)
+	defer srv.Close()
+	for i := 0; i < 5; i++ {
+		if got := post(t, srv.URL, encode(t, synthExport(t, "sensor-a", int64(90+i), 100))); got != http.StatusOK {
+			t.Fatalf("push %d = %d, want 200", i, got)
+		}
+	}
+	if segs, err := fed.Segments(dir); err != nil || len(segs) != 2 {
+		t.Fatalf("%d segments (%v) after 5 one-byte rotations, want KeepSegments = 2", len(segs), err)
+	}
+	var backoff time.Duration
+	waitFor(t, "a failed relay", func() bool {
+		pm, _ := agg.PushStats()
+		backoff = pm.Backoff
+		return backoff > 0
+	})
+	// Each nudged pass doubles it, so any power-of-two multiple of the
+	// floor is fine; none of those is a multiple of the default's.
+	if n := backoff / backoffMin; backoff%backoffMin != 0 || n&(n-1) != 0 {
+		t.Fatalf("backoff %v is not the configured floor %v doubled", backoff, backoffMin)
+	}
+}
+
+func TestSplitList(t *testing.T) {
+	for in, want := range map[string][]string{
+		"":         nil,
+		"a,,b":     {"a", "b"},
+		" a , b ":  {"a", "b"},
+		"a":        {"a"},
+		" , ,":     nil,
+		"http://x": {"http://x"},
+	} {
+		if got := SplitList(in); !reflect.DeepEqual(got, want) {
+			t.Errorf("SplitList(%q) = %q, want %q", in, got, want)
+		}
 	}
 }

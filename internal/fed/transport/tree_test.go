@@ -41,15 +41,9 @@ func TestPusherBackoffResetsAfterSuccess(t *testing.T) {
 	srv, up := flakyServer(agg)
 	defer srv.Close()
 
-	p, err := NewPusher(PusherConfig{
-		Dir:            spool,
-		URL:            srv.URL,
-		RequestTimeout: 2 * time.Second,
-		ScanInterval:   10 * time.Millisecond,
-		BackoffMin:     backoffMin,
-		BackoffMax:     backoffMax,
-		Seed:           1,
-	})
+	policy := fastUpstream(nil, srv.URL)
+	policy.BackoffMin, policy.BackoffMax = backoffMin, backoffMax
+	p, err := NewPusher(PusherConfig{Dir: spool, Upstream: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,16 +100,7 @@ func TestPusherFailoverAndPromotion(t *testing.T) {
 	secSrv := httptest.NewServer(secondary)
 	defer secSrv.Close()
 
-	p, err := NewPusher(PusherConfig{
-		Dir:            spool,
-		URLs:           []string{priSrv.URL, secSrv.URL},
-		RequestTimeout: 2 * time.Second,
-		ScanInterval:   10 * time.Millisecond,
-		BackoffMin:     5 * time.Millisecond,
-		BackoffMax:     40 * time.Millisecond,
-		ProbeInterval:  20 * time.Millisecond,
-		Seed:           1,
-	})
+	p, err := NewPusher(PusherConfig{Dir: spool, Upstream: fastUpstream(nil, priSrv.URL, secSrv.URL)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,15 +160,9 @@ func TestPusherSpoolsWhenAllUpstreamsDown(t *testing.T) {
 	srvB, _ := flakyServer(http.NotFoundHandler()) // stays down for good
 	defer srvB.Close()
 
-	p, err := NewPusher(PusherConfig{
-		Dir:            spool,
-		URLs:           []string{srvA.URL, srvB.URL},
-		RequestTimeout: 2 * time.Second,
-		ScanInterval:   10 * time.Millisecond,
-		BackoffMin:     backoffMin,
-		BackoffMax:     40 * time.Millisecond,
-		Seed:           1,
-	})
+	policy := fastUpstream(nil, srvA.URL, srvB.URL)
+	policy.BackoffMin = backoffMin
+	p, err := NewPusher(PusherConfig{Dir: spool, Upstream: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,15 +203,7 @@ func TestPusherCompressionNegotiation(t *testing.T) {
 	srv := httptest.NewServer(agg)
 	defer srv.Close()
 
-	p, err := NewPusher(PusherConfig{
-		Dir:            spool,
-		URL:            srv.URL,
-		RequestTimeout: 2 * time.Second,
-		ScanInterval:   10 * time.Millisecond,
-		BackoffMin:     5 * time.Millisecond,
-		BackoffMax:     40 * time.Millisecond,
-		Seed:           1,
-	})
+	p, err := NewPusher(PusherConfig{Dir: spool, Upstream: fastUpstream(nil, srv.URL)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,15 +281,7 @@ func TestPusherInteropWithOldAggregator(t *testing.T) {
 			srv := httptest.NewServer(legacyAggregator(&acks, &offered, tc.accept, tc.refuse))
 			defer srv.Close()
 
-			p, err := NewPusher(PusherConfig{
-				Dir:            spool,
-				URL:            srv.URL,
-				RequestTimeout: 2 * time.Second,
-				ScanInterval:   10 * time.Millisecond,
-				BackoffMin:     5 * time.Millisecond,
-				BackoffMax:     40 * time.Millisecond,
-				Seed:           1,
-			})
+			p, err := NewPusher(PusherConfig{Dir: spool, Upstream: fastUpstream(nil, srv.URL)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -433,13 +396,7 @@ func fastTreeNode(t testing.TB, dir, nodeID string, upstreams []string, client *
 	t.Helper()
 	return newAggregator(t, dir, func(c *AggregatorConfig) {
 		c.NodeID = nodeID
-		c.Upstreams = upstreams
-		c.UpstreamClient = client
-		c.PushInterval = 10 * time.Millisecond
-		c.PushTimeout = 2 * time.Second
-		c.PushBackoffMin = 5 * time.Millisecond
-		c.PushBackoffMax = 40 * time.Millisecond
-		c.PushProbeInterval = 20 * time.Millisecond
+		c.Upstream = fastUpstream(client, upstreams...)
 	})
 }
 

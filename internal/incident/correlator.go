@@ -15,7 +15,7 @@ import (
 // Config parameterizes the correlator.
 type Config struct {
 	// WindowUS is the sliding trace-time window for destination
-	// fan-out (default 30s).
+	// fan-out (default DefaultWindowUS, 30s).
 	WindowUS uint64
 
 	// FanoutThreshold is the distinct-destination count inside the
@@ -83,9 +83,12 @@ type Config struct {
 // victim links to a single payload identity.
 const maxAttackersPerFingerprint = 4
 
+// DefaultWindowUS is Config.WindowUS' default.
+const DefaultWindowUS = 30_000_000
+
 func (cfg Config) withDefaults() Config {
 	if cfg.WindowUS == 0 {
-		cfg.WindowUS = 30e6
+		cfg.WindowUS = DefaultWindowUS
 	}
 	if cfg.FanoutThreshold <= 0 {
 		cfg.FanoutThreshold = 3

@@ -124,8 +124,7 @@ func (r *Registry) StatusSnapshot(info map[string]any) StatusSnapshot {
 
 // WriteStatusJSON renders one status snapshot as a single JSON
 // document (no trailing newline beyond the encoder's): the shared
-// encoder behind /statusz, fedagg's /stats alias, and the
-// -stats-interval JSON-lines emitter.
+// encoder behind /statusz and the -stats-interval JSON-lines emitter.
 func WriteStatusJSON(w io.Writer, r *Registry, info map[string]any) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(r.StatusSnapshot(info))

@@ -113,6 +113,7 @@ func settleGoroutines(base int) int {
 // and each NewEngine error path that has to unwind a half-built engine.
 func TestNoGoroutineLeak(t *testing.T) {
 	sensor := Config{Honeypots: []string{traffic.HoneypotAddr.String()}}
+	push := PushUpstream{URLs: []string{"http://127.0.0.1:1/push"}}
 	cases := []struct {
 		name string
 		run  func(t *testing.T)
@@ -126,7 +127,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 		}},
 		{"NewEngine+Stop", func(t *testing.T) {
 			e, err := NewEngine(EngineConfig{Config: sensor, Correlate: true, Lineage: true,
-				IncidentExportDir: t.TempDir(), PushURL: "http://127.0.0.1:1/push"})
+				IncidentExportDir: t.TempDir(), Push: push})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,15 +138,13 @@ func TestNoGoroutineLeak(t *testing.T) {
 				t.Fatal("accepted")
 			}
 		}},
-		{"PushURL and PushURLs", func(t *testing.T) {
-			_, err := NewEngine(EngineConfig{Config: sensor, Correlate: true, IncidentExportDir: t.TempDir(),
-				PushURL: "http://127.0.0.1:1/push", PushURLs: []string{"http://127.0.0.1:2/push"}})
-			if err == nil {
+		{"Push without export dir", func(t *testing.T) {
+			if _, err := NewEngine(EngineConfig{Config: sensor, Correlate: true, Push: push}); err == nil {
 				t.Fatal("accepted")
 			}
 		}},
-		{"PushURL without export dir", func(t *testing.T) {
-			if _, err := NewEngine(EngineConfig{Config: sensor, Correlate: true, PushURL: "http://127.0.0.1:1/push"}); err == nil {
+		{"IncidentExportDir without Correlate", func(t *testing.T) {
+			if _, err := NewEngine(EngineConfig{Config: sensor, IncidentExportDir: t.TempDir()}); err == nil {
 				t.Fatal("accepted")
 			}
 		}},

@@ -206,13 +206,7 @@ func lineagePushEngine(t *testing.T, shards int, sensor, dir, url string, client
 		Lineage:           true,
 		SensorID:          sensor,
 		IncidentExportDir: dir,
-		PushURL:           url,
-		PushClient:        client,
-		PushInterval:      10 * time.Millisecond,
-		PushTimeout:       2 * time.Second,
-		PushBackoffMin:    5 * time.Millisecond,
-		PushBackoffMax:    40 * time.Millisecond,
-		PushSeed:          1,
+		Push:              fastPush(client, url),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -283,58 +283,27 @@ type EngineConfig struct {
 	// every sensor in a federation a distinct ID.
 	SensorID string
 
-	// IncidentExportDir, when non-empty (and Correlate is set),
-	// attaches a durable evidence sink: the correlator's evidence is
+	// IncidentExportDir, when non-empty, attaches a durable evidence
+	// sink (requires Correlate): the correlator's evidence is
 	// checkpointed to size/age-rotated segment files in this directory
 	// — non-blocking from the notify path, plus a periodic safety
 	// net — and on startup the newest complete segment is reloaded, so
 	// a restarted sensor resumes with its attacker state intact.
 	IncidentExportDir string
 
-	// IncidentExportRotateBytes / IncidentExportRotateEvery /
-	// IncidentCheckpointEvery tune the sink's segment rotation and
-	// periodic checkpoint cadence (defaults 1 MiB / 1m / 10s).
-	IncidentExportRotateBytes int64
-	IncidentExportRotateEvery time.Duration
-	IncidentCheckpointEvery   time.Duration
+	// Export is the sink's rotation, checkpoint and retention policy.
+	// KeepSegments is also the push spool bound: segments pruned before
+	// they were acked are dropped evidence (counted in
+	// SinkStats().Push.Dropped).
+	Export SinkRetention
 
-	// IncidentKeepSegments bounds the sink's retained segments — which
-	// is also the push spool bound: with PushURL set, segments pruned
-	// before they were acked are dropped evidence (counted in
-	// SinkStats().Push.Dropped). 0 = default 4.
-	IncidentKeepSegments int
-
-	// PushURL, when non-empty, streams committed evidence segments to
-	// a federation aggregator (cmd/fedagg, or any transport.Aggregator)
-	// with retry/backoff and spool-and-forward degradation: the sink's
-	// segment directory is the spool, so an unreachable aggregator
-	// costs lag, never ingest throughput. Requires Correlate and
-	// IncidentExportDir.
-	PushURL string
-
-	// PushURLs lists upstream aggregators in failover order: pushes go
-	// to the first, and on sustained failure the pusher fails over down
-	// the list, probing earlier entries for promotion back. Setting
-	// both PushURL and PushURLs is an error; a one-element PushURLs is
-	// equivalent to PushURL.
-	PushURLs []string
-
-	// PushInterval is the pusher's idle spool re-scan cadence (default
-	// 2s); PushTimeout bounds one upload end to end (default 10s);
-	// PushBackoffMin / PushBackoffMax bound the jittered exponential
-	// retry backoff (defaults 250ms / 30s).
-	PushInterval   time.Duration
-	PushTimeout    time.Duration
-	PushBackoffMin time.Duration
-	PushBackoffMax time.Duration
-
-	// PushClient overrides the pusher's HTTP client. Replacing its
-	// Transport is the fault-injection hook (see fed/transport/faultnet).
-	PushClient *http.Client
-
-	// PushSeed seeds the pusher's backoff jitter (default 1); fixed
-	// seeds make fault-injection runs deterministic.
-	PushSeed int64
+	// Push, when it lists URLs, streams committed evidence segments to
+	// federation aggregators (cmd/fedagg, or any transport.Aggregator)
+	// in failover order, with retry/backoff and spool-and-forward
+	// degradation: the sink's segment directory is the spool, so an
+	// unreachable aggregator costs lag, never ingest throughput.
+	// Requires Correlate and IncidentExportDir.
+	Push PushUpstream
 
 	// Telemetry, when non-nil, is the metrics registry every layer of
 	// this engine registers into (shards, analyzer, correlator, sink,
@@ -377,16 +346,25 @@ type IncidentMetrics = incident.Metrics
 // snapshot — the unit of cross-sensor federation.
 type EvidenceExport = incident.EvidenceExport
 
-// SinkMetrics reports durable evidence-sink counters plus — when a
-// PushURL is configured — the push transport's health: segments
+// SinkMetrics reports durable evidence-sink counters plus — when push
+// URLs are configured — the push transport's health: segments
 // pushed/acked/retried/spooled, drops where prune outran push, and
 // the current backoff state.
 type SinkMetrics struct {
 	fed.SinkMetrics
 
-	// Push is the push-transport snapshot (zero value without PushURL).
+	// Push is the push-transport snapshot (zero value without push
+	// URLs).
 	Push PushMetrics
 }
+
+// SinkRetention is the durable sink's segment policy. See
+// fed.Retention.
+type SinkRetention = fed.Retention
+
+// PushUpstream names the aggregators evidence is pushed to and the
+// retry policy toward them. See transport.Upstream.
+type PushUpstream = transport.Upstream
 
 // PushMetrics reports federation push-transport counters and health
 // gauges. See transport.PushMetrics.
@@ -451,8 +429,8 @@ type Engine struct {
 	sink   atomic.Pointer[fed.Sink]
 	sensor string
 
-	// push streams committed sink segments to the aggregator when
-	// PushURL is configured; nil otherwise.
+	// push streams committed sink segments to the aggregators when
+	// Push lists URLs; nil otherwise.
 	push *transport.Pusher
 
 	// tel is the registry shared by every layer of this engine;
@@ -468,6 +446,14 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	ccfg, tpls, err := cfg.Config.pipeline()
 	if err != nil {
 		return nil, err
+	}
+	switch {
+	case cfg.Lineage && !cfg.Correlate:
+		return nil, fmt.Errorf("nids: Lineage requires Correlate (lineage observations ride the correlator's event feed and evidence exports)")
+	case len(cfg.Push.URLs) > 0 && (!cfg.Correlate || cfg.IncidentExportDir == ""):
+		return nil, fmt.Errorf("nids: Push requires Correlate and IncidentExportDir (the sink's segment directory is the push spool)")
+	case cfg.IncidentExportDir != "" && !cfg.Correlate:
+		return nil, fmt.Errorf("nids: IncidentExportDir requires Correlate (the sink persists the correlator's evidence)")
 	}
 	tel := cfg.Telemetry
 	if tel == nil {
@@ -485,6 +471,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		VerdictCacheSize:  cfg.VerdictCacheSize,
 		FullScan:          cfg.FullScan,
 		OnAlert:           cfg.OnAlert,
+		SensorID:          cfg.SensorID,
 		Telemetry:         tel,
 	}
 	if cfg.ShedOnOverload {
@@ -515,97 +502,59 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		})
 		ecfg.OnEvent = e.corr.Publish
 	}
-	if cfg.SensorID != "" {
-		ecfg.SensorID = cfg.SensorID
-	}
 	if cfg.Lineage {
-		if !cfg.Correlate {
-			e.shutdownPartial()
-			return nil, fmt.Errorf("nids: Lineage requires Correlate (lineage observations ride the correlator's event feed and evidence exports)")
-		}
-		sensor := cfg.SensorID
-		if sensor == "" {
-			sensor = "sensor"
-		}
+		// The store is built below, once the engine has defaulted the
+		// sensor ID; no event flows before NewEngine returns.
 		ecfg.Lineage = true
-		e.lin = lineage.NewStore(lineage.StoreConfig{Sensor: sensor, Telemetry: tel})
-		e.linDepth = tel.Histogram("semnids_lineage_ancestry_depth",
-			"Maximum depth of each reconstructed ancestry tree (root = 0).")
-		tel.CounterFunc("semnids_lineage_links_total",
-			"Parent→child infection links derived across all ancestry computations.", e.linLinks.Load)
 		corrPublish := ecfg.OnEvent
 		ecfg.OnEvent = func(ev core.Event) {
 			e.lin.Observe(ev)
 			corrPublish(ev)
 		}
 	}
-	if cfg.PushURL != "" && len(cfg.PushURLs) > 0 {
-		e.shutdownPartial()
-		return nil, fmt.Errorf("nids: set PushURL or PushURLs, not both")
-	}
-	pushURLs := cfg.PushURLs
-	if cfg.PushURL != "" {
-		pushURLs = []string{cfg.PushURL}
-	}
-	if len(pushURLs) > 0 && (!cfg.Correlate || cfg.IncidentExportDir == "") {
-		e.shutdownPartial()
-		return nil, fmt.Errorf("nids: PushURL requires Correlate and IncidentExportDir (the sink's segment directory is the push spool)")
-	}
 	e.inner = engine.New(ecfg)
 	e.sensor = e.inner.SensorID()
-	if !cfg.Correlate || cfg.IncidentExportDir == "" {
-		e.health.Set("spool", true, "no export dir")
+	if cfg.Lineage {
+		e.lin = lineage.NewStore(lineage.StoreConfig{Sensor: e.sensor, Telemetry: tel})
+		e.linDepth = tel.Histogram("semnids_lineage_ancestry_depth",
+			"Maximum depth of each reconstructed ancestry tree (root = 0).")
+		tel.CounterFunc("semnids_lineage_links_total",
+			"Parent→child infection links derived across all ancestry computations.", e.linLinks.Load)
 	}
-	if cfg.Correlate && cfg.IncidentExportDir != "" {
-		e.health.Set("spool", false, "recovering")
-		if rec, err := fed.Recover(cfg.IncidentExportDir); err != nil {
+	if cfg.IncidentExportDir == "" {
+		e.health.Set("spool", true, "no export dir")
+		return e, nil
+	}
+	e.health.Set("spool", false, "recovering")
+	if rec, err := fed.Recover(cfg.IncidentExportDir); err != nil {
+		e.shutdownPartial()
+		return nil, fmt.Errorf("nids: incident recovery: %w", err)
+	} else if rec != nil {
+		if err := e.importEvidence(rec); err != nil {
+			// Most likely correlation-parameter skew: the durable
+			// evidence was gathered under different window/caps.
+			// Refuse to start rather than silently discard it — the
+			// operator decides whether to restore the previous
+			// parameters or retire the old evidence directory.
 			e.shutdownPartial()
-			return nil, fmt.Errorf("nids: incident recovery: %w", err)
-		} else if rec != nil {
-			if err := e.importEvidence(rec); err != nil {
-				// Most likely correlation-parameter skew: the durable
-				// evidence was gathered under different window/caps.
-				// Refuse to start rather than silently discard it — the
-				// operator decides whether to restore the previous
-				// parameters or retire the old evidence directory.
-				e.shutdownPartial()
-				return nil, fmt.Errorf("nids: incident recovery from %s: %w (restore the previous correlation parameters, or move the directory aside to start fresh)",
-					cfg.IncidentExportDir, err)
-			}
+			return nil, fmt.Errorf("nids: incident recovery from %s: %w (restore the previous correlation parameters, or move the directory aside to start fresh)",
+				cfg.IncidentExportDir, err)
 		}
-		sink, err := fed.OpenSink(fed.SinkConfig{
-			Dir:             cfg.IncidentExportDir,
-			RotateBytes:     cfg.IncidentExportRotateBytes,
-			RotateEvery:     cfg.IncidentExportRotateEvery,
-			CheckpointEvery: cfg.IncidentCheckpointEvery,
-			KeepSegments:    cfg.IncidentKeepSegments,
-			Export:          e.exportEvidence,
-			Telemetry:       tel,
-		})
+	}
+	sink, err := fed.OpenSink(fed.SinkConfig{Dir: cfg.IncidentExportDir, Retention: cfg.Export, Export: e.exportEvidence, Telemetry: tel})
+	if err != nil {
+		e.shutdownPartial()
+		return nil, fmt.Errorf("nids: incident sink: %w", err)
+	}
+	e.sink.Store(sink)
+	e.health.Set("spool", true, "recovered")
+	if len(cfg.Push.URLs) > 0 {
+		push, err := transport.NewPusher(transport.PusherConfig{Dir: cfg.IncidentExportDir, Upstream: cfg.Push, Telemetry: tel})
 		if err != nil {
 			e.shutdownPartial()
-			return nil, fmt.Errorf("nids: incident sink: %w", err)
+			return nil, fmt.Errorf("nids: push transport: %w", err)
 		}
-		e.sink.Store(sink)
-		e.health.Set("spool", true, "recovered")
-		if len(pushURLs) > 0 {
-			push, err := transport.NewPusher(transport.PusherConfig{
-				Dir:            cfg.IncidentExportDir,
-				URLs:           pushURLs,
-				Client:         cfg.PushClient,
-				RequestTimeout: cfg.PushTimeout,
-				ScanInterval:   cfg.PushInterval,
-				BackoffMin:     cfg.PushBackoffMin,
-				BackoffMax:     cfg.PushBackoffMax,
-				Seed:           cfg.PushSeed,
-				Telemetry:      tel,
-			})
-			if err != nil {
-				e.shutdownPartial()
-				return nil, fmt.Errorf("nids: push transport: %w", err)
-			}
-			e.push = push
-		}
+		e.push = push
 	}
 	return e, nil
 }
@@ -613,9 +562,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 // shutdownPartial tears down a half-built engine on a NewEngine error
 // path so its shard and correlator goroutines do not leak.
 func (e *Engine) shutdownPartial() {
-	if e.inner != nil {
-		e.inner.Stop()
-	}
+	e.inner.Stop()
 	if e.corr != nil {
 		e.corr.Stop()
 	}
@@ -704,10 +651,6 @@ func (e *Engine) Drain() {
 		e.push.Notify()
 	}
 }
-
-// Flush is Drain under NIDS's name for it — with the difference that
-// the engine can still be fed afterwards.
-func (e *Engine) Flush() { e.Drain() }
 
 // Stop drains and terminates the engine, any attached correlator,
 // and the durable sink (which writes a final evidence checkpoint).
@@ -909,8 +852,8 @@ func (e *Engine) importEvidence(ex *EvidenceExport) error {
 }
 
 // SinkStats returns durable-sink counters (zero value when no
-// IncidentExportDir is configured) plus push-transport health when a
-// PushURL is configured.
+// IncidentExportDir is configured) plus push-transport health when
+// push URLs are configured.
 func (e *Engine) SinkStats() SinkMetrics {
 	var m SinkMetrics
 	if s := e.sink.Load(); s != nil {
@@ -923,7 +866,7 @@ func (e *Engine) SinkStats() SinkMetrics {
 }
 
 // PushSynced reports whether every committed evidence byte on disk has
-// been acknowledged by the aggregator (false with no PushURL, and
+// been acknowledged by the aggregator (false with no push URLs, and
 // until the pusher's first completed scan).
 func (e *Engine) PushSynced() bool {
 	return e.push != nil && e.push.Synced()

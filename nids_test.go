@@ -210,7 +210,7 @@ func TestEngineFacadeProcessFrameFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Flush()
+	e.Drain()
 	found := false
 	for _, a := range e.Alerts() {
 		if a.Src == netip.MustParseAddr("10.1.2.4") {

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,6 +16,19 @@ import (
 	"semnids/internal/netpkt"
 	"semnids/internal/traffic"
 )
+
+// fastPush is a push policy tuned for test cadence.
+func fastPush(client *http.Client, urls ...string) PushUpstream {
+	return PushUpstream{
+		URLs:           urls,
+		Client:         client,
+		ScanInterval:   10 * time.Millisecond,
+		RequestTimeout: 2 * time.Second,
+		BackoffMin:     5 * time.Millisecond,
+		BackoffMax:     40 * time.Millisecond,
+		Seed:           1,
+	}
+}
 
 // pushEngine builds a correlated engine with a durable sink and the
 // push transport, tuned for test cadence.
@@ -29,13 +43,7 @@ func pushEngine(t *testing.T, shards int, sensor, dir, url string, client *http.
 		Correlate:         true,
 		SensorID:          sensor,
 		IncidentExportDir: dir,
-		PushURL:           url,
-		PushClient:        client,
-		PushInterval:      10 * time.Millisecond,
-		PushTimeout:       2 * time.Second,
-		PushBackoffMin:    5 * time.Millisecond,
-		PushBackoffMax:    40 * time.Millisecond,
-		PushSeed:          1,
+		Push:              fastPush(client, url),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,14 +208,15 @@ func TestFederationPushDegradation(t *testing.T) {
 		// A one-byte rotation budget forces a fresh segment per
 		// checkpoint, and the two-segment retention floor prunes
 		// aggressively — the smallest spool the sink allows.
-		IncidentExportRotateBytes: 1,
-		IncidentKeepSegments:      2,
-		PushURL:                   as.srv.URL,
-		PushInterval:              5 * time.Millisecond,
-		PushTimeout:               time.Second,
-		PushBackoffMin:            5 * time.Millisecond,
-		PushBackoffMax:            20 * time.Millisecond,
-		PushSeed:                  1,
+		Export: SinkRetention{RotateBytes: 1, KeepSegments: 2},
+		Push: PushUpstream{
+			URLs:           []string{as.srv.URL},
+			ScanInterval:   5 * time.Millisecond,
+			RequestTimeout: time.Second,
+			BackoffMin:     5 * time.Millisecond,
+			BackoffMax:     20 * time.Millisecond,
+			Seed:           1,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +256,49 @@ func TestFederationPushDegradation(t *testing.T) {
 	}
 	e.Stop()
 	restarted.Close()
+}
+
+// TestEngineConfigReachesSinkAndPusher: EngineConfig.Export and
+// EngineConfig.Push are handed to the sink and the pusher whole. A
+// one-byte rotation with two kept segments leaves exactly two segments
+// after five checkpoints (the defaults would leave one), and a push to
+// a dead URL backs off from the configured floor (the default is 250ms).
+func TestEngineConfigReachesSinkAndPusher(t *testing.T) {
+	const backoffMin = 700 * time.Millisecond
+	dir := t.TempDir()
+	e, err := NewEngine(EngineConfig{
+		Correlate:         true,
+		IncidentExportDir: dir,
+		Export:            SinkRetention{RotateBytes: 1, KeepSegments: 2, CheckpointEvery: time.Hour},
+		Push: PushUpstream{
+			URLs:         []string{"http://127.0.0.1:1/push"},
+			ScanInterval: 10 * time.Millisecond,
+			BackoffMin:   backoffMin,
+			BackoffMax:   time.Hour,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	for i := 0; i < 5; i++ {
+		if err := e.CheckpointIncidents(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if segs, err := os.ReadDir(dir); err != nil || len(segs) != 2 {
+		t.Fatalf("%d segment files (%v) after 5 one-byte rotations, want KeepSegments = 2", len(segs), err)
+	}
+	var backoff time.Duration
+	waitUntil(t, "a failed push", func() bool {
+		backoff = e.SinkStats().Push.Backoff
+		return backoff > 0
+	})
+	// Each nudged pass doubles it, so any power-of-two multiple of the
+	// floor is fine; none of those is a multiple of the default's.
+	if n := backoff / backoffMin; backoff%backoffMin != 0 || n&(n-1) != 0 {
+		t.Fatalf("backoff %v is not the configured floor %v doubled", backoff, backoffMin)
+	}
 }
 
 // TestClassifierStatePersistsAcrossRestart is the classifier-counter

@@ -30,13 +30,7 @@ func treeSensor(t *testing.T, shards int, sensor, dir, url string, client *http.
 		Correlate:         true,
 		SensorID:          sensor,
 		IncidentExportDir: dir,
-		PushURLs:          []string{url},
-		PushClient:        client,
-		PushInterval:      10 * time.Millisecond,
-		PushTimeout:       2 * time.Second,
-		PushBackoffMin:    5 * time.Millisecond,
-		PushBackoffMax:    40 * time.Millisecond,
-		PushSeed:          1,
+		Push:              fastPush(client, url),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,18 +66,9 @@ func newMidServer(t *testing.T) *midServer {
 // (fault-injecting) client.
 func (m *midServer) install(t *testing.T, dir, nodeID string, upstreams []string, client *http.Client, seed int64) *transport.Aggregator {
 	t.Helper()
-	agg, err := transport.NewAggregator(transport.AggregatorConfig{
-		Dir:               dir,
-		NodeID:            nodeID,
-		Upstreams:         upstreams,
-		UpstreamClient:    client,
-		PushInterval:      10 * time.Millisecond,
-		PushTimeout:       2 * time.Second,
-		PushBackoffMin:    5 * time.Millisecond,
-		PushBackoffMax:    40 * time.Millisecond,
-		PushProbeInterval: 25 * time.Millisecond,
-		PushSeed:          seed,
-	})
+	up := fastPush(client, upstreams...)
+	up.ProbeInterval, up.Seed = 25*time.Millisecond, seed
+	agg, err := transport.NewAggregator(transport.AggregatorConfig{Dir: dir, NodeID: nodeID, Upstream: up})
 	if err != nil {
 		t.Fatal(err)
 	}
