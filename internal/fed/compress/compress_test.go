@@ -78,7 +78,7 @@ func corpus() map[string][]byte {
 // lineage attaches.
 func evidence(t testing.TB, sensor string, seed int64, events, obs int) *incident.EvidenceExport {
 	t.Helper()
-	c := incident.New(incident.Config{WindowUS: 30e6, FanoutThreshold: 3})
+	c := incident.New(incident.Config{Params: incident.Params{WindowUS: 30e6, FanoutThreshold: 3}})
 	defer c.Stop()
 	rng := rand.New(rand.NewSource(seed))
 	host := func(i int) netip.Addr { return netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}) }

@@ -18,7 +18,7 @@ func stagedExports(t *testing.T, n int) []*incident.EvidenceExport {
 	t.Helper()
 	evs := synthEvents(42, 200*n)
 	var out []*incident.EvidenceExport
-	c := incident.New(incident.Config{WindowUS: 30e6, FanoutThreshold: 3})
+	c := incident.New(incident.Config{Params: incident.Params{WindowUS: 30e6, FanoutThreshold: 3}})
 	defer c.Stop()
 	per := len(evs) / n
 	for i := 0; i < n; i++ {

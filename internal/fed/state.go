@@ -214,7 +214,7 @@ func (st *State) Adopt(ex *incident.EvidenceExport) {
 
 func (st *State) adopt(ex *incident.EvidenceExport) {
 	st.seed = ex
-	st.fold = incident.NewFold(ex)
+	st.fold = incident.NewFold(ex.Params)
 	st.sensors.Store(int64(len(ex.Sensors)))
 	st.sources.Store(int64(len(ex.Sources)))
 }
@@ -336,7 +336,7 @@ func (st *State) Fold(segment []byte) (*Folded, error) {
 		return nil, err
 	}
 	if st.fold != nil {
-		if err := st.fold.Compatible(seg.hdr.WindowUS, seg.hdr.FanoutThreshold, seg.hdr.Limits); err != nil {
+		if err := st.fold.Compatible(seg.hdr.Params); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSkew, err)
 		}
 	}
@@ -350,12 +350,10 @@ func (st *State) Fold(segment []byte) (*Folded, error) {
 	if st.fold == nil {
 		// The first export is the state, as Merge's chain starts.
 		ex := &incident.EvidenceExport{
-			Sensors:         in.sensors,
-			WindowUS:        seg.hdr.WindowUS,
-			FanoutThreshold: seg.hdr.FanoutThreshold,
-			Limits:          seg.hdr.Limits,
-			Classifier:      in.cls,
-			Lineage:         in.lin,
+			Sensors:    in.sensors,
+			Params:     seg.hdr.Params,
+			Classifier: in.cls,
+			Lineage:    in.lin,
 		}
 		for i := range in.sources {
 			ex.Sources = append(ex.Sources, *in.sources[i].Rec)

@@ -89,7 +89,7 @@ func referenceDecode(data []byte) (ex *incident.EvidenceExport, malformed bool, 
 				end.Count == open.Count && end.Cls == open.Cls && end.Lin == open.Lin &&
 				len(src) == open.Count && len(cls) == open.Cls && len(lin) == open.Lin {
 				ex = &incident.EvidenceExport{
-					Sensors: hdr.Sensors, WindowUS: hdr.WindowUS, FanoutThreshold: hdr.FanoutThreshold, Limits: hdr.Limits,
+					Sensors: hdr.Sensors, Params: hdr.Params,
 					Sources: src, Classifier: cls, Lineage: lin,
 				}
 				if open.Sensors != nil {

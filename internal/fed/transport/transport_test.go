@@ -32,7 +32,7 @@ func synthExport(t testing.TB, sensor string, seed int64, events int) *incident.
 
 func synthExportWindow(t testing.TB, sensor string, seed int64, events int, windowUS uint64) *incident.EvidenceExport {
 	t.Helper()
-	c := incident.New(incident.Config{WindowUS: windowUS, FanoutThreshold: 3})
+	c := incident.New(incident.Config{Params: incident.Params{WindowUS: windowUS, FanoutThreshold: 3}})
 	defer c.Stop()
 	rng := rand.New(rand.NewSource(seed))
 	host := func(i int) netip.Addr {

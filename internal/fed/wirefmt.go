@@ -59,14 +59,14 @@ const (
 	kindCommit     = "end"
 )
 
-// header is the first record of every segment.
+// header is the first record of every segment. The embedded Params
+// flatten into it in field order: window_us, fanout_threshold and
+// limits follow sensors.
 type header struct {
-	Format          string                  `json:"format"`
-	Version         int                     `json:"version"`
-	Sensors         []string                `json:"sensors"`
-	WindowUS        uint64                  `json:"window_us"`
-	FanoutThreshold int                     `json:"fanout_threshold"`
-	Limits          incident.EvidenceLimits `json:"limits"`
+	Format  string   `json:"format"`
+	Version int      `json:"version"`
+	Sensors []string `json:"sensors"`
+	incident.Params
 }
 
 // checkpointMark opens ("ckpt") and commits ("end") one evidence
@@ -253,14 +253,7 @@ func nextFrame(data []byte) (payload, rest []byte, err error) {
 
 // headerFor renders an export's parameters as a segment header.
 func headerFor(ex *incident.EvidenceExport) *header {
-	return &header{
-		Format:          FormatName,
-		Version:         Version,
-		Sensors:         ex.Sensors,
-		WindowUS:        ex.WindowUS,
-		FanoutThreshold: ex.FanoutThreshold,
-		Limits:          ex.Limits,
-	}
+	return &header{Format: FormatName, Version: Version, Sensors: ex.Sensors, Params: ex.Params}
 }
 
 // snapshot is one evidence state as a checkpoint writes it: the
@@ -355,14 +348,10 @@ func checkHeader(rec *wireRecord) (*header, error) {
 		return nil, fmt.Errorf("fed: wire version %d not supported (this build speaks %d)", hdr.Version, Version)
 	}
 	// Correlation parameters are part of the evidence semantics: a
-	// zero window, threshold or cap describes no correlator this
-	// build can run, so a crafted or hand-edited header fails here,
-	// not deeper in derivation.
-	if hdr.WindowUS == 0 || hdr.FanoutThreshold <= 0 ||
-		hdr.Limits.MaxDestinations <= 0 || hdr.Limits.MaxAlerts <= 0 ||
-		hdr.Limits.MaxFingerprints <= 0 || hdr.Limits.MaxVictims <= 0 {
-		return nil, fmt.Errorf("fed: header carries invalid correlation parameters (window=%d fanout=%d limits=%+v)",
-			hdr.WindowUS, hdr.FanoutThreshold, hdr.Limits)
+	// crafted or hand-edited header carrying parameters no correlator
+	// runs under fails here, not deeper in derivation.
+	if err := hdr.Params.Validate(); err != nil {
+		return nil, fmt.Errorf("fed: segment header: %w", err)
 	}
 	return hdr, nil
 }
@@ -386,12 +375,7 @@ func ReadExport(r io.Reader) (*incident.EvidenceExport, error) {
 		return nil, err
 	}
 
-	ex := &incident.EvidenceExport{
-		Sensors:         hdr.Sensors,
-		WindowUS:        hdr.WindowUS,
-		FanoutThreshold: hdr.FanoutThreshold,
-		Limits:          hdr.Limits,
-	}
+	ex := &incident.EvidenceExport{Params: hdr.Params}
 	var committed []incident.SourceEvidence
 	var committedCls []incident.ClassifierEvidence
 	var committedLin []lineage.Observation

@@ -3,9 +3,12 @@ package fed
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,7 +65,7 @@ func synthEvents(seed int64, n int) []core.Event {
 
 func correlatorFromEvents(t testing.TB, evs []core.Event) *incident.Correlator {
 	t.Helper()
-	c := incident.New(incident.Config{WindowUS: 30e6, FanoutThreshold: 3})
+	c := incident.New(incident.Config{Params: incident.Params{WindowUS: 30e6, FanoutThreshold: 3}})
 	for _, ev := range evs {
 		c.Publish(ev)
 	}
@@ -97,6 +100,58 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if again := encode(t, got); !bytes.Equal(again, data) {
 		t.Fatal("re-encoding a decoded export changed the bytes")
+	}
+}
+
+var updateWireGolden = flag.Bool("update-wire-golden", false,
+	"rewrite testdata/export.golden with the current encoder's bytes")
+
+const wireGoldenPath = "testdata/export.golden"
+
+// goldenExport is the fixed export behind testdata/export.golden:
+// correlator-derived sources, hand-built classifier records and a
+// synthetic lineage set, so every record kind the wire carries appears.
+func goldenExport(t testing.TB) *incident.EvidenceExport {
+	ex := synthLineage(synthExport(t, "sensor-a", 9, 120), "sensor-a", 9, 6)
+	ex.Classifier = []incident.ClassifierEvidence{
+		{Src: netip.MustParseAddr("10.1.0.3"), SuspiciousUntilUS: 4_000_000},
+		{Src: netip.MustParseAddr("10.1.0.7"), Dark: []netip.Addr{
+			netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.9"),
+		}},
+	}
+	return ex
+}
+
+// TestWireGolden pins the segment bytes across builds: WriteExport of
+// the fixed export must reproduce testdata/export.golden byte for byte,
+// and ReadExport of the golden must give back the export. A change
+// here is a wire format change, which older readers and aggregators
+// would see.
+func TestWireGolden(t *testing.T) {
+	ex := goldenExport(t)
+	data := encode(t, ex)
+	if *updateWireGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(wireGoldenPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(wireGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatalf("WriteExport bytes differ from %s:\n got: %.300s\nwant: %.300s", wireGoldenPath, data, want)
+	}
+	got, err := ReadExport(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ex) {
+		t.Fatalf("ReadExport of %s diverged:\n got: %+v\nwant: %+v", wireGoldenPath, got, ex)
 	}
 }
 
@@ -163,6 +218,39 @@ func TestWireRejects(t *testing.T) {
 	bw.Flush()
 	if _, err := ReadExport(bytes.NewReader(zeroed.Bytes())); err == nil || !strings.Contains(err.Error(), "correlation parameters") {
 		t.Errorf("zeroed-parameter header error = %v, want parameter complaint", err)
+	}
+
+	// One row per correlation parameter: a header with only that one
+	// zeroed is refused by ReadExport, and a segment differing from the
+	// state's in only that one is refused by State.Fold with ErrSkew.
+	for _, row := range []struct {
+		name string
+		set  func(p *incident.Params, v int)
+	}{
+		{"WindowUS", func(p *incident.Params, v int) { p.WindowUS = uint64(v) }},
+		{"FanoutThreshold", func(p *incident.Params, v int) { p.FanoutThreshold = v }},
+		{"MaxDestinations", func(p *incident.Params, v int) { p.Limits.MaxDestinations = v }},
+		{"MaxAlerts", func(p *incident.Params, v int) { p.Limits.MaxAlerts = v }},
+		{"MaxFingerprints", func(p *incident.Params, v int) { p.Limits.MaxFingerprints = v }},
+		{"MaxVictims", func(p *incident.Params, v int) { p.Limits.MaxVictims = v }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			zero := *ex
+			row.set(&zero.Params, 0)
+			if _, err := ReadExport(bytes.NewReader(encode(t, &zero))); err == nil || !strings.Contains(err.Error(), "correlation parameters") {
+				t.Errorf("header with %s zeroed: error = %v, want parameter complaint", row.name, err)
+			}
+
+			skewed := *ex
+			row.set(&skewed.Params, 1)
+			st := NewState()
+			if _, err := st.Fold(data); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Fold(encode(t, &skewed)); !errors.Is(err, ErrSkew) {
+				t.Errorf("segment with another %s: Fold error = %v, want ErrSkew", row.name, err)
+			}
+		})
 	}
 }
 

@@ -14,18 +14,10 @@ import (
 
 // Config parameterizes the correlator.
 type Config struct {
-	// WindowUS is the sliding trace-time window for destination
-	// fan-out (default DefaultWindowUS, 30s).
-	WindowUS uint64
-
-	// FanoutThreshold is the distinct-destination count inside the
-	// window that establishes RECON (default 3).
-	FanoutThreshold int
-
-	// QueueDepth bounds the event channel between the shards and the
-	// correlator goroutine; a full queue applies backpressure, never
-	// silent loss (default 4096).
-	QueueDepth int
+	// Params are the correlation parameters — fan-out window, RECON
+	// threshold, evidence caps — that exports carry and merges
+	// compare. Unset fields take their defaults.
+	Params
 
 	// MaxSources caps tracked sources; least-recently-active sources
 	// beyond it are finalized and evicted (default 65536).
@@ -39,31 +31,6 @@ type Config struct {
 	// determinism guarantee holds for sources that stay within the
 	// idle window (and the LRU budget) for the life of the trace.
 	SourceIdleUS uint64
-
-	// MaxDestinations caps per-source fan-out evidence (default 256).
-	MaxDestinations int
-
-	// MaxFingerprints caps per-source payload-identity evidence —
-	// fingerprints the source was attacked with and fingerprints it
-	// emitted (default 64 each). Emitted fingerprints and the
-	// per-fingerprint attacker lists retain the minimum-timestamp K
-	// (order-independent); the attacked-with map itself admits in
-	// arrival order once full, so determinism across shard counts is
-	// guaranteed only while a victim's distinct attack-payload count
-	// stays within this cap — the bounded-memory compromise.
-	MaxFingerprints int
-
-	// MaxVictims caps per-source propagation victims (default 16).
-	MaxVictims int
-
-	// MaxAlerts caps per-source alert evidence — distinct (timestamp,
-	// destination, template) observations under a min-timestamp-K cap
-	// (default 128). The rendered alert count saturates here.
-	MaxAlerts int
-
-	// MaxCompleted caps retained finalized incidents (default 1024;
-	// oldest are dropped first).
-	MaxCompleted int
 
 	// OnIncident, when non-nil, is invoked from the correlator
 	// goroutine whenever a source's derived stage rises, with the
@@ -83,39 +50,24 @@ type Config struct {
 // victim links to a single payload identity.
 const maxAttackersPerFingerprint = 4
 
-// DefaultWindowUS is Config.WindowUS' default.
-const DefaultWindowUS = 30_000_000
+const (
+	// queueDepth bounds the event channel between the shards and the
+	// correlator goroutine; a full queue applies backpressure, never
+	// silent loss.
+	queueDepth = 4096
+
+	// maxCompleted caps retained finalized incidents; the oldest are
+	// dropped first.
+	maxCompleted = 1024
+)
 
 func (cfg Config) withDefaults() Config {
-	if cfg.WindowUS == 0 {
-		cfg.WindowUS = DefaultWindowUS
-	}
-	if cfg.FanoutThreshold <= 0 {
-		cfg.FanoutThreshold = 3
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4096
-	}
+	cfg.Params = cfg.Params.withDefaults()
 	if cfg.MaxSources <= 0 {
 		cfg.MaxSources = 65536
 	}
 	if cfg.SourceIdleUS == 0 {
 		cfg.SourceIdleUS = 10 * 60 * 1e6
-	}
-	if cfg.MaxDestinations <= 0 {
-		cfg.MaxDestinations = 256
-	}
-	if cfg.MaxFingerprints <= 0 {
-		cfg.MaxFingerprints = 64
-	}
-	if cfg.MaxVictims <= 0 {
-		cfg.MaxVictims = 16
-	}
-	if cfg.MaxAlerts <= 0 {
-		cfg.MaxAlerts = 128
-	}
-	if cfg.MaxCompleted <= 0 {
-		cfg.MaxCompleted = 1024
 	}
 	return cfg
 }
@@ -202,7 +154,7 @@ func New(cfg Config) *Correlator {
 		lru:     list.New(),
 		subs:    make(map[int]chan Incident),
 	}
-	c.in = make(chan msg, c.cfg.QueueDepth)
+	c.in = make(chan msg, queueDepth)
 	c.registerTelemetry()
 	go c.run()
 	return c
@@ -331,7 +283,7 @@ func (c *Correlator) apply(ev core.Event) {
 		c.m.flowOpens.Add(1)
 		s := c.source(ev.Src, ev.TimestampUS)
 		s.touchContent(ev.TimestampUS)
-		s.dests.put(ev.Dst, ev.TimestampUS, c.cfg.MaxDestinations)
+		s.dests.put(ev.Dst, ev.TimestampUS, c.cfg.Limits.MaxDestinations)
 		// Fan-out is the only stage a flow-open can raise; skip the
 		// derivation (it sorts the evidence) until it can trigger.
 		if s.notified < StageRecon && s.dests.len() >= c.cfg.FanoutThreshold {
@@ -342,9 +294,9 @@ func (c *Correlator) apply(ev core.Event) {
 		c.m.alerts.Add(1)
 		s := c.source(ev.Src, ev.TimestampUS)
 		s.touchContent(ev.TimestampUS)
-		s.dests.put(ev.Dst, ev.TimestampUS, c.cfg.MaxDestinations)
+		s.dests.put(ev.Dst, ev.TimestampUS, c.cfg.Limits.MaxDestinations)
 		s.alertTimes.put(alertKey{tsUS: ev.TimestampUS, dst: ev.Dst, template: ev.Template},
-			ev.TimestampUS, c.cfg.MaxAlerts)
+			ev.TimestampUS, c.cfg.Limits.MaxAlerts)
 		if s.exploitAt == 0 || ev.TimestampUS < s.exploitAt {
 			s.exploitAt = ev.TimestampUS
 		}
@@ -362,7 +314,7 @@ func (c *Correlator) apply(ev core.Event) {
 			v := c.source(ev.Dst, ev.TimestampUS)
 			refs, present := v.targetedBy[ev.Fingerprint]
 			refs = addAttackerRef(refs, ev.Src, ev.TimestampUS, maxAttackersPerFingerprint)
-			if present || len(v.targetedBy) < c.cfg.MaxFingerprints {
+			if present || len(v.targetedBy) < c.cfg.Limits.MaxFingerprints {
 				v.targetedBy[ev.Fingerprint] = refs
 			}
 			if sp, ok := v.emitted.get(ev.Fingerprint); ok && sp.last > ev.TimestampUS {
@@ -382,7 +334,7 @@ func (c *Correlator) apply(ev core.Event) {
 			v := c.source(ev.Dst, ev.TimestampUS)
 			refs, present := v.targetedBy[tfp]
 			refs = addAttackerRef(refs, ev.Src, ev.TimestampUS, maxAttackersPerFingerprint)
-			if present || len(v.targetedBy) < c.cfg.MaxFingerprints {
+			if present || len(v.targetedBy) < c.cfg.Limits.MaxFingerprints {
 				v.targetedBy[tfp] = refs
 			}
 			if sp, ok := v.emitted.get(tfp); ok && sp.last > ev.TimestampUS {
@@ -395,7 +347,7 @@ func (c *Correlator) apply(ev core.Event) {
 		c.m.fingerprints.Add(1)
 		s := c.source(ev.Src, ev.TimestampUS)
 		s.touchContent(ev.TimestampUS)
-		s.emitted.put(ev.Fingerprint, ev.TimestampUS, c.cfg.MaxFingerprints)
+		s.emitted.put(ev.Fingerprint, ev.TimestampUS, c.cfg.Limits.MaxFingerprints)
 		// This source may be a victim re-emitting a payload it was
 		// attacked with: close the propagation link on each attacker
 		// whose delivery the folded emission span postdates. Checking
@@ -415,7 +367,7 @@ func (c *Correlator) apply(ev core.Event) {
 		// an emission of the family, closing links the exact
 		// fingerprint misses after re-encoding.
 		if tfp := tailFP(ev); !tfp.IsZero() && tfp != ev.Fingerprint {
-			s.emitted.put(tfp, ev.TimestampUS, c.cfg.MaxFingerprints)
+			s.emitted.put(tfp, ev.TimestampUS, c.cfg.Limits.MaxFingerprints)
 			if sp, ok := s.emitted.get(tfp); ok {
 				for _, ref := range s.targetedBy[tfp] {
 					if sp.last > ref.tsUS {
@@ -495,7 +447,7 @@ func (c *Correlator) escalate(attacker, victim netip.Addr, echoTS uint64) {
 	if moved {
 		a.propagationAt = echoTS
 	}
-	a.victims.put(victim, echoTS, c.cfg.MaxVictims)
+	a.victims.put(victim, echoTS, c.cfg.Limits.MaxVictims)
 	if tracked {
 		if after, has := a.victims.get(victim); moved || had != has || before.first != after.first {
 			c.track.changed(attacker)
@@ -556,8 +508,8 @@ func (c *Correlator) finalize(s *sourceState) {
 	c.completed = append(c.completed, s.derive(c.cfg.WindowUS, c.cfg.FanoutThreshold))
 	// Trim lazily at 2x the cap so a finalization storm costs an
 	// amortized O(1) copy per incident, not O(cap).
-	if len(c.completed) > 2*c.cfg.MaxCompleted {
-		c.completed = append(c.completed[:0], c.completed[len(c.completed)-c.cfg.MaxCompleted:]...)
+	if len(c.completed) > 2*maxCompleted {
+		c.completed = append(c.completed[:0], c.completed[len(c.completed)-maxCompleted:]...)
 	}
 }
 

@@ -28,15 +28,93 @@ import (
 // sensors that observed it — the identifiable-parent property for
 // evidence sets: collusion-style merging never launders the origin.
 
-// EvidenceLimits are the per-source evidence caps an export was
-// produced under. Merging requires identical limits on both sides:
-// the caps are part of the determinism contract (a min-K set capped
-// at 256 and one capped at 64 can disagree even on shared evidence).
+// DefaultWindowUS is Params.WindowUS' default.
+const DefaultWindowUS = 30_000_000
+
+// Params are the correlation parameters evidence is gathered under,
+// and the determinism contract of every merge: evidence folds into
+// other evidence only when both were gathered under equal Params. A
+// 30 s window and a 10 s one derive different stages from the same
+// evidence, and a min-K set capped at 256 and one capped at 64 can
+// disagree even on what they share. So a segment header carries
+// Params whole, and every merge — Import, MergeExports, a Fold —
+// compares them whole. Comparable; the JSON tags are the wire's.
+type Params struct {
+	// WindowUS is the sliding trace-time window for destination
+	// fan-out (default DefaultWindowUS, 30s).
+	WindowUS uint64 `json:"window_us"`
+
+	// FanoutThreshold is the distinct-destination count inside the
+	// window that establishes RECON (default 3).
+	FanoutThreshold int `json:"fanout_threshold"`
+
+	Limits EvidenceLimits `json:"limits"`
+}
+
+// EvidenceLimits are the per-source evidence caps.
 type EvidenceLimits struct {
+	// MaxDestinations caps fan-out evidence (default 256).
 	MaxDestinations int `json:"max_destinations"`
-	MaxAlerts       int `json:"max_alerts"`
+
+	// MaxAlerts caps alert evidence — distinct (timestamp,
+	// destination, template) observations under a min-timestamp-K cap
+	// (default 128). The rendered alert count saturates here.
+	MaxAlerts int `json:"max_alerts"`
+
+	// MaxFingerprints caps payload-identity evidence — fingerprints
+	// the source was attacked with and fingerprints it emitted
+	// (default 64 each). Emitted fingerprints and the per-fingerprint
+	// attacker lists retain the minimum-timestamp K (order-
+	// independent); the attacked-with map itself admits in arrival
+	// order once full, so determinism across shard counts is
+	// guaranteed only while a victim's distinct attack-payload count
+	// stays within this cap — the bounded-memory compromise.
 	MaxFingerprints int `json:"max_fingerprints"`
-	MaxVictims      int `json:"max_victims"`
+
+	// MaxVictims caps propagation victims (default 16).
+	MaxVictims int `json:"max_victims"`
+}
+
+func (p Params) withDefaults() Params {
+	if p.WindowUS == 0 {
+		p.WindowUS = DefaultWindowUS
+	}
+	if p.FanoutThreshold <= 0 {
+		p.FanoutThreshold = 3
+	}
+	l := &p.Limits
+	if l.MaxDestinations <= 0 {
+		l.MaxDestinations = 256
+	}
+	if l.MaxAlerts <= 0 {
+		l.MaxAlerts = 128
+	}
+	if l.MaxFingerprints <= 0 {
+		l.MaxFingerprints = 64
+	}
+	if l.MaxVictims <= 0 {
+		l.MaxVictims = 16
+	}
+	return p
+}
+
+// Validate rejects parameters no correlator runs under: a zero window,
+// or a threshold or cap below one — what withDefaults would replace.
+// Only a hand-built export or a crafted segment header carries them.
+func (p Params) Validate() error {
+	if p != p.withDefaults() {
+		return fmt.Errorf("incident: invalid correlation parameters %+v", p)
+	}
+	return nil
+}
+
+// compatible is the precondition of every fold: evidence gathered
+// under q does not fold into state kept under p.
+func (p Params) compatible(q Params) error {
+	if q != p {
+		return fmt.Errorf("incident: evidence under correlation parameters %+v incompatible with %+v", q, p)
+	}
+	return nil
 }
 
 // DestEvidence is one destination's observation span (also used for
@@ -149,12 +227,10 @@ type ClassifierEvidence struct {
 // suspicious marks), so selection behavior survives restart and
 // failover too.
 type EvidenceExport struct {
-	Sensors         []string
-	WindowUS        uint64
-	FanoutThreshold int
-	Limits          EvidenceLimits
-	Sources         []SourceEvidence
-	Classifier      []ClassifierEvidence
+	Sensors []string
+	Params
+	Sources    []SourceEvidence
+	Classifier []ClassifierEvidence
 
 	// Lineage is the sensor's structural-payload observation set (the
 	// lineage store's canonical export): one record per distinct
@@ -210,16 +286,6 @@ func MergeClassifierEvidence(a, b []ClassifierEvidence) []ClassifierEvidence {
 	return out
 }
 
-// limits snapshots the correlator's evidence caps.
-func (c *Correlator) limits() EvidenceLimits {
-	return EvidenceLimits{
-		MaxDestinations: c.cfg.MaxDestinations,
-		MaxAlerts:       c.cfg.MaxAlerts,
-		MaxFingerprints: c.cfg.MaxFingerprints,
-		MaxVictims:      c.cfg.MaxVictims,
-	}
-}
-
 // cloneLocked deep-copies the evidence for rendering outside the
 // correlator lock: map copies only — the expensive part of an export
 // (sorting, slice building) must not run under c.mu, which the event
@@ -265,11 +331,9 @@ func (c *Correlator) Export(sensor string) *EvidenceExport {
 	c.mu.Unlock()
 
 	ex := &EvidenceExport{
-		Sensors:         []string{sensor},
-		WindowUS:        c.cfg.WindowUS,
-		FanoutThreshold: c.cfg.FanoutThreshold,
-		Limits:          c.limits(),
-		Sources:         make([]SourceEvidence, 0, len(clones)),
+		Sensors: []string{sensor},
+		Params:  c.cfg.Params,
+		Sources: make([]SourceEvidence, 0, len(clones)),
 	}
 	for _, s := range clones {
 		ex.Sources = append(ex.Sources, s.export(sensor, c.cfg.WindowUS, c.cfg.FanoutThreshold))
@@ -344,20 +408,6 @@ func (s *sourceState) export(sensor string, windowUS uint64, threshold int) Sour
 	return ev
 }
 
-// compatible checks an export was produced under this correlator's
-// correlation parameters; folding evidence gathered under different
-// windows or caps would silently break the determinism contract.
-func (c *Correlator) compatible(ex *EvidenceExport) error {
-	if ex.WindowUS != c.cfg.WindowUS || ex.FanoutThreshold != c.cfg.FanoutThreshold {
-		return fmt.Errorf("incident: export window/fanout %d/%d incompatible with correlator %d/%d",
-			ex.WindowUS, ex.FanoutThreshold, c.cfg.WindowUS, c.cfg.FanoutThreshold)
-	}
-	if ex.Limits != c.limits() {
-		return fmt.Errorf("incident: export limits %+v incompatible with correlator %+v", ex.Limits, c.limits())
-	}
-	return nil
-}
-
 // parseStage maps a serialized stage name back to its value; unknown
 // names are StageNone (conservative: an unknown stage is treated as
 // not yet announced).
@@ -383,9 +433,9 @@ func parseStage(name string) Stage {
 // merged evidence proves — a fan-out completed by union, a
 // cross-sensor propagation link — fires OnIncident/subscribers as a
 // live transition would. Idempotent: importing the same export twice
-// changes nothing.
+// changes nothing. An export gathered under other Params is refused.
 func (c *Correlator) Import(ex *EvidenceExport) error {
-	if err := c.compatible(ex); err != nil {
+	if err := c.cfg.Params.compatible(ex.Params); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -443,11 +493,11 @@ func (c *Correlator) foldRecord(s *sourceState, rec *SourceEvidence) {
 		s.sensors[sn] = true
 	}
 	for _, d := range rec.Dests {
-		s.dests.put(d.Addr, d.FirstUS, c.cfg.MaxDestinations)
-		s.dests.put(d.Addr, d.LastUS, c.cfg.MaxDestinations)
+		s.dests.put(d.Addr, d.FirstUS, c.cfg.Limits.MaxDestinations)
+		s.dests.put(d.Addr, d.LastUS, c.cfg.Limits.MaxDestinations)
 	}
 	for _, a := range rec.Alerts {
-		s.alertTimes.put(alertKey{tsUS: a.TsUS, dst: a.Dst, template: a.Template}, a.TsUS, c.cfg.MaxAlerts)
+		s.alertTimes.put(alertKey{tsUS: a.TsUS, dst: a.Dst, template: a.Template}, a.TsUS, c.cfg.Limits.MaxAlerts)
 	}
 	if rec.ExploitAtUS > 0 && (s.exploitAt == 0 || rec.ExploitAtUS < s.exploitAt) {
 		s.exploitAt = rec.ExploitAtUS
@@ -465,19 +515,19 @@ func (c *Correlator) foldRecord(s *sourceState, rec *SourceEvidence) {
 		for _, r := range fa.Refs {
 			refs = addAttackerRef(refs, r.Attacker, r.TsUS, maxAttackersPerFingerprint)
 		}
-		if present || len(s.targetedBy) < c.cfg.MaxFingerprints {
+		if present || len(s.targetedBy) < c.cfg.Limits.MaxFingerprints {
 			s.targetedBy[fa.Fingerprint] = refs
 		}
 	}
 	for _, e := range rec.Emitted {
-		s.emitted.put(e.Fingerprint, e.FirstUS, c.cfg.MaxFingerprints)
-		s.emitted.put(e.Fingerprint, e.LastUS, c.cfg.MaxFingerprints)
+		s.emitted.put(e.Fingerprint, e.FirstUS, c.cfg.Limits.MaxFingerprints)
+		s.emitted.put(e.Fingerprint, e.LastUS, c.cfg.Limits.MaxFingerprints)
 	}
 	if rec.PropagationAtUS > 0 && (s.propagationAt == 0 || rec.PropagationAtUS < s.propagationAt) {
 		s.propagationAt = rec.PropagationAtUS
 	}
 	for _, v := range rec.Victims {
-		s.victims.put(v.Addr, v.EchoUS, c.cfg.MaxVictims)
+		s.victims.put(v.Addr, v.EchoUS, c.cfg.Limits.MaxVictims)
 	}
 }
 
@@ -529,17 +579,9 @@ const mergeLimit = 1 << 30
 // newMergeState builds a correlator shell for offline evidence math:
 // same state, same fold code, no goroutine (nothing is published to
 // it and Stop must not be called).
-func newMergeState(ex *EvidenceExport) *Correlator {
+func newMergeState(p Params) *Correlator {
 	c := &Correlator{
-		cfg: Config{
-			WindowUS:        ex.WindowUS,
-			FanoutThreshold: ex.FanoutThreshold,
-			MaxSources:      mergeLimit,
-			MaxDestinations: ex.Limits.MaxDestinations,
-			MaxAlerts:       ex.Limits.MaxAlerts,
-			MaxFingerprints: ex.Limits.MaxFingerprints,
-			MaxVictims:      ex.Limits.MaxVictims,
-		}.withDefaults(),
+		cfg:     Config{Params: p, MaxSources: mergeLimit}.withDefaults(),
 		sources: make(map[netip.Addr]*sourceState),
 		lru:     list.New(),
 		subs:    make(map[int]chan Incident),
@@ -558,14 +600,14 @@ func newMergeState(ex *EvidenceExport) *Correlator {
 // were observed by different sensors) and per-record provenance
 // preserved. Commutative and idempotent — Merge(A,B)==Merge(B,A) and
 // Merge(A,A)==A — because every constituent fold is; both exports
-// must carry identical correlation parameters. The determinism
-// guarantee is the correlator's own: byte-identical to a single
-// sensor that saw the whole trace, for evidence within the caps.
+// must carry equal, valid Params. The determinism guarantee is the
+// correlator's own: byte-identical to a single sensor that saw the
+// whole trace, for evidence within the caps.
 func MergeExports(a, b *EvidenceExport) (*EvidenceExport, error) {
-	if err := mergeable(a, b.WindowUS, b.FanoutThreshold, b.Limits); err != nil {
+	if err := a.Params.Validate(); err != nil {
 		return nil, err
 	}
-	c := newMergeState(a)
+	c := newMergeState(a.Params)
 	if err := c.Import(a); err != nil {
 		return nil, err
 	}
@@ -579,26 +621,14 @@ func MergeExports(a, b *EvidenceExport) (*EvidenceExport, error) {
 	return merged, nil
 }
 
-// mergeable is the precondition of every merge: evidence gathered
-// under other correlation parameters does not fold into a's.
-func mergeable(a *EvidenceExport, windowUS uint64, fanout int, limits EvidenceLimits) error {
-	if a.WindowUS != windowUS || a.FanoutThreshold != fanout || a.Limits != limits {
-		return fmt.Errorf("incident: cannot merge exports with different correlation parameters: %d/%d/%+v vs %d/%d/%+v",
-			a.WindowUS, a.FanoutThreshold, a.Limits, windowUS, fanout, limits)
-	}
-	return nil
-}
-
 // exportMerged renders a merge correlator's state without stamping a
 // local sensor: provenance comes entirely from the merged records.
 func (c *Correlator) exportMerged() *EvidenceExport {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ex := &EvidenceExport{
-		WindowUS:        c.cfg.WindowUS,
-		FanoutThreshold: c.cfg.FanoutThreshold,
-		Limits:          c.limits(),
-		Sources:         make([]SourceEvidence, 0, len(c.sources)),
+		Params:  c.cfg.Params,
+		Sources: make([]SourceEvidence, 0, len(c.sources)),
 	}
 	for _, s := range c.sources {
 		ex.Sources = append(ex.Sources, c.renderMerged(s))
@@ -643,12 +673,15 @@ func unionSensors(a, b []string) []string {
 // correlator holding the same evidence would: re-derive propagation,
 // derive each source's stage, drop NONE, and sort under the same
 // order Correlator.Incidents uses — so a federated report is
-// byte-comparable with a single sensor's live output. Errors on an
-// export whose correlation parameters no correlator could run
-// (zeroed window, threshold or caps — possible only for hand-built
-// exports; the wire decoder rejects such headers).
+// byte-comparable with a single sensor's live output. Returns
+// Params.Validate's error on parameters no correlator runs under
+// (possible only for hand-built exports; the wire decoder rejects
+// such headers).
 func DeriveIncidents(ex *EvidenceExport) ([]Incident, error) {
-	c := newMergeState(ex)
+	if err := ex.Params.Validate(); err != nil {
+		return nil, err
+	}
+	c := newMergeState(ex.Params)
 	if err := c.Import(ex); err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 // (stopped, state readable).
 func killChainCorrelator(t *testing.T) *Correlator {
 	t.Helper()
-	c := New(Config{WindowUS: 10e6, FanoutThreshold: 3})
+	c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}})
 	fp := core.FingerprintOf([]byte("worm payload"))
 	c.Publish(flowOpen(attacker, addr(1), 1000))
 	c.Publish(flowOpen(attacker, addr(2), 2000))
@@ -43,7 +43,7 @@ func TestEvidenceExportRoundTrip(t *testing.T) {
 		}
 	}
 
-	r := New(Config{WindowUS: 10e6, FanoutThreshold: 3})
+	r := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}})
 	defer r.Stop()
 	if err := r.Import(ex); err != nil {
 		t.Fatal(err)
@@ -65,22 +65,56 @@ func TestEvidenceExportRoundTrip(t *testing.T) {
 	}
 }
 
+// skewParams lists one change per correlation parameter: evidence
+// under parameters that differ in any one of them must not fold.
+var skewParams = []struct {
+	name string
+	skew func(*Params)
+}{
+	{"WindowUS", func(p *Params) { p.WindowUS /= 2 }},
+	{"FanoutThreshold", func(p *Params) { p.FanoutThreshold++ }},
+	{"MaxDestinations", func(p *Params) { p.Limits.MaxDestinations = 7 }},
+	{"MaxAlerts", func(p *Params) { p.Limits.MaxAlerts++ }},
+	{"MaxFingerprints", func(p *Params) { p.Limits.MaxFingerprints++ }},
+	{"MaxVictims", func(p *Params) { p.Limits.MaxVictims++ }},
+}
+
 // TestEvidenceImportIncompatible checks correlation-parameter skew is
-// rejected instead of silently folded.
+// rejected instead of silently folded: an export that differs from
+// the correlator, or from the other export, in any one parameter is
+// refused by Import and by MergeExports in either order. An export
+// carrying parameters no correlator runs under is refused by
+// DeriveIncidents with Params.Validate's error.
 func TestEvidenceImportIncompatible(t *testing.T) {
 	c := killChainCorrelator(t)
 	ex := c.Export("sensor-a")
 
-	r := New(Config{WindowUS: 5e6, FanoutThreshold: 3})
-	defer r.Stop()
-	if err := r.Import(ex); err == nil {
-		t.Fatal("import with a different fan-out window succeeded")
+	for _, row := range skewParams {
+		t.Run(row.name, func(t *testing.T) {
+			skewed := *ex
+			row.skew(&skewed.Params)
+			if skewed.Params == ex.Params {
+				t.Fatal("row changes nothing")
+			}
+			r := New(Config{Params: ex.Params})
+			defer r.Stop()
+			if err := r.Import(&skewed); err == nil {
+				t.Error("Import of an export under other parameters succeeded")
+			}
+			if _, err := MergeExports(ex, &skewed); err == nil {
+				t.Error("MergeExports(ex, skewed) succeeded")
+			}
+			if _, err := MergeExports(&skewed, ex); err == nil {
+				t.Error("MergeExports(skewed, ex) succeeded")
+			}
+		})
 	}
 
-	r2 := New(Config{WindowUS: 10e6, FanoutThreshold: 3, MaxDestinations: 7})
-	defer r2.Stop()
-	if err := r2.Import(ex); err == nil {
-		t.Fatal("import with different evidence caps succeeded")
+	zeroed := *ex
+	zeroed.Params = Params{}
+	_, err := DeriveIncidents(&zeroed)
+	if want := zeroed.Params.Validate(); want == nil || err == nil || err.Error() != want.Error() {
+		t.Errorf("DeriveIncidents on zeroed parameters: error %v, want %v", err, want)
 	}
 }
 
@@ -91,7 +125,7 @@ func TestEvidenceImportIncompatible(t *testing.T) {
 func TestMergeClosesCrossSensorPropagation(t *testing.T) {
 	fp := core.FingerprintOf([]byte("worm payload"))
 
-	a := New(Config{WindowUS: 10e6, FanoutThreshold: 3})
+	a := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}})
 	a.Publish(flowOpen(attacker, addr(1), 1000))
 	a.Publish(flowOpen(attacker, addr(2), 2000))
 	a.Publish(flowOpen(attacker, addr(3), 3000))
@@ -99,7 +133,7 @@ func TestMergeClosesCrossSensorPropagation(t *testing.T) {
 	a.Flush()
 	a.Stop()
 
-	b := New(Config{WindowUS: 10e6, FanoutThreshold: 3})
+	b := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}})
 	b.Publish(emission(victim, next, 9000, fp))
 	b.Flush()
 	b.Stop()
@@ -155,7 +189,7 @@ func TestMergeClosesCrossSensorPropagation(t *testing.T) {
 // — a federated verdict can always say who saw it.
 func TestMergeSynthesizedAttackerProvenance(t *testing.T) {
 	fp := core.FingerprintOf([]byte("worm payload"))
-	c := New(Config{WindowUS: 10e6, FanoutThreshold: 3})
+	c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}})
 	c.Publish(alert(attacker, victim, 5000, fp))
 	c.Publish(emission(victim, next, 9000, fp))
 	c.Flush()
@@ -199,7 +233,7 @@ func TestMergeSynthesizedAttackerProvenance(t *testing.T) {
 // the records had already announced stay quiet.
 func TestImportNotifiesUnionProvenStage(t *testing.T) {
 	// Sensor a: two fan-out destinations (below threshold 3).
-	a := New(Config{WindowUS: 10e6, FanoutThreshold: 3})
+	a := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}})
 	a.Publish(flowOpen(attacker, addr(1), 1000))
 	a.Publish(flowOpen(attacker, addr(2), 2000))
 	a.Flush()
@@ -207,7 +241,7 @@ func TestImportNotifiesUnionProvenStage(t *testing.T) {
 
 	// Live correlator: two different destinations, also below.
 	var fired []Stage
-	r := New(Config{WindowUS: 10e6, FanoutThreshold: 3, OnIncident: func(inc Incident) {
+	r := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}, OnIncident: func(inc Incident) {
 		fired = append(fired, inc.Stage)
 	}})
 	defer r.Stop()

@@ -113,10 +113,9 @@ type FoldDirty struct {
 	DroppedLineage []core.Fingerprint
 }
 
-// NewFold starts an empty fold under params' correlation parameters;
-// params' records are not imported.
-func NewFold(params *EvidenceExport) *Fold {
-	c := newMergeState(params)
+// NewFold starts an empty fold under the given correlation parameters.
+func NewFold(p Params) *Fold {
+	c := newMergeState(p)
 	c.track = &foldTrack{
 		recs:    make(map[netip.Addr]*SourceEvidence),
 		dirty:   make(map[netip.Addr]struct{}),
@@ -131,11 +130,10 @@ func NewFold(params *EvidenceExport) *Fold {
 	}
 }
 
-// Compatible reports whether evidence gathered under the given
-// correlation parameters can fold into this state (MergeExports'
-// precondition).
-func (f *Fold) Compatible(windowUS uint64, fanout int, limits EvidenceLimits) error {
-	return mergeable(f.Parameters(), windowUS, fanout, limits)
+// Compatible reports whether evidence gathered under p can fold into
+// this state (MergeExports' precondition).
+func (f *Fold) Compatible(p Params) error {
+	return f.c.cfg.Params.compatible(p)
 }
 
 // Merge folds one export's records: what MergeExports(state, ex) does
@@ -268,12 +266,7 @@ func (f *Fold) TakeDirty() FoldDirty {
 // parameters and sensor list (the sorted union of every merged
 // export's), with no records.
 func (f *Fold) Parameters() *EvidenceExport {
-	return &EvidenceExport{
-		Sensors:         f.sensors,
-		WindowUS:        f.c.cfg.WindowUS,
-		FanoutThreshold: f.c.cfg.FanoutThreshold,
-		Limits:          f.c.limits(),
-	}
+	return &EvidenceExport{Sensors: f.sensors, Params: f.c.cfg.Params}
 }
 
 // Source returns one source's record as MergeExports renders it. Its

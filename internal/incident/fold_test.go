@@ -30,7 +30,7 @@ type foldMirror struct {
 	skip bool
 }
 
-func newFoldMirror(params *EvidenceExport, skip bool) *foldMirror {
+func newFoldMirror(params Params, skip bool) *foldMirror {
 	return &foldMirror{
 		f:    NewFold(params),
 		src:  make(map[netip.Addr]SourceEvidence),
@@ -147,7 +147,7 @@ func outbreakSnapshots(seed int64, sensors, steps int) [][]*EvidenceExport {
 	out := make([][]*EvidenceExport, sensors)
 	for s := range out {
 		name := fmt.Sprintf("sensor-%d", s)
-		c := New(Config{WindowUS: 30e6, FanoutThreshold: 3})
+		c := New(Config{Params: Params{WindowUS: 30e6, FanoutThreshold: 3}})
 		var lin []lineage.Observation
 		var cls []ClassifierEvidence
 		for k := 0; k < steps; k++ {
@@ -210,7 +210,7 @@ func TestFoldMatchesMergeChain(t *testing.T) {
 		order = append(order, snaps[0][0], snaps[1][3], snaps[1][1])
 
 		for _, skip := range []bool{false, true} {
-			m := newFoldMirror(order[0], skip)
+			m := newFoldMirror(order[0].Params, skip)
 			var chain *EvidenceExport
 			for step, ex := range order {
 				if chain == nil {
@@ -231,7 +231,7 @@ func TestFoldMatchesMergeChain(t *testing.T) {
 					if !provenanceMoved {
 						// A re-merge of the state alone moving provenance is
 						// the case settlePending exists for.
-						again, _ := MergeExports(chain, &EvidenceExport{WindowUS: prev.WindowUS, FanoutThreshold: prev.FanoutThreshold, Limits: prev.Limits})
+						again, _ := MergeExports(chain, &EvidenceExport{Params: prev.Params})
 						again.Sensors = chain.Sensors
 						provenanceMoved = !reflect.DeepEqual(again.Sources, chain.Sources)
 					}
@@ -274,8 +274,7 @@ func TestFoldClassifierNormalizes(t *testing.T) {
 		{Src: a(2)},
 		{Src: a(1), SuspiciousUntilUS: 7, Dark: []netip.Addr{a(5), a(3)}},
 	}
-	params := &EvidenceExport{WindowUS: 1, FanoutThreshold: 1, Limits: EvidenceLimits{1, 1, 1, 1}}
-	m := newFoldMirror(params, false)
+	m := newFoldMirror(Params{WindowUS: 1, FanoutThreshold: 1, Limits: EvidenceLimits{1, 1, 1, 1}}, false)
 	m.merge(&EvidenceExport{Classifier: recs[:2]})
 	m.merge(&EvidenceExport{Classifier: recs[2:]})
 	want := MergeClassifierEvidence(MergeClassifierEvidence(nil, recs[:2]), recs[2:])

@@ -23,6 +23,12 @@
 // incidents whatever the shard count. Per-source state is strictly
 // bounded: evidence sets are capped, the source table is capped with
 // LRU eviction, and idle sources are swept on a trace-time clock.
+//
+// The fan-out window, the RECON threshold and the evidence caps are one
+// value, Params: the determinism contract every evidence export
+// carries and every merge compares whole. Config holds Params plus the
+// memory bounds and the notification hook; the event queue depth and
+// the number of finalized incidents kept are fixed.
 package incident
 
 import (

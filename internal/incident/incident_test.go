@@ -53,7 +53,7 @@ func find(t *testing.T, incs []Incident, src netip.Addr) Incident {
 // the derived incident: stage, transition times, severity escalation
 // and the propagation victim.
 func TestKillChain(t *testing.T) {
-	c := New(Config{WindowUS: 10e6, FanoutThreshold: 3})
+	c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}})
 	defer c.Stop()
 
 	fp := core.FingerprintOf([]byte("worm payload"))
@@ -107,7 +107,7 @@ func TestOrderIndependence(t *testing.T) {
 	}
 
 	render := func(order []core.Event) string {
-		c := New(Config{WindowUS: 10e6, FanoutThreshold: 3})
+		c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}})
 		defer c.Stop()
 		for _, ev := range order {
 			c.Publish(ev)
@@ -145,7 +145,7 @@ func TestPropagationStraddlingEmissions(t *testing.T) {
 	orders := [][]int{{0, 1, 2}, {2, 1, 0}, {0, 2, 1}, {1, 0, 2}, {2, 0, 1}, {1, 2, 0}}
 	var want string
 	for i, order := range orders {
-		c := New(Config{WindowUS: 10e6, FanoutThreshold: 3})
+		c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}})
 		for _, idx := range order {
 			c.Publish(events[idx])
 		}
@@ -174,7 +174,7 @@ func TestPropagationStraddlingEmissions(t *testing.T) {
 // TestFanoutWindow checks RECON requires the fan-out inside one
 // sliding window: the same three destinations spread wider stay NONE.
 func TestFanoutWindow(t *testing.T) {
-	c := New(Config{WindowUS: 1e6, FanoutThreshold: 3})
+	c := New(Config{Params: Params{WindowUS: 1e6, FanoutThreshold: 3}})
 	defer c.Stop()
 	c.Publish(flowOpen(attacker, addr(1), 1000))
 	c.Publish(flowOpen(attacker, addr(2), 2e6))
@@ -188,7 +188,7 @@ func TestFanoutWindow(t *testing.T) {
 // TestSeverityFloor checks a recon-only incident carries the floor
 // severity and an exploit adopts its alert's.
 func TestSeverityFloor(t *testing.T) {
-	c := New(Config{WindowUS: 10e6, FanoutThreshold: 2})
+	c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 2}})
 	defer c.Stop()
 	c.Publish(flowOpen(attacker, addr(1), 1000))
 	c.Publish(flowOpen(attacker, addr(2), 2000))
@@ -221,7 +221,7 @@ func TestSourceLRUBound(t *testing.T) {
 // checks staged sources are finalized into the completed set while
 // their live state is released.
 func TestIdleSweep(t *testing.T) {
-	c := New(Config{WindowUS: 10e6, FanoutThreshold: 2, SourceIdleUS: 1e6})
+	c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 2}, SourceIdleUS: 1e6})
 	defer c.Stop()
 	c.Publish(flowOpen(attacker, addr(1), 1000))
 	c.Publish(flowOpen(attacker, addr(2), 2000))
@@ -242,7 +242,7 @@ func TestIdleSweep(t *testing.T) {
 // TestSubscribe checks stage transitions are delivered live, and that
 // a full subscriber buffer sheds instead of blocking correlation.
 func TestSubscribe(t *testing.T) {
-	c := New(Config{WindowUS: 10e6, FanoutThreshold: 2})
+	c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 2}})
 	defer c.Stop()
 	ch, cancel := c.Subscribe(4)
 	defer cancel()
@@ -269,7 +269,7 @@ func TestSubscribe(t *testing.T) {
 // same PROPAGATION incident twice.
 func TestEscalationKeepsAttackerAlive(t *testing.T) {
 	var propagations int
-	c := New(Config{WindowUS: 10e6, FanoutThreshold: 3, SourceIdleUS: 1e6,
+	c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}, SourceIdleUS: 1e6,
 		OnIncident: func(inc Incident) {
 			if inc.Src == attacker && inc.Stage == StagePropagation {
 				propagations++

@@ -148,6 +148,21 @@ func TestNoGoroutineLeak(t *testing.T) {
 				t.Fatal("accepted")
 			}
 		}},
+		{"negative FlowIdleTimeout", func(t *testing.T) {
+			if _, err := NewEngine(EngineConfig{Config: sensor, FlowIdleTimeout: -time.Second}); err == nil {
+				t.Fatal("accepted")
+			}
+		}},
+		{"negative DatagramIdle", func(t *testing.T) {
+			if _, err := NewEngine(EngineConfig{Config: sensor, DatagramFlows: true, DatagramIdle: -time.Second}); err == nil {
+				t.Fatal("accepted")
+			}
+		}},
+		{"negative IncidentWindow", func(t *testing.T) {
+			if _, err := NewEngine(EngineConfig{Config: sensor, Correlate: true, IncidentWindow: -time.Second}); err == nil {
+				t.Fatal("accepted")
+			}
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

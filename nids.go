@@ -29,7 +29,10 @@
 // nanosecond timestamps, or pcapng — goes through ProcessPcap instead,
 // frame by frame over the same path. NIDS is an Engine that ends with
 // its trace; NewEngine gives the same pipeline with its lifecycle,
-// correlation and federation surface exposed.
+// correlation and federation surface exposed. Incidents are read with
+// Engine.Incidents or followed live with SubscribeIncidents; of the
+// correlation parameters only the fan-out window is set here
+// (IncidentWindow), the others keep their incident.Params defaults.
 package nids
 
 import (
@@ -261,22 +264,10 @@ type EngineConfig struct {
 	// correlator's destination fan-out (default 30s).
 	IncidentWindow time.Duration
 
-	// IncidentFanout is the distinct-destination count inside the
-	// window that establishes RECON (default 3).
-	IncidentFanout int
-
 	// MaxIncidentSources caps the correlator's tracked sources;
 	// least-recently-active sources beyond it are finalized and
 	// evicted (default 65536).
 	MaxIncidentSources int
-
-	// OnIncident, when non-nil, is invoked from the correlator
-	// goroutine each time a source's kill-chain stage rises. It runs
-	// with correlator state locked: it must not call back into the
-	// engine's incident surface (Incidents, IncidentStats,
-	// SubscribeIncidents) or it will deadlock — use SubscribeIncidents
-	// for a decoupled feed instead.
-	OnIncident func(Incident)
 
 	// SensorID names this engine in exported incident evidence
 	// (cross-sensor federation provenance; default "sensor"). Give
@@ -454,6 +445,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		return nil, fmt.Errorf("nids: Push requires Correlate and IncidentExportDir (the sink's segment directory is the push spool)")
 	case cfg.IncidentExportDir != "" && !cfg.Correlate:
 		return nil, fmt.Errorf("nids: IncidentExportDir requires Correlate (the sink persists the correlator's evidence)")
+	case cfg.FlowIdleTimeout < 0, cfg.DatagramIdle < 0, cfg.IncidentWindow < 0:
+		return nil, fmt.Errorf("nids: durations must not be negative (FlowIdleTimeout %v, DatagramIdle %v, IncidentWindow %v)",
+			cfg.FlowIdleTimeout, cfg.DatagramIdle, cfg.IncidentWindow)
 	}
 	tel := cfg.Telemetry
 	if tel == nil {
@@ -485,16 +479,11 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		// recovery imports into it), so the first notifications may
 		// precede the sink — they are covered by the sink's periodic
 		// checkpoint and final Close snapshot.
-		userCb := cfg.OnIncident
 		e.corr = incident.New(incident.Config{
-			WindowUS:        uint64(cfg.IncidentWindow / time.Microsecond),
-			FanoutThreshold: cfg.IncidentFanout,
-			MaxSources:      cfg.MaxIncidentSources,
-			Telemetry:       tel,
-			OnIncident: func(inc Incident) {
-				if userCb != nil {
-					userCb(inc)
-				}
+			Params:     incident.Params{WindowUS: uint64(cfg.IncidentWindow / time.Microsecond)},
+			MaxSources: cfg.MaxIncidentSources,
+			Telemetry:  tel,
+			OnIncident: func(Incident) {
 				if s := e.sink.Load(); s != nil {
 					s.Notify()
 				}
