@@ -40,6 +40,9 @@ func FuzzDecodeEvidence(f *testing.F) {
 	f.Add([]byte("x7 {}\n"))
 	f.Add([]byte(`96 {"k":"hdr","hdr":{"format":"semnids-evidence","version":99,"window_us":1,"fanout_threshold":1}}` + "\n"))
 	f.Add([]byte(`14 {"k":"ckpt"}` + "\n"))
+	// A damaged superseded group before an intact newest one.
+	damaged, _ := damagedSegment(f)
+	f.Add(damaged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ex, err := ReadExport(bytes.NewReader(data))
@@ -64,10 +67,9 @@ func FuzzDecodeEvidence(f *testing.F) {
 
 // FuzzFoldSegment folds arbitrary bytes into a valid live state — two
 // exports in, memo warm — and holds the result to the reference path:
-// the push decoder picks what referenceDecode picks (which is what
-// ReadExport picks unless a well-framed frame is malformed), and the
-// state afterwards is Merge(state before, that export) on wire bytes,
-// or untouched if the segment is refused. Never a panic.
+// ReadExport picks what referenceDecode picks, and the state
+// afterwards is Merge(state before, that export) on wire bytes, or
+// untouched if the segment is refused. Never a panic.
 func FuzzFoldSegment(f *testing.F) {
 	a := synthLineage(synthExport(f, "sensor-a", 1, 60), "sensor-a", 1, 6)
 	b := synthExport(f, "sensor-b", 2, 60)
@@ -88,6 +90,8 @@ func FuzzFoldSegment(f *testing.F) {
 	}
 	f.Add([]byte("9999999 {}\n"))
 	f.Add([]byte(`14 {"k":"ckpt"}` + "\n"))
+	damaged, _ := damagedSegment(f)
+	f.Add(damaged)
 
 	base := [][]byte{encode(f, a), encode(f, b)}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -101,12 +105,9 @@ func FuzzFoldSegment(f *testing.F) {
 		}
 		before := st.Export()
 
-		ref, malformed, refErr := referenceDecode(data)
-		if !malformed {
-			want, wantErr := ReadExport(bytes.NewReader(data))
-			if (wantErr == nil) != (refErr == nil) || (wantErr == nil && !reflect.DeepEqual(want, ref)) {
-				t.Fatalf("reference decoder = (%v, %v), ReadExport = (%v, %v) on a segment with no malformed frame", ref != nil, refErr, want != nil, wantErr)
-			}
+		ref, refErr := referenceDecode(data)
+		if got, err := ReadExport(bytes.NewReader(data)); (err == nil) != (refErr == nil) || (err == nil && !reflect.DeepEqual(got, ref)) {
+			t.Fatalf("reference decoder = (%v, %v), ReadExport = (%v, %v)", ref != nil, refErr, got != nil, err)
 		}
 		var want *incident.EvidenceExport
 		if refErr == nil {

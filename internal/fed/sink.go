@@ -186,6 +186,7 @@ type Sink struct {
 	// to the open segment.
 	f        segmentFile
 	bw       *bufio.Writer
+	enc      frameEncoder
 	size     int64
 	openedAt time.Time
 	seq      uint64
@@ -408,7 +409,7 @@ func (s *Sink) rotate(hdr *header) error {
 	s.segIndex++
 	s.m.rotations.Add(1)
 	if err := s.writeFrames(func(bw *bufio.Writer) error {
-		return writeRecord(bw, &wireRecord{Kind: kindHeader, Hdr: hdr})
+		return writeRecord(bw, &s.enc, &wireRecord{Kind: kindHeader, Hdr: hdr})
 	}); err != nil {
 		s.closeSegment()
 		return err
@@ -421,7 +422,7 @@ func (s *Sink) rotate(hdr *header) error {
 func (s *Sink) append(sn *snapshot) error {
 	t0 := time.Now()
 	err := s.writeFrames(func(bw *bufio.Writer) error {
-		return writeCheckpoint(bw, s.seq, sn)
+		return writeCheckpoint(bw, &s.enc, s.seq, sn)
 	})
 	if err == nil {
 		s.fsyncNS.Observe(time.Since(t0).Nanoseconds())

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
-	"io"
 	"net/netip"
 	"sort"
 	"sync"
@@ -48,12 +46,10 @@ var ErrSkew = errors.New("fed: incompatible correlation parameters")
 // recovered export handed to Adopt, are kept verbatim until the next
 // fold — as the chain's first element is.
 //
-// A pushed segment is decoded marks first (decodeSegment): only the
-// newest committed group's records are unmarshalled. The one
-// difference from ReadExport is what a well-framed record that fails
-// to decode costs: ReadExport ends the segment there, decodeSegment
-// drops that record's group and reads on, so a damaged superseded
-// group does not hide the intact groups after it.
+// A pushed segment is read as ReadExport reads it — walked marks
+// first (decodeSegment), then only the newest committed group whose
+// records all decode is unmarshalled (decodeNewest) — except that
+// frames the memo holds are not unmarshalled at all.
 //
 // Safe for concurrent use.
 type State struct {
@@ -324,14 +320,14 @@ type memoEntry struct {
 // into the state. Errors leave the state as it was: ErrNoCheckpoint
 // and decode errors as ReadExport reports them, ErrSkew (wrapped) for
 // a segment under other correlation parameters.
-func (st *State) Fold(segment []byte) (*Folded, error) {
-	seg, err := decodeSegment(segment)
+func (st *State) Fold(data []byte) (*Folded, error) {
+	seg, err := decodeSegment(data)
 	if err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	in, err := st.decodeNewest(seg)
+	in, err := seg.decodeNewest(st)
 	if err != nil {
 		return nil, err
 	}
@@ -349,16 +345,7 @@ func (st *State) Fold(segment []byte) (*Folded, error) {
 
 	if st.fold == nil {
 		// The first export is the state, as Merge's chain starts.
-		ex := &incident.EvidenceExport{
-			Sensors:    in.sensors,
-			Params:     seg.hdr.Params,
-			Classifier: in.cls,
-			Lineage:    in.lin,
-		}
-		for i := range in.sources {
-			ex.Sources = append(ex.Sources, *in.sources[i].Rec)
-		}
-		st.adopt(ex)
+		st.adopt(in.export(seg.hdr.Params))
 		return out, nil
 	}
 	if seed := st.seed; seed != nil {
@@ -397,15 +384,15 @@ func (st *State) refresh() {
 	st.sources.Store(int64(len(st.src.order)))
 }
 
-// encode renders one changed record's frame; nil (a record over the
-// wire bound) fails the checkpoints that would carry it.
+// encode renders one changed record's frame, to keep; nil (a record
+// over the wire bound) fails the checkpoints that would carry it.
 func (st *State) encode(rec *wireRecord) []byte {
 	st.reencoded.Add(1)
 	frame, err := st.enc.encode(rec)
 	if err != nil {
 		return nil
 	}
-	return frame
+	return bytes.Clone(frame)
 }
 
 // Commit records that the push behind f has been acknowledged — its
@@ -453,205 +440,4 @@ func (st *State) keyOf(payload []byte) (k frameKey) {
 	var sum [sha256.Size]byte
 	copy(k[:], st.hasher.Sum(sum[:0]))
 	return k
-}
-
-// pushFrame is one well-framed record of a pushed segment.
-type pushFrame struct {
-	// kind is the record kind — read off the canonical `{"k":"…",`
-	// prefix for evidence records, whose bodies are decoded only if
-	// their group wins, and from a full decode (kept in rec) for
-	// everything else.
-	kind    string
-	payload []byte
-	rec     *wireRecord
-}
-
-// pushGroup is one checkpoint group committed by its marks and
-// record counts: frames[lo:hi] are its evidence records.
-type pushGroup struct {
-	open   *checkpointMark
-	lo, hi int
-}
-
-// pushSegment is a pushed segment split and walked, its evidence
-// records not yet decoded.
-type pushSegment struct {
-	hdr    *header
-	frames []pushFrame
-	groups []pushGroup
-}
-
-// sniffKind reads an evidence record's kind off the prefix json.Marshal
-// gives a wireRecord. Any other spelling returns "" and is decoded in
-// full.
-func sniffKind(payload []byte) string {
-	const prefix = `{"k":"`
-	if !bytes.HasPrefix(payload, []byte(prefix)) {
-		return ""
-	}
-	rest := payload[len(prefix):]
-	for _, kind := range [...]string{kindSource, kindClassifier, kindLineage} {
-		if len(rest) > len(kind)+1 && string(rest[:len(kind)]) == kind && rest[len(kind)] == '"' && rest[len(kind)+1] == ',' {
-			return kind
-		}
-	}
-	return ""
-}
-
-// decodeSegment splits a segment into frames, decodes the header and
-// the marks, and finds the committed groups, under ReadExport's group
-// rules. A frame that fails to decode drops the group it falls in;
-// the framing still holds, so the walk goes on to the next group.
-func decodeSegment(data []byte) (*pushSegment, error) {
-	payload, rest, err := nextFrame(data)
-	if err != nil {
-		if err == io.EOF {
-			return nil, errors.New("fed: empty segment")
-		}
-		return nil, err
-	}
-	first := &wireRecord{}
-	if err := json.Unmarshal(payload, first); err != nil {
-		return nil, fmt.Errorf("fed: bad record JSON: %w", err)
-	}
-	seg := &pushSegment{}
-	if seg.hdr, err = checkHeader(first); err != nil {
-		return nil, err
-	}
-
-	var open *checkpointMark
-	var seen checkpointMark // evidence records counted in the open group
-	var lo int
-	for {
-		// A framing error is a truncated or corrupt tail: the groups
-		// committed before it stand.
-		if payload, rest, err = nextFrame(rest); err != nil {
-			break
-		}
-		fr := pushFrame{kind: sniffKind(payload), payload: payload}
-		if fr.kind == "" {
-			fr.rec = &wireRecord{}
-			if err := json.Unmarshal(payload, fr.rec); err != nil {
-				open = nil
-				continue
-			}
-			fr.kind = fr.rec.Kind
-		}
-		switch fr.kind {
-		case kindCheckpoint:
-			open = fr.rec.Ckpt
-			if open != nil && (open.Count < 0 || open.Cls < 0 || open.Lin < 0) {
-				open = nil
-			}
-			lo, seen = len(seg.frames), checkpointMark{}
-		case kindSource, kindClassifier, kindLineage:
-			// Only a record inside a group that may still commit is
-			// kept: what a hostile body can make the walk hold is
-			// bounded by the records it frames inside well-formed groups.
-			if open == nil || *seen.of(fr.kind) >= *open.of(fr.kind) || (fr.rec != nil && !fr.rec.carries(fr.kind)) {
-				open = nil
-				continue
-			}
-			*seen.of(fr.kind)++
-			seg.frames = append(seg.frames, fr)
-		case kindCommit:
-			if end := fr.rec.End; open != nil && end != nil && end.Seq == open.Seq &&
-				end.Count == open.Count && end.Cls == open.Cls && end.Lin == open.Lin &&
-				seen.Count == open.Count && seen.Cls == open.Cls && seen.Lin == open.Lin {
-				seg.groups = append(seg.groups, pushGroup{open: open, lo: lo, hi: len(seg.frames)})
-			}
-			open = nil
-		}
-		// Any other kind is an unknown minor-format record: passed over,
-		// the framing still holds.
-	}
-	return seg, nil
-}
-
-// of returns the mark's count of one evidence record kind.
-func (m *checkpointMark) of(kind string) *int {
-	switch kind {
-	case kindSource:
-		return &m.Count
-	case kindClassifier:
-		return &m.Cls
-	}
-	return &m.Lin
-}
-
-// carries reports whether the record holds the payload its kind names.
-func (rec *wireRecord) carries(kind string) bool {
-	switch kind {
-	case kindSource:
-		return rec.Src != nil
-	case kindClassifier:
-		return rec.Cls != nil
-	}
-	return rec.Lin != nil
-}
-
-// foldInput is one segment's newest committed group, decoded as far
-// as the memo requires.
-type foldInput struct {
-	sensors []string
-	sources []incident.SourceRef
-	cls     []incident.ClassifierEvidence
-	lin     []lineage.Observation
-
-	// keys names every record frame of the group; decoded counts those
-	// that were unmarshalled rather than recognized.
-	keys    []memoEntry
-	decoded int
-}
-
-// decodeNewest decodes the newest committed group whose records all
-// decode, skipping frames the memo holds. A group with a record that
-// does not decode to its announced kind is not committed: the walk
-// falls back to the group before it. Called with mu held.
-func (st *State) decodeNewest(seg *pushSegment) (*foldInput, error) {
-groups:
-	for g := len(seg.groups) - 1; g >= 0; g-- {
-		grp := &seg.groups[g]
-		in := &foldInput{sensors: seg.hdr.Sensors}
-		if grp.open.Sensors != nil {
-			in.sensors = grp.open.Sensors
-		}
-		for i := grp.lo; i < grp.hi; i++ {
-			fr := &seg.frames[i]
-			key := st.keyOf(fr.payload)
-			// (An empty state's memo is empty: the first export, which
-			// is kept whole, is always decoded whole.)
-			if src, held := st.memo[key]; held {
-				in.keys = append(in.keys, memoEntry{key, src})
-				if fr.kind == kindSource {
-					in.sources = append(in.sources, incident.SourceRef{Src: src})
-				}
-				continue
-			}
-			rec := fr.rec
-			if rec == nil {
-				rec = &wireRecord{}
-				if err := json.Unmarshal(fr.payload, rec); err != nil || rec.Kind != fr.kind {
-					continue groups
-				}
-			}
-			if !rec.carries(fr.kind) {
-				continue groups
-			}
-			in.decoded++
-			var src netip.Addr
-			switch fr.kind {
-			case kindSource:
-				src = rec.Src.Src
-				in.sources = append(in.sources, incident.SourceRef{Src: src, Rec: rec.Src})
-			case kindClassifier:
-				in.cls = append(in.cls, *rec.Cls)
-			case kindLineage:
-				in.lin = append(in.lin, *rec.Lin)
-			}
-			in.keys = append(in.keys, memoEntry{key, src})
-		}
-		return in, nil
-	}
-	return nil, ErrNoCheckpoint
 }

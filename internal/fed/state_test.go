@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -24,24 +26,23 @@ func foldFresh(data []byte) (*incident.EvidenceExport, error) {
 	return st.Export(), nil
 }
 
-// referenceDecode is the push decoder's contract written the slow
-// way: ReadExport's loop with every frame decoded, except that a
-// well-framed frame that does not decode — or whose body disagrees
-// with the kind its canonical prefix announces — drops the group it
-// falls in instead of ending the segment. malformed reports whether
-// any frame did that: when none does, the result must be ReadExport's.
-func referenceDecode(data []byte) (ex *incident.EvidenceExport, malformed bool, err error) {
+// referenceDecode is the segment decoder's contract written the slow
+// way: one pass that decodes every frame. A well-framed frame that does
+// not decode — or whose body disagrees with the kind its canonical
+// prefix announces — drops the group it falls in, and the newest group
+// committed after that wins.
+func referenceDecode(data []byte) (ex *incident.EvidenceExport, err error) {
 	payload, rest, err := nextFrame(data)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	first := &wireRecord{}
 	if err := json.Unmarshal(payload, first); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	hdr, err := checkHeader(first)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	var open *checkpointMark
 	var src []incident.SourceEvidence
@@ -53,11 +54,11 @@ func referenceDecode(data []byte) (ex *incident.EvidenceExport, malformed bool, 
 		}
 		rec := &wireRecord{}
 		if err := json.Unmarshal(payload, rec); err != nil {
-			open, malformed = nil, true
+			open = nil
 			continue
 		}
 		if kind := sniffKind(payload); kind != "" && (rec.Kind != kind || !rec.carries(kind)) {
-			open, malformed = nil, true
+			open = nil
 			continue
 		}
 		switch rec.Kind {
@@ -100,43 +101,39 @@ func referenceDecode(data []byte) (ex *incident.EvidenceExport, malformed bool, 
 		}
 	}
 	if ex == nil {
-		return nil, malformed, ErrNoCheckpoint
+		return nil, ErrNoCheckpoint
 	}
-	return ex, malformed, nil
+	return ex, nil
 }
 
-// checkDecoders holds one input to the decoder contract: the push
-// decoder equals referenceDecode, and both equal ReadExport unless a
-// well-framed frame was malformed.
+// checkDecoders holds one input to the decoder contract: ReadExport,
+// a fold into an empty State and referenceDecode accept the same
+// segments, find the same checkpoint in them, and refuse the same
+// ones as ErrNoCheckpoint.
 func checkDecoders(t testing.TB, name string, data []byte) {
 	t.Helper()
-	want, wantErr := ReadExport(bytes.NewReader(data))
-	ref, malformed, refErr := referenceDecode(data)
-	got, gotErr := foldFresh(data)
-	if (gotErr == nil) != (refErr == nil) || (gotErr == nil && !reflect.DeepEqual(got, ref)) {
-		t.Fatalf("%s: push decoder = (%v, %v), reference = (%v, %v)", name, got != nil, gotErr, ref != nil, refErr)
-	}
-	if malformed {
-		return
-	}
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%s: push decoder err = %v, ReadExport err = %v", name, gotErr, wantErr)
-	}
-	if gotErr != nil {
-		if errors.Is(wantErr, ErrNoCheckpoint) != errors.Is(gotErr, ErrNoCheckpoint) {
-			t.Fatalf("%s: push decoder err = %v, ReadExport err = %v", name, gotErr, wantErr)
+	ref, refErr := referenceDecode(data)
+	for _, d := range []struct {
+		name   string
+		decode func([]byte) (*incident.EvidenceExport, error)
+	}{
+		{"ReadExport", func(data []byte) (*incident.EvidenceExport, error) { return ReadExport(bytes.NewReader(data)) }},
+		{"push decoder", foldFresh},
+	} {
+		got, err := d.decode(data)
+		if (err == nil) != (refErr == nil) || errors.Is(err, ErrNoCheckpoint) != errors.Is(refErr, ErrNoCheckpoint) {
+			t.Fatalf("%s: %s err = %v, reference err = %v", name, d.name, err, refErr)
 		}
-		return
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: push decoder and ReadExport disagree on the committed checkpoint", name)
+		if err == nil && !reflect.DeepEqual(got, ref) {
+			t.Fatalf("%s: %s and the reference disagree on the committed checkpoint", name, d.name)
+		}
 	}
 }
 
 // TestPushDecoderMatchesReadExport runs the wire decoder's own failure
 // corpus — TestWireRejects' cases, truncation at every byte of a
 // two-checkpoint stream, the corrupt tail, the mismatched end mark —
-// through both decoders.
+// through ReadExport, the push decoder and the reference.
 func TestPushDecoderMatchesReadExport(t *testing.T) {
 	ex := synthExport(t, "sensor-a", 2, 200)
 	data := encode(t, ex)
@@ -161,7 +158,7 @@ func TestPushDecoderMatchesReadExport(t *testing.T) {
 	} {
 		var buf bytes.Buffer
 		bw := bufio.NewWriter(&buf)
-		if err := writeRecord(bw, &wireRecord{Kind: kindHeader, Hdr: hdr}); err != nil {
+		if err := writeRecord(bw, &frameEncoder{}, &wireRecord{Kind: kindHeader, Hdr: hdr}); err != nil {
 			t.Fatal(err)
 		}
 		bw.Flush()
@@ -193,42 +190,49 @@ func TestPushDecoderMatchesReadExport(t *testing.T) {
 	checkDecoders(t, "end mark", []byte(withLin[:i]+fmt.Sprintf(`"lin":%d`, len(mismatched.Lineage)+1)+withLin[i+len(mark):]))
 }
 
-// TestPushDecoderDropsOnlyTheDamagedGroup pins the one place the push
-// decoder departs from ReadExport: a well-framed record that does not
-// decode inside a superseded group costs that group, not the intact
-// groups after it — and inside the newest group it costs that group,
-// falling back to the one before, as in ReadExport.
+// damageSource breaks the nth source address in a segment without
+// changing its length, so the frame still frames but no longer decodes.
+func damageSource(t testing.TB, data []byte, nth int) []byte {
+	t.Helper()
+	out := append([]byte(nil), data...)
+	at := 0
+	for n := 0; n <= nth; n++ {
+		i := bytes.Index(out[at:], []byte(`"src":"10.`))
+		if i < 0 {
+			t.Fatal("no source address to damage")
+		}
+		at += i + len(`"src":"10.`)
+	}
+	out[at-3], out[at-2] = 'x', 'x'
+	return out
+}
+
+// damagedSegment is a two-checkpoint segment whose superseded group
+// holds a record that does not decode, and the newest group's export.
+func damagedSegment(t testing.TB) ([]byte, *incident.EvidenceExport) {
+	t.Helper()
+	newer := synthExport(t, "sensor-a", 6, 120)
+	return damageSource(t, growingSegment(t, synthExport(t, "sensor-a", 6, 60), newer), 0), newer
+}
+
+// TestPushDecoderDropsOnlyTheDamagedGroup pins what a well-framed
+// record that does not decode costs: inside a superseded group, that
+// group and not the intact groups after it; inside the newest group,
+// that group, falling back to the one before. ReadExport and the push
+// decoder agree on both.
 func TestPushDecoderDropsOnlyTheDamagedGroup(t *testing.T) {
 	older := synthExport(t, "sensor-a", 6, 60)
 	newer := synthExport(t, "sensor-a", 6, 120)
 	seg := growingSegment(t, older, newer)
 
-	// Same length, no longer an address: the frame still frames.
-	damage := func(data []byte, nth int) []byte {
-		out := append([]byte(nil), data...)
-		at := 0
-		for n := 0; n <= nth; n++ {
-			i := bytes.Index(out[at:], []byte(`"src":"10.`))
-			if i < 0 {
-				t.Fatal("no source address to damage")
-			}
-			at += i + len(`"src":"10.`)
-		}
-		out[at-3], out[at-2] = 'x', 'x'
-		return out
-	}
-
-	early := damage(seg, 0)
-	if got, err := ReadExport(bytes.NewReader(early)); err == nil {
-		t.Fatalf("ReadExport read past a damaged record: %d sources", len(got.Sources))
-	}
-	got, err := foldFresh(early)
+	early := damageSource(t, seg, 0)
+	got, err := ReadExport(bytes.NewReader(early))
 	if err != nil || !reflect.DeepEqual(got.Sources, newer.Sources) {
-		t.Fatalf("damage in the superseded group: push decoder = %v, want the newest checkpoint", err)
+		t.Fatalf("damage in the superseded group: ReadExport = %v, want the newest checkpoint", err)
 	}
 	checkDecoders(t, "damaged superseded group", early)
 
-	late := damage(seg, len(older.Sources))
+	late := damageSource(t, seg, len(older.Sources))
 	got, err = foldFresh(late)
 	if err != nil || !reflect.DeepEqual(got.Sources, older.Sources) {
 		t.Fatalf("damage in the newest group: push decoder = %v, want the checkpoint before it", err)
@@ -236,17 +240,36 @@ func TestPushDecoderDropsOnlyTheDamagedGroup(t *testing.T) {
 	checkDecoders(t, "damaged newest group", late)
 }
 
+// TestRecoverPastDamagedGroup: a sink directory whose only segment
+// has a damaged superseded group recovers the intact newest group
+// rather than starting fresh.
+func TestRecoverPastDamagedGroup(t *testing.T) {
+	dir := t.TempDir()
+	seg, newer := damagedSegment(t)
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Recover(dir)
+	if err != nil || got == nil {
+		t.Fatalf("Recover = (%v, %v), want the newest checkpoint", got != nil, err)
+	}
+	if !bytes.Equal(encode(t, got), encode(t, newer)) {
+		t.Fatal("Recover did not return the newest checkpoint")
+	}
+}
+
 // growingSegment frames exports as the checkpoint groups of one
 // segment, as a sink appends them.
 func growingSegment(t testing.TB, exports ...*incident.EvidenceExport) []byte {
 	t.Helper()
 	var buf bytes.Buffer
+	var enc frameEncoder
 	bw := bufio.NewWriter(&buf)
-	if err := writeRecord(bw, &wireRecord{Kind: kindHeader, Hdr: headerFor(exports[0])}); err != nil {
+	if err := writeRecord(bw, &enc, &wireRecord{Kind: kindHeader, Hdr: headerFor(exports[0])}); err != nil {
 		t.Fatal(err)
 	}
 	for i, ex := range exports {
-		if err := writeCheckpoint(bw, uint64(i+1), exportSnapshot(ex)); err != nil {
+		if err := writeCheckpoint(bw, &enc, uint64(i+1), exportSnapshot(ex)); err != nil {
 			t.Fatal(err)
 		}
 	}

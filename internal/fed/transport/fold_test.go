@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -23,10 +25,10 @@ import (
 
 // The differential suite: the aggregator folds pushes into a live
 // state, skips frames it has folded before and checkpoints cached
-// frames; fed.ReadExport + fed.Merge, which it replaced on the push
-// path, remain as the oracle. Over generated push sequences the two
-// must agree on wire bytes after every acknowledged push, in memory
-// and on disk.
+// frames; fed.ReadExport (the same segment reader, without a memo) +
+// fed.Merge, which it replaced on the push path, remain as the oracle.
+// Over generated push sequences the two must agree on wire bytes after
+// every acknowledged push, in memory and on disk.
 
 // outbreakCheckpoints analyses a trace the way a federated deployment
 // would: partitioned by source address across `sensors` real engines
@@ -99,7 +101,8 @@ type pushOp struct {
 // after a newer one, a two-checkpoint segment cut after its first
 // commit mark (then resent whole), a never-pushed checkpoint refused
 // for parameter skew before it arrives under the right header, a
-// corrupt body, and a crash in the middle.
+// checkpoint preceded by one of its new victim records alone
+// (victimAhead), a corrupt body, and a crash in the middle.
 func pushSequence(t testing.TB, rng *rand.Rand, snaps [][]*incident.EvidenceExport) []pushOp {
 	next := make([]int, len(snaps))
 	var ops []pushOp
@@ -118,6 +121,11 @@ func pushSequence(t testing.TB, rng *rand.Rand, snaps [][]*incident.EvidenceExpo
 		remaining--
 		ex := snaps[s][k]
 		name := fmt.Sprintf("sensor-%d/ckpt-%d", s, k)
+		if k > 0 {
+			if ahead := victimAhead(snaps[s][k-1], ex); ahead != nil {
+				ops = append(ops, pushOp{name: name + " one victim ahead", body: encode(t, ahead)})
+			}
+		}
 		switch body := encode(t, ex); {
 		case len(ops) > 0 && rng.Intn(5) == 0:
 			// Refused first: the same frames under a header this
@@ -148,6 +156,35 @@ func pushSequence(t testing.TB, rng *rand.Rand, snaps [][]*incident.EvidenceExpo
 		}
 	}
 	return ops
+}
+
+// victimAhead is a checkpoint in the making: prev with the first source
+// record whose emissions changed in next brought up to date, or nil.
+// Pushed before next, it leaves next's other new victim evidence to
+// escalate an attacker whose record next carries unchanged — a frame
+// the memo skips — so the escalation alone must mark that record
+// changed.
+func victimAhead(prev, next *incident.EvidenceExport) *incident.EvidenceExport {
+	at := make(map[netip.Addr]int, len(prev.Sources))
+	for i := range prev.Sources {
+		at[prev.Sources[i].Src] = i
+	}
+	for _, rec := range next.Sources {
+		i, held := at[rec.Src]
+		if len(rec.Emitted) == 0 || held && reflect.DeepEqual(prev.Sources[i].Emitted, rec.Emitted) {
+			continue
+		}
+		ahead := *prev
+		ahead.Sources = slices.Clone(prev.Sources)
+		if held {
+			ahead.Sources[i] = rec
+		} else {
+			i, _ = slices.BinarySearchFunc(ahead.Sources, rec.Src, func(r incident.SourceEvidence, a netip.Addr) int { return r.Src.Compare(a) })
+			ahead.Sources = slices.Insert(ahead.Sources, i, rec)
+		}
+		return &ahead
+	}
+	return nil
 }
 
 // TestFoldDifferential drives generated push sequences at an

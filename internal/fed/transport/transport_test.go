@@ -405,6 +405,36 @@ func TestPusherDeliversSpool(t *testing.T) {
 	}
 }
 
+// TestPusherDeliversPastDamagedGroup: a spool segment whose
+// superseded group holds a record that does not decode still commits
+// its intact newest group, so the pusher sends it and the aggregator
+// folds that group.
+func TestPusherDeliversPastDamagedGroup(t *testing.T) {
+	spool := t.TempDir()
+	newer := synthExport(t, "sensor-a", 6, 120)
+	seg := growingSegment(t, synthExport(t, "sensor-a", 6, 60), newer)
+	// Same length, no longer an address: the frame still frames.
+	i := bytes.Index(seg, []byte(`"src":"10.`)) + len(`"src":"`)
+	seg[i], seg[i+1] = 'x', 'x'
+	if err := os.WriteFile(filepath.Join(spool, "evidence-000000.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	agg := newAggregator(t, t.TempDir(), nil)
+	defer agg.Close()
+	srv := httptest.NewServer(agg)
+	defer srv.Close()
+	p := fastPusher(t, spool, srv.URL, nil)
+	defer p.Close()
+	waitFor(t, "the damaged segment acked", func() bool { return p.Metrics().Acked == 1 })
+	if !bytes.Equal(encode(t, agg.Export()), encode(t, newer)) {
+		t.Fatal("the aggregator did not fold the segment's newest checkpoint")
+	}
+	if m := p.Metrics(); m.Rejected != 0 {
+		t.Errorf("pusher metrics = %+v, want no rejects", m)
+	}
+}
+
 // TestPusherBackoffAndRecovery pins the degradation contract: while
 // the aggregator is down the pusher backs off exponentially and the
 // spool holds everything; when it returns, the spool drains and the

@@ -17,9 +17,10 @@
 // parameters). Evidence follows in checkpoint groups — a "ckpt" mark,
 // the per-source "src" records, then an "end" commit mark echoing the
 // checkpoint sequence and count. A group missing its commit mark (a
-// crash mid-write, a truncated copy) is ignored by the decoder, which
-// returns the newest *committed* checkpoint; the framing makes
-// truncation detectable at every byte.
+// crash mid-write, a truncated copy), or holding a well-framed record
+// that does not decode, is not committed: the decoder returns the
+// newest committed checkpoint. The framing makes truncation detectable
+// at every byte, and a damaged record costs only its own group.
 package fed
 
 import (
@@ -29,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/netip"
 	"strconv"
 
 	"semnids/internal/incident"
@@ -100,19 +102,6 @@ type wireRecord struct {
 // complete write.
 var ErrNoCheckpoint = errors.New("fed: segment has no committed checkpoint")
 
-// marshalRecord renders one record's JSON document under the wire
-// bound.
-func marshalRecord(rec *wireRecord) ([]byte, error) {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) > MaxRecordBytes {
-		return nil, fmt.Errorf("fed: record of %d bytes exceeds the %d-byte wire bound", len(data), MaxRecordBytes)
-	}
-	return data, nil
-}
-
 // frameEncoder renders records as complete frames through one
 // buffer: json.Encoder writes the document and the terminating
 // newline, and the length prefix is filled in before it.
@@ -121,6 +110,8 @@ type frameEncoder struct {
 	enc *json.Encoder
 }
 
+// encode returns one record's frame, which stays valid until the next
+// call.
 func (e *frameEncoder) encode(rec *wireRecord) ([]byte, error) {
 	if e.enc == nil {
 		e.enc = json.NewEncoder(&e.buf)
@@ -140,108 +131,46 @@ func (e *frameEncoder) encode(rec *wireRecord) ([]byte, error) {
 	prefix := append(strconv.AppendInt(digits[:0], int64(n), 10), ' ')
 	start := room - len(prefix)
 	copy(b[start:], prefix)
-	return bytes.Clone(b[start:]), nil
+	return b[start:], nil
 }
 
 // writeRecord frames one record.
-func writeRecord(w *bufio.Writer, rec *wireRecord) error {
-	data, err := marshalRecord(rec)
+func writeRecord(w *bufio.Writer, enc *frameEncoder, rec *wireRecord) error {
+	frame, err := enc.encode(rec)
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(append(strconv.AppendInt(w.AvailableBuffer(), int64(len(data)), 10), ' ')); err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		return err
-	}
-	return w.WriteByte('\n')
+	_, err = w.Write(frame)
+	return err
 }
 
-// lenPrefix parses a frame's length prefix a byte at a time, for the
-// stream and the slice decoder alike.
-type lenPrefix struct{ n, digits int }
-
-// feed takes the next byte; done reports the terminating space, after
-// which n is the record's length.
-func (p *lenPrefix) feed(b byte) (done bool, err error) {
-	if b == ' ' {
-		if p.digits == 0 {
-			return false, errors.New("fed: empty length prefix")
-		}
-		if p.n == 0 || p.n > MaxRecordBytes {
-			return false, fmt.Errorf("fed: record length %d outside (0, %d]", p.n, MaxRecordBytes)
-		}
-		return true, nil
-	}
-	if b < '0' || b > '9' {
-		return false, fmt.Errorf("fed: bad length prefix byte %q", b)
-	}
-	if p.digits++; p.digits > maxLenDigits {
-		return false, errors.New("fed: oversized length prefix")
-	}
-	p.n = p.n*10 + int(b-'0')
-	return false, nil
-}
-
-// frameReader decodes the frames of one stream through one buffer.
-type frameReader struct {
-	br  *bufio.Reader
-	buf []byte
-}
-
-// next decodes one frame into rec, which it resets first: a decoded
-// record never shares memory with the one before it. io.EOF means a
-// clean end between records; any other error means the stream is
-// corrupt or truncated at this record.
-func (fr *frameReader) next(rec *wireRecord) error {
-	var prefix lenPrefix
-	for done := false; !done; {
-		b, err := fr.br.ReadByte()
-		if err != nil {
-			if err == io.EOF && prefix.digits == 0 {
-				return io.EOF
-			}
-			return fmt.Errorf("fed: truncated length prefix: %w", err)
-		}
-		if done, err = prefix.feed(b); err != nil {
-			return err
-		}
-	}
-	n := prefix.n
-	if cap(fr.buf) < n+1 {
-		fr.buf = make([]byte, n+1)
-	}
-	buf := fr.buf[:n+1]
-	if _, err := io.ReadFull(fr.br, buf); err != nil {
-		return fmt.Errorf("fed: truncated record: %w", err)
-	}
-	if buf[n] != '\n' {
-		return errors.New("fed: record missing terminator")
-	}
-	*rec = wireRecord{}
-	if err := json.Unmarshal(buf[:n], rec); err != nil {
-		return fmt.Errorf("fed: bad record JSON: %w", err)
-	}
-	return nil
-}
-
-// nextFrame slices the first frame off data, under the framing rules
-// frameReader applies to a stream. io.EOF means data is empty.
+// nextFrame slices the first frame off data. io.EOF means data is
+// empty; any other error means it is corrupt or truncated at this
+// frame.
 func nextFrame(data []byte) (payload, rest []byte, err error) {
-	var prefix lenPrefix
-	for done := false; !done; data = data[1:] {
-		if len(data) == 0 {
-			if prefix.digits == 0 {
-				return nil, nil, io.EOF
-			}
-			return nil, nil, fmt.Errorf("fed: truncated length prefix: %w", io.ErrUnexpectedEOF)
-		}
-		if done, err = prefix.feed(data[0]); err != nil {
-			return nil, nil, err
-		}
+	if len(data) == 0 {
+		return nil, nil, io.EOF
 	}
-	n := prefix.n
+	n, digits := 0, 0
+	for ; digits < len(data) && data[digits] != ' '; digits++ {
+		b := data[digits]
+		if b < '0' || b > '9' {
+			return nil, nil, fmt.Errorf("fed: bad length prefix byte %q", b)
+		}
+		if digits == maxLenDigits {
+			return nil, nil, errors.New("fed: oversized length prefix")
+		}
+		n = n*10 + int(b-'0')
+	}
+	switch {
+	case digits == len(data):
+		return nil, nil, fmt.Errorf("fed: truncated length prefix: %w", io.ErrUnexpectedEOF)
+	case digits == 0:
+		return nil, nil, errors.New("fed: empty length prefix")
+	case n == 0 || n > MaxRecordBytes:
+		return nil, nil, fmt.Errorf("fed: record length %d outside (0, %d]", n, MaxRecordBytes)
+	}
+	data = data[digits+1:]
 	if len(data) < n+1 {
 		return nil, nil, fmt.Errorf("fed: truncated record: %w", io.ErrUnexpectedEOF)
 	}
@@ -275,7 +204,7 @@ func exportSnapshot(ex *incident.EvidenceExport) *snapshot {
 }
 
 // writeRecords writes the snapshot's record frames.
-func (sn *snapshot) writeRecords(w *bufio.Writer) error {
+func (sn *snapshot) writeRecords(w *bufio.Writer, enc *frameEncoder) error {
 	for _, frame := range sn.frames {
 		if _, err := w.Write(frame); err != nil {
 			return err
@@ -285,17 +214,17 @@ func (sn *snapshot) writeRecords(w *bufio.Writer) error {
 		return nil
 	}
 	for i := range sn.ex.Sources {
-		if err := writeRecord(w, &wireRecord{Kind: kindSource, Src: &sn.ex.Sources[i]}); err != nil {
+		if err := writeRecord(w, enc, &wireRecord{Kind: kindSource, Src: &sn.ex.Sources[i]}); err != nil {
 			return err
 		}
 	}
 	for i := range sn.ex.Classifier {
-		if err := writeRecord(w, &wireRecord{Kind: kindClassifier, Cls: &sn.ex.Classifier[i]}); err != nil {
+		if err := writeRecord(w, enc, &wireRecord{Kind: kindClassifier, Cls: &sn.ex.Classifier[i]}); err != nil {
 			return err
 		}
 	}
 	for i := range sn.ex.Lineage {
-		if err := writeRecord(w, &wireRecord{Kind: kindLineage, Lin: &sn.ex.Lineage[i]}); err != nil {
+		if err := writeRecord(w, enc, &wireRecord{Kind: kindLineage, Lin: &sn.ex.Lineage[i]}); err != nil {
 			return err
 		}
 	}
@@ -309,27 +238,28 @@ func (sn *snapshot) writeRecords(w *bufio.Writer) error {
 // mark declares their count and older decoders skip unknown kinds, so
 // segments with lineage remain readable by pre-lineage builds (which
 // simply drop the ancestry plane).
-func writeCheckpoint(w *bufio.Writer, seq uint64, sn *snapshot) error {
+func writeCheckpoint(w *bufio.Writer, enc *frameEncoder, seq uint64, sn *snapshot) error {
 	open := &checkpointMark{Seq: seq, Count: sn.count, Cls: sn.cls, Lin: sn.lin, Sensors: sn.hdr.Sensors}
-	if err := writeRecord(w, &wireRecord{Kind: kindCheckpoint, Ckpt: open}); err != nil {
+	if err := writeRecord(w, enc, &wireRecord{Kind: kindCheckpoint, Ckpt: open}); err != nil {
 		return err
 	}
-	if err := sn.writeRecords(w); err != nil {
+	if err := sn.writeRecords(w, enc); err != nil {
 		return err
 	}
 	end := &checkpointMark{Seq: seq, Count: open.Count, Cls: open.Cls, Lin: open.Lin}
-	return writeRecord(w, &wireRecord{Kind: kindCommit, End: end})
+	return writeRecord(w, enc, &wireRecord{Kind: kindCommit, End: end})
 }
 
 // WriteExport serializes an evidence export as one complete segment:
 // header plus a single committed checkpoint.
 func WriteExport(w io.Writer, ex *incident.EvidenceExport) error {
 	bw := bufio.NewWriter(w)
+	var enc frameEncoder
 	sn := exportSnapshot(ex)
-	if err := writeRecord(bw, &wireRecord{Kind: kindHeader, Hdr: sn.hdr}); err != nil {
+	if err := writeRecord(bw, &enc, &wireRecord{Kind: kindHeader, Hdr: sn.hdr}); err != nil {
 		return err
 	}
-	if err := writeCheckpoint(bw, 1, sn); err != nil {
+	if err := writeCheckpoint(bw, &enc, 1, sn); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -356,101 +286,254 @@ func checkHeader(rec *wireRecord) (*header, error) {
 	return hdr, nil
 }
 
-// ReadExport decodes a segment, returning the newest committed
-// checkpoint as an evidence export. Corruption or truncation after a
-// committed checkpoint is tolerated (the committed state is
-// returned); a segment with no committed checkpoint, a bad header, or
-// a version this build does not speak is an error.
-func ReadExport(r io.Reader) (*incident.EvidenceExport, error) {
-	fr := &frameReader{br: bufio.NewReader(r)}
-	rec := &wireRecord{}
-	if err := fr.next(rec); err != nil {
+// segFrame is one well-framed evidence record of a segment.
+type segFrame struct {
+	// kind is the record kind — read off the canonical `{"k":"…",`
+	// prefix for evidence records, whose bodies are decoded only if
+	// their group wins, and from a full decode (kept in rec) for
+	// everything else.
+	kind    string
+	payload []byte
+	rec     *wireRecord
+}
+
+// segGroup is one checkpoint group committed by its marks and record
+// counts: frames[lo:hi] are its evidence records.
+type segGroup struct {
+	open   *checkpointMark
+	lo, hi int
+}
+
+// segWalk is a segment split and walked, its evidence records not yet
+// decoded.
+type segWalk struct {
+	hdr    *header
+	frames []segFrame
+	groups []segGroup
+}
+
+// sniffKind reads an evidence record's kind off the prefix json.Marshal
+// gives a wireRecord. Any other spelling returns "" and is decoded in
+// full.
+func sniffKind(payload []byte) string {
+	const prefix = `{"k":"`
+	if !bytes.HasPrefix(payload, []byte(prefix)) {
+		return ""
+	}
+	rest := payload[len(prefix):]
+	for _, kind := range [...]string{kindSource, kindClassifier, kindLineage} {
+		if len(rest) > len(kind)+1 && string(rest[:len(kind)]) == kind && rest[len(kind)] == '"' && rest[len(kind)+1] == ',' {
+			return kind
+		}
+	}
+	return ""
+}
+
+// decodeSegment splits a segment into frames, decodes the header and
+// the marks, and finds the groups the marks and record counts commit.
+// A frame that fails to decode drops the group it falls in; the
+// framing still holds, so the walk goes on to the next group.
+func decodeSegment(data []byte) (*segWalk, error) {
+	payload, rest, err := nextFrame(data)
+	if err != nil {
 		if err == io.EOF {
 			return nil, errors.New("fed: empty segment")
 		}
 		return nil, err
 	}
-	hdr, err := checkHeader(rec)
-	if err != nil {
+	first := &wireRecord{}
+	if err := json.Unmarshal(payload, first); err != nil {
+		return nil, fmt.Errorf("fed: bad record JSON: %w", err)
+	}
+	seg := &segWalk{}
+	if seg.hdr, err = checkHeader(first); err != nil {
 		return nil, err
 	}
 
-	ex := &incident.EvidenceExport{Params: hdr.Params}
-	var committed []incident.SourceEvidence
-	var committedCls []incident.ClassifierEvidence
-	var committedLin []lineage.Observation
-	committedSensors := hdr.Sensors
-	haveCommit := false
-
-	var pending []incident.SourceEvidence
-	var pendingCls []incident.ClassifierEvidence
-	var pendingLin []lineage.Observation
 	var open *checkpointMark
-	drop := func() {
-		open, pending, pendingCls, pendingLin = nil, nil, nil, nil
-	}
+	var seen checkpointMark // evidence records counted in the open group
+	var lo int
 	for {
-		if err := fr.next(rec); err != nil {
-			// Clean EOF between records ends the segment; anything else
-			// is a truncated tail — either way the newest committed
-			// checkpoint stands.
+		// A framing error is a truncated or corrupt tail: the groups
+		// committed before it stand.
+		if payload, rest, err = nextFrame(rest); err != nil {
 			break
 		}
-		switch rec.Kind {
+		fr := segFrame{kind: sniffKind(payload), payload: payload}
+		if fr.kind == "" {
+			fr.rec = &wireRecord{}
+			if err := json.Unmarshal(payload, fr.rec); err != nil {
+				open = nil
+				continue
+			}
+			fr.kind = fr.rec.Kind
+		}
+		switch fr.kind {
 		case kindCheckpoint:
-			if rec.Ckpt == nil || rec.Ckpt.Count < 0 || rec.Ckpt.Cls < 0 || rec.Ckpt.Lin < 0 {
-				drop()
+			open = fr.rec.Ckpt
+			if open != nil && (open.Count < 0 || open.Cls < 0 || open.Lin < 0) {
+				open = nil
+			}
+			lo, seen = len(seg.frames), checkpointMark{}
+		case kindSource, kindClassifier, kindLineage:
+			// Only a record inside a group that may still commit is
+			// kept: what a hostile body can make the walk hold is
+			// bounded by the records it frames inside well-formed groups.
+			if open == nil || *seen.of(fr.kind) >= *open.of(fr.kind) || (fr.rec != nil && !fr.rec.carries(fr.kind)) {
+				open = nil
 				continue
 			}
-			open = rec.Ckpt
-			pending = pending[:0]
-			pendingCls = pendingCls[:0]
-			pendingLin = pendingLin[:0]
-		case kindSource:
-			if open == nil || rec.Src == nil || len(pending) >= open.Count {
-				drop()
-				continue
-			}
-			pending = append(pending, *rec.Src)
-		case kindClassifier:
-			if open == nil || rec.Cls == nil || len(pendingCls) >= open.Cls {
-				drop()
-				continue
-			}
-			pendingCls = append(pendingCls, *rec.Cls)
-		case kindLineage:
-			if open == nil || rec.Lin == nil || len(pendingLin) >= open.Lin {
-				drop()
-				continue
-			}
-			pendingLin = append(pendingLin, *rec.Lin)
+			*seen.of(fr.kind)++
+			seg.frames = append(seg.frames, fr)
 		case kindCommit:
-			if open == nil || rec.End == nil || rec.End.Seq != open.Seq || rec.End.Count != open.Count ||
-				rec.End.Cls != open.Cls || rec.End.Lin != open.Lin ||
-				len(pending) != open.Count || len(pendingCls) != open.Cls || len(pendingLin) != open.Lin {
-				drop()
-				continue
+			if end := fr.rec.End; open != nil && end != nil && end.Seq == open.Seq &&
+				end.Count == open.Count && end.Cls == open.Cls && end.Lin == open.Lin &&
+				seen.Count == open.Count && seen.Cls == open.Cls && seen.Lin == open.Lin {
+				seg.groups = append(seg.groups, segGroup{open: open, lo: lo, hi: len(seg.frames)})
 			}
-			committed = append(committed[:0], pending...)
-			committedCls = append(committedCls[:0], pendingCls...)
-			committedLin = append(committedLin[:0], pendingLin...)
-			if open.Sensors != nil {
-				committedSensors = open.Sensors
+			open = nil
+		}
+		// Any other kind is an unknown minor-format record: passed over,
+		// the framing still holds.
+	}
+	return seg, nil
+}
+
+// of returns the mark's count of one evidence record kind.
+func (m *checkpointMark) of(kind string) *int {
+	switch kind {
+	case kindSource:
+		return &m.Count
+	case kindClassifier:
+		return &m.Cls
+	}
+	return &m.Lin
+}
+
+// carries reports whether the record holds the payload its kind names.
+func (rec *wireRecord) carries(kind string) bool {
+	switch kind {
+	case kindSource:
+		return rec.Src != nil
+	case kindClassifier:
+		return rec.Cls != nil
+	}
+	return rec.Lin != nil
+}
+
+// decodedGroup is a segment's newest committed group, decoded as far
+// as a state's memo requires.
+type decodedGroup struct {
+	sensors []string
+	sources []incident.SourceRef
+	cls     []incident.ClassifierEvidence
+	lin     []lineage.Observation
+
+	// keys names every record frame of the group, for the memo;
+	// decoded counts those that were unmarshalled rather than
+	// recognized.
+	keys    []memoEntry
+	decoded int
+}
+
+// decodeNewest decodes the newest committed group whose records all
+// decode. A group with a record that does not decode to its announced
+// kind is not committed: the walk falls back to the group before it.
+// Given a state (with its mu held), frames its memo holds are not
+// decoded and every frame's key is kept; without one, no frame is
+// hashed.
+func (seg *segWalk) decodeNewest(st *State) (*decodedGroup, error) {
+groups:
+	for g := len(seg.groups) - 1; g >= 0; g-- {
+		grp := &seg.groups[g]
+		in := &decodedGroup{sensors: seg.hdr.Sensors}
+		if grp.open.Sensors != nil {
+			in.sensors = grp.open.Sensors
+		}
+		for i := grp.lo; i < grp.hi; i++ {
+			fr := &seg.frames[i]
+			var key frameKey
+			if st != nil {
+				key = st.keyOf(fr.payload)
+				// (An empty state's memo is empty: the first export,
+				// which is kept whole, is always decoded whole.)
+				if src, held := st.memo[key]; held {
+					in.keys = append(in.keys, memoEntry{key, src})
+					if fr.kind == kindSource {
+						in.sources = append(in.sources, incident.SourceRef{Src: src})
+					}
+					continue
+				}
 			}
-			haveCommit = true
-			drop()
-		default:
-			// Unknown minor-format record: skip (framing still holds).
+			rec := fr.rec
+			if rec == nil {
+				rec = &wireRecord{}
+				if err := json.Unmarshal(fr.payload, rec); err != nil || rec.Kind != fr.kind {
+					continue groups
+				}
+			}
+			if !rec.carries(fr.kind) {
+				continue groups
+			}
+			in.decoded++
+			var src netip.Addr
+			switch fr.kind {
+			case kindSource:
+				src = rec.Src.Src
+				in.sources = append(in.sources, incident.SourceRef{Src: src, Rec: rec.Src})
+			case kindClassifier:
+				in.cls = append(in.cls, *rec.Cls)
+			case kindLineage:
+				in.lin = append(in.lin, *rec.Lin)
+			}
+			if st != nil {
+				in.keys = append(in.keys, memoEntry{key, src})
+			}
+		}
+		return in, nil
+	}
+	return nil, ErrNoCheckpoint
+}
+
+// export renders a fully decoded group as an evidence export.
+func (in *decodedGroup) export(p incident.Params) *incident.EvidenceExport {
+	ex := &incident.EvidenceExport{Sensors: in.sensors, Params: p, Classifier: in.cls, Lineage: in.lin}
+	if len(in.sources) > 0 {
+		ex.Sources = make([]incident.SourceEvidence, len(in.sources))
+		for i := range in.sources {
+			ex.Sources[i] = *in.sources[i].Rec
 		}
 	}
-	if !haveCommit {
-		return nil, ErrNoCheckpoint
+	return ex
+}
+
+// ReadExport decodes a segment, read whole from r, returning the
+// newest committed checkpoint as an evidence export. Corruption or
+// truncation around a committed checkpoint is tolerated (the committed
+// state is returned); a segment with no committed checkpoint, a bad
+// header, or a version this build does not speak is an error, as is a
+// failure to read r. It is the push decoder without a memo: the
+// groups are walked on their marks and only the winning group's
+// records are decoded.
+func ReadExport(r io.Reader) (*incident.EvidenceExport, error) {
+	// Sized up front when r knows its length: growing the buffer as it
+	// fills would allocate several times the segment.
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
 	}
-	ex.Sensors = committedSensors
-	ex.Sources = committed
-	ex.Classifier = committedCls
-	ex.Lineage = committedLin
-	return ex, nil
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("fed: reading segment: %w", err)
+	}
+	seg, err := decodeSegment(buf.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	g, err := seg.decodeNewest(nil)
+	if err != nil {
+		return nil, err
+	}
+	return g.export(seg.hdr.Params), nil
 }
 
 // Merge federates two evidence exports — the union of their evidence

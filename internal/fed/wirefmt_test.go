@@ -198,7 +198,7 @@ func TestWireRejects(t *testing.T) {
 
 	var skew bytes.Buffer
 	bw := bufio.NewWriter(&skew)
-	if err := writeRecord(bw, &wireRecord{Kind: kindHeader, Hdr: &header{Format: FormatName, Version: 99}}); err != nil {
+	if err := writeRecord(bw, &frameEncoder{}, &wireRecord{Kind: kindHeader, Hdr: &header{Format: FormatName, Version: 99}}); err != nil {
 		t.Fatal(err)
 	}
 	bw.Flush()
@@ -212,7 +212,7 @@ func TestWireRejects(t *testing.T) {
 	// derivation.
 	var zeroed bytes.Buffer
 	bw = bufio.NewWriter(&zeroed)
-	if err := writeRecord(bw, &wireRecord{Kind: kindHeader, Hdr: &header{Format: FormatName, Version: Version}}); err != nil {
+	if err := writeRecord(bw, &frameEncoder{}, &wireRecord{Kind: kindHeader, Hdr: &header{Format: FormatName, Version: Version}}); err != nil {
 		t.Fatal(err)
 	}
 	bw.Flush()
