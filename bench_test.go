@@ -64,7 +64,7 @@ func BenchmarkTable1Netsky(b *testing.B) {
 	bin := exploits.NetskyBinary(1, 22*1024)
 	b.SetBytes(int64(len(bin)))
 	for i := 0; i < b.N; i++ {
-		ds := core.AnalyzeBytes(bin, nil, nil)
+		ds := core.AnalyzeBytes(bin, nil)
 		if len(ds) == 0 {
 			b.Fatal("netsky decryptor not detected")
 		}
@@ -82,7 +82,7 @@ func BenchmarkTable1NetskyExhaustiveBaseline(b *testing.B) {
 	}
 	b.SetBytes(int64(len(bin)))
 	for i := 0; i < b.N; i++ {
-		core.AnalyzeBytes(bin, nil, offsets)
+		core.AnalyzeBytes(bin, offsets)
 	}
 }
 
@@ -740,7 +740,7 @@ func BenchmarkEmailWormScan(b *testing.B) {
 		}
 		found := false
 		for _, f := range frames {
-			for _, d := range core.AnalyzeBytes(f.Data, nil, nil) {
+			for _, d := range core.AnalyzeBytes(f.Data, nil) {
 				if d.Template == "xor-decrypt-loop" {
 					found = true
 				}

@@ -96,7 +96,7 @@ func table1() {
 	for _, seed := range []int64{1, 2} {
 		bin := exploits.NetskyBinary(seed, 22*1024)
 		start := time.Now()
-		ds := core.AnalyzeBytes(bin, nil, nil)
+		ds := core.AnalyzeBytes(bin, nil)
 		dur := time.Since(start)
 		found := false
 		for _, d := range ds {
@@ -230,11 +230,11 @@ func efficiency() {
 	bin := exploits.NetskyBinary(1, 22*1024)
 
 	start := time.Now()
-	core.AnalyzeBytes(bin, nil, []int{0, 1, 2, 3})
+	core.AnalyzeBytes(bin, []int{0, 1, 2, 3})
 	ours := time.Since(start)
 
 	start = time.Now()
-	core.AnalyzeBytes(bin, nil, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	core.AnalyzeBytes(bin, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	baseline := time.Since(start)
 
 	fmt.Printf("semantic scan, pruned offsets:      %12s   (paper: ~6.5s on a P4 2.8GHz)\n", ours.Round(time.Microsecond))

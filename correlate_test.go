@@ -151,16 +151,15 @@ func TestCorrelatorScanSoak(t *testing.T) {
 	const (
 		totalPackets = 1_000_000
 		probesPerSrc = 5
-		maxSources   = 8192
+		maxSources   = 65536 // the correlator's tracked-source cap
 	)
 	e, err := NewEngine(EngineConfig{
 		Config: Config{
 			Honeypots: []string{traffic.HoneypotAddr.String()},
 			DarkSpace: []string{traffic.DarkNet.String()},
 		},
-		Shards:             4,
-		Correlate:          true,
-		MaxIncidentSources: maxSources,
+		Shards:    4,
+		Correlate: true,
 	})
 	if err != nil {
 		t.Fatal(err)

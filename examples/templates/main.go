@@ -48,7 +48,15 @@ func main() {
 			Label("three").Loop("one").MustBytes()},
 	}
 
-	analyzer := sem.NewAnalyzer([]*sem.Template{sem.XorDecryptLoop()})
+	// The paper's Figure 2 template, alone: xor-decrypt-loop from the
+	// built-in set (templates/builtin.tpl).
+	var figure2 []*sem.Template
+	for _, t := range sem.BuiltinTemplates() {
+		if t.Name == "xor-decrypt-loop" {
+			figure2 = append(figure2, t)
+		}
+	}
+	analyzer := sem.NewAnalyzer(figure2)
 
 	for _, v := range variants {
 		fmt.Printf("== %s: %s (%d bytes)\n", v.name, v.desc, len(v.code))

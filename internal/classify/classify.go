@@ -43,11 +43,6 @@ type Config struct {
 	// source must touch to be declared a scanner. Default 3.
 	ScanThreshold int
 
-	// SuspiciousTTLUS is how long (in trace microseconds) a source
-	// stays suspicious after its last triggering event. Default 10
-	// minutes.
-	SuspiciousTTLUS uint64
-
 	// Disabled forwards every packet to analysis (the Section 5.4
 	// false-positive experiment).
 	Disabled bool
@@ -70,13 +65,14 @@ type Classifier struct {
 // DefaultScanThreshold is Config.ScanThreshold's default.
 const DefaultScanThreshold = 3
 
+// suspiciousTTLUS is how long (in trace microseconds) a source stays
+// suspicious after its last triggering event: 10 minutes.
+const suspiciousTTLUS = 10 * 60 * 1e6
+
 // New builds a classifier from cfg.
 func New(cfg Config) *Classifier {
 	if cfg.ScanThreshold <= 0 {
 		cfg.ScanThreshold = DefaultScanThreshold
-	}
-	if cfg.SuspiciousTTLUS == 0 {
-		cfg.SuspiciousTTLUS = 10 * 60 * 1e6
 	}
 	c := &Classifier{
 		cfg:        cfg,
@@ -115,7 +111,7 @@ func (c *Classifier) Classify(p *netpkt.Packet) (bool, Reason) {
 
 	// Scheme 1: honeypot decoys.
 	if c.honeypots[p.DstIP] {
-		c.suspicious[src] = now + c.cfg.SuspiciousTTLUS
+		c.suspicious[src] = now + suspiciousTTLUS
 		c.selected++
 		return true, ReasonHoneypot
 	}
@@ -129,7 +125,7 @@ func (c *Classifier) Classify(p *netpkt.Packet) (bool, Reason) {
 		}
 		seen[p.DstIP] = true
 		if len(seen) >= c.cfg.ScanThreshold {
-			c.suspicious[src] = now + c.cfg.SuspiciousTTLUS
+			c.suspicious[src] = now + suspiciousTTLUS
 			c.selected++
 			return true, ReasonScanner
 		}
@@ -139,7 +135,7 @@ func (c *Classifier) Classify(p *netpkt.Packet) (bool, Reason) {
 	if expiry, ok := c.suspicious[src]; ok {
 		if now <= expiry {
 			// Refresh: an active attacker stays on the list.
-			c.suspicious[src] = now + c.cfg.SuspiciousTTLUS
+			c.suspicious[src] = now + suspiciousTTLUS
 			c.selected++
 			return true, ReasonSuspicious
 		}
@@ -154,7 +150,7 @@ func (c *Classifier) Classify(p *netpkt.Packet) (bool, Reason) {
 func (c *Classifier) MarkSuspicious(src netip.Addr, nowUS uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.suspicious[src] = nowUS + c.cfg.SuspiciousTTLUS
+	c.suspicious[src] = nowUS + suspiciousTTLUS
 }
 
 // SourceState is one source's exportable classification state: its

@@ -71,20 +71,18 @@ func TestDarkSpaceScheme(t *testing.T) {
 }
 
 func TestSuspiciousExpiry(t *testing.T) {
-	c := New(Config{
-		Honeypots:       []netip.Addr{netip.MustParseAddr("192.168.1.250")},
-		SuspiciousTTLUS: 1000,
-	})
+	c := New(Config{Honeypots: []netip.Addr{netip.MustParseAddr("192.168.1.250")}})
 	c.Classify(pkt("10.0.0.5", "192.168.1.250", 0))
 	if c.SuspiciousCount() != 1 {
 		t.Fatal("source not registered")
 	}
-	// Within TTL: still suspicious.
-	if ok, _ := c.Classify(pkt("10.0.0.5", "192.168.1.10", 500)); !ok {
+	// Within the 10-minute TTL: still suspicious.
+	const half = suspiciousTTLUS / 2
+	if ok, _ := c.Classify(pkt("10.0.0.5", "192.168.1.10", half)); !ok {
 		t.Error("expired too early")
 	}
-	// The hit refreshed the TTL; jump far past it.
-	if ok, _ := c.Classify(pkt("10.0.0.5", "192.168.1.10", 500+1001)); ok {
+	// The hit refreshed the TTL; jump just past it.
+	if ok, _ := c.Classify(pkt("10.0.0.5", "192.168.1.10", half+suspiciousTTLUS+1)); ok {
 		t.Error("expired entry still selected")
 	}
 	if c.SuspiciousCount() != 0 {

@@ -50,32 +50,13 @@ func ShouldAnalyze(finished bool, size, lastAnalyzed, minBytes int) bool {
 	return false
 }
 
-// The compiled builtin template set and the analyzer over it are built
-// once and shared by the host-scan entry points; both are immutable
-// after compilation, so concurrent use is safe.
-var (
-	builtinOnce     sync.Once
-	builtinSet      []*sem.Template
-	builtinAnalyzer *sem.Analyzer
-)
-
-func builtinTemplates() []*sem.Template {
-	builtinOnce.Do(func() {
-		builtinSet = sem.BuiltinTemplates()
-		for _, t := range builtinSet {
-			t.Compile()
-		}
-		builtinAnalyzer = sem.NewAnalyzer(builtinSet)
-	})
-	return builtinSet
-}
-
-// defaultAnalyzer returns the shared analyzer over the compiled
-// builtin set.
-func defaultAnalyzer() *sem.Analyzer {
-	builtinTemplates()
-	return builtinAnalyzer
-}
+// defaultAnalyzer is the analyzer over the compiled builtin template
+// set, built once and shared by the host-scan entry points; it and its
+// templates are immutable after compilation, so concurrent use is
+// safe.
+var defaultAnalyzer = sync.OnceValue(func() *sem.Analyzer {
+	return sem.NewAnalyzer(sem.BuiltinTemplates())
+})
 
 // AnalyzePayload runs extraction and the semantic stages over one
 // application payload, outside any pipeline instance, with the shared
@@ -95,19 +76,15 @@ func AnalyzePayload(payload []byte) []sem.Detection {
 	return out
 }
 
-// AnalyzeBytes is the host-scan entry point: it runs the semantic
-// stages directly over a binary (no network stages), as done for the
-// Netsky efficiency comparison.
-func AnalyzeBytes(data []byte, tpls []*sem.Template, offsets []int) []sem.Detection {
-	if tpls == nil && offsets == nil {
+// AnalyzeBytes is the host-scan entry point: it runs the builtin
+// templates directly over a binary (no network stages), as done for
+// the Netsky efficiency comparison. offsets replaces the analyzer's
+// sweep offsets; nil keeps them.
+func AnalyzeBytes(data []byte, offsets []int) []sem.Detection {
+	if offsets == nil {
 		return defaultAnalyzer().AnalyzeFrame(data)
 	}
-	if tpls == nil {
-		tpls = builtinTemplates()
-	}
-	a := sem.NewAnalyzer(tpls)
-	if offsets != nil {
-		a.SweepOffsets = offsets
-	}
+	a := sem.NewAnalyzer(defaultAnalyzer().Templates)
+	a.SweepOffsets = offsets
 	return a.AnalyzeFrame(data)
 }

@@ -8,7 +8,7 @@ import (
 
 func TestAnalyzeBytesHostScan(t *testing.T) {
 	bin := exploits.NetskyBinary(1, 22*1024)
-	ds := AnalyzeBytes(bin, nil, nil)
+	ds := AnalyzeBytes(bin, nil)
 	found := false
 	for _, d := range ds {
 		if d.Template == "xor-decrypt-loop" {

@@ -129,11 +129,9 @@ type Config struct {
 	MinAnalyzeBytes int
 
 	// FullScan disables classification pruning and binary extraction
-	// (the exhaustive baseline).
+	// and sweeps eight disassembly offsets instead of the analyzer's
+	// four (the exhaustive baseline).
 	FullScan bool
-
-	// SweepOffsets overrides the analyzer's disassembly offsets.
-	SweepOffsets []int
 
 	// Lineage enables structural-fingerprint computation: frames whose
 	// analysis produced detections are additionally sketched
@@ -354,9 +352,7 @@ func New(cfg Config) *Engine {
 		classifier: classify.New(cfg.Classify),
 		analyzer:   sem.NewAnalyzer(cfg.Templates),
 	}
-	if cfg.SweepOffsets != nil {
-		e.analyzer.SweepOffsets = cfg.SweepOffsets
-	} else if cfg.FullScan {
+	if cfg.FullScan {
 		e.analyzer.SweepOffsets = []int{0, 1, 2, 3, 4, 5, 6, 7}
 	}
 	if cfg.VerdictCacheSize >= 0 {

@@ -19,19 +19,6 @@ type Config struct {
 	// compare. Unset fields take their defaults.
 	Params
 
-	// MaxSources caps tracked sources; least-recently-active sources
-	// beyond it are finalized and evicted (default 65536).
-	MaxSources int
-
-	// SourceIdleUS finalizes sources with no activity for this much
-	// trace time (default 10 minutes). A source that reappears after
-	// finalization starts a fresh incident, and whether a straggling
-	// event lands before or after the sweep depends on cross-shard
-	// arrival order — so, as with the evidence caps, the byte-identical
-	// determinism guarantee holds for sources that stay within the
-	// idle window (and the LRU budget) for the life of the trace.
-	SourceIdleUS uint64
-
 	// OnIncident, when non-nil, is invoked from the correlator
 	// goroutine whenever a source's derived stage rises, with the
 	// incident as derived at that moment. The callback must not call
@@ -44,6 +31,10 @@ type Config struct {
 	// each source's derived stage rises). Nil creates a private
 	// registry so the hot path never nil-checks.
 	Telemetry *telemetry.Registry
+
+	// maxSources caps tracked sources (default maxTrackedSources);
+	// merge scratch correlators lift it to mergeLimit.
+	maxSources int
 }
 
 // maxAttackersPerFingerprint bounds how many distinct attackers one
@@ -59,15 +50,26 @@ const (
 	// maxCompleted caps retained finalized incidents; the oldest are
 	// dropped first.
 	maxCompleted = 1024
+
+	// maxTrackedSources caps a live correlator's tracked sources;
+	// least-recently-active sources beyond it are finalized and
+	// evicted.
+	maxTrackedSources = 65536
+
+	// sourceIdleUS finalizes sources with no activity for this much
+	// trace time (10 minutes). A source that reappears after
+	// finalization starts a fresh incident, and whether a straggling
+	// event lands before or after the sweep depends on cross-shard
+	// arrival order — so, as with the evidence caps, the byte-identical
+	// determinism guarantee holds for sources that stay within the
+	// idle window (and the LRU budget) for the life of the trace.
+	sourceIdleUS = 10 * 60 * 1e6
 )
 
 func (cfg Config) withDefaults() Config {
 	cfg.Params = cfg.Params.withDefaults()
-	if cfg.MaxSources <= 0 {
-		cfg.MaxSources = 65536
-	}
-	if cfg.SourceIdleUS == 0 {
-		cfg.SourceIdleUS = 10 * 60 * 1e6
+	if cfg.maxSources <= 0 {
+		cfg.maxSources = maxTrackedSources
 	}
 	return cfg
 }
@@ -458,12 +460,12 @@ func (c *Correlator) escalate(attacker, victim netip.Addr, echoTS uint64) {
 }
 
 // source returns (creating if needed) the state machine for src and
-// refreshes its recency. Creation beyond MaxSources finalizes the
+// refreshes its recency. Creation beyond the source cap finalizes the
 // least-recently-active source first.
 func (c *Correlator) source(src netip.Addr, ts uint64) *sourceState {
 	s := c.sources[src]
 	if s == nil {
-		if len(c.sources) >= c.cfg.MaxSources {
+		if len(c.sources) >= c.cfg.maxSources {
 			oldest := c.lru.Back()
 			c.finalize(oldest.Value.(*sourceState))
 			c.m.evictedLRU.Add(1)
@@ -517,14 +519,14 @@ func (c *Correlator) finalize(s *sourceState) {
 // time. Walking the LRU from the back visits oldest first and stops at
 // the first live source.
 func (c *Correlator) maybeSweep() {
-	if c.maxTS-c.lastSweep < c.cfg.SourceIdleUS/4+1 {
+	if c.maxTS-c.lastSweep < sourceIdleUS/4+1 {
 		return
 	}
 	c.lastSweep = c.maxTS
-	if c.maxTS <= c.cfg.SourceIdleUS {
+	if c.maxTS <= sourceIdleUS {
 		return
 	}
-	cutoff := c.maxTS - c.cfg.SourceIdleUS
+	cutoff := c.maxTS - sourceIdleUS
 	for {
 		back := c.lru.Back()
 		if back == nil {

@@ -319,9 +319,9 @@ func (s *sourceState) cloneLocked() *sourceState {
 // and sorting — the bulk of the work on a full source table — happen
 // outside it (the durable sink calls this periodically from its own
 // goroutine). Finalized (completed) incidents are rendered verdicts,
-// not evidence, and are not exported — export before finalization
-// (or size SourceIdleUS/MaxSources for the deployment) if every
-// source must survive a restart.
+// not evidence, and are not exported — a source idle for 10 minutes
+// of trace time, or pushed out of the 65 536-source LRU, does not
+// survive a restart unless an export caught it before finalization.
 func (c *Correlator) Export(sensor string) *EvidenceExport {
 	c.mu.Lock()
 	clones := make([]*sourceState, 0, len(c.sources))
@@ -571,7 +571,7 @@ func (c *Correlator) rederivePropagation(v *sourceState) {
 	}
 }
 
-// mergeLimit is the MaxSources setting for merge scratch correlators:
+// mergeLimit is the source cap of merge scratch correlators:
 // effectively unbounded, so a merge never LRU-finalizes evidence
 // mid-fold.
 const mergeLimit = 1 << 30
@@ -581,7 +581,7 @@ const mergeLimit = 1 << 30
 // it and Stop must not be called).
 func newMergeState(p Params) *Correlator {
 	c := &Correlator{
-		cfg:     Config{Params: p, MaxSources: mergeLimit}.withDefaults(),
+		cfg:     Config{Params: p, maxSources: mergeLimit}.withDefaults(),
 		sources: make(map[netip.Addr]*sourceState),
 		lru:     list.New(),
 		subs:    make(map[int]chan Incident),

@@ -198,11 +198,11 @@ func TestSeverityFloor(t *testing.T) {
 	}
 }
 
-// TestSourceLRUBound feeds more sources than MaxSources and checks
+// TestSourceLRUBound feeds more sources than the source cap and checks
 // the tracked-state gauge stays at the cap with evictions counted.
 func TestSourceLRUBound(t *testing.T) {
 	const cap = 64
-	c := New(Config{MaxSources: cap})
+	c := New(Config{maxSources: cap})
 	defer c.Stop()
 	for i := 0; i < 10*cap; i++ {
 		c.Publish(flowOpen(addr(i), addr(20000+i), uint64(1000+i)))
@@ -217,16 +217,16 @@ func TestSourceLRUBound(t *testing.T) {
 	}
 }
 
-// TestIdleSweep advances trace time far past the idle timeout and
-// checks staged sources are finalized into the completed set while
+// TestIdleSweep advances trace time past the 10-minute idle timeout
+// and checks staged sources are finalized into the completed set while
 // their live state is released.
 func TestIdleSweep(t *testing.T) {
-	c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 2}, SourceIdleUS: 1e6})
+	c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 2}})
 	defer c.Stop()
 	c.Publish(flowOpen(attacker, addr(1), 1000))
 	c.Publish(flowOpen(attacker, addr(2), 2000))
-	// Unrelated activity far in the future triggers the sweep.
-	c.Publish(flowOpen(victim, addr(3), 10e6))
+	// Unrelated activity past the idle timeout triggers the sweep.
+	c.Publish(flowOpen(victim, addr(3), sourceIdleUS+10e6))
 	c.Flush()
 	m := c.Metrics()
 	if m.SourcesEvictedIdle == 0 {
@@ -269,7 +269,7 @@ func TestSubscribe(t *testing.T) {
 // same PROPAGATION incident twice.
 func TestEscalationKeepsAttackerAlive(t *testing.T) {
 	var propagations int
-	c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}, SourceIdleUS: 1e6,
+	c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3},
 		OnIncident: func(inc Incident) {
 			if inc.Src == attacker && inc.Stage == StagePropagation {
 				propagations++
@@ -284,11 +284,12 @@ func TestEscalationKeepsAttackerAlive(t *testing.T) {
 	// victim's own follow-up activity re-positions it in front of the
 	// attacker in the recency list, so the sweep examines the attacker
 	// — whose direct-observation clock is ancient — first.
-	for ts := uint64(2000); ts < 6e6; ts += 400_000 {
+	for ts := uint64(2000); ts < 6*sourceIdleUS; ts += 4 * sourceIdleUS / 10 {
 		c.Publish(emission(victim, next, ts, fp))
-		// Enough trace-time advance that this event runs a sweep of its
-		// own, finding the attacker at the back of the recency list.
-		c.Publish(flowOpen(victim, addr(1), ts+300_000))
+		// Enough trace-time advance (over a quarter of the idle window)
+		// that this event runs a sweep of its own, finding the attacker
+		// at the back of the recency list.
+		c.Publish(flowOpen(victim, addr(1), ts+3*sourceIdleUS/10))
 	}
 	c.Flush()
 

@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"semnids/internal/core"
+	"semnids/internal/engine"
 	"semnids/internal/sem"
 	"semnids/internal/telemetry"
 )
@@ -149,22 +150,21 @@ func unionSorted(a, b []string) []string {
 	return out
 }
 
-// DefaultStoreCap bounds a sensor-local store; MergeCap bounds a
+// StoreCap bounds a sensor-local store; MergeCap bounds a
 // merged observation set. Both retain the smallest observations under
 // witnessLess — keep-K-minima under a total order is associative, so
 // capping preserves the determinism contract (for outbreaks within
 // the cap, which is every test and any plausible incident window).
 const (
-	DefaultStoreCap = 4096
-	MergeCap        = 65536
+	StoreCap = 4096
+	MergeCap = 65536
 )
 
 // StoreConfig parameterizes a Store.
 type StoreConfig struct {
-	// Sensor stamps locally-witnessed observations' provenance.
+	// Sensor stamps locally-witnessed observations' provenance
+	// (default engine.DefaultSensorID).
 	Sensor string
-	// Cap bounds tracked observations (default DefaultStoreCap).
-	Cap int
 	// Telemetry receives the lineage series (observations folded,
 	// observations tracked). Nil creates a private registry.
 	Telemetry *telemetry.Registry
@@ -176,7 +176,6 @@ type StoreConfig struct {
 // for frames that carry a sketch and zero work for frames that do not.
 type Store struct {
 	sensor string
-	cap    int
 
 	mu  sync.Mutex
 	obs map[core.Fingerprint]*Observation
@@ -186,15 +185,11 @@ type Store struct {
 
 // NewStore builds a store.
 func NewStore(cfg StoreConfig) *Store {
-	if cfg.Cap <= 0 {
-		cfg.Cap = DefaultStoreCap
-	}
 	if cfg.Sensor == "" {
-		cfg.Sensor = "sensor"
+		cfg.Sensor = engine.DefaultSensorID
 	}
 	s := &Store{
 		sensor: cfg.Sensor,
-		cap:    cfg.Cap,
 		obs:    make(map[core.Fingerprint]*Observation),
 	}
 	reg := cfg.Telemetry
@@ -254,7 +249,7 @@ func (s *Store) fold(o *Observation) {
 		foldInto(cur, o)
 		return
 	}
-	if len(s.obs) >= s.cap {
+	if len(s.obs) >= StoreCap {
 		// Displace the largest retained witness if the newcomer is
 		// smaller — keep-K-minima, the same discipline as the
 		// correlator's evidence caps.

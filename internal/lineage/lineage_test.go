@@ -139,19 +139,21 @@ func TestStoreFoldMatchesMerge(t *testing.T) {
 }
 
 func TestStoreCapDisplacement(t *testing.T) {
-	st := NewStore(StoreConfig{Sensor: "s0", Cap: 4})
-	for i := 0; i < 8; i++ {
-		// Later payloads have earlier witnesses, so each must displace
-		// the worst retained one.
-		st.Import([]Observation{obs(i, tailOf("worm-a"), "10.0.0.1", "172.16.0.1", uint64(100-i))})
+	st := NewStore(StoreConfig{Sensor: "s0"})
+	const extra = 4
+	last := uint64(2 * StoreCap)
+	for i := 0; i < StoreCap+extra; i++ {
+		// Later payloads have earlier witnesses, so each past the cap
+		// must displace the worst retained one.
+		st.Import([]Observation{obs(i, tailOf("worm-a"), "10.0.0.1", "172.16.0.1", last-uint64(i))})
 	}
 	ex := st.Export()
-	if len(ex) != 4 {
-		t.Fatalf("store kept %d, want cap 4", len(ex))
+	if len(ex) != StoreCap {
+		t.Fatalf("store kept %d, want cap %d", len(ex), StoreCap)
 	}
 	for _, o := range ex {
-		if o.FirstUS > 96 {
-			t.Fatalf("store retained witness at %dus; the four minima end at 96", o.FirstUS)
+		if o.FirstUS > last-extra {
+			t.Fatalf("store retained witness at %dus; the %d minima end at %d", o.FirstUS, StoreCap, last-extra)
 		}
 	}
 }

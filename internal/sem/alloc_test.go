@@ -122,14 +122,14 @@ func TestAnalyzeFrameCachedEquivalence(t *testing.T) {
 // TestTemplateCompileIdempotent asserts Compile is a safe no-op when
 // repeated and that compiled state survives concurrent first use.
 func TestTemplateCompileIdempotent(t *testing.T) {
-	tpl := XorDecryptLoop()
+	tpl := builtinTemplate(t, "xor-decrypt-loop")
 	c1 := tpl.Compile().compiled()
 	c2 := tpl.Compile().compiled()
 	if c1 != c2 {
 		t.Fatal("Compile rebuilt the compiled form")
 	}
 	done := make(chan *compiledTemplate, 8)
-	fresh := AltDecodeLoop()
+	fresh := builtinTemplate(t, "admmutate-alt-decode-loop")
 	for i := 0; i < 8; i++ {
 		go func() { done <- fresh.compiled() }()
 	}

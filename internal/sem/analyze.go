@@ -28,15 +28,6 @@ type Analyzer struct {
 	// offsets covers misaligned extraction.
 	SweepOffsets []int
 
-	// ReturnAddrDetect enables the data-level detector for
-	// return-address regions (repeated dwords equal modulo their
-	// least significant byte pointing into plausible address ranges).
-	ReturnAddrDetect bool
-
-	// MinReturnAddrRun is the number of repeated return-address
-	// dwords required (default 4).
-	MinReturnAddrRun int
-
 	// DisableSweepPrune turns off the sweep-start viability pass (the
 	// per-offset pruning described below) — the ablation baseline, and
 	// the reference the differential tests compare against.
@@ -98,10 +89,8 @@ func NewAnalyzer(tpls []*Template) *Analyzer {
 		t.Compile()
 	}
 	a := &Analyzer{
-		Templates:        tpls,
-		SweepOffsets:     []int{0, 1, 2, 3},
-		ReturnAddrDetect: true,
-		MinReturnAddrRun: 4,
+		Templates:    tpls,
+		SweepOffsets: []int{0, 1, 2, 3},
 	}
 	a.buildPrune()
 	return a
@@ -337,10 +326,8 @@ candidates:
 		a.searchExhausted.Add(sc.m.exhausted)
 	}
 
-	if a.ReturnAddrDetect {
-		if d, ok := a.detectReturnAddrRegion(frame); ok {
-			record(d)
-		}
+	if d, ok := detectReturnAddrRegion(frame); ok {
+		record(d)
 	}
 	return out
 }
@@ -386,16 +373,16 @@ func plausibleReturnAddr(v uint32) bool {
 	return false
 }
 
+// minReturnAddrRun is the number of repeated return-address dwords
+// detectReturnAddrRegion requires.
+const minReturnAddrRun = 4
+
 // detectReturnAddrRegion finds runs of dwords that are equal modulo
 // their least significant byte and point into a plausible address
 // range — the invariant the paper identifies in the return-address
 // region of buffer-overflow exploits (only the LSB can vary, since the
 // return address must land inside the injected buffer).
-func (a *Analyzer) detectReturnAddrRegion(frame []byte) (Detection, bool) {
-	minRun := a.MinReturnAddrRun
-	if minRun <= 0 {
-		minRun = 4
-	}
+func detectReturnAddrRegion(frame []byte) (Detection, bool) {
 	// Try all four alignments; exploits rarely align their RA region
 	// with the start of the extracted frame.
 	for align := 0; align < 4; align++ {
@@ -412,7 +399,7 @@ func (a *Analyzer) detectReturnAddrRegion(frame []byte) (Detection, bool) {
 					runStart = i
 				}
 				run++
-				if run >= minRun {
+				if run >= minReturnAddrRun {
 					return Detection{
 						Template:    "return-address-region",
 						Description: "repeated return-address dwords equal modulo LSB pointing into a plausible address range",

@@ -1,158 +1,40 @@
 package sem
 
-import "semnids/internal/x86"
+import (
+	"slices"
+	"strings"
+	"sync"
 
-// Constants used by the shell-spawning template: the dwords pushed to
-// build "/bin//sh" on the stack, and the execve / socketcall syscall
-// numbers.
-const (
-	constBin  = 0x6e69622f // "/bin" little-endian
-	constSh   = 0x68732f2f // "//sh"
-	constShNl = 0x68732f6e // "n/sh" (used by "/bin/sh\0"-style builders)
-
-	sysExecve     = 0x0b
-	sysSocketcall = 0x66
-
-	socketcallBind   = 2
-	socketcallListen = 4
+	"semnids/templates"
 )
 
-// Code Red II transfers control through an address inside msvcrt.dll
-// (0x7801cbd3 in the original worm); this range covers the module.
-const (
-	codeRedLo = 0x78000000
-	codeRedHi = 0x78200000
-)
-
-// XorDecryptLoop is the paper's Figure 2 template: a loop that applies
-// a reversible ALU transform to successive memory bytes — the
-// polymorphic decryption-loop behavior. It matches Figure 1(a), (b)
-// and (c) alike thanks to constant folding, jump threading and junk
-// tolerance in the matcher.
-func XorDecryptLoop() *Template {
-	return &Template{
-		Name:        "xor-decrypt-loop",
-		Description: "polymorphic decryption loop (xor/add/sub over memory with pointer advance and back edge)",
-		Severity:    "high",
-		Stmts: []Stmt{
-			{
-				// The transform vocabulary follows the paper's Figure
-				// 2 template: reversible ALU operations with a
-				// resolvable key. Wider vocabularies (rol/ror/not)
-				// measurably raise the phantom-match rate on benign
-				// binary content without being exercised by any
-				// engine the paper evaluates; the mov/or/and/not
-				// family is covered by the alternate-decoder template.
-				Kind:    SMemXform,
-				Ptr:     "A",
-				Key:     "B",
-				Ops:     []x86.Opcode{x86.XOR, x86.ADD, x86.SUB},
-				MemSize: 1,
-			},
-			{Kind: SAdvance, Ptr: "A", MinDelta: 1, MaxDelta: 4},
-			{Kind: SBackEdge},
-		},
+// builtin is templates/builtin.tpl, embedded in the binary and parsed
+// once.
+var builtin = sync.OnceValue(func() []*Template {
+	tpls, err := ParseTemplates(strings.NewReader(templates.Builtin))
+	if err != nil {
+		panic("sem: templates/builtin.tpl: " + err.Error())
 	}
-}
+	return tpls
+})
 
-// AltDecodeLoop is the paper's Figure 7 template, devised after manual
-// inspection of ADMmutate output: a decoding scheme built from a
-// sequence of mov, or, and and not instructions operating on a single
-// memory location and register pair, with the usual pointer advance
-// and loop structure.
-func AltDecodeLoop() *Template {
-	return &Template{
-		Name:        "admmutate-alt-decode-loop",
-		Description: "alternate ADMmutate decoder: mov/or/and/not sequence over a memory location and register pair",
-		Severity:    "high",
-		Stmts: []Stmt{
-			{Kind: SMemLoad, Ptr: "A", Reg: "R", MemSize: 1},
-			{
-				Kind:   SRegXform,
-				Ops:    []x86.Opcode{x86.MOV, x86.OR, x86.AND, x86.NOT},
-				MinRep: 2,
-				MaxRep: 12,
-			},
-			{Kind: SMemStore, Ptr: "A", MemSize: 1},
-			{Kind: SAdvance, Ptr: "A", MinDelta: 1, MaxDelta: 4},
-			{Kind: SBackEdge},
-		},
-	}
-}
-
-// ShellSpawn is the paper's Figure 6 template: code that spawns a
-// shell on Linux — evidence of "/bin/sh" (pushed as immediates or
-// present as a literal string) reaching an execve system call. Two
-// variants share one name; the analyzer reports at most one detection
-// per name.
-func ShellSpawn() []*Template {
-	return []*Template{
-		{
-			Name:        "linux-shell-spawn",
-			Description: "Linux shell spawning: /bin/sh pushed as immediates, then execve (int 0x80, eax=0xb)",
-			Severity:    "critical",
-			Stmts: []Stmt{
-				{Kind: SConst, Values: []uint32{constBin, constSh, constShNl}},
-				{Kind: SSyscall, Num: sysExecve},
-			},
-		},
-		{
-			Name:        "linux-shell-spawn",
-			Description: "Linux shell spawning: literal /bin/sh string in frame, then execve (int 0x80, eax=0xb)",
-			Severity:    "critical",
-			Stmts: []Stmt{
-				{Kind: SFrameData, FrameBytes: []byte("/bin/sh")},
-				{Kind: SSyscall, Num: sysExecve},
-			},
-		},
-	}
-}
-
-// PortBindShell extends ShellSpawn for shells bound to a separate
-// network port: a socketcall bind (or listen) precedes the spawn.
-func PortBindShell() *Template {
-	ebxBind := uint32(socketcallBind)
-	return &Template{
-		Name:        "port-bind-shell",
-		Description: "shell bound to a separate port: socketcall bind before execve",
-		Severity:    "critical",
-		Stmts: []Stmt{
-			{Kind: SSyscall, Num: sysSocketcall, EBX: &ebxBind},
-			{Kind: SSyscall, Num: sysExecve},
-		},
-	}
-}
-
-// CodeRedII matches the initial exploitation vector of the Code Red II
-// worm: control transferred through a loaded-module address in the
-// msvcrt.dll range (the invariant return-address region the paper
-// identifies: only the least significant byte may vary).
-func CodeRedII() *Template {
-	return &Template{
-		Name:        "code-red-ii",
-		Description: "Code Red II exploitation vector: indirect transfer through an msvcrt.dll address",
-		Severity:    "critical",
-		Stmts: []Stmt{
-			{Kind: SConstInRange, Reg: "R", Lo: codeRedLo, Hi: codeRedHi},
-			{Kind: SIndirect, Reg: "R"},
-		},
-	}
-}
-
-// BuiltinTemplates returns the template set evaluated in the paper:
-// decryption loops (both schemes), Linux shell spawning with the
-// port-binding extension, and the Code Red II vector.
+// BuiltinTemplates returns the template set evaluated in the paper
+// (templates/builtin.tpl): decryption loops (both schemes), Linux
+// shell spawning with the port-binding extension, and the Code Red II
+// vector. Every call returns templates of its own, not yet compiled.
 func BuiltinTemplates() []*Template {
-	out := []*Template{XorDecryptLoop(), AltDecodeLoop()}
-	out = append(out, ShellSpawn()...)
-	return append(out, PortBindShell(), CodeRedII())
+	out := make([]*Template, len(builtin()))
+	for i, t := range builtin() {
+		out[i] = &Template{Name: t.Name, Description: t.Description, Severity: t.Severity, Stmts: slices.Clone(t.Stmts)}
+	}
+	return out
 }
 
 // XorOnlyTemplates is the template set the paper used for the *first*
-// ADMmutate experiment (Table 2, 68% detection): the xor decryption
-// template without the alternate mov/or/and/not decoder.
+// ADMmutate experiment (Table 2, 68% detection): the built-in set
+// without the alternate mov/or/and/not decoder.
 func XorOnlyTemplates() []*Template {
-	out := []*Template{XorDecryptLoop()}
-	out = append(out, ShellSpawn()...)
-	return append(out, PortBindShell(), CodeRedII())
+	return slices.DeleteFunc(BuiltinTemplates(), func(t *Template) bool {
+		return t.Name == "admmutate-alt-decode-loop"
+	})
 }

@@ -2,10 +2,39 @@ package sem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"semnids/internal/x86"
 )
+
+// Constants the built-in templates (templates/builtin.tpl) look for:
+// the execve and socketcall syscall numbers, socketcall's bind call,
+// and the low end of Code Red II's msvcrt.dll range.
+const (
+	sysExecve      = 0x0b
+	socketcallBind = 2
+	codeRedLo      = 0x78000000
+)
+
+// builtinTemplate returns the built-in template called name, freshly
+// parsed and not yet compiled.
+func builtinTemplate(t testing.TB, name string) *Template {
+	t.Helper()
+	for _, tpl := range BuiltinTemplates() {
+		if tpl.Name == name {
+			return tpl
+		}
+	}
+	t.Fatalf("no built-in template %q", name)
+	return nil
+}
+
+// templateDetections drops the data-level return-address detection,
+// which runs beside the templates on every frame.
+func templateDetections(ds []Detection) []Detection {
+	return slices.DeleteFunc(ds, func(d Detection) bool { return d.Template == "return-address-region" })
+}
 
 func analyzeAll(t *testing.T, frame []byte) map[string]Detection {
 	t.Helper()
@@ -415,12 +444,11 @@ func TestSearchExhaustedCounted(t *testing.T) {
 	tpl := &Template{Name: "exhaust", Stmts: []Stmt{inc, inc, inc, {Kind: SSyscall, Num: 0x1234}}}
 	a := NewAnalyzer([]*Template{tpl})
 	a.DisableSweepPrune = true
-	a.ReturnAddrDetect = false
-	if ds := a.AnalyzeFrame(fig1a()); len(ds) != 0 || a.SearchesExhausted() != 0 {
+	if ds := templateDetections(a.AnalyzeFrame(fig1a())); len(ds) != 0 || a.SearchesExhausted() != 0 {
 		t.Fatalf("short frame: detections %v, %d searches exhausted", ds, a.SearchesExhausted())
 	}
 	frame := append([]byte{0xcd, 0x80}, bytes.Repeat([]byte{0x40}, 300)...) // int 0x80; inc eax × 300
-	if ds := a.AnalyzeFrame(frame); len(ds) != 0 {
+	if ds := templateDetections(a.AnalyzeFrame(frame)); len(ds) != 0 {
 		t.Fatalf("detections %v, want none", ds)
 	}
 	if a.SearchesExhausted() == 0 {

@@ -2,29 +2,11 @@ package sem
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
 	"semnids/internal/ir"
 	"semnids/internal/x86"
 )
-
-// shapeTemplates is every template the shape properties run over: the
-// builtin set, the xor-only set, and the DSL artifact parsed from
-// templates/builtin.tpl (the form a user-written template arrives in).
-func shapeTemplates(t testing.TB) []*Template {
-	f, err := os.Open("../../templates/builtin.tpl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	parsed, err := ParseTemplates(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := append(BuiltinTemplates(), XorOnlyTemplates()...)
-	return append(out, parsed...)
-}
 
 // shapePrologue loads a known constant into every general register but
 // esp, so the node-level half of matchStmt (a resolvable key, eax
@@ -91,15 +73,15 @@ func TestShapeCoversMatch(t *testing.T) {
 	}
 	var stmts []stmtCase
 	seen := map[string]bool{}
-	for _, tpl := range shapeTemplates(t) {
+	for _, tpl := range BuiltinTemplates() {
 		ct := tpl.compiled()
 		for i := range ct.stmts {
 			st := &ct.stmts[i]
 			if st.Kind == SFrameData {
 				continue
 			}
-			// The template sets repeat most statements; one copy of
-			// each distinct statement is enough.
+			// The templates repeat some statements; one copy of each
+			// distinct statement is enough.
 			if key := formatStmt(&st.Stmt); !seen[key] {
 				seen[key] = true
 				ops, ok := stmtOpMask(&st.Stmt)
@@ -185,24 +167,23 @@ func forwardBackEdgeLoop(connected bool) []byte {
 // stays viable only because the jmps that make it a loop poison the
 // run.
 func TestForwardBackEdgeViableThroughConnector(t *testing.T) {
-	xor := []*Template{XorDecryptLoop()}
+	xor := []*Template{builtinTemplate(t, "xor-decrypt-loop")}
 	pruned, baseline := NewAnalyzer(xor), NewAnalyzer(xor)
 	baseline.DisableSweepPrune = true
-	pruned.ReturnAddrDetect, baseline.ReturnAddrDetect = false, false
 
 	loop := forwardBackEdgeLoop(true)
-	ds := pruned.AnalyzeFrame(loop)
+	ds := templateDetections(pruned.AnalyzeFrame(loop))
 	if len(ds) != 1 || ds[0].Template != "xor-decrypt-loop" || ds[0].Order != "threaded" {
 		t.Fatalf("threaded forward-address loop: pruned analyzer reported %v", ds)
 	}
-	if want := baseline.AnalyzeFrame(loop); len(want) != 1 || want[0].String() != ds[0].String() {
+	if want := templateDetections(baseline.AnalyzeFrame(loop)); len(want) != 1 || want[0].String() != ds[0].String() {
 		t.Fatalf("pruned %v, baseline %v", ds, want)
 	}
 	jcc, err := x86.Decode(loop, 2)
 	if err != nil || !jcc.Op.IsCondBranch() || jcc.Target <= jcc.Addr {
 		t.Fatalf("instruction at 2 is %v (%v), want a forward jcc", jcc, err)
 	}
-	backEdge := &XorDecryptLoop().compiled().stmts[2]
+	backEdge := &xor[0].compiled().stmts[2]
 	if !backEdge.shape(&jcc) || backEdge.prunable(&jcc) {
 		t.Errorf("forward jcc: shape %v, prunable %v; want shape without the pruner's bit",
 			backEdge.shape(&jcc), backEdge.prunable(&jcc))
@@ -211,11 +192,11 @@ func TestForwardBackEdgeViableThroughConnector(t *testing.T) {
 	// Without the connectors the same bytes hold no loop, and the
 	// pruner says so before anything is lifted.
 	flat := forwardBackEdgeLoop(false)
-	if ds := baseline.AnalyzeFrame(flat); len(ds) != 0 {
+	if ds := templateDetections(baseline.AnalyzeFrame(flat)); len(ds) != 0 {
 		t.Fatalf("baseline detected %v in the unconnected frame", ds)
 	}
 	_, before := pruned.SweepStats()
-	if ds := pruned.AnalyzeFrame(flat); len(ds) != 0 {
+	if ds := templateDetections(pruned.AnalyzeFrame(flat)); len(ds) != 0 {
 		t.Fatalf("pruned analyzer detected %v in the unconnected frame", ds)
 	}
 	if _, after := pruned.SweepStats(); after != before {

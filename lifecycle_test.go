@@ -148,11 +148,6 @@ func TestNoGoroutineLeak(t *testing.T) {
 				t.Fatal("accepted")
 			}
 		}},
-		{"negative FlowIdleTimeout", func(t *testing.T) {
-			if _, err := NewEngine(EngineConfig{Config: sensor, FlowIdleTimeout: -time.Second}); err == nil {
-				t.Fatal("accepted")
-			}
-		}},
 		{"negative DatagramIdle", func(t *testing.T) {
 			if _, err := NewEngine(EngineConfig{Config: sensor, DatagramFlows: true, DatagramIdle: -time.Second}); err == nil {
 				t.Fatal("accepted")

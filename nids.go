@@ -33,6 +33,10 @@
 // Engine.Incidents or followed live with SubscribeIncidents; of the
 // correlation parameters only the fan-out window is set here
 // (IncidentWindow), the others keep their incident.Params defaults.
+// Likewise the engine's queue depth, flow idle timeout, per-shard byte
+// budget and verdict cache size are internal/engine's defaults, and
+// every Engine records into a metrics registry of its own
+// (Engine.Telemetry).
 package nids
 
 import (
@@ -88,10 +92,6 @@ type Config struct {
 	// baseline used for efficiency comparisons.
 	FullScan bool
 
-	// XorTemplateOnly restricts the template set to the xor
-	// decryption template (the paper's first Table 2 configuration).
-	XorTemplateOnly bool
-
 	// TemplatesDSL, when non-empty, replaces the built-in template
 	// set with templates parsed from the text format (see
 	// internal/sem's DSL documentation). Lets operators describe new
@@ -132,9 +132,6 @@ func (cfg Config) pipeline() (classify.Config, []*sem.Template, error) {
 	ccfg.Disabled = cfg.DisableClassification
 
 	tpls := sem.BuiltinTemplates()
-	if cfg.XorTemplateOnly {
-		tpls = sem.XorOnlyTemplates()
-	}
 	if cfg.TemplatesDSL != "" {
 		parsed, err := sem.ParseTemplates(strings.NewReader(cfg.TemplatesDSL))
 		if err != nil {
@@ -185,7 +182,7 @@ func (n *NIDS) Stats() Metrics { return n.e.Stats() }
 // on-disk samples such as the Netsky binaries in the paper's
 // efficiency comparison.
 func AnalyzeBytes(data []byte) []Detection {
-	return core.AnalyzeBytes(data, nil, nil)
+	return core.AnalyzeBytes(data, nil)
 }
 
 // AnalyzePayload runs extraction plus the semantic stages over one
@@ -206,16 +203,9 @@ type EngineConfig struct {
 	// the flow space (default: number of CPUs).
 	Shards int
 
-	// QueueDepth bounds each shard's packet queue (default 1024).
-	QueueDepth int
-
 	// ShedOnOverload drops packets (counted in EngineMetrics.Dropped)
 	// when a shard queue is full instead of blocking ingestion.
 	ShedOnOverload bool
-
-	// FlowIdleTimeout evicts flows idle for this long in trace time,
-	// analyzing their unfinished tail first (default 60s).
-	FlowIdleTimeout time.Duration
 
 	// DatagramFlows buffers UDP payloads per 5-tuple conversation
 	// (request and reply share one flow) inside an idle window, so
@@ -227,18 +217,10 @@ type EngineConfig struct {
 	DatagramFlows bool
 
 	// DatagramIdle is the idle window closing a datagram conversation
-	// (its buffered tail is analyzed on eviction). Defaults to
-	// FlowIdleTimeout; values above it are ignored — the flow-wide
+	// (its buffered tail is analyzed on eviction). Defaults to the 60 s
+	// flow idle timeout; values above it are ignored — the flow-wide
 	// idle sweep fires first.
 	DatagramIdle time.Duration
-
-	// FlowByteBudget caps reassembly buffering per shard; LRU flows
-	// beyond it are tail-analyzed and evicted (default 64 MiB).
-	FlowByteBudget int
-
-	// VerdictCacheSize is the payload-fingerprint verdict cache
-	// capacity in entries (0 = default 8192, negative disables).
-	VerdictCacheSize int
 
 	// Correlate attaches the streaming incident correlator: shard
 	// events feed per-source kill-chain state machines
@@ -264,14 +246,10 @@ type EngineConfig struct {
 	// correlator's destination fan-out (default 30s).
 	IncidentWindow time.Duration
 
-	// MaxIncidentSources caps the correlator's tracked sources;
-	// least-recently-active sources beyond it are finalized and
-	// evicted (default 65536).
-	MaxIncidentSources int
-
 	// SensorID names this engine in exported incident evidence
-	// (cross-sensor federation provenance; default "sensor"). Give
-	// every sensor in a federation a distinct ID.
+	// (cross-sensor federation provenance; default
+	// engine.DefaultSensorID). Give every sensor in a federation a
+	// distinct ID.
 	SensorID string
 
 	// IncidentExportDir, when non-empty, attaches a durable evidence
@@ -295,14 +273,6 @@ type EngineConfig struct {
 	// unreachable aggregator costs lag, never ingest throughput.
 	// Requires Correlate and IncidentExportDir.
 	Push PushUpstream
-
-	// Telemetry, when non-nil, is the metrics registry every layer of
-	// this engine registers into (shards, analyzer, correlator, sink,
-	// push transport). Nil creates a private registry — TelemetryStats
-	// and TelemetryHandler work either way; pass one explicitly to
-	// scrape several engines (or an engine plus an aggregator) from a
-	// single exposition endpoint.
-	Telemetry *TelemetryRegistry
 }
 
 // TelemetryRegistry is the process-wide metrics registry: atomic
@@ -445,28 +415,21 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		return nil, fmt.Errorf("nids: Push requires Correlate and IncidentExportDir (the sink's segment directory is the push spool)")
 	case cfg.IncidentExportDir != "" && !cfg.Correlate:
 		return nil, fmt.Errorf("nids: IncidentExportDir requires Correlate (the sink persists the correlator's evidence)")
-	case cfg.FlowIdleTimeout < 0, cfg.DatagramIdle < 0, cfg.IncidentWindow < 0:
-		return nil, fmt.Errorf("nids: durations must not be negative (FlowIdleTimeout %v, DatagramIdle %v, IncidentWindow %v)",
-			cfg.FlowIdleTimeout, cfg.DatagramIdle, cfg.IncidentWindow)
+	case cfg.DatagramIdle < 0, cfg.IncidentWindow < 0:
+		return nil, fmt.Errorf("nids: durations must not be negative (DatagramIdle %v, IncidentWindow %v)",
+			cfg.DatagramIdle, cfg.IncidentWindow)
 	}
-	tel := cfg.Telemetry
-	if tel == nil {
-		tel = telemetry.NewRegistry()
-	}
+	tel := telemetry.NewRegistry()
 	ecfg := engine.Config{
-		Classify:          ccfg,
-		Templates:         tpls,
-		Shards:            cfg.Shards,
-		QueueDepth:        cfg.QueueDepth,
-		FlowIdleTimeoutUS: uint64(cfg.FlowIdleTimeout / time.Microsecond),
-		DatagramFlows:     cfg.DatagramFlows,
-		DatagramIdleUS:    uint64(cfg.DatagramIdle / time.Microsecond),
-		ShardByteBudget:   cfg.FlowByteBudget,
-		VerdictCacheSize:  cfg.VerdictCacheSize,
-		FullScan:          cfg.FullScan,
-		OnAlert:           cfg.OnAlert,
-		SensorID:          cfg.SensorID,
-		Telemetry:         tel,
+		Classify:       ccfg,
+		Templates:      tpls,
+		Shards:         cfg.Shards,
+		DatagramFlows:  cfg.DatagramFlows,
+		DatagramIdleUS: uint64(cfg.DatagramIdle / time.Microsecond),
+		FullScan:       cfg.FullScan,
+		OnAlert:        cfg.OnAlert,
+		SensorID:       cfg.SensorID,
+		Telemetry:      tel,
 	}
 	if cfg.ShedOnOverload {
 		ecfg.Overload = engine.PolicyShed
@@ -480,9 +443,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		// precede the sink — they are covered by the sink's periodic
 		// checkpoint and final Close snapshot.
 		e.corr = incident.New(incident.Config{
-			Params:     incident.Params{WindowUS: uint64(cfg.IncidentWindow / time.Microsecond)},
-			MaxSources: cfg.MaxIncidentSources,
-			Telemetry:  tel,
+			Params:    incident.Params{WindowUS: uint64(cfg.IncidentWindow / time.Microsecond)},
+			Telemetry: tel,
 			OnIncident: func(Incident) {
 				if s := e.sink.Load(); s != nil {
 					s.Notify()
@@ -669,8 +631,8 @@ func (e *Engine) Alerts() []Alert { return e.inner.Alerts() }
 func (e *Engine) Stats() EngineMetrics { return e.inner.Snapshot() }
 
 // Telemetry returns the metrics registry every layer of this engine
-// records into (the one passed in EngineConfig.Telemetry, or the
-// private default).
+// (shards, analyzer, correlator, sink, push transport) records into.
+// NewEngine builds one per engine.
 func (e *Engine) Telemetry() *TelemetryRegistry { return e.tel }
 
 // Health returns the readiness tracker behind TelemetryHandler's

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"semnids/internal/exploits"
+	"semnids/internal/polymorph"
+	"semnids/internal/sem"
+	"semnids/internal/shellcode"
 	"semnids/internal/traffic"
 )
 
@@ -95,12 +98,35 @@ func TestAnalyzePayloadFacade(t *testing.T) {
 	}
 }
 
+// TestXorTemplateOnlyConfig is Table 2's first configuration: the
+// xor-only template set misses an ADMmutate frame built on the
+// alternate mov/or/and/not decoder, which the built-in set catches
+// with admmutate-alt-decode-loop.
 func TestXorTemplateOnlyConfig(t *testing.T) {
-	n, err := New(Config{DisableClassification: true, XorTemplateOnly: true})
-	if err != nil {
-		t.Fatal(err)
+	eng := polymorph.NewADMmutate(777)
+	payload := shellcode.ClassicPush().Bytes
+	xorOnly := sem.NewAnalyzer(sem.XorOnlyTemplates())
+	full := sem.NewAnalyzer(sem.BuiltinTemplates())
+	for i := 0; i < 200; i++ {
+		frame, meta, err := eng.Encode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Scheme != polymorph.SchemeXnor {
+			continue
+		}
+		if ds := xorOnly.AnalyzeFrame(frame); decryptorIn(ds) {
+			t.Fatalf("xor-only set found a decryptor in an alternate-scheme frame: %v", ds)
+		}
+		ds := full.AnalyzeFrame(frame)
+		for _, d := range ds {
+			if d.Template == "admmutate-alt-decode-loop" {
+				return
+			}
+		}
+		t.Fatalf("built-in set missed the alternate decoder: %v", ds)
 	}
-	n.Flush()
+	t.Fatal("no alternate-scheme ADMmutate frame in 200 draws")
 }
 
 func TestTemplatesDSLConfig(t *testing.T) {
