@@ -1,8 +1,9 @@
 // Command fedagg is the federation aggregation daemon: it accepts
 // evidence segments pushed by sensors (semnids -push, or any
 // transport.Pusher), folds them into one deterministic federated
-// state — fed.Merge's result, kept live so a push costs what it changes
-// — and checkpoints that state to its own crash-recoverable sink
+// state — the join fed.Merge computes, kept live so a push costs what
+// it changes, and the same whatever order the pushes arrive in — and
+// checkpoints that state to its own crash-recoverable sink
 // directory. Acks are durable: a sensor sees
 // 2xx only after the fold is committed, so an aggregator crash never
 // loses acknowledged evidence — on restart the newest committed
@@ -12,8 +13,8 @@
 // With -upstream, the daemon is a mid-tier node in a fan-in tree: its
 // own sink directory doubles as the push spool and folded segments are
 // streamed to the listed upstream aggregators in failover order (the
-// fold is associative, so any tree shape converges to the same root
-// state). -node names this aggregator for the X-Fed-Via loop guard;
+// fold is a join, so any tree shape converges to the same root state,
+// byte for byte). -node names this aggregator for the X-Fed-Via loop guard;
 // -max-hops bounds tree depth. Pushes announcing a cycle or an
 // over-budget hop count are refused with 409.
 //

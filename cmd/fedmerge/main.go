@@ -9,12 +9,15 @@
 //
 // Each input is an evidence export written by `semnids -export` (or a
 // durable-sink segment, or a previous fedmerge -o output — merges
-// compose). The merge is commutative and idempotent, so feeding the
-// same export twice, or merging in any order, yields byte-identical
-// output; every evidence record keeps the sensor IDs that observed
-// it, so a federated incident stays traceable to its witnesses. All
-// inputs must share the correlation parameters (fan-out window,
-// threshold, evidence caps) they were gathered under.
+// compose). The merge is a join (fed.Merge): commutative, associative
+// and idempotent on wire bytes, provenance included, so feeding the
+// same export twice, merging in any order, or merging earlier -o
+// outputs of any grouping of the inputs yields byte-identical output;
+// every evidence record keeps the sensor IDs that observed it,
+// carried up each propagation chain to every attacker it convicts, so
+// a federated incident stays traceable to its witnesses. All inputs
+// must share the correlation parameters (fan-out window, threshold,
+// evidence caps) they were gathered under.
 //
 // The incident report prints as the kill-chain table (or JSONL with
 // -json); -o additionally writes the merged evidence export for
@@ -65,16 +68,18 @@ func run() int {
 	var skipped []string
 	for _, path := range paths {
 		next, err := readExport(path)
-		if err == nil && merged != nil {
-			if m, merr := fed.Merge(merged, next); merr != nil {
+		if err == nil {
+			// The first input folds like any other, into an empty export.
+			into := merged
+			if into == nil {
+				into = &incident.EvidenceExport{Params: next.Params}
+			}
+			if m, merr := fed.Merge(into, next); merr != nil {
 				err = fmt.Errorf("%s: %w", path, merr)
 			} else {
 				merged = m
 				continue
 			}
-		} else if err == nil {
-			merged = next
-			continue
 		}
 		if !*skipCorrupt {
 			return fail(err)

@@ -42,9 +42,9 @@ var ErrSkew = errors.New("fed: incompatible correlation parameters")
 //
 // Merge and ReadExport remain the reference: the rendered export is
 // byte-identical on the wire to the Merge chain over the same
-// segments. The first segment folded into an empty State, and a
-// recovered export handed to Adopt, are kept verbatim until the next
-// fold — as the chain's first element is.
+// segments — and, Merge being a join, to any other bracketing or
+// order of them. The first segment and a recovered export handed to
+// Adopt fold like any other.
 //
 // A pushed segment is read as ReadExport reads it — walked marks
 // first (decodeSegment), then only the newest committed group whose
@@ -55,16 +55,12 @@ var ErrSkew = errors.New("fed: incompatible correlation parameters")
 type State struct {
 	mu sync.Mutex
 
-	// seed is the state while it is one export adopted verbatim; its
-	// records enter fold on the next Fold. fold is nil until the first
-	// export arrives.
-	seed *incident.EvidenceExport
+	// fold is nil until the first export arrives.
 	fold *incident.Fold
 
 	// One plane per record kind. A source record's value is just its
-	// address: the rendered evidence lives in its frame and is rendered
-	// again from fold when Export is asked for it, which is rare, so
-	// the nested evidence slices are not held twice.
+	// address: the rendered evidence lives in fold, which Export reads,
+	// so the nested evidence slices are not held twice.
 	src plane[netip.Addr, netip.Addr]
 	cls plane[netip.Addr, incident.ClassifierEvidence]
 	lin plane[core.Fingerprint, lineage.Observation]
@@ -73,8 +69,9 @@ type State struct {
 	export *incident.EvidenceExport
 
 	// memo maps the keyed hash of a frame whose effect the state holds
-	// to the source it names (src frames) or the zero address. memoCap,
-	// when >= 0, replaces the derived bound (LimitMemo).
+	// to the source it names (src frames, for Folded.Sources) or the
+	// zero address. memoCap, when >= 0, replaces the derived bound
+	// (LimitMemo).
 	memo    map[frameKey]netip.Addr
 	memoCap int
 	key     [32]byte
@@ -164,18 +161,6 @@ func (p *plane[K, V]) appendFrames(dst [][]byte) [][]byte {
 	return dst
 }
 
-func (p *plane[K, V]) values() []V {
-	if len(p.order) == 0 {
-		return nil
-	}
-	p.sort()
-	out := make([]V, len(p.order))
-	for i, r := range p.order {
-		out[i] = r.val
-	}
-	return out
-}
-
 // NewState returns an empty state.
 func NewState() *State {
 	st := &State{memo: make(map[frameKey]netip.Addr), memoCap: -1, hasher: sha256.New()}
@@ -197,7 +182,7 @@ func NewState() *State {
 	return st
 }
 
-// Adopt makes a recovered export the state, verbatim. Call it before
+// Adopt folds a recovered export into an empty state. Call it before
 // the first Fold; a nil export leaves the state empty.
 func (st *State) Adopt(ex *incident.EvidenceExport) {
 	if ex == nil {
@@ -205,14 +190,9 @@ func (st *State) Adopt(ex *incident.EvidenceExport) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.adopt(ex)
-}
-
-func (st *State) adopt(ex *incident.EvidenceExport) {
-	st.seed = ex
 	st.fold = incident.NewFold(ex.Params)
-	st.sensors.Store(int64(len(ex.Sensors)))
-	st.sources.Store(int64(len(ex.Sources)))
+	st.fold.Merge(ex.Sensors, ex.Sources, ex.Classifier, ex.Lineage)
+	st.refresh()
 }
 
 // LimitMemo fixes the memo at n frames (0 turns it off) in place of
@@ -230,19 +210,11 @@ func (st *State) LimitMemo(n int) {
 func (st *State) Export() *incident.EvidenceExport {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.seed != nil || st.fold == nil {
-		return st.seed
+	if st.fold == nil {
+		return nil
 	}
 	if st.export == nil {
-		ex := st.fold.Parameters()
-		st.src.sort()
-		ex.Sources = make([]incident.SourceEvidence, len(st.src.order))
-		for i, r := range st.src.order {
-			ex.Sources[i] = st.fold.Source(r.val)
-		}
-		ex.Classifier = st.cls.values()
-		ex.Lineage = st.lin.values()
-		st.export = ex
+		st.export = st.fold.Export()
 	}
 	return st.export
 }
@@ -281,13 +253,10 @@ func (st *State) OpenSink(cfg SinkConfig) (*Sink, error) {
 }
 
 // snapshot hands the sink goroutine the state as a checkpoint: the
-// cached frames in export order, or the adopted export itself.
+// cached frames in export order.
 func (st *State) snapshot() (*snapshot, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.seed != nil {
-		return exportSnapshot(st.seed), nil
-	}
 	if st.fold == nil {
 		return nil, nil
 	}
@@ -331,30 +300,18 @@ func (st *State) Fold(data []byte) (*Folded, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.fold != nil {
-		if err := st.fold.Compatible(seg.hdr.Params); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSkew, err)
-		}
+	if st.fold == nil {
+		st.fold = incident.NewFold(seg.hdr.Params)
+	} else if err := st.fold.Compatible(seg.hdr.Params); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSkew, err)
 	}
 	st.folded.Add(uint64(in.decoded))
 	st.skipped.Add(uint64(len(in.keys) - in.decoded))
-	out := &Folded{keys: in.keys, Sources: make([]netip.Addr, len(in.sources))}
-	for i := range in.sources {
-		out.Sources[i] = in.sources[i].Src
-	}
-
-	if st.fold == nil {
-		// The first export is the state, as Merge's chain starts.
-		st.adopt(in.export(seg.hdr.Params))
-		return out, nil
-	}
-	if seed := st.seed; seed != nil {
-		refs := make([]incident.SourceRef, len(seed.Sources))
-		for i := range seed.Sources {
-			refs[i] = incident.SourceRef{Src: seed.Sources[i].Src, Rec: &seed.Sources[i]}
+	out := &Folded{keys: in.keys}
+	for _, e := range in.keys {
+		if e.src.IsValid() {
+			out.Sources = append(out.Sources, e.src)
 		}
-		st.fold.Merge(seed.Sensors, refs, seed.Classifier, seed.Lineage)
-		st.seed = nil
 	}
 	st.fold.Merge(in.sensors, in.sources, in.cls, in.lin)
 	st.refresh()
@@ -409,11 +366,7 @@ func (st *State) Commit(f *Folded) {
 func (st *State) remember(keys []memoEntry) {
 	limit := st.memoCap
 	if limit < 0 {
-		live := len(st.src.order) + len(st.cls.order) + len(st.lin.order)
-		if st.seed != nil {
-			live = len(st.seed.Sources) + len(st.seed.Classifier) + len(st.seed.Lineage)
-		}
-		limit = memoPerRecord * live
+		limit = memoPerRecord * (len(st.src.order) + len(st.cls.order) + len(st.lin.order))
 	}
 	if limit == 0 {
 		return

@@ -26,8 +26,9 @@ import (
 // The differential suite: the aggregator folds pushes into a live
 // state, skips frames it has folded before and checkpoints cached
 // frames; fed.ReadExport (the same segment reader, without a memo) +
-// fed.Merge, which it replaced on the push path, remain as the oracle.
-// Over generated push sequences the two must agree on wire bytes after
+// fed.Merge (a fresh Fold per merge) remain as the oracle. Merge is a
+// join, so the chain stands for every order of the same pushes. Over
+// generated push sequences the two must agree on wire bytes after
 // every acknowledged push, in memory and on disk.
 
 // outbreakCheckpoints analyses a trace the way a federated deployment

@@ -425,7 +425,7 @@ func (rec *wireRecord) carries(kind string) bool {
 // as a state's memo requires.
 type decodedGroup struct {
 	sensors []string
-	sources []incident.SourceRef
+	sources []incident.SourceEvidence
 	cls     []incident.ClassifierEvidence
 	lin     []lineage.Observation
 
@@ -455,13 +455,8 @@ groups:
 			var key frameKey
 			if st != nil {
 				key = st.keyOf(fr.payload)
-				// (An empty state's memo is empty: the first export,
-				// which is kept whole, is always decoded whole.)
 				if src, held := st.memo[key]; held {
 					in.keys = append(in.keys, memoEntry{key, src})
-					if fr.kind == kindSource {
-						in.sources = append(in.sources, incident.SourceRef{Src: src})
-					}
 					continue
 				}
 			}
@@ -480,7 +475,7 @@ groups:
 			switch fr.kind {
 			case kindSource:
 				src = rec.Src.Src
-				in.sources = append(in.sources, incident.SourceRef{Src: src, Rec: rec.Src})
+				in.sources = append(in.sources, *rec.Src)
 			case kindClassifier:
 				in.cls = append(in.cls, *rec.Cls)
 			case kindLineage:
@@ -497,14 +492,7 @@ groups:
 
 // export renders a fully decoded group as an evidence export.
 func (in *decodedGroup) export(p incident.Params) *incident.EvidenceExport {
-	ex := &incident.EvidenceExport{Sensors: in.sensors, Params: p, Classifier: in.cls, Lineage: in.lin}
-	if len(in.sources) > 0 {
-		ex.Sources = make([]incident.SourceEvidence, len(in.sources))
-		for i := range in.sources {
-			ex.Sources[i] = *in.sources[i].Rec
-		}
-	}
-	return ex
+	return &incident.EvidenceExport{Sensors: in.sensors, Params: p, Sources: in.sources, Classifier: in.cls, Lineage: in.lin}
 }
 
 // ReadExport decodes a segment, read whole from r, returning the
@@ -536,10 +524,22 @@ func ReadExport(r io.Reader) (*incident.EvidenceExport, error) {
 	return g.export(seg.hdr.Params), nil
 }
 
-// Merge federates two evidence exports — the union of their evidence
-// under shared caps, propagation re-derived across sensors,
-// provenance preserved per record. Commutative and idempotent; see
-// incident.MergeExports for the semantics.
+// Merge federates two evidence exports: a fresh incident.Fold joins
+// both and renders every record — the union of their evidence under
+// shared caps, propagation re-derived across sensors and closed,
+// provenance preserved per record. Commutative, associative and
+// idempotent on wire bytes, within the scope incident.Fold states.
+// Both exports must carry equal, valid Params.
 func Merge(a, b *incident.EvidenceExport) (*incident.EvidenceExport, error) {
-	return incident.MergeExports(a, b)
+	if err := a.Params.Validate(); err != nil {
+		return nil, err
+	}
+	f := incident.NewFold(a.Params)
+	for _, ex := range []*incident.EvidenceExport{a, b} {
+		if err := f.Compatible(ex.Params); err != nil {
+			return nil, err
+		}
+		f.Merge(ex.Sensors, ex.Sources, ex.Classifier, ex.Lineage)
+	}
+	return f.Export(), nil
 }

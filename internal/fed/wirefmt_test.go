@@ -254,53 +254,73 @@ func TestWireRejects(t *testing.T) {
 	}
 }
 
+// multiHopExports splits a six-link propagation chain across three
+// sensors — host i's own traffic tapped at sensor i%3 — so every link
+// straddles a cut and the last victim's witnesses travel six links to
+// reach the chain's root.
+func multiHopExports(t testing.TB) (a, b, c *incident.EvidenceExport) {
+	t.Helper()
+	fp := core.FingerprintOf([]byte("chain payload"))
+	host := func(i int) netip.Addr { return netip.AddrFrom4([4]byte{10, 2, 0, byte(i)}) }
+	var evs [3][]core.Event
+	for i := 0; i < 6; i++ {
+		ts := uint64(1000 + 10_000*i)
+		evs[i%3] = append(evs[i%3], core.Event{
+			Kind: core.EventAlert, TimestampUS: ts, Src: host(i), Dst: host(i + 1), SrcPort: 1234, DstPort: 80,
+			Fingerprint: fp, Template: "code-red-ii", Severity: "high",
+		})
+		evs[(i+1)%3] = append(evs[(i+1)%3], core.Event{
+			Kind: core.EventFingerprint, TimestampUS: ts + 5000, Src: host(i + 1), Dst: host(100 + i),
+			SrcPort: 4321, DstPort: 80, Fingerprint: fp,
+		})
+	}
+	var out [3]*incident.EvidenceExport
+	for s, name := range []string{"sensor-a", "sensor-b", "sensor-c"} {
+		c := correlatorFromEvents(t, evs[s])
+		out[s] = c.Export(name)
+		c.Stop()
+	}
+	return out[0], out[1], out[2]
+}
+
 // TestMergeProperties is the satellite property suite:
 // Merge(A,B)==Merge(B,A), Merge(A,A)==A, and associativity across
 // three sensors — all compared on canonical wire bytes, the strongest
-// equality the system defines.
+// equality the system defines — over seeded single-hop exports and a
+// propagation chain split across the three sensors.
 func TestMergeProperties(t *testing.T) {
+	type triple struct {
+		name    string
+		a, b, c *incident.EvidenceExport
+	}
+	var inputs []triple
 	for seed := int64(1); seed <= 5; seed++ {
-		a := synthExport(t, "sensor-a", seed, 300)
-		b := synthExport(t, "sensor-b", seed+100, 300)
-		c := synthExport(t, "sensor-c", seed+200, 300)
+		inputs = append(inputs, triple{fmt.Sprintf("seed %d", seed),
+			synthExport(t, "sensor-a", seed, 300),
+			synthExport(t, "sensor-b", seed+100, 300),
+			synthExport(t, "sensor-c", seed+200, 300)})
+	}
+	a, b, c := multiHopExports(t)
+	inputs = append(inputs, triple{"multi-hop", a, b, c})
 
-		ab, err := Merge(a, b)
-		if err != nil {
-			t.Fatal(err)
+	for _, in := range inputs {
+		a, b, c := in.a, in.b, in.c
+		ab := mustMerge(t, a, b)
+		if !bytes.Equal(encode(t, ab), encode(t, mustMerge(t, b, a))) {
+			t.Fatalf("%s: Merge(A,B) != Merge(B,A)", in.name)
 		}
-		ba, err := Merge(b, a)
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(encode(t, mustMerge(t, a, a)), encode(t, a)) {
+			t.Fatalf("%s: Merge(A,A) != A", in.name)
 		}
-		if !bytes.Equal(encode(t, ab), encode(t, ba)) {
-			t.Fatalf("seed %d: Merge(A,B) != Merge(B,A)", seed)
+		abc := mustMerge(t, ab, c)
+		if !bytes.Equal(encode(t, abc), encode(t, mustMerge(t, a, mustMerge(t, b, c)))) {
+			t.Fatalf("%s: Merge not associative", in.name)
 		}
-
-		aa, err := Merge(a, a)
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(encode(t, mustMerge(t, abc, abc)), encode(t, abc)) {
+			t.Fatalf("%s: Merge(ABC,ABC) != ABC", in.name)
 		}
-		if !bytes.Equal(encode(t, aa), encode(t, a)) {
-			t.Fatalf("seed %d: Merge(A,A) != A", seed)
-		}
-
-		abc1, err := Merge(ab, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bc, err := Merge(b, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		abc2, err := Merge(a, bc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(encode(t, abc1), encode(t, abc2)) {
-			t.Fatalf("seed %d: Merge not associative", seed)
-		}
-		if got, want := fmt.Sprint(abc1.Sensors), "[sensor-a sensor-b sensor-c]"; got != want {
-			t.Fatalf("seed %d: merged sensors = %s, want %s", seed, got, want)
+		if got, want := fmt.Sprint(abc.Sensors), "[sensor-a sensor-b sensor-c]"; got != want {
+			t.Fatalf("%s: merged sensors = %s, want %s", in.name, got, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"semnids/internal/core"
@@ -16,7 +17,7 @@ import (
 // evidence state as a plain serializable value (SourceEvidence), a
 // sensor-level snapshot of all of them (EvidenceExport), and the
 // operations federation needs — export, import (crash recovery and
-// sensor seeding), and a commutative, idempotent merge.
+// sensor seeding), and a merge that is a join (fold.go).
 //
 // The design constraint comes from the correlator's determinism
 // invariant: evidence is a *set* (min-timestamp-K caps, min/max scalar
@@ -37,8 +38,8 @@ const DefaultWindowUS = 30_000_000
 // 30 s window and a 10 s one derive different stages from the same
 // evidence, and a min-K set capped at 256 and one capped at 64 can
 // disagree even on what they share. So a segment header carries
-// Params whole, and every merge — Import, MergeExports, a Fold —
-// compares them whole. Comparable; the JSON tags are the wire's.
+// Params whole, and every merge — Import, a Fold — compares them
+// whole. Comparable; the JSON tags are the wire's.
 type Params struct {
 	// WindowUS is the sliding trace-time window for destination
 	// fan-out (default DefaultWindowUS, 30s).
@@ -241,51 +242,6 @@ type EvidenceExport struct {
 	Lineage []lineage.Observation
 }
 
-// MergeClassifierEvidence unions two classifier evidence sets:
-// per-source dark sets union, suspicious expiries fold to the
-// maximum. Commutative and idempotent like every other evidence fold,
-// and sorted (sources by address, dark sets by address) so the same
-// state always serializes to the same bytes.
-func MergeClassifierEvidence(a, b []ClassifierEvidence) []ClassifierEvidence {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	bySrc := make(map[netip.Addr]*ClassifierEvidence, len(a)+len(b))
-	fold := func(recs []ClassifierEvidence) {
-		for i := range recs {
-			rec := &recs[i]
-			m := bySrc[rec.Src]
-			if m == nil {
-				m = &ClassifierEvidence{Src: rec.Src}
-				bySrc[rec.Src] = m
-			}
-			if rec.SuspiciousUntilUS > m.SuspiciousUntilUS {
-				m.SuspiciousUntilUS = rec.SuspiciousUntilUS
-			}
-			m.Dark = append(m.Dark, rec.Dark...)
-		}
-	}
-	fold(a)
-	fold(b)
-	out := make([]ClassifierEvidence, 0, len(bySrc))
-	for _, m := range bySrc {
-		sort.Slice(m.Dark, func(i, j int) bool { return m.Dark[i].Less(m.Dark[j]) })
-		dedup := m.Dark[:0]
-		for _, d := range m.Dark {
-			if len(dedup) == 0 || d != dedup[len(dedup)-1] {
-				dedup = append(dedup, d)
-			}
-		}
-		m.Dark = dedup
-		if len(m.Dark) == 0 {
-			m.Dark = nil
-		}
-		out = append(out, *m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Src.Less(out[j].Src) })
-	return out
-}
-
 // cloneLocked deep-copies the evidence for rendering outside the
 // correlator lock: map copies only — the expensive part of an export
 // (sorting, slice building) must not run under c.mu, which the event
@@ -330,20 +286,23 @@ func (c *Correlator) Export(sensor string) *EvidenceExport {
 	}
 	c.mu.Unlock()
 
+	local := []string{sensor}
 	ex := &EvidenceExport{
-		Sensors: []string{sensor},
+		Sensors: local,
 		Params:  c.cfg.Params,
 		Sources: make([]SourceEvidence, 0, len(clones)),
 	}
 	for _, s := range clones {
-		ex.Sources = append(ex.Sources, s.export(sensor, c.cfg.WindowUS, c.cfg.FanoutThreshold))
+		ex.Sources = append(ex.Sources, s.export(local, c.cfg.WindowUS, c.cfg.FanoutThreshold))
 	}
 	sort.Slice(ex.Sources, func(i, j int) bool { return ex.Sources[i].Src.Less(ex.Sources[j].Src) })
 	return ex
 }
 
-// export renders one source's evidence as a SourceEvidence value.
-func (s *sourceState) export(sensor string, windowUS uint64, threshold int) SourceEvidence {
+// export renders one source's evidence as a SourceEvidence value. Its
+// provenance is the sensors folded in by Import plus local: the
+// exporting sensor, or none when a Fold renders merged evidence.
+func (s *sourceState) export(local []string, windowUS uint64, threshold int) SourceEvidence {
 	ev := SourceEvidence{
 		Src:             s.src,
 		Stage:           s.stage(windowUS, threshold).String(),
@@ -353,16 +312,8 @@ func (s *sourceState) export(sensor string, windowUS uint64, threshold int) Sour
 		ExploitAtUS:     s.exploitAt,
 		Severity:        s.severity,
 		PropagationAtUS: s.propagationAt,
+		Sensors:         core.SortedUnion(slices.Collect(maps.Keys(s.sensors)), local),
 	}
-	seen := map[string]bool{sensor: true}
-	ev.Sensors = append(ev.Sensors, sensor)
-	for sn := range s.sensors {
-		if !seen[sn] {
-			seen[sn] = true
-			ev.Sensors = append(ev.Sensors, sn)
-		}
-	}
-	sort.Strings(ev.Sensors)
 
 	for k, sp := range s.dests.m {
 		ev.Dests = append(ev.Dests, DestEvidence{Addr: k, FirstUS: sp.first, LastUS: sp.last})
@@ -426,14 +377,15 @@ func parseStage(name string) Stage {
 // Import folds an evidence export into the live correlator: each
 // record unions into the matching source's evidence under the same
 // caps live events use, then propagation is re-derived across the
-// imported sources — the step that closes attacker↔victim links whose
-// two halves were observed by different sensors. The notification
-// gate is quieted only up to the stage each record itself had already
-// derived (recovery does not re-announce); a stage that only the
-// merged evidence proves — a fan-out completed by union, a
-// cross-sensor propagation link — fires OnIncident/subscribers as a
-// live transition would. Idempotent: importing the same export twice
-// changes nothing. An export gathered under other Params is refused.
+// imported sources and closed (closePropagation) — the step that
+// closes attacker↔victim links whose two halves were observed by
+// different sensors. The notification gate is quieted only up to the
+// stage each record itself had already derived (recovery does not
+// re-announce); a stage that only the merged evidence proves — a
+// fan-out completed by union, a cross-sensor propagation link — fires
+// OnIncident/subscribers as a live transition would. Idempotent:
+// importing the same export twice changes nothing. An export gathered
+// under other Params is refused.
 func (c *Correlator) Import(ex *EvidenceExport) error {
 	if err := c.cfg.Params.compatible(ex.Params); err != nil {
 		return err
@@ -460,9 +412,7 @@ func (c *Correlator) Import(ex *EvidenceExport) error {
 	for _, s := range touched {
 		c.notify(s)
 	}
-	for _, s := range touched {
-		c.rederivePropagation(s)
-	}
+	c.closePropagation(touched)
 	return nil
 }
 
@@ -538,34 +488,59 @@ func (c *Correlator) foldRecord(s *sourceState, rec *SourceEvidence) {
 // evidence. The victim record's provenance travels with the verdict:
 // the sensors that witnessed the victim's evidence are the witnesses
 // of the attacker's escalation, so even an attacker synthesized
-// purely from victim-side evidence can name them. Called with mu
-// held.
-func (c *Correlator) rederivePropagation(v *sourceState) {
-	c.track.rederived(v.src)
+// purely from victim-side evidence can name them. Returns the
+// attackers whose sensor set grew. Called with mu held.
+func (c *Correlator) rederivePropagation(v *sourceState) (grown []*sourceState) {
 	for fp, refs := range v.targetedBy {
 		sp, ok := v.emitted.get(fp)
 		if !ok {
 			continue
 		}
 		for _, ref := range refs {
-			if sp.last > ref.tsUS {
-				c.escalate(ref.attacker, v.src, echoTime(sp, ref.tsUS))
-				if len(v.sensors) > 0 {
-					a := c.sources[ref.attacker]
-					if a.sensors == nil {
-						a.sensors = make(map[string]bool, len(v.sensors))
-					}
-					grew := false
-					for sn := range v.sensors {
-						if !a.sensors[sn] {
-							a.sensors[sn] = true
-							grew = true
-						}
-					}
-					if grew {
-						c.track.provenanceGrew(a.src)
-					}
-				}
+			if sp.last <= ref.tsUS {
+				continue
+			}
+			c.escalate(ref.attacker, v.src, echoTime(sp, ref.tsUS))
+			a := c.sources[ref.attacker]
+			if a.sensors == nil && len(v.sensors) > 0 {
+				a.sensors = make(map[string]bool, len(v.sensors))
+			}
+			n := len(a.sensors)
+			for sn := range v.sensors {
+				a.sensors[sn] = true
+			}
+			if len(a.sensors) > n {
+				c.track.changed(a.src)
+				grown = append(grown, a)
+			}
+		}
+	}
+	return grown
+}
+
+// closePropagation re-derives propagation from every source in todo,
+// then from every attacker whose sensor set a re-derivation grew,
+// until nothing grows: a victim's witnesses reach every attacker up
+// its propagation chain, however many links deep, within one call.
+// Sensor sets only grow, so the result is the least fixpoint whatever
+// the order of todo; the worklist is FIFO and holds each source once.
+// Called with mu held.
+func (c *Correlator) closePropagation(todo []*sourceState) {
+	queued := make(map[*sourceState]bool, len(todo))
+	for _, s := range todo {
+		queued[s] = true
+	}
+	for len(todo) > 0 {
+		v := todo[0]
+		todo = todo[1:]
+		if !queued[v] {
+			continue // a duplicate in the initial list, already visited
+		}
+		delete(queued, v)
+		for _, a := range c.rederivePropagation(v) {
+			if !queued[a] {
+				queued[a] = true
+				todo = append(todo, a)
 			}
 		}
 	}
@@ -592,81 +567,6 @@ func newMergeState(p Params) *Correlator {
 		c.stageLatUS[st] = telemetry.NewHistogram()
 	}
 	return c
-}
-
-// MergeExports federates two sensors' evidence: the union of their
-// per-source evidence sets under the shared caps, with propagation
-// re-derived across the merged evidence (closing links whose halves
-// were observed by different sensors) and per-record provenance
-// preserved. Commutative and idempotent — Merge(A,B)==Merge(B,A) and
-// Merge(A,A)==A — because every constituent fold is; both exports
-// must carry equal, valid Params. The determinism guarantee is the
-// correlator's own: byte-identical to a single sensor that saw the
-// whole trace, for evidence within the caps.
-func MergeExports(a, b *EvidenceExport) (*EvidenceExport, error) {
-	if err := a.Params.Validate(); err != nil {
-		return nil, err
-	}
-	c := newMergeState(a.Params)
-	if err := c.Import(a); err != nil {
-		return nil, err
-	}
-	if err := c.Import(b); err != nil {
-		return nil, err
-	}
-	merged := c.exportMerged()
-	merged.Sensors = unionSensors(a.Sensors, b.Sensors)
-	merged.Classifier = MergeClassifierEvidence(a.Classifier, b.Classifier)
-	merged.Lineage = lineage.Merge(a.Lineage, b.Lineage)
-	return merged, nil
-}
-
-// exportMerged renders a merge correlator's state without stamping a
-// local sensor: provenance comes entirely from the merged records.
-func (c *Correlator) exportMerged() *EvidenceExport {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ex := &EvidenceExport{
-		Params:  c.cfg.Params,
-		Sources: make([]SourceEvidence, 0, len(c.sources)),
-	}
-	for _, s := range c.sources {
-		ex.Sources = append(ex.Sources, c.renderMerged(s))
-	}
-	sort.Slice(ex.Sources, func(i, j int) bool { return ex.Sources[i].Src.Less(ex.Sources[j].Src) })
-	return ex
-}
-
-// renderMerged renders one source of a merge correlator: provenance is
-// the record's own sensor set, with no local sensor stamped.
-func (c *Correlator) renderMerged(s *sourceState) SourceEvidence {
-	rec := s.export("", c.cfg.WindowUS, c.cfg.FanoutThreshold)
-	// Drop the placeholder empty sensor; keep only real provenance.
-	rec.Sensors = rec.Sensors[:0]
-	for sn := range s.sensors {
-		rec.Sensors = append(rec.Sensors, sn)
-	}
-	sort.Strings(rec.Sensors)
-	return rec
-}
-
-func unionSensors(a, b []string) []string {
-	seen := make(map[string]bool, len(a)+len(b))
-	var out []string
-	for _, s := range a {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	for _, s := range b {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // DeriveIncidents renders an export's incident set exactly as a live

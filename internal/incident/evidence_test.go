@@ -82,7 +82,7 @@ var skewParams = []struct {
 // TestEvidenceImportIncompatible checks correlation-parameter skew is
 // rejected instead of silently folded: an export that differs from
 // the correlator, or from the other export, in any one parameter is
-// refused by Import and by MergeExports in either order. An export
+// refused by Import and by the merge (join) in either order. An export
 // carrying parameters no correlator runs under is refused by
 // DeriveIncidents with Params.Validate's error.
 func TestEvidenceImportIncompatible(t *testing.T) {
@@ -101,11 +101,11 @@ func TestEvidenceImportIncompatible(t *testing.T) {
 			if err := r.Import(&skewed); err == nil {
 				t.Error("Import of an export under other parameters succeeded")
 			}
-			if _, err := MergeExports(ex, &skewed); err == nil {
-				t.Error("MergeExports(ex, skewed) succeeded")
+			if _, err := join(ex, &skewed); err == nil {
+				t.Error("join(ex, skewed) succeeded")
 			}
-			if _, err := MergeExports(&skewed, ex); err == nil {
-				t.Error("MergeExports(skewed, ex) succeeded")
+			if _, err := join(&skewed, ex); err == nil {
+				t.Error("join(skewed, ex) succeeded")
 			}
 		})
 	}
@@ -144,7 +144,7 @@ func TestMergeClosesCrossSensorPropagation(t *testing.T) {
 		}
 	}
 
-	merged, err := MergeExports(a.Export("sensor-a"), b.Export("sensor-b"))
+	merged, err := join(a.Export("sensor-a"), b.Export("sensor-b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestMergeSynthesizedAttackerProvenance(t *testing.T) {
 	}
 	ex.Sources = kept
 
-	merged, err := MergeExports(ex, ex)
+	merged, err := join(ex, ex)
 	if err != nil {
 		t.Fatal(err)
 	}

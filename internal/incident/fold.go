@@ -3,35 +3,37 @@ package incident
 import (
 	"net/netip"
 	"slices"
+	"sort"
 
 	"semnids/internal/core"
 	"semnids/internal/lineage"
 )
 
-// Fold is a MergeExports chain kept live. An aggregator that computes
-// state = MergeExports(state, ex) for every arriving export imports
-// the whole state into a fresh merge correlator and renders all of it
-// again, although the arriving export touches a few records. A Fold
-// keeps the rendered source records, the classifier and lineage sets
-// and the sensor list across calls; a Merge brings into its merge
-// correlator only the sources it touches (imported, escalated or
-// re-derived — each from its rendered record, the same import the
-// chain performs for every record), renders those again and lets the
-// correlator go. After Merge(a) on an empty Fold and Merge(b),
-// Merge(c), … the records are exactly those of
-// MergeExports(MergeExports(a, b), c) …, byte for byte on the wire.
+// Fold is federated evidence kept live, and the one merge: fed.Merge
+// is a fresh Fold that merges two exports and renders. A Fold keeps
+// the rendered source records, the classifier and lineage sets and
+// the sensor list across calls; a Merge brings into its merge
+// correlator only the sources it touches (imported, escalated, or
+// reached by provenance — each from its rendered record), renders
+// those again and lets the correlator go.
+//
+// A Merge is a semilattice join: every record folds by union under
+// the shared caps, then propagation is re-derived from the imported
+// sources and closed (closePropagation), so a victim's sensor set
+// reaches every attacker up its propagation chain within the one
+// merge. The state after Merge(a), Merge(b), … is therefore the same,
+// byte for byte on the wire, whatever the order, the grouping or the
+// repetition of the merged exports — for evidence within the caps,
+// and for exports that are themselves closed. A sensor's own export
+// is closed unless the sensor was seeded by Import and then escalated
+// an attacker live from an imported victim: a live escalation does
+// not carry provenance. Merging such an export closes it, so
+// Merge(Merge(ex, ex), ex) equals Merge(ex, ex) even where
+// Merge(ex, ex) differs from ex.
 //
 // What stays resident is the records, not a correlator: a source's
 // evidence as maps costs about three times its rendered record, and a
 // merge needs the maps of a few dozen sources at a time.
-//
-// The one thing a MergeExports chain does to records the arriving
-// export does not name is provenance: re-importing the state
-// re-derives propagation for every source, which carries a victim's
-// sensor set to its attackers one link further per merge. Fold
-// reproduces that by remembering the sources whose sensor set grew
-// since they were last re-derived (pending) and re-deriving those, in
-// address order, before each import.
 //
 // Not safe for concurrent use.
 type Fold struct {
@@ -54,14 +56,8 @@ type foldTrack struct {
 	recs map[netip.Addr]*SourceEvidence
 
 	// dirty holds sources whose evidence the current merge may have
-	// changed; pending those whose sensor set grew since their last
-	// rederivePropagation.
-	dirty   map[netip.Addr]struct{}
-	pending map[netip.Addr]struct{}
-
-	// grown lists the sources that became pending since settlePending
-	// last emptied it.
-	grown []netip.Addr
+	// changed.
+	dirty map[netip.Addr]struct{}
 }
 
 func (t *foldTrack) held(src netip.Addr) *SourceEvidence {
@@ -77,33 +73,6 @@ func (t *foldTrack) changed(src netip.Addr) {
 	}
 }
 
-func (t *foldTrack) provenanceGrew(src netip.Addr) {
-	if t == nil {
-		return
-	}
-	t.dirty[src] = struct{}{}
-	if _, was := t.pending[src]; !was {
-		t.pending[src] = struct{}{}
-		t.grown = append(t.grown, src)
-	}
-}
-
-func (t *foldTrack) rederived(src netip.Addr) {
-	if t != nil {
-		delete(t.pending, src)
-	}
-}
-
-// SourceRef is one source record of an arriving export, in the
-// export's order. A nil Rec says this exact record was imported
-// before: importing it again would change nothing (every evidence fold
-// is idempotent), but its place in the order still decides when the
-// source is re-derived.
-type SourceRef struct {
-	Src netip.Addr
-	Rec *SourceEvidence
-}
-
 // FoldDirty names the records that changed since the last TakeDirty.
 // DroppedLineage lists observations the lineage cap displaced.
 type FoldDirty struct {
@@ -117,9 +86,8 @@ type FoldDirty struct {
 func NewFold(p Params) *Fold {
 	c := newMergeState(p)
 	c.track = &foldTrack{
-		recs:    make(map[netip.Addr]*SourceEvidence),
-		dirty:   make(map[netip.Addr]struct{}),
-		pending: make(map[netip.Addr]struct{}),
+		recs:  make(map[netip.Addr]*SourceEvidence),
+		dirty: make(map[netip.Addr]struct{}),
 	}
 	return &Fold{
 		c:        c,
@@ -131,38 +99,27 @@ func NewFold(p Params) *Fold {
 }
 
 // Compatible reports whether evidence gathered under p can fold into
-// this state (MergeExports' precondition).
+// this state (Merge's precondition).
 func (f *Fold) Compatible(p Params) error {
 	return f.c.cfg.Params.compatible(p)
 }
 
-// Merge folds one export's records: what MergeExports(state, ex) does
-// to the state, given ex's sensor list, its source records in order
-// (already-imported ones as bare references) and the classifier and
-// lineage records not folded before. The caller has checked
-// Compatible.
-func (f *Fold) Merge(sensors []string, sources []SourceRef, cls []ClassifierEvidence, lin []lineage.Observation) {
+// Merge joins one export's records into the state: its sensor list
+// and whichever of its source, classifier and lineage records the
+// caller has not merged before (a record merged before changes
+// nothing, so it may be left out). The caller has checked Compatible.
+func (f *Fold) Merge(sensors []string, sources []SourceEvidence, cls []ClassifierEvidence, lin []lineage.Observation) {
 	c := f.c
-	f.settlePending()
+	touched := make([]*sourceState, len(sources))
 	for i := range sources {
-		if rec := sources[i].Rec; rec != nil {
-			c.importSource(rec)
-		}
+		touched[i] = c.importSource(&sources[i])
 	}
 	// Import's notify pass is skipped: nothing listens to a merge
 	// state, and notified never reaches a rendered record.
-	for i := range sources {
-		ref := &sources[i]
-		if _, pending := c.track.pending[ref.Src]; ref.Rec == nil && !pending {
-			continue // inputs unchanged since its last re-derivation
-		}
-		if c.sources[ref.Src] != nil || c.track.recs[ref.Src] != nil {
-			c.rederivePropagation(c.source(ref.Src, 0))
-		}
-	}
+	c.closePropagation(touched)
 	// Render what the merge touched and let the merge state go.
 	for src := range c.track.dirty {
-		rec := c.renderMerged(c.sources[src])
+		rec := c.sources[src].export(nil, c.cfg.WindowUS, c.cfg.FanoutThreshold)
 		c.track.recs[src] = &rec
 		f.dirtySrc = append(f.dirtySrc, src)
 	}
@@ -170,7 +127,7 @@ func (f *Fold) Merge(sensors []string, sources []SourceRef, cls []ClassifierEvid
 	clear(c.sources)
 	c.lru.Init()
 
-	f.sensors = unionSensors(f.sensors, sensors)
+	f.sensors = core.SortedUnion(f.sensors, sensors)
 	for i := range cls {
 		f.foldClassifier(&cls[i])
 	}
@@ -183,42 +140,12 @@ func (f *Fold) Merge(sensors []string, sources []SourceRef, cls []ClassifierEvid
 		f.droppedLin = append(f.droppedLin, fp)
 		delete(f.dirtyLin, fp)
 	}
-	c.track.grown = c.track.grown[:0]
 }
 
-// settlePending is the part of re-importing the whole state that is
-// not a no-op: MergeExports re-derives every source in address order,
-// which changes something only for sources whose sensor set grew since
-// their last re-derivation. A source that grows during the pass is
-// visited in the same pass if it sorts after the one that grew it, and
-// stays pending for the next merge otherwise — as in the full pass.
-func (f *Fold) settlePending() {
-	c := f.c
-	if len(c.track.pending) == 0 {
-		return
-	}
-	todo := make([]netip.Addr, 0, len(c.track.pending))
-	for src := range c.track.pending {
-		todo = append(todo, src)
-	}
-	slices.SortFunc(todo, netip.Addr.Compare)
-	for i := 0; i < len(todo); i++ {
-		src := todo[i]
-		c.track.grown = c.track.grown[:0]
-		c.rederivePropagation(c.source(src, 0))
-		for _, grown := range c.track.grown {
-			if src.Less(grown) {
-				at, _ := slices.BinarySearchFunc(todo[i+1:], grown, netip.Addr.Compare)
-				todo = slices.Insert(todo, i+1+at, grown)
-			}
-		}
-	}
-}
-
-// foldClassifier unions one classifier record into the state, with
-// MergeClassifierEvidence's result: dark sets union (sorted), expiries
-// fold to the maximum. A changed dark set is a new slice, so records
-// handed out earlier stay as they were.
+// foldClassifier unions one classifier record into the state: dark
+// sets union (sorted), expiries fold to the maximum. A changed dark
+// set is a new slice, so records handed out earlier stay as they
+// were.
 func (f *Fold) foldClassifier(rec *ClassifierEvidence) {
 	m := f.cls[rec.Src]
 	if m == nil {
@@ -269,9 +196,9 @@ func (f *Fold) Parameters() *EvidenceExport {
 	return &EvidenceExport{Sensors: f.sensors, Params: f.c.cfg.Params}
 }
 
-// Source returns one source's record as MergeExports renders it. Its
-// slices are never written again: a later merge that changes the
-// source renders a new record.
+// Source returns one source's rendered record. Its slices are never
+// written again: a later merge that changes the source renders a new
+// record.
 func (f *Fold) Source(src netip.Addr) SourceEvidence { return *f.c.track.recs[src] }
 
 // Classifier returns one source's classifier record.
@@ -281,4 +208,21 @@ func (f *Fold) Classifier(src netip.Addr) ClassifierEvidence { return *f.cls[src
 func (f *Fold) Lineage(exact core.Fingerprint) lineage.Observation {
 	o, _ := f.lin.Get(exact)
 	return o
+}
+
+// Export renders the whole state as an export, every list sorted
+// (nil when empty). Records are shared with the fold, which never
+// writes them again.
+func (f *Fold) Export() *EvidenceExport {
+	ex := f.Parameters()
+	for _, rec := range f.c.track.recs {
+		ex.Sources = append(ex.Sources, *rec)
+	}
+	sort.Slice(ex.Sources, func(i, j int) bool { return ex.Sources[i].Src.Less(ex.Sources[j].Src) })
+	for _, rec := range f.cls {
+		ex.Classifier = append(ex.Classifier, *rec)
+	}
+	sort.Slice(ex.Classifier, func(i, j int) bool { return ex.Classifier[i].Src.Less(ex.Classifier[j].Src) })
+	ex.Lineage = f.lin.Export()
+	return ex
 }

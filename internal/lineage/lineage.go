@@ -118,36 +118,7 @@ func foldInto(dst, src *Observation) {
 		dst.Src = src.Src
 		dst.Dst = src.Dst
 	}
-	dst.Sensors = unionSorted(dst.Sensors, src.Sensors)
-}
-
-// unionSorted merges two sorted string sets into a sorted set.
-func unionSorted(a, b []string) []string {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return append([]string(nil), b...)
-	}
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	dst.Sensors = core.SortedUnion(dst.Sensors, src.Sensors)
 }
 
 // StoreCap bounds a sensor-local store; MergeCap bounds a
@@ -291,43 +262,23 @@ func (s *Store) Len() int {
 }
 
 // Merge unions two canonical observation lists into one, under
-// MergeCap. Commutative, associative and idempotent on the canonical
-// form: Merge(A,B) == Merge(B,A) and Merge(A,A) == A.
+// MergeCap: a Set that folds both, trimmed and exported. Commutative,
+// associative and idempotent on the canonical form: Merge(A,B) ==
+// Merge(B,A) and Merge(A,A) == A.
 func Merge(a, b []Observation) []Observation {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	byExact := make(map[core.Fingerprint]*Observation, len(a)+len(b))
-	fold := func(obs []Observation) {
+	s := NewSet()
+	for _, obs := range [][]Observation{a, b} {
 		for i := range obs {
-			o := obs[i]
-			o.Sensors = append([]string(nil), o.Sensors...)
-			if cur, ok := byExact[o.Exact]; ok {
-				foldInto(cur, &o)
-			} else {
-				cp := o
-				byExact[o.Exact] = &cp
-			}
+			s.Fold(&obs[i])
 		}
 	}
-	fold(a)
-	fold(b)
-	out := make([]Observation, 0, len(byExact))
-	for _, o := range byExact {
-		out = append(out, *o)
-	}
-	sort.Slice(out, func(i, j int) bool { return witnessLess(&out[i], &out[j]) })
-	if len(out) > MergeCap {
-		out = out[:MergeCap]
-	}
-	return out
+	s.Trim()
+	return s.Export()
 }
 
-// Set is Merge kept live: the keyed observation set a chain of Merge
-// calls rebuilds from scratch each time, folded one observation at a
-// time so a long-lived federated state pays only for what arrives.
-// Folding the observations of b into a Set that holds a, then Trim,
-// leaves exactly Merge(a, b). Not safe for concurrent use.
+// Set is the keyed observation set of a federated state, folded one
+// observation at a time so a long-lived state pays only for what
+// arrives. Not safe for concurrent use.
 type Set struct {
 	obs map[core.Fingerprint]*Observation
 }
@@ -351,7 +302,7 @@ func (s *Set) Fold(o *Observation) bool {
 	cur, ok := s.obs[o.Exact]
 	if !ok {
 		cp := *o
-		cp.Sensors = append([]string(nil), o.Sensors...)
+		cp.Sensors = core.SortedUnion(o.Sensors, nil)
 		s.obs[o.Exact] = &cp
 		return true
 	}
@@ -362,8 +313,8 @@ func (s *Set) Fold(o *Observation) bool {
 		!slices.Equal(cur.Sensors, before.Sensors)
 }
 
-// Trim enforces MergeCap the way Merge does — the smallest witnesses
-// stay — and returns the fingerprints it dropped.
+// Trim enforces MergeCap — the smallest witnesses stay — and returns
+// the fingerprints it dropped.
 func (s *Set) Trim() []core.Fingerprint {
 	if len(s.obs) <= MergeCap {
 		return nil
@@ -379,6 +330,21 @@ func (s *Set) Trim() []core.Fingerprint {
 		delete(s.obs, o.Exact)
 	}
 	return dropped
+}
+
+// Export returns the set as a canonical observation list, sorted by
+// witness order (nil when empty). It shares no mutable memory with
+// the set.
+func (s *Set) Export() []Observation {
+	if len(s.obs) == 0 {
+		return nil
+	}
+	out := make([]Observation, 0, len(s.obs))
+	for _, o := range s.obs {
+		out = append(out, *o)
+	}
+	sort.Slice(out, func(i, j int) bool { return witnessLess(&out[i], &out[j]) })
+	return out
 }
 
 // Less is the canonical export order of observations (earliest

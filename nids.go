@@ -348,8 +348,8 @@ type AncestryNode = lineage.TreeNode
 // the same forest on every aggregator. Empty without lineage records.
 func TraceAncestry(ex *EvidenceExport) []AncestryTree { return lineage.Trace(ex.Lineage) }
 
-// MergeEvidence federates two evidence exports: commutative,
-// idempotent, provenance-preserving. See fed.Merge.
+// MergeEvidence federates two evidence exports: a join — commutative,
+// associative, idempotent, provenance-preserving. See fed.Merge.
 func MergeEvidence(a, b *EvidenceExport) (*EvidenceExport, error) { return fed.Merge(a, b) }
 
 // ReadEvidence decodes an evidence export from the versioned wire

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Mutation check for the aggregator's live fold (DESIGN 10, "Live
-# fold"): each mutant below removes one thing the differential suite
-# (TestFoldDifferential, internal/fed/transport) exists to notice, in a
-# scratch copy of the tree, and the suite must fail on it. A mutant
-# that survives, or an anchor line that no longer matches, fails the
-# script.
+# Mutation check for the evidence merge and the aggregator's live fold
+# (DESIGN 9 and 10): each mutant below removes one thing the fold
+# suites exist to notice — incident's TestFold* (the Fold against the
+# re-derivation oracle, and the join laws) and transport's
+# TestFoldDifferential (the aggregator against the fed.Merge chain) —
+# in a scratch copy of the tree, and the suites must fail on it. A
+# mutant that survives, or an anchor line that no longer matches, fails
+# the script.
 #
 #   bash scripts/mutate_fold.sh
 set -euo pipefail
@@ -23,16 +25,16 @@ mutant() {
 		echo "mutate_fold: $name: anchor not found in $2" >&2
 		exit 1
 	fi
-	if (cd "$work" && go test -count=1 -run 'TestFoldDifferential' ./internal/fed/transport/ >"$work/out.txt" 2>&1); then
-		echo "mutate_fold: $name: the differential suite passed on the mutant" >&2
+	if (cd "$work" && go test -count=1 -run 'TestFold' ./internal/incident/ ./internal/fed/transport/ >"$work/out.txt" 2>&1); then
+		echo "mutate_fold: $name: the fold suites passed on the mutant" >&2
 		exit 1
 	fi
-	if ! grep -q -- '--- FAIL: TestFoldDifferential' "$work/out.txt"; then
+	if ! grep -q -- '--- FAIL: TestFold' "$work/out.txt"; then
 		echo "mutate_fold: $name: the mutant did not build or the suite did not run:" >&2
 		cat "$work/out.txt" >&2
 		exit 1
 	fi
-	echo "mutate_fold: $name: killed"
+	echo "mutate_fold: $name: killed by $(grep -o -- '--- FAIL: TestFold[A-Za-z]*' "$work/out.txt" | sort -u | cut -d' ' -f3 | paste -sd, -)"
 	mv "$file.orig" "$file"
 }
 
@@ -49,4 +51,9 @@ mutant "dirty record not re-encoded" internal/fed/state.go \
 # Frames enter the memo when decoded, before the push is accepted, so
 # a refused push makes its frames look folded.
 mutant "memo filled before the commit" internal/fed/state.go \
-	's/^\tif st\.fold != nil {$/\tst.remember(in.keys)\n&/'
+	'/decodeNewest(st)$/,/^\tif st\.fold == nil {$/s/^\tif st\.fold == nil {$/\tst.remember(in.keys)\n&/'
+
+# An attacker whose sensor set grew is not re-derived, so provenance
+# stops one link up the propagation chain and depends on merge order.
+mutant "grown attackers not queued" internal/incident/evidence.go \
+	's/^\t\t\t\ttodo = append(todo, a)$/\t\t\t\t_ = a/'
