@@ -81,7 +81,7 @@ func TestDatagramFlowOpenOncePerFlow(t *testing.T) {
 		e.Process(udpTo(other, 8888, []byte("clock mover"), 61e6))
 		e.Drain()
 		e.Process(udpTo(src, 7777, []byte("back again"), 62e6))
-		e.Stop()
+		stopAndCheck(t, e)
 		if got := tap.count(flow); got != 2 {
 			t.Fatalf("dgramFlows=%v: flow-open not re-emitted after idle window: %d events, want 2",
 				dgramFlows, got)
@@ -116,7 +116,7 @@ func TestDatagramFlowDeterminism(t *testing.T) {
 		for _, p := range pkts {
 			e.Process(p)
 		}
-		e.Stop()
+		stopAndCheck(t, e)
 		got := alertSet(e.Alerts())
 		if shards == 1 {
 			want = got
@@ -148,7 +148,6 @@ func TestDatagramIdleEvictionAnalyzesTail(t *testing.T) {
 		DatagramIdleUS:    1e6,
 		TickIntervalUS:    1e5,
 	})
-	defer e.Stop()
 
 	// Dark-space probes make the attacker suspicious, then the split
 	// exploit delivery rides the suspicion.
@@ -175,6 +174,7 @@ func TestDatagramIdleEvictionAnalyzesTail(t *testing.T) {
 			found = true
 		}
 	}
+	stopAndCheck(t, e)
 	if !found {
 		t.Fatalf("evicted datagram flow's tail was not analyzed: alerts=%v", e.Alerts())
 	}
@@ -231,7 +231,7 @@ func TestDatagramSoakBoundedMemory(t *testing.T) {
 	if maxBytes > occupancyCap*2*len(payload) {
 		t.Errorf("peak UDP buffered bytes %d", maxBytes)
 	}
-	e.Stop()
+	stopAndCheck(t, e)
 	m = e.Snapshot()
 	if m.UDPFlowsActive != 0 || m.UDPBufferedBytes != 0 {
 		t.Errorf("gauges after Stop: flows=%d bytes=%d, want 0/0", m.UDPFlowsActive, m.UDPBufferedBytes)

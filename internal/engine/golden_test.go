@@ -136,7 +136,7 @@ func checkGolden(t *testing.T, golden map[string][]string, traces []goldenTrace)
 			cfg := tr.cfg
 			cfg.Shards = shards
 			e := New(cfg)
-			feedAll(e, pkts)
+			feedAll(t, e, pkts)
 			if got := alertSet(e.Alerts()); !equalSets(got, want) {
 				t.Errorf("%s shards=%d: alert set diverged from the batch pipeline's\n got: %v\nwant: %v",
 					tr.name, shards, got, want)

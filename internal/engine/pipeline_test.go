@@ -26,9 +26,21 @@ func feedOnly(e *Engine, pkts []*netpkt.Packet) {
 	}
 }
 
-func feedAll(e *Engine, pkts []*netpkt.Packet) {
+func feedAll(t *testing.T, e *Engine, pkts []*netpkt.Packet) {
+	t.Helper()
 	feedOnly(e, pkts)
+	stopAndCheck(t, e)
+}
+
+// stopAndCheck stops the engine and asserts the verdict cache's
+// conservation law: every frame extraction forwarded was resolved by
+// exactly one cache lookup, a hit or a miss.
+func stopAndCheck(t *testing.T, e *Engine) {
+	t.Helper()
 	e.Stop()
+	if m := e.Snapshot(); m.Frames != m.CacheHits+m.CacheMisses {
+		t.Errorf("frames resolved %d != cache hits %d + cache misses %d", m.Frames, m.CacheHits, m.CacheMisses)
+	}
 }
 
 func alertTemplates(alerts []core.Alert) map[string]int {
@@ -44,7 +56,7 @@ func TestExploitAtHoneypotDetected(t *testing.T) {
 	e := New(pipelineConfig())
 	attacker := netip.MustParseAddr("10.66.66.66")
 	exp := exploits.Table1Exploits()[0]
-	feedAll(e, g.ExploitAtHoneypot(attacker, exp.DstPort, exp.Payload))
+	feedAll(t, e, g.ExploitAtHoneypot(attacker, exp.DstPort, exp.Payload))
 	got := alertTemplates(e.Alerts())
 	if got["linux-shell-spawn"] == 0 {
 		t.Fatalf("shell spawn not detected: %v", got)
@@ -66,7 +78,7 @@ func TestCleanTrafficNotAnalyzed(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		pkts = append(pkts, g.BenignSession()...)
 	}
-	feedAll(e, pkts)
+	feedAll(t, e, pkts)
 	m := e.Snapshot()
 	if m.Selected != 0 {
 		t.Errorf("classifier selected %d benign packets", m.Selected)
@@ -81,7 +93,7 @@ func TestScannerTripsDarkSpace(t *testing.T) {
 	e := New(pipelineConfig())
 	attacker := netip.MustParseAddr("10.7.7.7")
 	exp := exploits.IISASPOverflow()
-	feedAll(e, g.ScanThenExploit(attacker, traffic.WebServer, 80, exp.Payload, 4))
+	feedAll(t, e, g.ScanThenExploit(attacker, traffic.WebServer, 80, exp.Payload, 4))
 	got := alertTemplates(e.Alerts())
 	if got["xor-decrypt-loop"] == 0 {
 		t.Fatalf("decryption loop not detected after scan: %v", got)
@@ -95,7 +107,7 @@ func TestExploitFromUnclassifiedSourceIgnored(t *testing.T) {
 	g := traffic.NewGen(4)
 	e := New(pipelineConfig())
 	exp := exploits.IISASPOverflow()
-	feedAll(e, g.TCPSession(netip.MustParseAddr("10.8.8.8"), traffic.WebServer, 80, exp.Payload, nil))
+	feedAll(t, e, g.TCPSession(netip.MustParseAddr("10.8.8.8"), traffic.WebServer, 80, exp.Payload, nil))
 	if len(e.Alerts()) != 0 {
 		t.Errorf("unclassified exploit alerted: %v", e.Alerts())
 	}
@@ -107,7 +119,7 @@ func TestFullScanModeCatchesUnclassified(t *testing.T) {
 	g := traffic.NewGen(5)
 	e := New(cfg)
 	exp := exploits.IISASPOverflow()
-	feedAll(e, g.TCPSession(netip.MustParseAddr("10.8.8.8"), traffic.WebServer, 80, exp.Payload, nil))
+	feedAll(t, e, g.TCPSession(netip.MustParseAddr("10.8.8.8"), traffic.WebServer, 80, exp.Payload, nil))
 	got := alertTemplates(e.Alerts())
 	if got["xor-decrypt-loop"] == 0 {
 		t.Fatalf("fullscan missed the exploit: %v", got)
@@ -140,7 +152,7 @@ func TestSegmentedExploitReassembled(t *testing.T) {
 			split = append(split, &q)
 		}
 	}
-	feedAll(e, split)
+	feedAll(t, e, split)
 	got := alertTemplates(e.Alerts())
 	if got["linux-shell-spawn"] == 0 {
 		t.Fatalf("segmented exploit not detected: %v", got)
@@ -164,7 +176,7 @@ func TestAlertDeduplication(t *testing.T) {
 			doubled = append(doubled, &q)
 		}
 	}
-	feedAll(e, doubled)
+	feedAll(t, e, doubled)
 	got := alertTemplates(e.Alerts())
 	for tpl, count := range got {
 		if count > 1 {
@@ -179,18 +191,23 @@ func TestTraceWithGroundTruth(t *testing.T) {
 		BenignSessions:   200,
 		CodeRedInstances: 5,
 	}
-	e := New(pipelineConfig())
-	feedAll(e, traffic.Synthesize(spec))
-	crii := 0
-	srcs := make(map[netip.Addr]bool)
-	for _, a := range e.Alerts() {
-		if a.Detection.Template == "code-red-ii" {
-			crii++
-			srcs[a.Src] = true
+	pkts := traffic.Synthesize(spec)
+	for _, shards := range []int{1, 2, 4} {
+		cfg := pipelineConfig()
+		cfg.Shards = shards
+		e := New(cfg)
+		feedAll(t, e, pkts)
+		crii := 0
+		srcs := make(map[netip.Addr]bool)
+		for _, a := range e.Alerts() {
+			if a.Detection.Template == "code-red-ii" {
+				crii++
+				srcs[a.Src] = true
+			}
 		}
-	}
-	if crii != 5 || len(srcs) != 5 {
-		t.Errorf("detected %d Code Red II instances from %d sources, want 5/5", crii, len(srcs))
+		if crii != 5 || len(srcs) != 5 {
+			t.Errorf("shards=%d: detected %d Code Red II instances from %d sources, want 5/5", shards, crii, len(srcs))
+		}
 	}
 }
 
@@ -216,7 +233,7 @@ func TestPcapRoundTripThroughEngine(t *testing.T) {
 		}
 		e.Process(p)
 	}
-	e.Stop()
+	stopAndCheck(t, e)
 	if got := alertTemplates(e.Alerts())["code-red-ii"]; got != 2 {
 		t.Errorf("pcap run detected %d Code Red II, want 2", got)
 	}
@@ -230,7 +247,7 @@ func TestMetricsAccounting(t *testing.T) {
 	e := New(pipelineConfig())
 	attacker := netip.MustParseAddr("10.3.3.3")
 	exp := exploits.Table1Exploits()[1]
-	feedAll(e, g.ExploitAtHoneypot(attacker, exp.DstPort, exp.Payload))
+	feedAll(t, e, g.ExploitAtHoneypot(attacker, exp.DstPort, exp.Payload))
 	m := e.Snapshot()
 	if m.Packets == 0 || m.Selected == 0 || m.Frames == 0 || m.Alerts == 0 {
 		t.Errorf("metrics not accounted: %+v", m)
@@ -247,7 +264,7 @@ func TestOnAlertCallback(t *testing.T) {
 	g := traffic.NewGen(14)
 	e := New(cfg)
 	exp := exploits.Table1Exploits()[0]
-	feedAll(e, g.ExploitAtHoneypot(netip.MustParseAddr("10.2.2.2"), exp.DstPort, exp.Payload))
+	feedAll(t, e, g.ExploitAtHoneypot(netip.MustParseAddr("10.2.2.2"), exp.DstPort, exp.Payload))
 	if len(e.Alerts()) == 0 {
 		t.Fatal("no alerts")
 	}
@@ -281,7 +298,7 @@ func TestEmailWormDetected(t *testing.T) {
 	// The infected message: a Netsky-like packed binary attachment.
 	worm := exploits.NetskyBinary(3, 8*1024)
 	infected := netip.MustParseAddr("10.99.99.99")
-	feedAll(e, g.InfectedMailSession(infected, worm))
+	feedAll(t, e, g.InfectedMailSession(infected, worm))
 
 	var hit bool
 	for _, a := range e.Alerts() {
@@ -305,7 +322,7 @@ func TestBenignAttachmentNotFlagged(t *testing.T) {
 	cfg.Classify.Disabled = true
 	e := New(cfg)
 	clean := exploits.BenignBinary(5, 8*1024)
-	feedAll(e, g.InfectedMailSession(netip.MustParseAddr("10.1.1.2"), clean))
+	feedAll(t, e, g.InfectedMailSession(netip.MustParseAddr("10.1.1.2"), clean))
 	if len(e.Alerts()) != 0 {
 		t.Errorf("clean attachment alerted: %v", e.Alerts())
 	}

@@ -1,6 +1,10 @@
 package extract
 
-import "encoding/binary"
+import (
+	"cmp"
+	"encoding/binary"
+	"slices"
+)
 
 // CoAP extraction (RFC 7252): the constrained-device protocol IoT
 // deployments run over UDP. CoAP has no length framing of its own —
@@ -247,25 +251,26 @@ func extractCoAPFlow(data []byte, bounds []int) []Frame {
 // reassemble orders the transfer's blocks by block number
 // (retransmitted numbers keep the first copy) and concatenates them.
 func (x *blockXfer) reassemble() []byte {
-	// Insertion sort by block number, stable, preserving first-arrival
-	// on duplicates; transfers are small (bounded by MaxDgramBounds
-	// datagrams upstream).
-	idx := make([]int, len(x.nums))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && x.nums[idx[j]] < x.nums[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
 	var body []byte
 	seen := uint32(0xffffffff)
-	for _, i := range idx {
+	for _, i := range blockOrder(x.nums, cmp.Compare[uint32]) {
 		if n := x.nums[i]; n != seen {
 			seen = n
 			body = append(body, x.parts[i]...)
 		}
 	}
 	return body
+}
+
+// blockOrder returns the indices of nums sorted by block number under
+// compare. The sort is stable, so the first copy of a retransmitted
+// number comes first; a transfer holds up to reasm.MaxDgramBounds
+// blocks, in any order.
+func blockOrder(nums []uint32, compare func(a, b uint32) int) []int {
+	idx := make([]int, len(nums))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return compare(nums[a], nums[b]) })
+	return idx
 }

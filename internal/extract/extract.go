@@ -13,6 +13,10 @@ package extract
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
+	"unicode"
+	"unicode/utf8"
 
 	"semnids/internal/x86"
 )
@@ -25,10 +29,15 @@ const (
 	RunThreshold = 24
 
 	// MinBinaryWindow and BinaryDensity control raw binary-region
-	// detection: a window of at least MinBinaryWindow bytes in which
-	// the fraction of non-text bytes exceeds BinaryDensity.
+	// detection: a window of MinBinaryWindow bytes in which the
+	// fraction of non-text bytes reaches BinaryDensity.
 	MinBinaryWindow = 24
 	BinaryDensity   = 0.30
+
+	// denseCount is BinaryDensity as a count: the fewest non-text
+	// bytes a MinBinaryWindow-byte window must hold to reach it
+	// (7/24 < 0.30 <= 8/24).
+	denseCount = 8
 
 	// MaxFrameBytes caps one extracted frame.
 	MaxFrameBytes = 1 << 16
@@ -54,22 +63,67 @@ func isTextByte(b byte) bool {
 	return b == '\r' || b == '\n' || b == '\t' || (b >= 0x20 && b < 0x7f)
 }
 
-// LongestRun finds the longest run of a single repeated byte in data,
-// returning its start and length.
-func LongestRun(data []byte) (start, length int) {
-	bestStart, bestLen := 0, 0
-	i := 0
-	for i < len(data) {
-		j := i + 1
-		for j < len(data) && data[j] == data[i] {
-			j++
-		}
-		if j-i > bestLen {
-			bestStart, bestLen = i, j-i
-		}
-		i = j
+// Masks for reading a view eight bytes at a time: lsb repeats a byte
+// value into every byte of a word, msb holds each byte's top bit.
+const (
+	lsb = 0x0101010101010101
+	msb = 0x8080808080808080
+)
+
+// nonText returns the top bit of every byte of w (eight view bytes,
+// little-endian) that isTextByte rejects, and no other bit. Each test
+// works on the bytes' low seven bits, so no carry crosses a byte.
+func nonText(w uint64) uint64 {
+	lo := w &^ msb
+	// 0x80 and up, or 0x7f.
+	m := w&msb | (lo+lsb)&msb
+	// Below 0x20, unless tab, line feed or carriage return.
+	if ctrl := ^(lo + 0x60*lsb) & msb; ctrl != 0 {
+		ctrl &^= zeroBytes(lo^'\t'*lsb) | zeroBytes(lo^'\n'*lsb) | zeroBytes(lo^'\r'*lsb)
+		m |= ctrl
 	}
-	return bestStart, bestLen
+	return m
+}
+
+// zeroBytes returns the top bit of every zero byte of x, whose bytes
+// are all below 0x80.
+func zeroBytes(x uint64) uint64 { return ^(x + 0x7f*lsb) & msb }
+
+// runAtLeast returns the first longest run of one repeated byte in
+// data if that run is at least least (>= 2) bytes long, and length 0
+// otherwise. It compares bytes h = least/2 apart at multiples of h: a
+// run of least bytes or more covers two such positions, so only a pair
+// of equal samples can be part of one, and each such candidate is
+// verified and widened to its full run.
+func runAtLeast(data []byte, least int) (start, length int) {
+	h := least / 2
+	for p := h; p < len(data); p += h {
+		c := data[p]
+		if data[p-h] != c {
+			continue
+		}
+		q := p - 1
+		for q > p-h && data[q] == c {
+			q--
+		}
+		if q > p-h {
+			continue // a different byte lies between the samples
+		}
+		a, b := p-h, p+1
+		for a > 0 && data[a-1] == c {
+			a--
+		}
+		for b < len(data) && data[b] == c {
+			b++
+		}
+		if b-a >= least && b-a > length {
+			start, length = a, b-a
+		}
+		// The next run starts at b or later; resume at the first
+		// sample pair whose left sample lies there.
+		p = (b + h - 1) / h * h
+	}
+	return start, length
 }
 
 // DecodePercentU translates the IIS %uXXXX Unicode encoding (and
@@ -133,41 +187,47 @@ func hex4(b []byte) (uint16, bool) {
 	return v, true
 }
 
-// binaryRegion finds the first window where non-text density exceeds
-// BinaryDensity, extending it to the end of contiguous binary-ish
-// content. Returns (-1, -1) if none.
+// binaryRegion finds the first MinBinaryWindow-byte window whose
+// non-text density reaches BinaryDensity, walks its start back over
+// any non-text bytes just before it, and returns the region from there
+// to the end of the view (injected code is followed by its own data).
+// Returns (-1, -1) if no window is dense enough.
+//
+// A window is dense when it holds denseCount non-text bytes, so the
+// scan visits only the non-text positions — eight view bytes per
+// step — and keeps the last denseCount of them: the first position p
+// whose denseCount-th predecessor (counting p) lies inside one window
+// ending at p fixes the first dense window, starting at
+// max(0, p-MinBinaryWindow+1).
 func binaryRegion(data []byte) (start, end int) {
 	n := len(data)
 	if n < MinBinaryWindow {
 		return -1, -1
 	}
-	// Sliding window count of non-text bytes.
-	w := MinBinaryWindow
-	count := 0
-	for i := 0; i < w; i++ {
-		if !isTextByte(data[i]) {
-			count++
+	var last [denseCount]int
+	seen := uint(0)
+	for i := 0; i < n; i += 8 {
+		var m uint64
+		if i+8 <= n {
+			m = nonText(binary.LittleEndian.Uint64(data[i:]))
+		} else {
+			// The short tail: reread the view's last eight bytes
+			// and drop the ones already scanned.
+			j := n - 8
+			m = nonText(binary.LittleEndian.Uint64(data[j:])) & (^uint64(0) << (8 * (i - j)))
+			i = j
 		}
-	}
-	for i := 0; ; i++ {
-		if float64(count)/float64(w) >= BinaryDensity {
-			// Found a dense window at i; walk start back to the
-			// first non-text byte and extend to the end of payload
-			// (injected code is followed by its own data).
-			s := i
-			for s > 0 && !isTextByte(data[s-1]) {
-				s--
+		for ; m != 0; m &= m - 1 {
+			p := i + bits.TrailingZeros64(m)>>3
+			last[seen%denseCount] = p
+			seen++
+			if seen >= denseCount && p-last[seen%denseCount] < MinBinaryWindow {
+				s := max(0, p-MinBinaryWindow+1)
+				for s > 0 && !isTextByte(data[s-1]) {
+					s--
+				}
+				return s, n
 			}
-			return s, n
-		}
-		if i+w >= n {
-			break
-		}
-		if !isTextByte(data[i]) {
-			count--
-		}
-		if !isTextByte(data[i+w]) {
-			count++
 		}
 	}
 	return -1, -1
@@ -192,29 +252,31 @@ func capFrame(b []byte) []byte {
 	return b
 }
 
-// httpMethods recognized by the request parser.
-var httpMethods = [][]byte{
-	[]byte("GET "), []byte("POST "), []byte("HEAD "), []byte("PUT "),
-	[]byte("DELETE "), []byte("OPTIONS "), []byte("TRACE "), []byte("SEARCH "),
-	[]byte("PROPFIND "),
+// protocolHead is a payload prefix that names a protocol, with the
+// extractor that knows what that protocol should look like.
+type protocolHead struct {
+	prefix  string
+	extract func(payload []byte) []Frame
 }
 
-// IsHTTPRequest reports whether the payload begins like an HTTP
-// request.
-func IsHTTPRequest(data []byte) bool {
-	for _, m := range httpMethods {
-		if bytes.HasPrefix(data, m) {
-			return true
-		}
+// heads holds the protocol heads by first byte, so a view is tested
+// only against the prefixes that can match it. No prefix is a prefix
+// of another, so at most one matches.
+var heads = func() (t [256][]protocolHead) {
+	for _, h := range []protocolHead{
+		// HTTP request methods.
+		{"GET ", extractHTTP}, {"POST ", extractHTTP}, {"HEAD ", extractHTTP},
+		{"PUT ", extractHTTP}, {"DELETE ", extractHTTP}, {"OPTIONS ", extractHTTP},
+		{"TRACE ", extractHTTP}, {"SEARCH ", extractHTTP}, {"PROPFIND ", extractHTTP},
+		// HTTP responses.
+		{"HTTP/1.", extractHTTPResponse}, {"HTTP/0.9", extractHTTPResponse},
+		// SMTP client dialogues.
+		{"EHLO ", extractSMTP}, {"HELO ", extractSMTP}, {"MAIL FROM:", extractSMTP},
+	} {
+		t[h.prefix[0]] = append(t[h.prefix[0]], h)
 	}
-	return false
-}
-
-// IsHTTPResponse reports whether the payload begins like an HTTP
-// response.
-func IsHTTPResponse(data []byte) bool {
-	return bytes.HasPrefix(data, []byte("HTTP/1.")) || bytes.HasPrefix(data, []byte("HTTP/0.9"))
-}
+	return t
+}()
 
 // Extract is the stage entry point: it examines one reassembled
 // payload and returns the binary frames worth disassembling. A benign
@@ -232,14 +294,10 @@ func Extract(payload []byte) []Frame {
 	if len(payload) == 0 {
 		return nil
 	}
-	if IsHTTPRequest(payload) {
-		return extractHTTP(payload)
-	}
-	if IsHTTPResponse(payload) {
-		return extractHTTPResponse(payload)
-	}
-	if IsSMTP(payload) {
-		return extractSMTP(payload)
+	for _, h := range heads[payload[0]] {
+		if len(payload) >= len(h.prefix) && string(payload[:len(h.prefix)]) == h.prefix {
+			return h.extract(payload)
+		}
 	}
 	if verb, rest, ok := textProtocolCommand(payload); ok {
 		return extractTextCommand(payload, verb, rest)
@@ -254,36 +312,96 @@ var textProtocolVerbs = [][]byte{
 	[]byte("USER"), []byte("PASS"), []byte("CWD"), []byte("RETR"),
 	[]byte("STOR"), []byte("LIST"), []byte("SITE"), []byte("MKD"),
 	// POP3
-	[]byte("APOP"), []byte("RETR"), []byte("UIDL"),
+	[]byte("APOP"), []byte("UIDL"),
 	// IMAP (tagged commands: the tag precedes the verb)
 	[]byte("LOGIN"), []byte("SELECT"), []byte("FETCH"), []byte("APPEND"),
+}
+
+// whiteClass is 1 for the ASCII bytes unicode.IsSpace accepts, 2 for
+// the first bytes of its non-ASCII runes, and 0 for all other bytes.
+// It is built from the White_Space property IsSpace tests.
+var whiteClass = func() (t [256]uint8) {
+	mark := func(lo, hi, stride rune) {
+		for r := lo; r <= hi; r += stride {
+			if r < utf8.RuneSelf {
+				t[r] = 1
+			} else {
+				t[utf8.AppendRune(nil, r)[0]] = 2
+			}
+		}
+	}
+	for _, r := range unicode.White_Space.R16 {
+		mark(rune(r.Lo), rune(r.Hi), rune(r.Stride))
+	}
+	for _, r := range unicode.White_Space.R32 {
+		mark(rune(r.Lo), rune(r.Hi), rune(r.Stride))
+	}
+	return t
+}()
+
+// spaceLen returns the length of the white space rune b starts with,
+// or 0 if it starts with another rune.
+func spaceLen(b []byte) int {
+	switch whiteClass[b[0]] {
+	case 1:
+		return 1
+	case 2:
+		if r, size := utf8.DecodeRune(b); unicode.IsSpace(r) {
+			return size
+		}
+	}
+	return 0
 }
 
 // textProtocolCommand reports whether the payload starts with a known
 // text-protocol command (optionally preceded by an IMAP tag, "a001
 // LOGIN ..."), and returns the verb and the argument region behind it.
+// Fields are separated by Unicode white space and the first line ends
+// at '\n'. A rune is decoded only where whiteClass says a white space
+// rune may start; a field is walked a byte at a time, which no
+// multi-byte rune can misalign, as none of its later bytes starts one.
 func textProtocolCommand(payload []byte) (verb, rest []byte, ok bool) {
-	line := payload
-	if i := bytes.IndexByte(line, '\n'); i >= 0 {
-		line = line[:i]
-	}
-	// end is where the previous field stopped. Only white space lies
-	// between it and the next field, and a verb is all letters, so a
-	// verb's first occurrence from end is the field itself — not the
-	// same letters inside the tag ("LOGIN1 LOGIN ...").
-	end, n := 0, 0
-	for f := range bytes.FieldsSeq(line) {
-		end += bytes.Index(payload[end:], f) + len(f)
-		for _, v := range textProtocolVerbs {
-			if bytes.EqualFold(f, v) {
-				return f, payload[end:], true
+	pos := 0
+	for range 2 { // the verb is the first field, or the second behind a tag
+		for pos < len(payload) && payload[pos] != '\n' {
+			n := spaceLen(payload[pos:])
+			if n == 0 {
+				break
 			}
+			pos += n
 		}
-		if n++; n == 2 {
-			break // the verb is the first field, or the second behind a tag
+		start, high := pos, byte(0)
+		for pos < len(payload) && (whiteClass[payload[pos]] == 0 || spaceLen(payload[pos:]) == 0) {
+			high |= payload[pos]
+			pos++
+		}
+		if start == pos {
+			return nil, nil, false
+		}
+		if f := payload[start:pos]; isVerb(f, high < utf8.RuneSelf) {
+			return f, payload[pos:], true
 		}
 	}
 	return nil, nil, false
+}
+
+// isVerb reports whether field f (all ASCII if ascii) is one of
+// textProtocolVerbs in any case. A verb is all letters, and an ASCII
+// byte that is not a letter folds to nothing else; a non-ASCII field
+// may still fold to a verb of another length (U+212A KELVIN SIGN is a
+// 'k'), an ASCII one only to a verb of its own.
+func isVerb(f []byte, ascii bool) bool {
+	for _, c := range f {
+		if c < utf8.RuneSelf && (c|0x20 < 'a' || c|0x20 > 'z') {
+			return false
+		}
+	}
+	for _, v := range textProtocolVerbs {
+		if (!ascii || len(f) == len(v)) && bytes.EqualFold(f, v) {
+			return true
+		}
+	}
+	return false
 }
 
 // extractTextCommand applies protocol knowledge to a command stream:
@@ -298,7 +416,7 @@ func extractTextCommand(payload, verb, rest []byte) []Frame {
 	}
 	// Long repetition filler followed by content (even if the content
 	// is mostly printable: alphanumeric shellcode exists).
-	if start, length := LongestRun(rest); length >= RunThreshold {
+	if start, length := runAtLeast(rest, RunThreshold); length > 0 {
 		after := rest[start+length:]
 		if len(after) >= MinBinaryWindow {
 			off := len(payload) - len(rest) + start + length
@@ -321,7 +439,7 @@ func extractHTTPResponse(payload []byte) []Frame {
 		headerEnd = len(payload)
 	}
 	headers := payload[:headerEnd]
-	if start, length := LongestRun(headers); length >= RunThreshold*2 {
+	if start, length := runAtLeast(headers, RunThreshold*2); length > 0 {
 		after := headers[start+length:]
 		if len(after) >= MinBinaryWindow {
 			return []Frame{{Data: capFrame(after), Source: "http-resp-header", Offset: start + length}}
@@ -344,7 +462,7 @@ func extractHTTP(payload []byte) []Frame {
 
 	// Suspicious repetition in the request line (Code Red's XXXX...,
 	// generic AAAA... overflows).
-	if start, length := LongestRun(reqLine); length >= RunThreshold {
+	if start, length := runAtLeast(reqLine, RunThreshold); length > 0 {
 		// The injected content follows the filler run.
 		after := reqLine[start+length:]
 		// Strip a trailing " HTTP/1.x" protocol tag if present.
@@ -392,8 +510,7 @@ func extractRaw(payload []byte) []Frame {
 		// No dense binary region. One more protocol-anomaly check:
 		// a huge single-byte run in an otherwise textual command
 		// (brute filler) with content after it.
-		start, length := LongestRun(payload)
-		if length >= RunThreshold*2 {
+		if start, length := runAtLeast(payload, RunThreshold*2); length > 0 {
 			after := payload[start+length:]
 			if len(after) >= MinBinaryWindow {
 				return []Frame{{Data: capFrame(after), Source: "raw-binary", Offset: start + length}}

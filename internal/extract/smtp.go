@@ -20,19 +20,6 @@ var smtpAttachmentMarkers = [][]byte{
 	[]byte("Content-Transfer-Encoding:base64"),
 }
 
-// IsSMTP reports whether the payload looks like an SMTP client
-// dialogue (commands or a DATA section).
-func IsSMTP(data []byte) bool {
-	for _, prefix := range [][]byte{
-		[]byte("EHLO "), []byte("HELO "), []byte("MAIL FROM:"),
-	} {
-		if bytes.HasPrefix(data, prefix) {
-			return true
-		}
-	}
-	return false
-}
-
 // MaxAttachmentBytes caps one decoded attachment.
 const MaxAttachmentBytes = 1 << 20
 

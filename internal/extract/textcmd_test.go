@@ -106,6 +106,10 @@ func TestTextProtocolCommand(t *testing.T) {
 		{name: "tag contains verb in other case", payload: "aFetchb FETCH 1:*\r\n", verb: "FETCH", rest: " 1:*\r\n"},
 		{name: "leading blanks", payload: "  USER bob\r\n", verb: "USER", rest: " bob\r\n", oldWrong: true},
 		{name: "leading tab, tagged", payload: "\ta001 LOGIN bob\r\n", verb: "LOGIN", rest: " bob\r\n"},
+		{name: "verb folded through KELVIN SIGN", payload: "m\u212ad dir\r\n", verb: "m\u212ad", rest: " dir\r\n"},
+		{name: "verb folded through LONG S", payload: "a1 U\u017fER bob\r\n", verb: "U\u017fER", rest: " bob\r\n"},
+		{name: "non-ASCII field with a digit", payload: "U\u017fER1 bob\r\n"},
+		{name: "ideographic space", payload: "a1\u3000USER\u3000bob", verb: "USER", rest: "\u3000bob"},
 	}
 	for _, c := range cases {
 		payload := []byte(c.payload)
@@ -129,6 +133,9 @@ func TestTextProtocolCommandAgainstScan(t *testing.T) {
 		"USER", "user", "LOGIN", "Login", "RETR", "xUSER", "LOGIN1", "USERS", "a001", "*", "bob",
 		" ", "  ", "\t", "\r", "\r\n", "\n", "\v", "\u0085", "\u00a0", "\u2003", "\u3000",
 		"\xc2", "\x85", "\xa0", "\xe2\x80", "\x90\x90", "\x00",
+		// Runes that fold to verb letters, more white space, and
+		// non-space runes and fragments behind white-space lead bytes.
+		"MKD", "M\u212aD", "U\u017fER", "\u1680", "\u2028", "\u205f", "\u20ac", "\xe1\x9a", "\xe3",
 	}
 	r := rand.New(rand.NewSource(14))
 	for i := 0; i < 20000; i++ {
@@ -159,5 +166,60 @@ func TestTextProtocolCommandAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("textProtocolCommand allocates %.1f objects per %d calls, want 0", allocs, len(payloads))
+	}
+}
+
+// TestWhiteClass checks the byte table against unicode.IsSpace: every
+// white space rune starts with a byte the table marks, class 1 exactly
+// at the ASCII ones.
+func TestWhiteClass(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if !utf8.ValidRune(r) {
+			continue
+		}
+		first := utf8.AppendRune(nil, r)[0]
+		switch {
+		case r < utf8.RuneSelf && (whiteClass[r] == 1) != unicode.IsSpace(r):
+			t.Errorf("whiteClass[%#02x] = %d, IsSpace %v", r, whiteClass[r], unicode.IsSpace(r))
+		case r >= utf8.RuneSelf && unicode.IsSpace(r) && whiteClass[first] != 2:
+			t.Errorf("white space %U starts with %#02x, whiteClass %d", r, first, whiteClass[first])
+		}
+	}
+	for c := utf8.RuneSelf; c < 0x100; c++ {
+		if whiteClass[c] == 1 {
+			t.Errorf("whiteClass[%#02x] = 1 above ASCII", c)
+		}
+	}
+}
+
+// TestExtractBenignAllocs pins extraction's cost on benign views that
+// yield no frame: the dispatch, the protocol walkers and the scans
+// allocate nothing.
+func TestExtractBenignAllocs(t *testing.T) {
+	views := map[string][]byte{
+		"http request":  []byte("GET /index.html HTTP/1.1\r\nHost: www.example.com\r\nUser-Agent: Mozilla/4.0\r\nAccept: */*\r\n\r\n"),
+		"http response": []byte("HTTP/1.1 200 OK\r\nServer: Apache/1.3.33\r\nContent-Type: text/html\r\nContent-Length: 44\r\n\r\n<html><body><p>lorem ipsum</p></body></html>"),
+		"smtp dialogue": []byte("EHLO client.example.org\r\nMAIL FROM:<user7@example.org>\r\nRCPT TO:<staff@example.com>\r\nDATA\r\nSubject: lorem ipsum\r\n\r\ndolor sit amet\r\n.\r\nQUIT\r\n"),
+		"ftp command":   []byte("USER anonymous\r\nPASS guest7@example.org\r\nCWD /pub/mirrors\r\nLIST\r\nRETR file7.tar.gz\r\nQUIT\r\n"),
+		"pop3 reply":    []byte("+OK POP3 ready\r\n+OK\r\n+OK 1 messages\r\n+OK message follows\r\nlorem ipsum dolor sit amet\r\n.\r\n+OK bye\r\n"),
+	}
+	for name, v := range views {
+		if frames := Extract(v); len(frames) != 0 {
+			t.Fatalf("%s: %d frames from a benign view", name, len(frames))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { Extract(v) }); allocs != 0 {
+			t.Errorf("%s: Extract allocates %.1f objects per view, want 0", name, allocs)
+		}
+	}
+}
+
+// TestVerbsAreLetters pins what isVerb's prefilter assumes.
+func TestVerbsAreLetters(t *testing.T) {
+	for _, v := range textProtocolVerbs {
+		for _, c := range v {
+			if c|0x20 < 'a' || c|0x20 > 'z' {
+				t.Errorf("verb %q holds %q, not a letter", v, c)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -354,21 +355,22 @@ func makeDetection(tpl *Template, ct *compiledTemplate, order string, nodes []ir
 	return d
 }
 
-// addressRanges that a return-address region plausibly points into:
-// the process stack and low loaded-module ranges on the platforms the
-// paper's exploits target.
-var returnAddrRanges = [][2]uint32{
-	{0xbf000000, 0xc0000000}, // Linux stack
-	{0x08040000, 0x08100000}, // Linux exec image vicinity
-	{0x77000000, 0x78200000}, // Windows system DLLs (incl. msvcrt)
-	{0x7ffd0000, 0x80000000}, // Windows PEB/TEB region
-}
-
+// plausibleReturnAddr reports whether v points where a return-address
+// region plausibly points: the process stack and low loaded-module
+// ranges on the platforms the paper's exploits target. It switches on
+// the top byte, which rules out most dwords by itself.
 func plausibleReturnAddr(v uint32) bool {
-	for _, r := range returnAddrRanges {
-		if v >= r[0] && v < r[1] {
-			return true
-		}
+	switch v >> 24 {
+	case 0xbf: // Linux stack, 0xbf000000-0xbfffffff
+		return true
+	case 0x08: // Linux exec image vicinity, 0x08040000-0x080fffff
+		return v >= 0x08040000 && v < 0x08100000
+	case 0x77: // Windows system DLLs (incl. msvcrt), 0x77000000-0x781fffff
+		return true
+	case 0x78:
+		return v < 0x78200000
+	case 0x7f: // Windows PEB/TEB region, 0x7ffd0000-0x7fffffff
+		return v >= 0x7ffd0000
 	}
 	return false
 }
@@ -390,35 +392,28 @@ func detectReturnAddrRegion(frame []byte) (Detection, bool) {
 		var runBase uint32
 		var runStart int
 		for i := align; i+4 <= len(frame); i += 4 {
-			v := uint32(frame[i]) | uint32(frame[i+1])<<8 |
-				uint32(frame[i+2])<<16 | uint32(frame[i+3])<<24
-			base := v &^ 0xff
-			if plausibleReturnAddr(v) && (run == 0 || base == runBase) {
-				if run == 0 {
-					runBase = base
-					runStart = i
-				}
-				run++
-				if run >= minReturnAddrRun {
-					return Detection{
-						Template:    "return-address-region",
-						Description: "repeated return-address dwords equal modulo LSB pointing into a plausible address range",
-						Severity:    "medium",
-						Addrs:       []int{runStart},
-						Order:       "data",
-						Bindings: map[string]string{
-							"base": fmt.Sprintf("%#x", runBase),
-							"run":  fmt.Sprintf("%d", run),
-						},
-					}, true
-				}
+			v := binary.LittleEndian.Uint32(frame[i:])
+			if !plausibleReturnAddr(v) {
+				run = 0
 				continue
 			}
-			run = 0
-			if plausibleReturnAddr(v) {
-				runBase = base
-				runStart = i
-				run = 1
+			if base := v &^ 0xff; run > 0 && base == runBase {
+				run++
+			} else {
+				runBase, runStart, run = base, i, 1
+			}
+			if run >= minReturnAddrRun {
+				return Detection{
+					Template:    "return-address-region",
+					Description: "repeated return-address dwords equal modulo LSB pointing into a plausible address range",
+					Severity:    "medium",
+					Addrs:       []int{runStart},
+					Order:       "data",
+					Bindings: map[string]string{
+						"base": fmt.Sprintf("%#x", runBase),
+						"run":  fmt.Sprintf("%d", run),
+					},
+				}, true
 			}
 		}
 	}

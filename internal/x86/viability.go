@@ -155,9 +155,13 @@ func (c *DecodeCache) ensureVia(t *ViabilityTable) {
 	n := len(c.canon)
 	c.viaChain = growU64(c.viaChain, n)
 	c.segChain = growU64(c.segChain, n)
+	// cov is covered(seg), recomputed only when seg changes: most
+	// instructions add no statement bit the run does not already hold.
 	var seg, via uint64
+	cov := t.covered(0)
 	for i := n - 1; i >= 0; i-- {
 		in := c.canon[i]
+		prev := seg
 		switch {
 		case c.isConnector(in):
 			seg = t.all
@@ -166,7 +170,10 @@ func (c *DecodeCache) ensureVia(t *ViabilityTable) {
 		default:
 			seg |= t.bits(in)
 		}
-		via |= t.covered(seg)
+		if seg != prev {
+			cov = t.covered(seg)
+		}
+		via |= cov
 		c.segChain[i] = seg
 		c.viaChain[i] = via
 	}
