@@ -20,10 +20,10 @@ import (
 )
 
 func main() {
-	detector, err := nids.New(nids.Config{
+	detector, err := nids.NewEngine(nids.EngineConfig{Config: nids.Config{
 		// A mail operator scans all submissions: classification off.
 		DisableClassification: true,
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	detector.Flush()
+	detector.Stop()
 
 	stats := detector.Stats()
 	fmt.Printf("processed %d packets, %d frames analyzed (%d bytes)\n",

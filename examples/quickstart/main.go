@@ -17,14 +17,14 @@ import (
 func main() {
 	// 1. Configure the detector: one decoy host and the network's
 	//    un-used address space.
-	detector, err := nids.New(nids.Config{
+	detector, err := nids.NewEngine(nids.EngineConfig{Config: nids.Config{
 		Honeypots:     []string{"192.168.1.250"},
 		DarkSpace:     []string{"192.168.2.0/24"},
 		ScanThreshold: 3,
 		OnAlert: func(a nids.Alert) {
 			fmt.Println("ALERT:", a)
 		},
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,14 +36,14 @@ func main() {
 	exploit := exploits.Table1Exploits()[0]
 	for _, pkt := range g.ExploitAtHoneypot(attacker, exploit.DstPort, exploit.Payload) {
 		// In a real deployment these frames come from a capture
-		// interface or a pcap file (see ProcessPcap).
+		// interface or a pcap file (see Run).
 		if err := detector.ProcessFrame(pkt.Serialize(), pkt.TimestampUS); err != nil {
 			log.Printf("frame: %v", err)
 		}
 	}
 
-	// 3. Flush pending analysis and summarize.
-	detector.Flush()
+	// 3. Finish pending analysis, stop the engine and summarize.
+	detector.Stop()
 	stats := detector.Stats()
 	fmt.Printf("\nprocessed %d packets, analyzed %d frames, %d alerts\n",
 		stats.Packets, stats.Frames, stats.Alerts)

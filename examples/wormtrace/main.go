@@ -45,10 +45,10 @@ func main() {
 		count, float64(fi.Size())/(1<<20), instances)
 
 	// 2. Run the NIDS over the stored trace.
-	detector, err := nids.New(nids.Config{
+	detector, err := nids.NewEngine(nids.EngineConfig{Config: nids.Config{
 		Honeypots: []string{"192.168.1.250"},
 		DarkSpace: []string{"192.168.2.0/24"},
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +57,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer in.Close()
-	if err := detector.ProcessPcap(in); err != nil {
+	err = detector.Run(in)
+	detector.Stop()
+	if err != nil {
 		log.Fatal(err)
 	}
 

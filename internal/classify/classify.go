@@ -157,11 +157,20 @@ func (c *Classifier) MarkSuspicious(src netip.Addr, nowUS uint64) {
 // suspicious-list expiry and the distinct dark-space addresses it has
 // touched. The dark set is the sub-threshold scan evidence — a
 // restarted sensor that re-imports it does not grant a slow scanner a
-// fresh start at zero.
+// fresh start at zero. It travels in evidence exports as is (the json
+// tags are its wire form).
 type SourceState struct {
-	Src               netip.Addr
-	SuspiciousUntilUS uint64
-	Dark              []netip.Addr
+	Src netip.Addr `json:"src"`
+
+	// SuspiciousUntilUS is the trace-time expiry of the source's
+	// suspicious mark (honeypot contact, completed scan, or alert);
+	// zero when the source is only part-way to a verdict.
+	SuspiciousUntilUS uint64 `json:"suspicious_until_us,omitempty"`
+
+	// Dark is the sorted set of distinct dark-space addresses the
+	// source has touched. Membership is the evidence; the scan count
+	// is its length.
+	Dark []netip.Addr `json:"dark,omitempty"`
 }
 
 // ExportState snapshots every source with classification state, in a

@@ -66,11 +66,7 @@ func outbreakCheckpoints(pkts []*netpkt.Packet, sensors, steps int) [][]*inciden
 			eng.Drain()
 			corr.Flush()
 			ex := corr.Export(name)
-			for _, st := range eng.Classifier().ExportState() {
-				ex.Classifier = append(ex.Classifier, incident.ClassifierEvidence{
-					Src: st.Src, SuspiciousUntilUS: st.SuspiciousUntilUS, Dark: st.Dark,
-				})
-			}
+			ex.Classifier = append(ex.Classifier, eng.Classifier().ExportState()...)
 			ex.Lineage = lin.Export()
 			out[s] = append(out[s], ex)
 		}

@@ -87,10 +87,8 @@ type Metrics struct {
 	SourcesEvictedLRU, SourcesEvictedIdle uint64
 
 	// Incidents counts sources whose derived stage ever rose above
-	// NONE; SubDropped counts subscriber deliveries shed on full
-	// subscriber buffers.
-	Incidents  uint64
-	SubDropped uint64
+	// NONE.
+	Incidents uint64
 }
 
 // msg is one correlator input: an event or a flush barrier.
@@ -129,7 +127,6 @@ type Correlator struct {
 		events, flowOpens, alerts, fingerprints, flowEvicts atomic.Uint64
 		evictedLRU, evictedIdle                             atomic.Uint64
 		incidents                                           atomic.Uint64
-		subDropped                                          atomic.Uint64
 	}
 
 	// stageLatUS, indexed by Stage, records trace-time µs from a
@@ -137,10 +134,6 @@ type Correlator struct {
 	// kill-chain response-latency series ROADMAP asks for as a
 	// measured quantity.
 	stageLatUS [StagePropagation + 1]*telemetry.Histogram
-
-	subMu   sync.Mutex
-	subs    map[int]chan Incident
-	nextSub int
 
 	// track is set only on a Fold's merge state (nil on every other
 	// correlator; its methods accept nil).
@@ -154,7 +147,6 @@ func New(cfg Config) *Correlator {
 		done:    make(chan struct{}),
 		sources: make(map[netip.Addr]*sourceState),
 		lru:     list.New(),
-		subs:    make(map[int]chan Incident),
 	}
 	c.in = make(chan msg, queueDepth)
 	c.registerTelemetry()
@@ -178,7 +170,6 @@ func (c *Correlator) registerTelemetry() {
 	reg.CounterFunc(`semnids_incident_sources_evicted_total{reason="lru"}`, "Sources finalized to bound state.", c.m.evictedLRU.Load)
 	reg.CounterFunc(`semnids_incident_sources_evicted_total{reason="idle"}`, "Sources finalized to bound state.", c.m.evictedIdle.Load)
 	reg.CounterFunc("semnids_incident_incidents_total", "Sources whose derived stage rose above NONE.", c.m.incidents.Load)
-	reg.CounterFunc("semnids_incident_sub_dropped_total", "Subscriber deliveries shed on full buffers.", c.m.subDropped.Load)
 	reg.GaugeFunc("semnids_incident_sources_tracked", "Live per-source state machines.", func() int64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -231,33 +222,6 @@ func (c *Correlator) Stop() {
 		close(c.in)
 		<-c.done
 	})
-}
-
-// Subscribe registers a live incident feed: every stage transition is
-// delivered as a derived incident snapshot. A subscriber that falls
-// behind its buffer sheds deliveries (counted in Metrics.SubDropped)
-// rather than stalling correlation. cancel unregisters and closes the
-// channel.
-func (c *Correlator) Subscribe(buf int) (<-chan Incident, func()) {
-	if buf <= 0 {
-		buf = 16
-	}
-	ch := make(chan Incident, buf)
-	c.subMu.Lock()
-	id := c.nextSub
-	c.nextSub++
-	c.subs[id] = ch
-	c.subMu.Unlock()
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			c.subMu.Lock()
-			delete(c.subs, id)
-			c.subMu.Unlock()
-			close(ch)
-		})
-	}
-	return ch, cancel
 }
 
 func (c *Correlator) run() {
@@ -541,9 +505,9 @@ func (c *Correlator) maybeSweep() {
 	}
 }
 
-// notify delivers a derived incident to OnIncident and subscribers
-// when the source's stage rises. Called with mu held; the derived
-// snapshot is a value, so callbacks cannot race correlator state.
+// notify delivers a derived incident to OnIncident when the source's
+// stage rises. Called with mu held; the derived snapshot is a value,
+// so the callback cannot race correlator state.
 func (c *Correlator) notify(s *sourceState) {
 	st := s.stage(c.cfg.WindowUS, c.cfg.FanoutThreshold)
 	if st <= s.notified {
@@ -567,15 +531,6 @@ func (c *Correlator) notify(s *sourceState) {
 	if c.cfg.OnIncident != nil {
 		c.cfg.OnIncident(inc)
 	}
-	c.subMu.Lock()
-	for _, ch := range c.subs {
-		select {
-		case ch <- inc:
-		default:
-			c.m.subDropped.Add(1)
-		}
-	}
-	c.subMu.Unlock()
 }
 
 // Incidents derives the current incident set: every live source whose
@@ -620,6 +575,5 @@ func (c *Correlator) Metrics() Metrics {
 		SourcesEvictedLRU:  c.m.evictedLRU.Load(),
 		SourcesEvictedIdle: c.m.evictedIdle.Load(),
 		Incidents:          c.m.incidents.Load(),
-		SubDropped:         c.m.subDropped.Load(),
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 
+	"semnids/internal/classify"
 	"semnids/internal/core"
 	"semnids/internal/lineage"
 	"semnids/internal/telemetry"
@@ -199,26 +200,12 @@ type SourceEvidence struct {
 	Victims         []VictimEvidence `json:"victims,omitempty"`
 }
 
-// ClassifierEvidence is one source's classification-stage state: the
-// distinct dark-space addresses it has touched (a sub-threshold scan
-// count, as a set so it merges idempotently) and its suspicious-list
-// expiry. Persisting it alongside the correlator's evidence means a
-// restarted or failed-over sensor does not grant a slow scanner a
-// fresh start: two touches before the restart plus one after still
-// cross a threshold of three.
-type ClassifierEvidence struct {
-	Src netip.Addr `json:"src"`
-
-	// SuspiciousUntilUS is the trace-time expiry of the source's
-	// suspicious mark (honeypot contact, completed scan, or alert);
-	// zero when the source is only part-way to a verdict.
-	SuspiciousUntilUS uint64 `json:"suspicious_until_us,omitempty"`
-
-	// Dark is the sorted set of distinct dark-space addresses the
-	// source has touched. Membership is the evidence; the scan count
-	// is its length.
-	Dark []netip.Addr `json:"dark,omitempty"`
-}
+// ClassifierEvidence is one source's classification-stage state, the
+// classifier's own export record: persisting it alongside the
+// correlator's evidence means a restarted or failed-over sensor does
+// not grant a slow scanner a fresh start — two touches before the
+// restart plus one after still cross a threshold of three.
+type ClassifierEvidence = classify.SourceState
 
 // EvidenceExport is one sensor's evidence snapshot (or the merge of
 // several sensors'): the correlation parameters the evidence was
@@ -383,7 +370,7 @@ func parseStage(name string) Stage {
 // stage each record itself had already derived (recovery does not
 // re-announce); a stage that only the merged evidence proves — a
 // fan-out completed by union, a cross-sensor propagation link — fires
-// OnIncident/subscribers as a live transition would. Idempotent:
+// OnIncident as a live transition would. Idempotent:
 // importing the same export twice changes nothing. An export gathered
 // under other Params is refused.
 func (c *Correlator) Import(ex *EvidenceExport) error {
@@ -559,7 +546,6 @@ func newMergeState(p Params) *Correlator {
 		cfg:     Config{Params: p, maxSources: mergeLimit}.withDefaults(),
 		sources: make(map[netip.Addr]*sourceState),
 		lru:     list.New(),
-		subs:    make(map[int]chan Incident),
 	}
 	// Unregistered histograms keep the fold path free of nil checks;
 	// a scratch merge's latency observations are discarded with it.

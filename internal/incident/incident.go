@@ -256,8 +256,7 @@ type sourceState struct {
 	// stamped at export time).
 	sensors map[string]bool
 
-	// notified is the highest stage already delivered to OnIncident
-	// and subscribers.
+	// notified is the highest stage already delivered to OnIncident.
 	notified Stage
 
 	// elem positions the source in the correlator's recency list.

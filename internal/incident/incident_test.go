@@ -3,6 +3,7 @@ package incident
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"semnids/internal/core"
@@ -239,26 +240,31 @@ func TestIdleSweep(t *testing.T) {
 	}
 }
 
-// TestSubscribe checks stage transitions are delivered live, and that
-// a full subscriber buffer sheds instead of blocking correlation.
-func TestSubscribe(t *testing.T) {
-	c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 2}})
+// TestOnIncidentStageOrder checks that each stage a source reaches is
+// announced to Config.OnIncident once, in the order reached: the scan
+// that completes the fan-out raises RECON, the alert EXPLOIT, and
+// neither the flows after the threshold nor a second alert announce
+// again.
+func TestOnIncidentStageOrder(t *testing.T) {
+	var got []Stage
+	c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 2},
+		OnIncident: func(inc Incident) {
+			if inc.Src != attacker {
+				t.Errorf("announcement for %v, want only %v", inc.Src, attacker)
+			}
+			got = append(got, inc.Stage)
+		}})
 	defer c.Stop()
-	ch, cancel := c.Subscribe(4)
-	defer cancel()
 
 	c.Publish(flowOpen(attacker, addr(1), 1000))
 	c.Publish(flowOpen(attacker, addr(2), 2000))
+	c.Publish(flowOpen(attacker, addr(3), 3000))
 	c.Publish(alert(attacker, victim, 5000, core.Fingerprint{}))
+	c.Publish(alert(attacker, victim, 6000, core.Fingerprint{}))
 	c.Flush()
 
-	first := <-ch
-	if first.Stage != StageRecon {
-		t.Fatalf("first delivery stage = %v, want RECON", first.Stage)
-	}
-	second := <-ch
-	if second.Stage != StageExploit {
-		t.Fatalf("second delivery stage = %v, want EXPLOIT", second.Stage)
+	if want := []Stage{StageRecon, StageExploit}; !slices.Equal(got, want) {
+		t.Fatalf("announced stages %v, want %v", got, want)
 	}
 }
 

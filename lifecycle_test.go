@@ -11,7 +11,8 @@ import (
 	"semnids/internal/traffic"
 )
 
-// frameFeeder is the frame-by-frame surface NIDS and Engine share.
+// frameFeeder is the frame-by-frame surface Engine and packetFeeder
+// share.
 type frameFeeder interface {
 	ProcessFrame(frame []byte, tsUS uint64) error
 	Alerts() []Alert
@@ -41,9 +42,9 @@ func (f packetFeeder) ProcessFrame(frame []byte, tsUS uint64) error {
 // loop relies on: the frame buffer belongs to the caller again as soon
 // as the call returns. Twenty UDP exploit datagrams go through one
 // buffer that is overwritten after every call; each must still alert,
-// on both front ends and through Engine.Process, every round. (The old
-// batch NIDS queued the payload still aliasing the buffer, and lost
-// alerts in most rounds.)
+// through Engine.ProcessFrame and through Engine.Process, every round.
+// (An old batch front end queued the payload still aliasing the
+// buffer, and lost alerts in most rounds.)
 func TestProcessFrameReusedBuffer(t *testing.T) {
 	const frames, rounds = 20, 50
 	payload := exploits.Table1Exploits()[0].Payload
@@ -73,13 +74,6 @@ func TestProcessFrameReusedBuffer(t *testing.T) {
 	// alert.
 	const want = 2 * frames
 	for round := 0; round < rounds; round++ {
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := feed(n, n.Flush); got != want {
-			t.Fatalf("round %d: NIDS raised %d alerts from a reused buffer, want %d", round, got, want)
-		}
 		e, err := NewEngine(EngineConfig{Config: cfg})
 		if err != nil {
 			t.Fatal(err)
@@ -109,8 +103,9 @@ func settleGoroutines(base int) int {
 	return n
 }
 
-// TestNoGoroutineLeak checks every way a detector ends: Flush, Stop,
-// and each NewEngine error path that has to unwind a half-built engine.
+// TestNoGoroutineLeak checks every way a detector ends: Stop, with the
+// defaults and with every subsystem attached, and each NewEngine error
+// path that has to unwind a half-built engine.
 func TestNoGoroutineLeak(t *testing.T) {
 	sensor := Config{Honeypots: []string{traffic.HoneypotAddr.String()}}
 	push := PushUpstream{URLs: []string{"http://127.0.0.1:1/push"}}
@@ -118,12 +113,12 @@ func TestNoGoroutineLeak(t *testing.T) {
 		name string
 		run  func(t *testing.T)
 	}{
-		{"New+Flush", func(t *testing.T) {
-			n, err := New(sensor)
+		{"NewEngine(defaults)+Stop", func(t *testing.T) {
+			e, err := NewEngine(EngineConfig{Config: sensor})
 			if err != nil {
 				t.Fatal(err)
 			}
-			n.Flush()
+			e.Stop()
 		}},
 		{"NewEngine+Stop", func(t *testing.T) {
 			e, err := NewEngine(EngineConfig{Config: sensor, Correlate: true, Lineage: true,

@@ -13,30 +13,28 @@
 //
 // Quick start:
 //
-//	detector, err := nids.New(nids.Config{
+//	e, err := nids.NewEngine(nids.EngineConfig{Config: nids.Config{
 //		Honeypots: []string{"192.168.1.250"},
 //		DarkSpace: []string{"192.168.2.0/24"},
-//	})
+//	}})
 //	...
-//	detector.ProcessFrame(ethernetFrame, timestampMicros)
-//	detector.Flush()
-//	for _, alert := range detector.Alerts() { ... }
+//	e.ProcessFrame(ethernetFrame, timestampMicros)
+//	e.Stop()
+//	for _, alert := range e.Alerts() { ... }
 //
 // ProcessFrame borrows the frame: it is parsed and classified where it
 // lies and copied only if classification selects it, so the buffer is
 // the caller's again when the call returns and a discarded packet costs
 // a header parse. A whole capture — classic pcap with microsecond or
-// nanosecond timestamps, or pcapng — goes through ProcessPcap instead,
-// frame by frame over the same path. NIDS is an Engine that ends with
-// its trace; NewEngine gives the same pipeline with its lifecycle,
-// correlation and federation surface exposed. Incidents are read with
-// Engine.Incidents or followed live with SubscribeIncidents; of the
-// correlation parameters only the fan-out window is set here
-// (IncidentWindow), the others keep their incident.Params defaults.
-// Likewise the engine's queue depth, flow idle timeout, per-shard byte
-// budget and verdict cache size are internal/engine's defaults, and
-// every Engine records into a metrics registry of its own
-// (Engine.Telemetry).
+// nanosecond timestamps, or pcapng — goes through Run instead, frame
+// by frame over the same path. The engine outlives a trace: Drain
+// completes in-progress analysis and keeps it live, Stop ends it.
+// Incidents are read with Engine.Incidents; of the correlation
+// parameters only the fan-out window is set here (IncidentWindow), the
+// others keep their incident.Params defaults. Likewise the engine's
+// queue depth, flow idle timeout, per-shard byte budget and verdict
+// cache size are internal/engine's defaults, and every Engine records
+// into a metrics registry of its own (Engine.Telemetry).
 package nids
 
 import (
@@ -65,9 +63,6 @@ type Alert = core.Alert
 
 // Detection describes the matched template within an alert.
 type Detection = sem.Detection
-
-// Metrics reports pipeline counters and gauges.
-type Metrics = EngineMetrics
 
 // Config configures a detector.
 type Config struct {
@@ -103,13 +98,6 @@ type Config struct {
 	OnAlert func(Alert)
 }
 
-// NIDS is a detector for one trace: an Engine with the default shard
-// count whose Flush is terminal. Feed packets from one goroutine;
-// analysis runs concurrently inside.
-type NIDS struct {
-	e *Engine
-}
-
 // pipeline translates the public configuration into the engine's
 // classifier config and template set.
 func (cfg Config) pipeline() (classify.Config, []*sem.Template, error) {
@@ -141,41 +129,6 @@ func (cfg Config) pipeline() (classify.Config, []*sem.Template, error) {
 	}
 	return ccfg, tpls, nil
 }
-
-// New validates the configuration and starts a detector.
-func New(cfg Config) (*NIDS, error) {
-	e, err := NewEngine(EngineConfig{Config: cfg})
-	if err != nil {
-		return nil, err
-	}
-	return &NIDS{e: e}, nil
-}
-
-// ProcessFrame feeds one raw Ethernet frame with its capture timestamp
-// (microseconds). Unparseable frames are ignored and reported as an
-// error without stopping the detector. The frame buffer may be reused
-// as soon as the call returns.
-func (n *NIDS) ProcessFrame(frame []byte, tsUS uint64) error {
-	return n.e.ProcessFrame(frame, tsUS)
-}
-
-// ProcessPcap runs the detector over a capture stream (classic pcap
-// with microsecond or nanosecond timestamps, or pcapng) and flushes.
-func (n *NIDS) ProcessPcap(r io.Reader) error {
-	err := n.e.Run(r)
-	n.e.Stop()
-	return err
-}
-
-// Flush analyzes unfinished flows and stops the detector, which cannot
-// be fed afterwards. Idempotent.
-func (n *NIDS) Flush() { n.e.Stop() }
-
-// Alerts returns the alerts recorded so far (complete after Flush).
-func (n *NIDS) Alerts() []Alert { return n.e.Alerts() }
-
-// Stats returns pipeline counters.
-func (n *NIDS) Stats() Metrics { return n.e.Stats() }
 
 // AnalyzeBytes runs only the semantic stages (disassembler, IR,
 // template matcher) over a binary — the host-scan mode used for
@@ -224,8 +177,7 @@ type EngineConfig struct {
 
 	// Correlate attaches the streaming incident correlator: shard
 	// events feed per-source kill-chain state machines
-	// (RECON → EXPLOIT → PROPAGATION), readable live via Incidents
-	// and SubscribeIncidents.
+	// (RECON → EXPLOIT → PROPAGATION), readable live via Incidents.
 	Correlate bool
 
 	// Lineage enables payload lineage tracing (requires Correlate):
@@ -279,10 +231,6 @@ type EngineConfig struct {
 // counters and gauges plus fixed-size log-bucketed latency histograms,
 // allocation-free on the record path. See internal/telemetry.
 type TelemetryRegistry = telemetry.Registry
-
-// TelemetryHealth tracks named readiness checks plus a drain flag,
-// rendered by the /healthz endpoint of TelemetryHandler.
-type TelemetryHealth = telemetry.Health
 
 // Incident is one source's correlated kill-chain activity.
 type Incident = incident.Incident
@@ -368,9 +316,8 @@ func DeriveIncidents(ex *EvidenceExport) ([]Incident, error) { return incident.D
 
 // Engine is a continuously-running streaming detector: sharded
 // ingestion, bounded flow state with eviction, and verdict caching.
-// Unlike NIDS, it survives beyond a single trace — Drain flushes
-// in-progress flows and keeps it live; only Stop terminates it. Feed
-// from one goroutine.
+// It survives beyond a single trace — Drain flushes in-progress flows
+// and keeps it live; only Stop terminates it. Feed from one goroutine.
 type Engine struct {
 	inner *engine.Engine
 	corr  *incident.Correlator
@@ -635,12 +582,6 @@ func (e *Engine) Stats() EngineMetrics { return e.inner.Snapshot() }
 // NewEngine builds one per engine.
 func (e *Engine) Telemetry() *TelemetryRegistry { return e.tel }
 
-// Health returns the readiness tracker behind TelemetryHandler's
-// /healthz: the "engine" check flips not-ready on Stop, "spool"
-// records the durable-sink recovery outcome. Callers add their own
-// checks or flip draining during shutdown.
-func (e *Engine) Health() *TelemetryHealth { return e.health }
-
 // TelemetryHandler returns the engine's observability surface —
 // /metrics (Prometheus text), /statusz (JSON snapshot), /healthz,
 // /debug/pprof — ready to mount on an http.Server (semnids -listen
@@ -648,13 +589,6 @@ func (e *Engine) Health() *TelemetryHealth { return e.health }
 func (e *Engine) TelemetryHandler() http.Handler {
 	telemetry.RegisterProcessMetrics(e.tel)
 	return telemetry.NewMux(e.tel, e.health, e.statusInfo)
-}
-
-// StatusSnapshot captures every registered series plus identifying
-// info as one JSON-ready value — the /statusz document, also usable
-// programmatically.
-func (e *Engine) StatusSnapshot() telemetry.StatusSnapshot {
-	return e.tel.StatusSnapshot(e.statusInfo())
 }
 
 // WriteStatus writes the /statusz JSON document (one object, no
@@ -679,18 +613,6 @@ func (e *Engine) Incidents() []Incident {
 		return nil
 	}
 	return e.corr.Incidents()
-}
-
-// SubscribeIncidents registers a live incident feed delivering a
-// derived snapshot at every kill-chain stage transition. Slow
-// subscribers shed (counted in IncidentStats().SubDropped) rather
-// than stalling correlation; cancel unregisters and closes the
-// channel. Returns nil without Correlate.
-func (e *Engine) SubscribeIncidents(buf int) (<-chan Incident, func()) {
-	if e.corr == nil {
-		return nil, func() {}
-	}
-	return e.corr.Subscribe(buf)
 }
 
 // Ancestry reconstructs the current infection forest from this
@@ -728,13 +650,7 @@ func (e *Engine) IncidentStats() IncidentMetrics {
 // restart restores selection behavior along with attacker evidence.
 func (e *Engine) exportEvidence() *EvidenceExport {
 	ex := e.corr.Export(e.sensor)
-	for _, st := range e.inner.Classifier().ExportState() {
-		ex.Classifier = append(ex.Classifier, incident.ClassifierEvidence{
-			Src:               st.Src,
-			SuspiciousUntilUS: st.SuspiciousUntilUS,
-			Dark:              st.Dark,
-		})
-	}
+	ex.Classifier = append(ex.Classifier, e.inner.Classifier().ExportState()...)
 	if e.lin != nil {
 		ex.Lineage = e.lin.Export()
 	}
@@ -787,18 +703,7 @@ func (e *Engine) importEvidence(ex *EvidenceExport) error {
 			cl.MarkSuspicious(rec.Src, rec.LastSeenUS)
 		}
 	}
-	if len(ex.Classifier) > 0 {
-		states := make([]classify.SourceState, 0, len(ex.Classifier))
-		for i := range ex.Classifier {
-			rec := &ex.Classifier[i]
-			states = append(states, classify.SourceState{
-				Src:               rec.Src,
-				SuspiciousUntilUS: rec.SuspiciousUntilUS,
-				Dark:              rec.Dark,
-			})
-		}
-		cl.ImportState(states)
-	}
+	cl.ImportState(ex.Classifier)
 	return nil
 }
 

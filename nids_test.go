@@ -13,10 +13,10 @@ import (
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
-	n, err := New(Config{
+	n, err := NewEngine(EngineConfig{Config: Config{
 		Honeypots: []string{traffic.HoneypotAddr.String()},
 		DarkSpace: []string{traffic.DarkNet.String()},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n.Flush()
+	n.Stop()
 	found := false
 	for _, a := range n.Alerts() {
 		if a.Detection.Template == "linux-shell-spawn" {
@@ -43,10 +43,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeConfigErrors(t *testing.T) {
-	if _, err := New(Config{Honeypots: []string{"not-an-ip"}}); err == nil {
+	if _, err := NewEngine(EngineConfig{Config: Config{Honeypots: []string{"not-an-ip"}}}); err == nil {
 		t.Error("bad honeypot accepted")
 	}
-	if _, err := New(Config{DarkSpace: []string{"10.0.0.0/99"}}); err == nil {
+	if _, err := NewEngine(EngineConfig{Config: Config{DarkSpace: []string{"10.0.0.0/99"}}}); err == nil {
 		t.Error("bad prefix accepted")
 	}
 }
@@ -57,14 +57,16 @@ func TestFacadePcap(t *testing.T) {
 	if _, err := traffic.WritePcap(&buf, spec); err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(Config{
+	n, err := NewEngine(EngineConfig{Config: Config{
 		Honeypots: []string{traffic.HoneypotAddr.String()},
 		DarkSpace: []string{traffic.DarkNet.String()},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.ProcessPcap(&buf); err != nil {
+	err = n.Run(&buf)
+	n.Stop()
+	if err != nil {
 		t.Fatal(err)
 	}
 	got := 0
@@ -134,10 +136,10 @@ func TestTemplatesDSLConfig(t *testing.T) {
 	dsl := "template custom-spawn severity=critical\n" +
 		"  desc execve reached\n" +
 		"  syscall 0xb\n"
-	n, err := New(Config{
+	n, err := NewEngine(EngineConfig{Config: Config{
 		Honeypots:    []string{traffic.HoneypotAddr.String()},
 		TemplatesDSL: dsl,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestTemplatesDSLConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n.Flush()
+	n.Stop()
 	found := false
 	for _, a := range n.Alerts() {
 		if a.Detection.Template == "custom-spawn" {
@@ -163,7 +165,7 @@ func TestTemplatesDSLConfig(t *testing.T) {
 	}
 
 	// Invalid DSL must be rejected at construction.
-	if _, err := New(Config{TemplatesDSL: "template broken\n  bogus\n"}); err == nil {
+	if _, err := NewEngine(EngineConfig{Config: Config{TemplatesDSL: "template broken\n  bogus\n"}}); err == nil {
 		t.Error("invalid DSL accepted")
 	}
 }

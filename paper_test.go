@@ -159,7 +159,7 @@ func TestTable3CodeRedII(t *testing.T) {
 // TestFalsePositiveZero: classification disabled, every payload of a
 // benign corpus analyzed, zero alerts.
 func TestFalsePositiveZero(t *testing.T) {
-	n, err := New(Config{DisableClassification: true})
+	n, err := NewEngine(EngineConfig{Config: Config{DisableClassification: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +170,10 @@ func TestFalsePositiveZero(t *testing.T) {
 	}
 	for i := 0; i < sessions; i++ {
 		for _, p := range g.BenignSession() {
-			n.e.Process(p)
+			n.Process(p)
 		}
 	}
-	n.Flush()
+	n.Stop()
 	if alerts := n.Alerts(); len(alerts) != 0 {
 		t.Fatalf("false positives: %v", alerts)
 	}
