@@ -348,7 +348,10 @@ func TestShedRingExhaustionAllocates(t *testing.T) {
 // the sweep starts the analyzer considers are lifted (0.12 % measured)
 // — protocol text decodes as xor/inc/jcc but not with a decryption
 // loop's operand shapes. A polymorphic outbreak: pruning loses no
-// delivery, alert for alert against the unpruned analyzer.
+// delivery, alert for alert against the unpruned analyzer, and lifts
+// at most half the starts. Every frame there carries a getpc call;
+// once offset 0 has found the decoder, the remaining templates are
+// not viable in either instruction order at the other offsets.
 func TestSweepPruneOnTraffic(t *testing.T) {
 	e := New(Config{Classify: classify.Config{Disabled: true}, Shards: 2})
 	for _, p := range traffic.Synthesize(traffic.TraceSpec{Seed: 14, BenignSessions: 2000}) {
@@ -381,9 +384,10 @@ func TestSweepPruneOnTraffic(t *testing.T) {
 	if !equalSets(got, want) {
 		t.Errorf("outbreak: pruned alerts diverged\n got: %v\nwant: %v", got, want)
 	}
-	if pm.SweepStartsLifted == 0 || pm.SweepStartsLifted > pm.SweepStarts {
-		t.Errorf("outbreak: %d of %d sweep starts lifted", pm.SweepStartsLifted, pm.SweepStarts)
+	if pm.SweepStartsLifted == 0 || pm.SweepStartsLifted*2 > pm.SweepStarts {
+		t.Errorf("outbreak: %d of %d sweep starts lifted, want at most half", pm.SweepStartsLifted, pm.SweepStarts)
 	}
+	t.Logf("outbreak: %d of %d sweep starts lifted", pm.SweepStartsLifted, pm.SweepStarts)
 }
 
 // TestSketchAttemptAccounting states the sketch's conservation law at

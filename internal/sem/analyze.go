@@ -40,11 +40,13 @@ type Analyzer struct {
 	// conjunction of its statement bits; tplBit[i] is the viability
 	// bit of Templates[i] (0 = the template could not be encoded and
 	// is treated as viable everywhere). A sweep offset from which no
-	// flow-unbroken run can satisfy any candidate's conjunction
-	// (x86.DecodeCache.ViableStarts) is skipped without lifting or
-	// matching.
-	pruneTable *x86.ViabilityTable
-	tplBit     []uint64
+	// flow-unbroken run of either instruction order can satisfy any
+	// undetected candidate's conjunction is skipped without lifting or
+	// matching: pruneTable answers for the linear order
+	// (x86.DecodeCache.Viable), threadTable for the threaded order of
+	// a sweep that splices (x86.ViabilityTable.ViableOrder).
+	pruneTable, threadTable *x86.ViabilityTable
+	tplBit                  []uint64
 
 	// sweepStarts counts the sweep offsets the offset loop reached,
 	// sweepLifted those it went on to lift and match (SweepStats).
@@ -99,14 +101,16 @@ func NewAnalyzer(tpls []*Template) *Analyzer {
 
 // buildPrune assigns one statement bit to each mandatory restricted-
 // vocabulary statement across the template set (up to 64 statements
-// and 64 templates) and builds the viability table driving the
-// sweep-start pass: an instruction earns a statement's bit when its
+// and 64 templates) and builds the two viability tables driving the
+// sweep-start pass. An instruction earns a statement's bit when its
 // opcode is in the statement's vocabulary and it passes the
-// statement's own shape test (prunable). A template that got no
+// statement's own shape test: prunable on the linear order, where a
+// back edge's already-visited target is a lower address, and shape on
+// the threaded order, where it is not. A template that got no
 // statement bits (unrestricted vocabulary, or bit budget exhausted)
 // ends with tplBit == 0, which makes every offset viable whenever it
-// is a candidate — pruning can only ever skip offsets that provably
-// cannot match.
+// is an undetected candidate — pruning can only ever skip offsets that
+// provably cannot match.
 func (a *Analyzer) buildPrune() {
 	var masks []x86.OpSet
 	var stmts []*cstmt // statement bit -> its statement
@@ -151,6 +155,8 @@ func (a *Analyzer) buildPrune() {
 	if len(masks) == 0 {
 		return
 	}
+	// The two closures differ in one call. Each names its test
+	// directly: a test passed in as a method value stops inlining.
 	a.pruneTable = x86.NewViabilityTable(masks, reqs)
 	a.pruneTable.SetShape(func(in *x86.Inst, earned uint64) uint64 {
 		keep := earned
@@ -161,18 +167,46 @@ func (a *Analyzer) buildPrune() {
 		}
 		return keep
 	})
+	a.threadTable = x86.NewViabilityTable(masks, reqs)
+	a.threadTable.SetShape(func(in *x86.Inst, earned uint64) uint64 {
+		keep := earned
+		for rest := earned; rest != 0; rest &= rest - 1 {
+			if k := bits.TrailingZeros64(rest); !stmts[k].shape(in) {
+				keep &^= 1 << uint(k)
+			}
+		}
+		return keep
+	})
+}
+
+// viable reports whether a sweep from off could yield a detection of a
+// template in want in either instruction order. The threaded order is
+// threaded and scanned only when the sweep splices; otherwise it is a
+// prefix of the linear order, in address order, and the linear answer
+// covers it.
+func (a *Analyzer) viable(sc *frameScratch, cache *x86.DecodeCache, off int, want uint64) bool {
+	if cache.Viable(off, a.pruneTable, want) {
+		return true
+	}
+	if !cache.Splices(off) {
+		return false
+	}
+	sc.order = x86.ThreadOrderAppend(sc.order[:0], cache.Sweep(off))
+	return a.threadTable.ViableOrder(sc.order, want)
 }
 
 // frameScratch is the reusable per-AnalyzeFrame working state: the
 // memoized decode cache, the lifted program, the matcher's index
-// tables and the small bookkeeping slices. Pooling it makes the whole
-// hot path allocation-free in steady state. Sketch draws from the same
-// pool for its emulator and the two tail buffers decodedTail swaps;
+// tables, the threaded order the prune scans and the small
+// bookkeeping slices. Pooling it makes the whole hot path
+// allocation-free in steady state. Sketch draws from the same pool for
+// its emulator and the two tail buffers decodedTail swaps;
 // emu.Machine.Load starts each frame from an empty fetch memo.
 type frameScratch struct {
 	cache x86.DecodeCache
 	prog  ir.Program
 	m     matcher
+	order []*x86.Inst
 	seen  []string
 	cands []candidate
 
@@ -265,23 +299,14 @@ candidates:
 	}
 
 	// Sweep-start viability: before paying for a sweep's lift and
-	// match work, the memoized chain check (x86.DecodeCache.Viable)
-	// decides whether any flow-unbroken run reachable from the offset
-	// could still satisfy some candidate's mandatory-statement
-	// conjunction; non-viable offsets skip the expensive stages
-	// entirely, and the check shares every decoded byte with the
-	// sweeps themselves. Disabled when any candidate could not be
-	// encoded (tplBit 0 would make every offset viable anyway).
-	pruneWant := uint64(0)
-	if !a.DisableSweepPrune && a.pruneTable != nil && len(a.tplBit) == len(a.Templates) {
-		for i := range cands {
-			if cands[i].bit == 0 {
-				pruneWant = 0
-				break
-			}
-			pruneWant |= cands[i].bit
-		}
-	}
+	// match work, the memoized chain check decides whether any
+	// flow-unbroken run reachable from the offset, in either order,
+	// could still satisfy the conjunction of some candidate not yet
+	// detected; non-viable offsets skip the expensive stages entirely,
+	// and the check shares every decoded byte with the sweeps
+	// themselves. An offset is not pruned while an undetected candidate
+	// could not be encoded (its tplBit 0 makes every offset viable).
+	prune := !a.DisableSweepPrune && a.pruneTable != nil && len(a.tplBit) == len(a.Templates)
 
 	var starts, lifted uint64
 	sc.m.exhausted = 0
@@ -293,8 +318,10 @@ candidates:
 			break
 		}
 		starts++
-		if pruneWant != 0 && !cache.Viable(off, a.pruneTable, pruneWant) {
-			continue
+		if prune {
+			if want := unseenWant(cands, seenName); want != 0 && !a.viable(sc, cache, off, want) {
+				continue
+			}
 		}
 		lifted++
 		sc.prog.Reuse(cache.Sweep(off))
@@ -331,6 +358,23 @@ candidates:
 		record(d)
 	}
 	return out
+}
+
+// unseenWant returns the viability bits of the candidates whose name
+// has no detection yet — the only templates the next offset can still
+// report — or 0 when one of them has no bit and so cannot be pruned.
+func unseenWant(cands []candidate, seen func(string) bool) uint64 {
+	var want uint64
+	for i := range cands {
+		if seen(cands[i].tpl.Name) {
+			continue
+		}
+		if cands[i].bit == 0 {
+			return 0
+		}
+		want |= cands[i].bit
+	}
+	return want
 }
 
 func makeDetection(tpl *Template, ct *compiledTemplate, order string, nodes []ir.Node, b *binding, idxs []int) Detection {

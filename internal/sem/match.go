@@ -15,16 +15,10 @@ type matcher struct {
 	nodes []ir.Node
 	frame []byte
 
-	// defCount[fam][i] = number of defs of register family fam in
-	// nodes[0:i]; lets the clobber check run in O(1) per candidate.
-	// The eight rows share one flat buffer.
-	defCount [8][]int32
-	defBuf   []int32
-
 	// flowCount[i] = number of flow-breaking nodes (undecodable bytes,
-	// ret, hlt) in nodes[0:i]. A matched behavior must be control-flow
-	// connected: execution cannot pass through a ret or an
-	// undecodable byte between one matched statement and the next.
+	// ret, hlt) in nodes[0:i]. A loop must be control-flow connected:
+	// execution cannot pass through a ret or an undecodable byte
+	// between the back edge's target and the back edge.
 	flowCount []int32
 
 	// addrIndex maps instruction frame offsets to sequence position
@@ -37,8 +31,8 @@ type matcher struct {
 	// before any search starts.
 	opsSeen opMask
 
-	// tablesBuilt records that defCount, flowCount and addrIndex
-	// describe the current nodes (see buildTables).
+	// tablesBuilt records that flowCount and addrIndex describe the
+	// current nodes (see buildTables).
 	tablesBuilt bool
 
 	matched []int // scratch for the matched node indices
@@ -59,10 +53,10 @@ type matcher struct {
 const maxSearchSteps = 1 << 20
 
 // reset rebinds the matcher to a node sequence. Only the opcode
-// presence set is computed here: most sequences are rejected by
-// canMatch for every candidate template, so the def/flow prefix sums
-// and the address index are built by the first candidate that passes
-// (buildTables), and never for a sequence no template could match.
+// presence set is computed here: the flow prefix sums and the address
+// index serve only the back-edge check, so the first SBackEdge
+// candidate builds them (buildTables), and a sequence no loop
+// template reaches a back edge in never pays for them.
 func (m *matcher) reset(nodes []ir.Node, frame []byte) {
 	m.nodes, m.frame = nodes, frame
 	m.tablesBuilt = false
@@ -72,8 +66,8 @@ func (m *matcher) reset(nodes []ir.Node, frame []byte) {
 	}
 }
 
-// buildTables builds the def/flow prefix sums and the address index
-// for the current node sequence, once per reset.
+// buildTables builds the flow prefix sums and the address index for
+// the current node sequence, once per reset.
 func (m *matcher) buildTables() {
 	if m.tablesBuilt {
 		return
@@ -82,15 +76,6 @@ func (m *matcher) buildTables() {
 	nodes := m.nodes
 
 	n := len(nodes)
-	if cap(m.defBuf) < 8*(n+1) {
-		m.defBuf = make([]int32, 8*(n+1))
-	} else {
-		m.defBuf = m.defBuf[:8*(n+1)]
-	}
-	for f := 0; f < 8; f++ {
-		m.defCount[f] = m.defBuf[f*(n+1) : (f+1)*(n+1)]
-		m.defCount[f][0] = 0
-	}
 	if cap(m.flowCount) < n+1 {
 		m.flowCount = make([]int32, n+1)
 	} else {
@@ -114,19 +99,10 @@ func (m *matcher) buildTables() {
 	}
 
 	for i := range nodes {
-		nd := &nodes[i]
-		m.addrIndex[nd.Inst.Addr] = int32(i)
-		defs := nd.Defs
-		for f := 0; f < 8; f++ {
-			c := m.defCount[f][i]
-			if defs&(1<<f) != 0 {
-				c++
-			}
-			m.defCount[f][i+1] = c
-		}
+		in := nodes[i].Inst
+		m.addrIndex[in.Addr] = int32(i)
 		fc := m.flowCount[i]
-		switch nd.Inst.Op {
-		case x86.BAD, x86.RET, x86.HLT:
+		if in.Op.BreaksRun() {
 			fc++
 		}
 		m.flowCount[i+1] = fc
@@ -157,29 +133,6 @@ func (m *matcher) canMatch(ct *compiledTemplate) bool {
 	return true
 }
 
-// flowBroken reports whether control flow is broken strictly between
-// nodes lo and hi.
-func (m *matcher) flowBroken(lo, hi int) bool {
-	if hi <= lo+1 {
-		return false
-	}
-	return m.flowCount[hi]-m.flowCount[lo+1] > 0
-}
-
-// defsInRange reports whether any register family in set is defined by
-// nodes strictly between lo and hi.
-func (m *matcher) defsInRange(set ir.RegSet, lo, hi int) bool {
-	if hi <= lo+1 {
-		return false
-	}
-	for f := 0; f < 8; f++ {
-		if set&(1<<f) != 0 && m.defCount[f][hi]-m.defCount[f][lo+1] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // match searches nodes (one specific order) for the compiled template.
 // The returned binding and index slice are the matcher's scratch,
 // valid until the next match call.
@@ -187,7 +140,6 @@ func (m *matcher) match(ct *compiledTemplate) (*binding, []int, bool) {
 	if !m.canMatch(ct) {
 		return nil, nil, false
 	}
-	m.buildTables()
 	m.steps = 0
 	if cap(m.binds) < len(ct.stmts)+1 {
 		m.binds = make([]binding, len(ct.stmts)+1)
@@ -241,13 +193,10 @@ func (m *matcher) search(ct *compiledTemplate, s, prev, bi int, matched *[]int) 
 		// them the candidate binding's copy.
 		if st.opAllowed(m.nodes[i].Inst.Op) {
 			m.binds[bi+1] = *b
+			// No node strictly between prev and i clobbers a live
+			// register or breaks control flow: the scan stops at the
+			// first that does (below).
 			if m.matchStmt(st, i, &m.binds[bi+1]) {
-				// Bound live registers must not be clobbered, and
-				// control flow must not break, between the previous
-				// match and this one.
-				if prev >= 0 && (m.defsInRange(live, prev, i) || m.flowBroken(prev, i)) {
-					break
-				}
 				*matched = append(*matched, i)
 				if m.search(ct, s+1, i, bi+1, matched) {
 					m.binds[bi] = m.binds[bi+1]
@@ -262,7 +211,7 @@ func (m *matcher) search(ct *compiledTemplate, s, prev, bi int, matched *[]int) 
 		// contains the violation. This bounds the scan to the
 		// clobber-free window, which is what keeps matching fast on
 		// junk-heavy or random frames.
-		if prev >= 0 && (m.nodes[i].Defs.Intersects(live) || m.flowCount[i+1] > m.flowCount[i]) {
+		if prev >= 0 && (m.nodes[i].Defs.Intersects(live) || m.nodes[i].Inst.Op.BreaksRun()) {
 			break
 		}
 	}
@@ -354,14 +303,14 @@ func (st *cstmt) shape(in *x86.Inst) bool {
 	return true
 }
 
-// prunable is shape as the sweep-start pruner asks it, with the one
-// test the pruner can make that matchStmt cannot. On a flow-unbroken
-// run no in-frame jmp/call touches, both instruction orders visit the
-// run in address order (ThreadOrderAppend splices only through those
-// two, and x86.DecodeCache.Viable makes any run containing one viable
-// outright), so SBackEdge's "target already visited" is "target
-// address below the branch's own": a forward branch cannot close a
-// loop there.
+// prunable is shape as the sweep-start pruner asks it of the linear
+// order, with the one test the pruner can make there that matchStmt
+// cannot. The linear order visits instructions in address order, and
+// so does the threaded order of a sweep without an in-frame jmp/call
+// (a prefix of the linear one; x86.DecodeCache.Splices), so SBackEdge's
+// "target already visited" is "target address below the branch's
+// own": a forward branch cannot close a loop there. The threaded order
+// of a sweep that splices is asked shape alone.
 func (st *cstmt) prunable(in *x86.Inst) bool {
 	if st.Kind == SBackEdge && (in.Target < 0 || in.Target >= in.Addr) {
 		return false
@@ -470,6 +419,7 @@ func (m *matcher) matchStmt(st *cstmt, i int, nb *binding) bool {
 		// back-edge target can be later in address order but earlier
 		// in execution order), while rejecting phantom loops in
 		// misaligned decodes whose targets fall between instructions.
+		m.buildTables()
 		j, ok := m.lookupAddr(in.Target)
 		if !ok || j >= i {
 			return false

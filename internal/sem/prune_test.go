@@ -13,6 +13,7 @@ import (
 	"semnids/internal/morph"
 	"semnids/internal/polymorph"
 	"semnids/internal/shellcode"
+	"semnids/internal/x86"
 )
 
 // pruneCorpora is the frame set the viability-prune differential runs
@@ -53,12 +54,13 @@ func pruneCorpora(t testing.TB) map[string][]byte {
 	return out
 }
 
-// pruneSeeds is pruneCorpora plus the frames where a shape bit is most
-// likely to be wrong: morph-rewritten cleartext shellcode (no decoder,
-// syscall templates), every stored CLET/ADMmutate frame of the sketch
-// golden (bare, overflow-packed, over morphed cleartext), and protocol
-// text with one decoder spliced in at each of a few offsets, so the
-// loop sits behind a divergent text prefix.
+// pruneSeeds is pruneCorpora plus the frames where a shape bit or a
+// per-order answer is most likely to be wrong: morph-rewritten
+// cleartext shellcode (no decoder, syscall templates), every stored
+// CLET/ADMmutate frame of the sketch golden (bare, overflow-packed,
+// over morphed cleartext), junk and a decrypt loop behind a getpc
+// call, and protocol text with one decoder spliced in at each of a few
+// offsets, so the loop sits behind a divergent text prefix.
 func pruneSeeds(t testing.TB) map[string][]byte {
 	out := pruneCorpora(t)
 	for seed := int64(1); seed <= 4; seed++ {
@@ -93,12 +95,31 @@ func pruneSeeds(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 
+	// Junk behind a getpc call splices at every offset: the per-order
+	// check is all that prunes it.
+	for i, n := range []int{16, 64, 256} {
+		out["getpc-junk-"+strconv.Itoa(n)] = getpcFramed(junkFrame(int64(40+i), n))
+	}
+	out["getpc-loop"] = getpcDecryptLoop()
+
 	text := out["text"]
 	for _, at := range []int{0, 7, 30, len(text)} {
 		spliced := append(append(append([]byte(nil), text[:at]...), out["xor-loop"]...), text[at:]...)
 		out["text-spliced-"+strconv.Itoa(at)] = spliced
 	}
 	return out
+}
+
+// getpcFramed wraps body in the jmp/call/pop getpc idiom: a jmp to a
+// call back to the pop in front of body.
+func getpcFramed(body []byte) []byte {
+	return x86.NewAsm().
+		Jmp("getpc").
+		Label("decoder").PopR(x86.ESI).
+		Raw(body...).
+		Label("getpc").Call("decoder").
+		Raw(body...).
+		MustBytes()
 }
 
 // pruneAnalyzers returns the pruned analyzer and its unpruned oracle
@@ -229,5 +250,40 @@ func TestPruneSkipsHopelessFrame(t *testing.T) {
 		if considered, lifted := b.SweepStats(); considered != 4 || lifted != 4 {
 			t.Errorf("%s: unpruned baseline considered %d, lifted %d; want 4 and 4", name, considered, lifted)
 		}
+	}
+}
+
+// getpcDecryptLoop is the Clet/ADMmutate shape: jmp/call/pop getpc in
+// front of a byte-xor decryption loop over an encoded body. The call
+// is an in-frame connector, so the sweep splices at every offset.
+func getpcDecryptLoop() []byte {
+	body := make([]byte, 32)
+	rand.New(rand.NewSource(34)).Read(body)
+	return x86.NewAsm().
+		JmpShort("getpc").
+		Label("decoder").PopR(x86.ESI).
+		MovRI(x86.ECX, int64(len(body))).
+		Label("top").I(x86.XOR, mem8(x86.ESI), x86.ImmOp(0x55)).
+		IncR(x86.ESI).
+		Loop("top").
+		JmpShort("body").
+		Label("getpc").Call("decoder").
+		Label("body").Raw(body...).
+		MustBytes()
+}
+
+// TestPruneGetpcLiftsOnce pins the per-order prune on the frame shape
+// that dominates polymorphic traffic: offset 0 finds the decoder, and
+// at offsets 1–3 neither instruction order can hold a template not yet
+// detected, so 1 of the 4 starts is lifted. The detections are the
+// unpruned analyzer's.
+func TestPruneGetpcLiftsOnce(t *testing.T) {
+	frame := getpcDecryptLoop()
+	pruned, baseline := pruneAnalyzers(nil)
+	if n := checkPruneAgrees(t, "getpc", pruned, baseline, frame); n == 0 {
+		t.Fatal("no detection on the getpc decrypt loop")
+	}
+	if considered, lifted := pruned.SweepStats(); considered != 4 || lifted != 1 {
+		t.Errorf("%d sweep starts considered, %d lifted; want 4 and 1", considered, lifted)
 	}
 }

@@ -38,8 +38,11 @@ type DecodeCache struct {
 	// canon is the first fully materialized sweep (the canonical
 	// chain); canonAt[p] is 1 + the index within canon of the
 	// instruction at position p, or 0 if p is not on the chain.
-	canon   []*Inst
-	canonAt []int32
+	// lastConn is 1 + the index within canon of the chain's last
+	// in-frame jmp/call, or 0 if it has none (see Splices).
+	canon    []*Inst
+	canonAt  []int32
+	lastConn int32
 
 	// sweeps memoizes the result slice per requested start offset.
 	sweeps map[int][]*Inst
@@ -81,6 +84,7 @@ func (c *DecodeCache) Reset(b []byte) {
 	c.b = b
 	c.n = 0
 	c.canon = c.canon[:0]
+	c.lastConn = 0
 	c.index()
 	clear(c.sweeps)
 	c.spare = append(c.spare, c.used...)
@@ -166,6 +170,9 @@ func (c *DecodeCache) Sweep(start int) []*Inst {
 			in := c.instAt(pos)
 			c.canon = append(c.canon, in)
 			c.canonAt[pos] = int32(len(c.canon))
+			if c.isConnector(in) {
+				c.lastConn = int32(len(c.canon))
+			}
 			pos += int(in.Len)
 		}
 		out = c.canon

@@ -30,8 +30,13 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// FuzzSweep: a sweep tiles the frame, and the cache's memoized sweeps
+// and splice answers — what the sweep-start prune reads — are the
+// plain sweep's at each analyzer offset.
 func FuzzSweep(f *testing.F) {
 	f.Add([]byte{0x90, 0x0f, 0xff, 0x90})
+	f.Add(splicedLoop())
+	f.Add(getpcNoLoop())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		insts := SweepAll(b)
 		pos := 0
@@ -43,6 +48,21 @@ func FuzzSweep(f *testing.F) {
 		}
 		if pos != len(b) {
 			t.Fatalf("sweep covered %d of %d bytes", pos, len(b))
+		}
+		c := NewDecodeCache(b)
+		for off := min(3, len(b)-1); off >= 0; off-- {
+			got, want := c.Sweep(off), Sweep(b, off)
+			if len(got) != len(want) {
+				t.Fatalf("cached sweep %d: %d instructions, want %d", off, len(got), len(want))
+			}
+			for i := range want {
+				if *got[i] != want[i] {
+					t.Fatalf("cached sweep %d: instruction %d is %v, want %v", off, i, got[i], &want[i])
+				}
+			}
+			if got, want := c.Splices(off), naiveSplices(b, off); got != want {
+				t.Fatalf("Splices(%d) = %v, want %v", off, got, want)
+			}
 		}
 	})
 }

@@ -207,6 +207,13 @@ func (op Opcode) EndsFlow() bool {
 	return false
 }
 
+// BreaksRun reports whether the opcode ends a flow-unbroken run: an
+// undecodable byte (BAD), ret or hlt, past which execution never
+// reaches the next instruction of either order. The matcher accepts
+// no template whose statements, or whose loop, span one, and the
+// sweep-start viability check splits its runs at the same opcodes.
+func (op Opcode) BreaksRun() bool { return op == BAD || op == RET || op == HLT }
+
 // IsArith reports whether the opcode is a two-operand ALU operation
 // whose first operand is both read and written.
 func (op Opcode) IsArith() bool {

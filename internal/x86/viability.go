@@ -11,13 +11,14 @@ package x86
 // owns the set of statement bits it requires (reqs). The matcher only
 // accepts a template when all its statements land inside one
 // flow-unbroken run of the instruction order — no BAD, RET or HLT
-// between matched statements — so a template is viable from p only if
-// some single run on the chain from p covers all its required bits.
+// between matched statements — so a template is viable in an order
+// only if some single run of it covers all its required bits.
+// DecodeCache.Viable asks that of the linear sweep from p,
+// ViableOrder of an order the caller supplies.
 type ViabilityTable struct {
 	ops   [256]uint64
 	shape func(in *Inst, bits uint64) uint64
 	reqs  []uint64
-	all   uint64
 }
 
 // NewViabilityTable assigns statement bit i to masks[i] (at most 64
@@ -32,7 +33,6 @@ func NewViabilityTable(masks []OpSet, reqs []uint64) *ViabilityTable {
 				t.ops[op] |= 1 << uint(i)
 			}
 		}
-		t.all |= 1 << uint(i)
 	}
 	return t
 }
@@ -67,23 +67,18 @@ func (t *ViabilityTable) covered(seg uint64) uint64 {
 	return out
 }
 
-// isBreaker reports whether op ends a flow-unbroken run: the matcher
-// never accepts a template whose statements span a BAD, RET or HLT.
-func isBreaker(op Opcode) bool { return op == BAD || op == RET || op == HLT }
-
 // isConnector reports whether the instruction can splice another run
-// onto the current one under jump threading (ThreadOrderAppend follows
-// in-frame jmp/call targets). Viability gives up conservatively on
-// such runs — anything could become reachable — rather than chase
-// targets.
+// onto the current one under jump threading: ThreadOrderAppend follows
+// in-frame jmp/call targets, and nothing else makes it depart from
+// address order.
 func (c *DecodeCache) isConnector(in *Inst) bool {
 	return (in.Op == JMP || in.Op == CALL) && in.HasTarget &&
 		in.Target >= 0 && int(in.Target) < len(c.b)
 }
 
-// Viable reports whether any template in want could match a sweep
-// starting at offset off, sharing every decoded byte with the cache's
-// memoized sweeps:
+// Viable reports whether any template in want could match the linear
+// sweep starting at offset off — the sweep's own instruction order —
+// sharing every decoded byte with the cache's memoized sweeps:
 //
 //   - One backward pass over the canonical chain (built by the first
 //     Sweep, forced at offset 0 if none exists yet) precomputes, per
@@ -97,13 +92,13 @@ func (c *DecodeCache) isConnector(in *Inst) bool {
 //     Sweep(off) would reuse) until it self-synchronizes onto the
 //     chain, merging its open run with the chain's run at the join.
 //
-// The check is sound-conservative: it never reports false for an
-// offset the matcher could match (an instruction keeps every
-// statement bit the matcher could accept it for — the opcode table is
-// a superset and the shape function is the matcher's own — run
-// boundaries mirror the matcher's flow-broken rule, and threading
-// joins poison the run), so skipping non-viable offsets cannot change
-// detections.
+// The check is sound-conservative for the linear order: it never
+// reports false for an offset the matcher could match in that order
+// (an instruction keeps every statement bit the matcher could accept
+// it for — the opcode table is a superset and the shape function is
+// the matcher's own — and run boundaries mirror the matcher's
+// flow-broken rule). The threaded order is a question of its own
+// (Splices, ViableOrder).
 func (c *DecodeCache) Viable(off int, t *ViabilityTable, want uint64) bool {
 	if t == nil || want == 0 || off >= len(c.b) {
 		return false
@@ -128,10 +123,7 @@ func (c *DecodeCache) Viable(off int, t *ViabilityTable, want uint64) bool {
 			return (t.covered(seg|c.segChain[i-1])|c.viaChain[i-1])&want != 0
 		}
 		in := c.instAt(pos)
-		if c.isConnector(in) {
-			return true
-		}
-		if isBreaker(in.Op) {
+		if in.Op.BreaksRun() {
 			seg = 0
 		} else if bits := t.bits(in); seg|bits != seg {
 			seg |= bits
@@ -140,6 +132,60 @@ func (c *DecodeCache) Viable(off int, t *ViabilityTable, want uint64) bool {
 			}
 		}
 		pos += int(in.Len)
+	}
+	return false
+}
+
+// Splices reports whether the sweep starting at off holds an in-frame
+// jmp or call, the only instructions ThreadOrderAppend follows away
+// from address order. A sweep without one threads to a prefix of
+// itself, in address order (the walk ends at a ret, a hlt or a jmp
+// that leaves the frame), whose runs lie inside the sweep's own, so
+// Viable answers for its threaded order as well. An offset on the
+// canonical chain answers in O(1); an off-chain one walks its
+// divergent prefix through the instruction memo.
+func (c *DecodeCache) Splices(off int) bool {
+	if off >= len(c.b) {
+		return false
+	}
+	if len(c.canon) == 0 {
+		c.Sweep(0)
+	}
+	for pos := off; pos < len(c.b); {
+		if i := c.canonAt[pos]; i > 0 {
+			return c.lastConn >= i
+		}
+		in := c.instAt(pos)
+		if c.isConnector(in) {
+			return true
+		}
+		pos += int(in.Len)
+	}
+	return false
+}
+
+// ViableOrder reports whether any template in want could match order,
+// an instruction sequence the matcher searches as given (typically the
+// threaded order ThreadOrderAppend recovers from a sweep that
+// Splices): whether one of its flow-unbroken runs covers a wanted
+// template's requirements.
+func (t *ViabilityTable) ViableOrder(order []*Inst, want uint64) bool {
+	if t == nil || want == 0 || len(order) == 0 {
+		return false
+	}
+	if t.covered(0)&want != 0 {
+		return true
+	}
+	var seg uint64
+	for _, in := range order {
+		if in.Op.BreaksRun() {
+			seg = 0
+		} else if bits := t.bits(in); seg|bits != seg {
+			seg |= bits
+			if t.covered(seg)&want != 0 {
+				return true
+			}
+		}
 	}
 	return false
 }
@@ -162,12 +208,9 @@ func (c *DecodeCache) ensureVia(t *ViabilityTable) {
 	for i := n - 1; i >= 0; i-- {
 		in := c.canon[i]
 		prev := seg
-		switch {
-		case c.isConnector(in):
-			seg = t.all
-		case isBreaker(in.Op):
+		if in.Op.BreaksRun() {
 			seg = 0
-		default:
+		} else {
 			seg |= t.bits(in)
 		}
 		if seg != prev {

@@ -6,34 +6,46 @@ import (
 )
 
 // naiveViable recomputes DecodeCache.Viable the obvious way: walk the
-// chain from start, split it into flow-unbroken runs, poison runs
-// reached through an in-frame jmp/call, and report whether any run
-// covers a wanted template's requirements. An instruction's statement
-// bits are its opcode's, narrowed by the table's shape function if it
-// has one.
+// sweep from start, split it into flow-unbroken runs, and report
+// whether any run covers a wanted template's requirements. An
+// instruction's statement bits are its opcode's, narrowed by the
+// table's shape function if it has one.
 func naiveViable(b []byte, start int, t *ViabilityTable, want uint64) bool {
+	return naiveRuns(Refs(Sweep(b, start)), t, want)
+}
+
+// naiveThreaded is the same question for the threaded order: thread
+// the sweep from start, then split that order into runs.
+func naiveThreaded(b []byte, start int, t *ViabilityTable, want uint64) bool {
+	return naiveRuns(ThreadOrderAppend(nil, Refs(Sweep(b, start))), t, want)
+}
+
+// naiveRuns reports whether a flow-unbroken run of order covers a
+// wanted template's requirements.
+func naiveRuns(order []*Inst, t *ViabilityTable, want uint64) bool {
 	var seg uint64
-	for pos := start; pos < len(b); {
-		op, l, bits := BAD, 1, uint64(0)
-		if in, err := Decode(b, pos); err == nil {
-			op, l = in.Op, int(in.Len)
-			if (op == JMP || op == CALL) && in.HasTarget &&
-				in.Target >= 0 && int(in.Target) < len(b) {
-				return want != 0
-			}
-			if bits = t.ops[op]; bits != 0 && t.shape != nil {
-				bits = t.shape(&in, bits)
-			}
-		}
-		if op == BAD || op == RET || op == HLT {
+	for _, in := range order {
+		if in.Op == BAD || in.Op == RET || in.Op == HLT {
 			seg = 0
+		} else if bits := t.ops[in.Op]; bits != 0 && t.shape != nil {
+			seg |= t.shape(in, bits)
 		} else {
 			seg |= bits
 		}
 		if t.covered(seg)&want != 0 {
 			return true
 		}
-		pos += l
+	}
+	return false
+}
+
+// naiveSplices reports whether the sweep from start holds an in-frame
+// jmp or call.
+func naiveSplices(b []byte, start int) bool {
+	for _, in := range Sweep(b, start) {
+		if (in.Op == JMP || in.Op == CALL) && in.HasTarget && in.Target >= 0 && int(in.Target) < len(b) {
+			return true
+		}
 	}
 	return false
 }
@@ -93,18 +105,48 @@ func viabilityCorpora() map[string][]byte {
 		0xcd, 0x80, // int 0x80
 	}
 	jumpy := []byte{
-		0xeb, 0x02, // jmp +2 (connector: conservatively viable)
+		0xeb, 0x02, // jmp +2 (a connector, and still no loop)
 		0xc3, 0x90, // ret; nop
 		0x80, 0x36, 0x55, // xor byte [esi], 0x55
 	}
 	return map[string][]byte{
-		"junk":  junk,
-		"text":  text,
-		"smtp":  smtp,
-		"code":  code,
-		"jumpy": jumpy,
-		"tiny":  {0x90},
+		"junk":    junk,
+		"text":    text,
+		"smtp":    smtp,
+		"code":    code,
+		"jumpy":   jumpy,
+		"spliced": splicedLoop(),
+		"getpc":   getpcNoLoop(),
+		"tiny":    {0x90},
 	}
+}
+
+// splicedLoop is a decryption loop whose two halves are separate runs
+// in address order — a ret sits between them — joined by a jmp: the
+// first run has the transform, the second the advance and the back
+// edge. Only the threaded order holds the whole loop in one run.
+func splicedLoop() []byte {
+	return NewAsm().
+		Label("top").I(XOR, MemOp(MemRef{Base: ESI, Size: 1, Scale: 1}), ImmOp(0x55)).
+		JmpShort("next").
+		Raw(0xc3). // ret
+		Label("next").IncR(ESI).
+		JccShort(CondNE, "top").
+		MustBytes()
+}
+
+// getpcNoLoop is the jmp/call/pop getpc idiom in front of a transform
+// with no advance and no back edge: it splices, and neither order
+// holds the loop template.
+func getpcNoLoop() []byte {
+	return NewAsm().
+		JmpShort("getpc").
+		Label("decoder").PopR(ESI).
+		I(XOR, MemOp(MemRef{Base: ESI, Size: 1, Scale: 1}), ImmOp(0x55)).
+		Raw(0xc3). // ret
+		Label("getpc").Call("decoder").
+		Raw(0x41, 0x42, 0x43, 0x44).
+		MustBytes()
 }
 
 // TestCacheViableDifferential proves the memoized chain-sharing form
@@ -162,6 +204,67 @@ func cacheViableDifferential(t *testing.T, table *ViabilityTable) {
 	}
 }
 
+// TestThreadedViableDifferential holds the threaded-order check the
+// analyzer makes — Splices, then ViableOrder over ThreadOrderAppend's
+// order — to naiveThreaded at every offset: exact on a sweep that
+// splices, and implied by the linear answer on one that does not (its
+// threaded order is a prefix of the sweep, in address order).
+func TestThreadedViableDifferential(t *testing.T) {
+	for tname, table := range map[string]*ViabilityTable{"opcode-only": testViabilityTable(), "shape": testShapeTable(t)} {
+		for name, b := range viabilityCorpora() {
+			c := NewDecodeCache(b)
+			for start := range b {
+				splices := c.Splices(start)
+				if ref := naiveSplices(b, start); splices != ref {
+					t.Errorf("%s/%s: Splices(%d) = %v, reference %v", tname, name, start, splices, ref)
+				}
+				order := ThreadOrderAppend(nil, c.Sweep(start))
+				for _, want := range []uint64{0b01, 0b10, 0b11} {
+					ref := naiveThreaded(b, start, table, want)
+					if splices {
+						if got := table.ViableOrder(order, want); got != ref {
+							t.Errorf("%s/%s: threaded ViableOrder(start=%d, want=%#x) = %v, reference %v",
+								tname, name, start, want, got, ref)
+						}
+					} else if ref && !c.Viable(start, table, want) {
+						t.Errorf("%s/%s: start %d does not splice and its threaded order is viable for %#x, the linear order not",
+							tname, name, start, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestViablePerOrder pins the two cases that tell a per-order answer
+// from an either-order one on frames x86.Asm builds: a jmp that joins
+// two runs each lacking a statement (linear not viable, threaded
+// viable), and a getpc frame where a connector is present but neither
+// order holds the template (both not viable — an answer that poisons
+// runs with connectors said viable).
+func TestViablePerOrder(t *testing.T) {
+	table := testShapeTable(t)
+	for _, c := range []struct {
+		name             string
+		b                []byte
+		linear, threaded bool
+	}{
+		{"spliced", splicedLoop(), false, true},
+		{"getpc", getpcNoLoop(), false, false},
+	} {
+		cache := NewDecodeCache(c.b)
+		if got := cache.Viable(0, table, 0b01); got != c.linear {
+			t.Errorf("%s: linear order viable = %v, want %v", c.name, got, c.linear)
+		}
+		if !cache.Splices(0) {
+			t.Errorf("%s: sweep does not splice", c.name)
+		}
+		if got := table.ViableOrder(ThreadOrderAppend(nil, cache.Sweep(0)), 0b01); got != c.threaded {
+			t.Errorf("%s: threaded order viable = %v, want %v", c.name, got, c.threaded)
+		}
+	}
+}
+
 // TestCacheViableReset asserts the chain memo rebuilds after Reset.
 func TestCacheViableReset(t *testing.T) {
 	table := testViabilityTable()
@@ -211,8 +314,8 @@ func TestViableRuns(t *testing.T) {
 // TestViableShape pins what the second level changes: protocol text is
 // viable for the decrypt-loop template by opcode alone (its letters
 // decode as xor/sub, inc/dec and jcc) and not once operand shape is
-// asked; a real loop stays viable under both; and a connector still
-// makes its run viable whatever the shapes say.
+// asked; a real loop stays viable under both; and a connector does
+// not make a run without the loop's statements viable.
 func TestViableShape(t *testing.T) {
 	opcodeOnly, shaped := testViabilityTable(), testShapeTable(t)
 	corpora := viabilityCorpora()
@@ -222,7 +325,7 @@ func TestViableShape(t *testing.T) {
 	}{
 		{"smtp", true, false},
 		{"code", true, true},
-		{"jumpy", true, true},
+		{"jumpy", false, false},
 	} {
 		b := corpora[c.frame]
 		if got := NewDecodeCache(b).Viable(0, opcodeOnly, 0b01); got != c.wantOpcode {
@@ -248,5 +351,11 @@ func TestViableEdges(t *testing.T) {
 	}
 	if NewDecodeCache([]byte{0xcd, 0x80}).Viable(0, nil, ^uint64(0)) {
 		t.Error("nil table viable")
+	}
+	if table.ViableOrder(nil, ^uint64(0)) {
+		t.Error("empty order viable")
+	}
+	if NewDecodeCache(nil).Splices(0) || NewDecodeCache([]byte{0xeb, 0xfe}).Splices(2) {
+		t.Error("start past end splices")
 	}
 }
