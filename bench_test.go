@@ -276,7 +276,7 @@ func BenchmarkEmulateSample(b *testing.B) {
 	b.SetBytes(int64(len(sample)))
 	for i := 0; i < b.N; i++ {
 		m := emu.New(sample)
-		stop, err := m.Run(0)
+		stop, err := m.Explore(0)
 		if err != nil || stop.Sysnum != 0xb {
 			b.Fatalf("stop=%+v err=%v", stop, err)
 		}

@@ -39,7 +39,7 @@ func main() {
 
 		// 1. Execute: the variant must still spawn the shell.
 		m := emu.New(variant)
-		stop, err := m.Run(0)
+		stop, err := m.Explore(0)
 		works := err == nil && stop.Kind == emu.StopSyscall && stop.Sysnum == 0xb
 		if works {
 			executed++

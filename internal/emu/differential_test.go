@@ -71,7 +71,7 @@ func TestDifferentialIRvsEmu(t *testing.T) {
 		}
 
 		m := newChecked(t, code)
-		stop, err := m.Run(0)
+		stop, err := m.Explore(0)
 		if err != nil || stop.Kind != StopSyscall {
 			t.Logf("emu: stop=%+v err=%v", stop, err)
 			return false
@@ -137,7 +137,7 @@ func TestDifferentialDecodeLoops(t *testing.T) {
 		}
 
 		m := newChecked(t, code)
-		stop, err := m.Run(0)
+		stop, err := m.Explore(0)
 		if err != nil || stop.Kind != StopRet {
 			t.Fatalf("trial %d: stop=%+v err=%v", trial, stop, err)
 		}

@@ -16,6 +16,7 @@
 package emu
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -23,7 +24,7 @@ import (
 	"semnids/internal/x86"
 )
 
-// Errors reported by Run.
+// Errors reported by Explore and ResumeAfterSyscall.
 var (
 	ErrStepLimit   = errors.New("emu: step limit exceeded")
 	ErrBadFetch    = errors.New("emu: execution left the code image")
@@ -49,9 +50,10 @@ const (
 
 // Machine is one emulator instance. The code/data image occupies
 // addresses [0, len(Mem)); the stack is a separate region growing down
-// from StackBase. Mem is for reading: the machine memoizes the
-// instructions it decodes from it, so memory is rewritten only by the
-// running program or by Reset, Load and Explore.
+// from StackBase. Mem is for reading: the machine fetches instructions
+// from a decode of the loaded image wherever memory still holds the
+// image's bytes, so memory is rewritten only by the running program or
+// by Load and Explore.
 type Machine struct {
 	Mem   []byte
 	Regs  [8]uint32 // indexed by register family number
@@ -68,38 +70,22 @@ type Machine struct {
 
 	stack []uint32 // modeled separately from Mem; esp mirrors len
 
-	// The fetch memo: each position execution reaches is decoded once
-	// and then fetched by reference, until a store overwrites one of
-	// its bytes.
-	//
-	// memo holds one slot per distinct position ever fetched, so it is
-	// bounded by the positions actually executed, not by the image
-	// size; a slot with Len == 0 has been invalidated and is decoded
-	// again, in place, by the next fetch there. memoAt[p] is 1 + the
-	// slot for position p (0 = never fetched). covered[i] is set once
-	// byte i lies inside some memoized instruction; it is only ever a
-	// superset, and lets a store that touches no covered byte (a
-	// decoder loop rewriting its payload) skip the invalidation scan.
-	//
-	// Invariant: a slot with Len != 0 equals x86.Decode(Mem, p) for
-	// its position p. Decode's result depends only on the bytes
-	// [p, p+Len) and on len(Mem), and every write to Mem either goes
-	// through store or restoreByte, which invalidate every slot whose
-	// byte range contains a written byte, or empties the memo (Load).
-	memo    []x86.Inst
-	memoAt  []int32
-	covered []bool
-
-	// lo and hi bound the bytes stores have written since memory was
-	// last made whole (Reset, Load, Explore); lo >= hi when none.
+	// image is the copy Load took, which Explore restores and
+	// AppendChanged compares against. lo and hi bound the bytes stores
+	// have written since memory was last made the image (Load,
+	// Explore); lo >= hi when none.
+	image  []byte
 	lo, hi int
 
-	// image is the copy Load took, which Explore restores and
-	// AppendChanged compares against (empty outside Load). ex remembers
-	// the attempts Explore ran over it, and exploring says the running
-	// attempt has not stored yet and still checks its states against
-	// theirs.
-	image     []byte
+	// code decodes the image, each position at most once per Load;
+	// fetch serves its instruction while memory under it is still the
+	// image's, and decodes anything else into scratch (see fetch).
+	code    x86.DecodeCache
+	scratch x86.Inst
+
+	// ex remembers the attempts Explore ran over the image, and
+	// exploring says the running attempt has not stored yet and still
+	// checks its states against theirs.
 	ex        *explored
 	exploring bool
 }
@@ -107,65 +93,15 @@ type Machine struct {
 // stackBase is the virtual ESP start; only relative motion matters.
 const stackBase = 0x7fff0000
 
-// New builds a machine over a copy of image.
+// New returns a machine loaded with a copy of image (see Load).
 func New(image []byte) *Machine {
 	m := &Machine{MaxSteps: 1 << 20}
-	m.Reset(image)
+	m.Load(image)
 	return m
 }
 
-// Reset rebinds the machine to a copy of image in the state New
-// leaves it in (registers, flags, stack and step count cleared;
-// MaxSteps kept), reusing its storage. When image is as long as the
-// memory the machine holds, memoized instructions whose bytes are the
-// same in both survive: re-running one frame from another entry point
-// decodes only what the previous run rewrote.
-func (m *Machine) Reset(image []byte) {
-	if len(image) != len(m.Mem) {
-		m.Mem = append(m.Mem[:0], image...)
-		m.forget()
-	} else {
-		for i, b := range image {
-			m.restoreByte(i, b)
-		}
-	}
-	m.image = m.image[:0]
-	m.exploring = false
-	m.lo, m.hi = len(m.Mem), 0
-	m.restart()
-}
-
-// forget empties the fetch memo and sizes its tables for Mem.
-func (m *Machine) forget() {
-	n := len(m.Mem)
-	if m.memo == nil {
-		m.memo = make([]x86.Inst, 0, 64) // a decoder stub, without regrowth
-	}
-	m.memo = m.memo[:0]
-	if cap(m.memoAt) < n {
-		m.memoAt = make([]int32, n)
-		m.covered = make([]bool, n)
-	} else {
-		m.memoAt = m.memoAt[:n]
-		m.covered = m.covered[:n]
-		clear(m.memoAt)
-		clear(m.covered)
-	}
-}
-
-// restoreByte writes b at i, dropping any memoized instruction it
-// changes.
-func (m *Machine) restoreByte(i int, b byte) {
-	if m.Mem[i] != b {
-		m.Mem[i] = b
-		if m.covered[i] {
-			m.invalidate(i, 1)
-		}
-	}
-}
-
 // restart puts registers, flags, stack and step count in the state
-// New leaves them in.
+// Load leaves them in.
 func (m *Machine) restart() {
 	m.Regs = [8]uint32{}
 	m.Regs[x86.ESP.Num()] = stackBase
@@ -175,14 +111,14 @@ func (m *Machine) restart() {
 }
 
 // Load binds the machine to a copy of image for Explore, reusing its
-// storage: memory, registers, flags, stack and step count as New
-// leaves them (MaxSteps kept), an empty fetch memo — so a recycled
-// machine never serves an instruction decoded from an earlier image —
-// and no attempts explored yet.
+// storage: registers, flags and stack cleared, step count zero,
+// MaxSteps kept, no attempts explored yet, and a decode of the new
+// image only — a recycled machine never serves an instruction decoded
+// from an earlier image.
 func (m *Machine) Load(image []byte) {
 	m.Mem = append(m.Mem[:0], image...)
 	m.image = append(m.image[:0], image...)
-	m.forget()
+	m.code.Reset(m.image)
 	m.lo, m.hi = len(m.Mem), 0
 	m.restart()
 	if m.ex == nil {
@@ -193,8 +129,9 @@ func (m *Machine) Load(image []byte) {
 
 // Explore runs one attempt over the image Load bound: it restores
 // memory, registers, flags, stack and step count to what Load left
-// and runs from entry as Run does, keeping the fetch memo for every
-// instruction the previous attempt left unwritten.
+// and executes from entry until a syscall, a terminal ret, the end of
+// the image, or an error. Every attempt fetches from the same decode
+// of the image.
 //
 // Attempts that reach the same state share their work. Until its
 // first store, an attempt records each state it steps from — EIP, the
@@ -208,11 +145,11 @@ func (m *Machine) Load(image []byte) {
 // store-free cycle, an attempt that hit the step limit, too little
 // budget) only ends the checking for the rest of the attempt.
 func (m *Machine) Explore(entry int) (Stop, error) {
-	if m.ex == nil || len(m.image) != len(m.Mem) {
+	if m.ex == nil {
 		panic("emu: Explore without Load")
 	}
-	for i := m.lo; i < m.hi; i++ {
-		m.restoreByte(i, m.image[i])
+	if m.lo < m.hi {
+		copy(m.Mem[m.lo:m.hi], m.image[m.lo:m.hi])
 	}
 	m.lo, m.hi = len(m.Mem), 0
 	m.restart()
@@ -233,7 +170,7 @@ func (m *Machine) Explore(entry int) (Stop, error) {
 // that differs from the image Load bound: what the last Explore
 // attempt rewrote in itself.
 func (m *Machine) AppendChanged(dst []byte) []byte {
-	for i := m.lo; i < min(m.hi, len(m.image)); i++ {
+	for i := m.lo; i < m.hi; i++ {
 		if c := m.Mem[i]; c != m.image[i] {
 			dst = append(dst, c)
 		}
@@ -353,41 +290,35 @@ func (m *Machine) converged() bool {
 	return true
 }
 
-// fetch returns the instruction at pos, decoding it at most once while
-// its bytes stay unwritten.
+// errImageBad is the fetch error for a position whose bytes are the
+// image's and do not decode there.
+var errImageBad = errors.New("the loaded image does not decode here")
+
+// fetch returns the instruction at pos. It is the decode of the image
+// exactly when memory under it still holds the image's bytes: the
+// instruction's own bytes, or for an undecodable one every byte a
+// decode may read. Only bytes inside the write hull [lo, hi) are
+// compared, and a changed first byte rules the image's instruction out
+// before the cache is asked (and decodes it). Anything else is decoded
+// from memory into scratch, valid until the next fetch.
 func (m *Machine) fetch(pos int) (*x86.Inst, error) {
-	var in *x86.Inst
-	if s := m.memoAt[pos]; s != 0 {
-		if in = &m.memo[s-1]; in.Len != 0 {
+	if pos < m.lo || pos >= m.hi || m.Mem[pos] == m.image[pos] {
+		in := m.code.At(pos)
+		end := pos + int(in.Len)
+		if in.Op == x86.BAD {
+			end = min(pos+x86.MaxInstLen, len(m.Mem))
+		}
+		if from, to := max(pos, m.lo), min(end, m.hi); from >= to || bytes.Equal(m.Mem[from:to], m.image[from:to]) {
+			if in.Op == x86.BAD {
+				return nil, errImageBad
+			}
 			return in, nil
 		}
-	} else {
-		m.memo = append(m.memo, x86.Inst{})
-		m.memoAt[pos] = int32(len(m.memo))
-		in = &m.memo[len(m.memo)-1]
 	}
-	if err := x86.DecodeInto(in, m.Mem, pos); err != nil {
-		in.Len = 0
+	if err := x86.DecodeInto(&m.scratch, m.Mem, pos); err != nil {
 		return nil, err
 	}
-	for i := pos; i < pos+int(in.Len); i++ {
-		m.covered[i] = true
-	}
-	return in, nil
-}
-
-// invalidate drops every memoized instruction that contains one of
-// the bytes [addr, addr+size). An instruction is at most
-// x86.MaxInstLen bytes, so none that starts further back can reach
-// addr.
-func (m *Machine) invalidate(addr, size int) {
-	for p := max(addr-x86.MaxInstLen+1, 0); p < addr+size; p++ {
-		if s := m.memoAt[p]; s != 0 {
-			if in := &m.memo[s-1]; p+int(in.Len) > addr {
-				in.Len = 0
-			}
-		}
-	}
+	return &m.scratch, nil
 }
 
 // Reg returns a register value (any width).
@@ -453,13 +384,8 @@ func (m *Machine) store(addr uint32, size int, v uint32) error {
 	a := int(addr)
 	m.lo, m.hi = min(m.lo, a), max(m.hi, a+size)
 	m.exploring = false
-	hit := false
 	for i := 0; i < size; i++ {
 		m.Mem[a+i] = byte(v >> (8 * i))
-		hit = hit || m.covered[a+i]
-	}
-	if hit {
-		m.invalidate(a, size)
 	}
 	return nil
 }
@@ -488,7 +414,7 @@ func (m *Machine) StackTop(i int) (uint32, bool) {
 	return m.stack[len(m.stack)-1-i], true
 }
 
-// Stop describes why Run returned.
+// Stop describes why an attempt returned.
 type Stop struct {
 	Kind   StopKind
 	Sysnum uint32 // EAX at the syscall for StopSyscall
@@ -612,12 +538,6 @@ func (m *Machine) cond(c x86.Cond) bool {
 		return !m.ZF && m.SF == m.OF
 	}
 	return false // P/NP unsupported by the flag model
-}
-
-// Run executes from entry until a syscall, a terminal ret, the end of
-// the image, or an error.
-func (m *Machine) Run(entry int) (Stop, error) {
-	return m.runFrom(entry)
 }
 
 // ResumeAfterSyscall continues past an int 0x80 stop, installing ret

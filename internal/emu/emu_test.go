@@ -16,7 +16,7 @@ func runToExecve(t *testing.T, image []byte) (*Machine, []uint32) {
 	t.Helper()
 	m := newChecked(t, image)
 	var sysnums []uint32
-	stop, err := m.Run(0)
+	stop, err := m.Explore(0)
 	for {
 		if err != nil {
 			t.Fatalf("run: %v (trace %v)", err, sysnums)
@@ -99,7 +99,7 @@ func TestExecuteADMmutateSamples(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := newChecked(t, sample)
-		stop, err := m.Run(0)
+		stop, err := m.Explore(0)
 		if err != nil {
 			t.Fatalf("sample %d (%s/%s): %v", i, meta.Scheme, meta.Transform, err)
 		}
@@ -125,7 +125,7 @@ func TestExecuteCletSamples(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := newChecked(t, sample)
-		stop, err := m.Run(0)
+		stop, err := m.Explore(0)
 		if err != nil {
 			t.Fatalf("sample %d: %v", i, err)
 		}
@@ -150,7 +150,7 @@ func TestExecuteMorphedSamples(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := newChecked(t, variant)
-		stop, err := m.Run(0)
+		stop, err := m.Explore(0)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
@@ -171,7 +171,7 @@ func TestFlagSemantics(t *testing.T) {
 		IntN(0x80).
 		MustBytes()
 	m := newChecked(t, code)
-	stop, err := m.Run(0)
+	stop, err := m.Explore(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestFlagSemantics(t *testing.T) {
 		IntN(0x80).
 		MustBytes()
 	m = newChecked(t, code)
-	stop, err = m.Run(0)
+	stop, err = m.Explore(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestFlagSemantics(t *testing.T) {
 		IntN(0x80).
 		MustBytes()
 	m = newChecked(t, code)
-	if _, err := m.Run(0); err != nil {
+	if _, err := m.Explore(0); err != nil {
 		t.Fatal(err)
 	}
 	if m.Reg(x86.EBX) != 1 {
@@ -227,7 +227,7 @@ func TestSubregisterWrites(t *testing.T) {
 		IntN(0x80).
 		MustBytes()
 	m := newChecked(t, code)
-	stop, err := m.Run(0)
+	stop, err := m.Explore(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestMemoryFaults(t *testing.T) {
 		I(x86.MOV, x86.MemOp(x86.MemRef{Base: x86.EAX, Size: 1, Scale: 1}), x86.ImmOp(1)).
 		MustBytes()
 	m := newChecked(t, code)
-	if _, err := m.Run(0); err == nil {
+	if _, err := m.Explore(0); err == nil {
 		t.Error("out-of-image write did not fault")
 	}
 }
@@ -255,14 +255,14 @@ func TestStepLimit(t *testing.T) {
 		MustBytes()
 	m := newChecked(t, code)
 	m.MaxSteps = 1000
-	if _, err := m.Run(0); err != ErrStepLimit {
+	if _, err := m.Explore(0); err != ErrStepLimit {
 		t.Errorf("infinite loop: %v, want step limit", err)
 	}
 }
 
 func TestRunOffEnd(t *testing.T) {
 	m := newChecked(t, []byte{0x90, 0x90})
-	stop, err := m.Run(0)
+	stop, err := m.Explore(0)
 	if err != nil || stop.Kind != StopEnd {
 		t.Errorf("stop=%+v err=%v", stop, err)
 	}
@@ -270,7 +270,7 @@ func TestRunOffEnd(t *testing.T) {
 
 func TestStackUnderflow(t *testing.T) {
 	m := newChecked(t, []byte{0x58}) // pop eax with empty stack
-	if _, err := m.Run(0); err == nil {
+	if _, err := m.Explore(0); err == nil {
 		t.Error("stack underflow not reported")
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"semnids/internal/x86"
 )
 
-// refRun is the reference the fetch memo is held to: the same step
+// refRun is the reference the fetch rule is held to: the same step
 // loop as runFrom, decoding the instruction at EIP from memory on every
-// step, as the emulator did before it memoized.
+// step.
 func refRun(m *Machine, entry int) (Stop, error) {
 	m.EIP = entry
 	for {
@@ -72,50 +72,84 @@ func sameOutcome(t *testing.T, what string, got, want *Machine, gs, ws Stop, ge,
 	}
 }
 
-// diffRun executes image from entry three ways — through the fetch
-// memo on a fresh machine, through the memo on a machine Reset after a
-// run from another entry (the way sem.Sketch reuses one machine), and
-// through refRun — and requires identical memory, registers, flags,
-// step count and stop or error class, continuing through up to eight
-// faked system calls.
+// diffRun executes image from entry four ways — through refRun, on a
+// fresh machine, on a machine whose previous attempt ran from entry+1
+// (the way sem.Sketch runs its entries on one machine), and on a
+// machine loaded with image after running another image of the same
+// length — and requires identical memory, registers, flags, step count
+// and stop or error class, continuing through up to eight faked system
+// calls.
 func diffRun(t *testing.T, image []byte, entry, maxSteps int) {
 	t.Helper()
 	ref := New(image)
 	fresh := New(image)
-	reused := New(image)
-	ref.MaxSteps, fresh.MaxSteps, reused.MaxSteps = maxSteps, maxSteps, maxSteps
-	reused.Run(entry + 1)
-	reused.Reset(image)
+	again := New(image)
+	other := bytes.Clone(image)
+	for i := range other {
+		other[i] ^= 0xa5
+	}
+	reloaded := New(other)
+	ref.MaxSteps, fresh.MaxSteps, again.MaxSteps, reloaded.MaxSteps = maxSteps, maxSteps, maxSteps, maxSteps
+	again.Explore(entry + 1)
+	again.ex.reset() // nothing to merge into: the attempt runs to its end
+	reloaded.Explore(entry)
+	reloaded.Load(image)
 
 	ws, we := refRun(ref, entry)
-	fs, fe := fresh.Run(entry)
-	rs, re := reused.Run(entry)
+	fs, fe := fresh.Explore(entry)
+	as, ae := again.Explore(entry)
+	ls, le := reloaded.Explore(entry)
 	for sys := 0; ; sys++ {
 		sameOutcome(t, "fresh machine", fresh, ref, fs, ws, fe, we)
-		sameOutcome(t, "reset machine", reused, ref, rs, ws, re, we)
+		sameOutcome(t, "machine explored from entry+1 first", again, ref, as, ws, ae, we)
+		sameOutcome(t, "reloaded machine", reloaded, ref, ls, ws, le, we)
 		if we != nil || ws.Kind != StopSyscall || sys == 8 {
 			return
 		}
 		ref.SetReg(x86.EAX, 5)
 		ws, we = refRun(ref, ref.EIP+2)
 		fs, fe = fresh.ResumeAfterSyscall(5)
-		rs, re = reused.ResumeAfterSyscall(5)
+		as, ae = again.ResumeAfterSyscall(5)
+		ls, le = reloaded.ResumeAfterSyscall(5)
+	}
+}
+
+// checkFetchRule holds fetch to its rule at every position of m's
+// memory: what decoding memory there gives, served from the image's
+// decode exactly where the bytes under the instruction are still the
+// image's.
+func checkFetchRule(t *testing.T, m *Machine) {
+	t.Helper()
+	for p := range m.Mem {
+		in, err := m.fetch(p)
+		want, werr := x86.Decode(m.Mem, p)
+		if (err != nil) != (werr != nil) || err == nil && *in != want {
+			t.Fatalf("fetch(%d) = %v, %v; decoding memory gives %v, %v", p, in, err, want, werr)
+		}
+		c := m.code.At(p)
+		if err != nil || c.Op == x86.BAD {
+			continue
+		}
+		n := p + int(c.Len)
+		if pristine := bytes.Equal(m.Mem[p:n], m.image[p:n]); (in == c) != pristine {
+			t.Fatalf("fetch(%d): served from the image's decode %v, bytes still the image's %v", p, in == c, pristine)
+		}
 	}
 }
 
 // newChecked is New for the package's tests: before handing out the
-// machine it holds the image to the memo differential from entry 0, so
-// every program any test executes is also a differential case.
+// machine it holds the image to the fetch differential from entry 0,
+// so every program any test executes is also a differential case.
 func newChecked(t *testing.T, image []byte) *Machine {
 	t.Helper()
 	diffRun(t, image, 0, 1<<16)
 	return New(image)
 }
 
-// selfModifying are hand-built programs that write into code the run
-// has already executed, with the register state a correct emulator
-// must end in. Each would end differently on a memo that missed the
-// invalidation.
+// selfModifying are hand-built programs that write into their own
+// code, with the register state a correct emulator must end in after
+// running from entry 0. diffRun also runs each from entry 0 after an
+// attempt from entry 1.
 var selfModifying = []struct {
 	name  string
 	build func() []byte
@@ -165,6 +199,63 @@ var selfModifying = []struct {
 		},
 		want: map[x86.Reg]uint32{x86.EAX: 0x10000, x86.ECX: 0},
 	},
+	{
+		// Every iteration stores `inc eax`'s own byte over it: the
+		// bytes are still the image's, so the fetch is served from the
+		// image's decode although the store lies in the write hull.
+		name: "store of a byte's own value into an executed instruction",
+		build: func() []byte {
+			a := x86.NewAsm().MovRI(x86.ECX, 3)
+			top := a.Len()
+			a.Label("top").IncR(x86.EAX).
+				I(x86.MOV, x86.MemOp(x86.MemRef{Disp: int32(top), Size: 1, Scale: 1}), x86.ImmOp(0x40)).
+				Loop("top").I(x86.HLT)
+			return a.MustBytes()
+		},
+		want: map[x86.Reg]uint32{x86.EAX: 3, x86.ECX: 0},
+	},
+	{
+		// The store rewrites the top byte of the next instruction's
+		// immediate (`b8 44 33 22 11`, mov eax, 0x11223344), before its
+		// first fetch.
+		name: "store into the last byte of the next instruction",
+		build: func() []byte {
+			last := 7 + 4 // past the 7-byte store, the immediate's top byte
+			return x86.NewAsm().
+				I(x86.MOV, x86.MemOp(x86.MemRef{Disp: int32(last), Size: 1, Scale: 1}), x86.ImmOp(0x12)).
+				Raw(0xb8, 0x44, 0x33, 0x22, 0x11).I(x86.HLT).MustBytes()
+		},
+		want: map[x86.Reg]uint32{x86.EAX: 0x12223344},
+	},
+	{
+		// From entry 1 (eax = 0) the program rewrites the entry
+		// instruction `inc eax` into `dec eax` and jumps to it; from
+		// entry 0 it runs `inc eax` and stops. The attempt from entry 0
+		// that follows one from entry 1 must find the entry
+		// instruction restored.
+		name: "attempt from entry 1 rewrites the entry instruction",
+		build: func() []byte {
+			return x86.NewAsm().Label("entry").IncR(x86.EAX).
+				I(x86.TEST, x86.RegOp(x86.EAX), x86.RegOp(x86.EAX)).JccShort(x86.CondNE, "done").
+				I(x86.MOV, x86.MemOp(x86.MemRef{Disp: 0, Size: 1, Scale: 1}), x86.ImmOp(0x48)).
+				JmpShort("entry").
+				Label("done").I(x86.HLT).MustBytes()
+		},
+		want: map[x86.Reg]uint32{x86.EAX: 1},
+	},
+	{
+		// `0f 05` does not decode; the store turns it into `0f b6 c0`
+		// (movzx eax, al) by rewriting the byte after the one the
+		// image's decode marked undecodable.
+		name: "store that makes an undecodable instruction decodable",
+		build: func() []byte {
+			return x86.NewAsm().MovRI(x86.EAX, 0x1234).
+				// 5-byte mov and 7-byte store, then the 0x05 after 0x0f.
+				I(x86.MOV, x86.MemOp(x86.MemRef{Disp: 5 + 7 + 1, Size: 1, Scale: 1}), x86.ImmOp(0xb6)).
+				Raw(0x0f, 0x05, 0xc0).I(x86.HLT).MustBytes()
+		},
+		want: map[x86.Reg]uint32{x86.EAX: 0x34},
+	},
 }
 
 func TestMemoSelfModifyingCode(t *testing.T) {
@@ -172,7 +263,7 @@ func TestMemoSelfModifyingCode(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			image := c.build()
 			m := New(image)
-			if _, err := m.Run(0); err != nil {
+			if _, err := m.Explore(0); err != nil {
 				t.Fatalf("run: %v", err)
 			}
 			for r, v := range c.want {
@@ -180,6 +271,7 @@ func TestMemoSelfModifyingCode(t *testing.T) {
 					t.Errorf("%v = %#x, want %#x", r, got, v)
 				}
 			}
+			checkFetchRule(t, m)
 			for entry := 0; entry < 4; entry++ {
 				diffRun(t, image, entry, 1<<12)
 			}
@@ -187,9 +279,9 @@ func TestMemoSelfModifyingCode(t *testing.T) {
 	}
 }
 
-// TestMemoPrefixStoreFirstPass is the prefix case without the warm
-// memo: the store lands on the prefix before the instruction has ever
-// been fetched, and the first fetch must already see the new bytes.
+// TestMemoPrefixStoreFirstPass is the prefix case on the first pass:
+// the store lands on the prefix before the instruction has ever been
+// fetched, and the first fetch must already see the new bytes.
 func TestMemoPrefixStoreFirstPass(t *testing.T) {
 	a := x86.NewAsm().MovRI(x86.EAX, 0xffff)
 	pfx := a.Len() + 7
@@ -199,7 +291,7 @@ func TestMemoPrefixStoreFirstPass(t *testing.T) {
 		t.Fatalf("byte at %d is %#x, not the 0x66 prefix the case patches", pfx, code[pfx])
 	}
 	m := newChecked(t, code)
-	if _, err := m.Run(0); err != nil {
+	if _, err := m.Explore(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Reg(x86.EAX); got != 0x10000 {
@@ -207,31 +299,32 @@ func TestMemoPrefixStoreFirstPass(t *testing.T) {
 	}
 }
 
-// TestResetRestoresRewrittenCode: a run patches an instruction and then
-// executes (and memoizes) the patched bytes; after Reset to the same
-// image a run that skips the patch must execute the original
-// instruction, while the untouched ones are still fetched from the memo.
+// TestResetRestoresRewrittenCode: an attempt patches an instruction
+// and then executes the patched bytes, decoded from memory; the next
+// attempt, from an entry that skips the patch, must execute the
+// original instruction, served from the image's decode again. Loading
+// another image drops that decode.
 func TestResetRestoresRewrittenCode(t *testing.T) {
 	a := x86.NewAsm()
 	patched := a.Len() + 7
 	image := a.I(x86.MOV, x86.MemOp(x86.MemRef{Disp: int32(patched), Size: 1, Scale: 1}), x86.ImmOp(0x43)).
 		IncR(x86.EAX).I(x86.HLT).MustBytes()
 	m := New(image)
-	if _, err := m.Run(0); err != nil || m.Reg(x86.EBX) != 1 || m.Reg(x86.EAX) != 0 {
-		t.Fatalf("patched run: err=%v eax=%d ebx=%d, want inc ebx to have run", err, m.Reg(x86.EAX), m.Reg(x86.EBX))
+	if _, err := m.Explore(0); err != nil || m.Reg(x86.EBX) != 1 || m.Reg(x86.EAX) != 0 {
+		t.Fatalf("patched attempt: err=%v eax=%d ebx=%d, want inc ebx to have run", err, m.Reg(x86.EAX), m.Reg(x86.EBX))
 	}
-	slots := len(m.memo)
-	m.Reset(image)
-	if _, err := m.Run(patched); err != nil || m.Reg(x86.EAX) != 1 || m.Reg(x86.EBX) != 0 {
-		t.Fatalf("run after Reset: err=%v eax=%d ebx=%d, want the original inc eax", err, m.Reg(x86.EAX), m.Reg(x86.EBX))
+	if in, _ := m.fetch(patched); in != &m.scratch {
+		t.Fatal("the patched instruction was served from the image's decode")
 	}
-	if len(m.memo) != slots {
-		t.Fatalf("memo grew from %d to %d slots re-running positions it had seen", slots, len(m.memo))
+	if _, err := m.Explore(patched); err != nil || m.Reg(x86.EAX) != 1 || m.Reg(x86.EBX) != 0 {
+		t.Fatalf("next attempt: err=%v eax=%d ebx=%d, want the original inc eax", err, m.Reg(x86.EAX), m.Reg(x86.EBX))
 	}
-	// A different image of another length starts from an empty memo.
-	m.Reset([]byte{0x40, 0xf4})
-	if _, err := m.Run(0); err != nil || m.Reg(x86.EAX) != 1 || len(m.memo) != 2 {
-		t.Fatalf("run after Reset to a new image: err=%v eax=%d memo=%d", err, m.Reg(x86.EAX), len(m.memo))
+	if in, _ := m.fetch(patched); in != m.code.At(patched) {
+		t.Fatal("the restored instruction was not served from the image's decode")
+	}
+	m.Load([]byte{0x40, 0xf4})
+	if _, err := m.Explore(0); err != nil || m.Reg(x86.EAX) != 1 {
+		t.Fatalf("attempt after Load of a new image: err=%v eax=%d", err, m.Reg(x86.EAX))
 	}
 }
 
@@ -254,34 +347,9 @@ func TestMemoDifferentialGeneratedDecoders(t *testing.T) {
 	}
 }
 
-// TestMemoBounded pins the memo's size to what the run executed: a
-// 64 KiB image whose run touches a dozen positions memoizes a dozen
-// instructions, and a loop that rewrites its own body every iteration
-// reuses its slots instead of growing.
-func TestMemoBounded(t *testing.T) {
-	image := make([]byte, 64<<10)
-	copy(image, selfModifying[0].build())
-	m := New(image)
-	m.Run(0)
-	if len(m.memo) > 16 {
-		t.Fatalf("memo holds %d instructions after a run that executed fewer than 16 positions", len(m.memo))
-	}
-	a := x86.NewAsm().MovRI(x86.ECX, 1000)
-	top := a.Len()
-	code := a.Label("top").IncR(x86.EAX).
-		I(x86.MOV, x86.MemOp(x86.MemRef{Disp: int32(top), Size: 1, Scale: 1}), x86.ImmOp(0x40)).
-		Loop("top").I(x86.HLT).MustBytes()
-	m = New(code)
-	if _, err := m.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if m.Reg(x86.EAX) != 1000 || len(m.memo) > 5 {
-		t.Fatalf("eax=%d memo=%d after 1000 self-rewriting iterations, want 1000 and at most 5", m.Reg(x86.EAX), len(m.memo))
-	}
-}
-
-// TestStepAllocs pins the fetch path: executing a long loop on a
-// warmed machine allocates nothing per step (the stop itself may).
+// TestStepAllocs pins the fetch path: loading and executing a long
+// loop on a warmed machine allocates nothing per step (the stop itself
+// may).
 func TestStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates; allocation pin not meaningful")
@@ -291,14 +359,14 @@ func TestStepAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(sample)
-	m.Run(0)
+	m.Explore(0)
 	steps := m.Steps
 	if steps < 2000 {
 		t.Fatalf("decoder ran only %d steps", steps)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		m.Reset(sample)
-		m.Run(0)
+		m.Load(sample)
+		m.Explore(0)
 	})
 	if allocs > 2 {
 		t.Errorf("%.1f allocations over a %d-step run, want at most 2 (0 per step)", allocs, steps)

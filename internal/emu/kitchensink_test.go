@@ -10,7 +10,7 @@ import (
 func runSink(t *testing.T, code []byte) *Machine {
 	t.Helper()
 	m := newChecked(t, code)
-	if _, err := m.Run(0); err != nil {
+	if _, err := m.Explore(0); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return m

@@ -378,9 +378,9 @@ func (s *shard) analyzeFrame(f extract.Frame, flow netpkt.FlowKey, reason classi
 		}
 	}
 	if !cached {
-		// f.Code is nil unless the extraction stage already decoded the
-		// frame; nil makes the analyzer use its pooled scratch cache
-		// instead of allocating a decode cache per frame.
+		// No stage before this one decodes, so f.Code is nil and the
+		// analyzer uses its pooled scratch cache instead of allocating a
+		// decode cache per frame.
 		t0 := time.Now()
 		ds = e.analyzer.AnalyzeFrameCached(f.Data, f.Code)
 		e.tel.frameNS.Observe(time.Since(t0).Nanoseconds())

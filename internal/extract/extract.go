@@ -53,8 +53,10 @@ type Frame struct {
 	Offset int
 
 	// Code, when non-nil, is a decode cache over Data that the semantic
-	// analyzer reuses instead of decoding the frame again. Extraction
-	// leaves it nil, and the analyzer then takes a pooled scratch cache.
+	// analyzer reuses instead of decoding the frame again. No pipeline
+	// stage sets it (extraction never decodes), so the analyzer takes a
+	// pooled scratch cache; only a caller that decoded the frame itself
+	// can fill it in.
 	Code *x86.DecodeCache
 }
 

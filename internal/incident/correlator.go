@@ -274,20 +274,9 @@ func (c *Correlator) apply(ev core.Event) {
 		}
 		if !ev.Fingerprint.IsZero() {
 			// Record the victim side: Dst was hit with this payload by
-			// Src. If the victim has already been seen emitting the
-			// same fingerprint later in trace time (events can arrive
-			// out of order across shards), the link closes now.
-			v := c.source(ev.Dst, ev.TimestampUS)
-			refs, present := v.targetedBy[ev.Fingerprint]
-			refs = addAttackerRef(refs, ev.Src, ev.TimestampUS, maxAttackersPerFingerprint)
-			if present || len(v.targetedBy) < c.cfg.Limits.MaxFingerprints {
-				v.targetedBy[ev.Fingerprint] = refs
-			}
-			if sp, ok := v.emitted.get(ev.Fingerprint); ok && sp.last > ev.TimestampUS {
-				c.escalate(ev.Src, ev.Dst, echoTime(sp, ev.TimestampUS))
-			}
-			// No notify for the victim: being targeted does not change
-			// its own derived stage.
+			// Src. No notify for the victim: being targeted does not
+			// change its own derived stage.
+			c.targeted(ev.Src, ev.Dst, ev.Fingerprint, ev.TimestampUS)
 		}
 		// Structural identity rides the same machinery: when lineage is
 		// on, the sketch's decoded-tail fingerprint shares the 128-bit
@@ -297,15 +286,7 @@ func (c *Correlator) apply(ev core.Event) {
 		// the polymorphism-proof PROPAGATION the exact match cannot see.
 		// With lineage off the sketch is zero and nothing here runs.
 		if tfp := tailFP(ev); !tfp.IsZero() && tfp != ev.Fingerprint {
-			v := c.source(ev.Dst, ev.TimestampUS)
-			refs, present := v.targetedBy[tfp]
-			refs = addAttackerRef(refs, ev.Src, ev.TimestampUS, maxAttackersPerFingerprint)
-			if present || len(v.targetedBy) < c.cfg.Limits.MaxFingerprints {
-				v.targetedBy[tfp] = refs
-			}
-			if sp, ok := v.emitted.get(tfp); ok && sp.last > ev.TimestampUS {
-				c.escalate(ev.Src, ev.Dst, echoTime(sp, ev.TimestampUS))
-			}
+			c.targeted(ev.Src, ev.Dst, tfp, ev.TimestampUS)
 		}
 		c.notify(s)
 
@@ -313,34 +294,17 @@ func (c *Correlator) apply(ev core.Event) {
 		c.m.fingerprints.Add(1)
 		s := c.source(ev.Src, ev.TimestampUS)
 		s.touchContent(ev.TimestampUS)
-		s.emitted.put(ev.Fingerprint, ev.TimestampUS, c.cfg.Limits.MaxFingerprints)
 		// This source may be a victim re-emitting a payload it was
-		// attacked with: close the propagation link on each attacker
-		// whose delivery the folded emission span postdates. Checking
-		// the span — not this event's timestamp — reaches the same
-		// verdict as the alert-side check whatever the arrival order.
-		// An emission changes the *attacker's* stage (via escalate),
-		// never the emitter's own, so no self-notify here.
-		if sp, ok := s.emitted.get(ev.Fingerprint); ok {
-			for _, ref := range s.targetedBy[ev.Fingerprint] {
-				if sp.last > ref.tsUS {
-					c.escalate(ref.attacker, ev.Src, echoTime(sp, ref.tsUS))
-				}
-			}
-		}
+		// attacked with. An emission changes the *attacker's* stage
+		// (via escalate), never the emitter's own, so no self-notify
+		// here.
+		c.emits(s, ev.Fingerprint, ev.TimestampUS)
 		// And the structural identity (see the alert-side fold): an
 		// emission of any variant decoding to the same tail counts as
 		// an emission of the family, closing links the exact
 		// fingerprint misses after re-encoding.
 		if tfp := tailFP(ev); !tfp.IsZero() && tfp != ev.Fingerprint {
-			s.emitted.put(tfp, ev.TimestampUS, c.cfg.Limits.MaxFingerprints)
-			if sp, ok := s.emitted.get(tfp); ok {
-				for _, ref := range s.targetedBy[tfp] {
-					if sp.last > ref.tsUS {
-						c.escalate(ref.attacker, ev.Src, echoTime(sp, ref.tsUS))
-					}
-				}
-			}
+			c.emits(s, tfp, ev.TimestampUS)
 		}
 
 	case core.EventFlowEvict:
@@ -353,6 +317,37 @@ func (c *Correlator) apply(ev core.Event) {
 	}
 
 	c.maybeSweep()
+}
+
+// targeted records on victim that attacker hit it with fp at ts. If
+// the victim has already been seen emitting fp later in trace time
+// (events can arrive out of order across shards), the link closes now.
+func (c *Correlator) targeted(attacker, victim netip.Addr, fp core.Fingerprint, ts uint64) {
+	v := c.source(victim, ts)
+	refs, present := v.targetedBy[fp]
+	refs = addAttackerRef(refs, attacker, ts, maxAttackersPerFingerprint)
+	if present || len(v.targetedBy) < c.cfg.Limits.MaxFingerprints {
+		v.targetedBy[fp] = refs
+	}
+	if sp, ok := v.emitted.get(fp); ok && sp.last > ts {
+		c.escalate(attacker, victim, echoTime(sp, ts))
+	}
+}
+
+// emits records that s emitted fp at ts, and closes the
+// propagation link on each attacker whose delivery of fp the folded
+// emission span postdates. Checking the span — not ts — reaches the
+// same verdict as the alert-side check (targeted) whatever the arrival
+// order.
+func (c *Correlator) emits(s *sourceState, fp core.Fingerprint, ts uint64) {
+	s.emitted.put(fp, ts, c.cfg.Limits.MaxFingerprints)
+	if sp, ok := s.emitted.get(fp); ok {
+		for _, ref := range s.targetedBy[fp] {
+			if sp.last > ref.tsUS {
+				c.escalate(ref.attacker, s.src, echoTime(sp, ref.tsUS))
+			}
+		}
+	}
 }
 
 // tailFP lifts an event's structural sketch into the fingerprint

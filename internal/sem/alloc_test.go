@@ -47,13 +47,13 @@ func TestAnalyzeFrameAllocs(t *testing.T) {
 }
 
 // TestSketchAllocs pins the lineage path's allocation behavior on a
-// decoder frame. The emulator, its memo tables and the tail buffers
+// decoder frame. The emulator, its decode cache and the tail buffers
 // come from the analyzer's scratch pool, so what is left is the two
 // sorted name lists and their sort — a constant that neither grows
 // with the thousands of steps the decoder loop executes (before the
-// fetch memo every step allocated its instruction) nor with the frame
-// (before the pooled machine every sketch allocated three frame-sized
-// slices).
+// emulator decoded in place, every step allocated its instruction) nor
+// with the frame (before the pooled machine every sketch allocated
+// three frame-sized slices).
 func TestSketchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates; allocation pin not meaningful")
@@ -98,9 +98,8 @@ func TestAnalyzeFrameCachedEquivalence(t *testing.T) {
 	for i, frame := range frames {
 		plain := a.AnalyzeFrame(frame)
 		cache := x86.NewDecodeCache(frame)
-		// Pre-sweep offset 0 as the extraction stage's code-ratio
-		// estimate does, then analyze through the same cache.
-		cache.CodeRatio()
+		// Pre-sweep offset 0, then analyze through the same cache.
+		cache.Sweep(0)
 		cached := a.AnalyzeFrameCached(frame, cache)
 		if len(plain) != len(cached) {
 			t.Fatalf("frame %d: %d detections plain, %d cached", i, len(plain), len(cached))

@@ -201,7 +201,7 @@ func (a *Analyzer) viable(sc *frameScratch, cache *x86.DecodeCache, off int, wan
 // bookkeeping slices. Pooling it makes the whole hot path
 // allocation-free in steady state. Sketch draws from the same pool for
 // its emulator and the two tail buffers decodedTail swaps;
-// emu.Machine.Load starts each frame from an empty fetch memo.
+// emu.Machine.Load decodes each frame afresh.
 type frameScratch struct {
 	cache x86.DecodeCache
 	prog  ir.Program
@@ -233,11 +233,10 @@ func (a *Analyzer) AnalyzeFrame(frame []byte) []Detection {
 	return a.AnalyzeFrameCached(frame, nil)
 }
 
-// AnalyzeFrameCached is AnalyzeFrame reusing a decode cache that has
-// already (partially) swept the same frame — typically built by the
-// extraction stage's code-ratio estimate — so that extraction and
-// analysis share one decode. cache may be nil, or must have been
-// created over the same frame bytes.
+// AnalyzeFrameCached is AnalyzeFrame reusing a decode cache that a
+// caller has already (partially) swept over the same frame, so the
+// frame is decoded once. cache may be nil, which takes a pooled
+// scratch cache, or must have been created over the same frame bytes.
 func (a *Analyzer) AnalyzeFrameCached(frame []byte, cache *x86.DecodeCache) []Detection {
 	sc := scratchPool.Get().(*frameScratch)
 	defer scratchPool.Put(sc)

@@ -15,15 +15,14 @@ import (
 )
 
 // decodedTailReference is decodedTail before attempts were merged: a
-// fresh emulator per frame, every entry run to its end from the
-// pristine frame, the whole memory compared against the frame. It is
-// the oracle the merging path is held to.
+// fresh emulator per entry (its one attempt has nothing to merge
+// into), every entry run to its end from the pristine frame, the whole
+// memory compared against the frame. It is the oracle the merging path
+// is held to.
 func decodedTailReference(frame []byte, entries []int) (a, b uint64, n int) {
 	if len(frame) > sketchMaxFrame {
 		return 0, 0, 0
 	}
-	m := emu.New(frame)
-	m.MaxSteps = sketchMaxSteps
 	var best, tail []byte
 	tried := 0
 	for _, entry := range entries {
@@ -34,8 +33,9 @@ func decodedTailReference(frame []byte, entries []int) (a, b uint64, n int) {
 			continue
 		}
 		tried++
-		m.Reset(frame)
-		m.Run(entry)
+		m := emu.New(frame)
+		m.MaxSteps = sketchMaxSteps
+		m.Explore(entry)
 		tail = tail[:0]
 		for i, c := range m.Mem {
 			if c != frame[i] {

@@ -61,7 +61,7 @@ func TestSketchTailMatchesCoreFingerprint(t *testing.T) {
 		}
 		m := emu.New(frame)
 		m.MaxSteps = 1 << 16
-		m.Run(entry)
+		m.Explore(entry)
 		var tail []byte
 		for j := range frame {
 			if m.Mem[j] != frame[j] {

@@ -6,12 +6,11 @@ import "math/bits"
 // owns every instruction decoded from it.
 //
 // The semantic analyzer sweeps the same bytes from several start
-// offsets (and the extraction stage estimates a code ratio over the
-// same region before the analyzer sees it). x86 linear sweeps
-// self-synchronize: a sweep starting at offset k converges onto the
-// offset-0 instruction stream within a few bytes, after which every
-// subsequent instruction is identical. The cache exploits both forms
-// of redundancy:
+// offsets, and the emulator fetches from the frame it loaded at the
+// positions execution reaches. x86 linear sweeps self-synchronize: a
+// sweep starting at offset k converges onto the offset-0 instruction
+// stream within a few bytes, after which every subsequent instruction
+// is identical. The cache exploits both forms of redundancy:
 //
 //   - each byte position is decoded at most once, in place in the
 //     cache's store, no matter how many sweep offsets visit it;
@@ -68,7 +67,7 @@ const (
 )
 
 // NewDecodeCache returns a cache over b. No decoding happens until the
-// first Sweep or CodeRatio call.
+// first Sweep or At call.
 func NewDecodeCache(b []byte) *DecodeCache {
 	return &DecodeCache{b: b}
 }
@@ -126,6 +125,15 @@ func (c *DecodeCache) ensureIndexed() {
 	if len(c.idxAt) != len(c.b) {
 		c.index()
 	}
+}
+
+// At returns the instruction at byte position pos, decoded at most
+// once like every position Sweep visits (an undecodable byte is a
+// single-byte BAD instruction). It belongs to the cache: read-only and
+// valid until the next Reset.
+func (c *DecodeCache) At(pos int) *Inst {
+	c.ensureIndexed()
+	return c.instAt(pos)
 }
 
 // instAt decodes the instruction at byte position pos, memoized. An
@@ -203,21 +211,4 @@ func (c *DecodeCache) Sweep(start int) []*Inst {
 	}
 	c.sweeps[start] = out
 	return out
-}
-
-// CodeRatio estimates how much of the frame decodes as plausible
-// instructions: the fraction of bytes covered by non-BAD instructions
-// in a linear sweep from offset 0. The sweep is memoized, so a
-// downstream analyzer sweeping the same frame reuses it.
-func (c *DecodeCache) CodeRatio() float64 {
-	if len(c.b) == 0 {
-		return 0
-	}
-	good := 0
-	for _, in := range c.Sweep(0) {
-		if in.Op != BAD {
-			good += int(in.Len)
-		}
-	}
-	return float64(good) / float64(len(c.b))
 }

@@ -122,19 +122,6 @@ func TestDecodeCacheReset(t *testing.T) {
 	}
 }
 
-// TestDecodeCacheCodeRatio asserts the cached code ratio matches the
-// naive computation.
-func TestDecodeCacheCodeRatio(t *testing.T) {
-	for name, data := range corpora(t) {
-		if got, want := x86.NewDecodeCache(data).CodeRatio(), x86.CodeRatio(data); got != want {
-			t.Errorf("%s: cached CodeRatio=%v, naive=%v", name, got, want)
-		}
-	}
-	if got := x86.NewDecodeCache(nil).CodeRatio(); got != 0 {
-		t.Errorf("empty frame: CodeRatio=%v, want 0", got)
-	}
-}
-
 // TestThreadOrderAppendSharesInstructions pins the by-reference
 // contract: the threaded order points at the very instructions it was
 // given (nothing is copied), each at most once, and appending leaves

@@ -224,8 +224,9 @@ func Decode(b []byte, offset int) (Inst, error) {
 }
 
 // DecodeInto is Decode filling caller-owned storage: the instruction
-// is built in *in, which is how DecodeCache and the emulator's fetch
-// memo decode straight into their stores. On error *in is unspecified.
+// is built in *in, which is how DecodeCache decodes straight into its
+// store and the emulator into its scratch instruction. On error *in is
+// unspecified.
 func DecodeInto(in *Inst, b []byte, offset int) error {
 	if offset < 0 || offset >= len(b) {
 		return ErrTruncated
