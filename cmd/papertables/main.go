@@ -12,14 +12,18 @@
 // Absolute times differ from the paper's 2.8 GHz Pentium 4; the shapes
 // (who is detected, who wins, by what factor) are the reproduction
 // target. Use -scale to shrink the Table 3 / §5.4 workloads for quick
-// runs (e.g. -scale 0.05).
+// runs (e.g. -scale 0.05). A per-payload time is the median of
+// warmRuns runs after an untimed one; a Table 3 trace and the §5.4
+// corpus are timed once.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -39,22 +43,50 @@ var (
 	only  = flag.String("only", "", "run only one section: table1|table2|table3|efficiency|fp")
 )
 
-func main() {
-	flag.Parse()
-	run := func(name string, f func()) {
-		if *only == "" || *only == name {
-			f()
-		}
-	}
-	run("table1", table1)
-	run("table2", table2)
-	run("table3", table3)
-	run("efficiency", efficiency)
-	run("fp", falsePositives)
+// sections are the tables in the order they print. Each writes its
+// table to w and returns its detection columns, one line per row; the
+// times are left out, and testdata/detections.golden holds the rest.
+var sections = []struct {
+	name string
+	run  func(w io.Writer, scale float64) []string
+}{
+	{"table1", table1},
+	{"table2", table2},
+	{"table3", table3},
+	{"efficiency", efficiency},
+	{"fp", falsePositives},
 }
 
-func header(title string) {
-	fmt.Printf("\n%s\n%s\n", title, strings.Repeat("=", len(title)))
+func main() {
+	flag.Parse()
+	for _, s := range sections {
+		if *only == "" || *only == s.name {
+			s.run(os.Stdout, *scale)
+		}
+	}
+}
+
+func header(w io.Writer, title string) {
+	fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("=", len(title)))
+}
+
+// warmRuns is the number of timed runs a per-payload time is the
+// median of.
+const warmRuns = 9
+
+// warmMedian runs f once untimed, so that template compilation and
+// pool warm-up fall outside the timing, then warmRuns times, and
+// returns the median of those.
+func warmMedian(f func()) time.Duration {
+	f()
+	d := make([]time.Duration, warmRuns)
+	for i := range d {
+		start := time.Now()
+		f()
+		d[i] = time.Since(start)
+	}
+	slices.Sort(d)
+	return d[len(d)/2]
 }
 
 func defaultCfg() engine.Config {
@@ -68,51 +100,56 @@ func defaultCfg() engine.Config {
 }
 
 // analyzePayloadTimed runs extraction + semantic analysis over one
-// application payload, timing the analysis.
+// application payload and returns the templates it detected with the
+// warm median time of the analysis.
 func analyzePayloadTimed(payload []byte) (map[string]bool, time.Duration) {
-	start := time.Now()
 	out := make(map[string]bool)
-	for _, d := range core.AnalyzePayload(payload) {
-		out[d.Template] = true
-	}
-	return out, time.Since(start)
+	dur := warmMedian(func() {
+		clear(out)
+		for _, d := range core.AnalyzePayload(payload) {
+			out[d.Template] = true
+		}
+	})
+	return out, dur
 }
 
 // table1 reproduces "Table 1. Linux shell spawning buffer overflow
 // exploits": eight exploits delivered at a honeypot, per-exploit
 // detection and analysis time, plus the Netsky-sized binaries.
-func table1() {
-	header("Table 1 — Linux shell-spawning buffer overflow exploits")
-	fmt.Printf("%-18s %-6s %-9s %-10s %-12s %s\n",
+func table1(w io.Writer, _ float64) []string {
+	header(w, "Table 1 — Linux shell-spawning buffer overflow exploits")
+	fmt.Fprintf(w, "%-18s %-6s %-9s %-10s %-12s %s\n",
 		"exploit", "proto", "detected", "binds-port", "analysis", "paper-time")
 	paperTimes := []string{"2.36s", "2.49s", "2.61s", "2.74s", "2.88s", "3.01s", "3.14s", "3.27s"}
+	var rows []string
 	for i, e := range exploits.Table1Exploits() {
 		ds, dur := analyzePayloadTimed(e.Payload)
 		detected := ds["linux-shell-spawn"]
 		bind := ds["port-bind-shell"]
-		fmt.Printf("%-18s %-6s %-9v %-10v %-12s %s\n",
+		fmt.Fprintf(w, "%-18s %-6s %-9v %-10v %-12s %s\n",
 			e.Name, e.Kind, detected, bind, dur.Round(time.Microsecond), paperTimes[i])
+		rows = append(rows, fmt.Sprintf("table1 %s detected=%v binds-port=%v", e.Name, detected, bind))
 	}
 	for _, seed := range []int64{1, 2} {
 		bin := exploits.NetskyBinary(seed, 22*1024)
-		start := time.Now()
-		ds := core.AnalyzeBytes(bin, nil)
-		dur := time.Since(start)
 		found := false
-		for _, d := range ds {
-			if d.Template == "xor-decrypt-loop" {
-				found = true
+		dur := warmMedian(func() {
+			found = false
+			for _, d := range core.AnalyzeBytes(bin, nil) {
+				found = found || d.Template == "xor-decrypt-loop"
 			}
-		}
-		fmt.Printf("%-18s %-6s %-9v %-10s %-12s %s\n",
-			fmt.Sprintf("netsky-variant-%d", seed), "host", found, "-",
-			dur.Round(time.Microsecond), "~6.5s (vs ~40s in [5])")
+		})
+		name := fmt.Sprintf("netsky-variant-%d", seed)
+		fmt.Fprintf(w, "%-18s %-6s %-9v %-10s %-12s %s\n",
+			name, "host", found, "-", dur.Round(time.Microsecond), "~6.5s (vs ~40s in [5])")
+		rows = append(rows, fmt.Sprintf("table1 %s detected=%v", name, found))
 	}
+	return rows
 }
 
 // table2 reproduces "Table 2. Polymorphic shellcode detection".
-func table2() {
-	header("Table 2 — Polymorphic shellcode detection")
+func table2(w io.Writer, _ float64) []string {
+	header(w, "Table 2 — Polymorphic shellcode detection")
 	payload := shellcode.ClassicPush().Bytes
 	xorOnly := sem.NewAnalyzer(sem.XorOnlyTemplates())
 	full := sem.NewAnalyzer(sem.BuiltinTemplates())
@@ -129,8 +166,9 @@ func table2() {
 	// iis-asp-overflow: one instance through the full network path.
 	e := exploits.IISASPOverflow()
 	ds, dur := analyzePayloadTimed(e.Payload)
-	fmt.Printf("%-22s %3d/%3d with xor template          (paper: 1/1, 2.14s; ours: %s)\n",
-		"iis-asp-overflow", b2i(ds["xor-decrypt-loop"]), 1, dur.Round(time.Microsecond))
+	iis := b2i(ds["xor-decrypt-loop"])
+	fmt.Fprintf(w, "%-22s %3d/%3d with xor template          (paper: 1/1, 2.14s; ours: %s)\n",
+		"iis-asp-overflow", iis, 1, dur.Round(time.Microsecond))
 
 	// ADMmutate ×100: first with the xor template only, then with the
 	// alternate-decoder template added (the paper's 68% -> 100% step).
@@ -153,8 +191,8 @@ func table2() {
 			fullHits++
 		}
 	}
-	fmt.Printf("%-22s %3d/100 with xor template          (paper:  68/100)\n", "ADMmutate", xorHits)
-	fmt.Printf("%-22s %3d/100 with both decoder templates (paper: 100/100)\n", "ADMmutate", fullHits)
+	fmt.Fprintf(w, "%-22s %3d/100 with xor template          (paper:  68/100)\n", "ADMmutate", xorHits)
+	fmt.Fprintf(w, "%-22s %3d/100 with both decoder templates (paper: 100/100)\n", "ADMmutate", fullHits)
 
 	// Clet ×100 with the xor template alone.
 	clet := polymorph.NewClet(1999)
@@ -169,25 +207,32 @@ func table2() {
 			cletHits++
 		}
 	}
-	fmt.Printf("%-22s %3d/100 with xor template          (paper: 100/100)\n", "Clet", cletHits)
+	fmt.Fprintf(w, "%-22s %3d/100 with xor template          (paper: 100/100)\n", "Clet", cletHits)
+	return []string{
+		fmt.Sprintf("table2 iis-asp-overflow xor=%d/1", iis),
+		fmt.Sprintf("table2 ADMmutate xor=%d/100", xorHits),
+		fmt.Sprintf("table2 ADMmutate both=%d/100", fullHits),
+		fmt.Sprintf("table2 Clet xor=%d/100", cletHits),
+	}
 }
 
 // table3 reproduces "Table 3. Detection of the Code Red II Worm":
 // twelve 5-minute traces of >200k packets with known instance counts.
-func table3() {
-	header("Table 3 — Detection of the Code Red II worm (12 traces)")
+func table3(w io.Writer, scale float64) []string {
+	header(w, "Table 3 — Detection of the Code Red II worm (12 traces)")
 	// Paper instance counts per trace.
 	instances := []int{3, 1, 4, 2, 5, 2, 1, 3, 6, 2, 4, 3}
 	// >200k packets per trace at scale 1.0. One benign session
 	// averages ~5.6 packets (DNS exchanges pull the mean down), so
 	// 37000 sessions ≈ 207k packets.
-	sessions := int(37000 * *scale)
+	sessions := int(37000 * scale)
 	if sessions < 200 {
 		sessions = 200
 	}
-	fmt.Printf("%-7s %-10s %-9s %-9s %-8s %s\n",
+	fmt.Fprintf(w, "%-7s %-10s %-9s %-9s %-8s %s\n",
 		"trace", "packets", "actual", "detected", "correct", "time")
 	okAll := true
+	var rows []string
 	for i, actual := range instances {
 		spec := traffic.TraceSpec{
 			Seed:             int64(100 + i),
@@ -216,38 +261,38 @@ func table3() {
 		ok := got == actual
 		okAll = okAll && ok
 		m := n.Snapshot()
-		fmt.Printf("%-7d %-10d %-9d %-9d %-8v %s\n",
+		fmt.Fprintf(w, "%-7d %-10d %-9d %-9d %-8v %s\n",
 			i+1, m.Packets, actual, got, ok, dur.Round(time.Millisecond))
+		rows = append(rows, fmt.Sprintf("table3 trace=%d actual=%d detected=%d correct=%v", i+1, actual, got, ok))
 	}
-	fmt.Printf("all traces correct: %v (paper: every instance classified and matched correctly)\n", okAll)
+	fmt.Fprintf(w, "all traces correct: %v (paper: every instance classified and matched correctly)\n", okAll)
+	return append(rows, fmt.Sprintf("table3 all-correct=%v", okAll))
 }
 
 // efficiency reproduces the Section 5.1 comparison: the pruned
 // pipeline versus the exhaustive whole-input baseline of [5] on the
-// same 22 KB virus-sized binary.
-func efficiency() {
-	header("§5.1 — Efficiency: extraction-pruned pipeline vs whole-input baseline")
+// same 22 KB virus-sized binary. It has no detection column.
+func efficiency(w io.Writer, _ float64) []string {
+	header(w, "§5.1 — Efficiency: extraction-pruned pipeline vs whole-input baseline")
 	bin := exploits.NetskyBinary(1, 22*1024)
 
-	start := time.Now()
-	core.AnalyzeBytes(bin, []int{0, 1, 2, 3})
-	ours := time.Since(start)
+	ours := warmMedian(func() { core.AnalyzeBytes(bin, []int{0, 1, 2, 3}) })
+	baseline := warmMedian(func() {
+		core.AnalyzeBytes(bin, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	})
 
-	start = time.Now()
-	core.AnalyzeBytes(bin, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
-	baseline := time.Since(start)
-
-	fmt.Printf("semantic scan, pruned offsets:      %12s   (paper: ~6.5s on a P4 2.8GHz)\n", ours.Round(time.Microsecond))
-	fmt.Printf("exhaustive offsets ([5]-style):     %12s   (paper: ~40s reported in [5])\n", baseline.Round(time.Microsecond))
-	fmt.Printf("speedup: %.1fx (paper: ~6.2x)\n", float64(baseline)/float64(ours))
+	fmt.Fprintf(w, "semantic scan, pruned offsets:      %12s   (paper: ~6.5s on a P4 2.8GHz)\n", ours.Round(time.Microsecond))
+	fmt.Fprintf(w, "exhaustive offsets ([5]-style):     %12s   (paper: ~40s reported in [5])\n", baseline.Round(time.Microsecond))
+	fmt.Fprintf(w, "speedup: %.1fx (paper: ~6.2x)\n", float64(baseline)/float64(ours))
+	return nil
 }
 
 // falsePositives reproduces Section 5.4: classification disabled,
 // every payload analyzed over a large benign corpus; expect zero
 // alerts.
-func falsePositives() {
-	header("§5.4 — False-positive evaluation (classification disabled)")
-	target := int(566 * 1024 * 1024 * *scale) // paper: 566MB of traffic
+func falsePositives(w io.Writer, scale float64) []string {
+	header(w, "§5.4 — False-positive evaluation (classification disabled)")
+	target := int(566 * 1024 * 1024 * scale) // paper: 566MB of traffic
 	cfg := defaultCfg()
 	cfg.Classify.Disabled = true
 	n := engine.New(cfg)
@@ -265,15 +310,16 @@ func falsePositives() {
 	n.Stop()
 	dur := time.Since(start)
 	m := n.Snapshot()
-	fmt.Printf("benign traffic analyzed: %.1f MB in %d sessions (%d packets) in %s\n",
+	fmt.Fprintf(w, "benign traffic analyzed: %.1f MB in %d sessions (%d packets) in %s\n",
 		float64(bytesFed)/(1<<20), sessions, m.Packets, dur.Round(time.Millisecond))
-	fmt.Printf("frames disassembled: %d (%.2f MB)\n", m.Frames, float64(m.FrameBytes)/(1<<20))
-	fmt.Printf("false positives: %d (paper: 0 over 566MB)\n", m.Alerts)
+	fmt.Fprintf(w, "frames disassembled: %d (%.2f MB)\n", m.Frames, float64(m.FrameBytes)/(1<<20))
+	fmt.Fprintf(w, "false positives: %d (paper: 0 over 566MB)\n", m.Alerts)
 	if m.Alerts > 0 {
 		for _, a := range n.Alerts() {
-			fmt.Println("  FP:", a)
+			fmt.Fprintln(w, "  FP:", a)
 		}
 	}
+	return []string{fmt.Sprintf("fp false-positives=%d", m.Alerts)}
 }
 
 func b2i(b bool) int {

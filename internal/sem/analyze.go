@@ -1,7 +1,6 @@
 package sem
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -29,9 +28,10 @@ type Analyzer struct {
 	// offsets covers misaligned extraction.
 	SweepOffsets []int
 
-	// DisableSweepPrune turns off the sweep-start viability pass (the
-	// per-offset pruning described below) — the ablation baseline, and
-	// the reference the differential tests compare against.
+	// DisableSweepPrune turns off the frame's byte witness and the
+	// sweep-start viability pass (the per-offset pruning described
+	// below) — the ablation baseline, and the reference the
+	// differential tests compare against.
 	DisableSweepPrune bool
 
 	// Sweep-start viability state, built once per template set by
@@ -240,10 +240,6 @@ func (a *Analyzer) AnalyzeFrame(frame []byte) []Detection {
 func (a *Analyzer) AnalyzeFrameCached(frame []byte, cache *x86.DecodeCache) []Detection {
 	sc := scratchPool.Get().(*frameScratch)
 	defer scratchPool.Put(sc)
-	if cache == nil {
-		sc.cache.Reset(frame)
-		cache = &sc.cache
-	}
 
 	var out []Detection
 	seen := sc.seen[:0]
@@ -263,38 +259,38 @@ func (a *Analyzer) AnalyzeFrameCached(frame []byte, cache *x86.DecodeCache) []De
 		}
 	}
 
-	// Frame-level prefilter: a template whose mandatory SFrameData
-	// bytes are absent from the frame cannot match at any offset or
-	// order, so it is rejected with one bytes.Contains per byte string
-	// instead of once per offset × order search. Distinct template
-	// names are counted so the offset loop can stop as soon as every
-	// name has a detection.
+	// Frame-level witness: a template whose mandatory statements leave
+	// a byte witness (witness.go) or an SFrameData string that the
+	// frame lacks cannot match at any offset or order, so it is no
+	// candidate, and a frame left with none decodes nothing. One scan
+	// of the frame finds the byte witnesses. A rejected template
+	// still counts among the names, so the offset loop considers every
+	// offset it did before and counts each as a start not lifted.
+	witnessOn := !a.DisableSweepPrune
+	var found uint8
+	if witnessOn {
+		found = scanWitness(frame)
+	}
 	cands := sc.cands[:0]
 	defer func() { sc.cands = cands[:0] }()
 	names := 0
-candidates:
 	for ti, tpl := range a.Templates {
-		ct := tpl.compiled()
-		for _, need := range ct.frameNeeds {
-			if !bytes.Contains(frame, need) {
-				continue candidates
-			}
-		}
-		dup := false
-		for _, c := range cands {
-			if c.tpl.Name == tpl.Name {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !namedBefore(a.Templates[:ti], tpl.Name) {
 			names++
+		}
+		ct := tpl.compiled()
+		if witnessOn && !ct.witness.heldBy(frame, found) {
+			continue
 		}
 		var bit uint64
 		if ti < len(a.tplBit) {
 			bit = a.tplBit[ti]
 		}
 		cands = append(cands, candidate{tpl, ct, bit})
+	}
+	if cache == nil && len(cands) != 0 {
+		sc.cache.Reset(frame)
+		cache = &sc.cache
 	}
 
 	// Sweep-start viability: before paying for a sweep's lift and
@@ -305,22 +301,18 @@ candidates:
 	// and the check shares every decoded byte with the sweeps
 	// themselves. An offset is not pruned while an undetected candidate
 	// could not be encoded (its tplBit 0 makes every offset viable).
-	prune := !a.DisableSweepPrune && a.pruneTable != nil && len(a.tplBit) == len(a.Templates)
+	prune := witnessOn && a.pruneTable != nil && len(a.tplBit) == len(a.Templates)
 
 	var starts, lifted uint64
 	sc.m.exhausted = 0
 	for _, off := range a.SweepOffsets {
-		if off >= len(frame) {
-			break
-		}
-		if len(cands) == 0 || len(seen) == names {
+		if off >= len(frame) || len(seen) == names {
 			break
 		}
 		starts++
-		if prune {
-			if want := unseenWant(cands, seenName); want != 0 && !a.viable(sc, cache, off, want) {
-				continue
-			}
+		want, open := unseenWant(cands, seenName)
+		if !open || prune && want != 0 && !a.viable(sc, cache, off, want) {
+			continue
 		}
 		lifted++
 		sc.prog.Reuse(cache.Sweep(off))
@@ -362,18 +354,30 @@ candidates:
 // unseenWant returns the viability bits of the candidates whose name
 // has no detection yet — the only templates the next offset can still
 // report — or 0 when one of them has no bit and so cannot be pruned.
-func unseenWant(cands []candidate, seen func(string) bool) uint64 {
-	var want uint64
+// open is false when there is no such candidate: every name still
+// undetected belongs to templates the witness rejected.
+func unseenWant(cands []candidate, seen func(string) bool) (want uint64, open bool) {
 	for i := range cands {
 		if seen(cands[i].tpl.Name) {
 			continue
 		}
 		if cands[i].bit == 0 {
-			return 0
+			return 0, true
 		}
 		want |= cands[i].bit
+		open = true
 	}
-	return want
+	return want, open
+}
+
+// namedBefore reports whether a template in tpls has the given name.
+func namedBefore(tpls []*Template, name string) bool {
+	for _, t := range tpls {
+		if t.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 func makeDetection(tpl *Template, ct *compiledTemplate, order string, nodes []ir.Node, b *binding, idxs []int) Detection {

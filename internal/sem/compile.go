@@ -53,10 +53,10 @@ type compiledTemplate struct {
 	// behavior — see liveRanges).
 	liveVars [][]int8
 
-	// frameNeeds are the byte strings of mandatory SFrameData
-	// statements: if any is absent from the raw frame, the template
-	// cannot match at any sweep offset or order.
-	frameNeeds [][]byte
+	// witness is what the raw frame must show for the template to
+	// match at any sweep offset or order: the byte witnesses of its
+	// mandatory statements and its mandatory SFrameData strings.
+	witness witness
 
 	// opNeeds holds, for each mandatory node-consuming statement whose
 	// vocabulary is a restricted opcode set, that set. If any entry
@@ -140,10 +140,11 @@ func compileTemplate(t *Template) *compiledTemplate {
 		}
 		if st.Kind == SFrameData {
 			if len(st.FrameBytes) > 0 {
-				ct.frameNeeds = append(ct.frameNeeds, st.FrameBytes)
+				ct.witness.data = append(ct.witness.data, st.FrameBytes)
 			}
 			continue
 		}
+		ct.witness.bytes |= stmtWitness(st.Kind)
 		if st.hasOps {
 			ct.opNeeds = append(ct.opNeeds, st.ops)
 		}

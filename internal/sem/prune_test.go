@@ -197,16 +197,19 @@ func TestSweepPruneWideOffsets(t *testing.T) {
 }
 
 // FuzzSweepPrune: on any frame, at the default and the exhaustive
-// offset lists, pruning changes no detection.
+// offset lists, pruning changes no detection, and a template the byte
+// witness rejects is one no sweep could match (checkWitnessRejects).
 func FuzzSweepPrune(f *testing.F) {
 	for _, frame := range pruneSeeds(f) {
 		f.Add(frame)
 	}
 	pruned, baseline := pruneAnalyzers(nil)
 	prunedWide, baselineWide := pruneAnalyzers(wideOffsets())
+	solo := soloBaselines(pruned)
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		checkPruneAgrees(t, "default offsets", pruned, baseline, frame)
 		checkPruneAgrees(t, "wide offsets", prunedWide, baselineWide, frame)
+		checkWitnessRejects(t, pruned, solo, frame)
 	})
 }
 

@@ -325,16 +325,6 @@ func TestThreadOrder(t *testing.T) {
 	}
 }
 
-func TestCodeRatio(t *testing.T) {
-	code := NewAsm().MovRI(EAX, 11).XorRR(EBX, EBX).IntN(0x80).MustBytes()
-	if r := CodeRatio(code); r != 1.0 {
-		t.Errorf("pure code ratio = %f, want 1.0", r)
-	}
-	if r := CodeRatio(nil); r != 0 {
-		t.Errorf("empty ratio = %f, want 0", r)
-	}
-}
-
 // TestInstSize pins the instruction layout the by-reference pipeline
 // is built around: one Inst is one cache line, an Operand 16 bytes.
 func TestInstSize(t *testing.T) {

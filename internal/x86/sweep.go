@@ -26,24 +26,6 @@ func Sweep(b []byte, start int) []Inst {
 // SweepAll disassembles the whole buffer from offset 0.
 func SweepAll(b []byte) []Inst { return Sweep(b, 0) }
 
-// CodeRatio estimates how much of b decodes as plausible instructions:
-// the fraction of bytes covered by non-BAD instructions in a linear
-// sweep. Used by the extraction stage to decide whether a payload
-// region plausibly contains machine code.
-func CodeRatio(b []byte) float64 {
-	if len(b) == 0 {
-		return 0
-	}
-	insts := SweepAll(b)
-	good := 0
-	for _, in := range insts {
-		if in.Op != BAD {
-			good += int(in.Len)
-		}
-	}
-	return float64(good) / float64(len(b))
-}
-
 // threadScratch holds the per-call tables ThreadOrderAppend needs;
 // pooled so the hot path does not reallocate them for every frame and
 // offset.
