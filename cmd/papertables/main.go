@@ -13,8 +13,9 @@
 // (who is detected, who wins, by what factor) are the reproduction
 // target. Use -scale to shrink the Table 3 / §5.4 workloads for quick
 // runs (e.g. -scale 0.05). A per-payload time is the median of
-// warmRuns runs after an untimed one; a Table 3 trace and the §5.4
-// corpus are timed once.
+// warmRuns runs after an untimed one, printed with its quartiles in
+// brackets ("15µs [14–16]"); a Table 3 trace and the §5.4 corpus are
+// timed once.
 package main
 
 import (
@@ -24,6 +25,7 @@ import (
 	"net/netip"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -74,10 +76,25 @@ func header(w io.Writer, title string) {
 // median of.
 const warmRuns = 9
 
+// timing is a per-payload time: the median of warmRuns runs and its
+// lower and upper quartiles.
+type timing struct{ q1, median, q3 time.Duration }
+
+// String prints the median with the quartiles in brackets, all in the
+// median's unit: "15µs [14–16]", or "1.47ms [1.45–1.52]".
+func (t timing) String() string {
+	unit, div, prec := "µs", float64(time.Microsecond), 0
+	if t.median >= time.Millisecond {
+		unit, div, prec = "ms", float64(time.Millisecond), 2
+	}
+	f := func(d time.Duration) string { return strconv.FormatFloat(float64(d)/div, 'f', prec, 64) }
+	return fmt.Sprintf("%s%s [%s–%s]", f(t.median), unit, f(t.q1), f(t.q3))
+}
+
 // warmMedian runs f once untimed, so that template compilation and
 // pool warm-up fall outside the timing, then warmRuns times, and
-// returns the median of those.
-func warmMedian(f func()) time.Duration {
+// returns the median of those with its quartiles.
+func warmMedian(f func()) timing {
 	f()
 	d := make([]time.Duration, warmRuns)
 	for i := range d {
@@ -86,7 +103,8 @@ func warmMedian(f func()) time.Duration {
 		d[i] = time.Since(start)
 	}
 	slices.Sort(d)
-	return d[len(d)/2]
+	n := len(d)
+	return timing{q1: d[n/4], median: d[n/2], q3: d[3*n/4]}
 }
 
 func defaultCfg() engine.Config {
@@ -102,7 +120,7 @@ func defaultCfg() engine.Config {
 // analyzePayloadTimed runs extraction + semantic analysis over one
 // application payload and returns the templates it detected with the
 // warm median time of the analysis.
-func analyzePayloadTimed(payload []byte) (map[string]bool, time.Duration) {
+func analyzePayloadTimed(payload []byte) (map[string]bool, timing) {
 	out := make(map[string]bool)
 	dur := warmMedian(func() {
 		clear(out)
@@ -118,7 +136,7 @@ func analyzePayloadTimed(payload []byte) (map[string]bool, time.Duration) {
 // detection and analysis time, plus the Netsky-sized binaries.
 func table1(w io.Writer, _ float64) []string {
 	header(w, "Table 1 — Linux shell-spawning buffer overflow exploits")
-	fmt.Fprintf(w, "%-18s %-6s %-9s %-10s %-12s %s\n",
+	fmt.Fprintf(w, "%-18s %-6s %-9s %-10s %-22s %s\n",
 		"exploit", "proto", "detected", "binds-port", "analysis", "paper-time")
 	paperTimes := []string{"2.36s", "2.49s", "2.61s", "2.74s", "2.88s", "3.01s", "3.14s", "3.27s"}
 	var rows []string
@@ -126,8 +144,8 @@ func table1(w io.Writer, _ float64) []string {
 		ds, dur := analyzePayloadTimed(e.Payload)
 		detected := ds["linux-shell-spawn"]
 		bind := ds["port-bind-shell"]
-		fmt.Fprintf(w, "%-18s %-6s %-9v %-10v %-12s %s\n",
-			e.Name, e.Kind, detected, bind, dur.Round(time.Microsecond), paperTimes[i])
+		fmt.Fprintf(w, "%-18s %-6s %-9v %-10v %-22s %s\n",
+			e.Name, e.Kind, detected, bind, dur, paperTimes[i])
 		rows = append(rows, fmt.Sprintf("table1 %s detected=%v binds-port=%v", e.Name, detected, bind))
 	}
 	for _, seed := range []int64{1, 2} {
@@ -140,8 +158,8 @@ func table1(w io.Writer, _ float64) []string {
 			}
 		})
 		name := fmt.Sprintf("netsky-variant-%d", seed)
-		fmt.Fprintf(w, "%-18s %-6s %-9v %-10s %-12s %s\n",
-			name, "host", found, "-", dur.Round(time.Microsecond), "~6.5s (vs ~40s in [5])")
+		fmt.Fprintf(w, "%-18s %-6s %-9v %-10s %-22s %s\n",
+			name, "host", found, "-", dur, "~6.5s (vs ~40s in [5])")
 		rows = append(rows, fmt.Sprintf("table1 %s detected=%v", name, found))
 	}
 	return rows
@@ -168,7 +186,7 @@ func table2(w io.Writer, _ float64) []string {
 	ds, dur := analyzePayloadTimed(e.Payload)
 	iis := b2i(ds["xor-decrypt-loop"])
 	fmt.Fprintf(w, "%-22s %3d/%3d with xor template          (paper: 1/1, 2.14s; ours: %s)\n",
-		"iis-asp-overflow", iis, 1, dur.Round(time.Microsecond))
+		"iis-asp-overflow", iis, 1, dur)
 
 	// ADMmutate ×100: first with the xor template only, then with the
 	// alternate-decoder template added (the paper's 68% -> 100% step).
@@ -281,9 +299,9 @@ func efficiency(w io.Writer, _ float64) []string {
 		core.AnalyzeBytes(bin, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	})
 
-	fmt.Fprintf(w, "semantic scan, pruned offsets:      %12s   (paper: ~6.5s on a P4 2.8GHz)\n", ours.Round(time.Microsecond))
-	fmt.Fprintf(w, "exhaustive offsets ([5]-style):     %12s   (paper: ~40s reported in [5])\n", baseline.Round(time.Microsecond))
-	fmt.Fprintf(w, "speedup: %.1fx (paper: ~6.2x)\n", float64(baseline)/float64(ours))
+	fmt.Fprintf(w, "semantic scan, pruned offsets:      %22s   (paper: ~6.5s on a P4 2.8GHz)\n", ours)
+	fmt.Fprintf(w, "exhaustive offsets ([5]-style):     %22s   (paper: ~40s reported in [5])\n", baseline)
+	fmt.Fprintf(w, "speedup: %.1fx (paper: ~6.2x)\n", float64(baseline.median)/float64(ours.median))
 	return nil
 }
 

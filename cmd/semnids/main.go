@@ -46,13 +46,11 @@
 // costs lag, never ingest. Several comma-separated URLs form a
 // failover list: pushes go to the first, demote to the next on
 // sustained failure, and promote back when a probe finds an earlier
-// one healthy. Push bodies go gzip-compressed once an aggregator
-// advertises support, so older aggregators keep receiving identity
-// bodies. -export-keep bounds the spool (segments pruned past it
-// before ack are counted as dropped — lag, not loss, since
-// checkpoints are full snapshots). -push-wait bounds a
-// best-effort wait at exit for the aggregator to ack the spool;
-// -stats adds the push transport's health line
+// one healthy. Every push body is gzip. -export-keep bounds the
+// spool (segments pruned past it before ack are counted as dropped —
+// lag, not loss, since checkpoints are full snapshots). -push-wait
+// bounds a best-effort wait at exit for the aggregator to ack the
+// spool; -stats adds the push transport's health line
 // (pushed/acked/retried/spooled, backoff).
 //
 // -listen serves the live telemetry surface while the run lasts:
@@ -371,9 +369,9 @@ func run() int {
 				p := sm.Push
 				fmt.Printf("push: pushed=%d acked=%d retried=%d rejected=%d dropped=%d spooled=%d backoff=%s\n",
 					p.Pushed, p.Acked, p.Retried, p.Rejected, p.Dropped, p.Spooled, p.Backoff)
-				if len(cfg.Push.URLs) > 1 || p.Compressed > 0 {
-					fmt.Printf("push: upstream=%s failovers=%d compressed=%d raw-bytes=%d wire-bytes=%d\n",
-						p.ActiveUpstream, p.Failovers, p.Compressed, p.RawBytes, p.WireBytes)
+				if len(cfg.Push.URLs) > 1 || p.Acked > 0 {
+					fmt.Printf("push: upstream=%s failovers=%d raw-bytes=%d wire-bytes=%d\n",
+						p.ActiveUpstream, p.Failovers, p.RawBytes, p.WireBytes)
 				}
 				if p.LastError != "" {
 					fmt.Printf("push: last-error: %s\n", p.LastError)

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 
@@ -244,4 +246,56 @@ func TestDatagramSoakBoundedMemory(t *testing.T) {
 // buffering is strictly opt-in.
 func TestDatagramFlowsOffByteIdentical(t *testing.T) {
 	checkGolden(t, loadGolden(t), goldenIoTTraces())
+}
+
+// TestDatagramEvictionDeterministic runs one datagram-flow trace
+// several times: idle datagram flows and the final drain must leave the
+// flow table in the same order every run, or the verdict cache admits
+// a different set of frames and the alerts arrive in a different order.
+func TestDatagramEvictionDeterministic(t *testing.T) {
+	pkts := traffic.IoTBotnet(traffic.IoTSpec{Seed: 1, Generations: 2, FanoutPerHost: 3, BenignSessions: 20})
+	type result struct {
+		hits, misses, rejected uint64
+		alerts                 []string
+	}
+	run := func() result {
+		e := New(Config{
+			Classify:          classify.Config{Disabled: true},
+			Shards:            1,
+			DatagramFlows:     true,
+			FlowIdleTimeoutUS: 60e6,
+			DatagramIdleUS:    5e4,
+			TickIntervalUS:    1e4,
+			VerdictCacheSize:  64,
+		})
+		for _, p := range pkts {
+			e.Process(p)
+		}
+		stopAndCheck(t, e)
+		m := e.Snapshot()
+		if m.FlowsEvictedUDPIdle == 0 {
+			t.Fatal("no datagram idle evictions")
+		}
+		r := result{hits: m.CacheHits, misses: m.CacheMisses, rejected: m.CacheRejected}
+		for _, a := range e.Alerts() {
+			r.alerts = append(r.alerts, fmt.Sprintf("%s:%d->%s:%d %s", a.Src, a.SrcPort, a.Dst, a.DstPort, a.Detection.Template))
+		}
+		return r
+	}
+	want := run()
+	if want.rejected == 0 || len(want.alerts) == 0 {
+		t.Fatalf("trace exercises nothing: %d cache rejections, %d alerts", want.rejected, len(want.alerts))
+	}
+	// Map order repeats by chance now and then; several runs make a
+	// random hand-over order show.
+	for i := 1; i < 8; i++ {
+		got := run()
+		if got.hits != want.hits || got.misses != want.misses || got.rejected != want.rejected {
+			t.Fatalf("run %d: cache hits/misses/rejected = %d/%d/%d, first run %d/%d/%d",
+				i, got.hits, got.misses, got.rejected, want.hits, want.misses, want.rejected)
+		}
+		if !slices.Equal(got.alerts, want.alerts) {
+			t.Fatalf("run %d: alert arrival order differs from the first run\n got: %v\nwant: %v", i, got.alerts, want.alerts)
+		}
+	}
 }

@@ -172,12 +172,6 @@ func (s *shard) handle(p *netpkt.Packet, reason classify.Reason) {
 	if stream == nil {
 		return
 	}
-	if stream.Rewritten {
-		// A LastWins retransmission changed already-analyzed bytes:
-		// the analyzed-prefix watermark no longer describes the
-		// stream's content, so analysis must start over.
-		fl.Analyzed = 0
-	}
 	if core.ShouldAnalyze(stream.Finished, len(stream.Data), fl.Analyzed, s.eng.cfg.MinAnalyzeBytes) {
 		fl.Analyzed = len(stream.Data)
 		s.analyze(stream.Data, nil, flow, reason, p.TimestampUS)

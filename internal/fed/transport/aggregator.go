@@ -35,7 +35,9 @@
 //     and everything unacked is retried by its sensor.
 //   - Corrupt or oversized segment: rejected with a clean 4xx before
 //     any allocation the body's length prefixes could demand; the
-//     pusher counts it and moves on rather than wedging the spool.
+//     pusher re-sends the body once (a body damaged in flight then
+//     delivers), and if the rejection stands it counts it and moves on
+//     rather than wedging the spool.
 package transport
 
 import (
@@ -149,8 +151,8 @@ type AggregatorMetrics struct {
 	// MaxHops. Any nonzero value means a misconfigured tree.
 	Cycles uint64
 
-	// Unsupported counts pushes refused for an unknown
-	// Content-Encoding (415).
+	// Unsupported counts pushes refused for a body that is not gzip
+	// (415).
 	Unsupported uint64
 
 	// Sensors and Sources describe the current merged state.
@@ -383,15 +385,6 @@ func (a *Aggregator) PushStats() (PushMetrics, bool) {
 	return a.push.Metrics(), true
 }
 
-// NotifyUpstream nudges the upstream pusher's spool scan (no-op on a
-// root). Tests use it to tighten convergence; production relies on the
-// per-fold nudge in ServeHTTP.
-func (a *Aggregator) NotifyUpstream() {
-	if a.push != nil {
-		a.push.Notify()
-	}
-}
-
 // Close writes a final durable checkpoint, stops the sink, and then
 // lets the upstream pusher (if any) make its final sweep — so the
 // closing node's last folds still reach its upstream.
@@ -416,10 +409,9 @@ func (a *Aggregator) Kill() {
 }
 
 // ServeHTTP accepts one pushed evidence segment per POST request and
-// folds it into the merged state. GET/HEAD is the liveness/capability
-// probe: 204 with this node's ID and accepted encodings in the
-// headers (stamped on every response, so pushers learn capabilities
-// from acks too). Responses:
+// folds it into the merged state. Every push body is gzip. GET/HEAD is
+// the liveness probe: 204 with this node's ID in the headers (stamped
+// on every response). Responses:
 //
 //	200 — folded and (unless AsyncAck) durably committed
 //	204 — probe (GET/HEAD)
@@ -429,13 +421,11 @@ func (a *Aggregator) Kill() {
 //	409 — correlation-parameter skew, or a topology-guard refusal
 //	      (Via-set cycle / hop budget) — retrying cannot help
 //	413 — body (wire or decoded) at or over MaxBodyBytes
-//	415 — unknown Content-Encoding
+//	415 — a Content-Encoding other than gzip
 //	500 — folded but not durably committed (retry is safe)
 //	503 — aggregator closed
 func (a *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h := w.Header()
-	h.Set(HeaderNode, a.cfg.NodeID)
-	h.Set(HeaderAcceptEncoding, compress.ContentEncoding)
+	w.Header().Set(HeaderNode, a.cfg.NodeID)
 	if a.closed.Load() {
 		http.Error(w, "transport: aggregator closed", http.StatusServiceUnavailable)
 		return
@@ -473,34 +463,28 @@ func (a *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("transport: hop count %d exceeds the %d-tier budget", hops, a.cfg.MaxHops), http.StatusConflict)
 		return
 	}
-	// Bound the body before the decoder sees it. The decoder's own
-	// MaxRecordBytes bound refuses oversized per-record claims; this
-	// bound caps the whole segment — on both sides of the content
-	// decoding, so a small compressed body cannot expand past the
-	// budget. One extra byte of budget distinguishes "fits exactly"
-	// from "was cut off".
-	wireLR := &io.LimitedReader{R: r.Body, N: a.cfg.MaxBodyBytes + 1}
-	var body io.Reader = wireLR
-	var decLR *io.LimitedReader
-	switch enc := r.Header.Get("Content-Encoding"); enc {
-	case "", "identity":
-	case compress.ContentEncoding:
-		decLR = &io.LimitedReader{R: compress.NewReader(wireLR), N: a.cfg.MaxBodyBytes + 1}
-		body = decLR
-	default:
+	if enc := r.Header.Get("Content-Encoding"); enc != compress.ContentEncoding {
 		a.m.unsupported.Add(1)
-		http.Error(w, fmt.Sprintf("transport: unsupported content encoding %q", enc), http.StatusUnsupportedMediaType)
+		http.Error(w, fmt.Sprintf("transport: push body must be %s, not %q", compress.ContentEncoding, enc), http.StatusUnsupportedMediaType)
 		return
 	}
-	// A connection drop or a torn compressed stream leaves a truncated
+	// Bound the body before the decoder sees it. The decoder's own
+	// MaxRecordBytes bound refuses oversized per-record claims; this
+	// bound caps the whole segment — on both sides of the gzip
+	// decoding, so a small body cannot expand past the budget. One
+	// extra byte of budget distinguishes "fits exactly" from "was cut
+	// off".
+	wireLR := &io.LimitedReader{R: r.Body, N: a.cfg.MaxBodyBytes + 1}
+	decLR := &io.LimitedReader{R: compress.NewReader(wireLR), N: a.cfg.MaxBodyBytes + 1}
+	// A connection drop or a torn gzip stream leaves a truncated
 	// segment, and the framing decides how much of it is committed. A
-	// compressed stream that fails its checks folds nothing: the
-	// pusher's identity retry delivers the segment instead.
+	// stream that fails its gzip checks folds nothing: the pusher's
+	// one re-send delivers the segment instead.
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer bodyPool.Put(buf)
 	buf.Reset()
-	_, readErr := buf.ReadFrom(body)
-	if wireLR.N <= 0 || (decLR != nil && decLR.N <= 0) {
+	_, readErr := buf.ReadFrom(decLR)
+	if wireLR.N <= 0 || decLR.N <= 0 {
 		a.m.tooLarge.Add(1)
 		http.Error(w, fmt.Sprintf("transport: segment body exceeds the %d-byte bound", a.cfg.MaxBodyBytes), http.StatusRequestEntityTooLarge)
 		return

@@ -35,10 +35,6 @@ const (
 	// HeaderVia is the comma-separated set of aggregator node IDs the
 	// evidence has already been folded by.
 	HeaderVia = "X-Fed-Via"
-	// HeaderAcceptEncoding advertises the segment content encodings an
-	// aggregator accepts; pushers learn compression support from it
-	// (absent on pre-compression aggregators).
-	HeaderAcceptEncoding = "X-Fed-Accept-Encoding"
 	// HeaderNode is the responding aggregator's node ID.
 	HeaderNode = "X-Fed-Node"
 )
@@ -179,11 +175,9 @@ type PushMetrics struct {
 	// active upstream stopped acking plus probe-driven promotions).
 	Failovers uint64
 
-	// Compressed counts pushes delivered with a compressed body;
 	// RawBytes/WireBytes total the body bytes of acked pushes before
-	// and after content encoding — WireBytes/RawBytes is the live
-	// bytes-on-wire ratio.
-	Compressed          uint64
+	// and after gzip — WireBytes/RawBytes is the live bytes-on-wire
+	// ratio.
 	RawBytes, WireBytes uint64
 
 	// ActiveUpstream is the URL currently receiving pushes; Upstreams
@@ -196,28 +190,18 @@ type PushMetrics struct {
 type UpstreamStatus struct {
 	URL                               string
 	Pushed, Acked, Retried, Failovers uint64
-	// Compress is the negotiated body encoding: true once the
-	// upstream advertised compressed pushes.
-	Compress bool
 	// Active marks the upstream currently receiving pushes.
 	Active bool
 }
 
-// upstream is the pusher's per-upstream state: negotiated encoding
-// plus its telemetry series, labeled by URL.
+// upstream is the pusher's per-upstream state: its telemetry series,
+// labeled by URL.
 type upstream struct {
 	url string
-
-	// compressOK is the learned encoding support: 0 unknown (push
-	// identity), 1 advertised, -1 refused/absent.
-	// Atomic: written by the run goroutine, read by Metrics.
-	compressOK atomic.Int32
 
 	pushed, acked, retried, failovers *telemetry.Counter
 	rtt                               *telemetry.Histogram
 }
-
-func (u *upstream) compressSupported() bool { return u.compressOK.Load() == 1 }
 
 // segState is the pusher's per-segment bookkeeping.
 type segState struct {
@@ -335,9 +319,8 @@ func (p *Pusher) registerTelemetry() {
 	cf("semnids_push_rejected_total", "Uploads permanently refused (4xx) and skipped.", func(m PushMetrics) uint64 { return m.Rejected })
 	cf("semnids_push_dropped_total", "Segments pruned before their evidence was acked.", func(m PushMetrics) uint64 { return m.Dropped })
 	cf("semnids_push_failovers_total", "Active-upstream switches (demotions plus promotions).", func(m PushMetrics) uint64 { return m.Failovers })
-	cf("semnids_push_compressed_total", "Pushes delivered with a compressed body.", func(m PushMetrics) uint64 { return m.Compressed })
-	cf("semnids_push_raw_bytes_total", "Acked push body bytes before content encoding.", func(m PushMetrics) uint64 { return m.RawBytes })
-	cf("semnids_push_wire_bytes_total", "Acked push body bytes on the wire after content encoding.", func(m PushMetrics) uint64 { return m.WireBytes })
+	cf("semnids_push_raw_bytes_total", "Acked push body bytes before gzip.", func(m PushMetrics) uint64 { return m.RawBytes })
+	cf("semnids_push_wire_bytes_total", "Acked push body bytes on the wire after gzip.", func(m PushMetrics) uint64 { return m.WireBytes })
 	// Per-upstream series, labeled by URL: the failover story is only
 	// debuggable when each upstream's share of the traffic is visible.
 	for _, u := range p.ups {
@@ -390,7 +373,6 @@ func (p *Pusher) Metrics() PushMetrics {
 			Acked:     u.acked.Value(),
 			Retried:   u.retried.Value(),
 			Failovers: u.failovers.Value(),
-			Compress:  u.compressSupported(),
 			Active:    u.url == m.ActiveUpstream,
 		}
 	}
@@ -574,11 +556,12 @@ func (p *Pusher) pushSegment(name string, st *segState) bool {
 		return true
 	}
 
+	wire := compressBytes(data)
 	var lastMsg string
 	for i := range p.ups {
 		idx := (p.active + i) % len(p.ups)
 		u := p.ups[idx]
-		outcome, wire, compressed, msg := p.pushTo(u, name, data)
+		outcome, msg := p.pushTo(u, name, wire)
 		switch outcome {
 		case pushAcked:
 			st.ackedSize = size
@@ -596,10 +579,7 @@ func (p *Pusher) pushSegment(name string, st *segState) bool {
 			p.mu.Lock()
 			p.m.Acked++
 			p.m.RawBytes += uint64(size)
-			p.m.WireBytes += uint64(wire)
-			if compressed {
-				p.m.Compressed++
-			}
+			p.m.WireBytes += uint64(len(wire))
 			p.mu.Unlock()
 			return true
 		case pushRejected:
@@ -624,36 +604,20 @@ func (p *Pusher) pushSegment(name string, st *segState) bool {
 	return false
 }
 
-// pushTo delivers one segment body to one upstream, compressed once
-// the upstream has advertised support (via HeaderAcceptEncoding on any
-// response): the first push goes identity, and the ack teaches the
-// pusher what the peer speaks. A 4xx on a compressed body earns one
-// identity retry (a stale capability, a downgraded aggregator or a body
-// it found corrupt must not turn into a permanent skip) before the
-// rejection stands.
-func (p *Pusher) pushTo(u *upstream, name string, data []byte) (pushOutcome, int, bool, string) {
-	useComp := u.compressSupported()
-	for {
-		body := data
-		if useComp {
-			if c := compressBytes(data); c != nil {
-				body = c
-			} else {
-				useComp = false
-			}
-		}
-		outcome, msg := p.attempt(u, name, body, useComp)
-		if outcome == pushRejected && useComp {
-			u.compressOK.Store(-1)
-			useComp = false
-			continue
-		}
-		return outcome, len(body), useComp, msg
+// pushTo delivers one gzip segment body to one upstream. A 4xx earns
+// exactly one re-send of the same body before the rejection stands: a
+// body damaged in flight fails the aggregator's gzip checks and is
+// refused, and must not turn into a permanent skip.
+func (p *Pusher) pushTo(u *upstream, name string, body []byte) (pushOutcome, string) {
+	outcome, msg := p.attempt(u, name, body)
+	if outcome == pushRejected {
+		outcome, msg = p.attempt(u, name, body)
 	}
+	return outcome, msg
 }
 
 // attempt is one HTTP exchange against one upstream.
-func (p *Pusher) attempt(u *upstream, name string, body []byte, compressed bool) (pushOutcome, string) {
+func (p *Pusher) attempt(u *upstream, name string, body []byte) (pushOutcome, string) {
 	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.RequestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u.url, bytes.NewReader(body))
@@ -661,10 +625,8 @@ func (p *Pusher) attempt(u *upstream, name string, body []byte, compressed bool)
 		return pushRejected, fmt.Sprintf("%s: %v", name, err)
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set("Content-Encoding", compress.ContentEncoding)
 	req.Header.Set(HeaderSegment, name)
-	if compressed {
-		req.Header.Set("Content-Encoding", compress.ContentEncoding)
-	}
 	hops, via := 1, []string(nil)
 	if p.cfg.Route != nil {
 		hops, via = p.cfg.Route()
@@ -687,7 +649,6 @@ func (p *Pusher) attempt(u *upstream, name string, body []byte, compressed bool)
 		return pushRetry, fmt.Sprintf("%s: %s: %v", name, u.url, err)
 	}
 	defer resp.Body.Close()
-	u.learn(resp)
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
 		u.acked.Inc()
@@ -700,46 +661,20 @@ func (p *Pusher) attempt(u *upstream, name string, body []byte, compressed bool)
 	}
 }
 
-// learn updates the upstream's advertised-encoding capability from a
-// response. Only responses that prove what the aggregator speaks are
-// trusted: a header names the supported encodings; a 2xx without one
-// is a pre-compression aggregator. Errors and 5xx (possibly synthetic,
-// from an LB or fault harness) teach nothing. An aggregator from
-// before the gzip encoding advertises only "semnids-lzss", so it keeps
-// receiving identity bodies.
-func (u *upstream) learn(resp *http.Response) {
-	if hdr := resp.Header.Get(HeaderAcceptEncoding); hdr != "" {
-		for _, tok := range strings.Split(hdr, ",") {
-			if strings.TrimSpace(tok) == compress.ContentEncoding {
-				u.compressOK.Store(1)
-				return
-			}
-		}
-		u.compressOK.Store(-1)
-	} else if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		u.compressOK.Store(-1)
-	}
-}
-
-// compressBytes encodes data as one compressed push body (nil on the
-// never-expected encoder failure, which falls back to identity).
+// compressBytes encodes data as one gzip push body. Writing into a
+// bytes.Buffer cannot fail, so neither can the encoder.
 func compressBytes(data []byte) []byte {
 	var buf bytes.Buffer
 	w := compress.NewWriter(&buf)
-	if _, err := w.Write(data); err != nil {
-		return nil
-	}
-	if err := w.Close(); err != nil {
-		return nil
-	}
+	w.Write(data)
+	w.Close()
 	return buf.Bytes()
 }
 
 // maybePromote probes higher-priority upstreams when the pusher has
 // failed away from the head of the list, promoting back to the first
-// one that answers. Probes are plain GETs against the push URL: new
-// aggregators answer 204 (and advertise their encodings), old ones
-// 405 — any sub-5xx response proves liveness.
+// one that answers. Probes are plain GETs against the push URL: an
+// aggregator answers 204, and any sub-5xx response proves liveness.
 func (p *Pusher) maybePromote() {
 	if len(p.ups) <= 1 || p.active == 0 || time.Since(p.lastProbe) < p.cfg.ProbeInterval {
 		return
@@ -766,7 +701,6 @@ func (p *Pusher) probe(u *upstream) bool {
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1024))
-	u.learn(resp)
 	return resp.StatusCode < 500
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -112,13 +113,15 @@ func newAggregator(t testing.TB, dir string, mut func(*AggregatorConfig)) *Aggre
 	return agg
 }
 
-// post pushes raw bytes at an aggregator server, returning the status.
+// post pushes a segment body at an aggregator server gzip, as the
+// pusher does, returning the status.
 func post(t testing.TB, url string, body []byte) int {
 	t.Helper()
-	return postEncoded(t, url, "", body)
+	return postEncoded(t, url, compress.ContentEncoding, compressBytes(body))
 }
 
-// postEncoded pushes a body under a Content-Encoding ("" for none).
+// postEncoded pushes a body as is under a Content-Encoding ("" for
+// none).
 func postEncoded(t testing.TB, url, encoding string, body []byte) int {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
@@ -135,16 +138,6 @@ func postEncoded(t testing.TB, url, encoding string, body []byte) int {
 	}
 	defer resp.Body.Close()
 	return resp.StatusCode
-}
-
-// gzipBytes is a push body as the pusher compresses it.
-func gzipBytes(t testing.TB, data []byte) []byte {
-	t.Helper()
-	wire := compressBytes(data)
-	if wire == nil {
-		t.Fatal("compressBytes failed")
-	}
-	return wire
 }
 
 // growingSegment has a sink write one checkpoint per export into a
@@ -228,16 +221,13 @@ func TestAggregatorStatuses(t *testing.T) {
 	data := encode(t, ex)
 
 	// GET is the health probe: 204, stamped with the aggregator's
-	// identity and the encodings it accepts.
+	// node ID.
 	if resp, err := http.Get(srv.URL); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNoContent {
 			t.Errorf("GET = %d, want 204", resp.StatusCode)
-		}
-		if got := resp.Header.Get(HeaderAcceptEncoding); got != compress.ContentEncoding {
-			t.Errorf("probe %s = %q, want %q", HeaderAcceptEncoding, got, compress.ContentEncoding)
 		}
 		if got := resp.Header.Get(HeaderNode); got == "" {
 			t.Errorf("probe response missing %s", HeaderNode)
@@ -287,7 +277,7 @@ func TestAggregatorStatuses(t *testing.T) {
 
 	// The bound holds on the decoded side too: a compressed body well
 	// under it that expands past it is refused.
-	bomb := gzipBytes(t, append(append([]byte(nil), data...), bytes.Repeat([]byte("2 {}\n"), 1<<16)...))
+	bomb := compressBytes(append(append([]byte(nil), data...), bytes.Repeat([]byte("2 {}\n"), 1<<16)...))
 	if len(bomb) >= 64<<10 {
 		t.Fatalf("decompression-bomb fixture is %d bytes on the wire, want under the bound", len(bomb))
 	}
@@ -301,14 +291,18 @@ func TestAggregatorStatuses(t *testing.T) {
 		t.Errorf("skewed parameters = %d, want 409", got)
 	}
 
-	// The encoding of LZSS-era pushers is no longer spoken.
+	// Every push body is gzip: neither the encoding of LZSS-era
+	// pushers nor an identity body is spoken.
 	if got := postEncoded(t, srv.URL, "semnids-lzss", data); got != http.StatusUnsupportedMediaType {
 		t.Errorf("semnids-lzss body = %d, want 415", got)
 	}
+	if got := postEncoded(t, srv.URL, "", data); got != http.StatusUnsupportedMediaType {
+		t.Errorf("identity body = %d, want 415", got)
+	}
 
 	m := agg.Metrics()
-	if m.Rejected < 3 || m.TooLarge != 2 || m.Skew != 1 || m.Unsupported != 1 || m.Merged != 2 {
-		t.Errorf("metrics = %+v, want rejected>=3 tooLarge=2 skew=1 unsupported=1 merged=2", m)
+	if m.Rejected < 3 || m.TooLarge != 2 || m.Skew != 1 || m.Unsupported != 2 || m.Merged != 2 {
+		t.Errorf("metrics = %+v, want rejected>=3 tooLarge=2 skew=1 unsupported=2 merged=2", m)
 	}
 	if !bytes.Equal(encode(t, agg.Export()), before) {
 		t.Fatal("a refused push changed the aggregator state")
@@ -331,7 +325,7 @@ func TestAggregatorRefusesCorruptCompressedBody(t *testing.T) {
 	}
 	e1 := synthExport(t, "sensor-b", 2, 300)
 	e2 := foldAll(t, e1, synthExport(t, "sensor-b", 3, 300))
-	wire := gzipBytes(t, growingSegment(t, e1, e2))
+	wire := compressBytes(growingSegment(t, e1, e2))
 
 	before := encode(t, agg.Export())
 	flipped := append([]byte(nil), wire...)
@@ -535,6 +529,48 @@ func TestPusherSkipsRejectedSegment(t *testing.T) {
 	}
 }
 
+// TestPusherResendsDamagedBody: a push body damaged in flight fails
+// the aggregator's gzip checks and is refused, and the one re-send of
+// the same body delivers it. The first push is already gzip.
+func TestPusherResendsDamagedBody(t *testing.T) {
+	spool := t.TempDir()
+	ex := synthExport(t, "sensor-a", 9, 300)
+	writeSegment(t, spool, 0, ex)
+
+	agg := newAggregator(t, t.TempDir(), nil)
+	defer agg.Close()
+	var bodies atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && bodies.Add(1) == 1 {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			body[len(body)/2] ^= 0xff
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		agg.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	p := fastPusher(t, spool, srv.URL, nil)
+	defer p.Close()
+	waitFor(t, "the damaged push acked", func() bool { return p.Synced() })
+	m := p.Metrics()
+	if m.Pushed != 2 || m.Acked != 1 || m.Rejected != 0 {
+		t.Fatalf("pusher metrics = %+v, want the segment acked on its second attempt with no rejection", m)
+	}
+	if m.WireBytes == 0 || m.WireBytes >= m.RawBytes {
+		t.Fatalf("wire bytes %d, raw bytes %d: the first ack was not gzip", m.WireBytes, m.RawBytes)
+	}
+	if am := agg.Metrics(); am.Rejected != 1 || am.Merged != 1 {
+		t.Fatalf("aggregator metrics = %+v, want the damaged body refused and the re-send folded", am)
+	}
+	if !bytes.Equal(encode(t, agg.Export()), encode(t, ex)) {
+		t.Fatal("the re-sent body did not fold the spooled export")
+	}
+}
+
 // TestAggregatorRestartRecovery is the kill-mid-stream property test:
 // at several seeds, an aggregator is crash-killed (no final
 // checkpoint) partway through a push sequence, restarted on the same
@@ -640,11 +676,10 @@ func TestPushConvergesUnderFaults(t *testing.T) {
 		}
 		return true
 	})
-	// Every pusher compressed once its first ack taught it the encoding,
-	// so faults landed inside compressed bodies too.
+	// Every push is gzip, so faults landed inside gzip bodies.
 	for i, p := range pushers {
-		if m := p.Metrics(); m.Compressed == 0 {
-			t.Errorf("sensor %d delivered no compressed push: %+v", i, m)
+		if m := p.Metrics(); m.Acked == 0 || m.WireBytes >= m.RawBytes {
+			t.Errorf("sensor %d delivered no gzip push: %+v", i, m)
 		}
 	}
 

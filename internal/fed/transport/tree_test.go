@@ -189,125 +189,6 @@ func TestPusherSpoolsWhenAllUpstreamsDown(t *testing.T) {
 	}
 }
 
-// TestPusherCompressionNegotiation proves the encoding handshake end
-// to end: a pusher sends its first push identity, learns support from
-// the response headers, compresses from then on, and the folded state
-// is byte-identical to the identity fold.
-func TestPusherCompressionNegotiation(t *testing.T) {
-	spool := t.TempDir()
-	e1 := synthExport(t, "sensor-a", 41, 400)
-	writeSegment(t, spool, 0, e1)
-
-	agg := newAggregator(t, t.TempDir(), nil)
-	defer agg.Close()
-	srv := httptest.NewServer(agg)
-	defer srv.Close()
-
-	p, err := NewPusher(PusherConfig{Dir: spool, Upstream: fastUpstream(nil, srv.URL)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	waitFor(t, "first (identity) ack", func() bool { return p.Synced() })
-	first := p.Metrics()
-	if first.Compressed != 0 {
-		t.Fatalf("compressed before learning support: %+v", first)
-	}
-	if !first.Upstreams[0].Compress {
-		t.Fatal("the ack's headers did not teach the pusher compression support")
-	}
-
-	// Everything after the handshake goes compressed.
-	e2 := foldAll(t, e1, synthExport(t, "sensor-b", 42, 400))
-	writeSegment(t, spool, 1, e2)
-	p.Notify()
-	waitFor(t, "compressed follow-up ack", func() bool {
-		m := p.Metrics()
-		return m.Compressed >= 1 && p.Synced()
-	})
-	m := p.Metrics()
-	if m.WireBytes >= m.RawBytes {
-		t.Fatalf("wire bytes %d >= raw bytes %d: compression never engaged", m.WireBytes, m.RawBytes)
-	}
-	if !bytes.Equal(encode(t, agg.Export()), encode(t, e2)) {
-		t.Fatal("compressed fold diverged from the identity fold")
-	}
-}
-
-// legacyAggregator acks identity pushes and answers every compressed
-// body with refuse, advertising accept in HeaderAcceptEncoding (nothing
-// when empty). It counts the compressed bodies it was offered.
-func legacyAggregator(acks, offered *atomic.Uint64, accept string, refuse int) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if accept != "" {
-			w.Header().Set(HeaderAcceptEncoding, accept)
-		}
-		if r.Method != http.MethodPost {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		if enc := r.Header.Get("Content-Encoding"); enc != "" && enc != "identity" {
-			offered.Add(1)
-			http.Error(w, "cannot decode "+enc, refuse)
-			return
-		}
-		acks.Add(1)
-		w.WriteHeader(http.StatusOK)
-	})
-}
-
-// TestPusherInteropWithOldAggregator pins the downgrade paths. A
-// pre-compression aggregator (no capability header) and an LZSS-era
-// one (advertises only semnids-lzss, 415s anything else) are never sent
-// a compressed body. A pool that advertises gzip but 400s compressed
-// bodies (a stale capability behind a load balancer) costs one identity
-// retry per push, never a permanent rejection.
-func TestPusherInteropWithOldAggregator(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		accept     string
-		refuse     int
-		compresses bool
-	}{
-		{"auto", "", http.StatusBadRequest, false},
-		{"lzss-era", "semnids-lzss", http.StatusUnsupportedMediaType, false},
-		{"stale-gzip-pool", compress.ContentEncoding, http.StatusBadRequest, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			spool := t.TempDir()
-			e1 := synthExport(t, "sensor-a", 51, 300)
-			writeSegment(t, spool, 0, e1)
-			var acks, offered atomic.Uint64
-			srv := httptest.NewServer(legacyAggregator(&acks, &offered, tc.accept, tc.refuse))
-			defer srv.Close()
-
-			p, err := NewPusher(PusherConfig{Dir: spool, Upstream: fastUpstream(nil, srv.URL)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
-			waitFor(t, "first ack from the old aggregator", func() bool { return p.Synced() })
-			// The first ack has taught the pusher what the peer advertises:
-			// the next push is the one that would go compressed.
-			writeSegment(t, spool, 1, foldAll(t, e1, synthExport(t, "sensor-b", 52, 300)))
-			p.Notify()
-			waitFor(t, "second ack from the old aggregator", func() bool {
-				return acks.Load() >= 2 && p.Synced()
-			})
-			m := p.Metrics()
-			if m.Rejected != 0 {
-				t.Fatalf("interop counted a permanent rejection: %+v (the identity fallback must absorb it)", m)
-			}
-			if m.Compressed != 0 {
-				t.Fatalf("a compressed body was acked by an aggregator that cannot decode one: %+v", m)
-			}
-			if got := offered.Load() > 0; got != tc.compresses {
-				t.Fatalf("%d compressed bodies offered, want compressed attempts = %v", offered.Load(), tc.compresses)
-			}
-		})
-	}
-}
-
 // TestAggregatorLoopGuards pins the topology refusals: a Via set
 // naming this node is a cycle, a hop count over budget is refused, and
 // both are counted — while legitimate deep pushes fold and feed the
@@ -325,13 +206,14 @@ func TestAggregatorLoopGuards(t *testing.T) {
 	data := encode(t, synthExport(t, "sensor-a", 61, 300))
 
 	postBody := func(hops, via, encoding string, body []byte) int {
+		if encoding == compress.ContentEncoding {
+			body = compressBytes(body)
+		}
 		req, err := http.NewRequest(http.MethodPost, srv.URL, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if encoding != "" {
-			req.Header.Set("Content-Encoding", encoding)
-		}
+		req.Header.Set("Content-Encoding", encoding)
 		if hops != "" {
 			req.Header.Set(HeaderHops, hops)
 		}
@@ -345,7 +227,7 @@ func TestAggregatorLoopGuards(t *testing.T) {
 		defer resp.Body.Close()
 		return resp.StatusCode
 	}
-	postWith := func(hops, via string) int { return postBody(hops, via, "", data) }
+	postWith := func(hops, via string) int { return postBody(hops, via, compress.ContentEncoding, data) }
 
 	if got := postWith("2", "root,mid1"); got != http.StatusConflict {
 		t.Fatalf("cycle push = %d, want 409", got)
@@ -364,9 +246,10 @@ func TestAggregatorLoopGuards(t *testing.T) {
 		body     []byte
 		want     int
 	}{
-		"corrupt":          {"", data[:len(data)-3], http.StatusBadRequest},
-		"oversized":        {"", append(append([]byte(nil), data...), bytes.Repeat([]byte("2 {}\n"), 1<<17)...), http.StatusRequestEntityTooLarge},
+		"corrupt":          {compress.ContentEncoding, data[:len(data)-3], http.StatusBadRequest},
+		"oversized":        {compress.ContentEncoding, append(append([]byte(nil), data...), bytes.Repeat([]byte("2 {}\n"), 1<<17)...), http.StatusRequestEntityTooLarge},
 		"unknown encoding": {"br", data, http.StatusUnsupportedMediaType},
+		"identity":         {"", data, http.StatusUnsupportedMediaType},
 	} {
 		if got := postBody("3", "forged-"+name, c.encoding, c.body); got != c.want {
 			t.Fatalf("%s body with forged topology = %d, want %d", name, got, c.want)
@@ -379,7 +262,7 @@ func TestAggregatorLoopGuards(t *testing.T) {
 		t.Fatalf("legitimate deep push = %d, want 200", got)
 	}
 	skew := encode(t, synthExportWindow(t, "sensor-skew", 62, 100, 60e6))
-	if got := postBody("3", "forged-skew", "", skew); got != http.StatusConflict {
+	if got := postBody("3", "forged-skew", compress.ContentEncoding, skew); got != http.StatusConflict {
 		t.Fatalf("skewed push with forged topology = %d, want 409", got)
 	}
 	// The node's own upstream route must now be one tier deeper than

@@ -4,7 +4,8 @@
 package reasm
 
 import (
-	"bytes"
+	"cmp"
+	"slices"
 	"sort"
 
 	"semnids/internal/netpkt"
@@ -28,24 +29,6 @@ const (
 	MaxDgramBounds = 4096
 )
 
-// OverlapPolicy selects which copy of a byte wins when segments
-// overlap — the knob behind Ptacek-Newsham inconsistent-retransmission
-// evasion. An attacker can send a byte range twice with different
-// content, betting the NIDS and the end host resolve the conflict
-// differently; the policy makes the NIDS's resolution explicit and
-// testable.
-type OverlapPolicy uint8
-
-const (
-	// FirstWins keeps the first copy of every byte (the default, and
-	// the historical behavior): later retransmissions cannot rewrite
-	// data already buffered.
-	FirstWins OverlapPolicy = iota
-	// LastWins lets a retransmission overwrite previously buffered
-	// bytes, matching stacks that favor the newest segment.
-	LastWins
-)
-
 type segment struct {
 	seq  uint32
 	data []byte
@@ -63,7 +46,6 @@ type stream struct {
 	pendBytes int       // total payload bytes buffered in pending
 	lastSeen  uint64    // timestamp of last activity
 	finished  bool
-	rewritten bool  // LastWins changed already-buffered bytes since last report
 	dgram     bool  // datagram flow (FeedDatagram) rather than TCP
 	bounds    []int // start offset in data of each buffered datagram
 	side      FlowState
@@ -90,11 +72,9 @@ type Stream struct {
 	Data     []byte
 	Finished bool
 
-	// Rewritten reports that a LastWins retransmission changed bytes
-	// that were already buffered (and possibly already analyzed):
-	// consumers tracking an analyzed-prefix watermark must reset it,
-	// or an inconsistent retransmission that swaps content without
-	// growing the stream would never be re-analyzed.
+	// Rewritten is always false: overlapping segments resolve
+	// first-wins, so buffered bytes are never rewritten. It remains
+	// only for a reader in the benchmark module.
 	Rewritten bool
 
 	// Dgram marks a datagram flow (built by FeedDatagram): Data is
@@ -132,7 +112,6 @@ type Assembler struct {
 	bytes      int // sum of per-flow footprints
 	dgramFlows int // tracked datagram flows (subset of flows)
 	dgramBytes int // bytes buffered by datagram flows (subset of bytes)
-	policy     OverlapPolicy
 
 	// onEvict, when set, is invoked for every flow the assembler drops
 	// on its own (capacity overflow, EvictIdle, EvictLRUUntil) — NOT
@@ -161,6 +140,10 @@ type Assembler struct {
 	freeBufs     [][]byte
 	freeBufBytes int // summed capacity of freeBufs
 	freeStreams  []*stream
+
+	// leaving is the reused scratch list of flows about to leave the
+	// table, in hand-over order (see departing).
+	leaving []*stream
 }
 
 // New returns an empty assembler.
@@ -172,10 +155,6 @@ func New() *Assembler {
 // view of every flow the assembler evicts, so callers can analyze the
 // tail and release per-flow side state instead of silently losing it.
 func (a *Assembler) SetEvictHandler(h func(*Stream)) { a.onEvict = h }
-
-// SetOverlapPolicy selects the segment-overlap resolution. Call before
-// feeding; changing the policy mid-flow only affects future segments.
-func (a *Assembler) SetOverlapPolicy(p OverlapPolicy) { a.policy = p }
 
 // Recycle returns a stream-data buffer (the Data of a stream obtained
 // from Close, Drain or the evict handler) to the assembler's free
@@ -244,7 +223,9 @@ func seqLess(a, b uint32) bool { return int32(a-b) < 0 }
 
 // Feed adds a packet to its flow, returning the flow's reassembled
 // stream when this packet completed new contiguous data (nil
-// otherwise). A FIN or RST marks the stream finished. The returned
+// otherwise). A FIN or RST marks the stream finished. Where segments
+// overlap, the first copy of every byte wins: a retransmission cannot
+// rewrite data already buffered. The returned
 // Stream is a reused view, valid until the next Feed, Close or Drain
 // call on this assembler; callers that need it longer must copy it.
 func (a *Assembler) Feed(p *netpkt.Packet) *Stream {
@@ -286,20 +267,19 @@ func (a *Assembler) Feed(p *netpkt.Packet) *Stream {
 	}
 
 	before := st.footprint()
-	grew := st.insert(seq, p.Payload, a.policy)
+	grew := st.insert(seq, p.Payload)
 	a.bytes += st.footprint() - before
 	return a.result(st, grew)
 }
 
 func (a *Assembler) result(st *stream, grew bool) *Stream {
-	if !grew && !st.finished && !st.rewritten {
+	if !grew && !st.finished {
 		return nil
 	}
 	if len(st.data) == 0 {
 		return nil
 	}
-	a.res = Stream{Key: st.key, Data: st.data, Finished: st.finished, Rewritten: st.rewritten, Dgram: st.dgram, Bounds: st.bounds, Flow: &st.side}
-	st.rewritten = false // reported; the consumer owns the reset now
+	a.res = Stream{Key: st.key, Data: st.data, Finished: st.finished, Dgram: st.dgram, Bounds: st.bounds, Flow: &st.side}
 	return &a.res
 }
 
@@ -352,23 +332,16 @@ func (a *Assembler) FeedDatagram(key netpkt.FlowKey, payload []byte, tsUS uint64
 }
 
 // insert merges a segment, returning true if contiguous data grew.
-// Under LastWins an overlapping retransmission also rewrites the
-// already-buffered bytes it covers; a content-changing rewrite flags
-// the stream (Stream.Rewritten) so consumers re-analyze even though
-// nothing grew.
-func (st *stream) insert(seq uint32, data []byte, policy OverlapPolicy) bool {
+// Bytes already buffered keep their first copy.
+func (st *stream) insert(seq uint32, data []byte) bool {
 	end := st.baseSeq + uint32(len(st.data))
 	switch {
 	case seq == end:
 		// In-order append.
 		st.data = appendCapped(st.data, data)
 	case seqLess(seq, end):
-		// Overlap/retransmission: FirstWins keeps existing bytes;
-		// LastWins rewrites them with the retransmitted copy. Either
-		// way any new tail is appended.
-		if policy == LastWins {
-			st.overwrite(seq, data)
-		}
+		// Overlap/retransmission: keep the existing bytes, append any
+		// new tail.
 		skip := end - seq
 		if uint32(len(data)) <= skip {
 			return false
@@ -395,9 +368,6 @@ func (st *stream) insert(seq uint32, data []byte, policy OverlapPolicy) bool {
 			switch {
 			case seqLess(sg.seq, end) || sg.seq == end:
 				st.pendBytes -= len(sg.data)
-				if policy == LastWins {
-					st.overwrite(sg.seq, sg.data)
-				}
 				skip := end - sg.seq
 				if uint32(len(sg.data)) > skip {
 					st.data = appendCapped(st.data, sg.data[skip:])
@@ -411,33 +381,6 @@ func (st *stream) insert(seq uint32, data []byte, policy OverlapPolicy) bool {
 		st.pending = rest
 	}
 	return true
-}
-
-// overwrite rewrites the already-buffered bytes covered by
-// [seq, seq+len(data)) with the new copy — the LastWins resolution —
-// and flags the stream when content actually changed. Bytes before
-// the stream base or past the buffered end are ignored (the
-// tail-append path handles growth).
-func (st *stream) overwrite(seq uint32, data []byte) {
-	start := uint32(0)
-	if seqLess(seq, st.baseSeq) {
-		start = st.baseSeq - seq
-		if uint32(len(data)) <= start {
-			return
-		}
-	}
-	idx := int(seq + start - st.baseSeq)
-	if idx >= len(st.data) {
-		return
-	}
-	src := data[start:]
-	if n := len(st.data) - idx; len(src) > n {
-		src = src[:n]
-	}
-	if !bytes.Equal(st.data[idx:idx+len(src)], src) {
-		st.rewritten = true
-		copy(st.data[idx:], src)
-	}
 }
 
 func appendCapped(dst, src []byte) []byte {
@@ -477,52 +420,80 @@ func (a *Assembler) noteRemove(st *stream) {
 	}
 }
 
-// lruOrder returns all streams sorted by last activity, oldest first.
-func (a *Assembler) lruOrder() []*stream {
-	entries := make([]*stream, 0, len(a.flows))
-	for _, s := range a.flows {
-		entries = append(entries, s)
+// olderFirst orders flows by last activity, oldest first, ties broken
+// by flow key, so flows leave the table in the same order on every run
+// (the map's own order is random).
+func olderFirst(x, y *stream) int {
+	if c := cmp.Compare(x.lastSeen, y.lastSeen); c != 0 {
+		return c
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].lastSeen < entries[j].lastSeen })
-	return entries
+	kx, ky := &x.key, &y.key
+	if c := kx.SrcIP.Compare(ky.SrcIP); c != 0 {
+		return c
+	}
+	if c := kx.DstIP.Compare(ky.DstIP); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(kx.SrcPort, ky.SrcPort); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(kx.DstPort, ky.DstPort); c != 0 {
+		return c
+	}
+	return cmp.Compare(kx.Proto, ky.Proto)
+}
+
+// departing returns the flows sel selects (every flow when sel is
+// nil) in olderFirst order. The slice is reused scratch, valid until
+// the next call.
+func (a *Assembler) departing(sel func(*stream) bool) []*stream {
+	out := a.leaving[:0]
+	for _, st := range a.flows {
+		if sel == nil || sel(st) {
+			out = append(out, st)
+		}
+	}
+	slices.SortFunc(out, olderFirst)
+	a.leaving = out
+	return out
+}
+
+// evictWhere evicts the flows sel selects in departing order and
+// reports how many. Each caller of departing clears the scratch list
+// when done, so it pins no flow record.
+func (a *Assembler) evictWhere(sel func(*stream) bool) int {
+	sts := a.departing(sel)
+	for _, st := range sts {
+		a.evict(st)
+	}
+	clear(sts)
+	return len(sts)
 }
 
 // evictIdle drops the least recently active half of the flow table.
 func (a *Assembler) evictIdle() {
-	entries := a.lruOrder()
+	entries := a.departing(nil)
 	for _, st := range entries[:len(entries)/2] {
 		a.evict(st)
 	}
+	clear(entries)
 }
 
 // EvictIdle drops every flow whose last activity predates olderThanUS,
-// reporting how many were evicted. Each evicted flow is handed to the
-// evict handler first, so its unanalyzed tail can still be inspected.
+// oldest first, reporting how many were evicted. Each evicted flow is
+// handed to the evict handler first, so its unanalyzed tail can still
+// be inspected.
 func (a *Assembler) EvictIdle(olderThanUS uint64) int {
-	n := 0
-	for _, st := range a.flows {
-		if st.lastSeen < olderThanUS {
-			a.evict(st)
-			n++
-		}
-	}
-	return n
+	return a.evictWhere(func(st *stream) bool { return st.lastSeen < olderThanUS })
 }
 
 // EvictDgramIdle drops datagram flows whose last activity predates
-// olderThanUS, leaving TCP streams alone — the tighter idle window
-// datagram conversations get when configured separately from the
-// flow-wide timeout. Each evicted flow is handed to the evict handler
-// first.
+// olderThanUS, oldest first, leaving TCP streams alone — the tighter
+// idle window datagram conversations get when configured separately
+// from the flow-wide timeout. Each evicted flow is handed to the evict
+// handler first.
 func (a *Assembler) EvictDgramIdle(olderThanUS uint64) int {
-	n := 0
-	for _, st := range a.flows {
-		if st.dgram && st.lastSeen < olderThanUS {
-			a.evict(st)
-			n++
-		}
-	}
-	return n
+	return a.evictWhere(func(st *stream) bool { return st.dgram && st.lastSeen < olderThanUS })
 }
 
 // EvictLRUUntil drops least-recently-active flows until the buffered
@@ -531,14 +502,16 @@ func (a *Assembler) EvictLRUUntil(budget int) int {
 	if a.bytes <= budget {
 		return 0
 	}
+	entries := a.departing(nil)
 	n := 0
-	for _, st := range a.lruOrder() {
+	for _, st := range entries {
 		if a.bytes <= budget {
 			break
 		}
 		a.evict(st)
 		n++
 	}
+	clear(entries)
 	return n
 }
 
@@ -573,19 +546,22 @@ func (a *Assembler) DgramFlowCount() int { return a.dgramFlows }
 func (a *Assembler) DgramBytes() int { return a.dgramBytes }
 
 // Drain removes and returns every tracked flow's stream (used when a
-// trace ends without FINs on all connections). Each returned stream's
-// data buffer belongs to the caller; Recycle returns it when done.
+// trace ends without FINs on all connections), oldest first. Each
+// returned stream's data buffer belongs to the caller; Recycle returns
+// it when done.
 func (a *Assembler) Drain() []*Stream {
 	var out []*Stream
-	for k, st := range a.flows {
+	all := a.departing(nil)
+	for _, st := range all {
 		if len(st.data) > 0 {
-			out = append(out, &Stream{Key: k, Data: st.data, Finished: true, Dgram: st.dgram, Bounds: st.bounds, Flow: &st.side})
+			out = append(out, &Stream{Key: st.key, Data: st.data, Finished: true, Dgram: st.dgram, Bounds: st.bounds, Flow: &st.side})
 		} else {
 			a.Recycle(st.data)
 		}
 		a.noteRemove(st)
-		delete(a.flows, k)
+		delete(a.flows, st.key)
 		a.putStream(st)
 	}
+	clear(all)
 	return out
 }

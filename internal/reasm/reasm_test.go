@@ -191,11 +191,10 @@ func TestReassemblyPermutationProperty(t *testing.T) {
 //
 // The evasion: send a byte range twice with different content, betting
 // the NIDS and the end host pick different copies. These tests lock in
-// the assembler's resolution under both policies — and that FirstWins
-// is the default.
+// the assembler's resolution: the first copy of every byte wins.
 
 func TestInconsistentRetransmissionFirstWins(t *testing.T) {
-	a := New() // default policy: first write wins
+	a := New()
 	a.Feed(seg(0, 0, "GET /index.html"))
 	// Full inconsistent retransmission of the same range.
 	if s := a.Feed(seg(0, 0, "EVIL-INJECTED!!")); s != nil {
@@ -207,94 +206,53 @@ func TestInconsistentRetransmissionFirstWins(t *testing.T) {
 	}
 }
 
-func TestInconsistentRetransmissionLastWins(t *testing.T) {
-	a := New()
-	a.SetOverlapPolicy(LastWins)
-	a.Feed(seg(0, 0, "GET /index.html"))
-	// The rewrite grows nothing but changes content: it must be
-	// reported with Rewritten set, or a consumer that already
-	// analyzed the original bytes would never look at the evil copy.
-	s := a.Feed(seg(0, 0, "EVIL-INJECTED!!"))
-	if s == nil || !s.Rewritten {
-		t.Fatalf("content-changing rewrite not reported: %+v", s)
-	}
-	if string(s.Data) != "EVIL-INJECTED!!" {
-		t.Fatalf("rewritten data = %q", s.Data)
-	}
-	// A second identical retransmission changes nothing: no report.
-	if s := a.Feed(seg(0, 0, "EVIL-INJECTED!!")); s != nil {
-		t.Fatalf("no-op rewrite reported: %+v", s)
-	}
-	s = a.Feed(seg(15, netpkt.FlagFIN, " HTTP/1.0"))
-	if s == nil || string(s.Data) != "EVIL-INJECTED!! HTTP/1.0" {
-		t.Fatalf("last-wins stream = %q, want retransmitted bytes", s.Data)
-	}
-}
-
 func TestPartialOverlapRewrite(t *testing.T) {
-	// A retransmission that overlaps the tail and extends past it:
-	// the overlapped middle is policy-dependent, the extension always
-	// lands.
-	run := func(p OverlapPolicy) string {
-		a := New()
-		a.SetOverlapPolicy(p)
-		a.Feed(seg(0, 0, "abcdef"))
-		s := a.Feed(seg(4, 0, "EFGH"))
-		if s == nil {
-			t.Fatalf("policy %d: extension produced no stream", p)
-		}
-		return string(s.Data)
+	// A retransmission that overlaps the tail and extends past it: the
+	// overlapped middle keeps its first copy, the extension lands.
+	a := New()
+	a.Feed(seg(0, 0, "abcdef"))
+	s := a.Feed(seg(4, 0, "EFGH"))
+	if s == nil {
+		t.Fatal("extension produced no stream")
 	}
-	if got := run(FirstWins); got != "abcdefGH" {
-		t.Errorf("FirstWins = %q, want abcdefGH", got)
-	}
-	if got := run(LastWins); got != "abcdEFGH" {
-		t.Errorf("LastWins = %q, want abcdEFGH", got)
+	if got := string(s.Data); got != "abcdefGH" {
+		t.Errorf("stream = %q, want abcdefGH", got)
 	}
 }
 
 func TestOverlapThroughGapSegments(t *testing.T) {
 	// The inconsistent copy arrives out of order (buffered as a gap
 	// segment) and is resolved when the hole fills.
-	run := func(p OverlapPolicy) string {
-		a := New()
-		a.SetOverlapPolicy(p)
-		a.Feed(seg(0, 0, "abc"))
-		// Gap segment covering 6..12, plus an inconsistent copy of
-		// 3..9 also pending.
-		a.Feed(seg(6, 0, "ghijkl"))
-		a.Feed(seg(3, 0, "DEFGHI"))
-		s := a.Feed(seg(12, netpkt.FlagFIN, "mno"))
-		if s == nil {
-			t.Fatalf("policy %d: close produced no stream", p)
-		}
-		return string(s.Data)
+	a := New()
+	a.Feed(seg(0, 0, "abc"))
+	// Gap segment covering 6..12, plus an inconsistent copy of 3..9
+	// also pending.
+	a.Feed(seg(6, 0, "ghijkl"))
+	a.Feed(seg(3, 0, "DEFGHI"))
+	s := a.Feed(seg(12, netpkt.FlagFIN, "mno"))
+	if s == nil {
+		t.Fatal("close produced no stream")
 	}
 	// Pending segments drain in sequence order: DEFGHI lands first
-	// (extending 3..9), then ghijkl's overlap of 6..9 is resolved by
-	// policy and its tail 9..12 appended.
-	if got := run(FirstWins); got != "abcDEFGHIjklmno" {
-		t.Errorf("FirstWins = %q, want abcDEFGHIjklmno", got)
-	}
-	if got := run(LastWins); got != "abcDEFghijklmno" {
-		t.Errorf("LastWins = %q, want abcDEFghijklmno", got)
+	// (extending 3..9), then ghijkl's overlap of 6..9 keeps DEFGHI's
+	// bytes and its tail 9..12 is appended.
+	if got := string(s.Data); got != "abcDEFGHIjklmno" {
+		t.Errorf("stream = %q, want abcDEFGHIjklmno", got)
 	}
 }
 
 func TestOverwriteBeforeBase(t *testing.T) {
-	// A LastWins retransmission reaching before the stream base must
-	// only rewrite bytes the stream actually holds.
+	// A retransmission reaching before the stream base rewrites
+	// nothing: the bytes before the base are dropped, the rest overlap
+	// held bytes and keep their first copy.
 	a := New()
-	a.SetOverlapPolicy(LastWins)
 	a.Feed(seg(100, netpkt.FlagSYN, ""))
 	a.Feed(seg(101, 0, "hello"))
-	// seq 99 predates the base (101): the first two bytes fall
-	// outside the stream and must be dropped, the rest rewrite.
-	if s := a.Feed(seg(99, 0, "XXYYY")); s == nil || !s.Rewritten {
-		t.Fatalf("content-changing rewrite not reported: %+v", s)
+	if s := a.Feed(seg(99, 0, "XXYYY")); s != nil {
+		t.Fatalf("retransmission before the base reported growth: %+v", s)
 	}
 	s := a.Feed(seg(106, netpkt.FlagFIN, "!"))
-	if s == nil || string(s.Data) != "YYYlo!" {
-		t.Fatalf("stream = %q, want YYYlo!", s.Data)
+	if s == nil || string(s.Data) != "hello!" {
+		t.Fatalf("stream = %q, want hello!", s.Data)
 	}
 }

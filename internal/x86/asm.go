@@ -102,9 +102,6 @@ func (a *Asm) JccNear(c Cond, label string) *Asm {
 // Loop emits a loop rel8 to label.
 func (a *Asm) Loop(label string) *Asm { return a.branchTo([]byte{0xe2}, 1, label) }
 
-// Jecxz emits a jecxz rel8 to label.
-func (a *Asm) Jecxz(label string) *Asm { return a.branchTo([]byte{0xe3}, 1, label) }
-
 // Call emits a call rel32 to label.
 func (a *Asm) Call(label string) *Asm { return a.branchTo([]byte{0xe8}, 4, label) }
 

@@ -177,31 +177,11 @@ func (c Cond) String() string {
 	return "?"
 }
 
-// IsBranch reports whether the opcode transfers control (conditionally
-// or not), excluding CALL/RET/INT.
-func (op Opcode) IsBranch() bool {
-	switch op {
-	case JMP, JCC, LOOP, LOOPE, LOOPNE, JECXZ:
-		return true
-	}
-	return false
-}
-
 // IsCondBranch reports whether the opcode is a conditional control
 // transfer (the fall-through path also remains live).
 func (op Opcode) IsCondBranch() bool {
 	switch op {
 	case JCC, LOOP, LOOPE, LOOPNE, JECXZ:
-		return true
-	}
-	return false
-}
-
-// EndsFlow reports whether straight-line execution cannot continue past
-// this opcode (unconditional jmp, ret, hlt).
-func (op Opcode) EndsFlow() bool {
-	switch op {
-	case JMP, RET, HLT:
 		return true
 	}
 	return false
@@ -213,13 +193,3 @@ func (op Opcode) EndsFlow() bool {
 // no template whose statements, or whose loop, span one, and the
 // sweep-start viability check splits its runs at the same opcodes.
 func (op Opcode) BreaksRun() bool { return op == BAD || op == RET || op == HLT }
-
-// IsArith reports whether the opcode is a two-operand ALU operation
-// whose first operand is both read and written.
-func (op Opcode) IsArith() bool {
-	switch op {
-	case ADD, ADC, SUB, SBB, AND, OR, XOR, SHL, SHR, SAR, ROL, ROR, RCL, RCR:
-		return true
-	}
-	return false
-}

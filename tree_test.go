@@ -179,20 +179,19 @@ func TestFederationTreeConvergesUnderFaults(t *testing.T) {
 			return st != nil && renderDerived(t, st) == want
 		})
 
-		// Every tier really exercised its faults and its compression. A
-		// pusher compresses from its first ack on, and the root can
-		// converge through folds whose acks the faults ate, so nudged
-		// checkpoints keep every tier pushing until each has a
-		// compressed ack.
-		waitUntil(t, "a compressed ack on every pusher", func() bool {
+		// Every tier really exercised its faults inside gzip bodies.
+		// Every push is gzip, and the root can converge through folds
+		// whose acks the faults ate, so nudged checkpoints keep every
+		// tier pushing until each has an ack.
+		waitUntil(t, "a gzip ack on every pusher", func() bool {
 			drainAll()
 			for _, e := range sensors {
-				if p := e.SinkStats().Push; p.Compressed == 0 {
+				if p := e.SinkStats().Push; p.Acked == 0 || p.WireBytes >= p.RawBytes {
 					return false
 				}
 			}
 			for _, agg := range midAggs {
-				if pm, ok := agg.PushStats(); !ok || pm.Compressed == 0 {
+				if pm, ok := agg.PushStats(); !ok || pm.Acked == 0 || pm.WireBytes >= pm.RawBytes {
 					return false
 				}
 			}
