@@ -345,8 +345,8 @@ func run() int {
 	m := e.Stats()
 	fmt.Printf("\npackets=%d selected=%d dropped=%d unparsed=%d streams=%d frames=%d frame-bytes=%d alerts=%d\n",
 		m.Packets, m.Selected, m.Dropped, m.Unparsed, m.StreamsAnalyzed, m.Frames, m.FrameBytes, m.Alerts)
-	fmt.Printf("cache-hits=%d cache-misses=%d cache-rejected=%d evicted-idle=%d evicted-lru=%d sweep-starts=%d sweep-starts-lifted=%d search-exhausted=%d\n",
-		m.CacheHits, m.CacheMisses, m.CacheRejected, m.FlowsEvictedIdle, m.FlowsEvictedLRU, m.SweepStarts, m.SweepStartsLifted, m.SearchesExhausted)
+	fmt.Printf("cache-hits=%d cache-misses=%d witness-rejected=%d cache-rejected=%d evicted-idle=%d evicted-lru=%d sweep-starts=%d sweep-starts-lifted=%d search-exhausted=%d\n",
+		m.CacheHits, m.CacheMisses, m.WitnessRejected, m.CacheRejected, m.FlowsEvictedIdle, m.FlowsEvictedLRU, m.SweepStarts, m.SweepStartsLifted, m.SearchesExhausted)
 	if m.SketchAttempts != 0 {
 		fmt.Printf("sketch-attempts=%d sketch-run=%d sketch-merged=%d sketch-step-limit=%d\n",
 			m.SketchAttempts, m.SketchAttemptsRun, m.SketchAttemptsMerged, m.SketchAttemptsStepLimit)

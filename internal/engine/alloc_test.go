@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"semnids/internal/classify"
+	"semnids/internal/core"
+	"semnids/internal/extract"
 	"semnids/internal/netpkt"
 	"semnids/internal/traffic"
 )
@@ -138,5 +140,37 @@ func TestEngineDatagramAllocs(t *testing.T) {
 	if perPacket > 1.4 {
 		t.Errorf("datagram path allocates %.2f objects/packet over %d packets (%.0f/run), budget 1.4",
 			perPacket, len(pkts), allocs)
+	}
+}
+
+// TestWitnessRejectedFrameAllocs pins the witness bypass: a benign
+// CoAP reading's frame, whose marker and token bytes hold no template's
+// byte witness, resolves with no cache lookup and no decode and
+// allocates nothing, its fingerprint event included.
+func TestWitnessRejectedFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates; allocation pin not meaningful")
+	}
+	dev := netip.AddrFrom4([4]byte{172, 17, 0, 9})
+	p := traffic.NewGen(1).CoAPSensorReading(dev)[0]
+	frames := extract.ExtractDatagrams(p.Payload, nil)
+	if len(frames) != 1 {
+		t.Fatalf("the reading % x yields %d frames, want 1", p.Payload, len(frames))
+	}
+	events := 0
+	e := New(Config{
+		Classify: classify.Config{Disabled: true},
+		Shards:   1,
+		OnEvent:  func(core.Event) { events++ },
+	})
+	defer e.Stop()
+	s, flow := e.shards[0], p.Flow()
+	const runs = 100 // AllocsPerRun makes one more, unmeasured
+	if allocs := testing.AllocsPerRun(runs, func() { s.analyzeFrame(frames[0], flow, "", p.TimestampUS) }); allocs != 0 {
+		t.Errorf("a witness-rejected frame allocates %.1f objects, want 0", allocs)
+	}
+	if m := e.Snapshot(); m.WitnessRejected != runs+1 || m.CacheHits+m.CacheMisses != 0 || events != runs+1 {
+		t.Errorf("witness-rejected %d, cache lookups %d, fingerprint events %d; want %d, 0, %d",
+			m.WitnessRejected, m.CacheHits+m.CacheMisses, events, runs+1, runs+1)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -248,12 +249,38 @@ func TestDatagramFlowsOffByteIdentical(t *testing.T) {
 	checkGolden(t, loadGolden(t), goldenIoTTraces())
 }
 
+// withWitnessedDatagrams returns pkts with n one-datagram flows spread
+// over the trace. Each payload is distinct binary that holds every byte
+// witness (a jmp back to itself, call eax, int 0x80) behind a sled, so its frame goes
+// through the verdict cache, as the trace's benign CoAP readings no
+// longer do, and is analyzed when its flow leaves the table.
+func withWitnessedDatagrams(pkts []*netpkt.Packet, n int) []*netpkt.Packet {
+	out := make([]*netpkt.Packet, 0, len(pkts)+n)
+	step := len(pkts) / n
+	for i, p := range pkts {
+		out = append(out, p)
+		if k := i / step; i%step == 0 && k < n {
+			payload := append(bytes.Repeat([]byte{0x90}, 16), 0xeb, 0xfe, 0xff, 0xd0, 0xcd, 0x80, 0x0e, 0x5a, byte(k>>8), byte(k), 0x5b, 0xc3)
+			out = append(out, &netpkt.Packet{
+				SrcIP:   netip.AddrFrom4([4]byte{10, 250, byte(k >> 8), byte(k)}),
+				DstIP:   netip.AddrFrom4([4]byte{172, 17, 9, 9}),
+				SrcPort: 40000, DstPort: 5683,
+				Proto: netpkt.ProtoUDP, HasUDP: true,
+				Payload: payload, TimestampUS: p.TimestampUS,
+			})
+		}
+	}
+	return out
+}
+
 // TestDatagramEvictionDeterministic runs one datagram-flow trace
 // several times: idle datagram flows and the final drain must leave the
 // flow table in the same order every run, or the verdict cache admits
 // a different set of frames and the alerts arrive in a different order.
+// The IoT trace's frames that reach the cache are too few to fill it,
+// so distinct witnessed datagrams ride along and overflow it.
 func TestDatagramEvictionDeterministic(t *testing.T) {
-	pkts := traffic.IoTBotnet(traffic.IoTSpec{Seed: 1, Generations: 2, FanoutPerHost: 3, BenignSessions: 20})
+	pkts := withWitnessedDatagrams(traffic.IoTBotnet(traffic.IoTSpec{Seed: 1, Generations: 2, FanoutPerHost: 3, BenignSessions: 20}), 200)
 	type result struct {
 		hits, misses, rejected uint64
 		alerts                 []string

@@ -181,7 +181,12 @@ type Metrics struct {
 
 	// CacheHits and CacheMisses count verdict-cache lookups; a hit
 	// skips disassembly, lifting and matching entirely.
-	CacheHits, CacheMisses uint64
+	// WitnessRejected counts frames resolved with no lookup: no
+	// template's byte witness holds in them and no data-level detector
+	// fires, so their verdict is empty without a decode
+	// (sem.Analyzer.Screen). With the cache on, Frames = CacheHits +
+	// CacheMisses + WitnessRejected.
+	CacheHits, CacheMisses, WitnessRejected uint64
 
 	// FlowsEvictedIdle and FlowsEvictedLRU count tick evictions (the
 	// evicted flows' unanalyzed tails were analyzed first).
@@ -279,6 +284,7 @@ type Engine struct {
 		unparsed                            atomic.Uint64
 		streams, frames, frameBytes, alerts atomic.Uint64
 		cacheHits, cacheMisses              atomic.Uint64
+		witnessRejected                     atomic.Uint64
 		evictedIdle, evictedLRU             atomic.Uint64
 		evictedDgram                        atomic.Uint64
 		sketches                            atomic.Uint64
@@ -298,7 +304,8 @@ type Engine struct {
 		// dispatchWaitNS: time a feeder spent blocked handing a batch
 		// to a full shard queue (backpressure wait; ~0 when healthy).
 		// frameNS: one semantic analysis of one frame (cache misses
-		// and uncached runs; hits bypass analysis and the clock).
+		// and uncached runs; hits and witness-rejected frames bypass
+		// analysis and the clock).
 		ingestNS       *telemetry.Histogram
 		dispatchWaitNS *telemetry.Histogram
 		frameNS        *telemetry.Histogram
@@ -397,6 +404,7 @@ func (e *Engine) registerTelemetry() {
 	cf("semnids_engine_alerts_total", "Deduplicated detections emitted.", &e.m.alerts)
 	cf("semnids_engine_cache_hits_total", "Verdict-cache hits (analysis skipped).", &e.m.cacheHits)
 	cf("semnids_engine_cache_misses_total", "Verdict-cache misses (analysis ran).", &e.m.cacheMisses)
+	cf("semnids_engine_witness_rejected_total", "Frames resolved empty with no decode and no cache lookup: no template's byte witness holds.", &e.m.witnessRejected)
 	cf(`semnids_engine_flows_evicted_total{reason="idle"}`, "Flows evicted by lifecycle ticks.", &e.m.evictedIdle)
 	cf(`semnids_engine_flows_evicted_total{reason="lru"}`, "Flows evicted by lifecycle ticks.", &e.m.evictedLRU)
 	if e.cfg.DatagramFlows {
@@ -471,7 +479,7 @@ func (e *Engine) registerTelemetry() {
 			})
 	}
 	e.tel.frameNS = reg.Histogram("semnids_analyzer_frame_ns",
-		"One semantic analysis of one extracted frame (cache misses only).")
+		"One semantic analysis of one extracted frame (decoded frames: cache misses only).")
 }
 
 // Telemetry returns the engine's metric registry (the configured one,
@@ -600,6 +608,7 @@ func (e *Engine) Snapshot() Metrics {
 		Alerts:              e.m.alerts.Load(),
 		CacheHits:           e.m.cacheHits.Load(),
 		CacheMisses:         e.m.cacheMisses.Load(),
+		WitnessRejected:     e.m.witnessRejected.Load(),
 		FlowsEvictedIdle:    e.m.evictedIdle.Load(),
 		FlowsEvictedLRU:     e.m.evictedLRU.Load(),
 		FlowsEvictedUDPIdle: e.m.evictedDgram.Load(),

@@ -32,14 +32,14 @@ func feedAll(t *testing.T, e *Engine, pkts []*netpkt.Packet) {
 	stopAndCheck(t, e)
 }
 
-// stopAndCheck stops the engine and asserts the verdict cache's
-// conservation law: every frame extraction forwarded was resolved by
-// exactly one cache lookup, a hit or a miss.
+// stopAndCheck stops the engine and asserts the resolution law:
+// every frame extraction forwarded was resolved exactly once, by a
+// cache hit, a cache miss, or the byte witness with no lookup.
 func stopAndCheck(t *testing.T, e *Engine) {
 	t.Helper()
 	e.Stop()
-	if m := e.Snapshot(); m.Frames != m.CacheHits+m.CacheMisses {
-		t.Errorf("frames resolved %d != cache hits %d + cache misses %d", m.Frames, m.CacheHits, m.CacheMisses)
+	if m := e.Snapshot(); m.Frames != m.CacheHits+m.CacheMisses+m.WitnessRejected {
+		t.Errorf("frames resolved %d != cache hits %d + cache misses %d + witness-rejected %d", m.Frames, m.CacheHits, m.CacheMisses, m.WitnessRejected)
 	}
 }
 

@@ -344,44 +344,33 @@ func (s *shard) analyze(data []byte, bounds []int, flow netpkt.FlowKey, reason c
 	}
 }
 
-// analyzeFrame resolves one extracted frame's verdict — through the
-// fingerprint cache when enabled — and emits any detections. The
-// frame's fingerprint is computed whenever the cache or an event tap
-// needs it, and published as a fingerprint event on every resolution
-// (hit and miss alike, so the correlator's view does not depend on
+// analyzeFrame resolves one extracted frame's verdict and emits any
+// detections. A frame the analyzer's screen finds Empty (no template's
+// byte witness holds, no data-level detector fires) has an empty
+// verdict without a decode, so it skips the verdict cache: no lookup,
+// no admission count, no insert and no analysis timing. Any other
+// frame resolves through the cache when enabled. The frame's
+// fingerprint is computed whenever the cache or an event tap needs it,
+// and published as a fingerprint event on every resolution (screened,
+// hit and miss alike, so the correlator's view does not depend on
 // cache state).
 func (s *shard) analyzeFrame(f extract.Frame, flow netpkt.FlowKey, reason classify.Reason, ts uint64) {
 	e := s.eng
 	e.m.frames.Add(1)
 	e.m.frameBytes.Add(uint64(len(f.Data)))
 	tap := e.cfg.OnEvent
-	var fp core.Fingerprint
-	if e.cache != nil || tap != nil {
-		fp = core.FingerprintOf(f.Data)
-	}
 	var (
-		ds     []sem.Detection
-		sk     sem.Sketch
-		cached bool
+		fp core.Fingerprint
+		ds []sem.Detection
+		sk sem.Sketch
 	)
-	if e.cache != nil {
-		if ds, sk, cached = e.cache.get(fp); cached {
-			e.m.cacheHits.Add(1)
-		} else {
-			e.m.cacheMisses.Add(1)
+	if scr := e.analyzer.Screen(f.Data); scr.Empty() {
+		e.m.witnessRejected.Add(1)
+		if tap != nil {
+			fp = core.FingerprintOf(f.Data)
 		}
-	}
-	if !cached {
-		// No stage before this one decodes, so f.Code is nil and the
-		// analyzer uses its pooled scratch cache instead of allocating a
-		// decode cache per frame.
-		t0 := time.Now()
-		ds = e.analyzer.AnalyzeFrameCached(f.Data, f.Code)
-		e.tel.frameNS.Observe(time.Since(t0).Nanoseconds())
-		sk = s.sketch(f.Data, ds)
-		if e.cache != nil {
-			e.cache.put(fp, ds, sk)
-		}
+	} else {
+		fp, ds, sk = s.resolve(f, scr)
 	}
 	if tap != nil {
 		ev := flowEvent(core.EventFingerprint, ts, flow)
@@ -391,6 +380,35 @@ func (s *shard) analyzeFrame(f extract.Frame, flow netpkt.FlowKey, reason classi
 	for _, d := range ds {
 		s.emit(f, flow, reason, ts, fp, sk, d)
 	}
+}
+
+// resolve returns a screened frame's fingerprint (when the cache or
+// a tap needs it), detections and sketch: from the verdict cache on a
+// hit, else from the analyzer, timed and then cached.
+func (s *shard) resolve(f extract.Frame, scr sem.Screen) (fp core.Fingerprint, ds []sem.Detection, sk sem.Sketch) {
+	e := s.eng
+	if e.cache != nil || e.cfg.OnEvent != nil {
+		fp = core.FingerprintOf(f.Data)
+	}
+	if e.cache != nil {
+		var cached bool
+		if ds, sk, cached = e.cache.get(fp); cached {
+			e.m.cacheHits.Add(1)
+			return fp, ds, sk
+		}
+		e.m.cacheMisses.Add(1)
+	}
+	// No stage before this one decodes, so f.Code is nil and the
+	// analyzer uses its pooled scratch cache instead of allocating a
+	// decode cache per frame.
+	t0 := time.Now()
+	ds = e.analyzer.AnalyzeScreened(f.Data, f.Code, scr)
+	e.tel.frameNS.Observe(time.Since(t0).Nanoseconds())
+	sk = s.sketch(f.Data, ds)
+	if e.cache != nil {
+		e.cache.put(fp, ds, sk)
+	}
+	return fp, ds, sk
 }
 
 // sketch computes the frame's structural fingerprint when lineage is

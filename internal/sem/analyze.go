@@ -238,6 +238,65 @@ func (a *Analyzer) AnalyzeFrame(frame []byte) []Detection {
 // frame is decoded once. cache may be nil, which takes a pooled
 // scratch cache, or must have been created over the same frame bytes.
 func (a *Analyzer) AnalyzeFrameCached(frame []byte, cache *x86.DecodeCache) []Detection {
+	var s Screen
+	if !a.DisableSweepPrune {
+		s.found = scanWitness(frame)
+	}
+	return a.AnalyzeScreened(frame, cache, s)
+}
+
+// Screen is what one pass over a frame's bytes, before any decode,
+// tells the analyzer: the byte witnesses the frame shows (witness.go)
+// and whether its verdict is already known to be empty.
+type Screen struct {
+	found uint8
+	empty bool
+}
+
+// Empty reports that the screened frame's verdict is empty: no
+// template's witness holds in it, so no sweep can match, and the
+// data-level detectors find nothing in it.
+func (s Screen) Empty() bool { return s.empty }
+
+// Screen scans frame for its byte witnesses. An Empty frame needs no
+// decode and no AnalyzeScreened; Screen counts its sweep starts as
+// considered and not lifted, as AnalyzeFrame does. Hand any other
+// frame to AnalyzeScreened with its Screen, so its bytes are scanned
+// once. With DisableSweepPrune nothing is scanned and no frame is
+// Empty.
+func (a *Analyzer) Screen(frame []byte) Screen {
+	if a.DisableSweepPrune {
+		return Screen{}
+	}
+	s := Screen{found: scanWitness(frame)}
+	for _, tpl := range a.Templates {
+		if tpl.compiled().witness.heldBy(frame, s.found) {
+			return s
+		}
+	}
+	if _, ok := detectReturnAddrRegion(frame); ok {
+		return s
+	}
+	s.empty = true
+	if len(a.Templates) != 0 { // else the offset loop breaks at once
+		var starts uint64
+		for _, off := range a.SweepOffsets {
+			if off >= len(frame) {
+				break
+			}
+			starts++
+		}
+		a.sweepStarts.Add(starts)
+	}
+	return s
+}
+
+// AnalyzeScreened is AnalyzeFrameCached for a frame Screen has
+// scanned; an Empty frame's verdict is nil.
+func (a *Analyzer) AnalyzeScreened(frame []byte, cache *x86.DecodeCache, s Screen) []Detection {
+	if s.empty {
+		return nil
+	}
 	sc := scratchPool.Get().(*frameScratch)
 	defer scratchPool.Put(sc)
 
@@ -263,14 +322,10 @@ func (a *Analyzer) AnalyzeFrameCached(frame []byte, cache *x86.DecodeCache) []De
 	// a byte witness (witness.go) or an SFrameData string that the
 	// frame lacks cannot match at any offset or order, so it is no
 	// candidate, and a frame left with none decodes nothing. One scan
-	// of the frame finds the byte witnesses. A rejected template
+	// of the frame (s) finds the byte witnesses. A rejected template
 	// still counts among the names, so the offset loop considers every
 	// offset it did before and counts each as a start not lifted.
 	witnessOn := !a.DisableSweepPrune
-	var found uint8
-	if witnessOn {
-		found = scanWitness(frame)
-	}
 	cands := sc.cands[:0]
 	defer func() { sc.cands = cands[:0] }()
 	names := 0
@@ -279,7 +334,7 @@ func (a *Analyzer) AnalyzeFrameCached(frame []byte, cache *x86.DecodeCache) []De
 			names++
 		}
 		ct := tpl.compiled()
-		if witnessOn && !ct.witness.heldBy(frame, found) {
+		if witnessOn && !ct.witness.heldBy(frame, s.found) {
 			continue
 		}
 		var bit uint64

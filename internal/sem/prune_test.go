@@ -147,13 +147,18 @@ func wideOffsets() []int {
 
 // checkPruneAgrees fails unless the pruned analyzer reports exactly
 // the baseline's detections for the frame: template, order, addresses
-// and bindings. It returns how many there were.
+// and bindings. Nor may the pruned analyzer's Screen find the frame
+// Empty while the baseline detects anything. It returns how many
+// detections there were.
 func checkPruneAgrees(t testing.TB, name string, pruned, baseline *Analyzer, frame []byte) int {
 	t.Helper()
 	want := baseline.AnalyzeFrame(frame)
 	got := pruned.AnalyzeFrame(frame)
 	if len(got) != len(want) {
 		t.Fatalf("%s: pruned %v, baseline %v", name, got, want)
+	}
+	if len(want) != 0 && pruned.Screen(frame).Empty() {
+		t.Fatalf("%s: screened Empty, baseline detects %v", name, want)
 	}
 	for i := range want {
 		if got[i].String() != want[i].String() {

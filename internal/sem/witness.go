@@ -7,24 +7,31 @@ import (
 )
 
 // Byte witnesses. A statement of one of these kinds can match only an
-// instruction whose bytes show its witness, so a frame that lacks one
-// of a template's witnesses cannot match the template at any sweep
-// offset, in either instruction order, and is not decoded for it.
+// instruction whose bytes, at its offset in the frame, show its
+// witness, so a frame that lacks one of a template's witnesses cannot
+// match the template at any sweep offset, in either instruction order,
+// and is not decoded for it.
 // TestWitnessCoversShape derives the patterns from the decoder.
 const (
 	// witSyscall is CD 80: int 0x80 has no other encoding.
 	witSyscall uint8 = 1 << iota
-	// witIndirect is an FF byte: every call or jmp through a register
-	// or memory operand is FF /2 to FF /5.
+	// witIndirect is an FF whose next byte, read as a ModRM, has reg
+	// field 2 or 4: every call or jmp through a register or memory
+	// operand is FF /2 or FF /4, and the decoder reads FF /3 and FF /5
+	// (the far forms) as BAD.
 	witIndirect
-	// witBackward is a relative transfer with a negative displacement:
-	// a rel8 opcode (70–7F, E0–E3, EB) with a sign byte ≥ 80 at +1,
-	// E8/E9 with one at +4 (+2 for a rel16 operand under 66), or
-	// 0F 80–8F with one at +5 (+3 under 66). A back edge the matcher
-	// takes is a backward conditional branch, or it closes a loop in a
-	// threaded order that some backward jmp or call spliced:
+	// witBackward is a relative transfer with a negative displacement
+	// and a target in the frame: a rel8 opcode (70–7F, E0–E3, EB) with
+	// a sign byte ≥ 80 at +1, E8/E9 with one at +4, or 0F 80–8F with
+	// one at +5, whose target q+1+disp (q the sign byte's offset, the
+	// transfer's last byte) is ≥ 0. A back edge the matcher takes is a backward
+	// conditional branch to an instruction of the frame, or it closes a
+	// loop in a threaded order that some backward jmp or call spliced:
 	// ThreadOrderAppend visits addresses in increasing order unless a
-	// jmp or call it follows goes backward.
+	// jmp or call it follows goes backward to an in-frame target. Under
+	// 66, E8, E9 and 0F 8x carry a rel16 whose target the CPU truncates
+	// to 16 bits; the decoder gives it no frame target, so it is never
+	// backward.
 	witBackward
 )
 
@@ -42,38 +49,27 @@ func stmtWitness(k StmtKind) uint8 {
 	return 0
 }
 
-// signAt and jcc32 are the first-byte class tables of witBackward.
-// Bit d of signAt[op] is set when a relative transfer opening with
-// byte op can carry its displacement's sign byte d bytes after op; for
-// 0F (d = 3, 5) it holds only when the next byte is a jcc's 80–8F,
-// whose jcc32 entry keeps those bits. The decoder reads a rel32 operand
-// under 66 as well; the rel16 positions keep the witness a superset of
-// either reading, which costs nothing on text.
-var signAt, jcc32 = func() (sign, jcc [256]uint8) {
+// rel8 is witBackward's class of one-byte opcodes that carry a rel8.
+var rel8 = func() (t [256]bool) {
 	for op := 0x70; op <= 0x7f; op++ {
-		sign[op] = 1 << 1
+		t[op] = true
 	}
 	for op := 0xe0; op <= 0xe3; op++ {
-		sign[op] = 1 << 1
+		t[op] = true
 	}
-	sign[0xeb] = 1 << 1
-	sign[0xe8], sign[0xe9] = 1<<2|1<<4, 1<<2|1<<4
-	sign[0x0f] = 1<<3 | 1<<5
-	for op := 0x80; op <= 0x8f; op++ {
-		jcc[op] = 1<<3 | 1<<5
-	}
-	return sign, jcc
+	t[0xeb] = true
+	return t
 }()
 
 // int80 is the encoding of int 0x80.
 var int80 = []byte{0xcd, 0x80}
 
-// scanWitness returns the byte witnesses present in frame. Two are
-// fixed byte strings, found by the standard library's vectorized
-// search; backwardTransfer finds the third.
+// scanWitness returns the byte witnesses present in frame. The
+// standard library's vectorized search finds CD 80 and each FF;
+// backwardTransfer finds the third.
 func scanWitness(frame []byte) uint8 {
 	var found uint8
-	if bytes.IndexByte(frame, 0xff) >= 0 {
+	if indirectTransfer(frame) {
 		found |= witIndirect
 	}
 	if bytes.Index(frame, int80) >= 0 {
@@ -85,14 +81,29 @@ func scanWitness(frame []byte) uint8 {
 	return found
 }
 
+// indirectTransfer reports whether frame holds an FF followed by a
+// ModRM byte with reg field 2 or 4.
+func indirectTransfer(frame []byte) bool {
+	for i := 0; ; {
+		j := bytes.IndexByte(frame[i:], 0xff)
+		if j < 0 {
+			return false
+		}
+		i += j + 1
+		if i < len(frame) && 1<<(frame[i]>>3&7)&(1<<2|1<<4) != 0 {
+			return true
+		}
+	}
+}
+
 // msb holds the top bit of each byte of a word.
 const msb = 0x8080808080808080
 
 // backwardTransfer reports whether frame holds a relative transfer
-// with a negative displacement. The displacement's sign byte has its
-// top bit set, so the scan reads eight bytes at a time, visits only
-// those bytes and looks back from each to the opcode that would make
-// it a sign byte. Protocol text has almost none of them. The scan runs
+// with a negative displacement and an in-frame target. The
+// displacement's sign byte has its top bit set, so the scan reads eight
+// bytes at a time, visits only those bytes and looks back from each to
+// the opcode that would make it a sign byte. Protocol text has almost none of them. The scan runs
 // from the frame's end: an exploit frame puts its sled first, and a
 // sled's high bytes complete no transfer, while the decoder, the
 // encoded body and the return-address region behind it hold one within
@@ -115,8 +126,9 @@ func backwardTransfer(frame []byte) bool {
 }
 
 // signByte reports whether the byte at q is the sign byte of a
-// relative transfer whose opcode sits 1 to 5 bytes before it. Bytes
-// before the frame read as 0, which is in no class.
+// relative transfer whose opcode sits 1, 4 or 5 bytes before it and
+// whose target, q+1 plus the displacement ending at q, is in the frame.
+// Bytes before the frame read as 0, which is in no class.
 func signByte(frame []byte, q int) bool {
 	var pad [5]byte
 	w := frame[max(q-5, 0):q]
@@ -125,8 +137,11 @@ func signByte(frame []byte, q int) bool {
 		w = pad[:]
 	}
 	w = w[:5] // w[5-d] is the byte d before q
-	return signAt[w[4]]&(1<<1)|signAt[w[3]]&(1<<2)|signAt[w[2]]&jcc32[w[3]]&(1<<3)|
-		signAt[w[1]]&(1<<4)|signAt[w[0]]&jcc32[w[1]]&(1<<5) != 0
+	if rel8[w[4]] && q+1+int(int8(frame[q])) >= 0 {
+		return true
+	}
+	return (w[1] == 0xe8 || w[1] == 0xe9 || w[0] == 0x0f && w[1]&0xf0 == 0x80) &&
+		q+1+int(int32(binary.LittleEndian.Uint32(frame[q-3:]))) >= 0
 }
 
 // witness is what a frame must show for a template to match anywhere

@@ -1,6 +1,9 @@
 package sem
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,28 +11,46 @@ import (
 )
 
 // witnessRef is the byte witness read forward from every position, as
-// the patterns are stated: CD 80; FF; a rel8 opcode and a sign byte
-// ≥ 80 after it; E8/E9 and one at +2 or +4; 0F 80–8F and one at +3 or
-// +5. scanWitness must agree with it on every frame.
+// the patterns are stated: CD 80; FF and a ModRM with reg field 2 or 4
+// after it; a relative transfer — a rel8 opcode and its rel8, E8/E9 and
+// a rel32, 0F 80–8F and a rel32 — with a negative displacement whose
+// target, the transfer's end plus the displacement, is ≥ 0.
+// scanWitness must agree with it on every frame.
 func witnessRef(frame []byte) uint8 {
-	high := func(i int) bool { return i < len(frame) && frame[i] >= 0x80 }
 	var found uint8
 	for p, op := range frame {
+		// backward reports whether the n-byte displacement at p+k, which
+		// ends the transfer, reaches back to a byte of the frame.
+		backward := func(k, n int) bool {
+			end := p + k + n
+			if end > len(frame) {
+				return false
+			}
+			disp := int(int8(frame[p+k]))
+			if n == 4 {
+				disp = int(int32(binary.LittleEndian.Uint32(frame[p+k:])))
+			}
+			return disp < 0 && end+disp >= 0
+		}
 		switch {
 		case op == 0xff:
-			found |= witIndirect
+			if p+1 < len(frame) {
+				if r := frame[p+1] >> 3 & 7; r == 2 || r == 4 {
+					found |= witIndirect
+				}
+			}
 		case op == 0xcd && p+1 < len(frame) && frame[p+1] == 0x80:
 			found |= witSyscall
 		case op >= 0x70 && op <= 0x7f, op >= 0xe0 && op <= 0xe3, op == 0xeb:
-			if high(p + 1) {
+			if backward(1, 1) {
 				found |= witBackward
 			}
 		case op == 0xe8, op == 0xe9:
-			if high(p+2) || high(p+4) {
+			if backward(1, 4) {
 				found |= witBackward
 			}
 		case op == 0x0f && p+1 < len(frame) && frame[p+1]&0xf0 == 0x80:
-			if high(p+3) || high(p+5) {
+			if backward(2, 4) {
 				found |= witBackward
 			}
 		}
@@ -39,9 +60,11 @@ func witnessRef(frame []byte) uint8 {
 
 // witnessFrame is n bytes of text with a few short runs drawn from the
 // witnesses' own bytes at random positions, so that each pattern, near
-// or astride a word boundary, is often the only one in the frame.
+// or astride a word boundary, is often the only one in the frame. Some
+// frames also get a rel8 or rel32 transfer whose target is within two
+// bytes of the frame's start, where the in-frame bound decides.
 func witnessFrame(r *rand.Rand, n int) []byte {
-	alphabet := []byte{0x0f, 0x66, 0x70, 0x75, 0x7f, 0x80, 0x85, 0x8f, 0x90, 0xcd, 0xe2, 0xe3, 0xe8, 0xe9, 0xeb, 0xfa, 0xff, 'A', 'p', ' '}
+	alphabet := []byte{0x0f, 0x14, 0x24, 0x3c, 0x66, 0x70, 0x74, 0x75, 0x7f, 0x80, 0x85, 0x8f, 0x90, 0xcd, 0xe2, 0xe3, 0xe8, 0xe9, 0xeb, 0xfa, 0xff, 'A', 'p', ' '}
 	b := make([]byte, n)
 	for i := range b {
 		b[i] = 'A'
@@ -49,6 +72,22 @@ func witnessFrame(r *rand.Rand, n int) []byte {
 	for k := r.Intn(4); k > 0 && n > 0; k-- {
 		for p, l := r.Intn(n), 1+r.Intn(6); l > 0 && p < n; p, l = p+1, l-1 {
 			b[p] = alphabet[r.Intn(len(alphabet))]
+		}
+	}
+	ops := [][]byte{{0x75}, {0xe2}, {0xeb}, {0xe8}, {0xe9}, {0x0f, 0x85}}
+	if op := ops[r.Intn(len(ops))]; r.Intn(3) == 0 && n >= len(op)+4 {
+		size := 4
+		if len(op) == 1 && op[0] != 0xe8 && op[0] != 0xe9 {
+			size = 1
+		}
+		p := r.Intn(n - len(op) - size + 1)
+		end := p + len(op) + size
+		disp := r.Intn(5) - 2 - end // the target: -2 to 2
+		copy(b[p:], op)
+		if size == 1 {
+			b[end-1] = byte(int8(max(disp, -128)))
+		} else {
+			binary.LittleEndian.PutUint32(b[end-4:], uint32(int32(disp)))
 		}
 	}
 	return b
@@ -77,7 +116,10 @@ func TestScanWitnessMatchesReference(t *testing.T) {
 // transferCandidates yields every relative transfer, int and FF
 // encoding behind each prefix the decoder takes, with random operand
 // bytes: the prefixed forms shapeCandidates reaches only by chance,
-// the 66-prefixed rel16 reading among them.
+// the 66-prefixed rel16 reading among them. Then each rel32 transfer,
+// bare and behind 66, with the displacement that puts its target one
+// byte before the frame, on its first byte and on its second (placed
+// after shapePrologue).
 func transferCandidates(yield func(enc []byte)) {
 	r := rand.New(rand.NewSource(37))
 	var ops [][]byte
@@ -103,25 +145,38 @@ func transferCandidates(yield func(enc []byte)) {
 			}
 		}
 	}
+	base := len(shapePrologue())
+	for _, op := range [][]byte{{0xe8}, {0xe9}, {0x0f, 0x84}, {0x0f, 0x8f}} {
+		for _, pre := range [][]byte{nil, {0x66}} {
+			enc := append(append([]byte{}, pre...), op...)
+			end := base + len(enc) + 4
+			for target := -1; target <= 1; target++ {
+				yield(binary.LittleEndian.AppendUint32(enc[:len(enc):len(enc)], uint32(int32(target-end))))
+			}
+		}
+	}
 }
 
 // TestWitnessCoversShape is the soundness of the byte witness as a
 // property over the instruction spaces TestShapeCoversMatch walks, plus
 // every prefixed transfer. A frame that lacks a statement's witness
 // must hold no instruction the matcher can accept for it, in either
-// order, so on every decoded instruction:
+// order, so on every decoded instruction, its own bytes at its own
+// offset (behind zero bytes, which are in no witness class) show:
 //
-//   - an instruction shape accepts for a syscall or indirect statement
-//     shows that statement's witness in its own bytes;
-//   - a conditional branch shape accepts for a back edge whose target
-//     lies below it (what the matcher needs in an order that is address
-//     order, prunable's test without its in-frame bound, which only the
-//     frame's length decides) shows witBackward, and so does every jmp
-//     or call with a target below it, the only transfers that take
-//     ThreadOrderAppend out of address order;
+//   - for an instruction shape accepts for a syscall or indirect
+//     statement, that statement's witness;
+//   - for a conditional branch shape accepts for a back edge whose
+//     target is an earlier byte of the frame (what the matcher needs in
+//     an order that is address order: prunable's test, and lookupAddr's
+//     in-frame bound), witBackward, and so for every jmp or call with
+//     such a target, the only transfers that take ThreadOrderAppend out
+//     of address order;
 //
 // and a sweep without such a jmp or call threads in address order,
-// where a back edge the matcher takes is one prunable accepts.
+// where a back edge the matcher takes is one prunable accepts. The
+// 66-prefixed E8, E9 and 0F 8x forms decode as rel16 transfers with no
+// frame target, which need no witness.
 func TestWitnessCoversShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("one goroutine over ~250k frames: ten times slower under the race detector, with nothing for it to find")
@@ -141,20 +196,28 @@ func TestWitnessCoversShape(t *testing.T) {
 
 	prologue := shapePrologue()
 	frame := make([]byte, 0, len(prologue)+16)
+	var own []byte
 	var cache x86.DecodeCache
 	var order []*x86.Inst
 	accepted := map[uint8]int{}
+	rel16 := 0
 	check := func(enc []byte) {
 		frame = append(append(frame[:0], prologue...), enc...)
 		cache.Reset(frame)
 		sweep := cache.Sweep(0)
 		backward := false
 		for _, in := range sweep {
-			w := scanWitness(frame[in.Addr : int(in.Addr)+int(in.Len)])
+			end := int(in.Addr) + int(in.Len)
+			own = append(append(own[:0], make([]byte, in.Addr)...), frame[in.Addr:end]...)
+			w := scanWitness(own)
+			inFrameBack := in.HasTarget && in.Target >= 0 && in.Target < in.Addr
+			if in.HasTarget && in.OpSize == 2 && in.Target == math.MaxInt32 {
+				rel16++
+			}
 			for _, st := range stmts {
 				ok := st.shape(in)
 				if st.Kind == SBackEdge {
-					ok = ok && in.Target < in.Addr
+					ok = ok && inFrameBack
 				}
 				if want := stmtWitness(st.Kind); ok {
 					accepted[want]++
@@ -163,7 +226,7 @@ func TestWitnessCoversShape(t *testing.T) {
 					}
 				}
 			}
-			if (in.Op == x86.JMP || in.Op == x86.CALL) && in.HasTarget && in.Target < in.Addr {
+			if (in.Op == x86.JMP || in.Op == x86.CALL) && inFrameBack {
 				backward = true
 				accepted[0]++
 				if w&witBackward == 0 {
@@ -187,6 +250,9 @@ func TestWitnessCoversShape(t *testing.T) {
 		if accepted[w] == 0 {
 			t.Errorf("no candidate needed witness %03b: the property is vacuous for it", w)
 		}
+	}
+	if rel16 == 0 {
+		t.Error("no 66-prefixed transfer decoded as a rel16")
 	}
 }
 
@@ -265,5 +331,40 @@ func TestWitnessRejectsText(t *testing.T) {
 		if tpl.compiled().witness.heldBy(frame, found) {
 			t.Errorf("the witness keeps %s on protocol text", tpl.Name)
 		}
+	}
+}
+
+// TestScreen pins what Screen decides and counts. Text holds no
+// witness and no return-address region: Empty, with the sweep starts
+// AnalyzeFrame would consider (every offset before the frame's end),
+// none lifted. A return-address region or one template's witness
+// keeps a frame off Empty, and so does DisableSweepPrune.
+func TestScreen(t *testing.T) {
+	text := pruneCorpora(t)["text"]
+	for _, frame := range [][]byte{text, text[:2]} {
+		a, ref := NewAnalyzer(BuiltinTemplates()), NewAnalyzer(BuiltinTemplates())
+		if !a.Screen(frame).Empty() {
+			t.Fatalf("% x: text is not Empty", frame)
+		}
+		ref.AnalyzeFrame(frame)
+		c, l := a.SweepStats()
+		rc, rl := ref.SweepStats()
+		if c != rc || l != rl || l != 0 {
+			t.Errorf("%d-byte text: Screen counts %d/%d starts considered/lifted, AnalyzeFrame %d/%d", len(frame), c, l, rc, rl)
+		}
+	}
+	ra := append([]byte("AAAA"), bytes.Repeat([]byte{0x10, 0xf1, 0xff, 0xbf}, minReturnAddrRun)...)
+	loop := []byte{0x80, 0x30, 0x95, 0x40, 0xe2, 0xfa} // xor [eax], 0x95; inc eax; loop 0
+	a := NewAnalyzer(BuiltinTemplates())
+	for name, frame := range map[string][]byte{"return-address region": ra, "decrypt loop": loop} {
+		if s := a.Screen(frame); s.Empty() {
+			t.Errorf("%s: screened Empty", name)
+		} else if len(a.AnalyzeScreened(frame, nil, s)) == 0 {
+			t.Errorf("%s: AnalyzeScreened detects nothing", name)
+		}
+	}
+	a.DisableSweepPrune = true
+	if a.Screen(text).Empty() {
+		t.Error("text screened Empty with DisableSweepPrune")
 	}
 }

@@ -365,6 +365,22 @@ func (d *decoder) rel(op Opcode, cond Cond, size int) error {
 	return nil
 }
 
+// relV is a relative branch with an operand-size displacement: a rel32,
+// or a rel16 under 66. A CPU truncates a rel16 branch's target to 16
+// bits, which names no frame offset, so it gets the saturated
+// out-of-frame target a rel32 past the frame gets.
+func (d *decoder) relV(op Opcode, cond Cond) error {
+	if d.opSize == 4 {
+		return d.rel(op, cond, 4)
+	}
+	if _, err := d.u16(); err != nil {
+		return err
+	}
+	d.in.Op, d.in.Cond, d.in.HasTarget = op, cond, true
+	d.in.Target = math.MaxInt32
+	return nil
+}
+
 // moffs is mov between the accumulator and an absolute address;
 // memSlot is the operand slot of the memory side.
 func (d *decoder) moffs(memSlot, size int) error {
@@ -610,9 +626,9 @@ func (d *decoder) opcode(op byte) error {
 	case 0xe3:
 		return d.rel(JECXZ, 0, 1)
 	case 0xe8:
-		return d.rel(CALL, 0, 4)
+		return d.relV(CALL, 0)
 	case 0xe9:
-		return d.rel(JMP, 0, 4)
+		return d.relV(JMP, 0)
 	case 0xeb:
 		return d.rel(JMP, 0, 1)
 
@@ -692,7 +708,7 @@ func (d *decoder) twoByte() error {
 		d.in.Cond = Cond(op & 0xf)
 		return d.opRegRM(CMOVCC, sz, sz)
 	case op >= 0x80 && op <= 0x8f:
-		return d.rel(JCC, Cond(op&0xf), 4)
+		return d.relV(JCC, Cond(op&0xf))
 	case op >= 0x90 && op <= 0x9f:
 		d.in.Cond = Cond(op & 0xf)
 		return d.opRM(SETCC, 1)

@@ -2,6 +2,7 @@ package x86
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -189,6 +190,26 @@ func TestDecodeBranches(t *testing.T) {
 	in, err = Decode(nb, 5)
 	if err != nil || in.Op != JCC || in.Cond != CondE || in.Target != 6 {
 		t.Fatalf("je near: %+v err=%v", in, err)
+	}
+	// Under 66 the near forms read a rel16, and the CPU truncates the
+	// target to 16 bits: the length follows the prefix and the target is
+	// the saturated out-of-frame one, never a frame offset.
+	for _, c := range []struct {
+		b   []byte
+		op  Opcode
+		len int
+	}{
+		{[]byte{0x66, 0xe8, 0xf0, 0xff, 0x90, 0x90}, CALL, 4},
+		{[]byte{0x66, 0xe9, 0x00, 0x00, 0x90, 0x90}, JMP, 4},
+		{[]byte{0x66, 0x0f, 0x85, 0xfa, 0xff, 0x90, 0x90}, JCC, 5},
+	} {
+		in, err := Decode(c.b, 0)
+		if err != nil || in.Op != c.op || int(in.Len) != c.len || !in.HasTarget || in.Target != math.MaxInt32 {
+			t.Errorf("Decode(% x) = %+v err=%v, want %v of length %d with target MaxInt32", c.b, in, err, c.op, c.len)
+		}
+	}
+	if _, err := Decode([]byte{0x66, 0xe8, 0x00}, 0); err == nil {
+		t.Error("66 e8 with one displacement byte should not decode")
 	}
 }
 
