@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/netip"
 	"testing"
+	"time"
 
 	"semnids/internal/netpkt"
 	"semnids/internal/report"
@@ -44,36 +45,69 @@ func renderIncidents(t *testing.T, e *Engine) string {
 
 // TestIncidentDeterminismAcrossShards is the correlator's version of
 // the engine's alert-determinism invariant: the rendered incident set
-// (stage transitions included) is byte-identical across shard counts,
-// even though shard events interleave differently on every run.
+// (stage transitions included) and the evidence export are
+// byte-identical across shard counts and across repeated runs, even
+// though shard events interleave differently on every run. The IoT
+// botnet runs with datagram flows and a short idle window, so flows
+// are evicted mid-trace at times that vary with the shard count.
 func TestIncidentDeterminismAcrossShards(t *testing.T) {
-	traces := map[string][]*netpkt.Packet{
-		"paper-table3": traffic.Synthesize(traffic.TraceSpec{
+	traces := []struct {
+		name  string
+		pkts  []*netpkt.Packet
+		dgram bool
+	}{
+		{"paper-table3", traffic.Synthesize(traffic.TraceSpec{
 			Seed: 11, BenignSessions: 60, CodeRedInstances: 3,
-		}),
-		"worm-outbreak": traffic.WormOutbreak(traffic.WormSpec{
+		}), false},
+		{"worm-outbreak", traffic.WormOutbreak(traffic.WormSpec{
 			Seed: 7, Generations: 2, FanoutPerHost: 2,
-		}),
+		}), false},
+		{"iot-botnet", traffic.IoTBotnet(traffic.IoTSpec{
+			Seed: 11, Generations: 3, FanoutPerHost: 3,
+		}), true},
 	}
-	for name, pkts := range traces {
-		var want string
-		for _, shards := range []int{1, 2, 4} {
-			e := correlatedEngine(t, shards)
-			for _, p := range pkts {
+	for _, tr := range traces {
+		var want, wantExport string
+		// Shards 2 twice: one shard count, two interleavings.
+		for i, shards := range []int{1, 2, 4, 2} {
+			cfg := EngineConfig{
+				Config: Config{
+					Honeypots: []string{traffic.HoneypotAddr.String()},
+					DarkSpace: []string{traffic.DarkNet.String()},
+				},
+				Shards:    shards,
+				Correlate: true,
+			}
+			if tr.dgram {
+				cfg.DatagramFlows, cfg.DatagramIdle = true, 2*time.Second
+			}
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range tr.pkts {
 				e.Process(clonePacket(p))
 			}
 			e.Stop()
 			got := renderIncidents(t, e)
-			if shards == 1 {
-				want = got
+			var export bytes.Buffer
+			if err := e.ExportIncidents(&export); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				want, wantExport = got, export.String()
 				if got == "no correlated incidents\n" {
-					t.Fatalf("%s: baseline run produced no incidents", name)
+					t.Fatalf("%s: baseline run produced no incidents", tr.name)
 				}
 				continue
 			}
 			if got != want {
-				t.Errorf("%s: incident set diverged at shards=%d\n got:\n%s\nwant:\n%s",
-					name, shards, got, want)
+				t.Errorf("%s: incident set diverged at shards=%d (run %d)\n got:\n%s\nwant:\n%s",
+					tr.name, shards, i+1, got, want)
+			}
+			if export.String() != wantExport {
+				t.Errorf("%s: evidence export diverged at shards=%d (run %d): %d bytes, shards=1 wrote %d",
+					tr.name, shards, i+1, export.Len(), len(wantExport))
 			}
 		}
 	}

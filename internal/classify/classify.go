@@ -111,7 +111,7 @@ func (c *Classifier) Classify(p *netpkt.Packet) (bool, Reason) {
 
 	// Scheme 1: honeypot decoys.
 	if c.honeypots[p.DstIP] {
-		c.suspicious[src] = now + suspiciousTTLUS
+		c.extend(src, now+suspiciousTTLUS)
 		c.selected++
 		return true, ReasonHoneypot
 	}
@@ -125,7 +125,7 @@ func (c *Classifier) Classify(p *netpkt.Packet) (bool, Reason) {
 		}
 		seen[p.DstIP] = true
 		if len(seen) >= c.cfg.ScanThreshold {
-			c.suspicious[src] = now + suspiciousTTLUS
+			c.extend(src, now+suspiciousTTLUS)
 			c.selected++
 			return true, ReasonScanner
 		}
@@ -135,7 +135,7 @@ func (c *Classifier) Classify(p *netpkt.Packet) (bool, Reason) {
 	if expiry, ok := c.suspicious[src]; ok {
 		if now <= expiry {
 			// Refresh: an active attacker stays on the list.
-			c.suspicious[src] = now + suspiciousTTLUS
+			c.extend(src, now+suspiciousTTLUS)
 			c.selected++
 			return true, ReasonSuspicious
 		}
@@ -146,11 +146,22 @@ func (c *Classifier) Classify(p *netpkt.Packet) (bool, Reason) {
 }
 
 // MarkSuspicious force-registers a source (used when an alert fires,
-// so follow-on traffic from the attacker is captured).
+// so follow-on traffic from the attacker is captured). Alerts arrive
+// from every shard in no fixed order, so the mark only ever extends the
+// expiry: the result is the latest alert's, whichever lands last.
 func (c *Classifier) MarkSuspicious(src netip.Addr, nowUS uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.suspicious[src] = nowUS + suspiciousTTLUS
+	c.extend(src, nowUS+suspiciousTTLUS)
+}
+
+// extend folds an expiry into src's suspicious mark, keeping the later
+// one: marks from the dispatcher, from alerts on any shard and from
+// imports commute. Called with mu held.
+func (c *Classifier) extend(src netip.Addr, until uint64) {
+	if until > c.suspicious[src] {
+		c.suspicious[src] = until
+	}
 }
 
 // SourceState is one source's exportable classification state: its
@@ -218,9 +229,7 @@ func (c *Classifier) ImportState(states []SourceState) {
 	defer c.mu.Unlock()
 	for i := range states {
 		st := &states[i]
-		if st.SuspiciousUntilUS > c.suspicious[st.Src] {
-			c.suspicious[st.Src] = st.SuspiciousUntilUS
-		}
+		c.extend(st.Src, st.SuspiciousUntilUS)
 		if len(st.Dark) > 0 {
 			seen := c.darkSeen[st.Src]
 			if seen == nil {

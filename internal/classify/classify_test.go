@@ -110,6 +110,25 @@ func TestMarkSuspicious(t *testing.T) {
 	}
 }
 
+// TestMarkSuspiciousKeepsLaterExpiry: alerts reach MarkSuspicious from
+// every shard in no fixed order, and the dispatcher's refresh
+// interleaves with them, so the exported expiry must be the latest
+// mark's whatever the order of the calls.
+func TestMarkSuspiciousKeepsLaterExpiry(t *testing.T) {
+	src := netip.MustParseAddr("10.1.1.1")
+	for _, order := range [][]uint64{{100, 900}, {900, 100}} {
+		c := newTestClassifier(false)
+		for _, ts := range order {
+			c.MarkSuspicious(src, ts)
+		}
+		// A refresh by an earlier packet leaves the later mark alone.
+		c.Classify(pkt("10.1.1.1", "192.168.1.10", 200))
+		if got := c.ExportState(); len(got) != 1 || got[0].SuspiciousUntilUS != 900+suspiciousTTLUS {
+			t.Errorf("marks at %v: exported %+v, want expiry %d", order, got, uint64(900+suspiciousTTLUS))
+		}
+	}
+}
+
 func TestStats(t *testing.T) {
 	c := newTestClassifier(false)
 	for i := 0; i < 10; i++ {

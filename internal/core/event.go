@@ -57,10 +57,13 @@ const (
 	// verdict path (cache hit or miss alike, so the event stream does
 	// not depend on cache state). Fingerprint identifies the frame.
 	EventFingerprint
-	// EventFlowEvict: the engine gave up on a flow (idle or LRU
-	// eviction) after analyzing its unfinished tail. Bookkeeping only:
-	// eviction timing varies with shard count and budget, so
-	// correlators must not derive incident content from it.
+	// EventFlowEvict: a flow was given up (idle or LRU eviction)
+	// after its unfinished tail was analyzed. The engine does not
+	// publish it; a publisher that mirrors the engine's flow lifecycle
+	// may (bench/'s staged pass does). Bookkeeping only: eviction
+	// timing varies with shard count and budget, so the correlator
+	// counts it and derives nothing from it, not even a source's
+	// clock or recency.
 	EventFlowEvict
 )
 

@@ -156,12 +156,14 @@ type Config struct {
 	Telemetry *telemetry.Registry
 
 	// OnEvent, when non-nil, taps the shard hot path: flow opens,
-	// alerts (with payload fingerprints), per-frame fingerprint
-	// observations and flow evictions are published as typed events —
-	// the feed the incident correlator consumes. Events are plain
-	// values; a nil tap costs a single branch and no allocation.
-	// Invoked from shard goroutines; alert/fingerprint events carry
-	// fingerprints even when the verdict cache is disabled.
+	// alerts (with payload fingerprints) and per-frame fingerprint
+	// observations are published as typed events — the feed the
+	// incident correlator consumes. Flow evictions are not published:
+	// their timing varies with the shard count, and nothing derives
+	// evidence from them. Events are plain values; a nil tap costs a
+	// single branch and no allocation. Invoked from shard goroutines;
+	// alert/fingerprint events carry fingerprints even when the
+	// verdict cache is disabled.
 	OnEvent func(core.Event)
 }
 

@@ -106,9 +106,6 @@ func newShard(e *Engine, id int) *shard {
 	// stream buffer goes straight back to the assembler's pool.
 	s.asm.SetEvictHandler(func(st *reasm.Stream) {
 		s.analyzeTail(st)
-		if tap := e.cfg.OnEvent; tap != nil {
-			tap(flowEvent(core.EventFlowEvict, s.maxTS, st.Key))
-		}
 		s.asm.Recycle(st.Data)
 	})
 	return s

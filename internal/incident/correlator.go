@@ -42,9 +42,10 @@ type Config struct {
 const maxAttackersPerFingerprint = 4
 
 const (
-	// queueDepth bounds the event channel between the shards and the
-	// correlator goroutine; a full queue applies backpressure, never
-	// silent loss.
+	// queueDepth bounds the events held between the publishers and the
+	// correlator goroutine: two buffers of queueDepth/2, one filling
+	// while the other is applied. A full buffer applies backpressure,
+	// never silent loss.
 	queueDepth = 4096
 
 	// maxCompleted caps retained finalized incidents; the oldest are
@@ -76,9 +77,10 @@ func (cfg Config) withDefaults() Config {
 
 // Metrics is a snapshot of correlator counters and gauges.
 type Metrics struct {
-	// Events counts everything received; the per-kind counters break
-	// it down.
-	Events, FlowOpens, Alerts, Fingerprints, FlowEvicts uint64
+	// Events counts every event the goroutine took from the queue,
+	// flow-evicts included; the per-kind counters break down the kinds
+	// that carry evidence.
+	Events, FlowOpens, Alerts, Fingerprints uint64
 
 	// SourcesTracked is the live state-machine count;
 	// SourcesEvictedLRU / SourcesEvictedIdle count finalizations that
@@ -91,12 +93,6 @@ type Metrics struct {
 	Incidents uint64
 }
 
-// msg is one correlator input: an event or a flush barrier.
-type msg struct {
-	ev  core.Event
-	ctl *sync.WaitGroup
-}
-
 // Correlator consumes engine events and maintains per-source
 // kill-chain state machines. Publish may be called from any number of
 // goroutines; all state is owned by the single run goroutine, with a
@@ -104,18 +100,12 @@ type msg struct {
 type Correlator struct {
 	cfg Config
 
-	in       chan msg
+	q        queue
 	done     chan struct{}
 	stopOnce sync.Once
-	stopped  atomic.Bool
-	// sendMu serializes channel sends against Stop's close: Publish
-	// and Flush hold it shared, Stop exclusively, so a send can never
-	// race the close into a panic. The consumer keeps draining until
-	// the close, so shared holders always make progress.
-	sendMu sync.RWMutex
 
 	// mu guards sources/lru/completed: held by the run goroutine while
-	// applying one event and by Incidents/Metrics readers.
+	// applying one batch and by Incidents/Metrics readers.
 	mu        sync.Mutex
 	sources   map[netip.Addr]*sourceState
 	lru       *list.List // front = most recently active
@@ -124,9 +114,9 @@ type Correlator struct {
 	lastSweep uint64
 
 	m struct {
-		events, flowOpens, alerts, fingerprints, flowEvicts atomic.Uint64
-		evictedLRU, evictedIdle                             atomic.Uint64
-		incidents                                           atomic.Uint64
+		events, flowOpens, alerts, fingerprints atomic.Uint64
+		evictedLRU, evictedIdle                 atomic.Uint64
+		incidents                               atomic.Uint64
 	}
 
 	// stageLatUS, indexed by Stage, records trace-time µs from a
@@ -148,7 +138,7 @@ func New(cfg Config) *Correlator {
 		sources: make(map[netip.Addr]*sourceState),
 		lru:     list.New(),
 	}
-	c.in = make(chan msg, queueDepth)
+	c.q.init()
 	c.registerTelemetry()
 	go c.run()
 	return c
@@ -166,7 +156,6 @@ func (c *Correlator) registerTelemetry() {
 	reg.CounterFunc(`semnids_incident_events_by_kind_total{kind="flow_open"}`, "Events by kind.", c.m.flowOpens.Load)
 	reg.CounterFunc(`semnids_incident_events_by_kind_total{kind="alert"}`, "Events by kind.", c.m.alerts.Load)
 	reg.CounterFunc(`semnids_incident_events_by_kind_total{kind="fingerprint"}`, "Events by kind.", c.m.fingerprints.Load)
-	reg.CounterFunc(`semnids_incident_events_by_kind_total{kind="flow_evict"}`, "Events by kind.", c.m.flowEvicts.Load)
 	reg.CounterFunc(`semnids_incident_sources_evicted_total{reason="lru"}`, "Sources finalized to bound state.", c.m.evictedLRU.Load)
 	reg.CounterFunc(`semnids_incident_sources_evicted_total{reason="idle"}`, "Sources finalized to bound state.", c.m.evictedIdle.Load)
 	reg.CounterFunc("semnids_incident_incidents_total", "Sources whose derived stage rose above NONE.", c.m.incidents.Load)
@@ -175,9 +164,7 @@ func (c *Correlator) registerTelemetry() {
 		defer c.mu.Unlock()
 		return int64(len(c.sources))
 	})
-	reg.GaugeFunc("semnids_incident_queue_depth", "Events buffered toward the correlator goroutine.", func() int64 {
-		return int64(len(c.in))
-	})
+	reg.GaugeFunc("semnids_incident_queue_depth", "Events pending in the queue toward the correlator goroutine.", c.q.pending)
 	for st := StageRecon; st <= StagePropagation; st++ {
 		c.stageLatUS[st] = reg.Histogram(
 			`semnids_incident_stage_latency_us{stage="`+strings.ToLower(st.String())+`"}`,
@@ -185,61 +172,136 @@ func (c *Correlator) registerTelemetry() {
 	}
 }
 
-// Publish offers one event. It blocks when the bounded queue is full
+// queue carries events from the publishers to the correlator
+// goroutine in batches. Publishers append to the open buffer under mu
+// and wake the goroutine only when it turns non-empty; the goroutine
+// swaps the whole buffer out for the one it last applied and takes
+// c.mu once per batch. The open buffer holds at most queueDepth/2
+// events and a publisher waits while it is full, so at most queueDepth
+// events are in flight.
+type queue struct {
+	mu   sync.Mutex
+	open []core.Event
+	// spare is the buffer the goroutine applied last, empty; it becomes
+	// the open buffer at the next swap.
+	spare []core.Event
+	// work wakes the goroutine when open turns non-empty or the queue
+	// stops; room wakes publishers when open is swapped out or the
+	// queue stops; drained wakes Flush callers when a batch is applied.
+	work, room, drained sync.Cond
+	// accepted counts events appended to open, applied those the
+	// goroutine has applied: Flush waits for applied to reach the
+	// accepted count it saw.
+	accepted, applied uint64
+	stopped           bool
+}
+
+func (q *queue) init() {
+	q.open = make([]core.Event, 0, queueDepth/2)
+	q.spare = make([]core.Event, 0, queueDepth/2)
+	q.work.L, q.room.L, q.drained.L = &q.mu, &q.mu, &q.mu
+}
+
+// pending is the number of events accepted and not yet taken by the
+// goroutine (the queue-depth gauge).
+func (q *queue) pending() int64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return int64(len(q.open))
+}
+
+// Publish offers one event. It blocks while the open buffer is full
 // (backpressure, mirroring the engine's PolicyBlock default) and is a
-// no-op after — or concurrent with — Stop.
+// no-op after — or concurrent with — Stop: a publisher waiting on a
+// full buffer when Stop begins returns without its event.
 func (c *Correlator) Publish(ev core.Event) {
-	c.sendMu.RLock()
-	defer c.sendMu.RUnlock()
-	if c.stopped.Load() {
+	q := &c.q
+	q.mu.Lock()
+	for len(q.open) == cap(q.open) && !q.stopped {
+		q.room.Wait()
+	}
+	if q.stopped {
+		q.mu.Unlock()
 		return
 	}
-	c.in <- msg{ev: ev}
+	q.open = append(q.open, ev)
+	q.accepted++
+	first := len(q.open) == 1
+	q.mu.Unlock()
+	if first {
+		q.work.Signal()
+	}
 }
 
 // Flush blocks until every event published before it has been applied.
 // No-op after Stop.
 func (c *Correlator) Flush() {
-	var wg sync.WaitGroup
-	c.sendMu.RLock()
-	if c.stopped.Load() {
-		c.sendMu.RUnlock()
+	q := &c.q
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.stopped {
 		return
 	}
-	wg.Add(1)
-	c.in <- msg{ctl: &wg}
-	c.sendMu.RUnlock()
-	wg.Wait()
+	for target := q.accepted; q.applied < target; {
+		q.drained.Wait()
+	}
 }
 
-// Stop terminates the correlator goroutine after draining queued
-// events. Idempotent; Incidents and Metrics stay readable.
+// Stop terminates the correlator goroutine after applying every event
+// the queue accepted. Idempotent; Incidents and Metrics stay readable.
 func (c *Correlator) Stop() {
 	c.stopOnce.Do(func() {
-		c.sendMu.Lock()
-		c.stopped.Store(true)
-		c.sendMu.Unlock()
-		close(c.in)
+		q := &c.q
+		q.mu.Lock()
+		q.stopped = true
+		q.mu.Unlock()
+		q.work.Signal()
+		q.room.Broadcast()
 		<-c.done
 	})
 }
 
 func (c *Correlator) run() {
 	defer close(c.done)
-	for m := range c.in {
-		if m.ctl != nil {
-			m.ctl.Done()
-			continue
+	q := &c.q
+	for {
+		q.mu.Lock()
+		for len(q.open) == 0 && !q.stopped {
+			q.work.Wait()
 		}
+		if len(q.open) == 0 {
+			// Stopped and drained.
+			q.mu.Unlock()
+			return
+		}
+		batch := q.open
+		q.open, q.spare = q.spare, nil
+		q.mu.Unlock()
+		q.room.Broadcast()
+
+		c.m.events.Add(uint64(len(batch)))
 		c.mu.Lock()
-		c.apply(m.ev)
+		for i := range batch {
+			c.apply(&batch[i])
+		}
 		c.mu.Unlock()
+
+		q.mu.Lock()
+		q.applied += uint64(len(batch))
+		q.spare = batch[:0]
+		q.mu.Unlock()
+		q.drained.Broadcast()
 	}
 }
 
 // apply folds one event into the evidence model. Called with mu held.
-func (c *Correlator) apply(ev core.Event) {
-	c.m.events.Add(1)
+func (c *Correlator) apply(ev *core.Event) {
+	if ev.Kind == core.EventFlowEvict {
+		// Counted, never applied: eviction timing varies with shard
+		// count and byte budgets, so it must not shape any source's
+		// evidence, clock or recency.
+		return
+	}
 	if ev.TimestampUS > c.maxTS {
 		c.maxTS = ev.TimestampUS
 	}
@@ -306,14 +368,6 @@ func (c *Correlator) apply(ev core.Event) {
 		if tfp := tailFP(ev); !tfp.IsZero() && tfp != ev.Fingerprint {
 			c.emits(s, tfp, ev.TimestampUS)
 		}
-
-	case core.EventFlowEvict:
-		// Bookkeeping only: eviction timing depends on shard count and
-		// byte budgets, so it must not shape incident content.
-		c.m.flowEvicts.Add(1)
-		if s := c.sources[ev.Src]; s != nil {
-			c.touchLRU(s, ev.TimestampUS)
-		}
 	}
 
 	c.maybeSweep()
@@ -340,8 +394,7 @@ func (c *Correlator) targeted(attacker, victim netip.Addr, fp core.Fingerprint, 
 // same verdict as the alert-side check (targeted) whatever the arrival
 // order.
 func (c *Correlator) emits(s *sourceState, fp core.Fingerprint, ts uint64) {
-	s.emitted.put(fp, ts, c.cfg.Limits.MaxFingerprints)
-	if sp, ok := s.emitted.get(fp); ok {
+	if sp, ok := s.emitted.put(fp, ts, c.cfg.Limits.MaxFingerprints); ok {
 		for _, ref := range s.targetedBy[fp] {
 			if sp.last > ref.tsUS {
 				c.escalate(ref.attacker, s.src, echoTime(sp, ref.tsUS))
@@ -353,7 +406,7 @@ func (c *Correlator) emits(s *sourceState, fp core.Fingerprint, ts uint64) {
 // tailFP lifts an event's structural sketch into the fingerprint
 // keyspace: the decoded-tail identity shared by every re-encoding of
 // one payload (zero when lineage is off or the frame decoded nothing).
-func tailFP(ev core.Event) core.Fingerprint {
+func tailFP(ev *core.Event) core.Fingerprint {
 	if !ev.Sketch.HasTail() {
 		return core.Fingerprint{}
 	}
@@ -565,7 +618,6 @@ func (c *Correlator) Metrics() Metrics {
 		FlowOpens:          c.m.flowOpens.Load(),
 		Alerts:             c.m.alerts.Load(),
 		Fingerprints:       c.m.fingerprints.Load(),
-		FlowEvicts:         c.m.flowEvicts.Load(),
 		SourcesTracked:     tracked,
 		SourcesEvictedLRU:  c.m.evictedLRU.Load(),
 		SourcesEvictedIdle: c.m.evictedIdle.Load(),

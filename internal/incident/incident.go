@@ -1,11 +1,11 @@
 // Package incident is the streaming cross-shard incident correlation
 // subsystem: the fourth pipeline stage, after classification,
 // extraction and semantic analysis. The engine's shards publish typed
-// events (core.Event) over a bounded channel to a single correlator
-// goroutine that maintains one state machine per source address,
-// advancing through the kill-chain stages of the paper's operational
-// story ("further action may be taken against the offending IP
-// address"):
+// events (core.Event) through a bounded batch queue to a single
+// correlator goroutine that maintains one state machine per source
+// address, advancing through the kill-chain stages of the paper's
+// operational story ("further action may be taken against the
+// offending IP address"):
 //
 //	RECON        destination fan-out above a threshold inside a
 //	             sliding trace-time window (the scan that precedes
@@ -217,15 +217,16 @@ type sourceState struct {
 	src netip.Addr
 
 	// firstUS/lastUS span content-bearing evidence (flow-open, alert,
-	// fingerprint); lastSeenUS additionally counts bookkeeping events
-	// and drives idle eviction. echoUS is sweep bookkeeping only — the
-	// trace time of the latest escalation proved against this source —
-	// so an attacker whose victims are still echoing its payload is
-	// not idle-finalized mid-outbreak. It is never exported: which
-	// escalations fire, and when, varies with arrival order and
-	// partitioning, exactly the noise the serialized evidence excludes
-	// (lastSeenUS, by contrast, is a pure max over direct
-	// observations).
+	// fingerprint); lastSeenUS is the max over every event that names
+	// the source, as sender or as an alert's victim, and over imported
+	// records' clocks, and drives idle eviction. echoUS is sweep
+	// bookkeeping only — the trace time of the latest escalation
+	// proved against this source — so an attacker whose victims are
+	// still echoing its payload is not idle-finalized mid-outbreak. It
+	// is never exported: which escalations fire, and when, varies with
+	// arrival order and partitioning, exactly the noise the serialized
+	// evidence excludes (lastSeenUS, by contrast, is a pure max over
+	// direct observations).
 	firstUS, lastUS uint64
 	lastSeenUS      uint64
 	echoUS          uint64
@@ -339,7 +340,9 @@ func (s *minKSet[K]) get(key K) (span, bool) {
 	return sp, ok
 }
 
-func (s *minKSet[K]) put(key K, ts uint64, cap int) {
+// put folds an observation of key at ts into the set and returns the
+// key's span after it, with ok false when the cap rejected the key.
+func (s *minKSet[K]) put(key K, ts uint64, cap int) (span, bool) {
 	if sp, ok := s.m[key]; ok {
 		if ts < sp.first {
 			sp.first = ts
@@ -351,22 +354,24 @@ func (s *minKSet[K]) put(key K, ts uint64, cap int) {
 			sp.last = ts
 		}
 		s.m[key] = sp
-		return
+		return sp, true
 	}
+	sp := span{first: ts, last: ts}
 	if len(s.m) < cap {
-		s.m[key] = span{first: ts, last: ts}
+		s.m[key] = sp
 		s.maxValid = false
-		return
+		return sp, true
 	}
 	if !s.maxValid {
 		s.recomputeMax()
 	}
 	if ts > s.maxTS || (ts == s.maxTS && !s.less(key, s.maxKey)) {
-		return // sorts after the current maximum: rejected without a scan
+		return span{}, false // sorts after the current maximum: rejected without a scan
 	}
 	delete(s.m, s.maxKey)
-	s.m[key] = span{first: ts, last: ts}
+	s.m[key] = sp
 	s.maxValid = false
+	return sp, true
 }
 
 func (s *minKSet[K]) recomputeMax() {

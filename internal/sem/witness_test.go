@@ -116,10 +116,10 @@ func TestScanWitnessMatchesReference(t *testing.T) {
 // transferCandidates yields every relative transfer, int and FF
 // encoding behind each prefix the decoder takes, with random operand
 // bytes: the prefixed forms shapeCandidates reaches only by chance,
-// the 66-prefixed rel16 reading among them. Then each rel32 transfer,
-// bare and behind 66, with the displacement that puts its target one
-// byte before the frame, on its first byte and on its second (placed
-// after shapePrologue).
+// the 66-prefixed rel16 reading among them. Then each rel32 transfer
+// and a rel8 jcc, loop and jmp, bare and behind 66, with the
+// displacement that puts its target one byte before the frame, on its
+// first byte and on its second (placed after shapePrologue).
 func transferCandidates(yield func(enc []byte)) {
 	r := rand.New(rand.NewSource(37))
 	var ops [][]byte
@@ -155,6 +155,16 @@ func transferCandidates(yield func(enc []byte)) {
 			}
 		}
 	}
+	// shapePrologue is short enough for a rel8 to reach back past it.
+	for _, op := range []byte{0x75, 0xe2, 0xeb} {
+		for _, pre := range [][]byte{nil, {0x66}} {
+			enc := append(append([]byte{}, pre...), op)
+			end := base + len(enc) + 1
+			for target := -1; target <= 1; target++ {
+				yield(append(enc[:len(enc):len(enc)], byte(int8(target-end))))
+			}
+		}
+	}
 }
 
 // TestWitnessCoversShape is the soundness of the byte witness as a
@@ -174,9 +184,10 @@ func transferCandidates(yield func(enc []byte)) {
 //     of address order;
 //
 // and a sweep without such a jmp or call threads in address order,
-// where a back edge the matcher takes is one prunable accepts. The
-// 66-prefixed E8, E9 and 0F 8x forms decode as rel16 transfers with no
-// frame target, which need no witness.
+// where a back edge the matcher takes is one prunable accepts. Every
+// 66-prefixed relative transfer — the E8, E9 and 0F 8x forms read as
+// rel16, and the 7x, E0–E3 and EB rel8 forms — decodes with no frame
+// target, and so needs no witness.
 func TestWitnessCoversShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("one goroutine over ~250k frames: ten times slower under the race detector, with nothing for it to find")
@@ -200,7 +211,7 @@ func TestWitnessCoversShape(t *testing.T) {
 	var cache x86.DecodeCache
 	var order []*x86.Inst
 	accepted := map[uint8]int{}
-	rel16 := 0
+	prefixed := map[int]int{} // 66-prefixed transfers decoded, by displacement size
 	check := func(enc []byte) {
 		frame = append(append(frame[:0], prologue...), enc...)
 		cache.Reset(frame)
@@ -211,8 +222,11 @@ func TestWitnessCoversShape(t *testing.T) {
 			own = append(append(own[:0], make([]byte, in.Addr)...), frame[in.Addr:end]...)
 			w := scanWitness(own)
 			inFrameBack := in.HasTarget && in.Target >= 0 && in.Target < in.Addr
-			if in.HasTarget && in.OpSize == 2 && in.Target == math.MaxInt32 {
-				rel16++
+			if in.HasTarget && in.OpSize == 2 {
+				if in.Target != math.MaxInt32 {
+					t.Fatalf("66-prefixed %v (% x) has a frame target", in, enc)
+				}
+				prefixed[transferDisp(frame[in.Addr:end])]++
 			}
 			for _, st := range stmts {
 				ok := st.shape(in)
@@ -251,9 +265,25 @@ func TestWitnessCoversShape(t *testing.T) {
 			t.Errorf("no candidate needed witness %03b: the property is vacuous for it", w)
 		}
 	}
-	if rel16 == 0 {
-		t.Error("no 66-prefixed transfer decoded as a rel16")
+	for _, size := range []int{1, 2} {
+		if prefixed[size] == 0 {
+			t.Errorf("no 66-prefixed transfer with a %d-byte displacement decoded", size)
+		}
 	}
+}
+
+// transferDisp is the displacement size of a decoded 66-prefixed
+// relative transfer, from its encoding: the bytes after the prefixes
+// and the opcode (one byte, or two for 0F 8x).
+func transferDisp(enc []byte) int {
+	i := 0
+	for enc[i] != 0x0f && (enc[i] < 0x70 || enc[i] > 0x7f) && (enc[i] < 0xe0 || enc[i] > 0xeb) {
+		i++
+	}
+	if enc[i] == 0x0f {
+		i++
+	}
+	return len(enc) - i - 1
 }
 
 // checkWitnessRejects holds the witness to what it claims, for every

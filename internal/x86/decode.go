@@ -353,8 +353,12 @@ func (d *decoder) opGrp1Imm(rmSize, immSize int) error {
 	return d.imm(1, immSize)
 }
 
-// rel is a relative branch. The target is resolved against d.pos once
-// the displacement has been read, i.e. against the next instruction.
+// rel is a relative branch with a displacement of the given size. The
+// target is resolved against d.pos once the displacement has been read,
+// i.e. against the next instruction. Under 66 a CPU truncates the new
+// EIP to 16 bits, which names no frame offset, so the branch gets the
+// saturated out-of-frame target a rel32 past the frame gets, whatever
+// its displacement size.
 func (d *decoder) rel(op Opcode, cond Cond, size int) error {
 	disp, err := d.immBySize(size)
 	if err != nil {
@@ -362,23 +366,16 @@ func (d *decoder) rel(op Opcode, cond Cond, size int) error {
 	}
 	d.in.Op, d.in.Cond, d.in.HasTarget = op, cond, true
 	d.in.Target = int32(min(d.pos+int(disp), math.MaxInt32))
+	if d.opSize == 2 {
+		d.in.Target = math.MaxInt32
+	}
 	return nil
 }
 
 // relV is a relative branch with an operand-size displacement: a rel32,
-// or a rel16 under 66. A CPU truncates a rel16 branch's target to 16
-// bits, which names no frame offset, so it gets the saturated
-// out-of-frame target a rel32 past the frame gets.
+// or a rel16 under 66.
 func (d *decoder) relV(op Opcode, cond Cond) error {
-	if d.opSize == 4 {
-		return d.rel(op, cond, 4)
-	}
-	if _, err := d.u16(); err != nil {
-		return err
-	}
-	d.in.Op, d.in.Cond, d.in.HasTarget = op, cond, true
-	d.in.Target = math.MaxInt32
-	return nil
+	return d.rel(op, cond, d.opSize)
 }
 
 // moffs is mov between the accumulator and an absolute address;

@@ -193,17 +193,27 @@ func TestDecodeBranches(t *testing.T) {
 	}
 	// Under 66 the near forms read a rel16, and the CPU truncates the
 	// target to 16 bits: the length follows the prefix and the target is
-	// the saturated out-of-frame one, never a frame offset.
+	// the saturated out-of-frame one, never a frame offset. The rel8
+	// forms keep their length, and their target is truncated all the
+	// same.
 	for _, c := range []struct {
 		b   []byte
+		at  int
 		op  Opcode
 		len int
 	}{
-		{[]byte{0x66, 0xe8, 0xf0, 0xff, 0x90, 0x90}, CALL, 4},
-		{[]byte{0x66, 0xe9, 0x00, 0x00, 0x90, 0x90}, JMP, 4},
-		{[]byte{0x66, 0x0f, 0x85, 0xfa, 0xff, 0x90, 0x90}, JCC, 5},
+		{[]byte{0x66, 0xe8, 0xf0, 0xff, 0x90, 0x90}, 0, CALL, 4},
+		{[]byte{0x66, 0xe9, 0x00, 0x00, 0x90, 0x90}, 0, JMP, 4},
+		{[]byte{0x66, 0x0f, 0x85, 0xfa, 0xff, 0x90, 0x90}, 0, JCC, 5},
+		{[]byte{0x90, 0x90, 0x66, 0x75, 0xfb}, 2, JCC, 3},
+		{[]byte{0x90, 0x90, 0x66, 0x70, 0x00, 0x90}, 2, JCC, 3},
+		{[]byte{0x90, 0x90, 0x66, 0xe0, 0xfb}, 2, LOOPNE, 3},
+		{[]byte{0x90, 0x90, 0x66, 0xe1, 0xfb}, 2, LOOPE, 3},
+		{[]byte{0x90, 0x90, 0x66, 0xe2, 0xfb}, 2, LOOP, 3},
+		{[]byte{0x90, 0x90, 0x66, 0xe3, 0x01, 0x90}, 2, JECXZ, 3},
+		{[]byte{0x90, 0x90, 0x66, 0xeb, 0xfb}, 2, JMP, 3},
 	} {
-		in, err := Decode(c.b, 0)
+		in, err := Decode(c.b, c.at)
 		if err != nil || in.Op != c.op || int(in.Len) != c.len || !in.HasTarget || in.Target != math.MaxInt32 {
 			t.Errorf("Decode(% x) = %+v err=%v, want %v of length %d with target MaxInt32", c.b, in, err, c.op, c.len)
 		}
