@@ -1,8 +1,10 @@
 package incident
 
 import (
-	"container/list"
+	"cmp"
+	"container/heap"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -52,9 +54,9 @@ const (
 	// dropped first.
 	maxCompleted = 1024
 
-	// maxTrackedSources caps a live correlator's tracked sources;
-	// least-recently-active sources beyond it are finalized and
-	// evicted.
+	// maxTrackedSources caps a live correlator's tracked sources; a
+	// new source beyond it first finalizes the tracked source with the
+	// least (stamp, address).
 	maxTrackedSources = 65536
 
 	// sourceIdleUS finalizes sources with no activity for this much
@@ -63,7 +65,7 @@ const (
 	// event lands before or after the sweep depends on cross-shard
 	// arrival order — so, as with the evidence caps, the byte-identical
 	// determinism guarantee holds for sources that stay within the
-	// idle window (and the LRU budget) for the life of the trace.
+	// idle window (and the source cap) for the life of the trace.
 	sourceIdleUS = 10 * 60 * 1e6
 )
 
@@ -104,11 +106,11 @@ type Correlator struct {
 	done     chan struct{}
 	stopOnce sync.Once
 
-	// mu guards sources/lru/completed: held by the run goroutine while
-	// applying one batch and by Incidents/Metrics readers.
+	// mu guards sources/byStamp/completed: held by the run goroutine
+	// while applying one batch and by Incidents/Metrics readers.
 	mu        sync.Mutex
 	sources   map[netip.Addr]*sourceState
-	lru       *list.List // front = most recently active
+	byStamp   stampHeap
 	completed []Incident
 	maxTS     uint64
 	lastSweep uint64
@@ -136,7 +138,6 @@ func New(cfg Config) *Correlator {
 		cfg:     cfg.withDefaults(),
 		done:    make(chan struct{}),
 		sources: make(map[netip.Addr]*sourceState),
-		lru:     list.New(),
 	}
 	c.q.init()
 	c.registerTelemetry()
@@ -436,8 +437,8 @@ func echoTime(sp span, t1 uint64) uint64 {
 // are left alone — echo maxima are derived instants, not observations
 // of the attacker, and folding them would make the exported evidence
 // depend on which intermediate echoes an interleaving happened to
-// produce (the zero timestamp refreshes recency without touching the
-// clock).
+// produce (the zero timestamp leaves the clock alone; echoUS, set
+// below, raises the attacker's recency stamp instead).
 func (c *Correlator) escalate(attacker, victim netip.Addr, echoTS uint64) {
 	a := c.source(attacker, 0)
 	// Sweep bookkeeping: the attacker is demonstrably still relevant
@@ -472,14 +473,13 @@ func (c *Correlator) escalate(attacker, victim netip.Addr, echoTS uint64) {
 }
 
 // source returns (creating if needed) the state machine for src and
-// refreshes its recency. Creation beyond the source cap finalizes the
-// least-recently-active source first.
+// raises its last-seen clock to ts. Creation beyond the source cap
+// first finalizes the tracked source with the least (stamp, address).
 func (c *Correlator) source(src netip.Addr, ts uint64) *sourceState {
 	s := c.sources[src]
 	if s == nil {
 		if len(c.sources) >= c.cfg.maxSources {
-			oldest := c.lru.Back()
-			c.finalize(oldest.Value.(*sourceState))
+			c.finalize(c.byStamp.popOldest())
 			c.m.evictedLRU.Add(1)
 		}
 		s = &sourceState{
@@ -491,31 +491,23 @@ func (c *Correlator) source(src netip.Addr, ts uint64) *sourceState {
 			emitted:    newMinKSet[core.Fingerprint](lessFingerprint),
 			victims:    newMinKSet[netip.Addr](lessAddr),
 		}
-		s.elem = c.lru.PushFront(s)
 		c.sources[src] = s
+		heap.Push(&c.byStamp, s)
 		if rec := c.track.held(src); rec != nil {
 			// A Fold's merge state holds only the sources a merge
 			// touches: bring this one in from its rendered record.
 			c.foldRecord(s, rec)
-			c.touchLRU(s, rec.LastSeenUS)
+			s.seen(rec.LastSeenUS)
 		}
 	}
-	c.touchLRU(s, ts)
+	s.seen(ts)
 	return s
 }
 
-func (c *Correlator) touchLRU(s *sourceState, ts uint64) {
-	if ts > s.lastSeenUS {
-		s.lastSeenUS = ts
-	}
-	c.lru.MoveToFront(s.elem)
-}
-
 // finalize removes a source, retaining its incident if it ever
-// advanced past NONE.
+// advanced past NONE. The caller takes it out of byStamp.
 func (c *Correlator) finalize(s *sourceState) {
 	delete(c.sources, s.src)
-	c.lru.Remove(s.elem)
 	if s.stage(c.cfg.WindowUS, c.cfg.FanoutThreshold) == StageNone {
 		return
 	}
@@ -527,9 +519,9 @@ func (c *Correlator) finalize(s *sourceState) {
 	}
 }
 
-// maybeSweep finalizes idle sources once per idle-interval of trace
-// time. Walking the LRU from the back visits oldest first and stops at
-// the first live source.
+// maybeSweep finalizes idle sources — those whose stamp predates the
+// idle cutoff — once per quarter idle-interval of trace time, in
+// (stamp, address) order, and rebuilds byStamp from the sources left.
 func (c *Correlator) maybeSweep() {
 	if c.maxTS-c.lastSweep < sourceIdleUS/4+1 {
 		return
@@ -539,18 +531,83 @@ func (c *Correlator) maybeSweep() {
 		return
 	}
 	cutoff := c.maxTS - sourceIdleUS
-	for {
-		back := c.lru.Back()
-		if back == nil {
-			return
+	var idle []*sourceState
+	for _, s := range c.sources {
+		if s.stamp() < cutoff {
+			idle = append(idle, s)
 		}
-		s := back.Value.(*sourceState)
-		if s.lastSeenUS >= cutoff || s.echoUS >= cutoff {
-			return
-		}
+	}
+	if len(idle) == 0 {
+		return
+	}
+	slices.SortFunc(idle, staler)
+	for _, s := range idle {
 		c.finalize(s)
 		c.m.evictedIdle.Add(1)
 	}
+	c.byStamp.reset()
+	for _, s := range c.sources {
+		c.byStamp = append(c.byStamp, stampEntry{s.stamp(), s})
+	}
+	heap.Init(&c.byStamp)
+}
+
+// staler orders sources by (stamp, address), the order the idle sweep
+// and the source cap finalize them in.
+func staler(x, y *sourceState) int {
+	if c := cmp.Compare(x.stamp(), y.stamp()); c != 0 {
+		return c
+	}
+	return x.src.Compare(y.src)
+}
+
+// stampHeap is a lazy min-heap of the tracked sources, one entry per
+// source, ordered by (key, address). An entry's key is its source's
+// stamp when the entry was last placed. Stamps only rise and touches
+// leave the heap alone, so a key may lag its source's stamp but never
+// lead it: a top whose key is current is the least (stamp, address)
+// of all, and a stale top is re-keyed and sifted down.
+type stampHeap []stampEntry
+
+type stampEntry struct {
+	key uint64
+	s   *sourceState
+}
+
+func (h stampHeap) Len() int { return len(h) }
+func (h stampHeap) Less(i, j int) bool {
+	if h[i].key != h[j].key {
+		return h[i].key < h[j].key
+	}
+	return h[i].s.src.Less(h[j].s.src)
+}
+func (h stampHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *stampHeap) Push(x any) {
+	s := x.(*sourceState)
+	*h = append(*h, stampEntry{s.stamp(), s})
+}
+func (h *stampHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = stampEntry{}
+	*h = old[:len(old)-1]
+	return e.s
+}
+
+// popOldest removes and returns the source with the least (stamp,
+// address). The heap must not be empty.
+func (h *stampHeap) popOldest() *sourceState {
+	for (*h)[0].key != (*h)[0].s.stamp() {
+		(*h)[0].key = (*h)[0].s.stamp()
+		heap.Fix(h, 0)
+	}
+	return heap.Pop(h).(*sourceState)
+}
+
+// reset empties the heap, keeping its storage.
+func (h *stampHeap) reset() {
+	clear(*h)
+	*h = (*h)[:0]
 }
 
 // notify delivers a derived incident to OnIncident when the source's

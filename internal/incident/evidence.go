@@ -1,7 +1,6 @@
 package incident
 
 import (
-	"container/list"
 	"fmt"
 	"maps"
 	"net/netip"
@@ -263,7 +262,7 @@ func (s *sourceState) cloneLocked() *sourceState {
 // outside it (the durable sink calls this periodically from its own
 // goroutine). Finalized (completed) incidents are rendered verdicts,
 // not evidence, and are not exported — a source idle for 10 minutes
-// of trace time, or pushed out of the 65 536-source LRU, does not
+// of trace time, or pushed out by the 65 536-source cap, does not
 // survive a restart unless an export caught it before finalization.
 func (c *Correlator) Export(sensor string) *EvidenceExport {
 	c.mu.Lock()
@@ -545,7 +544,6 @@ func newMergeState(p Params) *Correlator {
 	c := &Correlator{
 		cfg:     Config{Params: p, maxSources: mergeLimit}.withDefaults(),
 		sources: make(map[netip.Addr]*sourceState),
-		lru:     list.New(),
 	}
 	// Unregistered histograms keep the fold path free of nil checks;
 	// a scratch merge's latency observations are discarded with it.

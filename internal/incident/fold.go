@@ -125,7 +125,7 @@ func (f *Fold) Merge(sensors []string, sources []SourceEvidence, cls []Classifie
 	}
 	clear(c.track.dirty)
 	clear(c.sources)
-	c.lru.Init()
+	c.byStamp.reset()
 
 	f.sensors = core.SortedUnion(f.sensors, sensors)
 	for i := range cls {

@@ -21,8 +21,9 @@
 // commutative), and stages plus their transition times are *derived*
 // from the evidence. The same trace therefore yields byte-identical
 // incidents whatever the shard count. Per-source state is strictly
-// bounded: evidence sets are capped, the source table is capped with
-// LRU eviction, and idle sources are swept on a trace-time clock.
+// bounded: evidence sets are capped, the source table is capped by
+// finalizing the least (stamp, address) source, and idle sources are
+// swept on a trace-time clock.
 //
 // The fan-out window, the RECON threshold and the evidence caps are one
 // value, Params: the determinism contract every evidence export
@@ -32,7 +33,6 @@
 package incident
 
 import (
-	"container/list"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -259,10 +259,20 @@ type sourceState struct {
 
 	// notified is the highest stage already delivered to OnIncident.
 	notified Stage
-
-	// elem positions the source in the correlator's recency list.
-	elem *list.Element
 }
+
+// seen raises the source's last-seen clock to ts.
+func (s *sourceState) seen(ts uint64) {
+	if ts > s.lastSeenUS {
+		s.lastSeenUS = ts
+	}
+}
+
+// stamp is the source's recency: the later of its last-seen clock and
+// its latest escalation. The idle sweep and the source cap finalize
+// sources in (stamp, address) order, so which sources they finalize
+// depends on the evidence applied, not on the order it was applied in.
+func (s *sourceState) stamp() uint64 { return max(s.lastSeenUS, s.echoUS) }
 
 // touchContent folds a content-bearing event timestamp into the span.
 func (s *sourceState) touchContent(ts uint64) {

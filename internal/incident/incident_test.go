@@ -1,9 +1,11 @@
 package incident
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 
 	"semnids/internal/core"
@@ -215,6 +217,91 @@ func TestSourceLRUBound(t *testing.T) {
 	}
 	if m.SourcesEvictedLRU == 0 {
 		t.Fatal("no LRU evictions despite 10x the source cap")
+	}
+	// Rising timestamps: the cap finalizes the oldest source each time,
+	// so exactly the last cap sources are left.
+	var kept []netip.Addr
+	for _, se := range c.Export("s").Sources {
+		kept = append(kept, se.Src)
+	}
+	var want []netip.Addr
+	for i := 9 * cap; i < 10*cap; i++ {
+		want = append(want, addr(i))
+	}
+	if !slices.Equal(kept, want) {
+		t.Fatalf("tracked sources %v, want the last %d: %v", kept, cap, want)
+	}
+	if m.SourcesEvictedLRU != 9*cap {
+		t.Fatalf("LRU evictions = %d, want %d", m.SourcesEvictedLRU, 9*cap)
+	}
+}
+
+// TestEvictionOrderIndependence applies one event set forward and
+// reversed to a correlator with a small source cap, over a trace that
+// spans three idle windows, and demands the same rendered incidents,
+// the same exported evidence and the same eviction counts. The cap and
+// the sweep finalize by (stamp, address), a function of the evidence
+// applied; finalizing by the order events were applied in keeps a
+// different set of sources in each direction.
+//
+// The set: source z is seen once at the start and once, identically,
+// at the end, so each direction's first sweep finalizes it for idleness
+// and its last event brings it back. An attacker delivers a payload to
+// a victim that keeps emitting it for three idle windows, interleaved
+// with one-shot sources (every third also alerts) that overflow the
+// cap. The attacker is kept alive by the echoes alone.
+func TestEvictionOrderIndependence(t *testing.T) {
+	const cap, n = 8, 60
+	step := uint64(sourceIdleUS / 20)
+	fp := core.FingerprintOf([]byte("worm"))
+	z := netip.MustParseAddr("10.9.9.9")
+	t0 := uint64(sourceIdleUS + 2000)
+	events := []core.Event{flowOpen(z, addr(9000), 1000), alert(attacker, victim, t0, fp)}
+	for i := 0; i < n; i++ {
+		ts := t0 + uint64(i+1)*step
+		events = append(events, emission(victim, next, ts, fp), flowOpen(addr(i), addr(5000+i), ts+1))
+		if i%3 == 0 {
+			events = append(events, alert(addr(i), addr(5000+i), ts+2, core.Fingerprint{}))
+		}
+	}
+	events = append(events, flowOpen(z, addr(9000), 1000))
+
+	type result struct {
+		incidents, export string
+		lru, idle         uint64
+	}
+	run := func(order []core.Event) result {
+		c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}, maxSources: cap})
+		defer c.Stop()
+		for _, ev := range order {
+			c.Publish(ev)
+		}
+		c.Flush()
+		ex, err := json.Marshal(c.Export("s"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := c.Metrics()
+		return result{fmt.Sprint(c.Incidents()), string(ex), m.SourcesEvictedLRU, m.SourcesEvictedIdle}
+	}
+	forward := run(events)
+	slices.Reverse(events)
+	backward := run(events)
+	if forward.lru != backward.lru || forward.idle != backward.idle {
+		t.Errorf("evictions depend on apply order: forward lru=%d idle=%d, reversed lru=%d idle=%d",
+			forward.lru, forward.idle, backward.lru, backward.idle)
+	}
+	if forward.lru != n-5 || forward.idle != 1 {
+		t.Errorf("forward lru=%d idle=%d, want %d and 1", forward.lru, forward.idle, n-5)
+	}
+	if forward.incidents != backward.incidents {
+		t.Errorf("incident set depends on apply order:\n forward: %s\nreversed: %s", forward.incidents, backward.incidents)
+	}
+	if forward.export != backward.export {
+		t.Errorf("exported evidence depends on apply order:\n forward: %s\nreversed: %s", forward.export, backward.export)
+	}
+	if !strings.Contains(forward.incidents, "PROPAGATION") {
+		t.Errorf("attacker did not reach PROPAGATION: %s", forward.incidents)
 	}
 }
 

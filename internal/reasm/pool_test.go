@@ -167,3 +167,41 @@ func TestFeedSteadyStateAllocs(t *testing.T) {
 		t.Errorf("flow cycle allocates %.1f objects, want <= 2", allocs)
 	}
 }
+
+// TestDgramEvictSteadyStateAllocs pins warm datagram churn at zero
+// allocations: a tick's worth of flows opened, fed, and handed over by
+// the idle sweep (their buffers recycled by the evict handler), again
+// and again.
+func TestDgramEvictSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	a := New()
+	a.SetEvictHandler(func(st *Stream) { a.Recycle(st.Data) })
+	keys := make([]netpkt.FlowKey, 64)
+	for i := range keys {
+		keys[i] = netpkt.FlowKey{
+			SrcIP: netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}), DstIP: netip.AddrFrom4([4]byte{10, 0, 1, 1}),
+			SrcPort: 5683, DstPort: 5683, Proto: netpkt.ProtoUDP,
+		}
+	}
+	payload := make([]byte, 16)
+	ts := uint64(0)
+	cycle := func() {
+		for round := 0; round < 4; round++ {
+			for _, k := range keys {
+				ts++
+				a.FeedDatagram(k, payload, ts)
+			}
+		}
+		if n := a.EvictDgramIdle(ts + 1); n != len(keys) {
+			t.Fatalf("idle sweep evicted %d flows, want %d", n, len(keys))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("warm datagram feed+evict cycle allocates %.1f objects, want 0", allocs)
+	}
+}

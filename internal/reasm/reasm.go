@@ -49,6 +49,60 @@ type stream struct {
 	dgram     bool  // datagram flow (FeedDatagram) rather than TCP
 	bounds    []int // start offset in data of each buffered datagram
 	side      FlowState
+
+	// older and newer link the flow into its kind's age list.
+	older, newer *stream
+}
+
+// ageList links the flows of one kind, TCP or datagram, in last-seen
+// order, least recently active at head. Flows with equal lastSeen sit
+// in the order they were touched; nextRun puts them in key order as
+// they leave.
+type ageList struct{ head, tail *stream }
+
+// unlink removes st from the list.
+func (l *ageList) unlink(st *stream) {
+	if st.older != nil {
+		st.older.newer = st.newer
+	} else {
+		l.head = st.newer
+	}
+	if st.newer != nil {
+		st.newer.older = st.older
+	} else {
+		l.tail = st.older
+	}
+	st.older, st.newer = nil, nil
+}
+
+// touch sets st's lastSeen to ts and links st, a new flow or one
+// already on the list, behind every flow last seen no later than ts.
+// The walk starts at the tail, so it is O(1) when timestamps are
+// monotone; a late packet that lowers lastSeen walks back past the
+// flows seen since.
+func (l *ageList) touch(st *stream, ts uint64) {
+	st.lastSeen = ts
+	if st == l.tail && (st.older == nil || st.older.lastSeen <= ts) {
+		return
+	}
+	if st.older != nil || st.newer != nil || l.head == st {
+		l.unlink(st)
+	}
+	at := l.tail
+	for at != nil && at.lastSeen > ts {
+		at = at.older
+	}
+	st.older = at
+	if at == nil {
+		st.newer, l.head = l.head, st
+	} else {
+		st.newer, at.newer = at.newer, st
+	}
+	if st.newer != nil {
+		st.newer.older = st
+	} else {
+		l.tail = st
+	}
 }
 
 // FlowState is the side state of whoever drives the assembler, kept on
@@ -113,6 +167,11 @@ type Assembler struct {
 	dgramFlows int // tracked datagram flows (subset of flows)
 	dgramBytes int // bytes buffered by datagram flows (subset of bytes)
 
+	// tcp and dgram hold every flow of their kind in last-seen order,
+	// so the idle sweeps and the LRU evictions read the oldest flows
+	// off the heads instead of ranging over the table.
+	tcp, dgram ageList
+
 	// onEvict, when set, is invoked for every flow the assembler drops
 	// on its own (capacity overflow, EvictIdle, EvictLRUUntil) — NOT
 	// for Close or Drain, whose streams are returned to the caller.
@@ -142,7 +201,7 @@ type Assembler struct {
 	freeStreams  []*stream
 
 	// leaving is the reused scratch list of flows about to leave the
-	// table, in hand-over order (see departing).
+	// table, in hand-over order (see nextRun).
 	leaving []*stream
 }
 
@@ -242,7 +301,7 @@ func (a *Assembler) Feed(p *netpkt.Packet) *Stream {
 		a.flows[key] = st
 	}
 	a.touched = st
-	st.lastSeen = p.TimestampUS
+	a.tcp.touch(st, p.TimestampUS)
 
 	if p.Flags&(netpkt.FlagFIN|netpkt.FlagRST) != 0 {
 		st.finished = true
@@ -313,7 +372,7 @@ func (a *Assembler) FeedDatagram(key netpkt.FlowKey, payload []byte, tsUS uint64
 		a.dgramFlows++
 	}
 	a.touched = st
-	st.lastSeen = tsUS
+	a.dgram.touch(st, tsUS)
 	if len(payload) == 0 {
 		return a.result(st, false)
 	}
@@ -399,8 +458,7 @@ func appendCapped(dst, src []byte) []byte {
 // flow's data, so its buffer is recycled directly; with a handler, the
 // handler decides (by calling Recycle when it is done synchronously).
 func (a *Assembler) evict(st *stream) {
-	a.noteRemove(st)
-	delete(a.flows, st.key)
+	a.remove(st)
 	if a.onEvict != nil {
 		a.ev = Stream{Key: st.key, Data: st.data, Finished: false, Dgram: st.dgram, Bounds: st.bounds, Flow: &st.side}
 		a.onEvict(&a.ev)
@@ -410,19 +468,23 @@ func (a *Assembler) evict(st *stream) {
 	a.putStream(st)
 }
 
-// noteRemove updates the byte and datagram accounting for a stream
-// leaving the flow table (evict, Close, Drain).
-func (a *Assembler) noteRemove(st *stream) {
+// remove takes a stream out of the flow table and its age list and
+// updates the byte and datagram accounting (evict, Close, Drain).
+func (a *Assembler) remove(st *stream) {
+	delete(a.flows, st.key)
 	a.bytes -= st.footprint()
 	if st.dgram {
+		a.dgram.unlink(st)
 		a.dgramFlows--
 		a.dgramBytes -= len(st.data)
+	} else {
+		a.tcp.unlink(st)
 	}
 }
 
 // olderFirst orders flows by last activity, oldest first, ties broken
-// by flow key, so flows leave the table in the same order on every run
-// (the map's own order is random).
+// by flow key: the order flows leave the table in, the same on every
+// run (the map's own order is random).
 func olderFirst(x, y *stream) int {
 	if c := cmp.Compare(x.lastSeen, y.lastSeen); c != 0 {
 		return c
@@ -443,76 +505,88 @@ func olderFirst(x, y *stream) int {
 	return cmp.Compare(kx.Proto, ky.Proto)
 }
 
-// departing returns the flows sel selects (every flow when sel is
-// nil) in olderFirst order. The slice is reused scratch, valid until
-// the next call.
-func (a *Assembler) departing(sel func(*stream) bool) []*stream {
+// nextRun returns the flows that leave next in olderFirst order: every
+// flow sharing the oldest lastSeen at the head of the datagram list,
+// and of the TCP list when tcp is set. Only such ties are sorted. The
+// slice is reused scratch, valid until the next call; it is empty when
+// no flow is left.
+func (a *Assembler) nextRun(tcp bool) []*stream {
+	heads := [2]*stream{a.dgram.head}
+	if tcp {
+		heads[1] = a.tcp.head
+	}
+	var oldest *stream
+	for _, h := range heads {
+		if h != nil && (oldest == nil || h.lastSeen < oldest.lastSeen) {
+			oldest = h
+		}
+	}
 	out := a.leaving[:0]
-	for _, st := range a.flows {
-		if sel == nil || sel(st) {
+	for _, st := range heads {
+		for ; st != nil && st.lastSeen == oldest.lastSeen; st = st.newer {
 			out = append(out, st)
 		}
 	}
-	slices.SortFunc(out, olderFirst)
+	if len(out) > 1 {
+		slices.SortFunc(out, olderFirst)
+	}
 	a.leaving = out
 	return out
 }
 
-// evictWhere evicts the flows sel selects in departing order and
-// reports how many. Each caller of departing clears the scratch list
-// when done, so it pins no flow record.
-func (a *Assembler) evictWhere(sel func(*stream) bool) int {
-	sts := a.departing(sel)
-	for _, st := range sts {
-		a.evict(st)
+// evictOldest evicts flows in olderFirst order — the datagram flows,
+// and the TCP ones too when tcp is set — until stop holds for the next
+// flow or none is left, and reports how many it evicted. It clears the
+// scratch list when done, so that pins no flow record.
+func (a *Assembler) evictOldest(tcp bool, stop func(*stream) bool) int {
+	n := 0
+	for {
+		run := a.nextRun(tcp)
+		if len(run) == 0 {
+			return n
+		}
+		for _, st := range run {
+			if stop(st) {
+				clear(run)
+				return n
+			}
+			a.evict(st)
+			n++
+		}
+		clear(run)
 	}
-	clear(sts)
-	return len(sts)
 }
 
 // evictIdle drops the least recently active half of the flow table.
 func (a *Assembler) evictIdle() {
-	entries := a.departing(nil)
-	for _, st := range entries[:len(entries)/2] {
-		a.evict(st)
-	}
-	clear(entries)
+	keep := len(a.flows) - len(a.flows)/2
+	a.evictOldest(true, func(*stream) bool { return len(a.flows) <= keep })
 }
 
 // EvictIdle drops every flow whose last activity predates olderThanUS,
-// oldest first, reporting how many were evicted. Each evicted flow is
-// handed to the evict handler first, so its unanalyzed tail can still
-// be inspected.
+// oldest first (ties by flow key), reporting how many were evicted.
+// The sweep stops at the first live flow, so it costs O(evicted), not
+// O(table). Each evicted flow is handed to the evict handler first, so
+// its unanalyzed tail can still be inspected.
 func (a *Assembler) EvictIdle(olderThanUS uint64) int {
-	return a.evictWhere(func(st *stream) bool { return st.lastSeen < olderThanUS })
+	return a.evictOldest(true, func(st *stream) bool { return st.lastSeen >= olderThanUS })
 }
 
 // EvictDgramIdle drops datagram flows whose last activity predates
-// olderThanUS, oldest first, leaving TCP streams alone — the tighter
-// idle window datagram conversations get when configured separately
-// from the flow-wide timeout. Each evicted flow is handed to the evict
-// handler first.
+// olderThanUS, oldest first (ties by flow key), leaving TCP streams
+// alone — the tighter idle window datagram conversations get when
+// configured separately from the flow-wide timeout. It walks only the
+// datagram flows and stops at the first live one. Each evicted flow is
+// handed to the evict handler first.
 func (a *Assembler) EvictDgramIdle(olderThanUS uint64) int {
-	return a.evictWhere(func(st *stream) bool { return st.dgram && st.lastSeen < olderThanUS })
+	return a.evictOldest(false, func(st *stream) bool { return st.lastSeen >= olderThanUS })
 }
 
-// EvictLRUUntil drops least-recently-active flows until the buffered
-// byte total is at or below budget, reporting how many were evicted.
+// EvictLRUUntil drops least-recently-active flows, oldest first (ties
+// by flow key), until the buffered byte total is at or below budget,
+// reporting how many were evicted.
 func (a *Assembler) EvictLRUUntil(budget int) int {
-	if a.bytes <= budget {
-		return 0
-	}
-	entries := a.departing(nil)
-	n := 0
-	for _, st := range entries {
-		if a.bytes <= budget {
-			break
-		}
-		a.evict(st)
-		n++
-	}
-	clear(entries)
-	return n
+	return a.evictOldest(true, func(*stream) bool { return a.bytes <= budget })
 }
 
 // Close removes a finished flow's state and returns its final stream
@@ -524,8 +598,7 @@ func (a *Assembler) Close(key netpkt.FlowKey) *Stream {
 	if st == nil {
 		return nil
 	}
-	a.noteRemove(st)
-	delete(a.flows, key)
+	a.remove(st)
 	data, bounds, dg := st.data, st.bounds, st.dgram
 	a.putStream(st)
 	if len(data) == 0 {
@@ -546,22 +619,22 @@ func (a *Assembler) DgramFlowCount() int { return a.dgramFlows }
 func (a *Assembler) DgramBytes() int { return a.dgramBytes }
 
 // Drain removes and returns every tracked flow's stream (used when a
-// trace ends without FINs on all connections), oldest first. Each
-// returned stream's data buffer belongs to the caller; Recycle returns
-// it when done.
+// trace ends without FINs on all connections), oldest first (ties by
+// flow key). Each returned stream's data buffer belongs to the caller;
+// Recycle returns it when done.
 func (a *Assembler) Drain() []*Stream {
 	var out []*Stream
-	all := a.departing(nil)
-	for _, st := range all {
-		if len(st.data) > 0 {
-			out = append(out, &Stream{Key: st.key, Data: st.data, Finished: true, Dgram: st.dgram, Bounds: st.bounds, Flow: &st.side})
-		} else {
-			a.Recycle(st.data)
+	for run := a.nextRun(true); len(run) > 0; run = a.nextRun(true) {
+		for _, st := range run {
+			if len(st.data) > 0 {
+				out = append(out, &Stream{Key: st.key, Data: st.data, Finished: true, Dgram: st.dgram, Bounds: st.bounds, Flow: &st.side})
+			} else {
+				a.Recycle(st.data)
+			}
+			a.remove(st)
+			a.putStream(st)
 		}
-		a.noteRemove(st)
-		delete(a.flows, st.key)
-		a.putStream(st)
+		clear(run)
 	}
-	clear(all)
 	return out
 }
