@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"semnids/internal/classify"
-	"semnids/internal/core"
 	"semnids/internal/emu"
 	"semnids/internal/engine"
 	"semnids/internal/exploits"
@@ -304,7 +303,7 @@ func BenchmarkEmailWormScan(b *testing.B) {
 		}
 		found := false
 		for _, f := range frames {
-			for _, d := range core.AnalyzeBytes(f.Data, nil) {
+			for _, d := range AnalyzeBytes(f.Data) {
 				if d.Template == "xor-decrypt-loop" {
 					found = true
 				}

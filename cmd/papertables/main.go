@@ -29,8 +29,8 @@ import (
 	"strings"
 	"time"
 
+	nids "semnids"
 	"semnids/internal/classify"
-	"semnids/internal/core"
 	"semnids/internal/engine"
 	"semnids/internal/exploits"
 	"semnids/internal/netpkt"
@@ -124,7 +124,7 @@ func analyzePayloadTimed(payload []byte) (map[string]bool, timing) {
 	out := make(map[string]bool)
 	dur := warmMedian(func() {
 		clear(out)
-		for _, d := range core.AnalyzePayload(payload) {
+		for _, d := range nids.AnalyzePayload(payload) {
 			out[d.Template] = true
 		}
 	})
@@ -153,7 +153,7 @@ func table1(w io.Writer, _ float64) []string {
 		found := false
 		dur := warmMedian(func() {
 			found = false
-			for _, d := range core.AnalyzeBytes(bin, nil) {
+			for _, d := range nids.AnalyzeBytes(bin) {
 				found = found || d.Template == "xor-decrypt-loop"
 			}
 		})
@@ -288,19 +288,25 @@ func table3(w io.Writer, scale float64) []string {
 }
 
 // efficiency reproduces the Section 5.1 comparison: the pruned
-// pipeline versus the exhaustive whole-input baseline of [5] on the
-// same 22 KB virus-sized binary. It has no detection column.
+// analyzer versus the exhaustive whole-input baseline of [5] on the
+// same 22 KB virus-sized binary. Both analyzers are built before the
+// timing, so neither arm times the building of its viability tables.
+// The baseline sweeps offsets 0–15 with no sweep prune and no byte
+// witness; it still stops once every template is found. It has no
+// detection column.
 func efficiency(w io.Writer, _ float64) []string {
 	header(w, "§5.1 — Efficiency: extraction-pruned pipeline vs whole-input baseline")
 	bin := exploits.NetskyBinary(1, 22*1024)
 
-	ours := warmMedian(func() { core.AnalyzeBytes(bin, []int{0, 1, 2, 3}) })
-	baseline := warmMedian(func() {
-		core.AnalyzeBytes(bin, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
-	})
+	pruned := sem.NewAnalyzer(sem.BuiltinTemplates())
+	exhaustive := sem.NewAnalyzer(pruned.Templates)
+	exhaustive.SweepOffsets = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	exhaustive.DisableSweepPrune = true
+	ours := warmMedian(func() { pruned.AnalyzeFrame(bin) })
+	baseline := warmMedian(func() { exhaustive.AnalyzeFrame(bin) })
 
-	fmt.Fprintf(w, "semantic scan, pruned offsets:      %22s   (paper: ~6.5s on a P4 2.8GHz)\n", ours)
-	fmt.Fprintf(w, "exhaustive offsets ([5]-style):     %22s   (paper: ~40s reported in [5])\n", baseline)
+	fmt.Fprintf(w, "%-53s %22s   (paper: ~6.5s on a P4 2.8GHz)\n", "semantic scan, pruned offsets 0-3:", ours)
+	fmt.Fprintf(w, "%-53s %22s   (paper: ~40s reported in [5])\n", "[5]-style: offsets 0-15, no sweep prune, no witness:", baseline)
 	fmt.Fprintf(w, "speedup: %.1fx (paper: ~6.2x)\n", float64(baseline.median)/float64(ours.median))
 	return nil
 }

@@ -1,17 +1,13 @@
 // Package core holds the types every layer of the detector shares —
-// Alert, Event, Fingerprint — plus the stream re-analysis gate and the
-// host-scan entry points that run the semantic stages outside any
-// packet pipeline. The packet pipeline itself (the paper's Figure 3) is
-// internal/engine.
+// Alert, Event, Fingerprint — plus the stream re-analysis gate. The
+// packet pipeline itself (the paper's Figure 3) is internal/engine.
 package core
 
 import (
 	"fmt"
 	"net/netip"
-	"sync"
 
 	"semnids/internal/classify"
-	"semnids/internal/extract"
 	"semnids/internal/sem"
 )
 
@@ -48,43 +44,4 @@ func ShouldAnalyze(finished bool, size, lastAnalyzed, minBytes int) bool {
 		return true
 	}
 	return false
-}
-
-// defaultAnalyzer is the analyzer over the compiled builtin template
-// set, built once and shared by the host-scan entry points; it and its
-// templates are immutable after compilation, so concurrent use is
-// safe.
-var defaultAnalyzer = sync.OnceValue(func() *sem.Analyzer {
-	return sem.NewAnalyzer(sem.BuiltinTemplates())
-})
-
-// AnalyzePayload runs extraction and the semantic stages over one
-// application payload, outside any pipeline instance, with the shared
-// compiled builtin analyzer.
-func AnalyzePayload(payload []byte) []sem.Detection {
-	a := defaultAnalyzer()
-	var out []sem.Detection
-	seen := make(map[string]bool)
-	for _, f := range extract.Extract(payload) {
-		for _, d := range a.AnalyzeFrameCached(f.Data, f.Code) {
-			if !seen[d.Template] {
-				seen[d.Template] = true
-				out = append(out, d)
-			}
-		}
-	}
-	return out
-}
-
-// AnalyzeBytes is the host-scan entry point: it runs the builtin
-// templates directly over a binary (no network stages), as done for
-// the Netsky efficiency comparison. offsets replaces the analyzer's
-// sweep offsets; nil keeps them.
-func AnalyzeBytes(data []byte, offsets []int) []sem.Detection {
-	if offsets == nil {
-		return defaultAnalyzer().AnalyzeFrame(data)
-	}
-	a := sem.NewAnalyzer(defaultAnalyzer().Templates)
-	a.SweepOffsets = offsets
-	return a.AnalyzeFrame(data)
 }

@@ -203,8 +203,10 @@ type Metrics struct {
 	CacheRejected uint64
 
 	// SweepStarts counts the sweep offsets the semantic analyzer
-	// considered on cache misses, SweepStartsLifted those it lifted
-	// and matched; the rest were skipped by the sweep-start viability
+	// considered: on cache misses, and on witness-rejected frames,
+	// whose starts sem.Analyzer.Screen counts as not lifted.
+	// SweepStartsLifted counts those it lifted and matched; the rest
+	// were skipped by the byte witness or the sweep-start viability
 	// pass (sem.Analyzer.SweepStats).
 	SweepStarts, SweepStartsLifted uint64
 

@@ -395,11 +395,8 @@ func (s *shard) resolve(f extract.Frame, scr sem.Screen) (fp core.Fingerprint, d
 		}
 		e.m.cacheMisses.Add(1)
 	}
-	// No stage before this one decodes, so f.Code is nil and the
-	// analyzer uses its pooled scratch cache instead of allocating a
-	// decode cache per frame.
 	t0 := time.Now()
-	ds = e.analyzer.AnalyzeScreened(f.Data, f.Code, scr)
+	ds = e.analyzer.AnalyzeScreened(scr)
 	e.tel.frameNS.Observe(time.Since(t0).Nanoseconds())
 	sk = s.sketch(f.Data, ds)
 	if e.cache != nil {

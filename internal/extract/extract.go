@@ -52,11 +52,11 @@ type Frame struct {
 	// Offset is where in the original payload the region began.
 	Offset int
 
-	// Code, when non-nil, is a decode cache over Data that the semantic
-	// analyzer reuses instead of decoding the frame again. No pipeline
-	// stage sets it (extraction never decodes), so the analyzer takes a
-	// pooled scratch cache; only a caller that decoded the frame itself
-	// can fill it in.
+	// Code is never set. It stays only because the benchmark module
+	// still passes it to sem.Analyzer.AnalyzeFrameCached, which
+	// ignores it.
+	//
+	// Deprecated: the analyzer decodes on its own pooled cache.
 	Code *x86.DecodeCache
 }
 

@@ -184,14 +184,14 @@ func (a *Analyzer) buildPrune() {
 // threaded and scanned only when the sweep splices; otherwise it is a
 // prefix of the linear order, in address order, and the linear answer
 // covers it.
-func (a *Analyzer) viable(sc *frameScratch, cache *x86.DecodeCache, off int, want uint64) bool {
-	if cache.Viable(off, a.pruneTable, want) {
+func (a *Analyzer) viable(sc *frameScratch, off int, want uint64) bool {
+	if sc.cache.Viable(off, a.pruneTable, want) {
 		return true
 	}
-	if !cache.Splices(off) {
+	if !sc.cache.Splices(off) {
 		return false
 	}
-	sc.order = x86.ThreadOrderAppend(sc.order[:0], cache.Sweep(off))
+	sc.order = x86.ThreadOrderAppend(sc.order[:0], sc.cache.Sweep(off))
 	return a.threadTable.ViableOrder(sc.order, want)
 }
 
@@ -230,25 +230,21 @@ var scratchPool = sync.Pool{New: func() any { return new(frameScratch) }}
 // and the raw sweep order, plus the data-level detectors. At most one
 // detection per template name is reported.
 func (a *Analyzer) AnalyzeFrame(frame []byte) []Detection {
-	return a.AnalyzeFrameCached(frame, nil)
+	return a.AnalyzeScreened(a.Screen(frame))
 }
 
-// AnalyzeFrameCached is AnalyzeFrame reusing a decode cache that a
-// caller has already (partially) swept over the same frame, so the
-// frame is decoded once. cache may be nil, which takes a pooled
-// scratch cache, or must have been created over the same frame bytes.
-func (a *Analyzer) AnalyzeFrameCached(frame []byte, cache *x86.DecodeCache) []Detection {
-	var s Screen
-	if !a.DisableSweepPrune {
-		s.found = scanWitness(frame)
-	}
-	return a.AnalyzeScreened(frame, cache, s)
+// AnalyzeFrameCached is AnalyzeFrame; cache is ignored.
+//
+// Deprecated: use AnalyzeFrame.
+func (a *Analyzer) AnalyzeFrameCached(frame []byte, _ *x86.DecodeCache) []Detection {
+	return a.AnalyzeFrame(frame)
 }
 
 // Screen is what one pass over a frame's bytes, before any decode,
-// tells the analyzer: the byte witnesses the frame shows (witness.go)
-// and whether its verdict is already known to be empty.
+// tells the analyzer: the frame, the byte witnesses it shows
+// (witness.go) and whether its verdict is already known to be empty.
 type Screen struct {
+	frame []byte
 	found uint8
 	empty bool
 }
@@ -260,15 +256,15 @@ func (s Screen) Empty() bool { return s.empty }
 
 // Screen scans frame for its byte witnesses. An Empty frame needs no
 // decode and no AnalyzeScreened; Screen counts its sweep starts as
-// considered and not lifted, as AnalyzeFrame does. Hand any other
-// frame to AnalyzeScreened with its Screen, so its bytes are scanned
-// once. With DisableSweepPrune nothing is scanned and no frame is
-// Empty.
+// considered and not lifted, as the offset loop would. Hand any other
+// Screen to AnalyzeScreened, so the frame's bytes are scanned once.
+// With DisableSweepPrune nothing is scanned and no frame is Empty.
 func (a *Analyzer) Screen(frame []byte) Screen {
+	s := Screen{frame: frame}
 	if a.DisableSweepPrune {
-		return Screen{}
+		return s
 	}
-	s := Screen{found: scanWitness(frame)}
+	s.found = scanWitness(frame)
 	for _, tpl := range a.Templates {
 		if tpl.compiled().witness.heldBy(frame, s.found) {
 			return s
@@ -291,12 +287,13 @@ func (a *Analyzer) Screen(frame []byte) Screen {
 	return s
 }
 
-// AnalyzeScreened is AnalyzeFrameCached for a frame Screen has
-// scanned; an Empty frame's verdict is nil.
-func (a *Analyzer) AnalyzeScreened(frame []byte, cache *x86.DecodeCache, s Screen) []Detection {
+// AnalyzeScreened analyzes the frame s screened, as AnalyzeFrame does;
+// an Empty screen's verdict is nil.
+func (a *Analyzer) AnalyzeScreened(s Screen) []Detection {
 	if s.empty {
 		return nil
 	}
+	frame := s.frame
 	sc := scratchPool.Get().(*frameScratch)
 	defer scratchPool.Put(sc)
 
@@ -343,9 +340,8 @@ func (a *Analyzer) AnalyzeScreened(frame []byte, cache *x86.DecodeCache, s Scree
 		}
 		cands = append(cands, candidate{tpl, ct, bit})
 	}
-	if cache == nil && len(cands) != 0 {
+	if len(cands) != 0 {
 		sc.cache.Reset(frame)
-		cache = &sc.cache
 	}
 
 	// Sweep-start viability: before paying for a sweep's lift and
@@ -366,11 +362,11 @@ func (a *Analyzer) AnalyzeScreened(frame []byte, cache *x86.DecodeCache, s Scree
 		}
 		starts++
 		want, open := unseenWant(cands, seenName)
-		if !open || prune && want != 0 && !a.viable(sc, cache, off, want) {
+		if !open || prune && want != 0 && !a.viable(sc, off, want) {
 			continue
 		}
 		lifted++
-		sc.prog.Reuse(cache.Sweep(off))
+		sc.prog.Reuse(sc.cache.Sweep(off))
 		orders := [2]struct {
 			name  string
 			nodes []ir.Node

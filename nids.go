@@ -43,12 +43,14 @@ import (
 	"net/http"
 	"net/netip"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"semnids/internal/classify"
 	"semnids/internal/core"
 	"semnids/internal/engine"
+	"semnids/internal/extract"
 	"semnids/internal/fed"
 	"semnids/internal/fed/transport"
 	"semnids/internal/incident"
@@ -130,18 +132,37 @@ func (cfg Config) pipeline() (classify.Config, []*sem.Template, error) {
 	return ccfg, tpls, nil
 }
 
+// builtinAnalyzer is the analyzer over the builtin template set that
+// AnalyzeBytes and AnalyzePayload share, built on first use. It holds
+// only configuration, so concurrent calls are safe.
+var builtinAnalyzer = sync.OnceValue(func() *sem.Analyzer {
+	return sem.NewAnalyzer(sem.BuiltinTemplates())
+})
+
 // AnalyzeBytes runs only the semantic stages (disassembler, IR,
 // template matcher) over a binary — the host-scan mode used for
 // on-disk samples such as the Netsky binaries in the paper's
 // efficiency comparison.
 func AnalyzeBytes(data []byte) []Detection {
-	return core.AnalyzeBytes(data, nil)
+	return builtinAnalyzer().AnalyzeFrame(data)
 }
 
 // AnalyzePayload runs extraction plus the semantic stages over one
-// application-layer payload, returning the union of detections.
+// application-layer payload, returning the union of detections, at
+// most one per template name.
 func AnalyzePayload(payload []byte) []Detection {
-	return core.AnalyzePayload(payload)
+	a := builtinAnalyzer()
+	var out []Detection
+	seen := make(map[string]bool)
+	for _, f := range extract.Extract(payload) {
+		for _, d := range a.AnalyzeFrame(f.Data) {
+			if !seen[d.Template] {
+				seen[d.Template] = true
+				out = append(out, d)
+			}
+		}
+	}
+	return out
 }
 
 // EngineMetrics reports streaming-engine counters and gauges.

@@ -80,10 +80,18 @@ func TestFacadePcap(t *testing.T) {
 	}
 }
 
+// TestAnalyzeBytesFacade runs the host scan over a Netsky-sized
+// binary: it must find the decryptor.
 func TestAnalyzeBytesFacade(t *testing.T) {
 	ds := AnalyzeBytes(exploits.NetskyBinary(1, 22*1024))
-	if len(ds) == 0 {
-		t.Error("netsky binary produced no detections")
+	found := false
+	for _, d := range ds {
+		if d.Template == "xor-decrypt-loop" {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("host scan missed the netsky decryptor: %v", ds)
 	}
 }
 
