@@ -296,12 +296,7 @@ func table3(w io.Writer, scale float64) []string {
 // detection column.
 func efficiency(w io.Writer, _ float64) []string {
 	header(w, "§5.1 — Efficiency: extraction-pruned pipeline vs whole-input baseline")
-	bin := exploits.NetskyBinary(1, 22*1024)
-
-	pruned := sem.NewAnalyzer(sem.BuiltinTemplates())
-	exhaustive := sem.NewAnalyzer(pruned.Templates)
-	exhaustive.SweepOffsets = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
-	exhaustive.DisableSweepPrune = true
+	bin, pruned, exhaustive := efficiencyArms()
 	ours := warmMedian(func() { pruned.AnalyzeFrame(bin) })
 	baseline := warmMedian(func() { exhaustive.AnalyzeFrame(bin) })
 
@@ -309,6 +304,17 @@ func efficiency(w io.Writer, _ float64) []string {
 	fmt.Fprintf(w, "%-53s %22s   (paper: ~40s reported in [5])\n", "[5]-style: offsets 0-15, no sweep prune, no witness:", baseline)
 	fmt.Fprintf(w, "speedup: %.1fx (paper: ~6.2x)\n", float64(baseline.median)/float64(ours.median))
 	return nil
+}
+
+// efficiencyArms returns §5.1's input and its two analyzers: the
+// pruned one (offsets 0–3, sweep prune and witness on) and the
+// baseline (offsets 0–15, no sweep prune, no witness).
+func efficiencyArms() (bin []byte, pruned, exhaustive *sem.Analyzer) {
+	pruned = sem.NewAnalyzer(sem.BuiltinTemplates())
+	exhaustive = sem.NewAnalyzer(pruned.Templates)
+	exhaustive.SweepOffsets = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	exhaustive.DisableSweepPrune = true
+	return exploits.NetskyBinary(1, 22*1024), pruned, exhaustive
 }
 
 // falsePositives reproduces Section 5.4: classification disabled,

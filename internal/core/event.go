@@ -22,6 +22,19 @@ type Fingerprint struct {
 // fingerprinted — e.g. an event produced on a path with no frame).
 func (f Fingerprint) IsZero() bool { return f.A == 0 && f.B == 0 && f.N == 0 }
 
+// Less is the total order on fingerprints — by A, then B, then N —
+// that the correlator's evidence caps and the lineage layer break ties
+// under.
+func (f Fingerprint) Less(g Fingerprint) bool {
+	if f.A != g.A {
+		return f.A < g.A
+	}
+	if f.B != g.B {
+		return f.B < g.B
+	}
+	return f.N < g.N
+}
+
 // FingerprintOf hashes a payload.
 func FingerprintOf(data []byte) Fingerprint {
 	const prime = 1099511628211

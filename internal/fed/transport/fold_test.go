@@ -13,11 +13,9 @@ import (
 	"testing"
 
 	"semnids/internal/classify"
-	"semnids/internal/core"
 	"semnids/internal/engine"
 	"semnids/internal/fed"
 	"semnids/internal/incident"
-	"semnids/internal/lineage"
 	"semnids/internal/netpkt"
 	"semnids/internal/sem"
 	"semnids/internal/traffic"
@@ -42,17 +40,13 @@ func outbreakCheckpoints(pkts []*netpkt.Packet, sensors, steps int) [][]*inciden
 	for s := range out {
 		name := fmt.Sprintf("sensor-%d", s)
 		corr := incident.New(incident.Config{})
-		lin := lineage.NewStore(lineage.StoreConfig{Sensor: name})
 		eng := engine.New(engine.Config{
 			Classify:  classify.Config{Honeypots: []netip.Addr{traffic.HoneypotAddr}, DarkSpace: []netip.Prefix{traffic.DarkNet}},
 			Templates: sem.BuiltinTemplates(),
 			SensorID:  name,
 			Shards:    1,
 			Lineage:   true,
-			OnEvent: func(ev core.Event) {
-				lin.Observe(ev)
-				corr.Publish(ev)
-			},
+			OnEvent:   corr.Publish,
 		})
 		for k := 0; k < steps; k++ {
 			for _, p := range pkts[len(pkts)*k/steps : len(pkts)*(k+1)/steps] {
@@ -67,7 +61,6 @@ func outbreakCheckpoints(pkts []*netpkt.Packet, sensors, steps int) [][]*inciden
 			corr.Flush()
 			ex := corr.Export(name)
 			ex.Classifier = append(ex.Classifier, eng.Classifier().ExportState()...)
-			ex.Lineage = lin.Export()
 			out[s] = append(out[s], ex)
 		}
 		eng.Stop()

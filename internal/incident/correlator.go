@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"semnids/internal/core"
+	"semnids/internal/lineage"
 	"semnids/internal/telemetry"
 )
 
@@ -93,12 +94,18 @@ type Metrics struct {
 	// Incidents counts sources whose derived stage ever rose above
 	// NONE.
 	Incidents uint64
+
+	// LineageObservations counts lineage observations folded, live and
+	// imported; LineageTracked is the distinct payloads held.
+	LineageObservations uint64
+	LineageTracked      int
 }
 
 // Correlator consumes engine events and maintains per-source
-// kill-chain state machines. Publish may be called from any number of
-// goroutines; all state is owned by the single run goroutine, with a
-// mutex taken only around state mutation and snapshot reads.
+// kill-chain state machines and the sensor's lineage observations.
+// Publish may be called from any number of goroutines; all state is
+// owned by the single run goroutine, with a mutex taken only around
+// state mutation and snapshot reads.
 type Correlator struct {
 	cfg Config
 
@@ -106,8 +113,8 @@ type Correlator struct {
 	done     chan struct{}
 	stopOnce sync.Once
 
-	// mu guards sources/byStamp/completed: held by the run goroutine
-	// while applying one batch and by Incidents/Metrics readers.
+	// mu guards sources/byStamp/completed/lin: held by the run
+	// goroutine while applying one batch and by snapshot readers.
 	mu        sync.Mutex
 	sources   map[netip.Addr]*sourceState
 	byStamp   stampHeap
@@ -115,10 +122,18 @@ type Correlator struct {
 	maxTS     uint64
 	lastSweep uint64
 
+	// lin holds the lineage observations: those the applied alert and
+	// fingerprint events witness (live; events carry sketches only
+	// with lineage on) and imported ones, under lineage.StoreCap. A
+	// Fold's merge state holds its merged set here under
+	// lineage.MergeCap; other merge states have none.
+	lin *lineage.Set
+
 	m struct {
 		events, flowOpens, alerts, fingerprints atomic.Uint64
 		evictedLRU, evictedIdle                 atomic.Uint64
 		incidents                               atomic.Uint64
+		lineage                                 atomic.Uint64
 	}
 
 	// stageLatUS, indexed by Stage, records trace-time µs from a
@@ -138,6 +153,7 @@ func New(cfg Config) *Correlator {
 		cfg:     cfg.withDefaults(),
 		done:    make(chan struct{}),
 		sources: make(map[netip.Addr]*sourceState),
+		lin:     lineage.NewSet(lineage.StoreCap),
 	}
 	c.q.init()
 	c.registerTelemetry()
@@ -306,6 +322,9 @@ func (c *Correlator) apply(ev *core.Event) {
 	if ev.TimestampUS > c.maxTS {
 		c.maxTS = ev.TimestampUS
 	}
+	if o, ok := lineage.Witnessed(ev); ok {
+		c.foldLineage(&o, true)
+	}
 
 	switch ev.Kind {
 	case core.EventFlowOpen:
@@ -348,7 +367,7 @@ func (c *Correlator) apply(ev *core.Event) {
 		// descendant of the attack payload close the propagation link —
 		// the polymorphism-proof PROPAGATION the exact match cannot see.
 		// With lineage off the sketch is zero and nothing here runs.
-		if tfp := tailFP(ev); !tfp.IsZero() && tfp != ev.Fingerprint {
+		if tfp := lineage.TailFingerprint(ev.Sketch); !tfp.IsZero() && tfp != ev.Fingerprint {
 			c.targeted(ev.Src, ev.Dst, tfp, ev.TimestampUS)
 		}
 		c.notify(s)
@@ -366,7 +385,7 @@ func (c *Correlator) apply(ev *core.Event) {
 		// emission of any variant decoding to the same tail counts as
 		// an emission of the family, closing links the exact
 		// fingerprint misses after re-encoding.
-		if tfp := tailFP(ev); !tfp.IsZero() && tfp != ev.Fingerprint {
+		if tfp := lineage.TailFingerprint(ev.Sketch); !tfp.IsZero() && tfp != ev.Fingerprint {
 			c.emits(s, tfp, ev.TimestampUS)
 		}
 	}
@@ -404,14 +423,21 @@ func (c *Correlator) emits(s *sourceState, fp core.Fingerprint, ts uint64) {
 	}
 }
 
-// tailFP lifts an event's structural sketch into the fingerprint
-// keyspace: the decoded-tail identity shared by every re-encoding of
-// one payload (zero when lineage is off or the frame decoded nothing).
-func tailFP(ev *core.Event) core.Fingerprint {
-	if !ev.Sketch.HasTail() {
-		return core.Fingerprint{}
+// foldLineage folds one lineage observation — live when an applied
+// event witnessed it — and, on a Fold's merge state, records what
+// changed and what the cap displaced. Called with mu held.
+func (c *Correlator) foldLineage(o *lineage.Observation, live bool) {
+	c.m.lineage.Add(1)
+	changed, evicted := c.lin.Fold(o, live)
+	if t := c.track; t != nil {
+		if evicted != nil {
+			t.droppedLin = append(t.droppedLin, evicted.Exact)
+			delete(t.dirtyLin, evicted.Exact)
+		}
+		if changed {
+			t.dirtyLin[o.Exact] = struct{}{}
+		}
 	}
-	return core.Fingerprint{A: ev.Sketch.TailA, B: ev.Sketch.TailB, N: ev.Sketch.TailN}
 }
 
 // echoTime is the canonical propagation instant for a victim whose
@@ -488,7 +514,7 @@ func (c *Correlator) source(src netip.Addr, ts uint64) *sourceState {
 			alertTimes: newMinKSet[alertKey](lessAlertKey),
 			templates:  make(map[string]bool),
 			targetedBy: make(map[core.Fingerprint][]attackRef),
-			emitted:    newMinKSet[core.Fingerprint](lessFingerprint),
+			emitted:    newMinKSet[core.Fingerprint](core.Fingerprint.Less),
 			victims:    newMinKSet[netip.Addr](lessAddr),
 		}
 		c.sources[src] = s
@@ -668,7 +694,7 @@ func (c *Correlator) Incidents() []Incident {
 // Metrics returns current counters and gauges.
 func (c *Correlator) Metrics() Metrics {
 	c.mu.Lock()
-	tracked := len(c.sources)
+	tracked, lin := len(c.sources), c.lin.Len()
 	c.mu.Unlock()
 	return Metrics{
 		Events:             c.m.events.Load(),
@@ -679,5 +705,8 @@ func (c *Correlator) Metrics() Metrics {
 		SourcesEvictedLRU:  c.m.evictedLRU.Load(),
 		SourcesEvictedIdle: c.m.evictedIdle.Load(),
 		Incidents:          c.m.incidents.Load(),
+
+		LineageObservations: c.m.lineage.Load(),
+		LineageTracked:      lin,
 	}
 }

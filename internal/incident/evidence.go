@@ -220,11 +220,12 @@ type EvidenceExport struct {
 	Classifier []ClassifierEvidence
 
 	// Lineage is the sensor's structural-payload observation set (the
-	// lineage store's canonical export): one record per distinct
-	// hostile payload with its decoded-tail family identity and first
-	// witnessed delivery — the input to ancestry tracing. Empty unless
-	// the sensor runs with lineage enabled. Merged with the same
-	// commutative/idempotent discipline as every other evidence set.
+	// correlator's lineage set, canonically ordered): one record per
+	// distinct hostile payload with its decoded-tail family identity
+	// and first witnessed delivery — the input to ancestry tracing.
+	// Empty unless the sensor runs with lineage enabled. Merged with
+	// the same commutative/idempotent discipline as every other
+	// evidence set.
 	Lineage []lineage.Observation
 }
 
@@ -255,21 +256,26 @@ func (s *sourceState) cloneLocked() *sourceState {
 	return cp
 }
 
-// Export snapshots every live source's evidence under the given
-// sensor ID. Safe concurrently with correlation, and cheap to run
-// concurrently: the lock is held only for map copies, while rendering
-// and sorting — the bulk of the work on a full source table — happen
-// outside it (the durable sink calls this periodically from its own
-// goroutine). Finalized (completed) incidents are rendered verdicts,
-// not evidence, and are not exported — a source idle for 10 minutes
-// of trace time, or pushed out by the 65 536-source cap, does not
-// survive a restart unless an export caught it before finalization.
+// Export snapshots every live source's evidence and the lineage
+// observations under the given sensor ID, which stamps the sources and
+// the observations folded from live events. Both are taken under one
+// lock hold, so a checkpoint is one snapshot. Safe concurrently with
+// correlation, and cheap to run concurrently: the lock is held for map
+// copies and the lineage set's render (at most lineage.StoreCap
+// observations), while rendering and sorting the sources — the bulk
+// of the work on a full source table — happen outside it (the durable
+// sink calls this periodically from its own goroutine). Finalized
+// (completed) incidents are rendered verdicts, not evidence, and are
+// not exported — a source idle for 10 minutes of trace time, or pushed
+// out by the 65 536-source cap, does not survive a restart unless an
+// export caught it before finalization.
 func (c *Correlator) Export(sensor string) *EvidenceExport {
 	c.mu.Lock()
 	clones := make([]*sourceState, 0, len(c.sources))
 	for _, s := range c.sources {
 		clones = append(clones, s.cloneLocked())
 	}
+	lin := c.lin.Export(sensor)
 	c.mu.Unlock()
 
 	local := []string{sensor}
@@ -277,12 +283,21 @@ func (c *Correlator) Export(sensor string) *EvidenceExport {
 		Sensors: local,
 		Params:  c.cfg.Params,
 		Sources: make([]SourceEvidence, 0, len(clones)),
+		Lineage: lin,
 	}
 	for _, s := range clones {
 		ex.Sources = append(ex.Sources, s.export(local, c.cfg.WindowUS, c.cfg.FanoutThreshold))
 	}
 	sort.Slice(ex.Sources, func(i, j int) bool { return ex.Sources[i].Src.Less(ex.Sources[j].Src) })
 	return ex
+}
+
+// Lineage renders the lineage observations as Export does, without
+// the sources.
+func (c *Correlator) Lineage(sensor string) []lineage.Observation {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lin.Export(sensor)
 }
 
 // export renders one source's evidence as a SourceEvidence value. Its
@@ -328,14 +343,14 @@ func (s *sourceState) export(local []string, windowUS uint64, threshold int) Sou
 		ev.TargetedBy = append(ev.TargetedBy, fa)
 	}
 	sort.Slice(ev.TargetedBy, func(i, j int) bool {
-		return lessFingerprint(ev.TargetedBy[i].Fingerprint, ev.TargetedBy[j].Fingerprint)
+		return ev.TargetedBy[i].Fingerprint.Less(ev.TargetedBy[j].Fingerprint)
 	})
 
 	for fp, sp := range s.emitted.m {
 		ev.Emitted = append(ev.Emitted, FingerprintSpan{Fingerprint: fp, FirstUS: sp.first, LastUS: sp.last})
 	}
 	sort.Slice(ev.Emitted, func(i, j int) bool {
-		return lessFingerprint(ev.Emitted[i].Fingerprint, ev.Emitted[j].Fingerprint)
+		return ev.Emitted[i].Fingerprint.Less(ev.Emitted[j].Fingerprint)
 	})
 
 	for v, sp := range s.victims.m {
@@ -362,10 +377,11 @@ func parseStage(name string) Stage {
 
 // Import folds an evidence export into the live correlator: each
 // record unions into the matching source's evidence under the same
-// caps live events use, then propagation is re-derived across the
-// imported sources and closed (closePropagation) — the step that
-// closes attacker↔victim links whose two halves were observed by
-// different sensors. The notification gate is quieted only up to the
+// caps live events use, and each lineage observation into the lineage
+// set, not live; then propagation is re-derived across the imported
+// sources and closed (closePropagation) — the step that closes
+// attacker↔victim links whose two halves were observed by different
+// sensors. The notification gate is quieted only up to the
 // stage each record itself had already derived (recovery does not
 // re-announce); a stage that only the merged evidence proves — a
 // fan-out completed by union, a cross-sensor propagation link — fires
@@ -378,6 +394,11 @@ func (c *Correlator) Import(ex *EvidenceExport) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.lin != nil {
+		for i := range ex.Lineage {
+			c.foldLineage(&ex.Lineage[i], false)
+		}
+	}
 	touched := make([]*sourceState, 0, len(ex.Sources))
 	for i := range ex.Sources {
 		rec := &ex.Sources[i]

@@ -40,12 +40,9 @@ type Fold struct {
 	c       *Correlator
 	sensors []string
 	cls     map[netip.Addr]*ClassifierEvidence
-	lin     *lineage.Set
 
-	dirtySrc   []netip.Addr
-	dirtyCls   map[netip.Addr]struct{}
-	dirtyLin   map[core.Fingerprint]struct{}
-	droppedLin []core.Fingerprint
+	dirtySrc []netip.Addr
+	dirtyCls map[netip.Addr]struct{}
 }
 
 // foldTrack is the ledger of a Fold's merge correlator.
@@ -58,6 +55,11 @@ type foldTrack struct {
 	// dirty holds sources whose evidence the current merge may have
 	// changed.
 	dirty map[netip.Addr]struct{}
+
+	// dirtyLin holds the lineage observations changed since the last
+	// TakeDirty, droppedLin those the lineage cap displaced.
+	dirtyLin   map[core.Fingerprint]struct{}
+	droppedLin []core.Fingerprint
 }
 
 func (t *foldTrack) held(src netip.Addr) *SourceEvidence {
@@ -85,16 +87,16 @@ type FoldDirty struct {
 // NewFold starts an empty fold under the given correlation parameters.
 func NewFold(p Params) *Fold {
 	c := newMergeState(p)
+	c.lin = lineage.NewSet(lineage.MergeCap)
 	c.track = &foldTrack{
-		recs:  make(map[netip.Addr]*SourceEvidence),
-		dirty: make(map[netip.Addr]struct{}),
+		recs:     make(map[netip.Addr]*SourceEvidence),
+		dirty:    make(map[netip.Addr]struct{}),
+		dirtyLin: make(map[core.Fingerprint]struct{}),
 	}
 	return &Fold{
 		c:        c,
 		cls:      make(map[netip.Addr]*ClassifierEvidence),
-		lin:      lineage.NewSet(),
 		dirtyCls: make(map[netip.Addr]struct{}),
-		dirtyLin: make(map[core.Fingerprint]struct{}),
 	}
 }
 
@@ -132,13 +134,7 @@ func (f *Fold) Merge(sensors []string, sources []SourceEvidence, cls []Classifie
 		f.foldClassifier(&cls[i])
 	}
 	for i := range lin {
-		if f.lin.Fold(&lin[i]) {
-			f.dirtyLin[lin[i].Exact] = struct{}{}
-		}
-	}
-	for _, fp := range f.lin.Trim() {
-		f.droppedLin = append(f.droppedLin, fp)
-		delete(f.dirtyLin, fp)
+		c.foldLineage(&lin[i], false)
 	}
 }
 
@@ -180,12 +176,13 @@ func (f *Fold) TakeDirty() FoldDirty {
 	for src := range f.dirtyCls {
 		d.Classifier = append(d.Classifier, src)
 	}
-	for fp := range f.dirtyLin {
+	t := f.c.track
+	for fp := range t.dirtyLin {
 		d.Lineage = append(d.Lineage, fp)
 	}
-	d.DroppedLineage, f.droppedLin = f.droppedLin, nil
+	d.DroppedLineage, t.droppedLin = t.droppedLin, nil
 	clear(f.dirtyCls)
-	clear(f.dirtyLin)
+	clear(t.dirtyLin)
 	return d
 }
 
@@ -206,7 +203,7 @@ func (f *Fold) Classifier(src netip.Addr) ClassifierEvidence { return *f.cls[src
 
 // Lineage returns one payload's observation.
 func (f *Fold) Lineage(exact core.Fingerprint) lineage.Observation {
-	o, _ := f.lin.Get(exact)
+	o, _ := f.c.lin.Get(exact)
 	return o
 }
 
@@ -223,6 +220,6 @@ func (f *Fold) Export() *EvidenceExport {
 		ex.Classifier = append(ex.Classifier, *rec)
 	}
 	sort.Slice(ex.Classifier, func(i, j int) bool { return ex.Classifier[i].Src.Less(ex.Classifier[j].Src) })
-	ex.Lineage = f.lin.Export()
+	ex.Lineage = f.c.lin.Export("")
 	return ex
 }

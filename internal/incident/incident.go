@@ -323,16 +323,6 @@ func newMinKSet[K comparable](less func(a, b K) bool) minKSet[K] {
 // first).
 func lessAddr(a, b netip.Addr) bool { return a.Less(b) }
 
-func lessFingerprint(a, b core.Fingerprint) bool {
-	if a.A != b.A {
-		return a.A < b.A
-	}
-	if a.B != b.B {
-		return a.B < b.B
-	}
-	return a.N < b.N
-}
-
 func lessAlertKey(a, b alertKey) bool {
 	if a.tsUS != b.tsUS {
 		return a.tsUS < b.tsUS

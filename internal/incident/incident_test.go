@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"semnids/internal/core"
+	"semnids/internal/lineage"
+	"semnids/internal/sem"
 )
 
 var (
@@ -250,8 +252,16 @@ func TestSourceLRUBound(t *testing.T) {
 // a victim that keeps emitting it for three idle windows, interleaved
 // with one-shot sources (every third also alerts) that overflow the
 // cap. The attacker is kept alive by the echoes alone.
+//
+// Midway the victim also emits variants of one decoded tail, each a
+// sketch-bearing fingerprint event, all at one instant and more than
+// the test-lowered lineage cap: the observations tie on every witness
+// field but the exact fingerprint, and the cap must keep the same ones
+// both ways. They come in ascending fingerprint order, so one
+// direction offers the full set its greatest observation last and the
+// other its least.
 func TestEvictionOrderIndependence(t *testing.T) {
-	const cap, n = 8, 60
+	const cap, n, linCap, variants = 8, 60, 4, 12
 	step := uint64(sourceIdleUS / 20)
 	fp := core.FingerprintOf([]byte("worm"))
 	z := netip.MustParseAddr("10.9.9.9")
@@ -263,16 +273,27 @@ func TestEvictionOrderIndependence(t *testing.T) {
 		if i%3 == 0 {
 			events = append(events, alert(addr(i), addr(5000+i), ts+2, core.Fingerprint{}))
 		}
+		if i == n/2 {
+			for v := 0; v < variants; v++ {
+				ev := emission(victim, next, ts, core.Fingerprint{A: 0x7a11, B: uint64(v), N: 512})
+				ev.Sketch = sem.Sketch{Template: 7, TailA: 1, TailB: 2, TailN: 64}
+				events = append(events, ev)
+			}
+		}
 	}
 	events = append(events, flowOpen(z, addr(9000), 1000))
 
 	type result struct {
 		incidents, export string
 		lru, idle         uint64
+		lineage           int
 	}
 	run := func(order []core.Event) result {
 		c := New(Config{Params: Params{WindowUS: 10e6, FanoutThreshold: 3}, maxSources: cap})
 		defer c.Stop()
+		c.mu.Lock()
+		c.lin = lineage.NewSet(linCap)
+		c.mu.Unlock()
 		for _, ev := range order {
 			c.Publish(ev)
 		}
@@ -282,7 +303,7 @@ func TestEvictionOrderIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := c.Metrics()
-		return result{fmt.Sprint(c.Incidents()), string(ex), m.SourcesEvictedLRU, m.SourcesEvictedIdle}
+		return result{fmt.Sprint(c.Incidents()), string(ex), m.SourcesEvictedLRU, m.SourcesEvictedIdle, m.LineageTracked}
 	}
 	forward := run(events)
 	slices.Reverse(events)
@@ -302,6 +323,9 @@ func TestEvictionOrderIndependence(t *testing.T) {
 	}
 	if !strings.Contains(forward.incidents, "PROPAGATION") {
 		t.Errorf("attacker did not reach PROPAGATION: %s", forward.incidents)
+	}
+	if forward.lineage != linCap || backward.lineage != linCap {
+		t.Errorf("lineage observations tracked forward %d, reversed %d, want the cap, %d", forward.lineage, backward.lineage, linCap)
 	}
 }
 

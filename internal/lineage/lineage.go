@@ -17,23 +17,20 @@
 // The package keeps the evidence plane's determinism contract: an
 // Observation is keyed by its exact fingerprint and every fold is a
 // minimum under a total order or a set union, so any sequence of
-// Observe/Import calls over the same underlying observations converges
-// to the same canonical Export — and Trace is a pure function of that
+// Set.Fold calls over the same underlying observations converges to
+// the same canonical Export — and Trace is a pure function of that
 // export. Shard counts, federation order and merge bracketing cannot
 // change the rendered ancestry.
 package lineage
 
 import (
 	"net/netip"
-	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"semnids/internal/core"
 	"semnids/internal/engine"
 	"semnids/internal/sem"
-	"semnids/internal/telemetry"
 )
 
 // Observation is one distinct hostile payload as first witnessed: the
@@ -77,18 +74,6 @@ func TailFingerprint(sk sem.Sketch) core.Fingerprint {
 	return core.Fingerprint{A: sk.TailA, B: sk.TailB, N: sk.TailN}
 }
 
-// lessFP is the total order on fingerprints used everywhere in this
-// package (identical to the correlator's).
-func lessFP(a, b core.Fingerprint) bool {
-	if a.A != b.A {
-		return a.A < b.A
-	}
-	if a.B != b.B {
-		return a.B < b.B
-	}
-	return a.N < b.N
-}
-
 // witnessLess orders observations by earliest witness: (FirstUS, Src,
 // Dst, Exact). A strict total order (Exact is unique per observation
 // set), so min-folds and sorts under it are deterministic.
@@ -102,7 +87,7 @@ func witnessLess(a, b *Observation) bool {
 	if a.Dst != b.Dst {
 		return a.Dst.Less(b.Dst)
 	}
-	return lessFP(a.Exact, b.Exact)
+	return a.Exact.Less(b.Exact)
 }
 
 // foldInto merges src into dst (same Exact): the earliest witness wins
@@ -118,11 +103,14 @@ func foldInto(dst, src *Observation) {
 		dst.Src = src.Src
 		dst.Dst = src.Dst
 	}
-	dst.Sensors = core.SortedUnion(dst.Sensors, src.Sensors)
+	if len(src.Sensors) > 0 {
+		dst.Sensors = core.SortedUnion(dst.Sensors, src.Sensors)
+	}
 }
 
-// StoreCap bounds a sensor-local store; MergeCap bounds a
-// merged observation set. Both retain the smallest observations under
+// StoreCap bounds a sensor's live observation set (the incident
+// correlator's); MergeCap bounds a merged one (an aggregator's fold,
+// Merge). A Set at its cap keeps the smallest observations under
 // witnessLess — keep-K-minima under a total order is associative, so
 // capping preserves the determinism contract (for outbreaks within
 // the cap, which is every test and any plausible incident window).
@@ -131,62 +119,18 @@ const (
 	MergeCap = 65536
 )
 
-// StoreConfig parameterizes a Store.
-type StoreConfig struct {
-	// Sensor stamps locally-witnessed observations' provenance
-	// (default engine.DefaultSensorID).
-	Sensor string
-	// Telemetry receives the lineage series (observations folded,
-	// observations tracked). Nil creates a private registry.
-	Telemetry *telemetry.Registry
-}
-
-// Store accumulates a sensor's lineage observations. Observe is called
-// from shard goroutines (via the engine's event tap) and Export from
-// the sink goroutine, hence the mutex; the hot path is one map lookup
-// for frames that carry a sketch and zero work for frames that do not.
-type Store struct {
-	sensor string
-
-	mu  sync.Mutex
-	obs map[core.Fingerprint]*Observation
-
-	folds atomic.Uint64
-}
-
-// NewStore builds a store.
-func NewStore(cfg StoreConfig) *Store {
-	if cfg.Sensor == "" {
-		cfg.Sensor = engine.DefaultSensorID
-	}
-	s := &Store{
-		sensor: cfg.Sensor,
-		obs:    make(map[core.Fingerprint]*Observation),
-	}
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	reg.CounterFunc("semnids_lineage_observations_total", "Lineage observations folded into the store.", s.folds.Load)
-	reg.GaugeFunc("semnids_lineage_tracked", "Distinct payloads tracked by the lineage store.", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return int64(len(s.obs))
-	})
-	return s
-}
-
-// Observe folds one engine event. Only fingerprint/alert events whose
-// sketch recovered a decoded tail contribute — everything else is a
-// cheap early return.
-func (s *Store) Observe(ev core.Event) {
+// Witnessed returns the observation an engine event witnesses: an
+// alert or fingerprint event whose sketch recovered a decoded tail.
+// ok is false for every other event. The observation names no sensor;
+// the set that folds it marks it live (Set.Fold).
+func Witnessed(ev *core.Event) (o Observation, ok bool) {
 	if !ev.Sketch.HasTail() || ev.Fingerprint.IsZero() {
-		return
+		return Observation{}, false
 	}
 	if ev.Kind != core.EventFingerprint && ev.Kind != core.EventAlert {
-		return
+		return Observation{}, false
 	}
-	o := Observation{
+	return Observation{
 		Exact:       ev.Fingerprint,
 		Tail:        TailFingerprint(ev.Sketch),
 		TemplateSym: ev.Sketch.Template,
@@ -194,159 +138,160 @@ func (s *Store) Observe(ev core.Event) {
 		FirstUS:     ev.TimestampUS,
 		Src:         ev.Src,
 		Dst:         ev.Dst,
-		Sensors:     []string{s.sensor},
-	}
-	s.mu.Lock()
-	s.fold(&o)
-	s.mu.Unlock()
+	}, true
 }
 
-// Import folds a federated observation set (from another sensor's
-// export, or a merged aggregate) into the store. Idempotent.
-func (s *Store) Import(obs []Observation) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range obs {
-		o := obs[i]
-		o.Sensors = append([]string(nil), o.Sensors...)
-		s.fold(&o)
+// StoreConfig parameterizes a Store.
+//
+// Deprecated: see Store.
+type StoreConfig struct {
+	// Sensor stamps locally-witnessed observations' provenance
+	// (default engine.DefaultSensorID).
+	Sensor string
+}
+
+// Store is a Set at StoreCap that folds engine events under a mutex.
+//
+// Deprecated: the incident correlator folds a sensor's lineage
+// observations from the events it applies, and Correlator.Export
+// carries them. Store stays only for the benchmark's staged and traced
+// passes, which call NewStore, Observe and Export.
+type Store struct {
+	sensor string
+	mu     sync.Mutex
+	set    *Set
+}
+
+// NewStore builds a store.
+//
+// Deprecated: see Store.
+func NewStore(cfg StoreConfig) *Store {
+	if cfg.Sensor == "" {
+		cfg.Sensor = engine.DefaultSensorID
+	}
+	return &Store{sensor: cfg.Sensor, set: NewSet(StoreCap)}
+}
+
+// Observe folds the observation one engine event witnesses, if any.
+func (s *Store) Observe(ev core.Event) {
+	if o, ok := Witnessed(&ev); ok {
+		s.mu.Lock()
+		s.set.Fold(&o, true)
+		s.mu.Unlock()
 	}
 }
 
-// fold merges one observation under the cap. Called with mu held.
-func (s *Store) fold(o *Observation) {
-	s.folds.Add(1)
-	if cur, ok := s.obs[o.Exact]; ok {
-		foldInto(cur, o)
-		return
-	}
-	if len(s.obs) >= StoreCap {
-		// Displace the largest retained witness if the newcomer is
-		// smaller — keep-K-minima, the same discipline as the
-		// correlator's evidence caps.
-		var worst *Observation
-		for _, cur := range s.obs {
-			if worst == nil || witnessLess(worst, cur) {
-				worst = cur
-			}
-		}
-		if !witnessLess(o, worst) {
-			return
-		}
-		delete(s.obs, worst.Exact)
-	}
-	cp := *o
-	s.obs[o.Exact] = &cp
-}
-
-// Export snapshots the store as a canonical observation list, sorted
-// by witness order.
+// Export snapshots the store as a canonical observation list.
 func (s *Store) Export() []Observation {
 	s.mu.Lock()
-	out := make([]Observation, 0, len(s.obs))
-	for _, o := range s.obs {
-		cp := *o
-		cp.Sensors = append([]string(nil), o.Sensors...)
-		out = append(out, cp)
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return witnessLess(&out[i], &out[j]) })
-	return out
-}
-
-// Len reports distinct tracked payloads.
-func (s *Store) Len() int {
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.obs)
+	return s.set.Export(s.sensor)
 }
 
 // Merge unions two canonical observation lists into one, under
-// MergeCap: a Set that folds both, trimmed and exported. Commutative,
+// MergeCap: a Set that folds both and exports. Commutative,
 // associative and idempotent on the canonical form: Merge(A,B) ==
 // Merge(B,A) and Merge(A,A) == A.
 func Merge(a, b []Observation) []Observation {
-	s := NewSet()
+	s := NewSet(MergeCap)
 	for _, obs := range [][]Observation{a, b} {
 		for i := range obs {
-			s.Fold(&obs[i])
+			s.Fold(&obs[i], false)
 		}
 	}
-	s.Trim()
-	return s.Export()
+	return s.Export("")
 }
 
-// Set is the keyed observation set of a federated state, folded one
-// observation at a time so a long-lived state pays only for what
-// arrives. Not safe for concurrent use.
+// Set is a keyed observation set, folded one observation at a time and
+// bounded by its cap: a sensor's live set, or the state of a federated
+// fold. Not safe for concurrent use.
 type Set struct {
-	obs map[core.Fingerprint]*Observation
+	cap int
+	obs map[core.Fingerprint]*entry
 }
 
-// NewSet returns an empty set.
-func NewSet() *Set { return &Set{obs: make(map[core.Fingerprint]*Observation)} }
+// entry is one held observation. live marks one the set has folded
+// from an event its own sensor witnessed since it was admitted; Export
+// adds the exporting sensor to its provenance.
+type entry struct {
+	Observation
+	live bool
+}
 
-// Get returns the folded observation for one exact fingerprint. The
-// returned value shares no mutable memory with the set: sensor sets
-// are replaced, never appended to in place.
+// NewSet returns an empty set that holds at most cap observations.
+func NewSet(cap int) *Set {
+	return &Set{cap: cap, obs: make(map[core.Fingerprint]*entry)}
+}
+
+// Len reports the distinct payloads held.
+func (s *Set) Len() int { return len(s.obs) }
+
+// Get returns the folded observation for one exact fingerprint,
+// without the exporting sensor Export adds to a live one. The returned
+// value shares no mutable memory with the set: sensor sets are
+// replaced, never appended to in place.
 func (s *Set) Get(exact core.Fingerprint) (Observation, bool) {
-	o, ok := s.obs[exact]
+	e, ok := s.obs[exact]
 	if !ok {
 		return Observation{}, false
 	}
-	return *o, true
+	return e.Observation, true
 }
 
-// Fold merges one observation and reports whether the set changed.
-func (s *Set) Fold(o *Observation) bool {
-	cur, ok := s.obs[o.Exact]
-	if !ok {
-		cp := *o
-		cp.Sensors = core.SortedUnion(o.Sensors, nil)
-		s.obs[o.Exact] = &cp
-		return true
+// Fold merges one observation — live when the set's own sensor
+// witnessed it — and reports whether the set changed. The cap keeps
+// the K smallest witnesses: a new observation that finds the set full
+// displaces the greatest held one if it is smaller, found by one scan,
+// and is dropped otherwise. evicted is the displaced observation, nil
+// if none.
+func (s *Set) Fold(o *Observation, live bool) (changed bool, evicted *Observation) {
+	if cur, ok := s.obs[o.Exact]; ok {
+		moved, n := witnessLess(o, &cur.Observation), len(cur.Sensors)
+		foldInto(&cur.Observation, o)
+		changed = moved || len(cur.Sensors) != n || live && !cur.live
+		cur.live = cur.live || live
+		return changed, nil
 	}
-	before := *cur
-	foldInto(cur, o)
-	return cur.FirstUS != before.FirstUS || cur.Src != before.Src || cur.Dst != before.Dst ||
-		cur.Tail != before.Tail || cur.TemplateSym != before.TemplateSym || cur.StmtsSym != before.StmtsSym ||
-		!slices.Equal(cur.Sensors, before.Sensors)
-}
-
-// Trim enforces MergeCap — the smallest witnesses stay — and returns
-// the fingerprints it dropped.
-func (s *Set) Trim() []core.Fingerprint {
-	if len(s.obs) <= MergeCap {
-		return nil
+	if len(s.obs) >= s.cap {
+		var worst *entry
+		for _, cur := range s.obs {
+			if worst == nil || witnessLess(&worst.Observation, &cur.Observation) {
+				worst = cur
+			}
+		}
+		if !witnessLess(o, &worst.Observation) {
+			return false, nil
+		}
+		delete(s.obs, worst.Exact)
+		evicted = &worst.Observation
 	}
-	all := make([]*Observation, 0, len(s.obs))
-	for _, o := range s.obs {
-		all = append(all, o)
-	}
-	sort.Slice(all, func(i, j int) bool { return witnessLess(all[i], all[j]) })
-	dropped := make([]core.Fingerprint, 0, len(all)-MergeCap)
-	for _, o := range all[MergeCap:] {
-		dropped = append(dropped, o.Exact)
-		delete(s.obs, o.Exact)
-	}
-	return dropped
+	e := &entry{Observation: *o, live: live}
+	e.Sensors = core.SortedUnion(o.Sensors, nil)
+	s.obs[o.Exact] = e
+	return true, evicted
 }
 
 // Export returns the set as a canonical observation list, sorted by
-// witness order (nil when empty). It shares no mutable memory with
-// the set.
-func (s *Set) Export() []Observation {
+// witness order (nil when empty), with sensor added to the provenance
+// of every live observation. It shares no mutable memory with the
+// set.
+func (s *Set) Export(sensor string) []Observation {
 	if len(s.obs) == 0 {
 		return nil
 	}
+	local := []string{sensor}
 	out := make([]Observation, 0, len(s.obs))
-	for _, o := range s.obs {
-		out = append(out, *o)
+	for _, e := range s.obs {
+		o := e.Observation
+		if e.live {
+			o.Sensors = core.SortedUnion(o.Sensors, local)
+		}
+		out = append(out, o)
 	}
 	sort.Slice(out, func(i, j int) bool { return witnessLess(&out[i], &out[j]) })
 	return out
 }
 
 // Less is the canonical export order of observations (earliest
-// witness first), the order Merge and Store.Export sort under.
+// witness first), the order Merge and Set.Export sort under.
 func Less(a, b *Observation) bool { return witnessLess(a, b) }

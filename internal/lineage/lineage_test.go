@@ -121,40 +121,101 @@ func TestMergeCapKeepsMinima(t *testing.T) {
 	}
 }
 
-func TestStoreFoldMatchesMerge(t *testing.T) {
-	// A store fed observations one at a time exports the same canonical
-	// list as a flat Merge — Observe/Import and Merge share foldInto.
-	sample := sampleObservations(4, 60)
-	st := NewStore(StoreConfig{Sensor: "s0"})
-	st.Import(sample)
-	want := Merge(sample, nil)
-	if canonical(t, st.Export()) != canonical(t, want) {
-		t.Fatal("store fold diverged from Merge")
-	}
-	// Idempotent: importing the same set again changes nothing.
-	st.Import(sample)
-	if canonical(t, st.Export()) != canonical(t, want) {
-		t.Fatal("re-import changed the store")
+// fold folds observations into a set, none of them live.
+func fold(s *Set, obs []Observation) {
+	for i := range obs {
+		s.Fold(&obs[i], false)
 	}
 }
 
-func TestStoreCapDisplacement(t *testing.T) {
-	st := NewStore(StoreConfig{Sensor: "s0"})
+func TestSetFoldMatchesMerge(t *testing.T) {
+	// A live-capped set fed observations one at a time exports the same
+	// canonical list as a flat Merge — both go through Set.Fold.
+	sample := sampleObservations(4, 60)
+	st := NewSet(StoreCap)
+	fold(st, sample)
+	want := Merge(sample, nil)
+	if canonical(t, st.Export("s0")) != canonical(t, want) {
+		t.Fatal("set fold diverged from Merge")
+	}
+	// Idempotent: folding the same set again changes nothing.
+	fold(st, sample)
+	if canonical(t, st.Export("s0")) != canonical(t, want) {
+		t.Fatal("re-fold changed the set")
+	}
+}
+
+func TestSetCapDisplacement(t *testing.T) {
+	st := NewSet(StoreCap)
 	const extra = 4
 	last := uint64(2 * StoreCap)
 	for i := 0; i < StoreCap+extra; i++ {
 		// Later payloads have earlier witnesses, so each past the cap
 		// must displace the worst retained one.
-		st.Import([]Observation{obs(i, tailOf("worm-a"), "10.0.0.1", "172.16.0.1", last-uint64(i))})
+		o := obs(i, tailOf("worm-a"), "10.0.0.1", "172.16.0.1", last-uint64(i))
+		changed, evicted := st.Fold(&o, false)
+		if !changed {
+			t.Fatalf("payload %d: a smaller witness was not admitted", i)
+		}
+		if (evicted != nil) != (i >= StoreCap) {
+			t.Fatalf("payload %d: evicted = %v with %d held", i, evicted, st.Len())
+		}
+		if evicted != nil && evicted.FirstUS != last-uint64(i-StoreCap) {
+			t.Fatalf("payload %d displaced the witness at %dus, want the greatest, %dus", i, evicted.FirstUS, last-uint64(i-StoreCap))
+		}
 	}
-	ex := st.Export()
+	ex := st.Export("s0")
 	if len(ex) != StoreCap {
-		t.Fatalf("store kept %d, want cap %d", len(ex), StoreCap)
+		t.Fatalf("set kept %d, want cap %d", len(ex), StoreCap)
 	}
 	for _, o := range ex {
 		if o.FirstUS > last-extra {
-			t.Fatalf("store retained witness at %dus; the %d minima end at %d", o.FirstUS, StoreCap, last-extra)
+			t.Fatalf("set retained witness at %dus; the %d minima end at %d", o.FirstUS, StoreCap, last-extra)
 		}
+	}
+	// A newcomer no smaller than every held witness is dropped.
+	late := obs(StoreCap+extra, tailOf("worm-a"), "10.0.0.1", "172.16.0.1", last)
+	if changed, evicted := st.Fold(&late, false); changed || evicted != nil || st.Len() != StoreCap {
+		t.Fatalf("a witness past the minima was admitted (changed=%v evicted=%v len=%d)", changed, evicted, st.Len())
+	}
+}
+
+// TestSetLiveProvenance checks that Export adds the exporting sensor
+// to exactly the observations folded live, that displacement forgets
+// the mark, and that a live fold of a held observation sets it.
+func TestSetLiveProvenance(t *testing.T) {
+	st := NewSet(2)
+	a := obs(0, tailOf("worm-a"), "10.0.0.1", "172.16.0.1", 100)
+	b := obs(1, tailOf("worm-a"), "10.0.0.1", "172.16.0.2", 200)
+	c := obs(2, tailOf("worm-a"), "10.0.0.1", "172.16.0.3", 50)
+	st.Fold(&a, false)
+	st.Fold(&b, true)
+	sensors := func() map[core.Fingerprint][]string {
+		m := map[core.Fingerprint][]string{}
+		for _, o := range st.Export("local") {
+			m[o.Exact] = o.Sensors
+		}
+		return m
+	}
+	got := sensors()
+	if !reflect.DeepEqual(got[a.Exact], []string{"s0"}) || !reflect.DeepEqual(got[b.Exact], []string{"local", "s1"}) {
+		t.Fatalf("sensors = %v, want a imported only and b stamped local", got)
+	}
+	if changed, _ := st.Fold(&a, true); !changed {
+		t.Fatal("a live fold of an imported observation reported no change")
+	}
+	if got := sensors(); !reflect.DeepEqual(got[a.Exact], []string{"local", "s0"}) {
+		t.Fatalf("a's sensors after a live fold = %v, want [local s0]", got[a.Exact])
+	}
+	// c displaces b, the greatest witness; b comes back imported only
+	// and displaces a.
+	if _, evicted := st.Fold(&c, false); evicted == nil || evicted.Exact != b.Exact {
+		t.Fatalf("c displaced %v, want b", evicted)
+	}
+	b.FirstUS = 10
+	st.Fold(&b, false)
+	if got := sensors(); !reflect.DeepEqual(got[b.Exact], []string{"s1"}) {
+		t.Fatalf("readmitted b's sensors = %v, want [s1]: displacement must forget the live mark", got[b.Exact])
 	}
 }
 

@@ -78,7 +78,7 @@ func Trace(obs []Observation) []Tree {
 	for t := range byTail {
 		tails = append(tails, t)
 	}
-	sort.Slice(tails, func(i, j int) bool { return lessFP(tails[i], tails[j]) })
+	sort.Slice(tails, func(i, j int) bool { return tails[i].Less(tails[j]) })
 
 	var trees []Tree
 	for _, tail := range tails {

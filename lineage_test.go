@@ -3,10 +3,13 @@ package nids
 import (
 	"bytes"
 	"net/http"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"semnids/internal/core"
 	"semnids/internal/engine"
 	"semnids/internal/fed/transport/faultnet"
 	"semnids/internal/netpkt"
@@ -315,5 +318,98 @@ func TestLineageOffLeavesReportsUntouched(t *testing.T) {
 	on.Stop()
 	if got := renderIncidents(t, on); got != wantReport {
 		t.Errorf("enabling lineage changed the plain worm's incident report:\n got:\n%s\nwant:\n%s", got, wantReport)
+	}
+}
+
+// TestLineageSeededSensorProvenance pins lineage provenance across a
+// seeding: sensor-a runs the first two thirds of the mutated outbreak,
+// sensor-b imports its export and runs the last two thirds. sensor-b's
+// lineage must be the merge of sensor-a's export and of what a fresh
+// sensor-b witnesses on the same traffic — sensor-a's sensor sets kept,
+// sensor-b added exactly where it witnessed the payload itself — so an
+// observation sensor-b only imported does not name it. Classification
+// is off, so what a sensor witnesses does not depend on the state it
+// was seeded with.
+func TestLineageSeededSensorProvenance(t *testing.T) {
+	pkts := polymorphTrace()
+	lo := splitAtFlowBoundary(t, pkts, len(pkts)/3)
+	hi := splitAtFlowBoundary(t, pkts, 2*len(pkts)/3)
+	sensor := func(name string) *Engine {
+		e, err := NewEngine(EngineConfig{
+			Config:    Config{DisableClassification: true},
+			Shards:    2,
+			Correlate: true,
+			Lineage:   true,
+			SensorID:  name,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	parent := sensor("sensor-a")
+	feed(parent, pkts[:hi])
+	parent.Stop()
+	var wire bytes.Buffer
+	if err := parent.ExportIncidents(&wire); err != nil {
+		t.Fatal(err)
+	}
+	parentEx, err := ReadEvidence(bytes.NewReader(wire.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := sensor("sensor-b")
+	feed(fresh, pkts[lo:])
+	fresh.Stop()
+	witnessed := exportOf(t, fresh)
+
+	seeded := sensor("sensor-b")
+	if err := seeded.ImportIncidents(&wire); err != nil {
+		t.Fatal(err)
+	}
+	feed(seeded, pkts[lo:])
+	seeded.Stop()
+	got := exportOf(t, seeded).Lineage
+
+	want, err := MergeEvidence(parentEx, witnessed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want.Lineage) {
+		t.Fatalf("seeded sensor's lineage differs from the merge of its seed and its own witness:\n got: %+v\nwant: %+v", got, want.Lineage)
+	}
+
+	inParent, inWitnessed := map[core.Fingerprint]bool{}, map[core.Fingerprint]bool{}
+	for _, o := range parentEx.Lineage {
+		inParent[o.Exact] = true
+	}
+	for _, o := range witnessed.Lineage {
+		inWitnessed[o.Exact] = true
+	}
+	var imported, both, live int
+	for _, o := range got {
+		switch {
+		case !inWitnessed[o.Exact]:
+			imported++
+			if !slices.Equal(o.Sensors, []string{"sensor-a"}) {
+				t.Errorf("observation %v only imported carries sensors %v, want [sensor-a]", o.Exact, o.Sensors)
+			}
+		case inParent[o.Exact]:
+			both++
+			if !slices.Equal(o.Sensors, []string{"sensor-a", "sensor-b"}) {
+				t.Errorf("observation %v witnessed by both carries sensors %v", o.Exact, o.Sensors)
+			}
+		default:
+			live++
+			if !slices.Equal(o.Sensors, []string{"sensor-b"}) {
+				t.Errorf("observation %v witnessed by sensor-b alone carries sensors %v", o.Exact, o.Sensors)
+			}
+		}
+	}
+	t.Logf("%d observations imported only, %d witnessed by both, %d by sensor-b alone", imported, both, live)
+	if imported == 0 || both == 0 || live == 0 {
+		t.Fatalf("split exercises too little: %d imported only, %d both, %d sensor-b only", imported, both, live)
 	}
 }

@@ -206,13 +206,15 @@ type EngineConfig struct {
 	// identity, decode-chain statement multiset, emulator-decoded
 	// tail), the correlator accepts structural matches for PROPAGATION
 	// — so a polymorphic worm that re-encodes itself at every hop
-	// still closes the kill chain — and a lineage store accumulates
-	// per-payload observations from which Ancestry reconstructs
+	// still closes the kill chain — and folds each sketched alert or
+	// fingerprint event into its lineage set (at most 4 096 payloads,
+	// the smallest witnesses kept), from which Ancestry reconstructs
 	// infection trees. Lineage observations federate in evidence
 	// exports ("lin" wire records) with the same commutative,
-	// idempotent merge as all other evidence. Off by default: with
-	// Lineage false, events carry no sketch and every detection,
-	// report and export is byte-identical to previous builds.
+	// idempotent merge as all other evidence; a sensor without Lineage
+	// ignores the ones it imports. Off by default: with Lineage false,
+	// events carry no sketch and every detection, report and export is
+	// byte-identical to previous builds.
 	Lineage bool
 
 	// IncidentWindow is the sliding trace-time window for the
@@ -343,10 +345,9 @@ type Engine struct {
 	inner *engine.Engine
 	corr  *incident.Correlator
 
-	// lin accumulates structural-payload observations when Lineage is
-	// enabled (nil otherwise); linDepth/linLinks are its tracer
-	// telemetry, recorded each time an ancestry forest is derived.
-	lin      *lineage.Store
+	// linDepth/linLinks are the ancestry tracer's telemetry, recorded
+	// each time an ancestry forest is derived; linDepth is nil without
+	// Lineage.
 	linDepth *telemetry.Histogram
 	linLinks atomic.Uint64
 
@@ -395,6 +396,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		DatagramFlows:  cfg.DatagramFlows,
 		DatagramIdleUS: uint64(cfg.DatagramIdle / time.Microsecond),
 		FullScan:       cfg.FullScan,
+		Lineage:        cfg.Lineage,
 		OnAlert:        cfg.OnAlert,
 		SensorID:       cfg.SensorID,
 		Telemetry:      tel,
@@ -421,20 +423,13 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		})
 		ecfg.OnEvent = e.corr.Publish
 	}
-	if cfg.Lineage {
-		// The store is built below, once the engine has defaulted the
-		// sensor ID; no event flows before NewEngine returns.
-		ecfg.Lineage = true
-		corrPublish := ecfg.OnEvent
-		ecfg.OnEvent = func(ev core.Event) {
-			e.lin.Observe(ev)
-			corrPublish(ev)
-		}
-	}
 	e.inner = engine.New(ecfg)
 	e.sensor = e.inner.SensorID()
 	if cfg.Lineage {
-		e.lin = lineage.NewStore(lineage.StoreConfig{Sensor: e.sensor, Telemetry: tel})
+		tel.CounterFunc("semnids_lineage_observations_total", "Lineage observations folded into the correlator's lineage set.",
+			func() uint64 { return e.corr.Metrics().LineageObservations })
+		tel.GaugeFunc("semnids_lineage_tracked", "Distinct payloads tracked in the correlator's lineage set.",
+			func() int64 { return int64(e.corr.Metrics().LineageTracked) })
 		e.linDepth = tel.Histogram("semnids_lineage_ancestry_depth",
 			"Maximum depth of each reconstructed ancestry tree (root = 0).")
 		tel.CounterFunc("semnids_lineage_links_total",
@@ -643,10 +638,10 @@ func (e *Engine) Incidents() []Incident {
 // the shard count or federation order. Nil without Lineage. Each call
 // records tracer telemetry (links derived, ancestry-depth histogram).
 func (e *Engine) Ancestry() []AncestryTree {
-	if e.lin == nil {
+	if e.linDepth == nil {
 		return nil
 	}
-	trees := lineage.Trace(e.lin.Export())
+	trees := lineage.Trace(e.corr.Lineage(e.sensor))
 	var links uint64
 	for _, t := range trees {
 		e.linDepth.Observe(int64(t.MaxDepth))
@@ -672,9 +667,6 @@ func (e *Engine) IncidentStats() IncidentMetrics {
 func (e *Engine) exportEvidence() *EvidenceExport {
 	ex := e.corr.Export(e.sensor)
 	ex.Classifier = append(ex.Classifier, e.inner.Classifier().ExportState()...)
-	if e.lin != nil {
-		ex.Lineage = e.lin.Export()
-	}
 	return ex
 }
 
@@ -706,17 +698,20 @@ func (e *Engine) ImportIncidents(r io.Reader) error {
 	return e.importEvidence(ex)
 }
 
-// importEvidence folds an export into the correlator and re-marks
-// confirmed attackers in the classifier — the same state a live alert
-// establishes (follow-on traffic from a confirmed attacker is always
-// analyzed), so a restarted or seeded sensor keeps watching the
-// sources its evidence has already convicted.
+// importEvidence folds an export into the correlator (its lineage
+// observations only with Lineage on) and re-marks confirmed attackers
+// in the classifier — the same state a live alert establishes
+// (follow-on traffic from a confirmed attacker is always analyzed), so
+// a restarted or seeded sensor keeps watching the sources its evidence
+// has already convicted.
 func (e *Engine) importEvidence(ex *EvidenceExport) error {
+	if e.linDepth == nil && len(ex.Lineage) > 0 {
+		cp := *ex
+		cp.Lineage = nil
+		ex = &cp
+	}
 	if err := e.corr.Import(ex); err != nil {
 		return err
-	}
-	if e.lin != nil && len(ex.Lineage) > 0 {
-		e.lin.Import(ex.Lineage)
 	}
 	cl := e.inner.Classifier()
 	for i := range ex.Sources {
