@@ -51,23 +51,24 @@ func sameOutcome(t *testing.T, what string, got, want *Machine, gs, ws Stop, ge,
 	if got.Steps != want.Steps || got.EIP != want.EIP {
 		t.Fatalf("%s: steps/eip %d/%#x, reference %d/%#x", what, got.Steps, got.EIP, want.Steps, want.EIP)
 	}
-	if got.Regs != want.Regs {
-		t.Fatalf("%s: regs %x, reference %x", what, got.Regs, want.Regs)
+	if got.st.Regs != want.st.Regs {
+		t.Fatalf("%s: regs %x, reference %x", what, got.st.Regs, want.st.Regs)
 	}
-	gf := [5]bool{got.ZF, got.SF, got.CF, got.OF, got.DF}
-	wf := [5]bool{want.ZF, want.SF, want.CF, want.OF, want.DF}
+	g, w := &got.st, &want.st
+	gf := [5]bool{g.ZF, g.SF, g.CF, g.OF, g.DF}
+	wf := [5]bool{w.ZF, w.SF, w.CF, w.OF, w.DF}
 	if gf != wf {
 		t.Fatalf("%s: flags %v, reference %v", what, gf, wf)
 	}
 	if !bytes.Equal(got.Mem, want.Mem) {
 		t.Fatalf("%s: memory differs from the reference", what)
 	}
-	if len(got.stack) != len(want.stack) {
-		t.Fatalf("%s: stack depth %d, reference %d", what, len(got.stack), len(want.stack))
+	if len(g.Stack) != len(w.Stack) {
+		t.Fatalf("%s: stack depth %d, reference %d", what, len(g.Stack), len(w.Stack))
 	}
-	for i := range got.stack {
-		if got.stack[i] != want.stack[i] {
-			t.Fatalf("%s: stack[%d] %#x, reference %#x", what, i, got.stack[i], want.stack[i])
+	for i := range g.Stack {
+		if g.Stack[i] != w.Stack[i] {
+			t.Fatalf("%s: stack[%d] %#x, reference %#x", what, i, g.Stack[i], w.Stack[i])
 		}
 	}
 }

@@ -152,6 +152,45 @@ func TestSinkMulIMul(t *testing.T) {
 	if int32(m.Reg(x86.EDI)) != -18 {
 		t.Errorf("imul 3-op: %d", int32(m.Reg(x86.EDI)))
 	}
+
+	// One-operand mul and imul at byte and word width: AX <- AL*r/m8
+	// with EDX untouched, DX:AX <- AX*r/m16.
+	for _, c := range []struct {
+		op       x86.Opcode
+		src      x86.Reg
+		eax, edx uint32
+	}{
+		{x86.MUL, x86.BL, 0x123400f0, 0x0badf00d},
+		{x86.IMUL, x86.BL, 0x123400f0, 0x0badf00d},
+		{x86.MUL, x86.BX, 0x1234acf0, 0x0bad0000},
+		{x86.IMUL, x86.BX, 0x1234acf0, 0x0bad0000},
+	} {
+		code := x86.NewAsm().
+			MovRI(x86.EAX, 0x12345678).
+			MovRI(x86.EDX, 0x0badf00d).
+			MovRI(x86.EBX, 2).
+			I(c.op, x86.RegOp(c.src)).
+			IntN(0x80).
+			MustBytes()
+		m := runSink(t, code)
+		if m.Reg(x86.EAX) != c.eax || m.Reg(x86.EDX) != c.edx {
+			t.Errorf("%v %v: eax=%#x edx=%#x, want %#x %#x", c.op, c.src, m.Reg(x86.EAX), m.Reg(x86.EDX), c.eax, c.edx)
+		}
+	}
+	code = x86.NewAsm().
+		MovRI(x86.EAX, 0xff).
+		MovRI(x86.ECX, 0xfffe).
+		I(x86.IMUL, x86.RegOp(x86.CL)). // -1 * -2
+		MovRR(x86.EBX, x86.EAX).
+		MovRI(x86.EAX, 0xffff).
+		MovRI(x86.EDX, 0).
+		I(x86.IMUL, x86.RegOp(x86.CX)). // -1 * -2 in DX:AX
+		IntN(0x80).
+		MustBytes()
+	m = runSink(t, code)
+	if m.Reg(x86.EBX) != 2 || m.Reg(x86.EAX) != 2 || m.Reg(x86.EDX) != 0 {
+		t.Errorf("signed imul: ebx=%#x eax=%#x edx=%#x, want 2 2 0", m.Reg(x86.EBX), m.Reg(x86.EAX), m.Reg(x86.EDX))
+	}
 }
 
 func TestSinkXlatAndSalc(t *testing.T) {

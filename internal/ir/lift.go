@@ -124,10 +124,9 @@ type Program struct {
 	// threaded is reusable scratch for the threaded instruction order.
 	threaded []*x86.Inst
 
-	// stackBuf is the evaluator's reusable symbolic-stack storage,
-	// threaded through analyzeInto so repeated lifts do not re-grow
-	// the tracked-push buffer every time.
-	stackBuf []stackVal
+	// state is the evaluator's abstract state, kept so repeated lifts
+	// reuse its symbolic-stack storage.
+	state State
 }
 
 // Lift analyzes a decoded instruction stream: it computes the threaded
@@ -151,25 +150,24 @@ func Lift(insts []x86.Inst) *Program {
 // reset (x86.DecodeCache.Reset) or p is Reused.
 func (p *Program) Reuse(insts []*x86.Inst) {
 	p.threaded = x86.ThreadOrderAppend(p.threaded[:0], insts)
-	p.Nodes, p.stackBuf = analyzeInto(p.Nodes[:0], p.threaded, p.stackBuf)
-	p.Raw, p.stackBuf = analyzeInto(p.Raw[:0], insts, p.stackBuf)
+	p.Nodes = p.analyzeInto(p.Nodes[:0], p.threaded)
+	p.Raw = p.analyzeInto(p.Raw[:0], insts)
 }
 
-// analyzeInto runs the abstract evaluator over insts in the given
-// order, appending the resulting nodes to the caller-managed slice.
-// stackBuf seeds the evaluator's symbolic stack; the (possibly grown)
-// buffer is returned for the next lift to reuse.
-func analyzeInto(nodes []Node, insts []*x86.Inst, stackBuf []stackVal) ([]Node, []stackVal) {
-	env := NewEnv()
-	env.stack = stackBuf[:0]
+// analyzeInto runs the transfer function on an abstract state over
+// insts in the given order, appending the resulting nodes to the
+// caller-managed slice.
+func (p *Program) analyzeInto(nodes []Node, insts []*x86.Inst) []Node {
+	s := &p.state
+	s.Reset(false)
 	for _, in := range insts {
 		nodes = append(nodes, Node{})
 		n := &nodes[len(nodes)-1]
-		n.Inst, n.Pre = in, env.regs
+		n.Inst, n.Pre = in, s.Regs
 		computeDefsUses(n)
-		step(&env, in)
+		s.Step(in)
 	}
-	return nodes, env.stack
+	return nodes
 }
 
 // computeDefsUses fills the def/use sets for one instruction.
@@ -372,313 +370,4 @@ func computeDefsUses(n *Node) {
 		n.Uses.Add(x86.ECX)
 		n.Defs.Add(x86.ECX)
 	}
-}
-
-// step advances the abstract state over one instruction.
-func step(env *Env, in *x86.Inst) {
-	a0, a1 := in.Args[0], in.Args[1]
-
-	// Resolve a source operand to a (value, known) pair.
-	src := func(o x86.Operand) (uint32, bool) {
-		switch o.Kind {
-		case x86.KindImm:
-			return uint32(o.Imm), true
-		case x86.KindReg:
-			return env.Get(o.Reg)
-		}
-		return 0, false // memory contents are not modeled
-	}
-
-	// Generic destination invalidation for register writes.
-	clobber := func(o x86.Operand) {
-		if o.Kind == x86.KindReg {
-			env.Set(o.Reg, 0, false)
-		}
-	}
-
-	switch in.Op {
-	case x86.MOV:
-		if a0.Kind == x86.KindReg {
-			v, known := src(a1)
-			env.Set(a0.Reg, v, known)
-		}
-	case x86.LEA:
-		if a0.Kind == x86.KindReg && a1.Kind == x86.KindMem {
-			m := a1.Mem
-			total := uint32(m.Disp)
-			known := true
-			if m.Base != x86.RegNone {
-				v, k := env.Get(m.Base)
-				total += v
-				known = known && k
-			}
-			if m.Index != x86.RegNone {
-				v, k := env.Get(m.Index)
-				total += v * uint32(m.Scale)
-				known = known && k
-			}
-			env.Set(a0.Reg, total, known)
-		}
-	case x86.XOR:
-		if a0.Kind == x86.KindReg {
-			if a1.Kind == x86.KindReg && a1.Reg == a0.Reg {
-				env.Set(a0.Reg, 0, true) // xor r, r => 0
-				break
-			}
-			alu(env, a0.Reg, a1, src, func(x, y uint32) uint32 { return x ^ y })
-		}
-	case x86.SUB:
-		if a0.Kind == x86.KindReg {
-			if a1.Kind == x86.KindReg && a1.Reg == a0.Reg {
-				env.Set(a0.Reg, 0, true) // sub r, r => 0
-				break
-			}
-			alu(env, a0.Reg, a1, src, func(x, y uint32) uint32 { return x - y })
-		}
-		if a0.IsReg(x86.ESP) {
-			env.breakStack()
-		}
-	case x86.ADD:
-		if a0.Kind == x86.KindReg {
-			alu(env, a0.Reg, a1, src, func(x, y uint32) uint32 { return x + y })
-		}
-		if a0.IsReg(x86.ESP) {
-			env.breakStack()
-		}
-	case x86.ADC, x86.SBB:
-		clobber(a0) // carry not modeled
-	case x86.AND:
-		if a0.Kind == x86.KindReg {
-			alu(env, a0.Reg, a1, src, func(x, y uint32) uint32 { return x & y })
-		}
-	case x86.OR:
-		if a0.Kind == x86.KindReg {
-			alu(env, a0.Reg, a1, src, func(x, y uint32) uint32 { return x | y })
-		}
-	case x86.SHL:
-		shiftStep(env, a0, a1, src, func(x uint32, s uint) uint32 { return x << s })
-	case x86.SHR:
-		shiftStep(env, a0, a1, src, func(x uint32, s uint) uint32 { return x >> s })
-	case x86.SAR:
-		// Sign extension is width-dependent; fold only full registers.
-		shiftStep32(env, a0, a1, src, func(x uint32, s uint) uint32 {
-			return uint32(int32(x) >> s)
-		})
-	case x86.ROL:
-		shiftStep32(env, a0, a1, src, func(x uint32, s uint) uint32 {
-			if s %= 32; s == 0 {
-				return x
-			} else {
-				return x<<s | x>>(32-s)
-			}
-		})
-	case x86.ROR:
-		shiftStep32(env, a0, a1, src, func(x uint32, s uint) uint32 {
-			if s %= 32; s == 0 {
-				return x
-			} else {
-				return x>>s | x<<(32-s)
-			}
-		})
-	case x86.RCL, x86.RCR:
-		clobber(a0)
-	case x86.NOT:
-		if a0.Kind == x86.KindReg {
-			unary(env, a0.Reg, func(x uint32) uint32 { return ^x })
-		}
-	case x86.NEG:
-		if a0.Kind == x86.KindReg {
-			unary(env, a0.Reg, func(x uint32) uint32 { return -x })
-		}
-	case x86.INC:
-		if a0.Kind == x86.KindReg {
-			unary(env, a0.Reg, func(x uint32) uint32 { return x + 1 })
-		}
-	case x86.DEC:
-		if a0.Kind == x86.KindReg {
-			unary(env, a0.Reg, func(x uint32) uint32 { return x - 1 })
-		}
-	case x86.BSWAP:
-		if a0.Kind == x86.KindReg {
-			unary(env, a0.Reg, func(x uint32) uint32 {
-				return x<<24 | x>>24 | (x&0xff00)<<8 | (x>>8)&0xff00
-			})
-		}
-	case x86.MOVZX:
-		if a0.Kind == x86.KindReg {
-			if v, known := src(a1); known {
-				w := uint(1)
-				if a1.Kind == x86.KindReg {
-					w, _ = regGeom(a1.Reg)
-				} else if a1.Kind == x86.KindMem {
-					w = uint(a1.Mem.Size)
-				}
-				env.Set(a0.Reg, v&widthMask(w), true)
-			} else {
-				clobber(a0)
-			}
-		}
-	case x86.MOVSX:
-		clobber(a0)
-	case x86.XCHG:
-		if a0.Kind == x86.KindReg && a1.Kind == x86.KindReg {
-			v0, k0 := env.Get(a0.Reg)
-			v1, k1 := env.Get(a1.Reg)
-			env.Set(a0.Reg, v1, k1)
-			env.Set(a1.Reg, v0, k0)
-		} else {
-			clobber(a0)
-			clobber(a1)
-		}
-	case x86.PUSH:
-		v, known := src(a0)
-		env.push(v, known)
-	case x86.POP:
-		v, known := env.pop()
-		if a0.Kind == x86.KindReg {
-			if a0.Reg == x86.ESP {
-				env.breakStack()
-				env.Invalidate(x86.ESP)
-			} else {
-				env.Set(a0.Reg, v, known)
-			}
-		}
-	case x86.PUSHAD, x86.PUSHFD, x86.POPFD:
-		env.breakStack()
-	case x86.POPAD:
-		env.InvalidateAll()
-	case x86.CALL:
-		env.breakStack()
-		// A call-pop idiom (call next; pop reg) loads an address we do
-		// not know numerically; the return address becomes unknown.
-	case x86.RET, x86.LEAVE:
-		env.breakStack()
-		if in.Op == x86.LEAVE {
-			env.Invalidate(x86.EBP)
-			env.Invalidate(x86.ESP)
-		}
-	case x86.INT, x86.INT3, x86.INTO:
-		env.Invalidate(x86.EAX) // syscall return value
-	case x86.MUL:
-		env.Invalidate(x86.EAX)
-		env.Invalidate(x86.EDX)
-	case x86.IMUL:
-		if a1.Kind == x86.KindNone {
-			env.Invalidate(x86.EAX)
-			env.Invalidate(x86.EDX)
-		} else {
-			clobber(a0)
-		}
-	case x86.DIV, x86.IDIV:
-		env.Invalidate(x86.EAX)
-		env.Invalidate(x86.EDX)
-	case x86.CDQ:
-		if v, known := env.Get(x86.EAX); known {
-			if int32(v) < 0 {
-				env.Set(x86.EDX, 0xffffffff, true)
-			} else {
-				env.Set(x86.EDX, 0, true)
-			}
-		} else {
-			env.Invalidate(x86.EDX)
-		}
-	case x86.CWDE:
-		env.Invalidate(x86.EAX)
-	case x86.LAHF:
-		env.Set(x86.AH, 0, false)
-	case x86.SALC:
-		env.Set(x86.AL, 0, false)
-	case x86.XLAT:
-		env.Set(x86.AL, 0, false)
-	case x86.AAM, x86.AAD, x86.AAA, x86.AAS, x86.DAA, x86.DAS:
-		env.Invalidate(x86.EAX)
-	case x86.LODSB:
-		env.Set(x86.AL, 0, false)
-		env.Invalidate(x86.ESI)
-	case x86.LODSD:
-		env.Invalidate(x86.EAX)
-		env.Invalidate(x86.ESI)
-	case x86.STOSB, x86.STOSD, x86.SCASB, x86.SCASD:
-		env.Invalidate(x86.EDI)
-	case x86.MOVSB, x86.MOVSD, x86.CMPSB, x86.CMPSD:
-		env.Invalidate(x86.ESI)
-		env.Invalidate(x86.EDI)
-	case x86.CPUID:
-		env.Invalidate(x86.EAX)
-		env.Invalidate(x86.EBX)
-		env.Invalidate(x86.ECX)
-		env.Invalidate(x86.EDX)
-	case x86.RDTSC:
-		env.Invalidate(x86.EAX)
-		env.Invalidate(x86.EDX)
-	case x86.LOOP, x86.LOOPE, x86.LOOPNE:
-		// decrements ecx
-		if v, known := env.Get(x86.ECX); known {
-			env.Set(x86.ECX, v-1, true)
-		}
-	case x86.SETCC, x86.CMOVCC, x86.SHLD, x86.SHRD:
-		clobber(a0)
-	case x86.BTS, x86.BTR, x86.BTC:
-		clobber(a0)
-	case x86.CMPXCHG:
-		clobber(a0)
-		env.Invalidate(x86.EAX)
-	case x86.XADD:
-		clobber(a0)
-		clobber(a1)
-	}
-}
-
-// alu applies a binary operation to a register destination, operating
-// at the register's width.
-func alu(env *Env, dst x86.Reg, srcOp x86.Operand,
-	src func(x86.Operand) (uint32, bool), f func(x, y uint32) uint32) {
-	cur, curKnown := env.Get(dst)
-	v, vKnown := src(srcOp)
-	if !curKnown || !vKnown {
-		env.Set(dst, 0, false)
-		return
-	}
-	w, _ := regGeom(dst)
-	env.Set(dst, f(cur, v)&widthMask(w), true)
-}
-
-// unary applies a unary operation to a register at its width.
-func unary(env *Env, dst x86.Reg, f func(uint32) uint32) {
-	cur, known := env.Get(dst)
-	if !known {
-		env.Set(dst, 0, false)
-		return
-	}
-	w, _ := regGeom(dst)
-	env.Set(dst, f(cur)&widthMask(w), true)
-}
-
-func shiftStep(env *Env, a0, a1 x86.Operand,
-	src func(x86.Operand) (uint32, bool), f func(uint32, uint) uint32) {
-	if a0.Kind != x86.KindReg {
-		return
-	}
-	amt, amtKnown := src(a1)
-	cur, curKnown := env.Get(a0.Reg)
-	if !amtKnown || !curKnown || amt >= 32 {
-		env.Set(a0.Reg, 0, false)
-		return
-	}
-	w, _ := regGeom(a0.Reg)
-	env.Set(a0.Reg, f(cur, uint(amt))&widthMask(w), true)
-}
-
-// shiftStep32 folds only 32-bit destinations (sign/rotate semantics are
-// width-dependent); narrower destinations become unknown.
-func shiftStep32(env *Env, a0, a1 x86.Operand,
-	src func(x86.Operand) (uint32, bool), f func(uint32, uint) uint32) {
-	if a0.Kind != x86.KindReg {
-		return
-	}
-	if a0.Reg.Size() != 4 {
-		env.Set(a0.Reg, 0, false)
-		return
-	}
-	shiftStep(env, a0, a1, src, f)
 }

@@ -59,17 +59,23 @@ func TestStringOpsClobber(t *testing.T) {
 	}
 }
 
-func TestPushadPopadInvalidates(t *testing.T) {
+func TestPushadPopadRestores(t *testing.T) {
 	p := liftAsm(t, func(a *x86.Asm) {
 		a.MovRI(x86.EBX, 7).
 			I(x86.PUSHAD).
+			MovRI(x86.EBX, 9).
+			XorRR(x86.ECX, x86.ECX).
 			I(x86.POPAD).
 			Nop()
 	})
-	// POPAD conservatively invalidates everything (the symbolic stack
-	// does not model the 8-slot block).
-	if _, known := last(p).ConstBefore(x86.EBX); known {
-		t.Error("EBX should be unknown after pushad/popad round trip")
+	// The symbolic stack holds the 8-slot block: popad restores what
+	// pushad saved, known or not (ECX was never known).
+	n := last(p)
+	if v, known := n.ConstBefore(x86.EBX); !known || v != 7 {
+		t.Errorf("EBX = (%#x,%v) after pushad/popad round trip, want (7,true)", v, known)
+	}
+	if _, known := n.ConstBefore(x86.ECX); known {
+		t.Error("ECX should be unknown: pushad saved an unknown ECX")
 	}
 }
 

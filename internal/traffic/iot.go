@@ -240,58 +240,21 @@ func IoTBotnet(spec IoTSpec) []*netpkt.Packet {
 	if spec.Payload == nil {
 		spec.Payload = exploits.CoAPFirmware()
 	}
-	if spec.Generations <= 0 {
-		spec.Generations = 2
-	}
-	if spec.FanoutPerHost <= 0 {
-		spec.FanoutPerHost = 2
-	}
-	if spec.ScansPerHost <= 0 {
-		spec.ScansPerHost = 4
-	}
-	if spec.BenignSessions < 0 {
-		spec.BenignSessions = 0
-	} else if spec.BenignSessions == 0 {
-		spec.BenignSessions = 2
-	}
-
+	t := newTree(spec.Generations, spec.FanoutPerHost, spec.ScansPerHost, spec.BenignSessions)
 	g := NewGen(spec.Seed)
-	var out []*netpkt.Packet
-
-	// Victim devices live in a subnet disjoint from benign sensors,
-	// clients and servers, for unambiguous attribution in tests.
-	nextVictim := 0
-	victim := func() netip.Addr {
-		nextVictim++
-		return netip.AddrFrom4([4]byte{172, 17, byte(nextVictim >> 8), byte(nextVictim)})
-	}
 	// Benign sensors report from their own pool.
 	sensor := func() netip.Addr {
 		return netip.AddrFrom4([4]byte{172, 18, byte(g.rng.Intn(4)), byte(g.rng.Intn(250) + 1)})
 	}
-
-	infected := []netip.Addr{g.RandClient()} // patient zero
-	for gen := 0; gen < spec.Generations; gen++ {
-		var nextGen []netip.Addr
-		for _, host := range infected {
-			for v := 0; v < spec.FanoutPerHost; v++ {
-				for b := 0; b < spec.BenignSessions; b++ {
-					if g.rng.Intn(3) == 0 {
-						out = append(out, g.CoAPDiscovery(sensor())...)
-					} else {
-						out = append(out, g.CoAPSensorReading(sensor())...)
-					}
-					g.Advance(2000)
-				}
-				target := victim()
-				out = append(out, g.CoAPScan(host, spec.ScansPerHost)...)
-				g.Advance(3000)
-				out = append(out, g.CoAPBlockPut(host, target, "firmware", spec.Payload)...)
-				g.Advance(3000)
-				nextGen = append(nextGen, target)
-			}
+	chatter := func() []*netpkt.Packet {
+		if g.rng.Intn(3) == 0 {
+			return g.CoAPDiscovery(sensor())
 		}
-		infected = nextGen
+		return g.CoAPSensorReading(sensor())
 	}
-	return out
+	return t.walk(g, 17, chatter, func(host, target netip.Addr) []*netpkt.Packet {
+		out := g.CoAPScan(host, t.scans)
+		g.Advance(3000)
+		return append(out, g.CoAPBlockPut(host, target, "firmware", spec.Payload)...)
+	})
 }

@@ -45,30 +45,8 @@ func PolymorphOutbreak(spec PolymorphSpec) []*netpkt.Packet {
 	if spec.Cleartext == nil {
 		spec.Cleartext = shellcode.ClassicPush().Bytes
 	}
-	if spec.Generations <= 0 {
-		spec.Generations = 2
-	}
-	if spec.FanoutPerHost <= 0 {
-		spec.FanoutPerHost = 2
-	}
-	if spec.ScansPerHost <= 0 {
-		spec.ScansPerHost = 4
-	}
-	if spec.BenignSessions < 0 {
-		spec.BenignSessions = 0
-	} else if spec.BenignSessions == 0 {
-		spec.BenignSessions = 2
-	}
-
+	t := newTree(spec.Generations, spec.FanoutPerHost, spec.ScansPerHost, spec.BenignSessions)
 	g := NewGen(spec.Seed)
-	var out []*netpkt.Packet
-
-	nextVictim := 0
-	victim := func() netip.Addr {
-		nextVictim++
-		return netip.AddrFrom4([4]byte{172, 16, byte(nextVictim >> 8), byte(nextVictim)})
-	}
-
 	hop := 0
 	mutate := func() []byte {
 		hop++
@@ -87,23 +65,7 @@ func PolymorphOutbreak(spec PolymorphSpec) []*netpkt.Packet {
 		}
 		return exploits.PackOverflow(enc, exploits.OverflowOpts{})
 	}
-
-	infected := []netip.Addr{g.RandClient()} // patient zero
-	for gen := 0; gen < spec.Generations; gen++ {
-		var nextGen []netip.Addr
-		for _, host := range infected {
-			for v := 0; v < spec.FanoutPerHost; v++ {
-				for b := 0; b < spec.BenignSessions; b++ {
-					out = append(out, g.BenignSession()...)
-					g.Advance(2000)
-				}
-				target := victim()
-				out = append(out, g.ScanThenExploit(host, target, 80, mutate(), spec.ScansPerHost)...)
-				g.Advance(3000)
-				nextGen = append(nextGen, target)
-			}
-		}
-		infected = nextGen
-	}
-	return out
+	return t.walk(g, 16, g.BenignSession, func(host, target netip.Addr) []*netpkt.Packet {
+		return g.ScanThenExploit(host, target, 80, mutate(), t.scans)
+	})
 }
