@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -17,7 +19,11 @@ import (
 // every opcode both readings implement, at 8/16/32-bit and high-byte
 // widths, with register, immediate and memory operands, push/pop,
 // pushad/popad and xchg, ending at int 0x80, with a 64-byte data area
-// after the code for memory operands to hit.
+// after the code for memory operands to hit. A program pops only what
+// it pushed and points string registers into the data area first, so
+// the emulator runs it to the int 0x80 unless a register-addressed
+// operand leaves memory or a store rewrites the code; endErr holds
+// every run to that.
 
 // diffDataLen is the size of the data area appended to the code.
 const diffDataLen = 64
@@ -72,15 +78,15 @@ func (g *progGen) reg(w int) x86.Reg {
 	return x86.EBP
 }
 
-// mem is a memory operand of the width: mostly an absolute address in
-// the data area, sometimes [reg+disp], which faults unless the register
-// happens to point near the data.
+// mem is a memory operand of the width: an absolute address in the
+// data area, or one time in 32 [reg+disp], which faults unless the
+// register happens to point near the data.
 func (g *progGen) mem(w int) x86.Operand {
 	if w == 5 {
 		w = 1
 	}
 	c := g.b()
-	if c%8 == 7 {
+	if c%32 == 31 {
 		return x86.MemOp(x86.MemRef{Base: g.reg(4), Scale: 1, Size: uint8(w), Disp: int32(int8(g.b()) >> 2)})
 	}
 	return x86.MemOp(x86.MemRef{Size: uint8(w), Disp: g.base + int32(int(c)%(diffDataLen-3))})
@@ -226,6 +232,35 @@ func (g *progGen) inst() x86.Inst {
 	return op(diffNullary[g.b()%uint8(len(diffNullary))])
 }
 
+// point sets the registers a string op or xlat addresses memory
+// through to the middle of the data area, so that it runs rather than
+// faults.
+func (g *progGen) point(code []byte, o x86.Opcode) []byte {
+	set := func(r x86.Reg) {
+		code, _ = appendInst(code, op(x86.MOV, x86.RegOp(r), x86.ImmOp(int64(g.base+16+int32(g.b()%32)))))
+	}
+	switch o {
+	case x86.STOSB, x86.STOSD:
+		set(x86.EDI)
+	case x86.LODSB, x86.LODSD:
+		set(x86.ESI)
+	case x86.MOVSB:
+		set(x86.ESI)
+		set(x86.EDI)
+	case x86.XLAT:
+		set(x86.EBX)
+		code, _ = appendInst(code, op(x86.AND, x86.RegOp(x86.AL), x86.ImmOp(0x0f)))
+	}
+	return code
+}
+
+// stackWords is how many dwords an op pushes (> 0) or pops (< 0), and
+// pushFor the push a pop that would empty the stack becomes.
+var (
+	stackWords = map[x86.Opcode]int{x86.PUSH: 1, x86.PUSHFD: 1, x86.PUSHAD: 8, x86.POP: -1, x86.POPFD: -1, x86.POPAD: -8}
+	pushFor    = map[x86.Opcode]x86.Opcode{x86.POP: x86.PUSH, x86.POPAD: x86.PUSHAD, x86.POPFD: x86.PUSHFD}
+)
+
 // diffProgram builds the program the choices describe: every
 // general-purpose register but ESP loaded from the input, up to 64
 // instructions, int 0x80, then the data area filled from the input.
@@ -239,13 +274,23 @@ func diffProgram(choices []byte) []byte {
 				code, _ = appendInst(code, op(x86.MOV, x86.RegOp(r), x86.ImmOp(int64(int32(g.u32())))))
 			}
 		}
+		depth := 0 // dwords on the emulator's stack
 		for n := 0; n < 64 && !g.done(); n++ {
 			in := g.inst()
-			if in.Op == x86.LOOP {
+			switch in.Op {
+			case x86.LOOP:
 				code = append(code, 0xe2, 0x00)
 				continue
+			case x86.STOSB, x86.STOSD, x86.LODSB, x86.LODSD, x86.MOVSB, x86.XLAT:
+				code = g.point(code, in.Op)
 			}
-			code, _ = appendInst(code, in)
+			if depth+stackWords[in.Op] < 0 {
+				in.Op = pushFor[in.Op] // never pop an empty stack
+			}
+			var err error
+			if code, err = appendInst(code, in); err == nil {
+				depth += stackWords[in.Op]
+			}
 		}
 		code, _ = appendInst(code, op(x86.INT, x86.ImmOp(0x80)))
 		for i := 0; i < diffDataLen; i++ {
@@ -267,30 +312,108 @@ func appendInst(code []byte, in x86.Inst) ([]byte, error) {
 	return append(code, b...), nil
 }
 
-// emuTrace executes image from 0 one instruction at a time and returns
-// each instruction it executed and the eight register families before
-// it, up to the syscall, a fault or anything unsupported.
-func emuTrace(image []byte) (insts []x86.Inst, regs [][8]uint32) {
+// emuRun is the emulator's execution of a program: each instruction it
+// executed with the eight register families before it, and how the run
+// ended.
+type emuRun struct {
+	insts []x86.Inst
+	regs  [][8]uint32
+	stop  Stop
+	err   error
+	code  bool // a store reached the code
+}
+
+// emuTrace executes image from 0 one instruction at a time up to the
+// end of the run.
+func emuTrace(image []byte) *emuRun {
 	m := New(image)
 	m.MaxSteps = 1 << 12
 	m.EIP = 0
+	r := &emuRun{}
+	defer func() { r.code = !bytes.Equal(m.Mem[:len(image)-diffDataLen], image[:len(image)-diffDataLen]) }()
 	for {
-		if _, done, _ := m.beginStep(); done {
-			return
+		var done bool
+		if r.stop, done, r.err = m.beginStep(); done {
+			return r
 		}
 		in, err := m.fetch(m.EIP)
 		if err != nil {
-			return
+			r.err = fmt.Errorf("%w at %#x: %v", ErrDecode, m.EIP, err)
+			return r
 		}
 		var rs [8]uint32
 		for f := range rs {
 			rs[f] = m.Reg(diffRegs32[f])
 		}
-		insts, regs = append(insts, *in), append(regs, rs)
-		if _, done, _ := m.execute(in); done {
-			return
+		r.insts, r.regs = append(r.insts, *in), append(r.regs, rs)
+		if r.stop, done, r.err = m.execute(in); done {
+			return r
 		}
 	}
+}
+
+// endErr reports a run that did not end the way its program must: at
+// the closing int 0x80, or on a memory fault the last instruction
+// really causes. Every generated opcode is one both readings implement
+// and no program pops an empty stack, so nothing else may stop the
+// emulator unless a store rewrote the code.
+func (r *emuRun) endErr(image []byte) error {
+	if r.code {
+		return nil
+	}
+	if len(r.insts) == 0 {
+		return fmt.Errorf("executed nothing: stop %+v, %v", r.stop, r.err)
+	}
+	in, rs := &r.insts[len(r.insts)-1], &r.regs[len(r.regs)-1]
+	switch {
+	case r.err == nil && r.stop.Kind == StopSyscall && in.Op == x86.INT:
+		return nil
+	case errors.Is(r.err, ErrMemFault) && faults(in, rs, len(image)):
+		return nil
+	}
+	return fmt.Errorf("run ended at %v: stop %+v, %v", in, r.stop, r.err)
+}
+
+// faults reports that in, run on registers rs, reads or writes a byte
+// outside memory of size n. Only register-based addresses can: the
+// generator's absolute operands lie in the data area. A pop's memory
+// operand may be addressed with ESP before or after the pop.
+func faults(in *x86.Inst, rs *[8]uint32, n int) bool {
+	out := func(addr uint32, size int) bool { return int64(addr)+int64(size) > int64(n) }
+	reg := func(r x86.Reg) uint32 { return rs[r.Num()] }
+	switch in.Op {
+	case x86.STOSB:
+		return out(reg(x86.EDI), 1)
+	case x86.STOSD:
+		return out(reg(x86.EDI), 4)
+	case x86.LODSB:
+		return out(reg(x86.ESI), 1)
+	case x86.LODSD:
+		return out(reg(x86.ESI), 4)
+	case x86.MOVSB:
+		return out(reg(x86.ESI), 1) || out(reg(x86.EDI), 1)
+	case x86.XLAT:
+		return out(reg(x86.EBX)+rs[0]&0xff, 1)
+	case x86.LEA:
+		return false
+	}
+	for i := range in.Args {
+		m := &in.Args[i].Mem
+		if in.Args[i].Kind != x86.KindMem || m.Base == x86.RegNone && m.Index == x86.RegNone {
+			continue
+		}
+		addr := uint32(m.Disp)
+		if m.Base != x86.RegNone {
+			addr += reg(m.Base)
+		}
+		if m.Index != x86.RegNone {
+			addr += reg(m.Index) * uint32(m.Scale)
+		}
+		if out(addr, int(m.Size)) || in.Op == x86.POP && m.Base == x86.ESP && out(addr+4, int(m.Size)) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkLiftVsEmu lifts image and runs it, and reports every register bit
@@ -302,8 +425,12 @@ func checkLiftVsEmu(image []byte) []string {
 	insts := x86.SweepAll(image)
 	refs := x86.Refs(insts)
 	prog := ir.Lift(insts)
-	ran, regs := emuTrace(image)
+	run := emuTrace(image)
+	ran, regs := run.insts, run.regs
 	var bad []string
+	if err := run.endErr(image); err != nil {
+		bad = append(bad, err.Error())
+	}
 	for _, ord := range []struct {
 		name  string
 		nodes []ir.Node
@@ -376,13 +503,24 @@ func FuzzLiftVsEmu(f *testing.F) {
 }
 
 // TestDifferentialIRvsEmu runs the differential over 400 random inputs
-// in plain go test.
+// in plain go test. Most programs must run to the syscall: a run cut
+// short by a fault compares only the instructions before it.
 func TestDifferentialIRvsEmu(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
-	for i := 0; i < 400; i++ {
+	const n = 400
+	full := 0
+	for i := 0; i < n; i++ {
 		b := make([]byte, 32+r.Intn(600))
 		r.Read(b)
-		reportLiftVsEmu(t, diffProgram(b))
+		image := diffProgram(b)
+		reportLiftVsEmu(t, image)
+		if run := emuTrace(image); run.err == nil && run.stop.Kind == StopSyscall {
+			full++
+		}
+	}
+	t.Logf("%d of %d programs ran to the syscall", full, n)
+	if full < n*3/4 {
+		t.Errorf("only %d of %d programs ran to the syscall", full, n)
 	}
 }
 

@@ -264,7 +264,7 @@ func (m *Machine) converged() bool {
 			at := len(x.stack)
 			x.stack = append(x.stack, m.st.Stack...)
 			x.states = append(x.states, exploreState{
-				eip: m.EIP, steps: m.Steps, regs: regs, flags: flags,
+				eip: m.EIP, steps: m.Steps, regs: *regs, flags: flags,
 				attempt: x.cur, stackAt: int32(at), stackTo: int32(len(x.stack)),
 			})
 			*slot = uint64(x.gen)<<32 | uint64(len(x.states))
@@ -272,7 +272,7 @@ func (m *Machine) converged() bool {
 		return false
 	}
 	st := &x.states[uint32(*slot)-1]
-	if st.eip != m.EIP || st.regs != regs || st.flags != flags ||
+	if st.eip != m.EIP || st.regs != *regs || st.flags != flags ||
 		!slices.Equal(x.stack[st.stackAt:st.stackTo], m.st.Stack) {
 		return false // another state took the slot
 	}

@@ -2,6 +2,8 @@ package emu
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"semnids/internal/morph"
@@ -237,14 +239,23 @@ func TestSubregisterWrites(t *testing.T) {
 }
 
 func TestMemoryFaults(t *testing.T) {
-	// A write far outside the image faults rather than corrupting.
-	code := x86.NewAsm().
-		MovRI(x86.EAX, 0x40000000).
-		I(x86.MOV, x86.MemOp(x86.MemRef{Base: x86.EAX, Size: 1, Scale: 1}), x86.ImmOp(1)).
-		MustBytes()
-	m := newChecked(t, code)
-	if _, err := m.Explore(0); err == nil {
-		t.Error("out-of-image write did not fault")
+	// An access far outside the image faults rather than corrupting,
+	// and the error names the access.
+	for _, c := range []struct {
+		dst, src x86.Operand
+		want     string
+	}{
+		{x86.MemOp(x86.MemRef{Base: x86.EAX, Size: 1, Scale: 1}), x86.ImmOp(1), "write 1@0x40000000"},
+		{x86.RegOp(x86.EBX), x86.MemOp(x86.MemRef{Base: x86.EAX, Size: 4, Scale: 1}), "read 4@0x40000000"},
+	} {
+		code := x86.NewAsm().
+			MovRI(x86.EAX, 0x40000000).
+			I(x86.MOV, c.dst, c.src).
+			MustBytes()
+		m := newChecked(t, code)
+		if _, err := m.Explore(0); !errors.Is(err, ErrMemFault) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("out-of-image access: %v, want a fault naming %s", err, c.want)
+		}
 	}
 }
 

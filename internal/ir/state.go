@@ -18,23 +18,20 @@ package ir
 
 import (
 	"errors"
+	"fmt"
 
 	"semnids/internal/x86"
 )
 
-// regVal tracks partially known register contents: bit i of mask set
-// means bit i of val is known. Writes set or clear whole sub-registers,
-// so idioms like `xor eax, eax; mov al, 0xb` resolve EAX to the
-// constant 11.
-type regVal struct {
-	val  uint32
-	mask uint32
-}
-
 // Regs is the register half of the machine state: what is known of
 // each register's contents, indexed by x86 family register number
-// (EAX..EDI). It is the part of the state a Node keeps as Pre.
-type Regs [8]regVal
+// (EAX..EDI). Bit i of mask[f] set means bit i of val[f] is known.
+// Writes set or clear whole sub-registers, so idioms like
+// `xor eax, eax; mov al, 0xb` resolve EAX to the constant 11. It is
+// the part of the state a Node keeps as Pre.
+type Regs struct {
+	val, mask [8]uint32
+}
 
 // geom places a register in its family: the family number, the shift
 // of its lowest bit and its width mask.
@@ -62,21 +59,19 @@ var geoms = func() (t [256]geom) {
 // read returns the bits of r (known or not) and whether all are known.
 func (rs *Regs) read(r x86.Reg) (uint32, bool) {
 	g := geoms[r]
-	rv := rs[g.fam]
 	m := g.mask << g.shift
-	return (rv.val >> g.shift) & g.mask, rv.mask&m == m
+	return (rs.val[g.fam] >> g.shift) & g.mask, rs.mask[g.fam]&m == m
 }
 
 // write sets r to v, known or unknown, leaving the rest of its family.
 func (rs *Regs) write(r x86.Reg, v uint32, known bool) {
 	g := geoms[r]
-	rv := &rs[g.fam]
 	m := g.mask << g.shift
-	rv.val = rv.val&^m | (v<<g.shift)&m
+	rs.val[g.fam] = rs.val[g.fam]&^m | (v<<g.shift)&m
 	if known {
-		rv.mask |= m
+		rs.mask[g.fam] |= m
 	} else {
-		rv.mask &^= m
+		rs.mask[g.fam] &^= m
 	}
 }
 
@@ -95,18 +90,14 @@ func (rs *Regs) Get(r x86.Reg) (uint32, bool) {
 // Bits returns what is known of register family fam: bit i of mask set
 // means bit i of val is known.
 func (rs *Regs) Bits(fam x86.Reg) (val, mask uint32) {
-	rv := rs[geoms[fam].fam]
-	return rv.val & rv.mask, rv.mask
+	f := geoms[fam].fam
+	return rs.val[f] & rs.mask[f], rs.mask[f]
 }
 
 // Values returns the value bits of the eight families, known or not:
-// on a concrete state, the registers.
-func (rs *Regs) Values() (v [8]uint32) {
-	for i := range rs {
-		v[i] = rs[i].val
-	}
-	return v
-}
+// on a concrete state, the registers. The array is rs's own, for
+// reading without a copy.
+func (rs *Regs) Values() *[8]uint32 { return &rs.val }
 
 // Errors Step reports on a concrete state.
 var (
@@ -151,9 +142,7 @@ func (s *State) Reset(concrete bool) {
 	s.Concrete = concrete
 	s.Regs = Regs{}
 	if concrete {
-		for i := range s.Regs {
-			s.Regs[i].mask = 0xffffffff
-		}
+		s.Regs.mask = [8]uint32{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff}
 	}
 	s.ZF, s.SF, s.CF, s.OF, s.DF = false, false, false, false, false
 	s.Stack, s.unknown, s.lost = s.Stack[:0], 0, false
@@ -306,7 +295,9 @@ func (s *State) put(o *x86.Operand, v uint32, known bool) {
 // load reads size bytes of concrete memory (little-endian).
 func (s *State) load(addr uint32, size int) uint32 {
 	if int64(addr)+int64(size) > int64(len(s.Mem)) {
-		s.faulted(ErrMemFault)
+		if s.fault == nil {
+			s.fault = fmt.Errorf("%w: read %d@%#x", ErrMemFault, size, addr)
+		}
 		return 0
 	}
 	var v uint32
@@ -318,8 +309,8 @@ func (s *State) load(addr uint32, size int) uint32 {
 
 // store writes size bytes of concrete memory and widens [Lo, Hi).
 func (s *State) store(addr uint32, size int, v uint32) {
-	if int64(addr)+int64(size) > int64(len(s.Mem)) {
-		s.faulted(ErrMemFault)
+	if int64(addr)+int64(size) > int64(len(s.Mem)) && s.fault == nil {
+		s.fault = fmt.Errorf("%w: write %d@%#x", ErrMemFault, size, addr)
 	}
 	if s.fault != nil {
 		return
@@ -328,12 +319,6 @@ func (s *State) store(addr uint32, size int, v uint32) {
 	s.Lo, s.Hi = min(s.Lo, a), max(s.Hi, a+size)
 	for i := 0; i < size; i++ {
 		s.Mem[a+i] = byte(v >> (8 * i))
-	}
-}
-
-func (s *State) faulted(err error) {
-	if s.fault == nil {
-		s.fault = err
 	}
 }
 
@@ -363,10 +348,11 @@ func (s *State) push(v uint32, known bool) {
 func (s *State) pop() (uint32, bool) {
 	n := len(s.Stack)
 	if n == 0 {
-		if s.Concrete {
-			s.faulted(ErrStack)
-		} else {
+		switch {
+		case !s.Concrete:
 			s.moveESP(4)
+		case s.fault == nil:
+			s.fault = ErrStack
 		}
 		return 0, false
 	}

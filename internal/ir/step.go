@@ -205,11 +205,11 @@ func (s *State) Step(in *x86.Inst) error {
 		}
 	case x86.PUSHAD:
 		sp, spk := s.Regs.read(x86.ESP)
-		for f := range s.Regs {
+		for f := range s.Regs.val {
 			if f == 4 {
 				s.push(sp, spk)
 			} else {
-				s.push(s.Regs[f].val, s.Regs[f].mask == 0xffffffff)
+				s.push(s.Regs.val[f], s.Regs.mask[f] == 0xffffffff)
 			}
 		}
 	case x86.POPAD:
@@ -307,33 +307,42 @@ func (s *State) carry() uint32 {
 	return 0
 }
 
-// add returns a+b at width w and sets the arithmetic flags.
+// add returns a+b at width w and sets the arithmetic flags (on a
+// concrete state: an abstract one knows no flags).
 func (s *State) add(a, b uint32, w int) uint32 {
 	mask, sign := widthMask(w)
 	a, b = a&mask, b&mask
 	r := (a + b) & mask
-	s.ZF, s.SF = r == 0, r&sign != 0
-	s.CF = uint64(a)+uint64(b) > uint64(mask)
-	s.OF = a&sign == b&sign && r&sign != a&sign
+	if s.Concrete {
+		s.ZF, s.SF = r == 0, r&sign != 0
+		s.CF = uint64(a)+uint64(b) > uint64(mask)
+		s.OF = a&sign == b&sign && r&sign != a&sign
+	}
 	return r
 }
 
-// sub returns a-b at width w and sets the arithmetic flags.
+// sub returns a-b at width w and sets the arithmetic flags (on a
+// concrete state).
 func (s *State) sub(a, b uint32, w int) uint32 {
 	mask, sign := widthMask(w)
 	a, b = a&mask, b&mask
 	r := (a - b) & mask
-	s.ZF, s.SF = r == 0, r&sign != 0
-	s.CF = a < b
-	s.OF = a&sign != b&sign && r&sign != a&sign
+	if s.Concrete {
+		s.ZF, s.SF = r == 0, r&sign != 0
+		s.CF = a < b
+		s.OF = a&sign != b&sign && r&sign != a&sign
+	}
 	return r
 }
 
-// logic sets ZF and SF from r at width w and clears CF and OF.
+// logic sets ZF and SF from r at width w and clears CF and OF (on a
+// concrete state).
 func (s *State) logic(r uint32, w int) uint32 {
-	mask, sign := widthMask(w)
-	s.ZF, s.SF = r&mask == 0, r&sign != 0
-	s.CF, s.OF = false, false
+	if s.Concrete {
+		mask, sign := widthMask(w)
+		s.ZF, s.SF = r&mask == 0, r&sign != 0
+		s.CF, s.OF = false, false
+	}
 	return r
 }
 

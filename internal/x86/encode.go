@@ -688,5 +688,5 @@ func encodeIMul(b []byte, dst, src, imm Operand) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return appendImm(b, imm.Imm, 4)
+	return appendImm(b, imm.Imm, sizeOf(dst)) // iw under 0x66, else id
 }

@@ -163,6 +163,7 @@ func TestEncodeDecodeCorpus(t *testing.T) {
 		inst1(POP, mem),
 		inst2(IMUL, RegOp(EAX), RegOp(EBX)),
 		{Op: IMUL, Args: [3]Operand{RegOp(EAX), RegOp(EBX), ImmOp(1000)}},
+		{Op: IMUL, Args: [3]Operand{RegOp(DI), RegOp(BP), ImmOp(-0x6233)}},
 		{Op: SETCC, Cond: CondG, Args: [3]Operand{RegOp(AL)}},
 		inst1(JMP, RegOp(EAX)),
 		inst1(CALL, mem),
