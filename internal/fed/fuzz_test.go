@@ -92,6 +92,16 @@ func FuzzFoldSegment(f *testing.F) {
 	f.Add([]byte(`14 {"k":"ckpt"}` + "\n"))
 	damaged, _ := damagedSegment(f)
 	f.Add(damaged)
+	// A base and deltas: whole, cut inside a delta, a delta dropped
+	// (a seq gap), and deltas with no base before them.
+	chain, _, ends := deltaSegment(f, growingExports(f, 4)...)
+	hdrEnd := bytes.IndexByte(chain, '\n') + 1
+	f.Add(chain)
+	f.Add(chain[:ends[2]-(ends[2]-ends[1])/2])
+	f.Add(append(append([]byte(nil), chain[:ends[1]]...), chain[ends[2]:]...))
+	f.Add(append(append([]byte(nil), chain[:hdrEnd]...), chain[ends[0]:]...))
+	small, _, _ := deltaSegment(f, synthExport(f, "sensor-a", 5, 6), synthExport(f, "sensor-a", 5, 12), synthExport(f, "sensor-a", 5, 18))
+	f.Add(small)
 
 	base := [][]byte{encode(f, a), encode(f, b)}
 	f.Fuzz(func(t *testing.T, data []byte) {

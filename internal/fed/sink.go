@@ -29,7 +29,9 @@ const (
 // same policy.
 type Retention struct {
 	// RotateBytes rotates to a new segment once the current one grows
-	// past this size (default 1 MiB).
+	// past this size (default 1 MiB). A sink that appends deltas
+	// (State.OpenSink) counts only the bytes past its segment's full
+	// base group.
 	RotateBytes int64
 
 	// RotateEvery rotates on segment age, wall clock, so a quiet sensor
@@ -93,8 +95,11 @@ type SinkConfig struct {
 	Telemetry *telemetry.Registry
 
 	// source, when set, supplies checkpoints in place of Export: a
-	// State hands its cached frames over (State.OpenSink).
-	source func() (*snapshot, error)
+	// State hands its cached frames over (State.OpenSink). full asks
+	// for the whole state; otherwise a source that sets deltas may
+	// return only what changed since its previous snapshot.
+	source func(full bool) (*snapshot, error)
+	deltas bool
 
 	// openSeg opens a new segment file; a seam so tests can inject
 	// write failures (ENOSPC) without a real full disk. Nil uses the
@@ -120,7 +125,7 @@ func (cfg SinkConfig) withDefaults() SinkConfig {
 		cfg.openSeg = openSegFile
 	}
 	if export := cfg.Export; cfg.source == nil && export != nil {
-		cfg.source = func() (*snapshot, error) {
+		cfg.source = func(bool) (*snapshot, error) {
 			if ex := export(); ex != nil {
 				return exportSnapshot(ex), nil
 			}
@@ -137,9 +142,10 @@ type SinkMetrics struct {
 	Checkpoints, Rotations uint64
 
 	// Dropped counts notifications that found the trigger queue full.
-	// Nothing is lost — checkpoints are full snapshots, so a dropped
-	// trigger coalesces into the one already pending — but a climbing
-	// count means the sink is writing slower than stages are rising.
+	// Nothing is lost — a checkpoint writes the whole state, or every
+	// record changed since the previous group, so a dropped trigger
+	// coalesces into the one already pending — but a climbing count
+	// means the sink is writing slower than stages are rising.
 	Dropped uint64
 
 	// Errors counts failed checkpoint writes (the sink keeps running
@@ -157,6 +163,10 @@ type SinkMetrics struct {
 	// by normal retention pruning). Shedding never touches the newest
 	// committed segment or the one being written.
 	Shed uint64
+
+	// WrittenBytes counts the bytes handed to segment files: headers,
+	// full groups and deltas.
+	WrittenBytes uint64
 }
 
 // Sink persists correlator evidence to size/age-rotated segment
@@ -175,7 +185,7 @@ type Sink struct {
 
 	m struct {
 		checkpoints, rotations, dropped, errors atomic.Uint64
-		writeErrors, shed                       atomic.Uint64
+		writeErrors, shed, written              atomic.Uint64
 	}
 
 	// fsyncNS times one checkpoint's frame+flush+fsync — the sink
@@ -183,11 +193,13 @@ type Sink struct {
 	fsyncNS *telemetry.Histogram
 
 	// Writer state, sink goroutine only. size counts the bytes handed
-	// to the open segment.
+	// to the open segment, base those of its header and first (full)
+	// group when the deltas after it count toward rotation.
 	f        segmentFile
 	bw       *bufio.Writer
 	enc      frameEncoder
 	size     int64
+	base     int64
 	openedAt time.Time
 	seq      uint64
 	segIndex int
@@ -249,6 +261,7 @@ func (s *Sink) registerTelemetry() {
 	reg.CounterFunc("semnids_sink_errors_total", "Failed checkpoint writes (retried on the next trigger).", s.m.errors.Load)
 	reg.CounterFunc("semnids_sink_write_errors_total", "Segment write/rotate failures at the I/O layer (ENOSPC); the sink sheds old segments and keeps running.", s.m.writeErrors.Load)
 	reg.CounterFunc("semnids_sink_shed_total", "Segments deleted by disk-exhaustion shedding.", s.m.shed.Load)
+	reg.CounterFunc("semnids_sink_written_bytes_total", "Bytes written to segment files: headers, full groups and deltas.", s.m.written.Load)
 	s.fsyncNS = reg.Histogram("semnids_sink_checkpoint_fsync_ns",
 		"One checkpoint written durably: frame, flush and fsync.")
 }
@@ -318,6 +331,8 @@ func (s *Sink) Metrics() SinkMetrics {
 		Errors:      s.m.errors.Load(),
 		WriteErrors: s.m.writeErrors.Load(),
 		Shed:        s.m.shed.Load(),
+
+		WrittenBytes: s.m.written.Load(),
 	}
 }
 
@@ -352,17 +367,22 @@ func (s *Sink) run() {
 }
 
 // checkpoint snapshots the evidence and appends one committed group,
-// rotating first when the current segment is over size or age.
+// rotating first when there is no open segment or the current one is
+// over size or age. A new segment opens with a full group; on an open
+// one, a delta source appends what changed. A snapshot that changes
+// nothing is not written to an open segment: the group before it
+// already holds the state.
 func (s *Sink) checkpoint() error {
-	sn, err := s.cfg.source()
+	rotate := s.f == nil || s.size-s.base >= s.cfg.RotateBytes || time.Since(s.openedAt) >= s.cfg.RotateEvery
+	sn, err := s.cfg.source(rotate)
 	if err != nil {
 		s.m.errors.Add(1)
 		return err
 	}
-	if sn == nil {
+	if sn == nil || sn.unchanged && s.f != nil {
 		return nil
 	}
-	if s.f == nil || s.size >= s.cfg.RotateBytes || time.Since(s.openedAt) >= s.cfg.RotateEvery {
+	if rotate {
 		if err := s.rotate(sn.hdr); err != nil {
 			s.m.errors.Add(1)
 			s.degrade()
@@ -377,6 +397,9 @@ func (s *Sink) checkpoint() error {
 		s.closeSegment()
 		s.degrade()
 		return err
+	}
+	if rotate && s.cfg.deltas {
+		s.base = s.size
 	}
 	s.committedSeg = s.segIndex - 1
 	s.m.checkpoints.Add(1)
@@ -403,8 +426,8 @@ func (s *Sink) rotate(hdr *header) error {
 		s.segIndex++
 	}
 	s.f = f
-	s.bw = bufio.NewWriterSize(sizeCounter{f, &s.size}, segmentBufBytes)
-	s.size = 0
+	s.bw = bufio.NewWriterSize(sizeCounter{f, s}, segmentBufBytes)
+	s.size, s.base = 0, 0
 	s.openedAt = time.Now()
 	s.segIndex++
 	s.m.rotations.Add(1)
@@ -451,15 +474,16 @@ func (s *Sink) writeFrames(write func(*bufio.Writer) error) error {
 const segmentBufBytes = 64 << 10
 
 // sizeCounter adds what reaches the segment file to the sink's size
-// account, which decides rotation.
+// account, which decides rotation, and to its written-bytes counter.
 type sizeCounter struct {
-	w    io.Writer
-	size *int64
+	w io.Writer
+	s *Sink
 }
 
 func (c sizeCounter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
-	*c.size += int64(n)
+	c.s.size += int64(n)
+	c.s.m.written.Add(uint64(n))
 	return n, err
 }
 
@@ -476,9 +500,10 @@ func (s *Sink) closeSegment() {
 // degrade is the disk-exhaustion path: count the I/O failure and free
 // space by shedding the oldest shed-eligible segment, so a full spool
 // disk converges on "newest evidence retained, oldest shed" instead of
-// wedging every subsequent checkpoint. Checkpoints are full snapshots,
-// so shed history is re-covered by the next successful write; what is
-// lost is only spool depth for a disconnected upstream.
+// wedging every subsequent checkpoint. A failed write closes its
+// segment, and the next segment opens with a full group, so shed
+// history is re-covered by the next successful write; what is lost is
+// only spool depth for a disconnected upstream.
 func (s *Sink) degrade() {
 	s.m.writeErrors.Add(1)
 	s.shedOldest()

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,7 +31,9 @@ var ErrSkew = errors.New("fed: incompatible correlation parameters")
 //     own records and only the records that changed are rendered again;
 //   - every record's wire frame is kept beside it, so a checkpoint is
 //     the concatenation of cached frames and only changed records are
-//     marshalled;
+//     marshalled, and the records changed since the last checkpoint are
+//     marked, so the sink appends them as a delta group (a full group
+//     only when it opens a segment);
 //   - a bounded memo of frame hashes lets a pushed frame whose effect
 //     the state already holds skip json.Unmarshal and the fold. That is
 //     Merge(A, A) == A applied per record: every evidence fold is
@@ -47,9 +50,10 @@ var ErrSkew = errors.New("fed: incompatible correlation parameters")
 // Adopt fold like any other.
 //
 // A pushed segment is read as ReadExport reads it — walked marks
-// first (decodeSegment), then only the newest committed group whose
-// records all decode is unmarshalled (decodeNewest) — except that
-// frames the memo holds are not unmarshalled at all.
+// first (decodeSegment), then only the newest committed chain whose
+// records all decode is unmarshalled (decodeNewest) and its groups
+// folded in order — except that frames the memo holds are not
+// unmarshalled at all.
 //
 // Safe for concurrent use.
 type State struct {
@@ -67,6 +71,10 @@ type State struct {
 
 	// export memoizes the rendered state until the next fold.
 	export *incident.EvidenceExport
+
+	// sensorsGrew marks a sensor list grown since the last checkpoint;
+	// the planes mark their own changed records.
+	sensorsGrew bool
 
 	// memo maps the keyed hash of a frame whose effect the state holds
 	// to the source it names (src frames, for Folded.Sources) or the
@@ -103,19 +111,22 @@ const memoPerRecord = 4
 type frameKey [16]byte
 
 // record is one live evidence record's wire frame, with the value
-// its plane orders and exports it by.
+// its plane orders and exports it by. pending marks a record changed
+// since the last checkpoint.
 type record[V any] struct {
-	val   V
-	frame []byte
+	val     V
+	frame   []byte
+	pending bool
 }
 
 // plane holds one record kind keyed for update and ordered for
-// export.
+// export, and lists the records changed since the last checkpoint.
 type plane[K comparable, V any] struct {
-	byKey  map[K]*record[V]
-	order  []*record[V]
-	less   func(a, b *V) bool
-	sorted bool
+	byKey   map[K]*record[V]
+	order   []*record[V]
+	pending []*record[V]
+	less    func(a, b *V) bool
+	sorted  bool
 }
 
 func (p *plane[K, V]) set(key K, val V, frame []byte) {
@@ -128,20 +139,25 @@ func (p *plane[K, V]) set(key K, val V, frame []byte) {
 	} else if p.less(&r.val, &val) || p.less(&val, &r.val) {
 		p.sorted = false
 	}
+	if !r.pending {
+		r.pending = true
+		p.pending = append(p.pending, r)
+	}
 	r.val, r.frame = val, frame
 }
 
+// remove drops a record. A removed record needs no delta entry: the
+// fold that displaced it displaces it again when a reader folds the
+// chain.
 func (p *plane[K, V]) remove(key K) {
 	r := p.byKey[key]
 	if r == nil {
 		return
 	}
 	delete(p.byKey, key)
-	for i := range p.order {
-		if p.order[i] == r {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
+	p.order = slices.DeleteFunc(p.order, func(o *record[V]) bool { return o == r })
+	if r.pending {
+		p.pending = slices.DeleteFunc(p.pending, func(o *record[V]) bool { return o == r })
 	}
 }
 
@@ -152,13 +168,29 @@ func (p *plane[K, V]) sort() {
 	}
 }
 
-// appendFrames appends the plane's frames in export order.
-func (p *plane[K, V]) appendFrames(dst [][]byte) [][]byte {
-	p.sort()
-	for _, r := range p.order {
+// appendFrames appends, in export order, every record's frame or
+// (delta) only the pending records' frames.
+func (p *plane[K, V]) appendFrames(dst [][]byte, delta bool) [][]byte {
+	recs := p.order
+	if delta {
+		recs = p.pending
+		sort.Slice(recs, func(i, j int) bool { return p.less(&recs[i].val, &recs[j].val) })
+	} else {
+		p.sort()
+	}
+	for _, r := range recs {
 		dst = append(dst, r.frame)
 	}
 	return dst
+}
+
+// settle clears the pending marks: a checkpoint now carries them.
+func (p *plane[K, V]) settle() {
+	for _, r := range p.pending {
+		r.pending = false
+	}
+	clear(p.pending)
+	p.pending = p.pending[:0]
 }
 
 // NewState returns an empty state.
@@ -246,27 +278,44 @@ func (st *State) Stats() StateStats {
 }
 
 // OpenSink opens a durable sink that checkpoints this state from its
-// cached frames (cfg.Export is not used).
+// cached frames (cfg.Export is not used): a full group when the sink
+// opens a segment, and after it deltas of the records changed since
+// the previous group.
 func (st *State) OpenSink(cfg SinkConfig) (*Sink, error) {
 	cfg.source = st.snapshot
+	cfg.deltas = true
 	return OpenSink(cfg)
 }
 
 // snapshot hands the sink goroutine the state as a checkpoint: the
-// cached frames in export order.
-func (st *State) snapshot() (*snapshot, error) {
+// cached frames in export order, all of them (full) or those changed
+// since the last checkpoint. Either way the changed marks are cleared:
+// if the group does not commit, the sink opens a new segment, whose
+// first group is full.
+func (st *State) snapshot(full bool) (*snapshot, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.fold == nil {
 		return nil, nil
 	}
-	sn := &snapshot{hdr: headerFor(st.fold.Parameters()), count: len(st.src.order), cls: len(st.cls.order), lin: len(st.lin.order)}
-	frames := st.lin.appendFrames(st.cls.appendFrames(st.src.appendFrames(st.frames[:0])))
+	delta := !full
+	sn := &snapshot{hdr: headerFor(st.fold.Parameters()), delta: delta}
+	sn.unchanged = !st.sensorsGrew && len(st.src.pending)+len(st.cls.pending)+len(st.lin.pending) == 0
+	frames := st.src.appendFrames(st.frames[:0], delta)
+	sn.count = len(frames)
+	frames = st.cls.appendFrames(frames, delta)
+	sn.cls = len(frames) - sn.count
+	frames = st.lin.appendFrames(frames, delta)
+	sn.lin = len(frames) - sn.count - sn.cls
 	for _, frame := range frames {
 		if frame == nil {
 			return nil, fmt.Errorf("fed: a merged record exceeds the %d-byte wire bound", MaxRecordBytes)
 		}
 	}
+	st.src.settle()
+	st.cls.settle()
+	st.lin.settle()
+	st.sensorsGrew = false
 	st.frames, sn.frames = frames, frames
 	return sn, nil
 }
@@ -285,8 +334,8 @@ type memoEntry struct {
 	src netip.Addr
 }
 
-// Fold folds one pushed segment — its newest committed checkpoint —
-// into the state. Errors leave the state as it was: ErrNoCheckpoint
+// Fold folds one pushed segment — its newest committed checkpoint, a
+// full group and the deltas after it — into the state. Errors leave the state as it was: ErrNoCheckpoint
 // and decode errors as ReadExport reports them, ErrSkew (wrapped) for
 // a segment under other correlation parameters.
 func (st *State) Fold(data []byte) (*Folded, error) {
@@ -313,7 +362,7 @@ func (st *State) Fold(data []byte) (*Folded, error) {
 			out.Sources = append(out.Sources, e.src)
 		}
 	}
-	st.fold.Merge(in.sensors, in.sources, in.cls, in.lin)
+	in.mergeInto(st.fold)
 	st.refresh()
 	return out, nil
 }
@@ -337,7 +386,10 @@ func (st *State) refresh() {
 		st.lin.set(fp, val, st.encode(&wireRecord{Kind: kindLineage, Lin: &val}))
 	}
 	st.export = nil
-	st.sensors.Store(int64(len(st.fold.Parameters().Sensors)))
+	if n := int64(len(st.fold.Parameters().Sensors)); n != st.sensors.Load() {
+		st.sensorsGrew = true
+		st.sensors.Store(n)
+	}
 	st.sources.Store(int64(len(st.src.order)))
 }
 

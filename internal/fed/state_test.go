@@ -27,11 +27,115 @@ func foldFresh(data []byte) (*incident.EvidenceExport, error) {
 }
 
 // referenceDecode is the segment decoder's contract written the slow
-// way: one pass that decodes every frame. A well-framed frame that does
+// way: one pass that decodes every frame, then the newest group whose
+// chain is intact, tried group by group. A well-framed frame that does
 // not decode — or whose body disagrees with the kind its canonical
-// prefix announces — drops the group it falls in, and the newest group
-// committed after that wins.
+// prefix announces — spoils the group it falls in (counted as the kind
+// its prefix names) or, outside the canonical spelling, drops it at
+// once. A delta's chain links it to the committed group before it,
+// which must carry seq-1; a chain reaches down to a full group through
+// unspoiled groups only. A lone full group is the answer as it stands,
+// a longer chain the fed.Merge chain over its groups.
 func referenceDecode(data []byte) (ex *incident.EvidenceExport, err error) {
+	payload, rest, err := nextFrame(data)
+	if err != nil {
+		return nil, err
+	}
+	first := &wireRecord{}
+	if err := json.Unmarshal(payload, first); err != nil {
+		return nil, err
+	}
+	hdr, err := checkHeader(first)
+	if err != nil {
+		return nil, err
+	}
+	type group struct {
+		seq      uint64
+		delta    bool
+		spoiled  bool
+		contents incident.EvidenceExport
+	}
+	var groups []group
+	var open *checkpointMark
+	var cur group
+	var seen checkpointMark
+	for {
+		if payload, rest, err = nextFrame(rest); err != nil {
+			break
+		}
+		rec := &wireRecord{}
+		jsonErr := json.Unmarshal(payload, rec)
+		if kind := sniffKind(payload); kind != "" {
+			if open == nil || *seen.of(kind) >= *open.of(kind) {
+				open = nil
+				continue
+			}
+			*seen.of(kind)++
+			if jsonErr != nil || rec.Kind != kind || !rec.carries(kind) {
+				cur.spoiled = true
+				continue
+			}
+		} else if jsonErr != nil || (rec.Kind == kindSource || rec.Kind == kindClassifier || rec.Kind == kindLineage) && !rec.carries(rec.Kind) {
+			open = nil
+			continue
+		} else if rec.Kind == kindSource || rec.Kind == kindClassifier || rec.Kind == kindLineage {
+			if open == nil || *seen.of(rec.Kind) >= *open.of(rec.Kind) {
+				open = nil
+				continue
+			}
+			*seen.of(rec.Kind)++
+		}
+		switch rec.Kind {
+		case kindCheckpoint, kindDelta:
+			open, seen = rec.Ckpt, checkpointMark{}
+			if open != nil && (open.Count < 0 || open.Cls < 0 || open.Lin < 0) {
+				open = nil
+			}
+			if open != nil {
+				cur = group{seq: open.Seq, delta: rec.Kind == kindDelta}
+				cur.contents.Sensors, cur.contents.Params = hdr.Sensors, hdr.Params
+				if open.Sensors != nil {
+					cur.contents.Sensors = open.Sensors
+				}
+			}
+		case kindSource:
+			cur.contents.Sources = append(cur.contents.Sources, *rec.Src)
+		case kindClassifier:
+			cur.contents.Classifier = append(cur.contents.Classifier, *rec.Cls)
+		case kindLineage:
+			cur.contents.Lineage = append(cur.contents.Lineage, *rec.Lin)
+		case kindCommit:
+			if end := rec.End; open != nil && end != nil && end.Seq == open.Seq &&
+				end.Count == open.Count && end.Cls == open.Cls && end.Lin == open.Lin &&
+				seen.Count == open.Count && seen.Cls == open.Cls && seen.Lin == open.Lin {
+				groups = append(groups, cur)
+			}
+			open = nil
+		}
+	}
+	for g := len(groups) - 1; g >= 0; g-- {
+		k := g
+		for k > 0 && groups[k].delta && !groups[k].spoiled && groups[k-1].seq+1 == groups[k].seq {
+			k--
+		}
+		if groups[k].delta || groups[k].spoiled {
+			continue
+		}
+		ex = &groups[k].contents
+		for k++; k <= g; k++ {
+			if ex, err = Merge(ex, &groups[k].contents); err != nil {
+				return nil, err
+			}
+		}
+		return ex, nil
+	}
+	return nil, ErrNoCheckpoint
+}
+
+// preDeltaDecode is the decoder contract before delta groups: the
+// newest committed full group, every other record kind passed over. It
+// stands for a reader built before deltas existed.
+func preDeltaDecode(data []byte) (ex *incident.EvidenceExport, err error) {
 	payload, rest, err := nextFrame(data)
 	if err != nil {
 		return nil, err

@@ -2,11 +2,14 @@ package transport
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sync"
@@ -187,17 +190,38 @@ func TestFoldDifferential(t *testing.T) {
 		for _, memo := range []int{-1, 1, 0} {
 			for seed := int64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/memo=%d/seed=%d", trace, memo, seed), func(t *testing.T) {
-					runFoldDifferential(t, snaps, memo, seed)
+					runFoldDifferential(t, snaps, memo, seed, 0)
 				})
 			}
 		}
 	}
 }
 
-func runFoldDifferential(t *testing.T, snaps [][]*incident.EvidenceExport, memo int, seed int64) {
+// TestFoldDifferentialRotating runs the differential with segments
+// small enough that the sink rotates every few pushes: delta chains
+// cross rotations, every new segment must open with a full group, and
+// the crash lands on a segment holding a base and deltas.
+func TestFoldDifferentialRotating(t *testing.T) {
+	for trace, snaps := range outbreaks() {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", trace, seed), func(t *testing.T) {
+				runFoldDifferential(t, snaps, -1, seed, 8<<10)
+			})
+		}
+	}
+}
+
+// runFoldDifferential drives one generated sequence; rotateBytes, when
+// set, is the aggregator sink's RotateBytes.
+func runFoldDifferential(t *testing.T, snaps [][]*incident.EvidenceExport, memo int, seed int64, rotateBytes int64) {
 	dir := t.TempDir()
 	open := func() (*Aggregator, *httptest.Server) {
-		agg := newAggregator(t, dir, nil)
+		agg := newAggregator(t, dir, func(cfg *AggregatorConfig) {
+			cfg.Retention.RotateBytes = rotateBytes
+			if rotateBytes > 0 {
+				cfg.Retention.KeepSegments = 1 << 10
+			}
+		})
 		if memo >= 0 {
 			agg.state.LimitMemo(memo)
 		}
@@ -210,15 +234,23 @@ func runFoldDifferential(t *testing.T, snaps [][]*incident.EvidenceExport, memo 
 	}()
 
 	var chain *incident.EvidenceExport
-	folded, skipped := 0, 0
+	folded, skipped, rotations := 0, 0, uint64(0)
+	crash := false
 	for i, op := range pushSequence(t, rand.New(rand.NewSource(seed)), snaps) {
-		if op.restart {
+		// With small segments the crash waits for a push that leaves
+		// the newest segment a base and deltas.
+		crash = crash || op.restart
+		if crash && (rotateBytes == 0 || newestSegmentHolds(t, dir, `"k":"dckpt"`)) {
+			crash = false
+			rotations += agg.SinkStats().Rotations
 			agg.Kill()
 			srv.Close()
 			agg, srv = open()
 			if chain != nil && !bytes.Equal(encode(t, agg.Export()), encode(t, chain)) {
 				t.Fatalf("op %d: restart did not recover the acknowledged state", i)
 			}
+		}
+		if op.restart {
 			continue
 		}
 		// The reference path: decode the newest committed checkpoint,
@@ -262,6 +294,9 @@ func runFoldDifferential(t *testing.T, snaps [][]*incident.EvidenceExport, memo 
 		}
 	}
 	t.Logf("%d sources, %d lineage records; %d frames folded, %d skipped", len(chain.Sources), len(chain.Lineage), folded, skipped)
+	if rotations += agg.SinkStats().Rotations; rotateBytes > 0 && (crash || rotations < 4) {
+		t.Fatalf("the sink opened %d segments, the crash still pending: %v", rotations, crash)
+	}
 	switch {
 	case memo == 0 && skipped != 0:
 		t.Fatalf("skipped %d frames with the memo off", skipped)
@@ -285,4 +320,114 @@ func firstDifference(t testing.TB, got, want *incident.EvidenceExport) string {
 	}
 	return fmt.Sprintf("\n(sources agree; sensors %v vs %v, %d/%d classifier, %d/%d lineage records)",
 		got.Sensors, want.Sensors, len(got.Classifier), len(want.Classifier), len(got.Lineage), len(want.Lineage))
+}
+
+// newestSegmentHolds reports whether the newest segment in dir contains
+// the given bytes.
+func newestSegmentHolds(t testing.TB, dir, what string) bool {
+	t.Helper()
+	segs, err := fed.Segments(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments: %v (%d)", err, len(segs))
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segs[len(segs)-1].Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Contains(data, []byte(what))
+}
+
+// TestSinkWritesWhatFoldsChange pushes every sensor's growing
+// checkpoints, in order, at an aggregator. Its sink appends what each
+// fold changed, so it writes at most twice the final state plus the
+// frames of the records the folds changed — where checkpoints written
+// whole cost the sum of every state's size.
+func TestSinkWritesWhatFoldsChange(t *testing.T) {
+	snaps := outbreaks()["polymorph"]
+	agg := newAggregator(t, t.TempDir(), nil)
+	defer agg.Close()
+	srv := httptest.NewServer(agg)
+	defer srv.Close()
+
+	prev := map[string][]byte{}
+	var changed, whole int
+	for k := 0; k < len(snaps[0]); k++ {
+		for s := range snaps {
+			if got := post(t, srv.URL, encode(t, snaps[s][k])); got != http.StatusOK {
+				t.Fatalf("sensor %d checkpoint %d: status %d", s, k, got)
+			}
+			ex := agg.Export()
+			whole += len(encode(t, ex))
+			for key, frame := range recordFrames(t, ex) {
+				if !bytes.Equal(prev[key], frame) {
+					changed += len(frame)
+				}
+				prev[key] = frame
+			}
+		}
+	}
+	final := len(encode(t, agg.Export()))
+	written := agg.SinkStats().WrittenBytes
+	t.Logf("sink wrote %d bytes: final state %d, changed records %d, every state whole %d", written, final, changed, whole)
+	if bound := 2 * uint64(final+changed); written > bound {
+		t.Fatalf("sink wrote %d bytes, over 2 × (final state %d + changed records %d)", written, final, changed)
+	}
+}
+
+// recordFrames keys an export's records, each with an upper bound on
+// its wire frame: the record's JSON and the frame's envelope.
+func recordFrames(t testing.TB, ex *incident.EvidenceExport) map[string][]byte {
+	const envelope = len(`9999999 {"k":"src","src":}`) + 1
+	out := make(map[string][]byte)
+	add := func(key string, rec any) {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[key] = append(b, make([]byte, envelope)...)
+	}
+	for i := range ex.Sources {
+		add("src "+ex.Sources[i].Src.String(), &ex.Sources[i])
+	}
+	for i := range ex.Classifier {
+		add("cls "+ex.Classifier[i].Src.String(), &ex.Classifier[i])
+	}
+	for i := range ex.Lineage {
+		add(fmt.Sprintf("lin %v", ex.Lineage[i].Exact), &ex.Lineage[i])
+	}
+	return out
+}
+
+// TestIdleAggregatorWritesNothing: once a push is durable, checkpoints
+// that find nothing changed — forced, notified, the final one at Close
+// — leave the segment as it is.
+func TestIdleAggregatorWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	agg := newAggregator(t, dir, nil)
+	srv := httptest.NewServer(agg)
+	defer srv.Close()
+	if got := post(t, srv.URL, encode(t, outbreaks()["worm"][0][1])); got != http.StatusOK {
+		t.Fatalf("push: status %d", got)
+	}
+	sizes := func() []fed.SegmentInfo {
+		segs, err := fed.Segments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return segs
+	}
+	before, written := sizes(), agg.SinkStats().WrittenBytes
+	for i := 0; i < 3; i++ {
+		if err := agg.sink.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		agg.sink.Notify()
+	}
+	agg.Close()
+	if after := sizes(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("idle checkpoints changed the segments: %v, then %v", before, after)
+	}
+	if m := agg.SinkStats(); m.WrittenBytes != written || m.Checkpoints != 1 {
+		t.Fatalf("idle checkpoints wrote %d bytes, %d groups in all", m.WrittenBytes-written, m.Checkpoints)
+	}
 }

@@ -548,7 +548,7 @@ func (p *Pusher) pushSegment(name string, st *segState) bool {
 	// Pre-filter locally: a segment with no committed checkpoint yet
 	// (a freshly rotated header) has nothing to deliver, and a locally
 	// corrupt one never will — neither is worth a round trip.
-	if _, err := fed.ReadExport(bytes.NewReader(data)); err != nil {
+	if err := fed.Committed(data); err != nil {
 		if !errors.Is(err, fed.ErrNoCheckpoint) {
 			p.reject(fmt.Sprintf("%s: local segment corrupt: %v", name, err))
 		}

@@ -14,13 +14,27 @@
 // never drive an over-allocation) and the JSON document is a
 // wireRecord envelope. The first record of a segment is a header
 // ("hdr": format name, version, sensor provenance, correlation
-// parameters). Evidence follows in checkpoint groups — a "ckpt" mark,
-// the per-source "src" records, then an "end" commit mark echoing the
-// checkpoint sequence and count. A group missing its commit mark (a
-// crash mid-write, a truncated copy), or holding a well-framed record
-// that does not decode, is not committed: the decoder returns the
-// newest committed checkpoint. The framing makes truncation detectable
-// at every byte, and a damaged record costs only its own group.
+// parameters). Evidence follows in checkpoint groups — an opening
+// mark, the per-source "src", classifier "cls" and lineage "lin"
+// records, then an "end" commit mark echoing the checkpoint sequence
+// and counts. A "ckpt" mark opens a full group: the whole evidence
+// state. A "dckpt" mark opens a delta group: only the records that
+// changed since the group numbered seq-1 of the same segment, which it
+// extends. A group missing its commit mark (a crash mid-write, a
+// truncated copy), or holding a well-framed record that does not
+// decode, is not committed. The decoder returns the newest committed
+// group whose chain back to a full group is intact — consecutive
+// seqs, every group committed, every record decoding — folded oldest
+// first. The framing makes truncation detectable at every byte, and a
+// damaged record costs its own group and the deltas after it.
+//
+// A sensor's sink writes full groups only. An aggregator's sink
+// (State.OpenSink) opens every segment with a full group and appends
+// deltas after it, so a segment is a base and what the folds changed
+// since. A decoder that predates deltas passes "dckpt" over as an
+// unknown minor-format record, and the records after it as records
+// outside any group: it reads the segment's newest full group, stale
+// but never wrong.
 package fed
 
 import (
@@ -55,6 +69,7 @@ const (
 const (
 	kindHeader     = "hdr"
 	kindCheckpoint = "ckpt"
+	kindDelta      = "dckpt"
 	kindSource     = "src"
 	kindClassifier = "cls"
 	kindLineage    = "lin"
@@ -71,8 +86,9 @@ type header struct {
 	incident.Params
 }
 
-// checkpointMark opens ("ckpt") and commits ("end") one evidence
-// snapshot of Count source records plus Cls classifier records. The
+// checkpointMark opens ("ckpt", or "dckpt" for a delta) and commits
+// ("end") one evidence group of Count source records, Cls classifier
+// records and Lin lineage records. The
 // opening mark also carries the snapshot's sensor provenance: unlike
 // the correlation parameters, the sensor set can grow between
 // checkpoints of one segment (an aggregator folding new sensors, an
@@ -185,14 +201,18 @@ func headerFor(ex *incident.EvidenceExport) *header {
 	return &header{Format: FormatName, Version: Version, Sensors: ex.Sensors, Params: ex.Params}
 }
 
-// snapshot is one evidence state as a checkpoint writes it: the
+// snapshot is one evidence group as a checkpoint writes it: the
 // segment header it belongs under, the record counts its marks
 // declare, and the record frames, sources first, then classifier,
 // then lineage. Frames come either from an export, marshalled as they
 // are written, or from a State's cache of already encoded records.
+// A delta holds only the records changed since the previous group;
+// unchanged marks one that adds nothing to it.
 type snapshot struct {
 	hdr             *header
 	count, cls, lin int
+	delta           bool
+	unchanged       bool
 
 	ex     *incident.EvidenceExport
 	frames [][]byte
@@ -231,16 +251,20 @@ func (sn *snapshot) writeRecords(w *bufio.Writer, enc *frameEncoder) error {
 	return nil
 }
 
-// writeCheckpoint appends one committed evidence snapshot. The commit
-// mark echoes the opening mark's counts but not the sensors — the
-// decoder validates the group on seq and counts alone. Lineage ("lin")
-// records are a minor-format addition within Version 1: the opening
-// mark declares their count and older decoders skip unknown kinds, so
-// segments with lineage remain readable by pre-lineage builds (which
-// simply drop the ancestry plane).
+// writeCheckpoint appends one committed evidence group, full or delta.
+// The commit mark echoes the opening mark's counts but not the sensors
+// — the decoder validates the group on seq and counts alone. Lineage
+// ("lin") records and delta ("dckpt") groups are minor-format additions
+// within Version 1: older decoders skip unknown kinds, so pre-lineage
+// builds drop the ancestry plane and pre-delta builds read the newest
+// full group.
 func writeCheckpoint(w *bufio.Writer, enc *frameEncoder, seq uint64, sn *snapshot) error {
 	open := &checkpointMark{Seq: seq, Count: sn.count, Cls: sn.cls, Lin: sn.lin, Sensors: sn.hdr.Sensors}
-	if err := writeRecord(w, enc, &wireRecord{Kind: kindCheckpoint, Ckpt: open}); err != nil {
+	kind := kindCheckpoint
+	if sn.delta {
+		kind = kindDelta
+	}
+	if err := writeRecord(w, enc, &wireRecord{Kind: kind, Ckpt: open}); err != nil {
 		return err
 	}
 	if err := sn.writeRecords(w, enc); err != nil {
@@ -298,9 +322,11 @@ type segFrame struct {
 }
 
 // segGroup is one checkpoint group committed by its marks and record
-// counts: frames[lo:hi] are its evidence records.
+// counts: frames[lo:hi] are its evidence records. A delta extends the
+// group numbered open.Seq-1.
 type segGroup struct {
 	open   *checkpointMark
+	delta  bool
 	lo, hi int
 }
 
@@ -353,6 +379,7 @@ func decodeSegment(data []byte) (*segWalk, error) {
 	var open *checkpointMark
 	var seen checkpointMark // evidence records counted in the open group
 	var lo int
+	var delta bool
 	for {
 		// A framing error is a truncated or corrupt tail: the groups
 		// committed before it stand.
@@ -369,12 +396,12 @@ func decodeSegment(data []byte) (*segWalk, error) {
 			fr.kind = fr.rec.Kind
 		}
 		switch fr.kind {
-		case kindCheckpoint:
+		case kindCheckpoint, kindDelta:
 			open = fr.rec.Ckpt
 			if open != nil && (open.Count < 0 || open.Cls < 0 || open.Lin < 0) {
 				open = nil
 			}
-			lo, seen = len(seg.frames), checkpointMark{}
+			lo, seen, delta = len(seg.frames), checkpointMark{}, fr.kind == kindDelta
 		case kindSource, kindClassifier, kindLineage:
 			// Only a record inside a group that may still commit is
 			// kept: what a hostile body can make the walk hold is
@@ -389,7 +416,7 @@ func decodeSegment(data []byte) (*segWalk, error) {
 			if end := fr.rec.End; open != nil && end != nil && end.Seq == open.Seq &&
 				end.Count == open.Count && end.Cls == open.Cls && end.Lin == open.Lin &&
 				seen.Count == open.Count && seen.Cls == open.Cls && seen.Lin == open.Lin {
-				seg.groups = append(seg.groups, segGroup{open: open, lo: lo, hi: len(seg.frames)})
+				seg.groups = append(seg.groups, segGroup{open: open, delta: delta, lo: lo, hi: len(seg.frames)})
 			}
 			open = nil
 		}
@@ -421,78 +448,136 @@ func (rec *wireRecord) carries(kind string) bool {
 	return rec.Lin != nil
 }
 
-// decodedGroup is a segment's newest committed group, decoded as far
-// as a state's memo requires.
-type decodedGroup struct {
-	sensors []string
-	sources []incident.SourceEvidence
-	cls     []incident.ClassifierEvidence
-	lin     []lineage.Observation
+// decodedChain is a segment's winning chain of groups — a full group
+// and the deltas after it — decoded as far as a state's memo requires.
+type decodedChain struct {
+	groups []decodedGroup
 
-	// keys names every record frame of the group, for the memo;
+	// keys names every record frame of the chain, for the memo;
 	// decoded counts those that were unmarshalled rather than
 	// recognized.
 	keys    []memoEntry
 	decoded int
 }
 
-// decodeNewest decodes the newest committed group whose records all
-// decode. A group with a record that does not decode to its announced
-// kind is not committed: the walk falls back to the group before it.
-// Given a state (with its mu held), frames its memo holds are not
-// decoded and every frame's key is kept; without one, no frame is
-// hashed.
-func (seg *segWalk) decodeNewest(st *State) (*decodedGroup, error) {
-groups:
-	for g := len(seg.groups) - 1; g >= 0; g-- {
-		grp := &seg.groups[g]
-		in := &decodedGroup{sensors: seg.hdr.Sensors}
-		if grp.open.Sensors != nil {
-			in.sensors = grp.open.Sensors
+// decodedGroup is one group's records.
+type decodedGroup struct {
+	sensors []string
+	sources []incident.SourceEvidence
+	cls     []incident.ClassifierEvidence
+	lin     []lineage.Observation
+}
+
+// chainStart returns the index of the full group the chain ending at
+// group g rests on. When the chain is broken — a delta whose group
+// before it is missing, uncommitted or numbered other than seq-1 — it
+// returns -1 and the index of the delta at the break: every chain
+// through that delta is broken too.
+func (seg *segWalk) chainStart(g int) (start, broken int) {
+	k := g
+	for ; seg.groups[k].delta; k-- {
+		if k == 0 || seg.groups[k-1].open.Seq+1 != seg.groups[k].open.Seq {
+			return -1, k
 		}
-		for i := grp.lo; i < grp.hi; i++ {
-			fr := &seg.frames[i]
-			var key frameKey
-			if st != nil {
-				key = st.keyOf(fr.payload)
-				if src, held := st.memo[key]; held {
-					in.keys = append(in.keys, memoEntry{key, src})
-					continue
-				}
-			}
-			rec := fr.rec
-			if rec == nil {
-				rec = &wireRecord{}
-				if err := json.Unmarshal(fr.payload, rec); err != nil || rec.Kind != fr.kind {
-					continue groups
-				}
-			}
-			if !rec.carries(fr.kind) {
-				continue groups
-			}
-			in.decoded++
-			var src netip.Addr
-			switch fr.kind {
-			case kindSource:
-				src = rec.Src.Src
-				in.sources = append(in.sources, *rec.Src)
-			case kindClassifier:
-				in.cls = append(in.cls, *rec.Cls)
-			case kindLineage:
-				in.lin = append(in.lin, *rec.Lin)
-			}
-			if st != nil {
-				in.keys = append(in.keys, memoEntry{key, src})
+	}
+	return k, -1
+}
+
+// decodeNewest decodes the newest committed group whose chain back to
+// a full group is intact and whose chain's records all decode. A group
+// with a record that does not decode to its announced kind is not
+// committed, and neither is a delta over it: the walk falls back to
+// the group before it. Given a state (with its mu held), frames its
+// memo holds are not decoded and every frame's key is kept; without
+// one, no frame is hashed.
+func (seg *segWalk) decodeNewest(st *State) (*decodedChain, error) {
+	for g := len(seg.groups) - 1; g >= 0; {
+		start, broken := seg.chainStart(g)
+		if start < 0 {
+			g = broken - 1
+			continue
+		}
+		in := &decodedChain{}
+		bad := -1
+		for k := start; k <= g && bad < 0; k++ {
+			if !seg.decodeGroup(&seg.groups[k], st, in) {
+				bad = k
 			}
 		}
-		return in, nil
+		if bad < 0 {
+			return in, nil
+		}
+		g = bad - 1
 	}
 	return nil, ErrNoCheckpoint
 }
 
-// export renders a fully decoded group as an evidence export.
-func (in *decodedGroup) export(p incident.Params) *incident.EvidenceExport {
-	return &incident.EvidenceExport{Sensors: in.sensors, Params: p, Sources: in.sources, Classifier: in.cls, Lineage: in.lin}
+// decodeGroup decodes one group's records onto the chain, reporting
+// whether every one of them decodes.
+func (seg *segWalk) decodeGroup(grp *segGroup, st *State, in *decodedChain) bool {
+	out := decodedGroup{sensors: seg.hdr.Sensors}
+	if grp.open.Sensors != nil {
+		out.sensors = grp.open.Sensors
+	}
+	for i := grp.lo; i < grp.hi; i++ {
+		fr := &seg.frames[i]
+		var key frameKey
+		if st != nil {
+			key = st.keyOf(fr.payload)
+			if src, held := st.memo[key]; held {
+				in.keys = append(in.keys, memoEntry{key, src})
+				continue
+			}
+		}
+		rec := fr.rec
+		if rec == nil {
+			rec = &wireRecord{}
+			if err := json.Unmarshal(fr.payload, rec); err != nil || rec.Kind != fr.kind {
+				return false
+			}
+		}
+		if !rec.carries(fr.kind) {
+			return false
+		}
+		in.decoded++
+		var src netip.Addr
+		switch fr.kind {
+		case kindSource:
+			src = rec.Src.Src
+			out.sources = append(out.sources, *rec.Src)
+		case kindClassifier:
+			out.cls = append(out.cls, *rec.Cls)
+		case kindLineage:
+			out.lin = append(out.lin, *rec.Lin)
+		}
+		if st != nil {
+			in.keys = append(in.keys, memoEntry{key, src})
+		}
+	}
+	in.groups = append(in.groups, out)
+	return true
+}
+
+// mergeInto folds the chain's records into f, oldest group first.
+func (in *decodedChain) mergeInto(f *incident.Fold) {
+	for i := range in.groups {
+		g := &in.groups[i]
+		f.Merge(g.sensors, g.sources, g.cls, g.lin)
+	}
+}
+
+// export renders a fully decoded chain as an evidence export: a lone
+// full group as it stands, a longer chain through one incident.Fold.
+// The fold is a join, so a record a later delta supersedes, or a
+// lineage observation the cap displaced, needs no removal record.
+func (in *decodedChain) export(p incident.Params) *incident.EvidenceExport {
+	if len(in.groups) == 1 {
+		g := &in.groups[0]
+		return &incident.EvidenceExport{Sensors: g.sensors, Params: p, Sources: g.sources, Classifier: g.cls, Lineage: g.lin}
+	}
+	f := incident.NewFold(p)
+	in.mergeInto(f)
+	return f.Export()
 }
 
 // ReadExport decodes a segment, read whole from r, returning the
@@ -501,7 +586,7 @@ func (in *decodedGroup) export(p incident.Params) *incident.EvidenceExport {
 // state is returned); a segment with no committed checkpoint, a bad
 // header, or a version this build does not speak is an error, as is a
 // failure to read r. It is the push decoder without a memo: the
-// groups are walked on their marks and only the winning group's
+// groups are walked on their marks and only the winning chain's
 // records are decoded.
 func ReadExport(r io.Reader) (*incident.EvidenceExport, error) {
 	// Sized up front when r knows its length: growing the buffer as it
@@ -517,11 +602,23 @@ func ReadExport(r io.Reader) (*incident.EvidenceExport, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := seg.decodeNewest(nil)
+	in, err := seg.decodeNewest(nil)
 	if err != nil {
 		return nil, err
 	}
-	return g.export(seg.hdr.Params), nil
+	return in.export(seg.hdr.Params), nil
+}
+
+// Committed reports whether a segment holds a committed checkpoint,
+// with the error ReadExport would return for it, nil when it does. It
+// walks the marks and decodes the winning chain's records, but renders
+// no export.
+func Committed(data []byte) error {
+	seg, err := decodeSegment(data)
+	if err == nil {
+		_, err = seg.decodeNewest(nil)
+	}
+	return err
 }
 
 // Merge federates two evidence exports: a fresh incident.Fold joins

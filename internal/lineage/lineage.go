@@ -24,6 +24,7 @@
 package lineage
 
 import (
+	"container/heap"
 	"net/netip"
 	"sort"
 	"sync"
@@ -78,16 +79,32 @@ func TailFingerprint(sk sem.Sketch) core.Fingerprint {
 // Dst, Exact). A strict total order (Exact is unique per observation
 // set), so min-folds and sorts under it are deterministic.
 func witnessLess(a, b *Observation) bool {
-	if a.FirstUS != b.FirstUS {
-		return a.FirstUS < b.FirstUS
+	wa, wb := witnessOf(a), witnessOf(b)
+	return wa.less(&wb)
+}
+
+// witness is the part of an observation witnessLess orders by.
+type witness struct {
+	firstUS  uint64
+	src, dst netip.Addr
+	exact    core.Fingerprint
+}
+
+func witnessOf(o *Observation) witness {
+	return witness{firstUS: o.FirstUS, src: o.Src, dst: o.Dst, exact: o.Exact}
+}
+
+func (a *witness) less(b *witness) bool {
+	if a.firstUS != b.firstUS {
+		return a.firstUS < b.firstUS
 	}
-	if a.Src != b.Src {
-		return a.Src.Less(b.Src)
+	if a.src != b.src {
+		return a.src.Less(b.src)
 	}
-	if a.Dst != b.Dst {
-		return a.Dst.Less(b.Dst)
+	if a.dst != b.dst {
+		return a.dst.Less(b.dst)
 	}
-	return a.Exact.Less(b.Exact)
+	return a.exact.Less(b.exact)
 }
 
 // foldInto merges src into dst (same Exact): the earliest witness wins
@@ -208,6 +225,10 @@ func Merge(a, b []Observation) []Observation {
 type Set struct {
 	cap int
 	obs map[core.Fingerprint]*entry
+
+	// worst finds the greatest held witness for the cap. Built when the
+	// set first fills, so a set that never does pays nothing for it.
+	worst witnessHeap
 }
 
 // entry is one held observation. live marks one the set has folded
@@ -241,9 +262,9 @@ func (s *Set) Get(exact core.Fingerprint) (Observation, bool) {
 // Fold merges one observation — live when the set's own sensor
 // witnessed it — and reports whether the set changed. The cap keeps
 // the K smallest witnesses: a new observation that finds the set full
-// displaces the greatest held one if it is smaller, found by one scan,
-// and is dropped otherwise. evicted is the displaced observation, nil
-// if none.
+// displaces the greatest held one if it is smaller, found on a heap in
+// O(log K), and is dropped otherwise. evicted is the displaced
+// observation, nil if none.
 func (s *Set) Fold(o *Observation, live bool) (changed bool, evicted *Observation) {
 	if cur, ok := s.obs[o.Exact]; ok {
 		moved, n := witnessLess(o, &cur.Observation), len(cur.Sensors)
@@ -253,12 +274,13 @@ func (s *Set) Fold(o *Observation, live bool) (changed bool, evicted *Observatio
 		return changed, nil
 	}
 	if len(s.obs) >= s.cap {
-		var worst *entry
-		for _, cur := range s.obs {
-			if worst == nil || witnessLess(&worst.Observation, &cur.Observation) {
-				worst = cur
+		if s.worst == nil {
+			for _, cur := range s.obs {
+				s.worst = append(s.worst, heapEntry{witnessOf(&cur.Observation), cur})
 			}
+			heap.Init(&s.worst)
 		}
+		worst := s.worst.top()
 		if !witnessLess(o, &worst.Observation) {
 			return false, nil
 		}
@@ -268,7 +290,52 @@ func (s *Set) Fold(o *Observation, live bool) (changed bool, evicted *Observatio
 	e := &entry{Observation: *o, live: live}
 	e.Sensors = core.SortedUnion(o.Sensors, nil)
 	s.obs[o.Exact] = e
+	switch {
+	case evicted != nil:
+		s.worst[0] = heapEntry{witnessOf(o), e}
+		heap.Fix(&s.worst, 0)
+	case s.worst != nil:
+		heap.Push(&s.worst, heapEntry{witnessOf(o), e})
+	}
 	return true, evicted
+}
+
+// witnessHeap is a lazy max-heap of a set's entries, one per held
+// observation, ordered by key: the entry's witness when it was last
+// placed. A held witness only falls (foldInto keeps the smaller), so a
+// key may lead its entry's witness but never lag it: a top whose key
+// is current is the greatest witness held, and a stale top is re-keyed
+// and sifted down.
+type witnessHeap []heapEntry
+
+type heapEntry struct {
+	key witness
+	e   *entry
+}
+
+func (h witnessHeap) Len() int           { return len(h) }
+func (h witnessHeap) Less(i, j int) bool { return h[j].key.less(&h[i].key) }
+func (h witnessHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *witnessHeap) Push(x any)        { *h = append(*h, x.(heapEntry)) }
+func (h *witnessHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = heapEntry{}
+	*h = old[:len(old)-1]
+	return e
+}
+
+// top returns the entry with the greatest witness, leaving it on the
+// heap. The heap must not be empty.
+func (h *witnessHeap) top() *entry {
+	for {
+		w := witnessOf(&(*h)[0].e.Observation)
+		if w == (*h)[0].key {
+			return (*h)[0].e
+		}
+		(*h)[0].key = w
+		heap.Fix(h, 0)
+	}
 }
 
 // Export returns the set as a canonical observation list, sorted by

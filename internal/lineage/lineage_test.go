@@ -121,6 +121,43 @@ func TestMergeCapKeepsMinima(t *testing.T) {
 	}
 }
 
+// TestSetHeapMatchesScan holds the cap's heap to the scan it replaced:
+// over random folds at a small cap, where held witnesses fall and
+// displaced payloads return, every Fold displaces the greatest held
+// witness a scan of the set finds, and changes what the scan predicts.
+func TestSetHeapMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		st := NewSet(8)
+		for i, o := range sampleObservations(seed, 400) {
+			var worst *Observation
+			if _, held := st.obs[o.Exact]; !held && st.Len() >= 8 {
+				for _, cur := range st.obs {
+					if worst == nil || witnessLess(worst, &cur.Observation) {
+						worst = &cur.Observation
+					}
+				}
+			}
+			want := worst
+			if want != nil && !witnessLess(&o, want) {
+				want = nil
+			}
+			wantExact := core.Fingerprint{}
+			if want != nil {
+				wantExact = want.Exact
+			}
+			_, evicted := st.Fold(&o, false)
+			switch {
+			case (evicted != nil) != (want != nil):
+				t.Fatalf("seed %d fold %d: evicted %v, the scan says %v", seed, i, evicted != nil, want != nil)
+			case evicted != nil && evicted.Exact != wantExact:
+				t.Fatalf("seed %d fold %d: displaced %v, the scan's greatest witness is %v", seed, i, evicted.Exact, wantExact)
+			case st.Len() > 8:
+				t.Fatalf("seed %d fold %d: set holds %d past its cap", seed, i, st.Len())
+			}
+		}
+	}
+}
+
 // fold folds observations into a set, none of them live.
 func fold(s *Set, obs []Observation) {
 	for i := range obs {

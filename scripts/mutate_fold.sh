@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Mutation check for the evidence merge and the aggregator's live fold
-# (DESIGN 9 and 10): each mutant below removes one thing the fold
-# suites exist to notice — incident's TestFold* (the Fold against the
-# re-derivation oracle, and the join laws) and transport's
-# TestFoldDifferential (the aggregator against the fed.Merge chain) —
-# in a scratch copy of the tree, and the suites must fail on it. A
-# mutant that survives, or an anchor line that no longer matches, fails
-# the script.
+# Mutation check for the evidence merge, the aggregator's live fold and
+# its delta checkpoints (DESIGN 9 and 10): each mutant below removes one
+# thing the fold suites exist to notice — incident's TestFold* (the
+# Fold against the re-derivation oracle, and the join laws),
+# transport's TestFoldDifferential* (the aggregator against the
+# fed.Merge chain, in memory and on disk) and fed's TestDeltaChain* and
+# TestStateSink* (the base+delta segment reader and writer) — in a
+# scratch copy of the tree, and the suites must fail on it. A mutant
+# that survives, or an anchor line that no longer matches, fails the
+# script.
 #
 #   bash scripts/mutate_fold.sh
 set -euo pipefail
@@ -15,6 +17,7 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 (cd "$root" && tar --exclude=.git --exclude=.bench_build --exclude=bench -cf - .) | tar -xf - -C "$work"
+suites='TestFold|TestDeltaChain|TestStateSink'
 
 # mutant NAME FILE SED-EXPRESSION
 mutant() {
@@ -25,16 +28,16 @@ mutant() {
 		echo "mutate_fold: $name: anchor not found in $2" >&2
 		exit 1
 	fi
-	if (cd "$work" && go test -count=1 -run 'TestFold' ./internal/incident/ ./internal/fed/transport/ >"$work/out.txt" 2>&1); then
+	if (cd "$work" && go test -count=1 -run "$suites" ./internal/incident/ ./internal/fed/ ./internal/fed/transport/ >"$work/out.txt" 2>&1); then
 		echo "mutate_fold: $name: the fold suites passed on the mutant" >&2
 		exit 1
 	fi
-	if ! grep -q -- '--- FAIL: TestFold' "$work/out.txt"; then
+	if ! grep -qE -- "--- FAIL: ($suites)" "$work/out.txt"; then
 		echo "mutate_fold: $name: the mutant did not build or the suite did not run:" >&2
 		cat "$work/out.txt" >&2
 		exit 1
 	fi
-	echo "mutate_fold: $name: killed by $(grep -o -- '--- FAIL: TestFold[A-Za-z]*' "$work/out.txt" | sort -u | cut -d' ' -f3 | paste -sd, -)"
+	echo "mutate_fold: $name: killed by $(grep -oE -- "--- FAIL: ($suites)[A-Za-z]*" "$work/out.txt" | sort -u | cut -d' ' -f3 | paste -sd, -)"
 	mv "$file.orig" "$file"
 }
 
@@ -57,3 +60,18 @@ mutant "memo filled before the commit" internal/fed/state.go \
 # stops one link up the propagation chain and depends on merge order.
 mutant "grown attackers not queued" internal/incident/evidence.go \
 	's/^\t\t\t\ttodo = append(todo, a)$/\t\t\t\t_ = a/'
+
+# A record a fold changed is not marked pending, so the delta after it
+# leaves the record out and the checkpoint on disk lags the state.
+mutant "changed record not marked pending" internal/fed/state.go \
+	's/^\tif !r\.pending {$/\tif !r.pending \&\& r.frame == nil {/'
+
+# The reader links a delta to the committed group before it whatever
+# its seq, so a delta after a lost group folds over the hole.
+mutant "reader ignores seq contiguity" internal/fed/wirefmt.go \
+	's/ || seg\.groups\[k-1\]\.open\.Seq+1 != seg\.groups\[k\]\.open\.Seq {$/ {/'
+
+# The sink asks for a delta when it opens a segment, so the segment's
+# first group extends nothing and the segment reads as empty.
+mutant "delta as a new segment's first group" internal/fed/sink.go \
+	's/^\tsn, err := s\.cfg\.source(rotate)$/\tsn, err := s.cfg.source(false)/'

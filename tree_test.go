@@ -116,14 +116,17 @@ func TestFederationTreeConvergesUnderFaults(t *testing.T) {
 		// Mid tier: both upstream links run the full fault plan; mid-1's
 		// additionally takes a partition window (an outage swallowing a
 		// span of its requests outright), so one whole subtree goes dark
-		// mid-run and must spool-and-forward through it.
+		// mid-run and must spool-and-forward through it. The window opens
+		// at mid-1's first upstream request: a mid tier appends to its
+		// segment only when a fold changes its state, so it may send as
+		// few requests as its subtree has changes.
 		midFT := [2]*faultnet.Transport{
 			faultnet.New(nil, faultnet.Plan{
 				Seed: 19, Drop: 0.15, Truncate: 0.1, Err: 0.1, Duplicate: 0.15, MaxLatency: 2 * time.Millisecond,
 			}),
 			faultnet.New(nil, faultnet.Plan{
 				Seed: 23, Drop: 0.15, Truncate: 0.1, Err: 0.1, Duplicate: 0.15, MaxLatency: 2 * time.Millisecond,
-				Outages: []faultnet.Outage{{After: 2, Requests: 8}},
+				Outages: []faultnet.Outage{{After: 0, Requests: 8}},
 			}),
 		}
 		midDirs := [2]string{t.TempDir(), t.TempDir()}
