@@ -130,6 +130,7 @@ func run() int {
 			"frames_skipped":    m.FramesSkipped,
 			"records_reencoded": m.RecordsReencoded,
 			"memo_entries":      m.MemoEntries,
+			"frames_fallback":   m.FramesFallback,
 		}
 		// Tree nodes expose their upstream health: which URL the pusher
 		// is on, how deep the unacked spool is, and whether everything

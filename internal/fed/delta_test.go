@@ -244,6 +244,9 @@ func TestStateSinkWritesDeltas(t *testing.T) {
 		if m.WrittenBytes != written || m.Checkpoints != 6 {
 			t.Fatalf("rotate=%d: unchanged checkpoints wrote %d bytes, %d groups in all", rotate, m.WrittenBytes-written, m.Checkpoints)
 		}
+		if m.Checkpoints != m.FullGroups+m.DeltaGroups {
+			t.Fatalf("rotate=%d: %d checkpoints, %d full and %d delta groups", rotate, m.Checkpoints, m.FullGroups, m.DeltaGroups)
+		}
 		segs, err := Segments(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -264,6 +267,9 @@ func TestStateSinkWritesDeltas(t *testing.T) {
 		}
 		if rotate == 0 && len(segs) != 1 || rotate > 0 && len(segs) < 3 {
 			t.Fatalf("rotate=%d: %d segments", rotate, len(segs))
+		}
+		if m.FullGroups != uint64(len(segs)) {
+			t.Fatalf("rotate=%d: %d full groups over %d segments, want one base each", rotate, m.FullGroups, len(segs))
 		}
 	}
 }

@@ -141,6 +141,12 @@ type SinkMetrics struct {
 	// counts segment rollovers.
 	Checkpoints, Rotations uint64
 
+	// FullGroups and DeltaGroups split Checkpoints by the group each
+	// committed: the whole state, or (State.OpenSink) only what changed
+	// since the group before it. A sensor's sink writes full groups
+	// only; an aggregator's writes one per segment it opens.
+	FullGroups, DeltaGroups uint64
+
 	// Dropped counts notifications that found the trigger queue full.
 	// Nothing is lost — a checkpoint writes the whole state, or every
 	// record changed since the previous group, so a dropped trigger
@@ -185,6 +191,7 @@ type Sink struct {
 
 	m struct {
 		checkpoints, rotations, dropped, errors atomic.Uint64
+		fullGroups, deltaGroups                 atomic.Uint64
 		writeErrors, shed, written              atomic.Uint64
 	}
 
@@ -256,6 +263,9 @@ func (s *Sink) registerTelemetry() {
 	}
 	reg := s.cfg.Telemetry
 	reg.CounterFunc("semnids_sink_checkpoints_total", "Committed evidence checkpoints.", s.m.checkpoints.Load)
+	const groups = "Committed checkpoint groups by kind: the whole state, or a delta of what changed since the group before."
+	reg.CounterFunc(`semnids_sink_groups_total{kind="full"}`, groups, s.m.fullGroups.Load)
+	reg.CounterFunc(`semnids_sink_groups_total{kind="delta"}`, groups, s.m.deltaGroups.Load)
 	reg.CounterFunc("semnids_sink_rotations_total", "Segment rollovers.", s.m.rotations.Load)
 	reg.CounterFunc("semnids_sink_dropped_total", "Checkpoint triggers coalesced into a pending one.", s.m.dropped.Load)
 	reg.CounterFunc("semnids_sink_errors_total", "Failed checkpoint writes (retried on the next trigger).", s.m.errors.Load)
@@ -326,6 +336,8 @@ func (s *Sink) Checkpoint() error {
 func (s *Sink) Metrics() SinkMetrics {
 	return SinkMetrics{
 		Checkpoints: s.m.checkpoints.Load(),
+		FullGroups:  s.m.fullGroups.Load(),
+		DeltaGroups: s.m.deltaGroups.Load(),
 		Rotations:   s.m.rotations.Load(),
 		Dropped:     s.m.dropped.Load(),
 		Errors:      s.m.errors.Load(),
@@ -402,6 +414,11 @@ func (s *Sink) checkpoint() error {
 		s.base = s.size
 	}
 	s.committedSeg = s.segIndex - 1
+	if sn.delta {
+		s.m.deltaGroups.Add(1)
+	} else {
+		s.m.fullGroups.Add(1)
+	}
 	s.m.checkpoints.Add(1)
 	return nil
 }

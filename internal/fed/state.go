@@ -1,7 +1,6 @@
 package fed
 
 import (
-	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
@@ -31,11 +30,11 @@ var ErrSkew = errors.New("fed: incompatible correlation parameters")
 //     own records and only the records that changed are rendered again;
 //   - every record's wire frame is kept beside it, so a checkpoint is
 //     the concatenation of cached frames and only changed records are
-//     marshalled, and the records changed since the last checkpoint are
+//     encoded, and the records changed since the last checkpoint are
 //     marked, so the sink appends them as a delta group (a full group
 //     only when it opens a segment);
 //   - a bounded memo of frame hashes lets a pushed frame whose effect
-//     the state already holds skip json.Unmarshal and the fold. That is
+//     the state already holds skip decoding and the fold. That is
 //     Merge(A, A) == A applied per record: every evidence fold is
 //     idempotent and the state only grows, so folding the same bytes
 //     again cannot change it. A miss, an evicted entry or a restarted
@@ -51,9 +50,11 @@ var ErrSkew = errors.New("fed: incompatible correlation parameters")
 //
 // A pushed segment is read as ReadExport reads it — walked marks
 // first (decodeSegment), then only the newest committed chain whose
-// records all decode is unmarshalled (decodeNewest) and its groups
-// folded in order — except that frames the memo holds are not
-// unmarshalled at all.
+// records all decode is read (decodeNewest) and its groups folded
+// in order — except that frames the memo holds are not decoded at all.
+// Frames are read by the evidence codec (codec.go): canonically, or
+// through encoding/json when a writer spelled them otherwise
+// (StateStats.FramesFallback).
 //
 // Safe for concurrent use.
 type State struct {
@@ -91,8 +92,8 @@ type State struct {
 	// consumed one at a time on the sink goroutine.
 	frames [][]byte
 
-	sensors, sources, memoEntries atomic.Int64
-	folded, skipped, reencoded    atomic.Uint64
+	sensors, sources, memoEntries        atomic.Int64
+	folded, skipped, reencoded, fellBack atomic.Uint64
 }
 
 // memoPerRecord bounds the memo at this many frames per live record.
@@ -259,10 +260,16 @@ type StateStats struct {
 
 	// FramesFolded counts pushed record frames that were decoded and
 	// folded, FramesSkipped those the memo recognized as already held.
-	// RecordsReencoded counts records rendered and marshalled again
+	// RecordsReencoded counts records rendered and encoded again
 	// because a fold changed them. MemoEntries is the memo's size.
 	FramesFolded, FramesSkipped, RecordsReencoded uint64
 	MemoEntries                                   int
+
+	// FramesFallback counts pushed frames — header, marks and records
+	// — that the canonical decoder declined and json.Unmarshal decoded:
+	// frames spelled otherwise than this build's writer spells them, or
+	// carrying a string that was not valid UTF-8 when it was written.
+	FramesFallback uint64
 }
 
 // Stats reads the counters without taking the state's lock.
@@ -274,6 +281,7 @@ func (st *State) Stats() StateStats {
 		FramesSkipped:    st.skipped.Load(),
 		RecordsReencoded: st.reencoded.Load(),
 		MemoEntries:      int(st.memoEntries.Load()),
+		FramesFallback:   st.fellBack.Load(),
 	}
 }
 
@@ -346,6 +354,7 @@ func (st *State) Fold(data []byte) (*Folded, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	in, err := seg.decodeNewest(st)
+	st.fellBack.Add(uint64(seg.dec.fallbacks))
 	if err != nil {
 		return nil, err
 	}
@@ -393,15 +402,16 @@ func (st *State) refresh() {
 	st.sources.Store(int64(len(st.src.order)))
 }
 
-// encode renders one changed record's frame, to keep; nil (a record
-// over the wire bound) fails the checkpoints that would carry it.
+// encode renders one changed record's frame, to keep, allocated at
+// its size; nil (a record over the wire bound) fails the checkpoints
+// that would carry it.
 func (st *State) encode(rec *wireRecord) []byte {
 	st.reencoded.Add(1)
-	frame, err := st.enc.encode(rec)
+	frame, err := st.enc.appendFrame(nil, rec)
 	if err != nil {
 		return nil
 	}
-	return bytes.Clone(frame)
+	return frame
 }
 
 // Commit records that the push behind f has been acknowledged — its

@@ -210,6 +210,24 @@ func preDeltaDecode(data []byte) (ex *incident.EvidenceExport, err error) {
 	return ex, nil
 }
 
+// sniffKind is the reference decoders' prefix rule, written apart from
+// the codec's recordKind: an evidence record's kind read off the
+// prefix json.Marshal gives a wireRecord. Any other spelling returns
+// "" and is decoded in full.
+func sniffKind(payload []byte) string {
+	const prefix = `{"k":"`
+	if !bytes.HasPrefix(payload, []byte(prefix)) {
+		return ""
+	}
+	rest := payload[len(prefix):]
+	for _, kind := range [...]string{kindSource, kindClassifier, kindLineage} {
+		if len(rest) > len(kind)+1 && string(rest[:len(kind)]) == kind && rest[len(kind)] == '"' && rest[len(kind)+1] == ',' {
+			return kind
+		}
+	}
+	return ""
+}
+
 // checkDecoders holds one input to the decoder contract: ReadExport,
 // a fold into an empty State and referenceDecode accept the same
 // segments, find the same checkpoint in them, and refuse the same

@@ -162,11 +162,17 @@ type AggregatorMetrics struct {
 	// accepted pushes into those decoded and folded and those skipped
 	// because the memo showed the state already held them — the
 	// redundancy share of the push traffic. RecordsReencoded counts
-	// merged records rendered and marshalled again because a fold
+	// merged records rendered and encoded again because a fold
 	// changed them; MemoEntries is the memo's size (a skipped share
 	// that falls while it sits at its bound says the memo is too small).
 	FramesFolded, FramesSkipped, RecordsReencoded uint64
 	MemoEntries                                   int
+
+	// FramesFallback counts pushed frames the canonical decoder declined
+	// and encoding/json decoded (fed.StateStats.FramesFallback): frames
+	// some writer spelled otherwise than this build's, or that carry a
+	// string which was not valid UTF-8 when it was written.
+	FramesFallback uint64
 }
 
 // Aggregator folds pushed evidence segments into one deterministic
@@ -297,8 +303,11 @@ func (a *Aggregator) registerTelemetry() {
 	reg.CounterFunc(`semnids_agg_fold_frames_total{result="skipped"}`, "Pushed record frames by outcome: decoded and folded, or skipped as already held.", func() uint64 {
 		return a.state.Stats().FramesSkipped
 	})
-	reg.CounterFunc("semnids_agg_fold_records_reencoded_total", "Merged records rendered and marshalled again because a fold changed them.", func() uint64 {
+	reg.CounterFunc("semnids_agg_fold_records_reencoded_total", "Merged records rendered and encoded again because a fold changed them.", func() uint64 {
 		return a.state.Stats().RecordsReencoded
+	})
+	reg.CounterFunc("semnids_fed_frames_fallback_total", "Pushed frames the canonical evidence decoder declined and encoding/json decoded.", func() uint64 {
+		return a.state.Stats().FramesFallback
 	})
 	reg.GaugeFunc("semnids_agg_fold_memo_entries", "Frames the folded-frame memo holds (bounded by the live record count).", func() int64 {
 		return int64(a.state.Stats().MemoEntries)
@@ -370,6 +379,7 @@ func (a *Aggregator) Metrics() AggregatorMetrics {
 	m.Sensors, m.Sources = st.Sensors, st.Sources
 	m.FramesFolded, m.FramesSkipped = st.FramesFolded, st.FramesSkipped
 	m.RecordsReencoded, m.MemoEntries = st.RecordsReencoded, st.MemoEntries
+	m.FramesFallback = st.FramesFallback
 	return m
 }
 

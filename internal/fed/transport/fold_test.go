@@ -372,6 +372,9 @@ func TestSinkWritesWhatFoldsChange(t *testing.T) {
 	if bound := 2 * uint64(final+changed); written > bound {
 		t.Fatalf("sink wrote %d bytes, over 2 × (final state %d + changed records %d)", written, final, changed)
 	}
+	if m := agg.SinkStats(); m.Checkpoints != m.FullGroups+m.DeltaGroups || m.DeltaGroups == 0 {
+		t.Fatalf("%d checkpoints, %d full and %d delta groups", m.Checkpoints, m.FullGroups, m.DeltaGroups)
+	}
 }
 
 // recordFrames keys an export's records, each with an upper bound on
@@ -416,7 +419,8 @@ func TestIdleAggregatorWritesNothing(t *testing.T) {
 		}
 		return segs
 	}
-	before, written := sizes(), agg.SinkStats().WrittenBytes
+	before, busy := sizes(), agg.SinkStats()
+	written := busy.WrittenBytes
 	for i := 0; i < 3; i++ {
 		if err := agg.sink.Checkpoint(); err != nil {
 			t.Fatal(err)
@@ -429,5 +433,8 @@ func TestIdleAggregatorWritesNothing(t *testing.T) {
 	}
 	if m := agg.SinkStats(); m.WrittenBytes != written || m.Checkpoints != 1 {
 		t.Fatalf("idle checkpoints wrote %d bytes, %d groups in all", m.WrittenBytes-written, m.Checkpoints)
+	}
+	if m := agg.SinkStats(); m.FullGroups != busy.FullGroups || m.DeltaGroups != busy.DeltaGroups {
+		t.Fatalf("idle checkpoints moved the group counters: full %d → %d, delta %d → %d", busy.FullGroups, m.FullGroups, busy.DeltaGroups, m.DeltaGroups)
 	}
 }

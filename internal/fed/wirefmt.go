@@ -35,17 +35,22 @@
 // unknown minor-format record, and the records after it as records
 // outside any group: it reads the segment's newest full group, stale
 // but never wrong.
+//
+// One codec (codec.go) writes every frame, without reflection and byte
+// for byte as encoding/json writes it, and reads that spelling back.
+// A frame spelled any other way — another writer's whitespace, key
+// order or escapes, fields from an older or newer build — is declined
+// and read by json.Unmarshal: encoding/json stays the reference for
+// what a frame means.
 package fed
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/netip"
-	"strconv"
 
 	"semnids/internal/incident"
 	"semnids/internal/lineage"
@@ -118,48 +123,6 @@ type wireRecord struct {
 // complete write.
 var ErrNoCheckpoint = errors.New("fed: segment has no committed checkpoint")
 
-// frameEncoder renders records as complete frames through one
-// buffer: json.Encoder writes the document and the terminating
-// newline, and the length prefix is filled in before it.
-type frameEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-// encode returns one record's frame, which stays valid until the next
-// call.
-func (e *frameEncoder) encode(rec *wireRecord) ([]byte, error) {
-	if e.enc == nil {
-		e.enc = json.NewEncoder(&e.buf)
-	}
-	const room = maxLenDigits + 1
-	var digits [room]byte
-	e.buf.Reset()
-	e.buf.Write(digits[:])
-	if err := e.enc.Encode(rec); err != nil {
-		return nil, err
-	}
-	b := e.buf.Bytes()
-	n := len(b) - room - 1
-	if n > MaxRecordBytes {
-		return nil, fmt.Errorf("fed: record of %d bytes exceeds the %d-byte wire bound", n, MaxRecordBytes)
-	}
-	prefix := append(strconv.AppendInt(digits[:0], int64(n), 10), ' ')
-	start := room - len(prefix)
-	copy(b[start:], prefix)
-	return b[start:], nil
-}
-
-// writeRecord frames one record.
-func writeRecord(w *bufio.Writer, enc *frameEncoder, rec *wireRecord) error {
-	frame, err := enc.encode(rec)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
 // nextFrame slices the first frame off data. io.EOF means data is
 // empty; any other error means it is corrupt or truncated at this
 // frame.
@@ -204,7 +167,7 @@ func headerFor(ex *incident.EvidenceExport) *header {
 // snapshot is one evidence group as a checkpoint writes it: the
 // segment header it belongs under, the record counts its marks
 // declare, and the record frames, sources first, then classifier,
-// then lineage. Frames come either from an export, marshalled as they
+// then lineage. Frames come either from an export, encoded as they
 // are written, or from a State's cache of already encoded records.
 // A delta holds only the records changed since the previous group;
 // unchanged marks one that adds nothing to it.
@@ -313,9 +276,9 @@ func checkHeader(rec *wireRecord) (*header, error) {
 // segFrame is one well-framed evidence record of a segment.
 type segFrame struct {
 	// kind is the record kind — read off the canonical `{"k":"…",`
-	// prefix for evidence records, whose bodies are decoded only if
-	// their group wins, and from a full decode (kept in rec) for
-	// everything else.
+	// prefix (recordKind) for evidence records, whose bodies are
+	// decoded only if their group wins, and from a full decode (kept in
+	// rec) for everything else.
 	kind    string
 	payload []byte
 	rec     *wireRecord
@@ -336,23 +299,7 @@ type segWalk struct {
 	hdr    *header
 	frames []segFrame
 	groups []segGroup
-}
-
-// sniffKind reads an evidence record's kind off the prefix json.Marshal
-// gives a wireRecord. Any other spelling returns "" and is decoded in
-// full.
-func sniffKind(payload []byte) string {
-	const prefix = `{"k":"`
-	if !bytes.HasPrefix(payload, []byte(prefix)) {
-		return ""
-	}
-	rest := payload[len(prefix):]
-	for _, kind := range [...]string{kindSource, kindClassifier, kindLineage} {
-		if len(rest) > len(kind)+1 && string(rest[:len(kind)]) == kind && rest[len(kind)] == '"' && rest[len(kind)+1] == ',' {
-			return kind
-		}
-	}
-	return ""
+	dec    recordDecoder
 }
 
 // decodeSegment splits a segment into frames, decodes the header and
@@ -367,11 +314,11 @@ func decodeSegment(data []byte) (*segWalk, error) {
 		}
 		return nil, err
 	}
-	first := &wireRecord{}
-	if err := json.Unmarshal(payload, first); err != nil {
+	seg := &segWalk{}
+	first, err := seg.dec.record(payload)
+	if err != nil {
 		return nil, fmt.Errorf("fed: bad record JSON: %w", err)
 	}
-	seg := &segWalk{}
 	if seg.hdr, err = checkHeader(first); err != nil {
 		return nil, err
 	}
@@ -386,10 +333,9 @@ func decodeSegment(data []byte) (*segWalk, error) {
 		if payload, rest, err = nextFrame(rest); err != nil {
 			break
 		}
-		fr := segFrame{kind: sniffKind(payload), payload: payload}
-		if fr.kind == "" {
-			fr.rec = &wireRecord{}
-			if err := json.Unmarshal(payload, fr.rec); err != nil {
+		fr := segFrame{kind: recordKind(payload), payload: payload}
+		if !isEvidence(fr.kind) {
+			if fr.rec, err = seg.dec.record(payload); err != nil {
 				open = nil
 				continue
 			}
@@ -454,8 +400,7 @@ type decodedChain struct {
 	groups []decodedGroup
 
 	// keys names every record frame of the chain, for the memo;
-	// decoded counts those that were unmarshalled rather than
-	// recognized.
+	// decoded counts those that were decoded rather than recognized.
 	keys    []memoEntry
 	decoded int
 }
@@ -531,8 +476,8 @@ func (seg *segWalk) decodeGroup(grp *segGroup, st *State, in *decodedChain) bool
 		}
 		rec := fr.rec
 		if rec == nil {
-			rec = &wireRecord{}
-			if err := json.Unmarshal(fr.payload, rec); err != nil || rec.Kind != fr.kind {
+			var err error
+			if rec, err = seg.dec.record(fr.payload); err != nil || rec.Kind != fr.kind {
 				return false
 			}
 		}

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Mutation check for the evidence merge, the aggregator's live fold and
-# its delta checkpoints (DESIGN 9 and 10): each mutant below removes one
-# thing the fold suites exist to notice — incident's TestFold* (the
-# Fold against the re-derivation oracle, and the join laws),
-# transport's TestFoldDifferential* (the aggregator against the
-# fed.Merge chain, in memory and on disk) and fed's TestDeltaChain* and
-# TestStateSink* (the base+delta segment reader and writer) — in a
-# scratch copy of the tree, and the suites must fail on it. A mutant
+# Mutation check for the evidence merge, the aggregator's live fold,
+# its delta checkpoints and the evidence codec (DESIGN 9 and 10): each
+# mutant below removes one thing the fold suites exist to notice —
+# incident's TestFold* (the Fold against the re-derivation oracle, and
+# the join laws), transport's TestFoldDifferential* (the aggregator
+# against the fed.Merge chain, in memory and on disk), fed's
+# TestDeltaChain* and TestStateSink* (the base+delta segment reader and
+# writer), and fed's TestCodec* and FuzzCanonicalDecode's corpus (the
+# codec against encoding/json) — in a scratch copy of the tree, and the
+# suites must fail on it. A mutant
 # that survives, or an anchor line that no longer matches, fails the
 # script.
 #
@@ -17,7 +19,7 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 (cd "$root" && tar --exclude=.git --exclude=.bench_build --exclude=bench -cf - .) | tar -xf - -C "$work"
-suites='TestFold|TestDeltaChain|TestStateSink'
+suites='TestFold|TestDeltaChain|TestStateSink|TestCodec|FuzzCanonicalDecode'
 
 # mutant NAME FILE SED-EXPRESSION
 mutant() {
@@ -75,3 +77,17 @@ mutant "reader ignores seq contiguity" internal/fed/wirefmt.go \
 # first group extends nothing and the segment reads as empty.
 mutant "delta as a new segment's first group" internal/fed/sink.go \
 	's/^\tsn, err := s\.cfg\.source(rotate)$/\tsn, err := s.cfg.source(false)/'
+
+# The encoder writes '<', '>' and '&' as they are, so its bytes are no
+# longer what encoding/json writes.
+mutant "encoder skips HTML escaping" internal/fed/codec.go \
+	's/^\t\t\tif htmlSafe(c) {$/\t\t\tif htmlSafe(c) || c == '"'"'<'"'"' || c == '"'"'>'"'"' || c == '"'"'\&'"'"' {/'
+
+# An omitempty field is written when it is zero.
+mutant "last_seen_us written when zero" internal/fed/codec.go \
+	's/^\tb = appendOptUint(b, `,"last_seen_us":`, s\.LastSeenUS)$/\tb = strconv.AppendUint(append(b, `,"last_seen_us":`...), s.LastSeenUS, 10)/'
+
+# The decoder stops at the closing brace, so it accepts a document with
+# bytes after it that encoding/json refuses or the encoder never writes.
+mutant "decoder accepts trailing bytes" internal/fed/codec.go \
+	's/^\treturn d\.ok \&\& d\.i == len(d\.b)$/\treturn d.ok/'

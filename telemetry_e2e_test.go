@@ -100,7 +100,9 @@ func TestTelemetryEndToEndFederatedWorm(t *testing.T) {
 		"semnids_agg_fold_frames_total", // the live fold: folded / skipped frames,
 		"semnids_agg_fold_records_reencoded_total",
 		"semnids_agg_fold_memo_entries",
+		"semnids_fed_frames_fallback_total",
 		"semnids_sink_checkpoints_total", // the aggregator's own sink shares the registry
+		"semnids_sink_groups_total",
 	} {
 		if !strings.Contains(aggExpo, series) {
 			t.Errorf("aggregator /metrics missing %s series", series)
