@@ -141,8 +141,8 @@ func BenchmarkDecodeCached(b *testing.B) {
 	})
 }
 
-// BenchmarkLift measures IR lifting (threading + constant propagation
-// + def/use) throughput.
+// BenchmarkLift measures IR lifting (threading + constant propagation,
+// which also records each node's def set) throughput.
 func BenchmarkLift(b *testing.B) {
 	code := exploits.NetskyBinary(2, 8*1024)
 	insts := x86.SweepAll(code)

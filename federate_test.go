@@ -3,9 +3,11 @@ package nids
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"semnids/internal/engine"
+	"semnids/internal/fed"
 	"semnids/internal/netpkt"
 	"semnids/internal/report"
 	"semnids/internal/traffic"
@@ -131,6 +133,47 @@ func TestFederationSplitsByteIdentical(t *testing.T) {
 		if got, want := fmt.Sprint(merged.Sensors), "[sensor-a sensor-b]"; got != want {
 			t.Errorf("merged sensors = %s, want %s", got, want)
 		}
+	}
+}
+
+// TestSensorIDUTF8: NewEngine refuses a SensorID that is not valid
+// UTF-8 (it would reach the wire as U+FFFD), and a valid non-ASCII one
+// round-trips through WriteEvidence and ReadEvidence, every frame read
+// by the canonical decoder.
+func TestSensorIDUTF8(t *testing.T) {
+	_, err := NewEngine(EngineConfig{Correlate: true, SensorID: "sensor-\xff"})
+	if err == nil || !strings.Contains(err.Error(), "SensorID") {
+		t.Fatalf("SensorID sensor-\\xff: %v, want an error naming SensorID", err)
+	}
+
+	const id = "sensör-東京"
+	e := federatedEngine(t, 1, id, "")
+	feed(e, traffic.WormOutbreak(traffic.WormSpec{Seed: 7, Generations: 1, FanoutPerHost: 2}))
+	e.Stop()
+	var wire bytes.Buffer
+	if err := e.ExportIncidents(&wire); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := ReadEvidence(bytes.NewReader(wire.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(ex.Sensors); got != "["+id+"]" || len(ex.Sources) == 0 {
+		t.Fatalf("read back sensors %s over %d sources, want [%s] over some", got, len(ex.Sources), id)
+	}
+	var again bytes.Buffer
+	if err := WriteEvidence(&again, ex); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), wire.Bytes()) {
+		t.Error("the export read back re-encodes to other bytes")
+	}
+	st := fed.NewState()
+	if _, err := st.Fold(wire.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Stats().FramesFallback; n != 0 {
+		t.Errorf("%d frames fell back to encoding/json", n)
 	}
 }
 

@@ -14,11 +14,13 @@ import (
 
 // The lifter (ir) and the emulator read the same instructions: wherever
 // the lifter claims to know a register bit before an instruction,
-// executing the same code concretely must put that value there. The
-// programs are straight-line IA-32 built from fuzz bytes by diffProgram:
-// every opcode both readings implement, at 8/16/32-bit and high-byte
-// widths, with register, immediate and memory operands, push/pop,
-// pushad/popad and xchg, ending at int 0x80, with a 64-byte data area
+// executing the same code concretely must put that value there, and
+// every register family the emulator changes across an instruction
+// must be in the node's Defs. The programs are straight-line IA-32
+// built from fuzz bytes by diffProgram: every opcode both readings
+// implement, at 8/16/32-bit and high-byte widths, with register,
+// immediate and memory operands, push/pop, pushad/popad, xchg and rep
+// or repne string ops, ending at int 0x80, with a 64-byte data area
 // after the code for memory operands to hit. A program pops only what
 // it pushed and points string registers into the data area first, so
 // the emulator runs it to the int 0x80 unless a register-addressed
@@ -234,7 +236,9 @@ func (g *progGen) inst() x86.Inst {
 
 // point sets the registers a string op or xlat addresses memory
 // through to the middle of the data area, so that it runs rather than
-// faults.
+// faults. Half the string ops also get a count of 0 to 4 in ECX and a
+// rep or repne prefix, which the encoder does not write: the returned
+// code ends with it.
 func (g *progGen) point(code []byte, o x86.Opcode) []byte {
 	set := func(r x86.Reg) {
 		code, _ = appendInst(code, op(x86.MOV, x86.RegOp(r), x86.ImmOp(int64(g.base+16+int32(g.b()%32)))))
@@ -250,6 +254,13 @@ func (g *progGen) point(code []byte, o x86.Opcode) []byte {
 	case x86.XLAT:
 		set(x86.EBX)
 		code, _ = appendInst(code, op(x86.AND, x86.RegOp(x86.AL), x86.ImmOp(0x0f)))
+	}
+	if !o.IsString() {
+		return code
+	}
+	if c := g.b(); c%2 == 0 {
+		code, _ = appendInst(code, op(x86.MOV, x86.RegOp(x86.ECX), x86.ImmOp(int64(c/2%5))))
+		code = append(code, [...]byte{0xf3, 0xf2}[c/10%2])
 	}
 	return code
 }
@@ -331,7 +342,7 @@ func emuTrace(image []byte) *emuRun {
 	m.EIP = 0
 	r := &emuRun{}
 	defer func() { r.code = !bytes.Equal(m.Mem[:len(image)-diffDataLen], image[:len(image)-diffDataLen]) }()
-	for {
+	for again := false; ; {
 		var done bool
 		if r.stop, done, r.err = m.beginStep(); done {
 			return r
@@ -341,14 +352,18 @@ func emuTrace(image []byte) *emuRun {
 			r.err = fmt.Errorf("%w at %#x: %v", ErrDecode, m.EIP, err)
 			return r
 		}
-		var rs [8]uint32
-		for f := range rs {
-			rs[f] = m.Reg(diffRegs32[f])
+		if !again { // a rep string op's repeats are one instruction
+			var rs [8]uint32
+			for f := range rs {
+				rs[f] = m.Reg(diffRegs32[f])
+			}
+			r.insts, r.regs = append(r.insts, *in), append(r.regs, rs)
 		}
-		r.insts, r.regs = append(r.insts, *in), append(r.regs, rs)
+		pc := m.EIP
 		if r.stop, done, r.err = m.execute(in); done {
 			return r
 		}
+		again = m.EIP == pc
 	}
 }
 
@@ -418,9 +433,11 @@ func faults(in *x86.Inst, rs *[8]uint32, n int) bool {
 
 // checkLiftVsEmu lifts image and runs it, and reports every register bit
 // a node's Pre claims that the emulator contradicts before that
-// instruction, and every bit the old evaluator knew that the lifter
-// does not know or knows differently. Both instruction orders are
-// checked; for straight-line code they are the order of execution.
+// instruction, every register family the emulator changed across an
+// instruction that is not in the node's Defs, and every bit the old
+// evaluator knew that the lifter does not know or knows differently.
+// Both instruction orders are checked; for straight-line code they are
+// the order of execution.
 func checkLiftVsEmu(image []byte) []string {
 	insts := x86.SweepAll(image)
 	refs := x86.Refs(insts)
@@ -459,6 +476,10 @@ func checkLiftVsEmu(image []byte) []string {
 					bad = append(bad, fmt.Sprintf("%s node %d (%v): %v lifter claims %#x/%#x, emulator holds %#x",
 						ord.name, k, n.Inst, r, val, mask, regs[k][f]))
 				}
+				if k+1 < len(regs) && regs[k+1][f] != regs[k][f] && !n.Defs.Has(r) {
+					bad = append(bad, fmt.Sprintf("%s node %d (%v): emulator changed %v from %#x to %#x, not in defs %08b",
+						ord.name, k, n.Inst, r, regs[k][f], regs[k+1][f], n.Defs))
+				}
 			}
 		}
 	}
@@ -484,9 +505,9 @@ func reportLiftVsEmu(t *testing.T, image []byte) {
 	}
 }
 
-// FuzzLiftVsEmu holds the lifter's register claims to the emulator on
-// generated straight-line programs, before every instruction, and to
-// the old evaluator's knowledge (refAnalyze).
+// FuzzLiftVsEmu holds the lifter's register claims and def sets to the
+// emulator on generated straight-line programs, at every instruction,
+// and its claims to the old evaluator's knowledge (refAnalyze).
 func FuzzLiftVsEmu(f *testing.F) {
 	r := rand.New(rand.NewSource(44))
 	for i := 0; i < 8; i++ {
@@ -537,8 +558,15 @@ func TestDifferentialCoversOpcodes(t *testing.T) {
 				break
 			}
 			seen[in.Op.String()] = true
+			if in.Rep {
+				seen["rep "+in.Op.String()] = true
+			}
+			if in.Repne {
+				seen["repne "+in.Op.String()] = true
+			}
 			if a := in.Args[0]; a.Kind == x86.KindMem {
 				seen[in.Op.String()+" m"] = true
+				seen[fmt.Sprintf("%v m%d", in.Op, a.Mem.Size)] = true
 			} else if a.Kind == x86.KindReg {
 				seen[fmt.Sprintf("%v r%d", in.Op, a.Reg.Size())] = true
 				if a.Reg.IsHigh8() {
@@ -556,6 +584,10 @@ func TestDifferentialCoversOpcodes(t *testing.T) {
 	}
 	for _, o := range []x86.Opcode{x86.MUL, x86.IMUL, x86.NOT, x86.NEG, x86.INC, x86.DEC, x86.XCHG, x86.MOV} {
 		want = append(want, o.String()+" m", o.String()+" r1", o.String()+" rh", o.String()+" r2", o.String()+" r4")
+	}
+	want = append(want, "mul m1", "imul m1")
+	for _, o := range []x86.Opcode{x86.STOSB, x86.STOSD, x86.LODSB, x86.LODSD, x86.MOVSB} {
+		want = append(want, "rep "+o.String(), "repne "+o.String())
 	}
 	for _, o := range diffNullary[:] {
 		want = append(want, o.String())

@@ -7,8 +7,9 @@
 // is the lifter's transfer function, ir.State.Step, run on a concrete
 // state: the lifter and the emulator read IA-32 one way (DESIGN 3).
 // This package owns control flow: fetching from the loaded image,
-// jump and call targets, loop decisions, where execution stops (Stop,
-// the errors) and Explore's merging of attempts.
+// jump and call targets, loop decisions, a rep string op's repeats
+// (each one a step), where execution stops (Stop, the errors) and
+// Explore's merging of attempts.
 //
 // It has two roles. On the lineage hot path, sem.Sketch runs every
 // detected frame from several entry points (Load, Explore) to recover
@@ -408,9 +409,9 @@ func (m *Machine) execute(in *x86.Inst) (Stop, bool, error) {
 	return Stop{}, false, nil
 }
 
-// exec performs one instruction: its data effects through the
-// transfer function, then its control flow. jump < 0 means fall
-// through.
+// exec performs one instruction: its control flow, decided on the
+// state before it, then its data effects through the transfer
+// function. jump < 0 means fall through.
 func (m *Machine) exec(in *x86.Inst) (stop *Stop, jump int, err error) {
 	jump = -1
 	switch in.Op {
@@ -427,29 +428,34 @@ func (m *Machine) exec(in *x86.Inst) (stop *Stop, jump int, err error) {
 			return &Stop{Kind: StopRet}, -1, nil
 		}
 		jump = int(ret)
-	}
-	if err := m.st.Step(in); err != nil {
-		return nil, -1, err
-	}
-	switch in.Op {
 	case x86.JMP, x86.CALL:
-		if in.HasTarget {
-			return nil, int(in.Target), nil
+		jump = int(in.Target)
+		if !in.HasTarget {
+			v, err := m.st.Value(&in.Args[0])
+			if err != nil {
+				return nil, -1, err
+			}
+			jump = int(v)
 		}
-		v, err := m.st.Value(&in.Args[0])
-		return nil, int(v), err
 	case x86.JCC:
 		if m.st.Cond(in.Cond) {
 			jump = int(in.Target)
 		}
 	case x86.LOOP, x86.LOOPE, x86.LOOPNE:
-		if m.Reg(x86.ECX) != 0 && (in.Op == x86.LOOP || m.st.ZF == (in.Op == x86.LOOPE)) {
+		// Step decrements ECX; the loop is taken unless that makes 0.
+		if m.Reg(x86.ECX) != 1 && (in.Op == x86.LOOP || m.st.ZF == (in.Op == x86.LOOPE)) {
 			jump = int(in.Target)
 		}
 	case x86.JECXZ:
 		if m.Reg(x86.ECX) == 0 {
 			jump = int(in.Target)
 		}
+	default:
+		// A rep string op runs again from its own address until Step
+		// has counted ECX down to 0 (with ECX = 0 Step does nothing).
+		if (in.Rep || in.Repne) && in.Op.IsString() && m.Reg(x86.ECX) > 1 {
+			jump = m.EIP
+		}
 	}
-	return nil, jump, nil
+	return nil, jump, m.st.Step(in)
 }

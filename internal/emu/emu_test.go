@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"semnids/internal/ir"
 	"semnids/internal/morph"
 	"semnids/internal/polymorph"
 	"semnids/internal/shellcode"
@@ -218,6 +219,50 @@ func TestFlagSemantics(t *testing.T) {
 	}
 	if m.Reg(x86.EBX) != 1 {
 		t.Errorf("ja path not taken")
+	}
+}
+
+// TestRepStringOp: rep stosb stores ECX bytes and counts ECX down to
+// 0, one step per byte; with ECX = 0 it stores nothing. The lifter,
+// which sees the instruction once, claims nothing of ECX after it.
+func TestRepStringOp(t *testing.T) {
+	prog := func(data, n int) []byte {
+		return x86.NewAsm().
+			MovRI(x86.EDI, int64(data)).
+			MovRI(x86.EAX, 0xaa).
+			MovRI(x86.ECX, int64(n)).
+			Raw(0xf3, 0xaa). // rep stosb
+			IntN(0x80).
+			MustBytes()
+	}
+	data := len(prog(0, 0))
+	for _, n := range []int{0, 1, 5} {
+		code := append(prog(data, n), make([]byte, 8)...)
+		m := newChecked(t, code)
+		stop, err := m.Explore(0)
+		if err != nil || stop.Kind != StopSyscall {
+			t.Fatalf("ecx=%d: stop %+v, %v", n, stop, err)
+		}
+		want := append(bytes.Repeat([]byte{0xaa}, n), make([]byte, 8-n)...)
+		if got := m.Mem[data:]; !bytes.Equal(got, want) {
+			t.Errorf("ecx=%d: data % x, want % x", n, got, want)
+		}
+		if ecx, edi := m.Reg(x86.ECX), m.Reg(x86.EDI); ecx != 0 || edi != uint32(data+n) {
+			t.Errorf("ecx=%d: ends with ecx=%d edi=%#x, want 0 and %#x", n, ecx, edi, data+n)
+		}
+		steps := 3 + max(n, 1) + 1
+		if m.Steps != steps {
+			t.Errorf("ecx=%d: %d steps, want %d", n, m.Steps, steps)
+		}
+		m.MaxSteps = steps - 1
+		if _, err := m.Explore(0); err != ErrStepLimit {
+			t.Errorf("ecx=%d: %v under a limit one short, want the step limit", n, err)
+		}
+
+		p := ir.Lift(x86.SweepAll(code[:data]))
+		if v, ok := p.Raw[len(p.Raw)-1].ConstBefore(x86.ECX); ok {
+			t.Errorf("ecx=%d: the lifter claims ecx=%d after rep stosb", n, v)
+		}
 	}
 }
 

@@ -7,8 +7,8 @@ import "semnids/internal/x86"
 // kept as an oracle: the shared transfer must know every register bit
 // this one knew, with the same value, on every input the differential
 // (FuzzLiftVsEmu) and the traffic-frame test generate. refStep mends
-// the two claims FuzzLiftVsEmu found unsound in it (see refStep); the
-// rest is the old evaluator verbatim.
+// the three claims found unsound in it (see refStep); the rest is the
+// old evaluator verbatim.
 
 // refAnalyze runs the old evaluator over insts in the given order and
 // returns the register state before each instruction.
@@ -178,12 +178,16 @@ func (e *refEnv) breakStack() {
 	e.stack = e.stack[:0]
 }
 
-// refStep is the old evaluator's step with its two unsound claims
+// refStep is the old evaluator's step with its three unsound claims
 // withdrawn: it kept a known ESP across the instructions that push or
-// pop, and kept the known bytes of a partly known ECX across loop's
-// decrement, which borrows into them.
+// pop, kept the known bytes of a partly known ECX across loop's
+// decrement, which borrows into them, and kept ECX across a rep or
+// repne string op, which counts it down.
 func refStep(env *refEnv, in *x86.Inst) {
 	refStepOld(env, in)
+	if (in.Rep || in.Repne) && in.Op.IsString() {
+		env.Invalidate(x86.ECX)
+	}
 	switch in.Op {
 	case x86.PUSH, x86.POP, x86.PUSHAD, x86.PUSHFD, x86.POPFD, x86.CALL, x86.RET:
 		env.Invalidate(x86.ESP)

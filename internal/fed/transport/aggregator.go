@@ -53,6 +53,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"semnids/internal/fed"
 	"semnids/internal/fed/compress"
@@ -234,6 +235,9 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("transport: aggregator needs a sink directory")
+	}
+	if !utf8.ValidString(cfg.NodeID) {
+		return nil, fmt.Errorf("transport: aggregator NodeID %q is not valid UTF-8 (evidence frames carry it as a JSON string)", cfg.NodeID)
 	}
 	a := &Aggregator{cfg: cfg, state: fed.NewState(), ackedAt: make(map[netip.Addr]uint64), seenVia: make(map[string]bool)}
 	if a.cfg.Telemetry == nil {

@@ -211,6 +211,15 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 // TestAggregatorStatuses locks the push endpoint's status-code
 // contract: every malformed input is refused cleanly before any fold,
 // valid pushes ack durably, and duplicates are harmless.
+// TestAggregatorRefusesInvalidUTF8NodeID: a NodeID that is not valid
+// UTF-8 would reach the wire as U+FFFD, so the aggregator refuses it.
+func TestAggregatorRefusesInvalidUTF8NodeID(t *testing.T) {
+	_, err := NewAggregator(AggregatorConfig{Dir: t.TempDir(), NodeID: "agg-\xff"})
+	if err == nil || !strings.Contains(err.Error(), "NodeID") {
+		t.Fatalf("NodeID agg-\\xff: %v, want an error naming NodeID", err)
+	}
+}
+
 func TestAggregatorStatuses(t *testing.T) {
 	agg := newAggregator(t, t.TempDir(), func(c *AggregatorConfig) { c.MaxBodyBytes = 64 << 10 })
 	defer agg.Close()

@@ -26,13 +26,10 @@ func (s RegSet) Has(r x86.Reg) bool { return s&famBit[r] != 0 }
 // Intersects reports whether the two sets share a register family.
 func (s RegSet) Intersects(o RegSet) bool { return s&o != 0 }
 
-// AllRegs is the set of every family.
-const AllRegs RegSet = 0xff
-
 // Node is one instruction in execution order together with the
-// register state holding *before* it executes and its def/use sets.
-// Its position in Program.Nodes or Program.Raw is its position in that
-// order.
+// register state holding *before* it executes and the register
+// families it writes. Its position in Program.Nodes or Program.Raw is
+// its position in that order.
 //
 // Inst points into the decoded-instruction store the lifted stream
 // came from (x86.DecodeCache for the analysis path): a Node never owns
@@ -43,10 +40,10 @@ type Node struct {
 
 	Pre Regs // register state before the instruction executes
 
-	Defs      RegSet // register families written
-	Uses      RegSet // register families read
-	WritesMem bool
-	ReadsMem  bool
+	// Defs is the families Step wrote when the lifter ran this node:
+	// every family the instruction may change (the matcher's clobber
+	// set, DESIGN 4).
+	Defs RegSet
 }
 
 // ConstBefore reports the value of register r just before this node
@@ -130,9 +127,10 @@ type Program struct {
 }
 
 // Lift analyzes a decoded instruction stream: it computes the threaded
-// execution order, runs the constant-propagation evaluator along both
-// the threaded and raw orders, and fills in def/use sets. The program
-// refers to the elements of insts, which must outlive it.
+// execution order and runs the constant-propagation evaluator along
+// both the threaded and raw orders, which also records each node's
+// def set. The program refers to the elements of insts, which must
+// outlive it.
 func Lift(insts []x86.Inst) *Program {
 	p := &Program{}
 	p.Reuse(x86.Refs(insts))
@@ -156,7 +154,8 @@ func (p *Program) Reuse(insts []*x86.Inst) {
 
 // analyzeInto runs the transfer function on an abstract state over
 // insts in the given order, appending the resulting nodes to the
-// caller-managed slice.
+// caller-managed slice: each with the registers before its Step and
+// the families that Step wrote.
 func (p *Program) analyzeInto(nodes []Node, insts []*x86.Inst) []Node {
 	s := &p.state
 	s.Reset(false)
@@ -164,210 +163,8 @@ func (p *Program) analyzeInto(nodes []Node, insts []*x86.Inst) []Node {
 		nodes = append(nodes, Node{})
 		n := &nodes[len(nodes)-1]
 		n.Inst, n.Pre = in, s.Regs
-		computeDefsUses(n)
 		s.Step(in)
+		n.Defs = s.wrote
 	}
 	return nodes
-}
-
-// computeDefsUses fills the def/use sets for one instruction.
-func computeDefsUses(n *Node) {
-	in := n.Inst
-	addOperandUses := func(o x86.Operand) {
-		switch o.Kind {
-		case x86.KindReg:
-			n.Uses.Add(o.Reg)
-		case x86.KindMem:
-			n.Uses.Add(o.Mem.Base)
-			n.Uses.Add(o.Mem.Index)
-			n.ReadsMem = true
-		}
-	}
-	defOperand := func(o x86.Operand) {
-		switch o.Kind {
-		case x86.KindReg:
-			n.Defs.Add(o.Reg)
-		case x86.KindMem:
-			n.Uses.Add(o.Mem.Base)
-			n.Uses.Add(o.Mem.Index)
-			n.WritesMem = true
-		}
-	}
-
-	a0, a1, a2 := in.Args[0], in.Args[1], in.Args[2]
-	switch in.Op {
-	case x86.MOV, x86.MOVZX, x86.MOVSX, x86.LEA, x86.SETCC:
-		defOperand(a0)
-		if in.Op != x86.LEA {
-			addOperandUses(a1)
-		} else if a1.Kind == x86.KindMem {
-			n.Uses.Add(a1.Mem.Base)
-			n.Uses.Add(a1.Mem.Index)
-		}
-	case x86.ADD, x86.ADC, x86.SUB, x86.SBB, x86.AND, x86.OR, x86.XOR,
-		x86.SHL, x86.SHR, x86.SAR, x86.ROL, x86.ROR, x86.RCL, x86.RCR:
-		defOperand(a0)
-		addOperandUses(a0)
-		addOperandUses(a1)
-	case x86.CMP, x86.TEST:
-		addOperandUses(a0)
-		addOperandUses(a1)
-	case x86.NOT, x86.NEG, x86.INC, x86.DEC, x86.BSWAP:
-		defOperand(a0)
-		addOperandUses(a0)
-	case x86.XCHG:
-		defOperand(a0)
-		defOperand(a1)
-		addOperandUses(a0)
-		addOperandUses(a1)
-	case x86.MUL, x86.IMUL, x86.DIV, x86.IDIV:
-		if a1.Kind != x86.KindNone { // two/three operand imul
-			defOperand(a0)
-			addOperandUses(a1)
-			if a2.Kind != x86.KindNone {
-				addOperandUses(a2)
-			}
-		} else {
-			addOperandUses(a0)
-			n.Uses.Add(x86.EAX)
-			n.Defs.Add(x86.EAX)
-			n.Defs.Add(x86.EDX)
-		}
-	case x86.PUSH:
-		addOperandUses(a0)
-		n.Uses.Add(x86.ESP)
-		n.Defs.Add(x86.ESP)
-		n.WritesMem = true
-	case x86.POP:
-		defOperand(a0)
-		n.Uses.Add(x86.ESP)
-		n.Defs.Add(x86.ESP)
-		n.ReadsMem = true
-	case x86.PUSHAD:
-		n.Uses = AllRegs
-		n.Defs.Add(x86.ESP)
-		n.WritesMem = true
-	case x86.POPAD:
-		n.Defs = AllRegs
-		n.ReadsMem = true
-	case x86.PUSHFD:
-		n.Defs.Add(x86.ESP)
-		n.WritesMem = true
-	case x86.POPFD:
-		n.Defs.Add(x86.ESP)
-		n.ReadsMem = true
-	case x86.CALL, x86.JMP:
-		addOperandUses(a0)
-		if in.Op == x86.CALL {
-			n.Defs.Add(x86.ESP)
-			n.WritesMem = true
-		}
-	case x86.RET:
-		n.Uses.Add(x86.ESP)
-		n.Defs.Add(x86.ESP)
-		n.ReadsMem = true
-	case x86.LEAVE:
-		n.Uses.Add(x86.EBP)
-		n.Defs.Add(x86.ESP)
-		n.Defs.Add(x86.EBP)
-		n.ReadsMem = true
-	case x86.LOOP, x86.LOOPE, x86.LOOPNE:
-		n.Uses.Add(x86.ECX)
-		n.Defs.Add(x86.ECX)
-	case x86.JECXZ:
-		n.Uses.Add(x86.ECX)
-	case x86.INT, x86.INT3, x86.INTO:
-		// A system call reads the syscall registers and clobbers EAX.
-		n.Uses = AllRegs
-		n.Defs.Add(x86.EAX)
-	case x86.CDQ:
-		n.Uses.Add(x86.EAX)
-		n.Defs.Add(x86.EDX)
-	case x86.CWDE:
-		n.Uses.Add(x86.EAX)
-		n.Defs.Add(x86.EAX)
-	case x86.SAHF:
-		n.Uses.Add(x86.EAX)
-	case x86.LAHF, x86.SALC:
-		n.Defs.Add(x86.EAX)
-	case x86.XLAT:
-		n.Uses.Add(x86.EAX)
-		n.Uses.Add(x86.EBX)
-		n.Defs.Add(x86.EAX)
-		n.ReadsMem = true
-	case x86.AAM, x86.AAD, x86.AAA, x86.AAS, x86.DAA, x86.DAS:
-		n.Uses.Add(x86.EAX)
-		n.Defs.Add(x86.EAX)
-	case x86.STOSB, x86.STOSD:
-		n.Uses.Add(x86.EAX)
-		n.Uses.Add(x86.EDI)
-		n.Defs.Add(x86.EDI)
-		n.WritesMem = true
-	case x86.LODSB, x86.LODSD:
-		n.Uses.Add(x86.ESI)
-		n.Defs.Add(x86.EAX)
-		n.Defs.Add(x86.ESI)
-		n.ReadsMem = true
-	case x86.MOVSB, x86.MOVSD:
-		n.Uses.Add(x86.ESI)
-		n.Uses.Add(x86.EDI)
-		n.Defs.Add(x86.ESI)
-		n.Defs.Add(x86.EDI)
-		n.ReadsMem = true
-		n.WritesMem = true
-	case x86.SCASB, x86.SCASD:
-		n.Uses.Add(x86.EAX)
-		n.Uses.Add(x86.EDI)
-		n.Defs.Add(x86.EDI)
-		n.ReadsMem = true
-	case x86.CMPSB, x86.CMPSD:
-		n.Uses.Add(x86.ESI)
-		n.Uses.Add(x86.EDI)
-		n.Defs.Add(x86.ESI)
-		n.Defs.Add(x86.EDI)
-		n.ReadsMem = true
-	case x86.CPUID:
-		n.Uses.Add(x86.EAX)
-		n.Defs.Add(x86.EAX)
-		n.Defs.Add(x86.EBX)
-		n.Defs.Add(x86.ECX)
-		n.Defs.Add(x86.EDX)
-	case x86.RDTSC:
-		n.Defs.Add(x86.EAX)
-		n.Defs.Add(x86.EDX)
-	case x86.CMOVCC:
-		defOperand(a0)
-		addOperandUses(a0) // conditional: may keep the old value
-		addOperandUses(a1)
-	case x86.BT:
-		addOperandUses(a0)
-		addOperandUses(a1)
-	case x86.BTS, x86.BTR, x86.BTC:
-		defOperand(a0)
-		addOperandUses(a0)
-		addOperandUses(a1)
-	case x86.SHLD, x86.SHRD:
-		defOperand(a0)
-		addOperandUses(a0)
-		addOperandUses(a1)
-		addOperandUses(a2)
-	case x86.CMPXCHG:
-		defOperand(a0)
-		addOperandUses(a0)
-		addOperandUses(a1)
-		n.Uses.Add(x86.EAX)
-		n.Defs.Add(x86.EAX)
-	case x86.XADD:
-		defOperand(a0)
-		defOperand(a1)
-		addOperandUses(a0)
-		addOperandUses(a1)
-	case x86.BAD:
-		// Unknown data byte: conservatively clobbers nothing (it is
-		// not executed code as far as matching is concerned).
-	}
-	if in.Rep || in.Repne {
-		n.Uses.Add(x86.ECX)
-		n.Defs.Add(x86.ECX)
-	}
 }

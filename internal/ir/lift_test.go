@@ -172,32 +172,38 @@ func TestAdvanceDetection(t *testing.T) {
 	}
 }
 
-func TestDefsUses(t *testing.T) {
-	p := liftAsm(t, func(a *x86.Asm) {
-		a.I(x86.XOR, x86.MemOp(x86.MemRef{Base: x86.EAX, Size: 1, Scale: 1}), x86.RegOp(x86.BL))
-	})
-	n := &p.Nodes[0]
-	if !n.WritesMem || !n.ReadsMem {
-		t.Error("xor [eax], bl must read and write memory")
-	}
-	if !n.Uses.Has(x86.EAX) || !n.Uses.Has(x86.EBX) {
-		t.Errorf("uses = %b", n.Uses)
-	}
-	if n.Defs.Has(x86.EBX) {
-		t.Error("xor to memory must not def ebx")
-	}
-
-	p = liftAsm(t, func(a *x86.Asm) { a.PopR(x86.ECX) })
-	n = &p.Nodes[0]
-	if !n.Defs.Has(x86.ECX) || !n.Defs.Has(x86.ESP) {
-		t.Errorf("pop defs = %b", n.Defs)
-	}
-
-	p = liftAsm(t, func(a *x86.Asm) { a.Loop("self"); a.Label("self") })
-	// loop with a forward label to itself is fine for def/use purposes
-	n = &p.Nodes[0]
-	if !n.Defs.Has(x86.ECX) || !n.Uses.Has(x86.ECX) {
-		t.Errorf("loop defs/uses: %b / %b", n.Defs, n.Uses)
+// TestDefs pins the def sets Step records: the families an
+// instruction may write, and no others.
+func TestDefs(t *testing.T) {
+	for _, c := range []struct {
+		code []byte
+		asm  string
+		want []x86.Reg
+	}{
+		{[]byte{0x30, 0x18}, "xor byte ptr [eax], bl", nil},
+		{[]byte{0x59}, "pop ecx", []x86.Reg{x86.ECX, x86.ESP}},
+		{[]byte{0xe2, 0xfe}, "loop 0x0", []x86.Reg{x86.ECX}},
+		{[]byte{0x99}, "cdq", []x86.Reg{x86.EDX}},
+		{[]byte{0x87, 0xd1}, "xchg ecx, edx", []x86.Reg{x86.ECX, x86.EDX}},
+		{[]byte{0xf6, 0xe3}, "mul bl", []x86.Reg{x86.EAX}},
+		{[]byte{0xf7, 0xe3}, "mul ebx", []x86.Reg{x86.EAX, x86.EDX}},
+		{[]byte{0xf3, 0xaa}, "rep stosb", []x86.Reg{x86.ECX, x86.EDI}},
+		{[]byte{0xf3, 0x83, 0xc0, 0x01}, "rep add eax, 0x1", []x86.Reg{x86.EAX}},
+		{[]byte{0x60}, "pushad", []x86.Reg{x86.ESP}},
+		{[]byte{0x61}, "popad", []x86.Reg{x86.EAX, x86.ECX, x86.EDX, x86.EBX, x86.ESP, x86.EBP, x86.ESI, x86.EDI}},
+	} {
+		p := Lift(x86.SweepAll(c.code))
+		if len(p.Raw) != 1 || p.Raw[0].Inst.String() != c.asm {
+			t.Errorf("% x decodes to %v, want %s", c.code, p.Raw, c.asm)
+			continue
+		}
+		var want RegSet
+		for _, r := range c.want {
+			want.Add(r)
+		}
+		if got := p.Raw[0].Defs; got != want {
+			t.Errorf("%s: defs %08b, want %08b", c.asm, got, want)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestNodeSize pins the node layout: a pointer to the instruction, the
-// register half of the abstract state, and the def/use summary.
+// register half of the abstract state, and the def set.
 func TestNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(Node{}); got > 96 {
 		t.Errorf("sizeof(Node) = %d, want at most 96", got)

@@ -1,7 +1,8 @@
 // Package ir lifts decoded x86 instructions into an analyzed program:
 // instructions in recovered execution order, annotated with the
 // abstract machine state before each instruction (known constant
-// register values, a symbolic stack) and def/use register sets.
+// register values, a symbolic stack) and the register families each
+// one writes, as the transfer function recorded them.
 //
 // This is the "intermediate representation generator" stage of the
 // paper's NIDS (Section 4, component (d)). The constant folding
@@ -130,7 +131,8 @@ type State struct {
 	unknown uint64
 	lost    bool
 
-	fault error // the running Step's first fault; it writes nothing after
+	fault error  // the running Step's first fault; it writes nothing after
+	wrote RegSet // the families the running Step wrote (set, forget, moveESP)
 }
 
 // maxTrackedStack caps the abstract stack (one bit of unknown each).
@@ -205,6 +207,7 @@ func (s *State) Cond(c x86.Cond) bool {
 func (s *State) set(r x86.Reg, v uint32, known bool) {
 	if s.fault == nil {
 		s.Regs.write(r, v, known)
+		s.wrote.Add(r)
 	}
 }
 
@@ -216,6 +219,7 @@ func (s *State) set(r x86.Reg, v uint32, known bool) {
 func (s *State) forget(r x86.Reg) {
 	if !s.Concrete {
 		s.Regs.write(r, 0, false)
+		s.wrote.Add(r)
 	}
 }
 
@@ -366,6 +370,7 @@ func (s *State) pop() (uint32, bool) {
 func (s *State) moveESP(d int32) {
 	v, known := s.Regs.read(x86.ESP)
 	s.Regs.write(x86.ESP, v+uint32(d), known)
+	s.wrote.Add(x86.ESP)
 }
 
 // abandonStack gives up abstract stack tracking; the concrete stack is

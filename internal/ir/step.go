@@ -4,10 +4,16 @@ import "semnids/internal/x86"
 
 // Step applies one instruction's data effects to s: registers, flags,
 // memory and the stack. Control flow is the caller's: a jump's target,
-// a loop's decision (Step only decrements ECX), where a ret returns to
-// and whether a syscall stops the machine. One rule per place the
-// concrete and the abstract machine differ (DESIGN 3):
+// a loop's decision (Step only decrements ECX), whether a rep string
+// op repeats, where a ret returns to and whether a syscall stops the
+// machine. The families it writes are recorded for the lifter's def
+// sets. One rule per place the concrete and the abstract machine
+// differ (DESIGN 3):
 //
+//   - a rep- or repne-prefixed string op is one iteration that also
+//     decrements ECX; with ECX = 0 a concrete Step does nothing, and
+//     an abstract one leaves ECX unknown (the prefix is ignored on
+//     any other instruction);
 //   - a value needs all of its inputs known; flags are known only on a
 //     concrete state, so ADC, SBB, SETcc, CMOVcc, SALC and the string
 //     ops' DF step are unknown on an abstract one;
@@ -26,7 +32,11 @@ import "semnids/internal/x86"
 // A concrete Step that faults (ErrMemFault, ErrStack) writes no
 // register, memory or stack after the fault; its flags are unspecified.
 func (s *State) Step(in *x86.Inst) error {
-	s.fault = nil
+	s.fault, s.wrote = nil, 0
+	rep := (in.Rep || in.Repne) && in.Op.IsString()
+	if rep && s.Concrete && s.Reg(x86.ECX) == 0 {
+		return nil
+	}
 	a0, a1 := &in.Args[0], &in.Args[1]
 	switch in.Op {
 	case x86.MOV:
@@ -295,6 +305,9 @@ func (s *State) Step(in *x86.Inst) error {
 		default:
 			s.forget(a0.Reg)
 		}
+	}
+	if rep {
+		s.set(x86.ECX, s.Reg(x86.ECX)-1, s.Concrete)
 	}
 	return s.fault
 }

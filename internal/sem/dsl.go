@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"semnids/internal/x86"
 )
@@ -67,6 +68,9 @@ func ParseTemplates(r io.Reader) ([]*Template, error) {
 		if fields[0] == "template" {
 			if len(fields) < 2 {
 				return nil, fmt.Errorf("line %d: template needs a name", lineno)
+			}
+			if !utf8.ValidString(fields[1]) {
+				return nil, fmt.Errorf("line %d: template name %q is not valid UTF-8 (evidence frames carry it as a JSON string)", lineno, fields[1])
 			}
 			cur = &Template{Name: fields[1], Severity: "medium"}
 			for _, f := range fields[2:] {

@@ -141,6 +141,18 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRefusesInvalidUTF8Name: a template name that is not valid
+// UTF-8 would reach the wire as U+FFFD, so the parser refuses it.
+func TestParseRefusesInvalidUTF8Name(t *testing.T) {
+	_, err := ParseTemplates(strings.NewReader("template t\xff\n  syscall 11"))
+	if err == nil || !strings.Contains(err.Error(), "template name") {
+		t.Fatalf("name t\\xff: %v, want an error naming the template name", err)
+	}
+	if _, err := ParseTemplates(strings.NewReader("template tö\n  syscall 11")); err != nil {
+		t.Fatalf("valid non-ASCII name: %v", err)
+	}
+}
+
 func TestParseOptional(t *testing.T) {
 	tpls, err := ParseTemplates(strings.NewReader(
 		"template t\n  const 0x1 optional\n  syscall 0xb\n"))

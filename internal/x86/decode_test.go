@@ -395,3 +395,16 @@ func TestMaxInstLen(t *testing.T) {
 		}
 	}
 }
+
+// TestIsString pins IsString, a range over the opcode list, to the
+// string mnemonics.
+func TestIsString(t *testing.T) {
+	for op := BAD; op < numOpcodes; op++ {
+		name := op.String()
+		want := len(name) == 5 && strings.Contains("movs cmps stos lods scas", name[:4]) &&
+			(name[4] == 'b' || name[4] == 'd')
+		if op.IsString() != want {
+			t.Errorf("%s: IsString() = %v", name, op.IsString())
+		}
+	}
+}

@@ -187,6 +187,11 @@ func (op Opcode) IsCondBranch() bool {
 	return false
 }
 
+// IsString reports whether the opcode is a string instruction (movs,
+// cmps, stos, lods, scas; one contiguous block above), which a rep or
+// repne prefix repeats ECX times.
+func (op Opcode) IsString() bool { return op >= MOVSB && op <= SCASD }
+
 // BreaksRun reports whether the opcode ends a flow-unbroken run: an
 // undecodable byte (BAD), ret or hlt, past which execution never
 // reaches the next instruction of either order. The matcher accepts

@@ -46,6 +46,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"semnids/internal/classify"
 	"semnids/internal/core"
@@ -387,6 +388,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	case cfg.DatagramIdle < 0, cfg.IncidentWindow < 0:
 		return nil, fmt.Errorf("nids: durations must not be negative (DatagramIdle %v, IncidentWindow %v)",
 			cfg.DatagramIdle, cfg.IncidentWindow)
+	case !utf8.ValidString(cfg.SensorID):
+		return nil, fmt.Errorf("nids: SensorID %q is not valid UTF-8 (evidence frames carry it as a JSON string)", cfg.SensorID)
 	}
 	tel := telemetry.NewRegistry()
 	ecfg := engine.Config{
